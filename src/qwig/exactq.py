@@ -40,6 +40,9 @@ def _as_fraction(c):
 
 def _coeff_div(a, b):
     """Exact coefficient quotient, demoted to int when integral."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
     r = Fraction(a) / b
     return r.numerator if r.denominator == 1 else r
 
@@ -95,8 +98,13 @@ class HalfLaurent:
         return NotImplemented
 
     def __hash__(self):
+        # a constant equals, so must hash like, its int or Fraction value
         if self._hash is None:
-            self._hash = hash(frozenset(self._t.items()))
+            t = self._t
+            if not t or (len(t) == 1 and 0 in t):
+                self._hash = hash(t.get(0, 0))
+            else:
+                self._hash = hash(frozenset(t.items()))
         return self._hash
 
     def __neg__(self):
@@ -264,6 +272,27 @@ def qnum_frac(x):
 
 
 # -- univariate gcd over Q, on shifted (nonnegative) exponents -------------
+#
+# The gcd is unique up to a unit (a monomial times a nonzero scalar), so it
+# is computed on primitive integer polynomials with pseudo-remainders:
+# Python int arithmetic is far cheaper than Fraction arithmetic, and the
+# normalized result is the same polynomial whichever associate is found.
+
+
+def _primitive(p):
+    """The nonzero dict p scaled by a rational to coprime int coefficients."""
+    lcm = None
+    for c in p.values():
+        if type(c) is not int:
+            d = c.denominator
+            lcm = d if lcm is None else lcm * d // math.gcd(lcm, d)
+    if lcm is not None:
+        p = {k: c * lcm if type(c) is int else c.numerator * (lcm // c.denominator)
+             for k, c in p.items()}
+    g = math.gcd(*p.values())
+    if g != 1:
+        p = {k: c // g for k, c in p.items()}
+    return p
 
 
 def _poly_gcd(a, b):
@@ -273,18 +302,19 @@ def _poly_gcd(a, b):
     coefficient 1.
     """
     # shift both so exponents start at 0; monomial factors are units
-    pa = {k - a.min_dexp(): c for k, c in a.items()}
-    pb = {k - b.min_dexp(): c for k, c in b.items()}
+    pa = _primitive({k - a.min_dexp(): c for k, c in a.items()})
+    pb = _primitive({k - b.min_dexp(): c for k, c in b.items()})
     while pb:
-        pa = _poly_rem(pa, pb)
-        pa, pb = pb, pa
+        pa = _poly_prem(pa, pb)
+        pa, pb = pb, (_primitive(pa) if pa else pa)
     low = min(pa)
     lc = pa[low]
     return HalfLaurent._raw({k - low: _coeff_div(c, lc) for k, c in pa.items()})
 
 
-def _poly_rem(pa, pb):
-    """Remainder of pa by pb, dicts with nonnegative doubled exponents."""
+def _poly_prem(pa, pb):
+    """Remainder of pa by pb up to a nonzero int factor; int-coefficient
+    dicts with nonnegative doubled exponents."""
     pa = dict(pa)
     db = max(pb)
     lb = pb[db]
@@ -292,7 +322,12 @@ def _poly_rem(pa, pb):
         da = max(pa)
         if da < db:
             break
-        f = _coeff_div(pa[da], lb)
+        # pa <- s*pa - f*q^sh*pb cancels the leading term of pa
+        f = pa[da]
+        g = math.gcd(f, lb)
+        s, f = lb // g, f // g
+        if s != 1:
+            pa = {k: s * c for k, c in pa.items()}
         sh = da - db
         for k, c in pb.items():
             kk = k + sh
@@ -303,6 +338,26 @@ def _poly_rem(pa, pb):
             elif kk in pa:
                 del pa[kk]
     return pa
+
+
+_POLY_ONE = HalfLaurent.const(1)
+
+
+def _is_one(p):
+    return p._t == _POLY_ONE._t
+
+
+def _strip_unit(num, den):
+    """num/den with the unit of den's lowest term moved into num, so that
+    den has lowest doubled exponent 0 and lowest coefficient 1."""
+    low = den.min_dexp()
+    lc = den._t[low]
+    if not low and lc == 1:
+        return num, den
+    return (
+        HalfLaurent._raw({k - low: _coeff_div(c, lc) for k, c in num.items()}),
+        HalfLaurent._raw({k - low: _coeff_div(c, lc) for k, c in den.items()}),
+    )
 
 
 class QFraction:
@@ -319,46 +374,37 @@ class QFraction:
         if isinstance(num, (int, Fraction)):
             num = HalfLaurent.const(num)
         if den is None:
-            den = HalfLaurent.const(1)
+            den = _POLY_ONE
         elif isinstance(den, (int, Fraction)):
             den = HalfLaurent.const(den)
         if not den:
             raise ZeroDivisionError("zero denominator")
         if not num:
-            den = HalfLaurent.const(1)
-        elif den.is_monomial():
-            k, c = next(iter(den.items()))
-            if k or c != 1:
-                num = HalfLaurent._raw(
-                    {kk - k: _coeff_div(cc, c) for kk, cc in num.items()}
-                )
-                den = HalfLaurent.const(1)
+            den = _POLY_ONE
         else:
-            g = _poly_gcd(num, den)
-            if g.is_monomial():
-                # coprime; only unit content to strip from den
-                pass
-            else:
-                num = _exact_div(num, g)
-                den = _exact_div(den, g)
-            if den.is_monomial():
-                k, c = next(iter(den.items()))
-                num = HalfLaurent._raw(
-                    {kk - k: _coeff_div(cc, c) for kk, cc in num.items()}
-                )
-                den = HalfLaurent.const(1)
-            else:
-                low = den.min_dexp()
-                lc = next(c for k, c in den.items() if k == low)
-                den = HalfLaurent._raw(
-                    {k - low: _coeff_div(c, lc) for k, c in den.items()}
-                )
-                num = HalfLaurent._raw(
-                    {k - low: _coeff_div(c, lc) for k, c in num.items()}
-                )
+            if not den.is_monomial():
+                g = _poly_gcd(num, den)
+                if not g.is_monomial():
+                    num = _exact_div(num, g)
+                    den = _exact_div(den, g)
+            num, den = _strip_unit(num, den)
         self.num = num
         self.den = den
         self._hash = None
+
+    @classmethod
+    def _raw(cls, num, den):
+        # internal: num/den already in normal form
+        out = cls.__new__(cls)
+        out.num = num
+        out.den = den
+        out._hash = None
+        return out
+
+    @classmethod
+    def _reduced(cls, num, den):
+        # num/den in lowest terms; den is already normalized
+        return cls._raw(num, den) if _is_one(den) else cls(num, den)
 
     @classmethod
     def _coerce(cls, x):
@@ -378,23 +424,32 @@ class QFraction:
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
+        # a value with denominator 1 equals, so must hash like, its
+        # numerator (and through it a constant's int or Fraction value)
         if self._hash is None:
-            self._hash = hash((self.num, self.den))
+            if _is_one(self.den):
+                self._hash = hash(self.num)
+            else:
+                self._hash = hash((self.num, self.den))
         return self._hash
 
     def __neg__(self):
-        out = QFraction.__new__(QFraction)
-        out.num = -self.num
-        out.den = self.den
-        out._hash = None
-        return out
+        return QFraction._raw(-self.num, self.den)
 
     def __add__(self, other):
         other = QFraction._coerce(other)
         if other is None:
             return NotImplemented
         if self.den == other.den:
+            if _is_one(self.den):
+                return QFraction._raw(self.num + other.num, self.den)
             return QFraction(self.num + other.num, self.den)
+        # a + c/d = (a*d + c)/d is already in lowest terms, since c and d
+        # are coprime
+        if _is_one(self.den):
+            return QFraction._raw(self.num * other.den + other.num, other.den)
+        if _is_one(other.den):
+            return QFraction._raw(other.num * self.den + self.num, self.den)
         return QFraction(
             self.num * other.den + other.num * self.den, self.den * other.den
         )
@@ -416,7 +471,13 @@ class QFraction:
             return NotImplemented
         if not self.num or not other.num:
             return ZERO
-        return QFraction(self.num * other.num, self.den * other.den)
+        if _is_one(self.den) and _is_one(other.den):
+            return QFraction._raw(self.num * other.num, self.den)
+        # a/b and c/d are in lowest terms, so a*c/(b*d) is too once the
+        # factors shared by a and d and by c and b are cancelled
+        u = QFraction._reduced(self.num, other.den)
+        v = QFraction._reduced(other.num, self.den)
+        return QFraction._raw(u.num * v.num, u.den * v.den)
 
     __rmul__ = __mul__
 
@@ -435,7 +496,7 @@ class QFraction:
     def inverse(self):
         if not self.num:
             raise ZeroDivisionError("inverse of zero")
-        return QFraction(self.den, self.num)
+        return QFraction._raw(*_strip_unit(self.den, self.num))
 
     def __pow__(self, n):
         if not isinstance(n, int):
@@ -481,7 +542,7 @@ class QFraction:
         return cls(num, den)
 
     def __str__(self):
-        if self.den == HalfLaurent.const(1):
+        if _is_one(self.den):
             return str(self.num)
         num = str(self.num)
         if len(self.num._t) > 1:

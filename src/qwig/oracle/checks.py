@@ -86,7 +86,7 @@ def _three_slot(sig, V, a, b):
                 ops.append((et, p))
             else:
                 ops.append((identity(d), 0))
-        total = total + gkron(ops, slot_pars)
+        gkron(ops, slot_pars, out=total)
     return total
 
 
@@ -199,7 +199,7 @@ def coproduct_check(sig, q0=None, tol=1e-9):
         p = (sig.parity(i) + sig.parity(j)) % 2
         eji = zeros(d)
         eji[j - 1, i - 1] = ONE
-        lhs = lhs + gkron([(eji, p), (etilde_matrix(T, i, j), p)], slot3)
+        gkron([(eji, p), (etilde_matrix(T, i, j), p)], slot3, out=lhs)
     R13 = _three_slot(sig, V, 1, 3)
     R12 = _three_slot(sig, V, 1, 2)
     if q0 is None:
@@ -243,9 +243,19 @@ def char_identity_check(W, lam, kind):
 def all_projectors(W, lam, kind):
     """All d eigenspace projectors of the characteristic matrix on V' (x) W,
     indexed by shift position 1..d."""
-    A = char_matrix(W, kind)
-    vals = char_eigenvalues(lam, kind)
-    return [projector(A, vals, r) for r in range(1, W.sig.d + 1)]
+    return [_projector(W, lam, r, kind) for r in range(1, W.sig.d + 1)]
+
+
+def _projector(W, lam, k, ckind):
+    """The k-th eigenspace projector of the characteristic matrix on
+    V' (x) W, with nodes at the deformed roots of lam; built once per
+    module and shared read-only."""
+    return W.cached(
+        ("P", ckind, tuple(lam.comps), k),
+        lambda: projector(
+            char_matrix(W, ckind), char_eigenvalues(lam, ckind), k
+        ),
+    )
 
 
 _RHO_SIGN = {"ahat": 1, "atilde": 1, "adual": -1, "abar": -1}
@@ -311,10 +321,7 @@ def wigner_oracle(W, lam, lam0, k, kind):
     sig = W.sig
     d = sig.d
     b, w0 = _branch_vector(W, lam, lam0)
-    ckind = _KIND_TO_CHAR[kind]
-    A = char_matrix(W, ckind)
-    vals = char_eigenvalues(lam, ckind)
-    P = projector(A, vals, k)
+    P = _projector(W, lam, k, _KIND_TO_CHAR[kind])
     u = _apply(big_entry(P, W.dim, d, d), w0)
     return _ratio([u], [w0])
 
@@ -324,17 +331,15 @@ def _sub_projector(W, lam0, r, ckind):
     polynomial of the subalgebra characteristic matrix with nodes at the
     lam0 deformed roots.  Genuinely a projector only on the lam0
     component; see _shift_projector for the component-aware variant."""
-    key = ("subP", ckind, tuple(lam0), r)
-    if key in W._cache:
-        return W._cache[key]
     sig = W.sig
     variant = _KIND_TO_VARIANT["raise" if ckind == "atilde" else "lower"]
-    A0 = char_matrix(W, ckind, top=sig.d - 1)
-    alphas = subalgebra_roots(tuple(lam0), variant, sig)
-    nodes = tuple(char_eigenvalue(a, ckind) for a in alphas)
-    P0 = projector(A0, nodes, r)
-    W._cache[key] = P0
-    return P0
+
+    def build():
+        alphas = subalgebra_roots(tuple(lam0), variant, sig)
+        nodes = tuple(char_eigenvalue(a, ckind) for a in alphas)
+        return projector(char_matrix(W, ckind, top=sig.d - 1), nodes, r)
+
+    return W.cached(("subP", ckind, tuple(lam0), r), build)
 
 
 def _shift_projector(W, r, ckind):
@@ -349,9 +354,12 @@ def _shift_projector(W, r, ckind):
     (asserted in tests); the oracles use the fixed-node form, which is the
     cheaper of the two.
     """
-    key = ("shiftP", ckind, r)
-    if key in W._cache:
-        return W._cache[key]
+    return W.cached(
+        ("shiftP", ckind, r), lambda: _build_shift_projector(W, r, ckind)
+    )
+
+
+def _build_shift_projector(W, r, ckind):
     sig = W.sig
     d = sig.d
     dw = W.dim
@@ -382,7 +390,6 @@ def _shift_projector(W, r, ckind):
         for bi in range(d - 1):
             EQ[bi * dw : (bi + 1) * dw, bi * dw : (bi + 1) * dw] = Q
         total = total + matmul(projector(A0, nodes, r), EQ)
-    W._cache[key] = total
     return total
 
 
@@ -405,8 +412,7 @@ def coupled_oracle(W, lam, lam0, k, r, kind):
     d = sig.d
     b, w0 = _branch_vector(W, lam, lam0)
     ckind = _KIND_TO_CHAR[kind]
-    A = char_matrix(W, ckind)
-    P = projector(A, char_eigenvalues(lam, ckind), k)
+    P = _projector(W, lam, k, ckind)
     E0 = _embed(_sub_projector(W, lam0, r, ckind), W, d)
     X = matmul(matmul(E0, P), E0)
     lhs_vecs = []
@@ -443,7 +449,7 @@ def mu_oracle(W, lam, lam0, r, kind):
     b, w0 = _branch_vector(W, lam, lam0)
     ckind = _KIND_TO_CHAR[kind]
     A = char_matrix(W, ckind)
-    P = projector(A, char_eigenvalues(lam, ckind), r)
+    P = _projector(W, lam, r, ckind)
     P0 = _sub_projector(W, lam0, r, ckind)
     dw = W.dim
     left = []  # block operators: sum_k (P0)_{ik} A_{k,d}

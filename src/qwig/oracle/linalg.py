@@ -8,24 +8,21 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import NotScalar
+from ..errors import NotScalar, QwigError
 from ..exactq import ONE, ZERO, QFraction
 
 __all__ = [
     "zeros",
     "identity",
     "matmul",
-    "mat_add",
     "mat_scale",
     "is_zero_matrix",
     "mat_pow",
     "gkron",
     "nullspace",
-    "rank",
     "mat_inverse",
     "solve_coords",
     "scalar_of",
-    "GradedMatrix",
 ]
 
 
@@ -46,7 +43,8 @@ def identity(n):
 def matmul(A, B):
     n, m = A.shape
     m2, p = B.shape
-    assert m == m2
+    if m != m2:
+        raise QwigError("cannot multiply %dx%d by %dx%d" % (n, m, m2, p))
     rows_b = [[(j, B[k, j]) for j in range(p) if B[k, j]] for k in range(m)]
     C = zeros(n, p)
     for i in range(n):
@@ -60,10 +58,6 @@ def matmul(A, B):
             for j, bv in row:
                 Ci[j] = Ci[j] + a * bv
     return C
-
-
-def mat_add(A, B):
-    return A + B
 
 
 def mat_scale(A, c):
@@ -87,19 +81,23 @@ def is_zero_matrix(A):
     return all(not x for x in A.flat)
 
 
-def gkron(ops, slot_parities):
+def gkron(ops, slot_parities, out=None):
     """Graded Kronecker product of operators acting on consecutive slots.
 
     ops: list of (matrix, operator parity 0/1); slot_parities: per slot,
     the list of basis parities.  The Koszul sign for moving the j-th
     operator past the first j-1 basis factors is
     (-1)^(p_j * (par(a_1) + ... + par(a_{j-1}))).
+
+    With out given, the product's nonzero entries are added into out in
+    place, which sums many sparse products without touching the zeros.
     """
     dims = [m.shape[0] for m, _ in ops]
-    total = 1
-    for d in dims:
-        total *= d
-    out = zeros(total, total)
+    if out is None:
+        total = 1
+        for d in dims:
+            total *= d
+        out = zeros(total, total)
     k = len(ops)
 
     # operator j picks up the basis parities of slots 0..j-1, so process
@@ -152,10 +150,6 @@ def _echelon(rows):
         pivots.append(lead)
         out.append(r)
     return pivots, out
-
-
-def rank(A):
-    return len(_echelon(A.tolist())[0])
 
 
 def mat_inverse(A):
@@ -238,30 +232,3 @@ def scalar_of(A, label="operator"):
             if A[i, j] != want:
                 raise NotScalar("%s is not scalar at entry (%d,%d)" % (label, i, j))
     return c
-
-
-class GradedMatrix:
-    """A square matrix tagged with basis parities (and optional weights)."""
-
-    def __init__(self, data, parities, weights=None):
-        self.data = data
-        self.parities = list(parities)
-        self.weights = weights
-
-    @property
-    def dim(self):
-        return self.data.shape[0]
-
-    def __matmul__(self, other):
-        o = other.data if isinstance(other, GradedMatrix) else other
-        return GradedMatrix(matmul(self.data, o), self.parities, self.weights)
-
-    def supertrace(self):
-        total = ZERO
-        for i in range(self.dim):
-            t = self.data[i, i]
-            total = total + (-t if self.parities[i] % 2 else t)
-        return total
-
-    def __getitem__(self, key):
-        return self.data[key]

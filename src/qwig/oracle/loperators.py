@@ -42,13 +42,13 @@ CHAR_KINDS = ("ahat", "atilde", "adual", "abar")
 def etilde_matrix(W, i, j, spower=0):
     """Matrix on W of the L-operator entry generator, optionally with the
     antipode (spower=1) or its inverse (spower=-1) applied first."""
-    key = ("Et", i, j, spower)
-    if key not in W._cache:
+    def build():
         expr = etilde_expr(W.sig, i, j)
         if spower:
             expr = expr.antipode(W.sig, spower)
-        W._cache[key] = expr.evaluate(W)
-    return W._cache[key]
+        return expr.evaluate(W)
+
+    return W.cached(("Et", i, j, spower), build)
 
 
 def eij_matrix(W, i, j):
@@ -56,10 +56,7 @@ def eij_matrix(W, i, j):
     the recursion E_ij = E_ik E_kj - q^(-(k)) E_kj E_ik."""
     from .expressions import eij_expr
 
-    key = ("Eij", i, j)
-    if key not in W._cache:
-        W._cache[key] = eij_expr(W.sig, i, j).evaluate(W)
-    return W._cache[key]
+    return W.cached(("Eij", i, j), lambda: eij_expr(W.sig, i, j).evaluate(W))
 
 
 def vector_slot_parities(sig):
@@ -111,41 +108,41 @@ def l_operator(W, which, top=None):
                 sgn = -1 if (pi * p) % 2 else 1
             else:
                 raise ValueError("unknown L-operator kind %r" % (which,))
-            term = gkron([(first, p), (mat, p)], slot_pars)
-            total = total + (mat_scale(term, QFraction(sgn)) if sgn < 0 else term)
+            if sgn < 0:
+                first = -first
+            gkron([(first, p), (mat, p)], slot_pars, out=total)
     return total
 
 
 def char_matrix(W, kind, top=None):
     """A characteristic matrix on V' (x) W (or V'* (x) W for the duals).
 
-      ahat:   (q - q^-1)^-1 (RT R - I)          adjoint, roots -q^abar [abar]
+      ahat:   (q - q^-1)^-1 (I - RT R)          adjoint, roots -q^abar [abar]
       atilde: (q - q^-1)^-1 (I - RtildeT Rtilde) adjoint, roots q^-abar [abar]
       adual:  (q - q^-1)^-1 (I - dualRT dualR)   dual, roots q^-a [a]
       abar:   D adual D^-1, D = q^-(rho, eps_i) on the first slot (same roots)
+
+    Built once per module and kind, and shared read-only.
     """
+    d = W.sig.d if top is None else top
+    return W.cached(("char", kind, d), lambda: _build_char_matrix(W, kind, d))
+
+
+_L_PAIRS = {
+    "ahat": ("RT", "R"),
+    "atilde": ("RtildeT", "Rtilde"),
+    "adual": ("dualRT", "dualR"),
+}
+
+
+def _build_char_matrix(W, kind, d):
     sig = W.sig
-    d = sig.d if top is None else top
-    N = d * W.dim
-    ident = identity(N)
-    inv = Q_MINUS_QINV.inverse()
-    if kind == "ahat":
-        prod = matmul(l_operator(W, "RT", top), l_operator(W, "R", top))
-        return mat_scale(ident - prod, inv)
-    if kind == "atilde":
-        prod = matmul(
-            l_operator(W, "RtildeT", top), l_operator(W, "Rtilde", top)
-        )
-        return mat_scale(ident - prod, inv)
-    if kind in ("adual", "abar"):
-        prod = matmul(l_operator(W, "dualRT", top), l_operator(W, "dualR", top))
-        A = mat_scale(ident - prod, inv)
-        if kind == "adual":
-            return A
+    if kind == "abar":
+        A = char_matrix(W, "adual", d)
         r = rho(sig)
         # (rho, eps_i) carries the grading sign of the bilinear form
         rp = [sig.sign(i + 1) * r[i] for i in range(d)]
-        out = zeros(N, N)
+        out = zeros(d * W.dim)
         for bi in range(d):
             for bj in range(d):
                 scale = QFraction(qpow(rp[bj] - rp[bi]))
@@ -155,7 +152,16 @@ def char_matrix(W, kind, top=None):
                         if v:
                             out[bi * W.dim + s, bj * W.dim + t] = v * scale
         return out
-    raise ValueError("unknown characteristic matrix kind %r" % (kind,))
+    if kind not in _L_PAIRS:
+        raise ValueError("unknown characteristic matrix kind %r" % (kind,))
+    left, right = _L_PAIRS[kind]
+    prod = matmul(l_operator(W, left, d), l_operator(W, right, d))
+    # (I - prod) inv, touching only the nonzeros of prod and the diagonal
+    inv = Q_MINUS_QINV.inverse()
+    A = mat_scale(prod, -inv)
+    for i in range(A.shape[0]):
+        A[i, i] = A[i, i] + inv
+    return A
 
 
 def char_eigenvalue(alpha, kind):
@@ -189,17 +195,27 @@ def projector(A, eigenvalues, r):
     """
     vals = list(eigenvalues)
     target = vals[r - 1]
-    out = identity(A.shape[0])
+    others = [v for k, v in enumerate(vals, start=1) if k != r]
     for k, v in enumerate(vals, start=1):
-        if k == r:
-            continue
-        if v == target:
+        if k != r and v == target:
             raise DegenerateRoots(
                 "eigenvalues %d and %d coincide (%s)" % (r, k, v)
             )
-        shifted = A - mat_scale(identity(A.shape[0]), v)
-        out = matmul(out, mat_scale(shifted, (target - v).inverse()))
-    return out
+    # multiply the unscaled factors A - v and divide by the product of the
+    # node differences once: per-factor scaling costs a pass over every
+    # entry and leaves denominators for each product to reduce
+    n = A.shape[0]
+    out = None
+    scale = ONE
+    for v in others:
+        shifted = A.copy()
+        for i in range(n):
+            shifted[i, i] = shifted[i, i] - v
+        out = shifted if out is None else matmul(out, shifted)
+        scale = scale * (target - v)
+    if out is None:
+        return identity(n)
+    return mat_scale(out, scale.inverse())
 
 
 def big_entry(M, dW, i, j):

@@ -14,7 +14,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from ..errors import MultiplicityAmbiguous, NotRealized
+from ..errors import (
+    MultiplicityAmbiguous,
+    NonIntegralWeight,
+    NotRealized,
+    QwigError,
+    SignatureMismatch,
+)
 from ..exactq import ONE, ZERO, QFraction, qpow
 from .linalg import gkron, solve_coords, zeros
 
@@ -46,6 +52,17 @@ class RepModule:
         self.f = f
         self.dim = len(self.weights)
         self._cache = {}
+
+    def cached(self, key, build):
+        """The matrix build() made once per module and kept under key.
+
+        The kept array is read-only, since every later caller shares it.
+        """
+        if key not in self._cache:
+            A = build()
+            A.flags.writeable = False
+            self._cache[key] = A
+        return self._cache[key]
 
     def cartan(self, coeffs, shift=Fraction(0)):
         """Diagonal matrix of q^(sum_j coeffs_j E_jj + shift)."""
@@ -102,7 +119,10 @@ def _h_coeffs(sig, a):
 
 def tensor_module(W1, W2):
     """Graded tensor product with the coproduct action of the generators."""
-    assert W1.sig == W2.sig
+    if W1.sig != W2.sig:
+        raise SignatureMismatch(
+            "cannot tensor %s with %s modules" % (W1.sig, W2.sig)
+        )
     sig = W1.sig
     weights = []
     parities = []
@@ -161,6 +181,14 @@ class _WeightEchelon:
         for wt in sorted(self.spaces):
             for _, v in self.spaces[wt]:
                 yield wt, v
+
+
+def _weight_of(W, vec):
+    """The weight of a nonzero weight vector in W coordinates."""
+    wts = {W.weights[i] for i, c in enumerate(vec) if c}
+    if len(wts) != 1:
+        raise QwigError("not a weight vector: it spans %d weights" % len(wts))
+    return next(iter(wts))
 
 
 def _apply(mat, vec):
@@ -225,15 +253,9 @@ def submodule(W, start_vectors):
     """
     sig = W.sig
     ech = _WeightEchelon(W.dim)
-
-    def weight_of(vec):
-        wts = {W.weights[i] for i, c in enumerate(vec) if c}
-        assert len(wts) == 1, "not a weight vector"
-        return next(iter(wts))
-
     queue = []
     for v in start_vectors:
-        wt = weight_of(v)
+        wt = _weight_of(W, v)
         if ech.insert(wt, v):
             queue.append((wt, ech.spaces[wt][-1][1]))
     while queue:
@@ -242,7 +264,7 @@ def submodule(W, start_vectors):
             img = _apply(W.f[a], v)
             if not any(img):
                 continue
-            wt2 = weight_of(img)
+            wt2 = _weight_of(W, img)
             if ech.insert(wt2, img):
                 queue.append((wt2, ech.spaces[wt2][-1][1]))
     basis = []
@@ -264,7 +286,7 @@ def submodule(W, start_vectors):
                 img = _apply(gens, v)
                 if not any(img):
                     continue
-                wt2 = weight_of(img)
+                wt2 = _weight_of(W, img)
                 idxs = by_weight.get(wt2)
                 if idxs is None:
                     raise NotRealized("span not closed under the action")
@@ -278,7 +300,8 @@ def submodule(W, start_vectors):
 def _parity_of_weight(sig, wt):
     """In a tensor power of the vector module the weight fixes the parity."""
     odd = sum(wt[sig.m :], Fraction(0))
-    assert odd.denominator == 1
+    if odd.denominator != 1:
+        raise NonIntegralWeight("odd part of %s is not integral" % (wt,))
     return int(odd) % 2
 
 
@@ -308,13 +331,7 @@ def _lowering_span(W, start, gens):
     """Echelonized basis of the cyclic span of a weight vector under the
     lowering generators in gens."""
     ech = _WeightEchelon(W.dim)
-
-    def weight_of(vec):
-        wts = {W.weights[i] for i, c in enumerate(vec) if c}
-        assert len(wts) == 1, "not a weight vector"
-        return next(iter(wts))
-
-    wt = weight_of(start)
+    wt = _weight_of(W, start)
     ech.insert(wt, start)
     queue = [(wt, ech.spaces[wt][-1][1])]
     while queue:
@@ -323,7 +340,7 @@ def _lowering_span(W, start, gens):
             img = _apply(W.f[a], v)
             if not any(img):
                 continue
-            wt2 = weight_of(img)
+            wt2 = _weight_of(W, img)
             if ech.insert(wt2, img):
                 queue.append((wt2, ech.spaces[wt2][-1][1]))
     return [v for _, v in ech.vectors()]
@@ -348,8 +365,7 @@ def subalgebra_components(W):
     total = 0
     for _, basis in comps:
         for v in basis:
-            wts = {W.weights[i] for i, c in enumerate(v) if c}
-            if not joint.insert(next(iter(wts)), v):
+            if not joint.insert(_weight_of(W, v), v):
                 raise NotRealized("subalgebra components are not independent")
             total += 1
     if total != W.dim:

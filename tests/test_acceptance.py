@@ -36,7 +36,10 @@ from qwig import (
     sum_rule_residual,
 )
 from qwig.wigner import MU_SHIFT_DEFAULT, _Side
-from conftest import ORACLE_SIGS, dominant_weights
+from qwig.oracle import coupled_oracle, wigner_oracle
+from conftest import ORACLE_SIGS, dominant_weights, realized_modules
+
+RANK4_ORACLE_SIGS = [(2, 2), (3, 1), (1, 3)]
 
 ORACLE_SKIPS = (DegenerateRoots, NotRealized, NotScalar,
                 MultiplicityAmbiguous, AdmissibilityError)
@@ -143,9 +146,48 @@ def test_criterion_05_characteristic_identities(oracle_modules):
     assert elapsed < 120.0, "characteristic sweep took %.1fs" % elapsed
 
 
-def test_criterion_06_oracle_equality(oracle_modules):
+@pytest.fixture(scope="module")
+def rank4_oracle_modules():
+    """Criterion 06 only: V^(x)k, k <= 2, for the first signatures where
+    both graded blocks have size 2 or the odd block has size 3."""
+    return {mn: realized_modules(Signature(*mn), k_max=2)
+            for mn in RANK4_ORACLE_SIGS}
+
+
+def _oracle_matches(sig, modules):
+    """Assert closed form == oracle on every unskipped case; count them."""
+    matched = {"wigner": 0, "coupled": 0}
+    for lam, M in modules:
+        for b in branch_candidates(lam):
+            for kind in ("lower", "raise"):
+                side = _Side(b, kind)
+                for k in range(1, sig.d + 1):
+                    try:
+                        closed = omega(b, k, kind)
+                        oracle = wigner_oracle(M, lam, b.lam0, k, kind)
+                    except ORACLE_SKIPS:
+                        continue
+                    assert closed == oracle, (
+                        "wigner mismatch %s %s k=%d" % (b, kind, k)
+                    )
+                    matched["wigner"] += 1
+                for k in side.K:
+                    for r in side.L:
+                        try:
+                            closed = omega_coupled(b, k, r, kind)
+                            oracle = coupled_oracle(M, lam, b.lam0, k, r, kind)
+                        except ORACLE_SKIPS:
+                            continue
+                        assert closed == oracle, (
+                            "coupled mismatch %s %s k=%d r=%d" % (b, kind, k, r)
+                        )
+                        matched["coupled"] += 1
+    return matched
+
+
+def test_criterion_06_oracle_equality(oracle_modules, rank4_oracle_modules):
     from qwig import QFraction, index_sets, qnum, qpow
-    from qwig.oracle import coupled_oracle, wigner_oracle, vector_rep
+    from qwig.oracle import vector_rep
 
     # the specific gl(1|1) table required by the criterion
     V = vector_rep(Signature(1, 1))
@@ -157,34 +199,13 @@ def test_criterion_06_oracle_equality(oracle_modules):
 
     matched = {"wigner": 0, "coupled": 0}
     for (m, n), modules in oracle_modules.items():
-        sig = Signature(m, n)
-        for lam, M in modules:
-            for b in branch_candidates(lam):
-                for kind in ("lower", "raise"):
-                    side = _Side(b, kind)
-                    for k in range(1, sig.d + 1):
-                        try:
-                            closed = omega(b, k, kind)
-                            oracle = wigner_oracle(M, lam, b.lam0, k, kind)
-                        except ORACLE_SKIPS:
-                            continue
-                        assert closed == oracle, (
-                            "wigner mismatch %s %s k=%d" % (b, kind, k)
-                        )
-                        matched["wigner"] += 1
-                    for k in side.K:
-                        for r in side.L:
-                            try:
-                                closed = omega_coupled(b, k, r, kind)
-                                oracle = coupled_oracle(M, lam, b.lam0, k, r, kind)
-                            except ORACLE_SKIPS:
-                                continue
-                            assert closed == oracle, (
-                                "coupled mismatch %s %s k=%d r=%d" % (b, kind, k, r)
-                            )
-                            matched["coupled"] += 1
+        for family, count in _oracle_matches(Signature(m, n), modules).items():
+            matched[family] += count
     assert matched["wigner"] >= 100
     assert matched["coupled"] >= 100
+    for (m, n), modules in rank4_oracle_modules.items():
+        counts = _oracle_matches(Signature(m, n), modules)
+        assert counts["wigner"] >= 1 and counts["coupled"] >= 1, (m, n, counts)
 
 
 def test_criterion_07_r_matrix_identities():

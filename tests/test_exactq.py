@@ -63,6 +63,17 @@ def test_division_by_zero():
         QFraction(1, HalfLaurent())
 
 
+def test_constants_hash_like_their_values():
+    for c in (0, 1, 2, Fraction(1, 2)):
+        for x in (HalfLaurent.const(c), QFraction(c)):
+            assert x == c and hash(x) == hash(c)
+            assert len({x, c}) == 1
+    assert len({ONE, 1}) == 1
+    # a quotient with denominator 1 hashes like its numerator
+    assert hash(QFraction(qpow(1))) == hash(qpow(1))
+    assert str(QFraction(2)) == "2" and str(HalfLaurent.const(2)) == "2"
+
+
 def test_eval_numeric_examples():
     assert QFraction(qnum(2)).eval_numeric(2.0) == pytest.approx(2.5)
     assert QFraction(qpow(Fraction(1, 2))).eval_numeric(4.0) == pytest.approx(2.0)
@@ -105,6 +116,10 @@ dexps = st.integers(min_value=-8, max_value=8)
 polys = st.dictionaries(dexps, coeffs, max_size=4).map(HalfLaurent)
 nonzero_polys = polys.filter(bool)
 fractions = st.builds(QFraction, polys, nonzero_polys)
+rat_polys = st.dictionaries(
+    dexps, st.fractions(min_value=-6, max_value=6, max_denominator=4), max_size=4
+).map(HalfLaurent)
+rat_fractions = st.builds(QFraction, rat_polys, rat_polys.filter(bool))
 
 
 @settings(max_examples=150, deadline=None)
@@ -156,3 +171,21 @@ def test_canonical_form_structural_equality(f):
     junk = QFraction(qnum(2) * f.num, qnum(2) * f.den)
     assert junk == f
     assert junk.num == f.num and junk.den == f.den
+
+
+def _same(u, v):
+    return u.num == v.num and u.den == v.den
+
+
+@settings(max_examples=150, deadline=None)
+@given(rat_fractions, rat_fractions, nonzero_polys)
+def test_operations_match_normalizing_from_scratch(a, b, g):
+    # sums, products, quotients and inverses skip or shrink the gcd; each
+    # must give the same structure as the whole quotient normalized at once,
+    # also when the operands share the factor g
+    x, y = a * QFraction(g), b / QFraction(g)
+    assert _same(x + y, QFraction(x.num * y.den + y.num * x.den, x.den * y.den))
+    assert _same(x * y, QFraction(x.num * y.num, x.den * y.den))
+    if y:
+        assert _same(y.inverse(), QFraction(y.den, y.num))
+        assert _same(x / y, QFraction(x.num * y.den, x.den * y.num))

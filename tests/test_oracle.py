@@ -9,11 +9,14 @@ from qwig import (
     AdmissibilityError,
     DegenerateRoots,
     MultiplicityAmbiguous,
+    NonIntegralWeight,
     NotRealized,
     NotScalar,
     ONE,
     QFraction,
+    QwigError,
     Signature,
+    SignatureMismatch,
     Weight,
     ZERO,
     branch_candidates,
@@ -26,7 +29,10 @@ from qwig import (
     qpow,
 )
 from qwig.oracle import (
+    CHAR_KINDS,
     RepModule,
+    char_eigenvalue,
+    char_eigenvalues,
     char_identity_check,
     char_matrix,
     coproduct_check,
@@ -46,10 +52,17 @@ from qwig.oracle import (
     vector_rep,
     wigner_oracle,
 )
-from qwig.oracle.checks import _branch_vector, _embed, _shift_projector, _sub_projector
+from qwig.oracle.checks import (
+    _branch_vector,
+    _embed,
+    _projector,
+    _shift_projector,
+    _sub_projector,
+)
 from qwig.oracle.expressions import eij_expr
 from qwig.oracle.linalg import identity, is_zero_matrix, mat_scale, matmul, zeros
-from qwig.oracle.modules import _apply
+from qwig.oracle.modules import _apply, _parity_of_weight
+from qwig.superweight import rho, subalgebra_roots
 
 S11 = Signature(1, 1)
 S21 = Signature(2, 1)
@@ -323,3 +336,111 @@ def test_supertrace_higher_power_is_scalar():
     # no closed form asserted for p >= 2; just scalarity and exactness
     val = supertrace_invariant(V, "adual", 2)
     assert isinstance(val, QFraction)
+
+
+# -- per-module caches ---------------------------------------------------------
+
+
+def _gl21_module_200():
+    """A fresh realization of V(2,0|0) inside V (x) V for gl(2|1)."""
+    V = vector_rep(S21)
+    T = tensor_module(V, V)
+    vecs = dict(highest_weight_vectors(T))[(2, 0, 0)]
+    return submodule(T, vecs)[0]
+
+
+def _dense_char_matrix(W, kind, top):
+    """The defining formula of char_matrix, evaluated densely."""
+    left, right = {"ahat": ("RT", "R"), "atilde": ("RtildeT", "Rtilde")}.get(
+        kind, ("dualRT", "dualR")
+    )
+    N = top * W.dim
+    prod = matmul(l_operator(W, left, top), l_operator(W, right, top))
+    A = mat_scale(identity(N) - prod, QFraction(qpow(1) - qpow(-1)).inverse())
+    if kind != "abar":
+        return A
+    r = rho(W.sig)
+    D, Dinv = zeros(N), zeros(N)
+    for i in range(N):
+        b = i // W.dim + 1
+        e = W.sig.sign(b) * r[b - 1]
+        D[i, i], Dinv[i, i] = QFraction(qpow(-e)), QFraction(qpow(e))
+    return matmul(matmul(D, A), Dinv)
+
+
+def _dense_projector(A, nodes, r):
+    """Lagrange interpolation with every factor scaled on its own."""
+    out = identity(A.shape[0])
+    for k, v in enumerate(nodes, start=1):
+        if k != r:
+            shifted = A - mat_scale(identity(A.shape[0]), v)
+            out = matmul(out, mat_scale(shifted, (nodes[r - 1] - v).inverse()))
+    return out
+
+
+def test_cached_matrices_equal_fresh_builds():
+    W, fresh = _gl21_module_200(), _gl21_module_200()
+    lam = Weight(S21, (2, 0, 0))
+    d = S21.d
+    for kind in CHAR_KINDS:
+        for top in (d, d - 1):
+            A = char_matrix(W, kind, top=top)
+            assert char_matrix(W, kind, top=top) is A
+            assert A.tolist() == _dense_char_matrix(fresh, kind, top).tolist()
+        dense = _dense_char_matrix(fresh, kind, d)
+        nodes = char_eigenvalues(lam, kind)
+        for k in range(1, d + 1):
+            P = _projector(W, lam, k, kind)
+            assert _projector(W, lam, k, kind) is P
+            assert P.tolist() == _dense_projector(dense, nodes, k).tolist()
+    checked = 0
+    for ckind, variant in (("atilde", "adjoint"), ("adual", "dual")):
+        dense = _dense_char_matrix(fresh, ckind, d - 1)
+        for b in branch_candidates(lam):
+            alphas = subalgebra_roots(tuple(b.lam0), variant, S21)
+            nodes = tuple(char_eigenvalue(a, ckind) for a in alphas)
+            for r in range(1, d):
+                try:
+                    P0 = _sub_projector(W, b.lam0, r, ckind)
+                except DegenerateRoots:
+                    continue
+                assert _sub_projector(W, b.lam0, r, ckind) is P0
+                assert P0.tolist() == _dense_projector(dense, nodes, r).tolist()
+                checked += 1
+    assert checked >= 4
+
+
+def test_cached_matrices_are_read_only():
+    W = _gl21_module_200()
+    lam = Weight(S21, (2, 0, 0))
+    for M in (
+        char_matrix(W, "adual"),
+        _projector(W, lam, 1, "atilde"),
+        etilde_matrix(W, 1, 2),
+    ):
+        with pytest.raises(ValueError):
+            M[0, 0] = ONE
+
+
+# -- typed errors in place of assertions ----------------------------------------
+
+
+def test_matmul_shape_mismatch():
+    with pytest.raises(QwigError):
+        matmul(zeros(2, 3), zeros(2, 3))
+
+
+def test_tensor_module_signature_mismatch():
+    with pytest.raises(SignatureMismatch):
+        tensor_module(vector_rep(S11), vector_rep(S21))
+
+
+def test_submodule_rejects_non_weight_vector():
+    V = vector_rep(S21)
+    with pytest.raises(QwigError, match="not a weight vector"):
+        submodule(V, [[ONE, ONE, ZERO]])
+
+
+def test_parity_of_non_integral_weight():
+    with pytest.raises(NonIntegralWeight):
+        _parity_of_weight(S21, (0, 0, Fraction(1, 2)))
