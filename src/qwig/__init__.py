@@ -5,11 +5,14 @@ exact field Q(q^(1/2))."""
 
 from .errors import (
     AdmissibilityError,
+    ConsistencyError,
     DegenerateRoots,
     IndexOutOfRange,
+    InvalidArgument,
     MultiplicityAmbiguous,
     NonIntegralWeight,
     NotABranching,
+    NotHomogeneous,
     NotRealized,
     NotScalar,
     PoleAtOne,
@@ -68,7 +71,8 @@ __all__ = [
     "QwigError", "PoleAtPoint", "PoleAtOne", "SignatureMismatch",
     "IndexOutOfRange", "NonIntegralWeight", "NotABranching",
     "DegenerateRoots", "AdmissibilityError", "UnknownPhaseConvention",
-    "MultiplicityAmbiguous", "NotRealized", "NotScalar",
+    "MultiplicityAmbiguous", "NotRealized", "NotScalar", "InvalidArgument",
+    "NotHomogeneous", "ConsistencyError",
     "HalfLaurent", "QFraction", "qpow", "qnum", "qnum_frac",
     "parse_qfraction", "ZERO", "ONE",
     "Signature", "Weight", "RootSet", "bilinear_form", "rho",

@@ -13,7 +13,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
@@ -42,14 +41,8 @@ SUITES = (
     "all",
 )
 
-JOBS_ENV = "QWIG_JOBS"
-
-
-def _default_jobs():
-    try:
-        return max(1, int(os.environ.get(JOBS_ENV, "1")))
-    except ValueError:
-        return 1
+# verify covers the modules inside V^(x)k, k <= K_MAX, of dimension <= DIM_CAP
+K_MAX, DIM_CAP = 2, 30
 
 
 def _parse_weight(text, m=None, n=None):
@@ -210,57 +203,26 @@ def _skip(name, inputs, reason):
             "detail": reason}
 
 
-def _realized_modules(sig, k_max=2, dim_cap=30):
-    """Unique highest weight modules inside V^(x)k, smallest power first."""
-    from .oracle.modules import (
-        highest_weight_vectors,
-        submodule,
-        tensor_module,
-        vector_rep,
-    )
-
-    seen = set()
-    out = []
-    W = None
-    for _ in range(k_max):
-        W = vector_rep(sig) if W is None else tensor_module(W, vector_rep(sig))
-        if W.dim > dim_cap * 2:
-            break
-        for wt, vecs in highest_weight_vectors(W):
-            if wt in seen or len(vecs) != 1:
-                continue
-            seen.add(wt)
-            comps = tuple(int(c) for c in wt)
-            M, _ = submodule(W, [vecs[0]])
-            if M.dim <= dim_cap:
-                out.append((Weight(sig, comps), M))
-    return out
-
-
-def _suite_qybe(m, n, q0):
+def _suite_qybe(m, n):
     from .oracle.checks import qybe_check
 
-    sig = Signature(m, n)
-    ok = qybe_check(sig, q0)
-    return [_case("qybe", {"m": m, "n": n, "numeric": q0}, ok,
-                  "exact" if q0 is None else "q0=%r" % q0)]
+    return [_case("qybe", {"m": m, "n": n}, qybe_check(Signature(m, n)))]
 
 
-def _suite_coproduct(m, n, q0):
+def _suite_coproduct(m, n):
     from .oracle.checks import coproduct_check
 
-    sig = Signature(m, n)
-    ok = coproduct_check(sig, q0)
-    return [_case("coproduct", {"m": m, "n": n, "numeric": q0}, ok,
-                  "exact" if q0 is None else "q0=%r" % q0)]
+    return [_case("coproduct", {"m": m, "n": n},
+                  coproduct_check(Signature(m, n)))]
 
 
-def _suite_charid(m, n, q0):
+def _suite_charid(m, n):
     from .oracle.checks import char_identity_check
+    from .oracle.modules import realized_modules
 
     sig = Signature(m, n)
     out = []
-    for lam, M in _realized_modules(sig):
+    for lam, M in realized_modules(sig, K_MAX, DIM_CAP):
         for kind in ("atilde", "adual"):
             inputs = {"weight": str(lam), "kind": kind}
             try:
@@ -272,13 +234,14 @@ def _suite_charid(m, n, q0):
     return out
 
 
-def _suite_projectors(m, n, q0):
+def _suite_projectors(m, n):
     from .oracle.checks import all_projectors
     from .oracle.linalg import identity, is_zero_matrix, matmul
+    from .oracle.modules import realized_modules
 
     sig = Signature(m, n)
     out = []
-    for lam, M in _realized_modules(sig):
+    for lam, M in realized_modules(sig, K_MAX, DIM_CAP):
         for kind in ("atilde", "adual"):
             inputs = {"weight": str(lam), "kind": kind}
             try:
@@ -300,12 +263,13 @@ def _suite_projectors(m, n, q0):
 
 def _closed_vs_oracle(m, n, coupled):
     from .oracle.checks import coupled_oracle, wigner_oracle
+    from .oracle.modules import realized_modules
     from .wigner import _Side, omega, omega_coupled
 
     sig = Signature(m, n)
     name = "coupled" if coupled else "wigner"
     out = []
-    for lam, M in _realized_modules(sig):
+    for lam, M in realized_modules(sig, K_MAX, DIM_CAP):
         for b in branch_candidates(lam):
             for kind in ("lower", "raise"):
                 side = _Side(b, kind)
@@ -342,20 +306,21 @@ def _closed_vs_oracle(m, n, coupled):
     return out
 
 
-def _suite_wigner(m, n, q0):
+def _suite_wigner(m, n):
     return _closed_vs_oracle(m, n, coupled=False)
 
 
-def _suite_coupled(m, n, q0):
+def _suite_coupled(m, n):
     return _closed_vs_oracle(m, n, coupled=True)
 
 
-def _suite_invariants(m, n, q0):
+def _suite_invariants(m, n):
     from .oracle.checks import supertrace_invariant
+    from .oracle.modules import realized_modules
 
     sig = Signature(m, n)
     out = []
-    for lam, M in _realized_modules(sig):
+    for lam, M in realized_modules(sig, K_MAX, DIM_CAP):
         inputs = {"weight": str(lam)}
         ok = chi_v(lam, "v") * chi_v(lam, "vtilde") == ONE
         out.append(_case("invariants/unitarity", inputs, ok))
@@ -396,8 +361,8 @@ _SUITE_FN = {
 
 
 def _run_unit(unit):
-    suite, m, n, q0 = unit
-    return _SUITE_FN[suite](m, n, q0)
+    suite, m, n = unit
+    return _SUITE_FN[suite](m, n)
 
 
 def _cmd_verify(args):
@@ -406,10 +371,9 @@ def _cmd_verify(args):
         if args.suite == "all"
         else [args.suite]
     )
-    units = [(s, args.m, args.n, args.numeric) for s in suites]
-    jobs = args.jobs if args.jobs else _default_jobs()
-    if jobs > 1 and len(units) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    units = [(s, args.m, args.n) for s in suites]
+    if args.jobs > 1 and len(units) > 1:
+        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             chunks = list(pool.map(_run_unit, units))
     else:
         chunks = [_run_unit(u) for u in units]
@@ -418,7 +382,6 @@ def _cmd_verify(args):
     payload = {
         "suite": args.suite,
         "signature": [args.m, args.n],
-        "numeric": args.numeric,
         "cases": cases,
         "counts": {
             "PASS": sum(1 for c in cases if c["status"] == "PASS"),
@@ -481,10 +444,8 @@ def build_parser():
     sp.add_argument("--m", type=int, required=True)
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--suite", choices=SUITES, default="all")
-    sp.add_argument("--numeric", type=float, default=None, metavar="Q0",
-                    help="numeric mode evaluation point for large cases")
-    sp.add_argument("--jobs", type=int, default=0,
-                    help="worker pool size (default: $%s or 1)" % JOBS_ENV)
+    sp.add_argument("--jobs", type=int, default=1,
+                    help="worker pool size (default: 1)")
     sp.add_argument("--out", help="output path")
     sp.set_defaults(fn=_cmd_verify)
 

@@ -37,6 +37,18 @@ class AdmissibilityError(QwigError):
     """The requested shift index is not admissible for this branching."""
 
 
+class InvalidArgument(QwigError, ValueError):
+    """An argument lies outside the values a routine accepts."""
+
+
+class NotHomogeneous(QwigError):
+    """An expression mixes even and odd terms where a grading is required."""
+
+
+class ConsistencyError(QwigError):
+    """Two independent computations of the same quantity disagree."""
+
+
 class UnknownPhaseConvention(QwigError):
     """No phase rule registered under the requested convention name."""
 

@@ -201,10 +201,10 @@ class HalfLaurent:
 
     # -- evaluation -------------------------------------------------------
 
-    def eval_numeric(self, q0):
-        if q0 <= 0:
-            raise ValueError("q0 must be a positive real number")
-        y = math.sqrt(q0)
+    def eval_numeric(self, q):
+        if q <= 0:
+            raise ValueError("q must be a positive real number")
+        y = math.sqrt(q)
         return math.fsum(float(c) * y ** k for k, c in self._t.items())
 
     def at_one(self):
@@ -514,11 +514,11 @@ class QFraction:
 
     # -- evaluation -------------------------------------------------------
 
-    def eval_numeric(self, q0):
-        d = self.den.eval_numeric(q0)
+    def eval_numeric(self, q):
+        d = self.den.eval_numeric(q)
         if d == 0.0:
-            raise PoleAtPoint("denominator vanishes at q0=%r" % (q0,))
-        return self.num.eval_numeric(q0) / d
+            raise PoleAtPoint("denominator vanishes at q=%r" % (q,))
+        return self.num.eval_numeric(q) / d
 
     def limit_q1(self):
         """Exact classical limit q -> 1, as a Fraction."""

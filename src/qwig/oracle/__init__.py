@@ -29,7 +29,7 @@ from .loperators import (
 from .modules import (
     RepModule,
     highest_weight_vectors,
-    module_from_highest_weight,
+    realized_modules,
     subalgebra_components,
     subalgebra_highest_vector,
     submodule,
@@ -45,6 +45,6 @@ __all__ = [
     "char_matrix", "char_eigenvalue", "char_eigenvalues", "projector",
     "big_entry", "vector_slot_parities",
     "RepModule", "vector_rep", "tensor_module", "highest_weight_vectors",
-    "submodule", "module_from_highest_weight", "subalgebra_highest_vector",
+    "submodule", "realized_modules", "subalgebra_highest_vector",
     "subalgebra_components",
 ]

@@ -10,13 +10,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-import numpy as np
-
 from ..branching import BranchingData
 from ..errors import NotRealized, NotScalar
 from ..exactq import ONE, ZERO, QFraction, qpow
-from ..superweight import Signature, rho, subalgebra_roots
+from ..superweight import char_roots, check_generic, rho, subalgebra_roots
 from .linalg import (
+    gkron,
     identity,
     is_zero_matrix,
     mat_inverse,
@@ -24,6 +23,7 @@ from .linalg import (
     mat_scale,
     matmul,
     scalar_of,
+    shifted_product,
     zeros,
 )
 from .loperators import (
@@ -67,8 +67,6 @@ def _r_matrix_terms(sig):
 
 def _three_slot(sig, V, a, b):
     """R acting on slots (a, b) of V (x) V (x) V (1-based slots)."""
-    from .linalg import gkron
-
     d = sig.d
     pars = vector_slot_parities(sig)
     slot_pars = [pars, pars, pars]
@@ -90,35 +88,19 @@ def _three_slot(sig, V, a, b):
     return total
 
 
-def _to_numeric(A, q0):
-    return np.array(
-        [[x.eval_numeric(q0) for x in row] for row in A.tolist()]
-    )
-
-
-def qybe_check(sig, q0=None, tol=1e-9):
-    """R12 R13 R23 = R23 R13 R12 in the triple vector representation.
-
-    Exact by default; with q0 set, both sides are evaluated numerically
-    (useful for the d=4 case where exact products get slow).
-    """
+def qybe_check(sig):
+    """R12 R13 R23 = R23 R13 R12 in the triple vector representation."""
     V = vector_rep(sig)
     R12 = _three_slot(sig, V, 1, 2)
     R13 = _three_slot(sig, V, 1, 3)
     R23 = _three_slot(sig, V, 2, 3)
-    if q0 is None:
-        lhs = matmul(matmul(R12, R13), R23)
-        rhs = matmul(matmul(R23, R13), R12)
-        return is_zero_matrix(lhs - rhs)
-    n12, n13, n23 = (_to_numeric(M, q0) for M in (R12, R13, R23))
-    diff = n12 @ n13 @ n23 - n23 @ n13 @ n12
-    return bool(np.max(np.abs(diff)) < tol)
+    lhs = matmul(matmul(R12, R13), R23)
+    rhs = matmul(matmul(R23, R13), R12)
+    return is_zero_matrix(lhs - rhs)
 
 
 def intertwining_check(sig):
     """R intertwines the coproduct and the opposite coproduct on V (x) V."""
-    from .linalg import gkron
-
     V = vector_rep(sig)
     pars = vector_slot_parities(sig)
     slot_pars = [pars, pars]
@@ -141,7 +123,7 @@ def intertwining_check(sig):
     return True
 
 
-def coproduct_check(sig, q0=None, tol=1e-9):
+def coproduct_check(sig):
     """Two consistency checks on the L-operator entry generators.
 
     (1) entrywise: on V (x) V the generator Et_ij acts as
@@ -150,12 +132,7 @@ def coproduct_check(sig, q0=None, tol=1e-9):
         and Et_ii (x) Et_ii on the diagonal;
     (2) globally: R with the coproduct in its second leg equals R13 R12
         in the triple vector representation.
-
-    Exact by default; with q0 set, the global product (the only expensive
-    step) is evaluated numerically while the entrywise part stays exact.
     """
-    from .linalg import gkron
-
     V = vector_rep(sig)
     T = tensor_module(V, V)
     pars = vector_slot_parities(sig)
@@ -202,10 +179,7 @@ def coproduct_check(sig, q0=None, tol=1e-9):
         gkron([(eji, p), (etilde_matrix(T, i, j), p)], slot3, out=lhs)
     R13 = _three_slot(sig, V, 1, 3)
     R12 = _three_slot(sig, V, 1, 2)
-    if q0 is None:
-        return is_zero_matrix(lhs - matmul(R13, R12))
-    diff = _to_numeric(R13, q0) @ _to_numeric(R12, q0) - _to_numeric(lhs, q0)
-    return bool(np.max(np.abs(diff)) < tol)
+    return is_zero_matrix(lhs - matmul(R13, R12))
 
 
 def subalgebra_block_check(W, kind):
@@ -227,17 +201,11 @@ def char_identity_check(W, lam, kind):
     itself survives root collisions, but every downstream projector
     manipulation does not, so degenerate cases are excluded from sweeps.
     """
-    from ..errors import DegenerateRoots
-    from ..superweight import char_roots, check_generic
-
     variant = "adjoint" if kind in ("ahat", "atilde") else "dual"
     check_generic(char_roots(lam, variant), "%s roots of %s" % (variant, lam))
-    A = char_matrix(W, kind)
-    N = A.shape[0]
-    res = identity(N)
-    for v in char_eigenvalues(lam, kind):
-        res = matmul(res, A - mat_scale(identity(N), v))
-    return is_zero_matrix(res)
+    return is_zero_matrix(
+        shifted_product(char_matrix(W, kind), char_eigenvalues(lam, kind))
+    )
 
 
 def all_projectors(W, lam, kind):

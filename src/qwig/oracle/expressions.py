@@ -14,6 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
+from ..errors import IndexOutOfRange, InvalidArgument, NotHomogeneous
 from ..exactq import ONE, QFraction, Q_MINUS_QINV, qpow
 from .linalg import identity, matmul, zeros
 
@@ -49,6 +50,7 @@ class CartanAtom:
 
 
 def _h_coeffs(sig, a):
+    """Coefficient vector of h_a = (a) E_aa - (a+1) E_{a+1,a+1}."""
     c = [Fraction(0)] * sig.d
     c[a - 1] = Fraction(sig.sign(a))
     c[a] = -Fraction(sig.sign(a + 1))
@@ -89,12 +91,16 @@ class Expr:
     def parity(self):
         """Grading of a homogeneous expression."""
         ps = {sum(a.parity for a in atoms) % 2 for _, atoms in self.terms}
-        assert len(ps) <= 1, "expression is not homogeneous"
+        if len(ps) > 1:
+            raise NotHomogeneous("expression mixes even and odd terms")
         return ps.pop() if ps else 0
 
     def antipode(self, sig, power=1):
         """Apply S (power=+1) or S^-1 (power=-1) by term rewriting."""
-        assert power in (1, -1)
+        if power not in (1, -1):
+            raise InvalidArgument(
+                "antipode power must be 1 or -1, not %r" % (power,)
+            )
         out = []
         for coeff, atoms in self.terms:
             # Koszul sign for reversing the ordered product
@@ -161,7 +167,8 @@ def _eij_cached(m, n, i, j):
 
 def eij_expr(sig, i, j):
     """The non-simple generator E_ij = E_ik E_kj - q^(-(k)) E_kj E_ik."""
-    assert i != j
+    if i == j:
+        raise IndexOutOfRange("E_%d%d is not a root element" % (i, j))
     return _eij_cached(sig.m, sig.n, i, j)
 
 

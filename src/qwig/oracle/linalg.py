@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import NotScalar, QwigError
-from ..exactq import ONE, ZERO, QFraction
+from ..exactq import ONE, ZERO
 
 __all__ = [
     "zeros",
@@ -22,6 +22,8 @@ __all__ = [
     "nullspace",
     "mat_inverse",
     "solve_coords",
+    "insert_row",
+    "shifted_product",
     "scalar_of",
 ]
 
@@ -125,30 +127,42 @@ def gkron(ops, slot_parities, out=None):
     return out
 
 
-def _echelon(rows):
-    """Row-reduce a list of row vectors (lists of QFraction) in place.
+def insert_row(basis, vec):
+    """Reduce vec against basis, a list of (pivot, row) pairs with unit
+    pivots, and append it when it is independent of them.
 
-    Returns (pivots, reduced rows) with unit pivots, rows without full
-    back-substitution (forward elimination plus normalization).
+    Returns whether vec enlarged the span.
     """
-    rows = [list(r) for r in rows]
-    pivots = []
-    out = []
-    ncols = len(rows[0]) if rows else 0
+    vec = list(vec)
+    for p, base in basis:
+        c = vec[p]
+        if c:
+            for j, b in enumerate(base):
+                if b:
+                    vec[j] = vec[j] - c * b
+    lead = next((j for j, x in enumerate(vec) if x), None)
+    if lead is None:
+        return False
+    inv = vec[lead].inverse()
+    basis.append((lead, [x * inv for x in vec]))
+    return True
+
+
+def _rref(rows):
+    """Reduced row echelon form of a list of row vectors (lists of
+    QFraction): (pivots, rows), each row with a unit pivot and every pivot
+    column zero outside its own row."""
+    basis = []
     for r in rows:
-        for p, base in zip(pivots, out):
-            if r[p]:
-                c = r[p]
-                for j in range(ncols):
-                    if base[j]:
-                        r[j] = r[j] - c * base[j]
-        lead = next((j for j in range(ncols) if r[j]), None)
-        if lead is None:
-            continue
-        inv = r[lead].inverse()
-        r = [x * inv for x in r]
-        pivots.append(lead)
-        out.append(r)
+        insert_row(basis, r)
+    pivots = [p for p, _ in basis]
+    out = [r for _, r in basis]
+    for i in range(len(out) - 1, -1, -1):
+        p = pivots[i]
+        for k in range(i):
+            c = out[k][p]
+            if c:
+                out[k] = [x - c * y for x, y in zip(out[k], out[i])]
     return pivots, out
 
 
@@ -160,15 +174,9 @@ def mat_inverse(A):
         row = list(A[i])
         row.extend(ONE if j == i else ZERO for j in range(n))
         aug.append(row)
-    pivots, rows = _echelon(aug)
+    pivots, rows = _rref(aug)
     if sorted(pivots) != list(range(n)):
         raise ValueError("matrix is singular")
-    for i in range(len(rows) - 1, -1, -1):
-        p = pivots[i]
-        for k in range(i):
-            c = rows[k][p]
-            if c:
-                rows[k] = [x - c * y for x, y in zip(rows[k], rows[i])]
     out = zeros(n)
     for p, row in zip(pivots, rows):
         for j in range(n):
@@ -179,17 +187,9 @@ def mat_inverse(A):
 def nullspace(A):
     """Basis of the right nullspace of A, as a list of length-n vectors."""
     n = A.shape[1]
-    pivots, rows = _echelon(A.tolist())
-    # back substitution to reduced echelon
-    for i in range(len(rows) - 1, -1, -1):
-        p = pivots[i]
-        for k in range(i):
-            c = rows[k][p]
-            if c:
-                rows[k] = [x - c * y for x, y in zip(rows[k], rows[i])]
-    free = [j for j in range(n) if j not in pivots]
+    pivots, rows = _rref(A.tolist())
     basis = []
-    for fj in free:
+    for fj in (j for j in range(n) if j not in pivots):
         v = [ZERO] * n
         v[fj] = ONE
         for p, row in zip(pivots, rows):
@@ -204,22 +204,26 @@ def solve_coords(basis_cols, target):
     Raises ValueError when the target lies outside the span.
     """
     ncols = len(basis_cols)
-    rows = len(target)
-    aug = [[basis_cols[j][i] for j in range(ncols)] + [target[i]] for i in range(rows)]
-    pivots, red = _echelon(aug)
+    aug = [[col[i] for col in basis_cols] + [t] for i, t in enumerate(target)]
+    pivots, rows = _rref(aug)
+    if ncols in pivots:
+        raise ValueError("target not in span")
     coords = [ZERO] * ncols
-    # reduce fully
-    for i in range(len(red) - 1, -1, -1):
-        p = pivots[i]
-        if p == ncols:
-            raise ValueError("target not in span")
-        for k in range(i):
-            c = red[k][p]
-            if c:
-                red[k] = [x - c * y for x, y in zip(red[k], red[i])]
-    for p, row in zip(pivots, red):
+    for p, row in zip(pivots, rows):
         coords[p] = row[ncols]
     return coords
+
+
+def shifted_product(A, values):
+    """The product of the factors A - v over values, in order.  Each
+    factor shifts only the diagonal of A."""
+    out = None
+    for v in values:
+        factor = A.copy()
+        for i in range(A.shape[0]):
+            factor[i, i] = factor[i, i] - v
+        out = factor if out is None else matmul(out, factor)
+    return identity(A.shape[0]) if out is None else out
 
 
 def scalar_of(A, label="operator"):

@@ -11,13 +11,11 @@ project onto the irreducible summands of V (x) W or V* (x) W.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from ..errors import DegenerateRoots
-from ..exactq import ONE, ZERO, QFraction, Q_MINUS_QINV, qnum, qpow
+from ..exactq import ONE, QFraction, Q_MINUS_QINV, qnum, qpow
 from ..superweight import char_roots, rho, subalgebra_roots
 from .expressions import etilde_expr
-from .linalg import gkron, identity, matmul, mat_scale, zeros
+from .linalg import gkron, matmul, mat_scale, shifted_product, zeros
 
 __all__ = [
     "eij_matrix",
@@ -204,18 +202,10 @@ def projector(A, eigenvalues, r):
     # multiply the unscaled factors A - v and divide by the product of the
     # node differences once: per-factor scaling costs a pass over every
     # entry and leaves denominators for each product to reduce
-    n = A.shape[0]
-    out = None
     scale = ONE
     for v in others:
-        shifted = A.copy()
-        for i in range(n):
-            shifted[i, i] = shifted[i, i] - v
-        out = shifted if out is None else matmul(out, shifted)
         scale = scale * (target - v)
-    if out is None:
-        return identity(n)
-    return mat_scale(out, scale.inverse())
+    return mat_scale(shifted_product(A, others), scale.inverse())
 
 
 def big_entry(M, dW, i, j):

@@ -22,7 +22,9 @@ from ..errors import (
     SignatureMismatch,
 )
 from ..exactq import ONE, ZERO, QFraction, qpow
-from .linalg import gkron, solve_coords, zeros
+from ..superweight import Weight
+from .expressions import _h_coeffs
+from .linalg import gkron, insert_row, nullspace, solve_coords, zeros
 
 __all__ = [
     "RepModule",
@@ -30,7 +32,7 @@ __all__ = [
     "tensor_module",
     "highest_weight_vectors",
     "submodule",
-    "module_from_highest_weight",
+    "realized_modules",
     "subalgebra_highest_vector",
     "subalgebra_components",
 ]
@@ -72,21 +74,6 @@ class RepModule:
             out[i, i] = QFraction(qpow(exp))
         return out
 
-    def h_rho_power(self, mult):
-        """Diagonal matrix of q^(mult * h_rho), h_rho acting as (rho, wt)."""
-        from ..superweight import rho
-
-        r = rho(self.sig)
-        signs = [self.sig.sign(j + 1) for j in range(self.sig.d)]
-        out = zeros(self.dim)
-        for i, w in enumerate(self.weights):
-            exp = sum(
-                (Fraction(s) * rj * wj for s, rj, wj in zip(signs, r, w)),
-                Fraction(0),
-            ) * mult
-            out[i, i] = QFraction(qpow(exp))
-        return out
-
 
 def vector_rep(sig):
     """The defining (m+n)-dimensional module."""
@@ -107,14 +94,6 @@ def vector_rep(sig):
         mf[a, a - 1] = ONE
         f[a] = mf
     return RepModule(sig, weights, parities, e, f)
-
-
-def _h_coeffs(sig, a):
-    """Coefficient vector of h_a = (a) E_aa - (a+1) E_{a+1,a+1}."""
-    c = [Fraction(0)] * sig.d
-    c[a - 1] = Fraction(sig.sign(a))
-    c[a] = -Fraction(sig.sign(a + 1))
-    return c
 
 
 def tensor_module(W1, W2):
@@ -147,40 +126,6 @@ def tensor_module(W1, W2):
             [(W1.cartan(half), 0), (W2.f[a], p)], slot_pars
         ) + gkron([(W1.f[a], p), (W2.cartan(neg_half), 0)], slot_pars)
     return RepModule(sig, weights, parities, e, f)
-
-
-class _WeightEchelon:
-    """Per-weight echelon bases for building spans of weight vectors."""
-
-    def __init__(self, dim):
-        self.dim = dim
-        self.spaces = {}  # weight -> list of (pivot, vector)
-
-    def reduce(self, wt, vec):
-        vec = list(vec)
-        for pivot, base in self.spaces.get(wt, ()):
-            c = vec[pivot]
-            if c:
-                for j in range(self.dim):
-                    if base[j]:
-                        vec[j] = vec[j] - c * base[j]
-        return vec
-
-    def insert(self, wt, vec):
-        """Reduce and insert; returns True when vec enlarged the span."""
-        vec = self.reduce(wt, vec)
-        lead = next((j for j in range(self.dim) if vec[j]), None)
-        if lead is None:
-            return False
-        inv = vec[lead].inverse()
-        vec = [x * inv for x in vec]
-        self.spaces.setdefault(wt, []).append((lead, vec))
-        return True
-
-    def vectors(self):
-        for wt in sorted(self.spaces):
-            for _, v in self.spaces[wt]:
-                yield wt, v
 
 
 def _weight_of(W, vec):
@@ -231,8 +176,6 @@ def highest_weight_vectors(W, gens=None):
         for j, col in enumerate(cols):
             for i, x in enumerate(col):
                 A[i, j] = x
-        from .linalg import nullspace
-
         null = nullspace(A)
         vecs = []
         for coeffs in null:
@@ -252,26 +195,9 @@ def submodule(W, start_vectors):
     basis is the list of spanning vectors in W coordinates.
     """
     sig = W.sig
-    ech = _WeightEchelon(W.dim)
-    queue = []
-    for v in start_vectors:
-        wt = _weight_of(W, v)
-        if ech.insert(wt, v):
-            queue.append((wt, ech.spaces[wt][-1][1]))
-    while queue:
-        wt, v = queue.pop()
-        for a in range(1, sig.d):
-            img = _apply(W.f[a], v)
-            if not any(img):
-                continue
-            wt2 = _weight_of(W, img)
-            if ech.insert(wt2, img):
-                queue.append((wt2, ech.spaces[wt2][-1][1]))
-    basis = []
-    weights = []
-    for wt, v in ech.vectors():
-        basis.append(v)
-        weights.append(wt)
+    span = _lowering_span(W, start_vectors, range(1, sig.d))
+    weights = [wt for wt, _ in span]
+    basis = [v for _, v in span]
     parities = [_parity_of_weight(sig, wt) for wt in weights]
     # express generator images in the new basis
     by_weight = {}
@@ -305,45 +231,50 @@ def _parity_of_weight(sig, wt):
     return int(odd) % 2
 
 
-def module_from_highest_weight(k_max, sig, lam):
-    """Realize V(lam) as a cyclic submodule of a tensor power V^(x)k, k <= k_max.
+def _lowering_span(W, starts, gens):
+    """Per-weight echelon basis of the span of the weight vectors starts
+    under the lowering generators gens, as (weight, vector) pairs sorted
+    by weight."""
+    spaces = {}  # weight -> echelon basis of (pivot, vector) pairs
+    queue = []
 
-    Returns (module, power k).  Raises NotRealized when lam never appears as
-    a highest weight, MultiplicityAmbiguous when its multiplicity exceeds 1.
-    """
-    target = tuple(Fraction(c) for c in lam.comps)
-    W = None
-    for k in range(1, k_max + 1):
-        W = vector_rep(sig) if W is None else tensor_module(W, vector_rep(sig))
-        for wt, vecs in highest_weight_vectors(W):
-            if wt == target:
-                if len(vecs) > 1:
-                    raise MultiplicityAmbiguous(
-                        "weight %s occurs %d times at power %d"
-                        % (lam, len(vecs), k)
-                    )
-                mod, _ = submodule(W, [vecs[0]])
-                return mod, k
-    raise NotRealized("%s not found in tensor powers up to %d" % (lam, k_max))
+    def push(vec):
+        basis = spaces.setdefault(_weight_of(W, vec), [])
+        if insert_row(basis, vec):
+            queue.append(basis[-1][1])
 
-
-def _lowering_span(W, start, gens):
-    """Echelonized basis of the cyclic span of a weight vector under the
-    lowering generators in gens."""
-    ech = _WeightEchelon(W.dim)
-    wt = _weight_of(W, start)
-    ech.insert(wt, start)
-    queue = [(wt, ech.spaces[wt][-1][1])]
+    for v in starts:
+        push(v)
     while queue:
-        wt, v = queue.pop()
+        v = queue.pop()
         for a in gens:
             img = _apply(W.f[a], v)
-            if not any(img):
+            if any(img):
+                push(img)
+    return [(wt, v) for wt in sorted(spaces) for _, v in spaces[wt]]
+
+
+def realized_modules(sig, k_max, dim_cap):
+    """The highest weight modules of multiplicity one inside the tensor
+    powers V^(x)k, k <= k_max, smallest power first, as (Weight, module)
+    pairs.  A weight met at a lower power is not taken again, modules of
+    dimension above dim_cap are left out, and no tensor power of dimension
+    above 2 * dim_cap is decomposed."""
+    seen = set()
+    out = []
+    W = None
+    for _ in range(k_max):
+        W = vector_rep(sig) if W is None else tensor_module(W, vector_rep(sig))
+        if W.dim > 2 * dim_cap:
+            break
+        for wt, vecs in highest_weight_vectors(W):
+            if wt in seen or len(vecs) != 1:
                 continue
-            wt2 = _weight_of(W, img)
-            if ech.insert(wt2, img):
-                queue.append((wt2, ech.spaces[wt2][-1][1]))
-    return [v for _, v in ech.vectors()]
+            seen.add(wt)
+            M, _ = submodule(W, [vecs[0]])
+            if M.dim <= dim_cap:
+                out.append((Weight(sig, tuple(int(c) for c in wt)), M))
+    return out
 
 
 def subalgebra_components(W):
@@ -360,12 +291,13 @@ def subalgebra_components(W):
     comps = []
     for wt, vecs in highest_weight_vectors(W, gens=gens):
         for v in vecs:
-            comps.append((wt[: sig.d - 1], _lowering_span(W, v, gens)))
-    joint = _WeightEchelon(W.dim)
+            span = _lowering_span(W, [v], gens)
+            comps.append((wt[: sig.d - 1], [u for _, u in span]))
+    joint = {}  # weight -> echelon basis of (pivot, vector) pairs
     total = 0
     for _, basis in comps:
         for v in basis:
-            if not joint.insert(_weight_of(W, v), v):
+            if not insert_row(joint.setdefault(_weight_of(W, v), []), v):
                 raise NotRealized("subalgebra components are not independent")
             total += 1
     if total != W.dim:

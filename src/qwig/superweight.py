@@ -12,6 +12,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import (
+    ConsistencyError,
     DegenerateRoots,
     IndexOutOfRange,
     NonIntegralWeight,
@@ -115,12 +116,6 @@ class Weight:
             a >= b for a, b in zip(self.odd, self.odd[1:])
         )
 
-    def shifted(self, i, delta):
-        """The weight with component i changed by delta."""
-        c = list(self.comps)
-        c[i - 1] += delta
-        return Weight(self.sig, tuple(c))
-
     @classmethod
     def parse(cls, sig, text):
         """Parse 'a,b|c' into a Weight of the given signature."""
@@ -165,8 +160,8 @@ def rho(sig):
 
     Returned as a tuple of Fractions in the eps basis; components are
     (m - n - 2i + 1)/2 on the even block and (m + n - 2u + 1)/2 on the odd
-    block.  The closed form is asserted against direct enumeration of the
-    positive roots.
+    block.  The closed form is checked against direct enumeration of the
+    positive roots (ConsistencyError on a mismatch).
     """
     r0, r1 = rho_even_odd(sig)
     out = tuple(a - b for a, b in zip(r0, r1))
@@ -174,7 +169,10 @@ def rho(sig):
     closed = tuple(
         Fraction(m - n - 2 * i + 1, 2) for i in range(1, m + 1)
     ) + tuple(Fraction(m + n - 2 * u + 1, 2) for u in range(1, n + 1))
-    assert out == closed
+    if out != closed:
+        raise ConsistencyError(
+            "Weyl vector %s disagrees with root enumeration %s" % (closed, out)
+        )
     return out
 
 

@@ -23,7 +23,6 @@ from .superweight import deformed_root
 
 __all__ = [
     "CoefficientTable",
-    "QPhase",
     "omega_lower",
     "omega_raise",
     "omega",
@@ -49,16 +48,6 @@ FORMS = ("root_product", "qnumber_phase")
 # squared-matrix-element factorization against the brute-force oracle; the
 # unshifted reading is the one that survives (see tests/test_oracle.py).
 MU_SHIFT_DEFAULT = "unshifted"
-
-
-@dataclass(frozen=True)
-class QPhase:
-    """An integer exponent kappa standing for the prefactor q^kappa."""
-
-    kappa: int
-
-    def value(self):
-        return QFraction(qpow(self.kappa))
 
 
 class _Side:

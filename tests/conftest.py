@@ -5,6 +5,7 @@ import itertools
 import pytest
 
 from qwig import Signature, Weight, branch_candidates
+from qwig.oracle.modules import realized_modules
 
 SWEEP_SIGS = [(m, n) for m in (1, 2, 3) for n in (1, 2)]
 ORACLE_SIGS = [(1, 1), (2, 1), (1, 2)]
@@ -34,31 +35,11 @@ def sweep_branchings(sweep_weights):
     return [b for w in sweep_weights for b in branch_candidates(w)]
 
 
-def realized_modules(sig, k_max=3):
-    """Unique-multiplicity highest weight modules inside V^(x)k, with the
-    characteristic matrix dimension d*dim capped at 81."""
-    from qwig.oracle import (
-        highest_weight_vectors,
-        submodule,
-        tensor_module,
-        vector_rep,
-    )
-
-    dim_cap = 81 // sig.d
-    seen, out, W = set(), [], None
-    for _ in range(k_max):
-        W = vector_rep(sig) if W is None else tensor_module(W, vector_rep(sig))
-        for wt, vecs in highest_weight_vectors(W):
-            if wt in seen or len(vecs) != 1:
-                continue
-            seen.add(wt)
-            M, _ = submodule(W, [vecs[0]])
-            if M.dim <= dim_cap:
-                out.append((Weight(sig, tuple(int(c) for c in wt)), M))
-    return out
-
-
 @pytest.fixture(scope="session")
 def oracle_modules():
-    """Criterion-scope module list: m+n <= 3, V^(x)k with k <= 3."""
-    return {mn: realized_modules(Signature(*mn)) for mn in ORACLE_SIGS}
+    """Criterion-scope module list: m+n <= 3, unique-multiplicity highest
+    weight modules of V^(x)k with k <= 3, the characteristic matrix
+    dimension d*dim capped at 81."""
+    return {(m, n): realized_modules(Signature(m, n), k_max=3,
+                                     dim_cap=81 // (m + n))
+            for m, n in ORACLE_SIGS}

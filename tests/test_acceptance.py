@@ -36,8 +36,8 @@ from qwig import (
     sum_rule_residual,
 )
 from qwig.wigner import MU_SHIFT_DEFAULT, _Side
-from qwig.oracle import coupled_oracle, wigner_oracle
-from conftest import ORACLE_SIGS, dominant_weights, realized_modules
+from qwig.oracle import coupled_oracle, realized_modules, wigner_oracle
+from conftest import ORACLE_SIGS, dominant_weights
 
 RANK4_ORACLE_SIGS = [(2, 2), (3, 1), (1, 3)]
 
@@ -150,8 +150,9 @@ def test_criterion_05_characteristic_identities(oracle_modules):
 def rank4_oracle_modules():
     """Criterion 06 only: V^(x)k, k <= 2, for the first signatures where
     both graded blocks have size 2 or the odd block has size 3."""
-    return {mn: realized_modules(Signature(*mn), k_max=2)
-            for mn in RANK4_ORACLE_SIGS}
+    return {(m, n): realized_modules(Signature(m, n), k_max=2,
+                                     dim_cap=81 // (m + n))
+            for m, n in RANK4_ORACLE_SIGS}
 
 
 def _oracle_matches(sig, modules):
@@ -211,14 +212,10 @@ def test_criterion_06_oracle_equality(oracle_modules, rank4_oracle_modules):
 def test_criterion_07_r_matrix_identities():
     from qwig.oracle import coproduct_check, qybe_check
 
-    for m, n in ORACLE_SIGS:
+    for m, n in ORACLE_SIGS + [(2, 2)]:
         sig = Signature(m, n)
         assert qybe_check(sig), "qybe fails exactly for gl(%d|%d)" % (m, n)
         assert coproduct_check(sig), "coproduct fails exactly for gl(%d|%d)" % (m, n)
-    big = Signature(2, 2)
-    for q0 in (0.7, 2.0):
-        assert qybe_check(big, q0, tol=1e-9)
-        assert coproduct_check(big, q0, tol=1e-9)
 
 
 def test_criterion_08_invariant_eigenvalues(oracle_modules, sweep_weights):

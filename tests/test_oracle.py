@@ -1,15 +1,25 @@
 """Brute-force oracle: representations, L-operators, characteristic
 matrices, projectors, and the closed-form validations that fix conventions."""
 
+import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+
+import qwig
 
 from qwig import (
     AdmissibilityError,
     DegenerateRoots,
+    IndexOutOfRange,
+    InvalidArgument,
     MultiplicityAmbiguous,
     NonIntegralWeight,
+    NotHomogeneous,
     NotRealized,
     NotScalar,
     ONE,
@@ -59,8 +69,17 @@ from qwig.oracle.checks import (
     _shift_projector,
     _sub_projector,
 )
-from qwig.oracle.expressions import eij_expr
-from qwig.oracle.linalg import identity, is_zero_matrix, mat_scale, matmul, zeros
+from qwig.oracle.expressions import Expr, eij_expr
+from qwig.oracle.linalg import (
+    identity,
+    is_zero_matrix,
+    mat_inverse,
+    mat_scale,
+    matmul,
+    nullspace,
+    solve_coords,
+    zeros,
+)
 from qwig.oracle.modules import _apply, _parity_of_weight
 from qwig.superweight import rho, subalgebra_roots
 
@@ -444,3 +463,103 @@ def test_submodule_rejects_non_weight_vector():
 def test_parity_of_non_integral_weight():
     with pytest.raises(NonIntegralWeight):
         _parity_of_weight(S21, (0, 0, Fraction(1, 2)))
+
+
+def test_mixed_parity_expression_has_no_grading():
+    # e_1 of gl(1|1) is odd, a Cartan exponential even
+    with pytest.raises(NotHomogeneous):
+        (Expr.gen(S11, "e", 1) + Expr.cartan((0, 0))).parity()
+
+
+def test_antipode_power_must_be_plus_or_minus_one():
+    with pytest.raises(InvalidArgument):
+        Expr.gen(S21, "e", 1).antipode(S21, 2)
+
+
+def test_eij_of_a_diagonal_index_pair():
+    with pytest.raises(IndexOutOfRange):
+        eij_matrix(vector_rep(S21), 2, 2)
+
+
+_TYPED_ERRORS_SCRIPT = """
+import json
+from fractions import Fraction
+
+import qwig.superweight as sw
+from qwig import QwigError, Signature
+from qwig.oracle.expressions import Expr, eij_expr
+from qwig.oracle.linalg import matmul, zeros
+from qwig.oracle.modules import _parity_of_weight, tensor_module, vector_rep
+
+S11, S21 = Signature(1, 1), Signature(2, 1)
+sw.rho_even_odd = lambda sig: ((Fraction(0),) * sig.d,) * 2
+cases = {
+    "parity": lambda: (Expr.gen(S11, "e", 1) + Expr.cartan((0, 0))).parity(),
+    "antipode": lambda: Expr.gen(S21, "e", 1).antipode(S21, 2),
+    "eij_expr": lambda: eij_expr(S21, 2, 2),
+    "rho": lambda: sw.rho(S21),
+    "tensor_module": lambda: tensor_module(vector_rep(S11), vector_rep(S21)),
+    "parity_of_weight": lambda: _parity_of_weight(S21, (0, 0, Fraction(1, 2))),
+    "matmul": lambda: matmul(zeros(2, 3), zeros(2, 3)),
+}
+missed = {}
+for name, call in cases.items():
+    try:
+        call()
+        missed[name] = "no error"
+    except QwigError:
+        pass
+    except Exception as exc:
+        missed[name] = type(exc).__name__
+print(json.dumps({"debug": __debug__, "missed": missed}))
+"""
+
+
+def test_typed_errors_hold_under_python_O():
+    """Each runtime invariant raises its QwigError with assertions off."""
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(qwig.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-O", "-c", _TYPED_ERRORS_SCRIPT],
+                          capture_output=True, text=True, env=env, check=True)
+    assert json.loads(done.stdout) == {"debug": False, "missed": {}}
+
+
+# -- the reduced-echelon routine shared by inverse, nullspace and solve ---------
+
+
+def _q(k):
+    return QFraction(qpow(k))
+
+
+def test_folded_linear_algebra():
+    q, one = _q(1), ONE
+    A = zeros(3)
+    for (i, j), v in {(0, 0): q, (0, 1): one, (1, 0): one, (1, 2): _q(-1),
+                      (2, 1): QFraction(qnum(2)), (2, 2): q}.items():
+        A[i, j] = v
+    assert matmul(A, mat_inverse(A)).tolist() == identity(3).tolist()
+    S = zeros(2)
+    S[0, 0], S[0, 1], S[1, 0], S[1, 1] = q, _q(2), one, q
+    with pytest.raises(ValueError):
+        mat_inverse(S)
+
+    # the first row leads in column 1, the second in column 0, and the third
+    # is their sum: pivots out of order, rank 2
+    rows = [[ZERO, one, q, ZERO], [one, ZERO, one, _q(-1)]]
+    rows.append([x + y for x, y in zip(*rows)])
+    B = zeros(3, 4)
+    for i, row in enumerate(rows):
+        for j, v in enumerate(row):
+            B[i, j] = v
+    null = nullspace(B)
+    assert len(null) == 4 - 2
+    for v in null:
+        assert all(not x for x in (sum((B[i, j] * v[j] for j in range(4)), ZERO)
+                                   for i in range(3)))
+
+    cols = [[one, q, ZERO], [ZERO, one, QFraction(qnum(3))]]
+    coeffs = [_q(-1), one + q]
+    target = [coeffs[0] * a + coeffs[1] * b for a, b in zip(*cols)]
+    assert solve_coords(cols, target) == coeffs
+    with pytest.raises(ValueError):
+        solve_coords(cols, [ZERO, ZERO, one])

@@ -4,7 +4,9 @@ from fractions import Fraction
 
 import pytest
 
+import qwig.superweight
 from qwig import (
+    ConsistencyError,
     DegenerateRoots,
     IndexOutOfRange,
     NonIntegralWeight,
@@ -55,6 +57,13 @@ def test_bilinear_form_examples():
 def test_rho_examples():
     assert rho(S11) == (Fraction(-1, 2), Fraction(1, 2))
     assert rho(S21) == (Fraction(0), Fraction(-1), Fraction(1))
+
+
+def test_rho_disagreeing_with_root_enumeration(monkeypatch):
+    zero = (Fraction(0),) * S21.d
+    monkeypatch.setattr(qwig.superweight, "rho_even_odd", lambda sig: (zero, zero))
+    with pytest.raises(ConsistencyError):
+        rho(S21)
 
 
 def test_rho_even_odd_orthogonal():
@@ -135,7 +144,6 @@ def test_weight_basics():
     assert lam.is_dominant()
     assert not Weight(S21, (0, 1, 0)).is_dominant()
     assert str(lam) == "1,0|0"
-    assert lam.shifted(2, 3).comps == (1, 3, 0)
     with pytest.raises(NonIntegralWeight):
         Weight.parse(S21, "1,x|0")
     with pytest.raises(ValueError):
