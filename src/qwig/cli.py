@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -203,26 +204,24 @@ def _skip(name, inputs, reason):
             "detail": reason}
 
 
-def _suite_qybe(m, n):
+def _suite_qybe(sig, modules):
     from .oracle.checks import qybe_check
 
-    return [_case("qybe", {"m": m, "n": n}, qybe_check(Signature(m, n)))]
+    return [_case("qybe", {"m": sig.m, "n": sig.n}, qybe_check(sig))]
 
 
-def _suite_coproduct(m, n):
+def _suite_coproduct(sig, modules):
     from .oracle.checks import coproduct_check
 
-    return [_case("coproduct", {"m": m, "n": n},
-                  coproduct_check(Signature(m, n)))]
+    return [_case("coproduct", {"m": sig.m, "n": sig.n},
+                  coproduct_check(sig))]
 
 
-def _suite_charid(m, n):
+def _suite_charid(sig, modules):
     from .oracle.checks import char_identity_check
-    from .oracle.modules import realized_modules
 
-    sig = Signature(m, n)
     out = []
-    for lam, M in realized_modules(sig, K_MAX, DIM_CAP):
+    for lam, M in modules():
         for kind in ("atilde", "adual"):
             inputs = {"weight": str(lam), "kind": kind}
             try:
@@ -234,14 +233,12 @@ def _suite_charid(m, n):
     return out
 
 
-def _suite_projectors(m, n):
+def _suite_projectors(sig, modules):
     from .oracle.checks import all_projectors
     from .oracle.linalg import identity, is_zero_matrix, matmul
-    from .oracle.modules import realized_modules
 
-    sig = Signature(m, n)
     out = []
-    for lam, M in realized_modules(sig, K_MAX, DIM_CAP):
+    for lam, M in modules():
         for kind in ("atilde", "adual"):
             inputs = {"weight": str(lam), "kind": kind}
             try:
@@ -261,15 +258,13 @@ def _suite_projectors(m, n):
     return out
 
 
-def _closed_vs_oracle(m, n, coupled):
+def _closed_vs_oracle(sig, modules, coupled):
     from .oracle.checks import coupled_oracle, wigner_oracle
-    from .oracle.modules import realized_modules
     from .wigner import _Side, omega, omega_coupled
 
-    sig = Signature(m, n)
     name = "coupled" if coupled else "wigner"
     out = []
-    for lam, M in realized_modules(sig, K_MAX, DIM_CAP):
+    for lam, M in modules():
         for b in branch_candidates(lam):
             for kind in ("lower", "raise"):
                 side = _Side(b, kind)
@@ -306,21 +301,19 @@ def _closed_vs_oracle(m, n, coupled):
     return out
 
 
-def _suite_wigner(m, n):
-    return _closed_vs_oracle(m, n, coupled=False)
+def _suite_wigner(sig, modules):
+    return _closed_vs_oracle(sig, modules, coupled=False)
 
 
-def _suite_coupled(m, n):
-    return _closed_vs_oracle(m, n, coupled=True)
+def _suite_coupled(sig, modules):
+    return _closed_vs_oracle(sig, modules, coupled=True)
 
 
-def _suite_invariants(m, n):
+def _suite_invariants(sig, modules):
     from .oracle.checks import supertrace_invariant
-    from .oracle.modules import realized_modules
 
-    sig = Signature(m, n)
     out = []
-    for lam, M in realized_modules(sig, K_MAX, DIM_CAP):
+    for lam, M in modules():
         inputs = {"weight": str(lam)}
         ok = chi_v(lam, "v") * chi_v(lam, "vtilde") == ONE
         out.append(_case("invariants/unitarity", inputs, ok))
@@ -360,9 +353,24 @@ _SUITE_FN = {
 }
 
 
+def _run_units(suites, m, n):
+    """The case lists of the suites, run in order in this process.  The
+    module suites share one list of realised modules, built at most once,
+    so each module's cached matrices serve every suite."""
+    sig = Signature(m, n)
+
+    @functools.cache
+    def modules():
+        from .oracle.modules import realized_modules
+
+        return realized_modules(sig, K_MAX, DIM_CAP)
+
+    return [_SUITE_FN[s](sig, modules) for s in suites]
+
+
 def _run_unit(unit):
     suite, m, n = unit
-    return _SUITE_FN[suite](m, n)
+    return _run_units([suite], m, n)[0]
 
 
 def _cmd_verify(args):
@@ -371,12 +379,12 @@ def _cmd_verify(args):
         if args.suite == "all"
         else [args.suite]
     )
-    units = [(s, args.m, args.n) for s in suites]
-    if args.jobs > 1 and len(units) > 1:
+    if args.jobs > 1 and len(suites) > 1:
+        units = [(s, args.m, args.n) for s in suites]
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             chunks = list(pool.map(_run_unit, units))
     else:
-        chunks = [_run_unit(u) for u in units]
+        chunks = _run_units(suites, args.m, args.n)
     cases = [c for chunk in chunks for c in chunk]
     n_fail = sum(1 for c in cases if c["status"] == "FAIL")
     payload = {

@@ -382,15 +382,16 @@ def coupled_oracle(W, lam, lam0, k, r, kind):
     ckind = _KIND_TO_CHAR[kind]
     P = _projector(W, lam, k, ckind)
     E0 = _embed(_sub_projector(W, lam0, r, ckind), W, d)
-    X = matmul(matmul(E0, P), E0)
     lhs_vecs = []
     rhs_vecs = []
     for j in range(d - 1):
         vec = [ZERO] * (d * W.dim)
         for s, c in enumerate(w0):
             vec[j * W.dim + s] = c
-        lhs_vecs.append(_apply(X, vec))
-        rhs_vecs.append(_apply(E0, vec))
+        # E0 P E0 vec, applied factor by factor to the vector
+        u = _apply(E0, vec)
+        lhs_vecs.append(_apply(E0, _apply(P, u)))
+        rhs_vecs.append(u)
     if all(not x for v in rhs_vecs for x in v):
         raise NotRealized(
             "shift projector %d annihilates the %s component" % (r, (lam0,))
@@ -420,25 +421,22 @@ def mu_oracle(W, lam, lam0, r, kind):
     P = _projector(W, lam, r, ckind)
     P0 = _sub_projector(W, lam0, r, ckind)
     dw = W.dim
-    left = []  # block operators: sum_k (P0)_{ik} A_{k,d}
-    right = []  # block operators: sum_l A_{d,l} (P0)_{lj}
-    for i in range(1, d):
-        acc = zeros(dw)
-        for k in range(1, d):
-            blk0 = P0[(i - 1) * dw : i * dw, (k - 1) * dw : k * dw]
-            acc = acc + matmul(blk0, big_entry(A, dw, k, d))
-        left.append(acc)
+    n0 = (d - 1) * dw
+    col_d = A[:n0, n0:]  # the blocks A_{k,d}, k < d
+    row_d = A[n0:, :n0]  # the blocks A_{d,l}, l < d
+    lefts = []  # lefts[j - 1][i - 1]: sum_k (P0)_{ik} A_{k,d} phi_j
     for j in range(1, d):
-        acc = zeros(dw)
-        for l in range(1, d):
-            blk0 = P0[(l - 1) * dw : l * dw, (j - 1) * dw : j * dw]
-            acc = acc + matmul(big_entry(A, dw, d, l), blk0)
-        right.append(acc)
+        vec = [ZERO] * n0
+        vec[(j - 1) * dw : j * dw] = w0
+        # phi_j = sum_l A_{d,l} (P0)_{lj} w0
+        phi = _apply(row_d, _apply(P0, vec))
+        x = _apply(P0, _apply(col_d, phi))
+        lefts.append([x[(i - 1) * dw : i * dw] for i in range(1, d)])
     lhs_vecs = []
     rhs_vecs = []
     for i in range(1, d):
         for j in range(1, d):
-            lhs_vecs.append(_apply(left[i - 1], _apply(right[j - 1], w0)))
+            lhs_vecs.append(lefts[j - 1][i - 1])
             rhs_vecs.append(_apply(big_entry(P, dw, i, j), w0))
     if all(not x for v in rhs_vecs for x in v):
         raise NotRealized(

@@ -16,7 +16,7 @@ from functools import lru_cache
 
 from ..errors import IndexOutOfRange, InvalidArgument, NotHomogeneous
 from ..exactq import ONE, QFraction, Q_MINUS_QINV, qpow
-from .linalg import identity, matmul, zeros
+from .linalg import matmul, scale_columns, scale_rows, zeros
 
 __all__ = ["GenAtom", "CartanAtom", "Expr", "eij_expr", "etilde_expr"]
 
@@ -131,22 +131,40 @@ class Expr:
         return Expr(out)
 
     def evaluate(self, W):
-        """The matrix of the expression on a module."""
+        """The matrix of the expression on a module.
+
+        A Cartan atom acts through its cached diagonal: it scales the rows
+        of the generator that follows it, or the columns of the product
+        before it, and is never multiplied out as a matrix.
+        """
         total = zeros(W.dim)
         for coeff, atoms in self.terms:
-            acc = None
+            lead = None  # diagonal of the Cartan atoms before any generator
+            acc = None  # the product from the first generator on
             for atom in atoms:
                 if isinstance(atom, CartanAtom):
-                    m = W.cartan(atom.coeffs, atom.shift)
+                    diag = W.cartan_diagonal(atom.coeffs, atom.shift)
+                    if acc is not None:
+                        acc = scale_columns(acc, diag)
+                    elif lead is None:
+                        lead = diag
+                    else:
+                        lead = [x * y for x, y in zip(lead, diag)]
+                    continue
+                m = (W.e if atom.kind == "e" else W.f)[atom.a]
+                if acc is not None:
+                    acc = matmul(acc, m)
                 else:
-                    m = (W.e if atom.kind == "e" else W.f)[atom.a]
-                acc = m if acc is None else matmul(acc, m)
+                    acc = m if lead is None else scale_rows(lead, m)
             if acc is None:
-                acc = identity(W.dim)
-            for i in range(W.dim):
-                for j in range(W.dim):
-                    if acc[i, j]:
-                        total[i, j] = total[i, j] + coeff * acc[i, j]
+                for i in range(W.dim):
+                    x = coeff if lead is None else coeff * lead[i]
+                    total[i, i] = total[i, i] + x
+                continue
+            for i, row in enumerate(acc.tolist()):
+                for j, x in enumerate(row):
+                    if x:
+                        total[i, j] = total[i, j] + coeff * x
         return total
 
 

@@ -16,6 +16,8 @@ __all__ = [
     "identity",
     "matmul",
     "mat_scale",
+    "scale_rows",
+    "scale_columns",
     "is_zero_matrix",
     "mat_pow",
     "gkron",
@@ -47,16 +49,13 @@ def matmul(A, B):
     m2, p = B.shape
     if m != m2:
         raise QwigError("cannot multiply %dx%d by %dx%d" % (n, m, m2, p))
-    rows_b = [[(j, B[k, j]) for j in range(p) if B[k, j]] for k in range(m)]
+    rows_b = [[(j, bv) for j, bv in enumerate(row) if bv] for row in B.tolist()]
     C = zeros(n, p)
-    for i in range(n):
-        Ai = A[i]
-        for k in range(m):
-            a = Ai[k]
+    for i, Ai in enumerate(A.tolist()):
+        Ci = C[i]
+        for a, row in zip(Ai, rows_b):
             if not a:
                 continue
-            row = rows_b[k]
-            Ci = C[i]
             for j, bv in row:
                 Ci[j] = Ci[j] + a * bv
     return C
@@ -69,6 +68,26 @@ def mat_scale(A, c):
         for j in range(m):
             if A[i, j]:
                 C[i, j] = A[i, j] * c
+    return C
+
+
+def scale_rows(diag, A):
+    """The product diag(diag) A: row i of A times diag[i]."""
+    C = zeros(*A.shape)
+    for i, (x, row) in enumerate(zip(diag, A.tolist())):
+        for j, v in enumerate(row):
+            if v:
+                C[i, j] = x * v
+    return C
+
+
+def scale_columns(A, diag):
+    """The product A diag(diag): column j of A times diag[j]."""
+    C = zeros(*A.shape)
+    for i, row in enumerate(A.tolist()):
+        for j, (v, x) in enumerate(zip(row, diag)):
+            if v:
+                C[i, j] = v * x
     return C
 
 

@@ -56,22 +56,39 @@ class RepModule:
         self._cache = {}
 
     def cached(self, key, build):
-        """The matrix build() made once per module and kept under key.
+        """The value build() made once per module and kept under key.
 
-        The kept array is read-only, since every later caller shares it.
+        Every later caller shares the kept value, so it must not change:
+        an array is made read-only, and any other value must be immutable,
+        such as a tuple of tuples.
         """
         if key not in self._cache:
-            A = build()
-            A.flags.writeable = False
-            self._cache[key] = A
+            value = build()
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+            self._cache[key] = value
         return self._cache[key]
+
+    def cartan_diagonal(self, coeffs, shift=Fraction(0)):
+        """The diagonal of q^(sum_j coeffs_j E_jj + shift), one QFraction
+        per basis vector, made once per module and kept."""
+
+        def build():
+            return tuple(
+                QFraction(qpow(
+                    sum((c * wj for c, wj in zip(coeffs, w)), Fraction(0))
+                    + shift
+                ))
+                for w in self.weights
+            )
+
+        return self.cached(("cartan", tuple(coeffs), shift), build)
 
     def cartan(self, coeffs, shift=Fraction(0)):
         """Diagonal matrix of q^(sum_j coeffs_j E_jj + shift)."""
         out = zeros(self.dim)
-        for i, w in enumerate(self.weights):
-            exp = sum((c * wj for c, wj in zip(coeffs, w)), Fraction(0)) + shift
-            out[i, i] = QFraction(qpow(exp))
+        for i, x in enumerate(self.cartan_diagonal(coeffs, shift)):
+            out[i, i] = x
         return out
 
 
@@ -289,7 +306,7 @@ def subalgebra_components(W):
     sig = W.sig
     gens = list(range(1, sig.d - 1))
     comps = []
-    for wt, vecs in highest_weight_vectors(W, gens=gens):
+    for wt, vecs in _subalgebra_highest_vectors(W):
         for v in vecs:
             span = _lowering_span(W, [v], gens)
             comps.append((wt[: sig.d - 1], [u for _, u in span]))
@@ -305,19 +322,26 @@ def subalgebra_components(W):
     return comps
 
 
+def _subalgebra_highest_vectors(W):
+    """highest_weight_vectors of W under the gl(m|n-1) raising generators,
+    found once per module and kept as (weight, vectors) tuples."""
+    return W.cached(
+        ("subhw",),
+        lambda: tuple(
+            (wt, tuple(tuple(v) for v in vecs))
+            for wt, vecs in highest_weight_vectors(W, gens=range(1, W.sig.d - 1))
+        ),
+    )
+
+
 def subalgebra_highest_vector(W, lam0, e_last):
     """The gl(m|n-1) highest weight vector of weight (lam0, e_last) in W.
 
     Returns its index-coefficient list, raising NotRealized or
     MultiplicityAmbiguous as appropriate.
     """
-    sig = W.sig
     target = tuple(Fraction(c) for c in lam0) + (Fraction(e_last),)
-    hits = [
-        vecs
-        for wt, vecs in highest_weight_vectors(W, gens=range(1, sig.d - 1))
-        if wt == target
-    ]
+    hits = [vecs for wt, vecs in _subalgebra_highest_vectors(W) if wt == target]
     if not hits or not hits[0]:
         raise NotRealized("no subalgebra highest weight vector for %s" % (lam0,))
     vecs = hits[0]
@@ -325,4 +349,4 @@ def subalgebra_highest_vector(W, lam0, e_last):
         raise MultiplicityAmbiguous(
             "subalgebra weight %s has multiplicity %d" % (lam0, len(vecs))
         )
-    return vecs[0]
+    return list(vecs[0])

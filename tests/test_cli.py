@@ -160,3 +160,26 @@ def test_verify_jobs_flag(capsys):
                          "--suite", "invariants", "--jobs", "2")
     assert code == 0
     assert obj["counts"]["FAIL"] == 0
+
+
+def test_verify_all_builds_modules_once(capsys, monkeypatch):
+    import qwig.oracle.modules as modules
+    from qwig.cli import SUITES
+
+    calls = []
+    build = modules.realized_modules
+
+    def counted(*args):
+        calls.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(modules, "realized_modules", counted)
+    sig = ("--m", "2", "--n", "1", "--jobs", "1")
+    code, obj = run_json(capsys, "verify", "--suite", "all", *sig)
+    assert code == 0
+    assert len(calls) == 1
+    cases = []
+    for suite in SUITES:
+        if suite != "all":
+            cases.extend(run_json(capsys, "verify", "--suite", suite, *sig)[1]["cases"])
+    assert obj["cases"] == cases

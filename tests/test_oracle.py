@@ -63,13 +63,15 @@ from qwig.oracle import (
     wigner_oracle,
 )
 from qwig.oracle.checks import (
+    _KIND_TO_CHAR,
     _branch_vector,
     _embed,
     _projector,
+    _ratio,
     _shift_projector,
     _sub_projector,
 )
-from qwig.oracle.expressions import Expr, eij_expr
+from qwig.oracle.expressions import CartanAtom, Expr, eij_expr, etilde_expr
 from qwig.oracle.linalg import (
     identity,
     is_zero_matrix,
@@ -80,8 +82,13 @@ from qwig.oracle.linalg import (
     solve_coords,
     zeros,
 )
-from qwig.oracle.modules import _apply, _parity_of_weight
+from qwig.oracle.modules import (
+    _apply,
+    _parity_of_weight,
+    _subalgebra_highest_vectors,
+)
 from qwig.superweight import rho, subalgebra_roots
+from qwig.wigner import _Side
 
 S11 = Signature(1, 1)
 S21 = Signature(2, 1)
@@ -427,6 +434,95 @@ def test_cached_matrices_equal_fresh_builds():
                 assert P0.tolist() == _dense_projector(dense, nodes, r).tolist()
                 checked += 1
     assert checked >= 4
+
+
+def _explicit_evaluate(expr, W):
+    """The matrix of expr as the sum over its terms of coeff times the
+    matmul product of W.cartan and generator matrices."""
+    total = zeros(W.dim)
+    for coeff, atoms in expr.terms:
+        acc = identity(W.dim)
+        for atom in atoms:
+            if isinstance(atom, CartanAtom):
+                m = W.cartan(atom.coeffs, atom.shift)
+            else:
+                m = (W.e if atom.kind == "e" else W.f)[atom.a]
+            acc = matmul(acc, m)
+        total = total + mat_scale(acc, coeff)
+    return total
+
+
+def test_evaluate_matches_explicit_matrix_products():
+    # evaluate applies Cartan atoms as row and column scalings; the
+    # reference multiplies out every diagonal matrix
+    V21 = vector_rep(S21)
+    checked = 0
+    for W in (vector_rep(Signature(2, 2)), tensor_module(V21, V21),
+              _gl21_module_200()):
+        sig = W.sig
+        for i in range(1, sig.d + 1):
+            for j in range(1, sig.d + 1):
+                for spower in (0, 1, -1):
+                    expr = etilde_expr(sig, i, j)
+                    if spower:
+                        expr = expr.antipode(sig, spower)
+                    want = _explicit_evaluate(expr, W)
+                    assert expr.evaluate(W).tolist() == want.tolist()
+                    checked += not is_zero_matrix(want)
+    assert checked >= 40
+
+
+def _sandwich_coupled(W, lam, lam0, k, r, kind):
+    """coupled_oracle's ratio from the sandwich X = E0 P E0, multiplied
+    out as matrices."""
+    d = W.sig.d
+    _, w0 = _branch_vector(W, lam, lam0)
+    ckind = _KIND_TO_CHAR[kind]
+    P = _projector(W, lam, k, ckind)
+    E0 = _embed(_sub_projector(W, lam0, r, ckind), W, d)
+    X = matmul(matmul(E0, P), E0)
+    lhs, rhs = [], []
+    for j in range(d - 1):
+        vec = [ZERO] * (d * W.dim)
+        vec[j * W.dim : (j + 1) * W.dim] = w0
+        lhs.append(_apply(X, vec))
+        rhs.append(_apply(E0, vec))
+    if all(not x for v in rhs for x in v):
+        raise NotRealized("the shift projector annihilates the component")
+    return _ratio(lhs, rhs)
+
+
+def test_coupled_oracle_equals_sandwich_ratio(oracle_modules):
+    outcomes = {"value": 0, "NotRealized": 0}
+    for lam, M in oracle_modules[(2, 1)]:
+        for b in branch_candidates(lam):
+            for kind in ("lower", "raise"):
+                side = _Side(b, kind)
+                for k in side.K:
+                    for r in side.L:
+                        args = (M, lam, b.lam0, k, r, kind)
+                        try:
+                            got = coupled_oracle(*args)
+                        except SKIPS as exc:
+                            with pytest.raises(type(exc)):
+                                _sandwich_coupled(*args)
+                            name = type(exc).__name__
+                            outcomes[name] = outcomes.get(name, 0) + 1
+                            continue
+                        assert got == _sandwich_coupled(*args)
+                        outcomes["value"] += 1
+    assert outcomes["value"] >= 20 and outcomes["NotRealized"] >= 1, outcomes
+
+
+def test_subalgebra_highest_vectors_found_once_per_module():
+    W = _gl21_module_200()
+    kept = _subalgebra_highest_vectors(W)
+    assert _subalgebra_highest_vectors(W) is kept
+    assert isinstance(kept, tuple) and all(
+        isinstance(v, tuple) for _, vecs in kept for v in vecs
+    )
+    fresh = highest_weight_vectors(_gl21_module_200(), gens=range(1, S21.d - 1))
+    assert [(wt, [list(v) for v in vecs]) for wt, vecs in kept] == fresh
 
 
 def test_cached_matrices_are_read_only():
