@@ -47,6 +47,13 @@ def _coeff_div(a, b):
     return r.numerator if r.denominator == 1 else r
 
 
+def _float_root(q):
+    """sqrt(q) rounded to a float, as the exact rational it stands for."""
+    if q <= 0:
+        raise ValueError("q must be a positive real number")
+    return Fraction(math.sqrt(q))
+
+
 class HalfLaurent:
     """Laurent polynomial in q^(1/2) over the rationals.
 
@@ -201,11 +208,17 @@ class HalfLaurent:
 
     # -- evaluation -------------------------------------------------------
 
+    def _at_root(self, y):
+        """Exact value at q^(1/2) = y, for a rational y."""
+        return sum((c * y**k for k, c in self._t.items()), Fraction(0))
+
     def eval_numeric(self, q):
-        if q <= 0:
-            raise ValueError("q must be a positive real number")
-        y = math.sqrt(q)
-        return math.fsum(float(c) * y ** k for k, c in self._t.items())
+        """Value at the real q > 0, rounded once.
+
+        The sum is taken exactly at y = sqrt(q) as a float, so cancellation
+        between monomials costs no accuracy.
+        """
+        return float(self._at_root(_float_root(q)))
 
     def at_one(self):
         """Exact value at q = 1 (every monomial evaluates to 1)."""
@@ -515,10 +528,13 @@ class QFraction:
     # -- evaluation -------------------------------------------------------
 
     def eval_numeric(self, q):
-        d = self.den.eval_numeric(q)
-        if d == 0.0:
+        """Value at the real q > 0, taken exactly as in HalfLaurent.eval_numeric
+        and rounded once."""
+        y = _float_root(q)
+        d = self.den._at_root(y)
+        if not d:
             raise PoleAtPoint("denominator vanishes at q=%r" % (q,))
-        return self.num.eval_numeric(q) / d
+        return float(self.num._at_root(y) / d)
 
     def limit_q1(self):
         """Exact classical limit q -> 1, as a Fraction."""
