@@ -235,7 +235,7 @@ def _suite_charid(sig, modules):
 
 def _suite_projectors(sig, modules):
     from .oracle.checks import all_projectors
-    from .oracle.linalg import identity, is_zero_matrix, matmul
+    from .oracle.linalg import is_zero_matrix, matmul
 
     out = []
     for lam, M in modules():
@@ -246,28 +246,35 @@ def _suite_projectors(sig, modules):
             except DegenerateRoots as exc:
                 out.append(_skip("projectors", inputs, str(exc)))
                 continue
+            # P_i P_j = delta_ij P_i and sum_i P_i = I, summed over nonzeros
             ok = True
-            total = None
+            total = {}
             for i, p in enumerate(ps):
-                total = p if total is None else total + p
-                ok = ok and is_zero_matrix(matmul(p, p) - p)
+                rows = p.tolist()
+                for a, row in enumerate(rows):
+                    for c, x in enumerate(row):
+                        if x:
+                            total[a, c] = total.get((a, c), ZERO) + x
+                ok = ok and matmul(p, p).tolist() == rows
                 for j in range(i + 1, len(ps)):
                     ok = ok and is_zero_matrix(matmul(p, ps[j]))
-            ok = ok and is_zero_matrix(total - identity(total.shape[0]))
+            ok = ok and {key: x for key, x in total.items() if x} == {
+                (a, a): ONE for a in range(ps[0].shape[0])
+            }
             out.append(_case("projectors", inputs, ok))
     return out
 
 
 def _closed_vs_oracle(sig, modules, coupled):
     from .oracle.checks import coupled_oracle, wigner_oracle
-    from .wigner import _Side, omega, omega_coupled
+    from .wigner import _side, omega, omega_coupled
 
     name = "coupled" if coupled else "wigner"
     out = []
     for lam, M in modules():
         for b in branch_candidates(lam):
             for kind in ("lower", "raise"):
-                side = _Side(b, kind)
+                side = _side(b, kind)
                 pairs = (
                     [(k, r) for k in side.K for r in side.L]
                     if coupled

@@ -11,6 +11,7 @@ runs over the admissible sets determined by the branching.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .errors import (
     AdmissibilityError,
@@ -19,7 +20,7 @@ from .errors import (
     UnknownPhaseConvention,
 )
 from .exactq import ONE, ZERO, QFraction, qnum, qpow
-from .superweight import deformed_root
+from .superweight import char_roots, deformed_root
 
 __all__ = [
     "CoefficientTable",
@@ -50,6 +51,22 @@ FORMS = ("root_product", "qnumber_phase")
 MU_SHIFT_DEFAULT = "unshifted"
 
 
+@lru_cache(maxsize=None)
+def _F(x, alpha0, t, root_kind):
+    """The root-product factor deformed(x) - q^(2t) deformed(alpha0) + t q^t."""
+    return (
+        deformed_root(x, root_kind)
+        - QFraction(qpow(2 * t)) * deformed_root(alpha0, root_kind)
+        + t * QFraction(qpow(t))
+    )
+
+
+@lru_cache(maxsize=None)
+def _root_diff(x, y, root_kind):
+    """The root-product factor deformed(x) - deformed(y)."""
+    return deformed_root(x, root_kind) - deformed_root(y, root_kind)
+
+
 class _Side:
     """Shared root data for one variant of a branching.
 
@@ -57,6 +74,7 @@ class _Side:
     deformed-root combination entering every product is
     F_y(x) = x - q^(2 tau s_y) a0_y + tau s_y q^(tau s_y),
     equal to q^(-alpha_x - alpha0_y + tau s_y) [alpha_x - alpha0_y + tau s_y]_q.
+    Never mutated after construction, so _side shares one per branching.
     """
 
     def __init__(self, b, variant):
@@ -78,8 +96,6 @@ class _Side:
         self.variant = variant
         self.root_kind = root_kind
         sig = b.sig
-        from .superweight import char_roots
-
         self.alpha = dict(
             zip(range(1, sig.d + 1), char_roots(b.lam, root_kind))
         )
@@ -90,17 +106,11 @@ class _Side:
         self.n = sig.n
         self.I0_size = len(b.I0)
 
-    def a(self, k):
-        return deformed_root(self.alpha[k], self.root_kind)
-
-    def a0(self, r):
-        return deformed_root(self.alpha0[r], self.root_kind)
-
-    def F_root(self, x_val, ell):
-        """F_ell(x) on deformed values."""
-        s = self.sign[ell]
-        t = self.tau * s
-        return x_val - QFraction(qpow(2 * t)) * self.a0(ell) + t * QFraction(qpow(t))
+    def F_root(self, x_alpha, ell):
+        """F_ell at the deformed root of the exponent x_alpha."""
+        return _F(
+            x_alpha, self.alpha0[ell], self.tau * self.sign[ell], self.root_kind
+        )
 
     def F_arg(self, x_alpha, ell):
         """q-number argument of F_ell: x_alpha - alpha0_ell + tau s_ell."""
@@ -123,6 +133,11 @@ class _Side:
         return 1 if (self.even_count + self.n - 1) % 2 == 0 else -1
 
 
+# Callers visit one branching at a time and need both of its variants; 8
+# entries leave slack.
+_side = lru_cache(maxsize=8)(_Side)
+
+
 def _check_form(form):
     if form not in FORMS:
         raise ValueError("form must be one of %s" % (FORMS,))
@@ -138,21 +153,21 @@ def omega(b, k, variant, form="root_product"):
     with xi_k = -(|I0 or I0bar| ... ) collected below.
     """
     _check_form(form)
-    side = _Side(b, variant)
+    side = _side(b, variant)
     if not 1 <= k <= b.sig.d:
         raise IndexOutOfRange("shift index %d outside 1..%d" % (k, b.sig.d))
     if k not in side.K:
         return ZERO
     side.require_K_generic()
     if form == "root_product":
-        ak = side.a(k)
+        ak = side.alpha[k]
         num = ONE
         for r in side.L:
             num = num * side.F_root(ak, r)
         den = ONE
         for l in side.K:
             if l != k:
-                den = den * (ak - side.a(l))
+                den = den * _root_diff(ak, side.alpha[l], side.root_kind)
         return num / den
     # q-number/phase form with the closed phase exponent
     xi = -(side.I0_size + side.alpha[k] + b.eta)
@@ -174,7 +189,7 @@ def omega_classical(b, k, variant):
     """
     from fractions import Fraction
 
-    side = _Side(b, variant)
+    side = _side(b, variant)
     if not 1 <= k <= b.sig.d:
         raise IndexOutOfRange("shift index %d outside 1..%d" % (k, b.sig.d))
     if k not in side.K:
@@ -206,7 +221,7 @@ def gamma(b, r, variant, form="root_product", alpha0_override=None):
     requiring the shifted pair to be a genuine branching.
     """
     _check_form(form)
-    side = _Side(b, variant)
+    side = _side(b, variant)
     if r not in side.L:
         raise AdmissibilityError(
             "index %d not admissible for %s side (need one of %s)"
@@ -221,20 +236,14 @@ def gamma(b, r, variant, form="root_product", alpha0_override=None):
                 "shifted subalgebra roots coincide at %d and %d" % (r, l)
             )
     if form == "root_product":
+        t = side.tau * side.sign[r]
         num = ONE
         for k in side.K:
-            s = side.sign[r]
-            t = side.tau * s
-            num = num * (
-                side.a(k)
-                - QFraction(qpow(2 * t)) * deformed_root(a0r, side.root_kind)
-                + t * QFraction(qpow(t))
-            )
+            num = num * _F(side.alpha[k], a0r, t, side.root_kind)
         den = ONE
-        gr = deformed_root(betas[r], side.root_kind)
         for l in side.L:
             if l != r:
-                den = den * (gr - deformed_root(betas[l], side.root_kind))
+                den = den * _root_diff(betas[r], betas[l], side.root_kind)
         return side.sigma() * num / den
     # q-number/phase form, phase accumulated factor by factor
     kappa = 0
@@ -264,7 +273,7 @@ def mu(b, r, variant, form="root_product", convention=None):
         convention = MU_SHIFT_DEFAULT
     if convention not in ("shifted", "unshifted"):
         raise ValueError("convention must be 'shifted' or 'unshifted'")
-    side = _Side(b, variant)
+    side = _side(b, variant)
     if r not in side.L:
         raise AdmissibilityError(
             "index %d not admissible for %s side (need one of %s)"
@@ -279,14 +288,13 @@ def mu(b, r, variant, form="root_product", convention=None):
                 "root at %d collides with shifted root at %d" % (l, r)
             )
     if form == "root_product":
-        abullet = deformed_root(bullet, side.root_kind)
         num = ONE
         for k in side.K:
-            num = num * (side.a(k) - abullet)
+            num = num * _root_diff(side.alpha[k], bullet, side.root_kind)
         den = ONE
         for l in side.L:
             if l != r:
-                den = den * (abullet - deformed_root(side.beta(l), side.root_kind))
+                den = den * _root_diff(bullet, side.beta(l), side.root_kind)
         return side.sigma() * num / den
     phase = (
         b.eta
@@ -321,7 +329,7 @@ def omega_coupled(b, k, r, variant, form="qnumber_phase"):
     admissible r forces the coefficient to vanish.
     """
     _check_form(form)
-    side = _Side(b, variant)
+    side = _side(b, variant)
     if not 1 <= k <= b.sig.d:
         raise IndexOutOfRange("shift index %d outside 1..%d" % (k, b.sig.d))
     if r not in side.L:
@@ -337,31 +345,31 @@ def omega_coupled(b, k, r, variant, form="qnumber_phase"):
             raise DegenerateRoots(
                 "subalgebra roots degenerate at %d and %d" % (r, l)
             )
+    ak = side.alpha[k]
+    a0r = side.alpha0[r]
     if form == "qnumber_phase":
-        out = QFraction(qpow(side.alpha[k] - side.alpha0[r]))
+        num = QFraction(qpow(ak - a0r))
+        den = ONE
         for l in side.L:
-            if l == r:
-                continue
-            out = out * QFraction(qnum(side.F_arg(side.alpha[k], l)))
-            out = out / QFraction(qnum(side.F_arg(side.alpha0[r], l)))
+            if l != r:
+                num = num * QFraction(qnum(side.F_arg(ak, l)))
+                den = den * QFraction(qnum(side.F_arg(a0r, l)))
         for p in side.K:
-            if p == k:
-                continue
-            out = out * QFraction(qnum(side.alpha[p] - side.alpha0[r]))
-            out = out / QFraction(qnum(side.alpha[p] - side.alpha[k]))
-        return out
-    ak = side.a(k)
-    a0r = side.a0(r)
-    out = ONE
+            if p != k:
+                num = num * QFraction(qnum(side.alpha[p] - a0r))
+                den = den * QFraction(qnum(side.alpha[p] - ak))
+        return num / den
+    num = ONE
+    den = ONE
     for l in side.L:
-        if l == r:
-            continue
-        out = out * side.F_root(ak, l) / side.F_root(a0r, l)
+        if l != r:
+            num = num * side.F_root(ak, l)
+            den = den * side.F_root(a0r, l)
     for p in side.K:
-        if p == k:
-            continue
-        out = out * (side.a(p) - a0r) / (side.a(p) - ak)
-    return out
+        if p != k:
+            num = num * _root_diff(side.alpha[p], a0r, side.root_kind)
+            den = den * _root_diff(side.alpha[p], ak, side.root_kind)
+    return num / den
 
 
 def omega_coupled_composite(b, k, r, variant):
@@ -372,7 +380,7 @@ def omega_coupled_composite(b, k, r, variant):
     block; the direct forms remain finite there.  Callers should treat a
     ZeroDivisionError as 'not applicable'.
     """
-    side = _Side(b, variant)
+    side = _side(b, variant)
     if r not in side.L:
         raise AdmissibilityError(
             "index %d not admissible for %s side (need one of %s)"
@@ -382,8 +390,8 @@ def omega_coupled_composite(b, k, r, variant):
         return ZERO
     w = omega(b, k, variant)
     m = mu(b, r, variant)
-    corr1 = side.F_root(side.a(k), r)
-    corr2 = side.a(k) - side.a0(r)
+    corr1 = side.F_root(side.alpha[k], r)
+    corr2 = _root_diff(side.alpha[k], side.alpha0[r], side.root_kind)
     return w * m / (corr1 * corr2)
 
 
@@ -462,7 +470,7 @@ def omega_table(b, variant, form="root_product"):
 
 
 def coupled_table(b, variant, form="qnumber_phase"):
-    side = _Side(b, variant)
+    side = _side(b, variant)
     t = CoefficientTable(kind="coupled_%s" % variant, branching=b, form=form)
     for k in side.K:
         for r in side.L:
@@ -485,17 +493,19 @@ def linear_system_residuals(b, variant, form="root_product"):
     too, so the term is accumulated with that factor cancelled instead of
     evaluating a 0/0.
     """
-    side = _Side(b, variant)
+    side = _side(b, variant)
+    if not side.L:  # no relations, and no omega, even on a degenerate K
+        return {}
+    omegas = {k: omega(b, k, variant, form) for k in side.K}
     out = {}
     for r in side.L:
         acc = ZERO
         for k in side.K:
-            f = side.F_root(side.a(k), r)
+            ak = side.alpha[k]
+            f = side.F_root(ak, r)
             if f:
-                acc = acc + omega(b, k, variant, form) / f
+                acc = acc + omegas[k] / f
                 continue
-            side.require_K_generic()
-            ak = side.a(k)
             num = ONE
             for l in side.L:
                 if l != r:
@@ -503,7 +513,7 @@ def linear_system_residuals(b, variant, form="root_product"):
             den = ONE
             for l in side.K:
                 if l != k:
-                    den = den * (ak - side.a(l))
+                    den = den * _root_diff(ak, side.alpha[l], side.root_kind)
             acc = acc + num / den
         out[r] = acc
     return out

@@ -1,5 +1,6 @@
 """Closed forms: omega tables, gamma/mu matrix elements, coupled values."""
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,7 @@ from qwig import (
     Weight,
     ZERO,
     coupled_table,
+    branch_candidates,
     deformed_root,
     gamma,
     index_sets,
@@ -32,12 +34,15 @@ from qwig import (
     rwc,
     sum_rule_residual,
 )
+from qwig import wigner
+from qwig.cli import main
 from qwig.superweight import subalgebra_roots
-from qwig.wigner import FORMS, MU_SHIFT_DEFAULT, _Side
+from qwig.wigner import FORMS, MU_SHIFT_DEFAULT, _F, _root_diff, _side, _Side
 
 S11 = Signature(1, 1)
 S21 = Signature(2, 1)
 S12 = Signature(1, 2)
+S32 = Signature(3, 2)
 
 HALF_LOW = QFraction(qpow(-1), qnum(2))  # q^-1/[2]_q
 HALF_HIGH = QFraction(qpow(1), qnum(2))  # q/[2]_q
@@ -261,3 +266,180 @@ def test_tables():
     assert rows[0] == ["index", "value"]
     ct = coupled_table(b, "lower")
     assert all(isinstance(k, tuple) for k in ct.entries)
+
+
+def test_cached_factors_equal_fresh_ones():
+    span = range(-6, 7)
+    for kind in ("adjoint", "dual"):
+        a = {x: deformed_root(x, kind) for x in span}
+        for x in span:
+            for y in span:
+                assert _root_diff(x, y, kind) == a[x] - a[y]
+                for t in (-1, 1):
+                    shift = t * QFraction(qpow(t))
+                    fresh = a[x] - QFraction(qpow(2 * t)) * a[y] + shift
+                    assert _F(x, y, t, kind) == fresh
+    for lam in ((2, 1, 0), (3, 1, -1)):
+        for b in branch_candidates(Weight(S21, lam)):
+            for variant in ("lower", "raise"):
+                side = _side(b, variant)
+                assert _side(b, variant) is side
+                fresh = _Side(b, variant)
+                assert (side.K, side.L) == (fresh.K, fresh.L)
+                assert (side.alpha, side.alpha0) == (fresh.alpha, fresh.alpha0)
+
+
+def test_linear_system_computes_each_omega_once(monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return omega(*args, **kwargs)
+
+    monkeypatch.setattr(wigner, "omega", counting)
+    b = index_sets(Weight(S32, (3, 1, 0, 2, 0)), (2, 1, -1, 0))
+    for variant in ("lower", "raise"):
+        side = _Side(b, variant)
+        assert len(side.L) >= 2
+        for form in FORMS:
+            calls.clear()
+            res = linear_system_residuals(b, variant, form)
+            assert len(calls) <= len(side.K)
+            assert set(res) == set(side.L)
+            assert all(v == ZERO for v in res.values())
+
+
+# Printed entries of four large gl(3|2) and gl(4|3) tables (components in
+# [-8, 8]): the sweeps reach only small polynomials.
+LARGE_TABLES = [
+    (
+        ("7,4,-1|-1,-5", "6,3,-1,-3", "lower", False),
+        {
+            "1": (
+                "(-q^-2 - 2 - 3*q^2 - 3*q^4 - 3*q^6 - 2*q^8 - q^10)/(1 + 3*q^2 + "
+                "5*q^4 + 7*q^6 + 8*q^8 + 8*q^10 + 8*q^12 + 7*q^14 + 5*q^16 + "
+                "3*q^18 + q^20)"
+            ),
+            "2": (
+                "(1 + q^2 + q^4 + q^6 + q^8)/(1 + 3*q^2 + 5*q^4 + 6*q^6 + 5*q^8 + "
+                "3*q^10 + q^12)"
+            ),
+            "3": "0",
+            "4": (
+                "(q^2 + 3*q^4 + 5*q^6 + 7*q^8 + 8*q^10 + 8*q^12 + 8*q^14 + 8*q^16 "
+                "+ 7*q^18 + 5*q^20 + 3*q^22 + q^24)/(1 + 3*q^2 + 6*q^4 + 9*q^6 + "
+                "12*q^8 + 14*q^10 + 15*q^12 + 14*q^14 + 12*q^16 + 9*q^18 + 6*q^20 "
+                "+ 3*q^22 + q^24)"
+            ),
+            "5": (
+                "(q^-2 + 2 + 3*q^2 + 2*q^4 + q^6)/(1 + 3*q^2 + 4*q^4 + 4*q^6 + "
+                "4*q^8 + 3*q^10 + q^12)"
+            ),
+        },
+    ),
+    (
+        ("4,-6,-8|-2,-8", "3,-7,-8,-5", "raise", True),
+        {
+            "3,3": "1",
+            "3,4": (
+                "-q^18/(1 + q^2 + q^4 + 2*q^6 + 3*q^8 + 3*q^10 + 4*q^12 + 5*q^14 "
+                "+ 6*q^16 + 6*q^18 + 7*q^20 + 8*q^22 + 9*q^24 + 8*q^26 + 9*q^28 + "
+                "10*q^30 + 9*q^32 + 8*q^34 + 9*q^36 + 8*q^38 + 7*q^40 + 6*q^42 + "
+                "6*q^44 + 5*q^46 + 4*q^48 + 3*q^50 + 3*q^52 + 2*q^54 + q^56 + "
+                "q^58 + q^60)"
+            ),
+            "4,3": "0",
+            "4,4": (
+                "(1 + 2*q^2 + 3*q^4 + 5*q^6 + 6*q^8 + 7*q^10 + 9*q^12 + 10*q^14 + "
+                "11*q^16 + 13*q^18 + 13*q^20 + 13*q^22 + 13*q^24 + 11*q^26 + "
+                "10*q^28 + 9*q^30 + 7*q^32 + 6*q^34 + 5*q^36 + 3*q^38 + 2*q^40 + "
+                "q^42)/(1 + 2*q^2 + 3*q^4 + 5*q^6 + 7*q^8 + 9*q^10 + 12*q^12 + "
+                "14*q^14 + 16*q^16 + 18*q^18 + 19*q^20 + 20*q^22 + 21*q^24 + "
+                "20*q^26 + 19*q^28 + 18*q^30 + 16*q^32 + 14*q^34 + 12*q^36 + "
+                "9*q^38 + 7*q^40 + 5*q^42 + 3*q^44 + 2*q^46 + q^48)"
+            ),
+            "5,3": "0",
+            "5,4": (
+                "(q^8 + 2*q^10 + 3*q^12 + 3*q^14 + 4*q^16 + 5*q^18 + 6*q^20 + "
+                "6*q^22 + 7*q^24 + 8*q^26 + 9*q^28 + 9*q^30 + 9*q^32 + 9*q^34 + "
+                "9*q^36 + 9*q^38 + 9*q^40 + 8*q^42 + 7*q^44 + 6*q^46 + 6*q^48 + "
+                "5*q^50 + 4*q^52 + 3*q^54 + 3*q^56 + 2*q^58 + q^60)/(1 + 2*q^2 + "
+                "3*q^4 + 4*q^6 + 6*q^8 + 8*q^10 + 10*q^12 + 11*q^14 + 13*q^16 + "
+                "15*q^18 + 17*q^20 + 18*q^22 + 20*q^24 + 21*q^26 + 22*q^28 + "
+                "22*q^30 + 22*q^32 + 21*q^34 + 20*q^36 + 18*q^38 + 17*q^40 + "
+                "15*q^42 + 13*q^44 + 11*q^46 + 10*q^48 + 8*q^50 + 6*q^52 + 4*q^54 "
+                "+ 3*q^56 + 2*q^58 + q^60)"
+            ),
+        },
+    ),
+    (
+        ("7,-1,-3,-7|-4,-5,-7", "7,-2,-3,-8,-5,-6", "raise", False),
+        {
+            "1": (
+                "(1 + q^2 + q^4 + q^6 + q^8 + q^10 + q^12 + q^14 + q^16 + q^18 + "
+                "q^20 + q^22 + q^24)/(1 + 2*q^2 + 2*q^4 + 3*q^6 + 4*q^8 + 4*q^10 "
+                "+ 5*q^12 + 5*q^14 + 4*q^16 + 5*q^18 + 5*q^20 + 4*q^22 + 4*q^24 + "
+                "3*q^26 + 2*q^28 + 2*q^30 + q^32)"
+            ),
+            "2": "0",
+            "3": (
+                "(-q^14 - q^16 - q^18 - 2*q^20 - 2*q^22 - 2*q^24 - 3*q^26 - "
+                "3*q^28 - 3*q^30 - 3*q^32 - 3*q^34 - 2*q^36 - 2*q^38 - 2*q^40 - "
+                "q^42 - q^44 - q^46)/(1 + 2*q^2 + 3*q^4 + 5*q^6 + 7*q^8 + 8*q^10 "
+                "+ 10*q^12 + 12*q^14 + 13*q^16 + 15*q^18 + 16*q^20 + 16*q^22 + "
+                "16*q^24 + 15*q^26 + 13*q^28 + 12*q^30 + 10*q^32 + 8*q^34 + "
+                "7*q^36 + 5*q^38 + 3*q^40 + 2*q^42 + q^44)"
+            ),
+            "4": "0",
+            "5": (
+                "(q^4 + 3*q^6 + 6*q^8 + 10*q^10 + 14*q^12 + 18*q^14 + 20*q^16 + "
+                "20*q^18 + 18*q^20 + 14*q^22 + 10*q^24 + 6*q^26 + 3*q^28 + "
+                "q^30)/(1 + 3*q^2 + 6*q^4 + 10*q^6 + 15*q^8 + 19*q^10 + 22*q^12 + "
+                "23*q^14 + 22*q^16 + 19*q^18 + 15*q^20 + 10*q^22 + 6*q^24 + "
+                "3*q^26 + q^28)"
+            ),
+            "6": "0",
+            "7": (
+                "(q^2 + q^4 + q^6 + q^8 + q^10 + q^12 + q^14 + q^16 + q^18 + q^20 "
+                "+ q^22)/(1 + 3*q^2 + 5*q^4 + 7*q^6 + 9*q^8 + 10*q^10 + 10*q^12 + "
+                "10*q^14 + 10*q^16 + 10*q^18 + 9*q^20 + 7*q^22 + 5*q^24 + 3*q^26 "
+                "+ q^28)"
+            ),
+        },
+    ),
+    (
+        ("8,4,-3,-8|2,1,-8", "8,4,-3,-8,1,0", "lower", True),
+        {
+            "5,5": "0",
+            "5,6": (
+                "(q^2 + q^10)/(1 + q^2 + q^4 + q^8 + q^10 + q^12 + q^16 + q^18 + "
+                "q^20)"
+            ),
+            "6,5": "1",
+            "6,6": (
+                "(1 + 2*q^4 + 2*q^8 + 2*q^12 + q^16)/(1 + q^2 + 2*q^4 + q^6 + "
+                "2*q^8 + q^10 + 2*q^12 + q^14 + 2*q^16 + q^18 + q^20)"
+            ),
+            "7,5": "0",
+            "7,6": (
+                "(q^16 + q^18 + q^20 + q^22 + q^24 + q^26 + q^28 + q^30 + q^32 + "
+                "q^34 + q^36)/(1 + q^2 + 2*q^4 + q^6 + 3*q^8 + 2*q^10 + 4*q^12 + "
+                "2*q^14 + 5*q^16 + 3*q^18 + 5*q^20 + 2*q^22 + 4*q^24 + 2*q^26 + "
+                "3*q^28 + q^30 + 2*q^32 + q^34 + q^36)"
+            ),
+        },
+    ),
+]
+
+
+@pytest.mark.parametrize("case, entries", LARGE_TABLES)
+def test_large_tables_print_pinned_entries(capsys, case, entries):
+    weight, lower, kind, coupled = case
+    argv = ["wigner", "--weight", weight, "--lower", lower, "--kind", kind]
+    argv += ["--coupled"] if coupled else ["--form", "both"]
+    assert main(argv) == 0
+    obj = json.loads(capsys.readouterr().out)
+    assert {k: e["str"] for k, e in obj["entries"].items()} == entries
+    if not coupled:
+        assert obj["forms_agree"] is True
+        assert obj["sum"] == "1"
