@@ -28,7 +28,7 @@ from .errors import (
 )
 from .invariants import chi_C1, chi_v
 from .superweight import RootSet, Signature, Weight, is_typical
-from .wigner import coupled_table, omega_table, sum_rule_residual
+from .wigner import coupled_table, omega_table
 from .exactq import ONE, ZERO
 
 SUITES = (
@@ -81,12 +81,14 @@ def _dump_json(obj):
 
 
 def _emit(payload, out_path, csv_rows=None):
+    """Write payload as JSON, or the rows that csv_rows() builds to a .csv
+    out_path."""
     if out_path and out_path.endswith(".csv"):
         if csv_rows is None:
             raise QwigError("CSV output is only available for tables")
         buf = io.StringIO()
         w = csv.writer(buf, lineterminator="\n")
-        for row in csv_rows:
+        for row in csv_rows():
             w.writerow(row)
         text = buf.getvalue()
     else:
@@ -159,12 +161,13 @@ def _cmd_wigner(args):
     if not args.coupled:
         total = sum(primary.entries.values(), ZERO)
         payload["sum"] = str(total)
-        payload["sum_rule_residual"] = str(sum_rule_residual(b, args.kind))
+        payload["sum_rule_residual"] = str(total - ONE)
     if args.form == "both":
         second = tables[forms[1]]
         payload["entries_qnumber_phase"] = second.to_json()["entries"]
         payload["forms_agree"] = primary.entries == second.entries
-    _emit(payload, args.out, _table_csv_rows(primary, args.coupled))
+    _emit(payload, args.out,
+          functools.partial(_table_csv_rows, primary, args.coupled))
     return 0
 
 
@@ -412,6 +415,9 @@ def _cmd_verify(args):
 # -- parser ------------------------------------------------------------------
 
 
+# The parser is read-only once built, and building it costs far more than a
+# parse, so every main() call of a process shares one.
+@functools.lru_cache(maxsize=None)
 def build_parser():
     p = argparse.ArgumentParser(
         prog="qwig",

@@ -202,7 +202,7 @@ class HalfLaurent:
 
     def shift(self, dexp):
         """Multiply by the monomial q^(dexp/2)."""
-        if not self._t:
+        if not self._t or not dexp:
             return self
         return HalfLaurent._raw({k + dexp: c for k, c in self._t.items()})
 
@@ -353,6 +353,24 @@ def _poly_prem(pa, pb):
     return pa
 
 
+def _cancel(a, b):
+    """(a/h, b/h) for h = gcd(a, b), on nonzero HalfLaurents."""
+    if a.is_monomial() or b.is_monomial():
+        return a, b
+    g = _poly_gcd(a, b)
+    if g.is_monomial():
+        return a, b
+    return _exact_div(a, g), _exact_div(b, g)
+
+
+# The closed forms draw their factors from a small recurring set, so the
+# pairs that from_factors cancels recur across values.  A gcd is defined only
+# up to a monomial, so the pairs are cached shifted to lowest doubled
+# exponent 0 (the cancelled factors then have lowest exponent 0 too).  The
+# bound keeps memory flat over a long run.
+_cancel_low = lru_cache(maxsize=1024)(_cancel)
+
+
 _POLY_ONE = HalfLaurent.const(1)
 
 
@@ -395,12 +413,7 @@ class QFraction:
         if not num:
             den = _POLY_ONE
         else:
-            if not den.is_monomial():
-                g = _poly_gcd(num, den)
-                if not g.is_monomial():
-                    num = _exact_div(num, g)
-                    den = _exact_div(den, g)
-            num, den = _strip_unit(num, den)
+            num, den = _strip_unit(*_cancel(num, den))
         self.num = num
         self.den = den
         self._hash = None
@@ -413,6 +426,45 @@ class QFraction:
         out.den = den
         out._hash = None
         return out
+
+    @classmethod
+    def from_factors(cls, nums, dens):
+        """prod(nums)/prod(dens) for sequences of HalfLaurent factors, in
+        normal form.
+
+        Each numerator factor is cancelled against each denominator factor,
+        both updated in place, so every pair ends coprime and so do the two
+        products: they are multiplied out with no gcd of the whole.  A zero
+        denominator factor raises ZeroDivisionError; otherwise a zero
+        numerator factor gives ZERO.
+        """
+        if not all(dens):
+            raise ZeroDivisionError("zero denominator")
+        if not all(nums):
+            return ZERO
+        # factors are cancelled shifted to lowest exponent 0; shift keeps
+        # the monomial taken out of them
+        shift = 0
+        low = []
+        for d in dens:
+            s = d.min_dexp()
+            shift -= s
+            low.append(d.shift(-s))
+        num = _POLY_ONE
+        for f in nums:
+            s = f.min_dexp()
+            shift += s
+            f = f.shift(-s)
+            for i, d in enumerate(low):
+                if f.is_monomial():
+                    break
+                if not d.is_monomial():
+                    f, low[i] = _cancel_low(f, d)
+            num = num * f
+        den = _POLY_ONE
+        for d in low:
+            den = den * d
+        return cls._raw(*_strip_unit(num.shift(shift), den))
 
     @classmethod
     def _reduced(cls, num, den):

@@ -51,20 +51,25 @@ FORMS = ("root_product", "qnumber_phase")
 MU_SHIFT_DEFAULT = "unshifted"
 
 
+def _deformed(x, root_kind):
+    """deformed_root(x) as the polynomial it is (its denominator is 1)."""
+    return deformed_root(x, root_kind).num
+
+
 @lru_cache(maxsize=None)
 def _F(x, alpha0, t, root_kind):
     """The root-product factor deformed(x) - q^(2t) deformed(alpha0) + t q^t."""
     return (
-        deformed_root(x, root_kind)
-        - QFraction(qpow(2 * t)) * deformed_root(alpha0, root_kind)
-        + t * QFraction(qpow(t))
+        _deformed(x, root_kind)
+        - qpow(2 * t) * _deformed(alpha0, root_kind)
+        + t * qpow(t)
     )
 
 
 @lru_cache(maxsize=None)
 def _root_diff(x, y, root_kind):
     """The root-product factor deformed(x) - deformed(y)."""
-    return deformed_root(x, root_kind) - deformed_root(y, root_kind)
+    return _deformed(x, root_kind) - _deformed(y, root_kind)
 
 
 class _Side:
@@ -159,26 +164,17 @@ def omega(b, k, variant, form="root_product"):
     if k not in side.K:
         return ZERO
     side.require_K_generic()
+    ak = side.alpha[k]
+    others = [side.alpha[l] for l in side.K if l != k]
     if form == "root_product":
-        ak = side.alpha[k]
-        num = ONE
-        for r in side.L:
-            num = num * side.F_root(ak, r)
-        den = ONE
-        for l in side.K:
-            if l != k:
-                den = den * _root_diff(ak, side.alpha[l], side.root_kind)
-        return num / den
-    # q-number/phase form with the closed phase exponent
-    xi = -(side.I0_size + side.alpha[k] + b.eta)
-    num = QFraction(qpow(xi))
-    for r in side.L:
-        num = num * QFraction(qnum(side.F_arg(side.alpha[k], r)))
-    den = ONE
-    for l in side.K:
-        if l != k:
-            den = den * QFraction(qnum(side.alpha[k] - side.alpha[l]))
-    return num / den
+        nums = [side.F_root(ak, r) for r in side.L]
+        dens = [_root_diff(ak, al, side.root_kind) for al in others]
+    else:
+        # q-number/phase form with the closed phase exponent
+        xi = -(side.I0_size + ak + b.eta)
+        nums = [qpow(xi)] + [qnum(side.F_arg(ak, r)) for r in side.L]
+        dens = [qnum(ak - al) for al in others]
+    return QFraction.from_factors(nums, dens)
 
 
 def omega_classical(b, k, variant):
@@ -235,29 +231,19 @@ def gamma(b, r, variant, form="root_product", alpha0_override=None):
             raise DegenerateRoots(
                 "shifted subalgebra roots coincide at %d and %d" % (r, l)
             )
+    t = side.tau * side.sign[r]
+    others = [betas[l] for l in side.L if l != r]
     if form == "root_product":
-        t = side.tau * side.sign[r]
-        num = ONE
-        for k in side.K:
-            num = num * _F(side.alpha[k], a0r, t, side.root_kind)
-        den = ONE
-        for l in side.L:
-            if l != r:
-                den = den * _root_diff(betas[r], betas[l], side.root_kind)
-        return side.sigma() * num / den
-    # q-number/phase form, phase accumulated factor by factor
-    kappa = 0
-    num = ONE
-    for k in side.K:
-        arg = side.alpha[k] - a0r + side.tau * side.sign[r]
-        kappa += -(side.alpha[k] + a0r) + side.tau * side.sign[r]
-        num = num * QFraction(qnum(arg))
-    den = ONE
-    for l in side.L:
-        if l != r:
-            kappa += betas[r] + betas[l]
-            den = den * QFraction(qnum(betas[r] - betas[l]))
-    return side.sigma() * QFraction(qpow(kappa)) * num / den
+        phase = 0
+        nums = [_F(side.alpha[k], a0r, t, side.root_kind) for k in side.K]
+        dens = [_root_diff(betas[r], bl, side.root_kind) for bl in others]
+    else:
+        # q-number/phase form, phase collected from every factor
+        phase = sum(t - side.alpha[k] - a0r for k in side.K)
+        phase += sum(betas[r] + bl for bl in others)
+        nums = [qnum(side.alpha[k] - a0r + t) for k in side.K]
+        dens = [qnum(betas[r] - bl) for bl in others]
+    return QFraction.from_factors([side.sigma() * qpow(phase)] + nums, dens)
 
 
 def mu(b, r, variant, form="root_product", convention=None):
@@ -287,29 +273,21 @@ def mu(b, r, variant, form="root_product", convention=None):
             raise DegenerateRoots(
                 "root at %d collides with shifted root at %d" % (l, r)
             )
+    others = [side.beta(l) for l in side.L if l != r]
     if form == "root_product":
-        num = ONE
-        for k in side.K:
-            num = num * _root_diff(side.alpha[k], bullet, side.root_kind)
-        den = ONE
-        for l in side.L:
-            if l != r:
-                den = den * _root_diff(bullet, side.beta(l), side.root_kind)
-        return side.sigma() * num / den
-    phase = (
-        b.eta
-        + side.I0_size
-        - 3 * bullet
-        + side.tau * side.sign[r] * (2 if convention == "shifted" else 1)
-    )
-    num = QFraction(qpow(phase))
-    for k in side.K:
-        num = num * QFraction(qnum(side.alpha[k] - bullet))
-    den = ONE
-    for l in side.L:
-        if l != r:
-            den = den * QFraction(qnum(bullet - side.beta(l)))
-    return side.sigma() * num / den
+        phase = 0
+        nums = [_root_diff(side.alpha[k], bullet, side.root_kind) for k in side.K]
+        dens = [_root_diff(bullet, bl, side.root_kind) for bl in others]
+    else:
+        phase = (
+            b.eta
+            + side.I0_size
+            - 3 * bullet
+            + side.tau * side.sign[r] * (2 if convention == "shifted" else 1)
+        )
+        nums = [qnum(side.alpha[k] - bullet) for k in side.K]
+        dens = [qnum(bullet - bl) for bl in others]
+    return QFraction.from_factors([side.sigma() * qpow(phase)] + nums, dens)
 
 
 def omega_coupled(b, k, r, variant, form="qnumber_phase"):
@@ -347,29 +325,19 @@ def omega_coupled(b, k, r, variant, form="qnumber_phase"):
             )
     ak = side.alpha[k]
     a0r = side.alpha0[r]
+    ls = [l for l in side.L if l != r]
+    aps = [side.alpha[p] for p in side.K if p != k]
     if form == "qnumber_phase":
-        num = QFraction(qpow(ak - a0r))
-        den = ONE
-        for l in side.L:
-            if l != r:
-                num = num * QFraction(qnum(side.F_arg(ak, l)))
-                den = den * QFraction(qnum(side.F_arg(a0r, l)))
-        for p in side.K:
-            if p != k:
-                num = num * QFraction(qnum(side.alpha[p] - a0r))
-                den = den * QFraction(qnum(side.alpha[p] - ak))
-        return num / den
-    num = ONE
-    den = ONE
-    for l in side.L:
-        if l != r:
-            num = num * side.F_root(ak, l)
-            den = den * side.F_root(a0r, l)
-    for p in side.K:
-        if p != k:
-            num = num * _root_diff(side.alpha[p], a0r, side.root_kind)
-            den = den * _root_diff(side.alpha[p], ak, side.root_kind)
-    return num / den
+        nums = [qpow(ak - a0r)] + [qnum(side.F_arg(ak, l)) for l in ls]
+        nums += [qnum(ap - a0r) for ap in aps]
+        dens = [qnum(side.F_arg(a0r, l)) for l in ls]
+        dens += [qnum(ap - ak) for ap in aps]
+    else:
+        nums = [side.F_root(ak, l) for l in ls]
+        nums += [_root_diff(ap, a0r, side.root_kind) for ap in aps]
+        dens = [side.F_root(a0r, l) for l in ls]
+        dens += [_root_diff(ap, ak, side.root_kind) for ap in aps]
+    return QFraction.from_factors(nums, dens)
 
 
 def omega_coupled_composite(b, k, r, variant):
@@ -392,7 +360,7 @@ def omega_coupled_composite(b, k, r, variant):
     m = mu(b, r, variant)
     corr1 = side.F_root(side.alpha[k], r)
     corr2 = _root_diff(side.alpha[k], side.alpha0[r], side.root_kind)
-    return w * m / (corr1 * corr2)
+    return QFraction.from_factors([w.num, m.num], [w.den, m.den, corr1, corr2])
 
 
 # -- phase conventions ------------------------------------------------------
@@ -453,14 +421,6 @@ class CoefficientTable:
             },
         }
 
-    def to_csv_rows(self):
-        head = ["index", "value"]
-        rows = [head]
-        for k, v in sorted(self.entries.items(), key=lambda kv: str(kv[0])):
-            key = ",".join(str(x) for x in k) if isinstance(k, tuple) else str(k)
-            rows.append([key, str(v)])
-        return rows
-
 
 def omega_table(b, variant, form="root_product"):
     t = CoefficientTable(kind="omega_%s" % variant, branching=b, form=form)
@@ -506,14 +466,10 @@ def linear_system_residuals(b, variant, form="root_product"):
             if f:
                 acc = acc + omegas[k] / f
                 continue
-            num = ONE
-            for l in side.L:
-                if l != r:
-                    num = num * side.F_root(ak, l)
-            den = ONE
-            for l in side.K:
-                if l != k:
-                    den = den * _root_diff(ak, side.alpha[l], side.root_kind)
-            acc = acc + num / den
+            acc = acc + QFraction.from_factors(
+                [side.F_root(ak, l) for l in side.L if l != r],
+                [_root_diff(ak, side.alpha[l], side.root_kind)
+                 for l in side.K if l != k],
+            )
         out[r] = acc
     return out

@@ -4,8 +4,8 @@ import json
 
 import pytest
 
-from qwig import parse_qfraction
-from qwig.cli import main
+from qwig import Signature, Weight, index_sets, parse_qfraction, sum_rule_residual
+from qwig.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -183,3 +183,40 @@ def test_verify_all_builds_modules_once(capsys, monkeypatch):
         if suite != "all":
             cases.extend(run_json(capsys, "verify", "--suite", suite, *sig)[1]["cases"])
     assert obj["cases"] == cases
+
+
+@pytest.mark.parametrize("form", ["root_product", "qnumber_phase", "both"])
+@pytest.mark.parametrize("sig, weight, lower, kind", [
+    ((2, 1), "1,0|0", "0,0", "lower"),
+    ((3, 2), "3,1,0|2,0", "2,1,-1,0", "raise"),
+])
+def test_wigner_reports_library_sum_rule(capsys, sig, weight, lower, kind, form):
+    # the residual printed is that of the printed table, whose form is the
+    # first of --form both
+    code, obj = run_json(capsys, "wigner", "--weight", weight, "--lower", lower,
+                         "--kind", kind, "--form", form)
+    assert code == 0
+    b = index_sets(Weight.parse(Signature(*sig), weight),
+                   [int(x) for x in lower.split(",")])
+    primary = "root_product" if form == "both" else form
+    assert obj["sum_rule_residual"] == str(sum_rule_residual(b, kind, primary))
+
+
+def test_parser_built_once_serves_each_call(capsys):
+    # each call sees only its own options, whatever ran before it
+    calls = [
+        ("wigner", "--weight", "1,0|0", "--lower", "0,0", "--kind", "lower",
+         "--form", "qnumber_phase"),
+        ("wigner", "--weight", "1,0|0", "--lower", "1,0", "--kind", "raise",
+         "--coupled"),
+        ("roots", "--weight", "1,0|0", "--variant", "dual"),
+        ("roots", "--weight", "1,0|0"),
+    ]
+    alone = {}
+    for argv in calls:
+        build_parser.cache_clear()
+        alone[argv] = run(capsys, *argv)
+    build_parser.cache_clear()
+    for argv in calls + calls[::-1]:
+        assert run(capsys, *argv) == alone[argv]
+    assert build_parser.cache_info().misses == 1

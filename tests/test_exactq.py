@@ -1,5 +1,6 @@
 """Exact arithmetic over Q(q^(1/2)): examples and algebraic properties."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -189,3 +190,43 @@ def test_operations_match_normalizing_from_scratch(a, b, g):
     if y:
         assert _same(y.inverse(), QFraction(y.den, y.num))
         assert _same(x / y, QFraction(x.num * y.den, x.den * y.num))
+
+
+def test_from_factors_updates_factors_in_place():
+    # p^2 over [p, p]: the numerator factor must stay divided by the first p
+    # when it meets the second
+    p = qnum(2) + HalfLaurent({1: Fraction(1, 2)})
+    assert QFraction.from_factors([p * p], [p, p]) == ONE
+    assert QFraction.from_factors([p, p], [p * p]) == ONE
+    x = QFraction.from_factors([p * p, qpow(3)], [p.shift(5) * 3, p])
+    assert _same(x, QFraction(qpow(3), HalfLaurent.const(3).shift(5)))
+
+
+def test_from_factors_zero_factors():
+    p = qnum(3)
+    assert _same(QFraction.from_factors([p, HalfLaurent()], [p, qnum(2)]), ZERO)
+    for nums in ([p], [HalfLaurent()]):
+        with pytest.raises(ZeroDivisionError):
+            QFraction.from_factors(nums, [qnum(2), HalfLaurent()])
+
+
+monomials = st.builds(
+    lambda k, c: HalfLaurent({k: c}), dexps,
+    st.fractions(min_value=-6, max_value=6, max_denominator=4).filter(bool),
+)
+factors = st.one_of(nonzero_polys, rat_polys.filter(bool), monomials)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(polys, factors), max_size=4),
+       st.lists(factors, max_size=4),
+       st.lists(st.tuples(factors, dexps, st.integers(1, 3)), max_size=3))
+def test_from_factors_matches_whole_quotient(nums, dens, shared):
+    # factors shared between the sides, up to a unit, and repeated ones
+    nums = nums + [g for g, _, _ in shared] + [g for g, _, _ in shared[:1]]
+    dens = dens + [g.shift(k) * c for g, k, c in shared]
+    x = QFraction.from_factors(nums, dens)
+    one = HalfLaurent.const(1)
+    y = QFraction(math.prod(nums, start=one), math.prod(dens, start=one))
+    assert _same(x, y)
+    assert hash(x) == hash(y)

@@ -262,8 +262,6 @@ def test_tables():
     obj = t.to_json()
     assert obj["kind"] == "omega_lower"
     assert obj["entries"]["1"]["str"] == "-q^-2"
-    rows = t.to_csv_rows()
-    assert rows[0] == ["index", "value"]
     ct = coupled_table(b, "lower")
     assert all(isinstance(k, tuple) for k in ct.entries)
 
