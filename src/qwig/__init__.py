@@ -19,7 +19,6 @@ from .errors import (
     PoleAtPoint,
     QwigError,
     SignatureMismatch,
-    UnknownPhaseConvention,
 )
 from .exactq import (
     ONE,
@@ -28,7 +27,6 @@ from .exactq import (
     QFraction,
     parse_qfraction,
     qnum,
-    qnum_frac,
     qpow,
 )
 from .superweight import (
@@ -57,11 +55,7 @@ from .wigner import (
     omega_classical,
     omega_coupled,
     omega_coupled_composite,
-    omega_lower,
-    omega_raise,
     omega_table,
-    register_phase_convention,
-    rwc,
     sum_rule_residual,
 )
 
@@ -70,20 +64,19 @@ __version__ = "0.1.0"
 __all__ = [
     "QwigError", "PoleAtPoint", "PoleAtOne", "SignatureMismatch",
     "IndexOutOfRange", "NonIntegralWeight", "NotABranching",
-    "DegenerateRoots", "AdmissibilityError", "UnknownPhaseConvention",
+    "DegenerateRoots", "AdmissibilityError",
     "MultiplicityAmbiguous", "NotRealized", "NotScalar", "InvalidArgument",
     "NotHomogeneous", "ConsistencyError",
-    "HalfLaurent", "QFraction", "qpow", "qnum", "qnum_frac",
+    "HalfLaurent", "QFraction", "qpow", "qnum",
     "parse_qfraction", "ZERO", "ONE",
     "Signature", "Weight", "RootSet", "bilinear_form", "rho",
     "rho_even_odd", "char_roots", "subalgebra_roots", "deformed_root",
     "check_generic", "is_typical",
     "BranchingData", "branch_candidates", "index_sets",
     "chi_v", "chi_C1", "casimir_exponent",
-    "CoefficientTable", "omega", "omega_lower", "omega_raise",
+    "CoefficientTable", "omega",
     "omega_classical", "gamma", "mu", "omega_coupled",
-    "omega_coupled_composite", "rwc", "omega_table", "coupled_table",
+    "omega_coupled_composite", "omega_table", "coupled_table",
     "sum_rule_residual", "linear_system_residuals", "MU_SHIFT_DEFAULT",
-    "register_phase_convention",
     "__version__",
 ]

@@ -238,7 +238,7 @@ def _suite_charid(sig, modules):
 
 def _suite_projectors(sig, modules):
     from .oracle.checks import all_projectors
-    from .oracle.linalg import is_zero_matrix, matmul
+    from .oracle.linalg import identity, is_zero_matrix, matmul
 
     out = []
     for lam, M in modules():
@@ -249,21 +249,15 @@ def _suite_projectors(sig, modules):
             except DegenerateRoots as exc:
                 out.append(_skip("projectors", inputs, str(exc)))
                 continue
-            # P_i P_j = delta_ij P_i and sum_i P_i = I, summed over nonzeros
+            # P_i P_j = delta_ij P_i and sum_i P_i = I
             ok = True
-            total = {}
+            total = None
             for i, p in enumerate(ps):
-                rows = p.tolist()
-                for a, row in enumerate(rows):
-                    for c, x in enumerate(row):
-                        if x:
-                            total[a, c] = total.get((a, c), ZERO) + x
-                ok = ok and matmul(p, p).tolist() == rows
+                total = p if total is None else total + p
+                ok = ok and matmul(p, p) == p
                 for j in range(i + 1, len(ps)):
                     ok = ok and is_zero_matrix(matmul(p, ps[j]))
-            ok = ok and {key: x for key, x in total.items() if x} == {
-                (a, a): ONE for a in range(ps[0].shape[0])
-            }
+            ok = ok and total == identity(total.shape[0])
             out.append(_case("projectors", inputs, ok))
     return out
 

@@ -49,10 +49,6 @@ class ConsistencyError(QwigError):
     """Two independent computations of the same quantity disagree."""
 
 
-class UnknownPhaseConvention(QwigError):
-    """No phase rule registered under the requested convention name."""
-
-
 class MultiplicityAmbiguous(QwigError):
     """A highest weight space has dimension greater than one."""
 

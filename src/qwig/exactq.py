@@ -20,7 +20,6 @@ __all__ = [
     "QFraction",
     "qpow",
     "qnum",
-    "qnum_frac",
     "ZERO",
     "ONE",
     "Q_MINUS_QINV",
@@ -272,18 +271,6 @@ def qnum(x):
     return HalfLaurent._raw({s * 2 * (n - 1 - 2 * j): s for j in range(n)})
 
 
-def qnum_frac(x):
-    """[x]_q as a QFraction, valid for any half-integer x.
-
-    For non-integer x the result is a genuine rational function
-    (q^x - q^-x)/(q - q^-1).
-    """
-    x2 = _as_fraction(x) * 2
-    if x2.denominator == 1 and int(x2) % 2 == 0:
-        return QFraction(qnum(int(x2) // 2))
-    return QFraction(qpow(x) - qpow(-x), qpow(1) - qpow(-1))
-
-
 # -- univariate gcd over Q, on shifted (nonnegative) exponents -------------
 #
 # The gcd is unique up to a unit (a monomial times a nonzero scalar), so it
@@ -515,9 +502,16 @@ class QFraction:
             return QFraction._raw(self.num * other.den + other.num, other.den)
         if _is_one(other.den):
             return QFraction._raw(other.num * self.den + self.num, self.den)
-        return QFraction(
-            self.num * other.den + other.num * self.den, self.den * other.den
-        )
+        # Henrici's rule (Knuth, TAOCP vol. 2, 4.5.1): with g = gcd(b, d),
+        # a/b + c/d = t/((b/g)(d/g)g) for t = a(d/g) + c(b/g), and t shares
+        # with that denominator only the factors it shares with g
+        a, b, c, d = self.num, self.den, other.num, other.den
+        g = _poly_gcd(b, d)
+        if g.is_monomial():
+            return QFraction._raw(a * d + c * b, b * d)
+        b, d = _exact_div(b, g), _exact_div(d, g)
+        t, g = _cancel(a * d + c * b, g)
+        return QFraction._raw(t, b * d * g)
 
     __radd__ = __add__
 

@@ -15,6 +15,7 @@ from ..errors import NotRealized, NotScalar
 from ..exactq import ONE, ZERO, QFraction, qpow
 from ..superweight import char_roots, check_generic, rho, subalgebra_roots
 from .linalg import (
+    Matrix,
     gkron,
     identity,
     is_zero_matrix,
@@ -27,6 +28,7 @@ from .linalg import (
     zeros,
 )
 from .loperators import (
+    _elementary,
     big_entry,
     char_eigenvalue,
     char_eigenvalues,
@@ -70,11 +72,10 @@ def _three_slot(sig, V, a, b):
     d = sig.d
     pars = vector_slot_parities(sig)
     slot_pars = [pars, pars, pars]
-    total = zeros(d ** 3)
+    total = [{} for _ in range(d ** 3)]
     for i, j in _r_matrix_terms(sig):
         p = (sig.parity(i) + sig.parity(j)) % 2
-        eji = zeros(d)
-        eji[j - 1, i - 1] = ONE
+        eji = _elementary(d, j, i)
         et = etilde_matrix(V, i, j)
         ops = []
         for slot in (1, 2, 3):
@@ -84,8 +85,8 @@ def _three_slot(sig, V, a, b):
                 ops.append((et, p))
             else:
                 ops.append((identity(d), 0))
-        gkron(ops, slot_pars, out=total)
-    return total
+        gkron(ops, slot_pars, rows=total)
+    return Matrix(total, d ** 3)
 
 
 def qybe_check(sig):
@@ -96,7 +97,7 @@ def qybe_check(sig):
     R23 = _three_slot(sig, V, 2, 3)
     lhs = matmul(matmul(R12, R13), R23)
     rhs = matmul(matmul(R23, R13), R12)
-    return is_zero_matrix(lhs - rhs)
+    return lhs == rhs
 
 
 def intertwining_check(sig):
@@ -118,7 +119,7 @@ def intertwining_check(sig):
             opp = gkron([(x, p), (V.cartan(half), 0)], slot_pars) + gkron(
                 [(V.cartan(neg), 0), (x, p)], slot_pars
             )
-            if not is_zero_matrix(matmul(R, cop) - matmul(opp, R)):
+            if matmul(R, cop) != matmul(opp, R):
                 return False
     return True
 
@@ -166,20 +167,19 @@ def coproduct_check(sig):
                         ],
                         slot_pars,
                     )
-            if not is_zero_matrix(lhs - rhs):
+            if lhs != rhs:
                 return False
 
     # global form: both sides act on V (x) (V (x) V)
     slot3 = [pars, T.parities]
-    lhs = zeros(d ** 3)
+    lhs = [{} for _ in range(d ** 3)]
     for i, j in _r_matrix_terms(sig):
         p = (sig.parity(i) + sig.parity(j)) % 2
-        eji = zeros(d)
-        eji[j - 1, i - 1] = ONE
-        gkron([(eji, p), (etilde_matrix(T, i, j), p)], slot3, out=lhs)
+        gkron([(_elementary(d, j, i), p), (etilde_matrix(T, i, j), p)], slot3,
+              rows=lhs)
     R13 = _three_slot(sig, V, 1, 3)
     R12 = _three_slot(sig, V, 1, 2)
-    return is_zero_matrix(lhs - matmul(R13, R12))
+    return Matrix(lhs, d ** 3) == matmul(R13, R12)
 
 
 def subalgebra_block_check(W, kind):
@@ -189,7 +189,7 @@ def subalgebra_block_check(W, kind):
     full = char_matrix(W, kind)
     lead = full[: (d - 1) * W.dim, : (d - 1) * W.dim]
     sub = char_matrix(W, kind, top=d - 1)
-    return is_zero_matrix(lead - sub)
+    return lead == sub
 
 
 def char_identity_check(W, lam, kind):
@@ -334,13 +334,8 @@ def _build_shift_projector(W, r, ckind):
     variant = _KIND_TO_VARIANT["raise" if ckind == "atilde" else "lower"]
     A0 = char_matrix(W, ckind, top=d - 1)
     comps = subalgebra_components(W)
-    B = zeros(dw)
-    col = 0
-    for _, basis in comps:
-        for v in basis:
-            for i in range(dw):
-                B[i, col] = v[i]
-            col += 1
+    # the component basis vectors are the columns of B
+    B = Matrix.from_dense(zip(*(v for _, basis in comps for v in basis)))
     Binv = mat_inverse(B)
     N = (d - 1) * dw
     total = zeros(N)
@@ -348,24 +343,25 @@ def _build_shift_projector(W, r, ckind):
     for lam0p, basis in comps:
         alphas = subalgebra_roots(tuple(int(c) for c in lam0p), variant, sig)
         nodes = tuple(char_eigenvalue(a, ckind) for a in alphas)
-        sel = zeros(dw)
-        for j in range(col, col + len(basis)):
-            sel[j, j] = ONE
+        sel = Matrix(
+            [{j: ONE} if col <= j < col + len(basis) else {} for j in range(dw)],
+            dw,
+        )
         col += len(basis)
         Q = matmul(matmul(B, sel), Binv)
         # Q is parity preserving, so 1 (x) Q needs no Koszul sign
-        EQ = zeros(N)
-        for bi in range(d - 1):
-            EQ[bi * dw : (bi + 1) * dw, bi * dw : (bi + 1) * dw] = Q
+        EQ = Matrix(
+            [{bi * dw + j: x for j, x in row.items()}
+             for bi in range(d - 1) for row in Q.rows],
+            N,
+        )
         total = total + matmul(projector(A0, nodes, r), EQ)
     return total
 
 
 def _embed(P0, W, d):
     """Zero-pad a V' (x) W operator to V (x) W."""
-    big = zeros(d * W.dim)
-    big[: (d - 1) * W.dim, : (d - 1) * W.dim] = P0
-    return big
+    return Matrix(list(P0.rows) + [{} for _ in range(W.dim)], d * W.dim)
 
 
 def coupled_oracle(W, lam, lam0, k, r, kind):

@@ -16,7 +16,7 @@ from functools import lru_cache
 
 from ..errors import IndexOutOfRange, InvalidArgument, NotHomogeneous
 from ..exactq import ONE, QFraction, Q_MINUS_QINV, qpow
-from .linalg import matmul, scale_columns, scale_rows, zeros
+from .linalg import Matrix, _add_entry, matmul, scale_columns, scale_rows
 
 __all__ = ["GenAtom", "CartanAtom", "Expr", "eij_expr", "etilde_expr"]
 
@@ -137,8 +137,10 @@ class Expr:
         of the generator that follows it, or the columns of the product
         before it, and is never multiplied out as a matrix.
         """
-        total = zeros(W.dim)
+        total = [{} for _ in range(W.dim)]
         for coeff, atoms in self.terms:
+            if not coeff:
+                continue
             lead = None  # diagonal of the Cartan atoms before any generator
             acc = None  # the product from the first generator on
             for atom in atoms:
@@ -157,15 +159,13 @@ class Expr:
                 else:
                     acc = m if lead is None else scale_rows(lead, m)
             if acc is None:
-                for i in range(W.dim):
-                    x = coeff if lead is None else coeff * lead[i]
-                    total[i, i] = total[i, i] + x
+                for i, row in enumerate(total):
+                    _add_entry(row, i, coeff if lead is None else coeff * lead[i])
                 continue
-            for i, row in enumerate(acc.tolist()):
-                for j, x in enumerate(row):
-                    if x:
-                        total[i, j] = total[i, j] + coeff * x
-        return total
+            for row, acc_row in zip(total, acc.rows):
+                for j, x in acc_row.items():
+                    _add_entry(row, j, coeff * x)
+        return Matrix(total, W.dim)
 
 
 @lru_cache(maxsize=None)

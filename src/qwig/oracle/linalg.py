@@ -1,17 +1,18 @@
-"""Dense exact linear algebra over the q^(1/2) function field.
+"""Sparse exact linear algebra over the q^(1/2) function field.
 
-Matrices are numpy object arrays of QFraction.  Products skip zero entries,
-which matters: the big operators built here are weight-sparse.
+A Matrix is a tuple of row dicts {column: nonzero QFraction}.  The big
+operators built here are weight-sparse, so every operation visits the
+stored entries only.  A Matrix never stores a zero and is never changed
+after it is built: builders fill plain dicts and wrap them once.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from ..errors import NotScalar, QwigError
 from ..exactq import ONE, ZERO
 
 __all__ = [
+    "Matrix",
     "zeros",
     "identity",
     "matmul",
@@ -25,23 +26,98 @@ __all__ = [
     "mat_inverse",
     "solve_coords",
     "insert_row",
+    "shift_diagonal",
     "shifted_product",
     "scalar_of",
 ]
 
 
+class Matrix:
+    """An exact sparse matrix: rows[i] maps column j to the nonzero entry
+    (i, j).  The rows must hold no zero.  They are taken as they are, not
+    copied, and may be shared between matrices, since no one changes them."""
+
+    __slots__ = ("rows", "ncols")
+
+    def __init__(self, rows, ncols):
+        self.rows = tuple(rows)
+        self.ncols = ncols
+
+    @classmethod
+    def from_dense(cls, rows):
+        """The matrix of a list of equally long lists of QFraction."""
+        rows = list(rows)
+        ncols = len(rows[0]) if rows else 0
+        return cls([{j: x for j, x in enumerate(r) if x} for r in rows], ncols)
+
+    @property
+    def shape(self):
+        return len(self.rows), self.ncols
+
+    @property
+    def flat(self):
+        """The stored (nonzero) entries, row by row."""
+        return (x for row in self.rows for x in row.values())
+
+    def __getitem__(self, key):
+        i, j = key
+        if isinstance(i, slice):
+            r0, r1, rstep = i.indices(len(self.rows))
+            c0, c1, cstep = j.indices(self.ncols)
+            if rstep != 1 or cstep != 1:
+                raise QwigError("matrix blocks take unit-step slices")
+            return Matrix(
+                [{c - c0: x for c, x in row.items() if c0 <= c < c1}
+                 for row in self.rows[r0:r1]],
+                max(c1 - c0, 0),
+            )
+        return self.rows[i].get(j, ZERO)
+
+    def __eq__(self, other):
+        if not isinstance(other, Matrix):
+            return NotImplemented
+        return self.ncols == other.ncols and self.rows == other.rows
+
+    __hash__ = None
+
+    def __neg__(self):
+        return Matrix([{j: -x for j, x in row.items()} for row in self.rows],
+                      self.ncols)
+
+    def __add__(self, other):
+        if self.shape != other.shape:
+            raise QwigError("cannot add %dx%d and %dx%d" % (self.shape + other.shape))
+        rows = []
+        for a, b in zip(self.rows, other.rows):
+            row = dict(a)
+            for j, x in b.items():
+                _add_entry(row, j, x)
+            rows.append(row)
+        return Matrix(rows, self.ncols)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+
+def _add_entry(row, j, x):
+    """Add the nonzero x to row[j], dropping the entry when it cancels."""
+    s = row.get(j)
+    if s is None:
+        row[j] = x
+        return
+    s = s + x
+    if s:
+        row[j] = s
+    else:
+        del row[j]
+
+
 def zeros(r, c=None):
-    c = r if c is None else c
-    out = np.empty((r, c), dtype=object)
-    out[:] = ZERO
-    return out
+    return Matrix([{} for _ in range(r)], r if c is None else c)
 
 
 def identity(n):
-    out = zeros(n, n)
-    for i in range(n):
-        out[i, i] = ONE
-    return out
+    return Matrix([{i: ONE} for i in range(n)], n)
 
 
 def matmul(A, B):
@@ -49,46 +125,42 @@ def matmul(A, B):
     m2, p = B.shape
     if m != m2:
         raise QwigError("cannot multiply %dx%d by %dx%d" % (n, m, m2, p))
-    rows_b = [[(j, bv) for j, bv in enumerate(row) if bv] for row in B.tolist()]
-    C = zeros(n, p)
-    for i, Ai in enumerate(A.tolist()):
-        Ci = C[i]
-        for a, row in zip(Ai, rows_b):
-            if not a:
-                continue
-            for j, bv in row:
-                Ci[j] = Ci[j] + a * bv
-    return C
+    rows_b = B.rows
+    out = []
+    for row_a in A.rows:
+        acc = {}
+        for k, a in row_a.items():
+            for j, b in rows_b[k].items():
+                s = acc.get(j)
+                acc[j] = a * b if s is None else s + a * b
+        out.append({j: x for j, x in acc.items() if x})
+    return Matrix(out, p)
 
 
 def mat_scale(A, c):
-    n, m = A.shape
-    C = zeros(n, m)
-    for i in range(n):
-        for j in range(m):
-            if A[i, j]:
-                C[i, j] = A[i, j] * c
-    return C
+    if not c:
+        return zeros(*A.shape)
+    return Matrix([{j: x * c for j, x in row.items()} for row in A.rows],
+                  A.ncols)
 
 
 def scale_rows(diag, A):
     """The product diag(diag) A: row i of A times diag[i]."""
-    C = zeros(*A.shape)
-    for i, (x, row) in enumerate(zip(diag, A.tolist())):
-        for j, v in enumerate(row):
-            if v:
-                C[i, j] = x * v
-    return C
+    return Matrix(
+        [{j: x * v for j, v in row.items()} if x else {}
+         for x, row in zip(diag, A.rows)],
+        A.ncols,
+    )
 
 
 def scale_columns(A, diag):
     """The product A diag(diag): column j of A times diag[j]."""
-    C = zeros(*A.shape)
-    for i, row in enumerate(A.tolist()):
-        for j, (v, x) in enumerate(zip(row, diag)):
-            if v:
-                C[i, j] = v * x
-    return C
+    zero = {j for j, x in enumerate(diag) if not x}
+    return Matrix(
+        [{j: v * diag[j] for j, v in row.items() if j not in zero}
+         for row in A.rows],
+        A.ncols,
+    )
 
 
 def mat_pow(A, p):
@@ -99,10 +171,10 @@ def mat_pow(A, p):
 
 
 def is_zero_matrix(A):
-    return all(not x for x in A.flat)
+    return not any(A.rows)
 
 
-def gkron(ops, slot_parities, out=None):
+def gkron(ops, slot_parities, rows=None):
     """Graded Kronecker product of operators acting on consecutive slots.
 
     ops: list of (matrix, operator parity 0/1); slot_parities: per slot,
@@ -110,40 +182,36 @@ def gkron(ops, slot_parities, out=None):
     operator past the first j-1 basis factors is
     (-1)^(p_j * (par(a_1) + ... + par(a_{j-1}))).
 
-    With out given, the product's nonzero entries are added into out in
-    place, which sums many sparse products without touching the zeros.
+    With rows given, a list of row dicts as long as the product, the
+    product's entries are added into them in place and None is returned:
+    that sums many sparse products, wrapped once as a Matrix afterwards.
     """
     dims = [m.shape[0] for m, _ in ops]
-    if out is None:
-        total = 1
-        for d in dims:
-            total *= d
-        out = zeros(total, total)
+    total = 1
+    for d in dims:
+        total *= d
+    out = [{} for _ in range(total)] if rows is None else rows
     k = len(ops)
 
     # operator j picks up the basis parities of slots 0..j-1, so process
     # left to right carrying the accumulated column parity
-    def rec2(slot, row, col, acc, carried):
+    def rec(slot, row, col, acc, carried):
         if slot == k:
-            out[row, col] = out[row, col] + acc
+            _add_entry(out[row], col, acc)
             return
         mat, p = ops[slot]
         d = dims[slot]
         pars = slot_parities[slot]
-        for a in range(d):
-            sgn = -1 if (p and carried % 2) else 1
-            for b in range(d):
-                v = mat[b, a]
-                if not v:
-                    continue
+        flip = p and carried % 2
+        for b, mrow in enumerate(mat.rows):
+            for a, v in mrow.items():
                 nacc = acc * v
-                if sgn == -1:
+                if flip:
                     nacc = -nacc
-                rec2(slot + 1, row * d + b, col * d + a, nacc, carried + pars[a])
-        return
+                rec(slot + 1, row * d + b, col * d + a, nacc, carried + pars[a])
 
-    rec2(0, 0, 0, ONE, 0)
-    return out
+    rec(0, 0, 0, ONE, 0)
+    return Matrix(out, total) if rows is None else None
 
 
 def insert_row(basis, vec):
@@ -185,28 +253,29 @@ def _rref(rows):
     return pivots, out
 
 
+def _dense(row, n):
+    return [row.get(j, ZERO) for j in range(n)]
+
+
 def mat_inverse(A):
     """Inverse of a square exact matrix; ValueError when singular."""
     n = A.shape[0]
     aug = []
-    for i in range(n):
-        row = list(A[i])
-        row.extend(ONE if j == i else ZERO for j in range(n))
-        aug.append(row)
+    for i, row in enumerate(A.rows):
+        aug.append(_dense(row, n) + [ONE if j == i else ZERO for j in range(n)])
     pivots, rows = _rref(aug)
     if sorted(pivots) != list(range(n)):
         raise ValueError("matrix is singular")
-    out = zeros(n)
+    out = [None] * n
     for p, row in zip(pivots, rows):
-        for j in range(n):
-            out[p, j] = row[n + j]
-    return out
+        out[p] = {j: x for j, x in enumerate(row[n:]) if x}
+    return Matrix(out, n)
 
 
 def nullspace(A):
     """Basis of the right nullspace of A, as a list of length-n vectors."""
     n = A.shape[1]
-    pivots, rows = _rref(A.tolist())
+    pivots, rows = _rref([_dense(row, n) for row in A.rows if row])
     basis = []
     for fj in (j for j in range(n) if j not in pivots):
         v = [ZERO] * n
@@ -233,25 +302,38 @@ def solve_coords(basis_cols, target):
     return coords
 
 
+def shift_diagonal(A, v):
+    """The matrix A - v I of a square A; only the diagonal is computed."""
+    rows = []
+    for i, row in enumerate(A.rows):
+        row = dict(row)
+        s = row.pop(i, None)
+        s = -v if s is None else s - v
+        if s:
+            row[i] = s
+        rows.append(row)
+    return Matrix(rows, A.ncols)
+
+
 def shifted_product(A, values):
-    """The product of the factors A - v over values, in order.  Each
-    factor shifts only the diagonal of A."""
+    """The product of the factors A - v over values, in order."""
     out = None
     for v in values:
-        factor = A.copy()
-        for i in range(A.shape[0]):
-            factor[i, i] = factor[i, i] - v
+        factor = shift_diagonal(A, v)
         out = factor if out is None else matmul(out, factor)
     return identity(A.shape[0]) if out is None else out
 
 
 def scalar_of(A, label="operator"):
-    """The scalar c with A = c * I, or NotScalar."""
-    n = A.shape[0]
+    """The scalar c with A = c * I, or NotScalar at the first entry, in
+    row-major order, that breaks it."""
     c = A[0, 0]
-    for i in range(n):
-        for j in range(n):
-            want = c if i == j else ZERO
-            if A[i, j] != want:
-                raise NotScalar("%s is not scalar at entry (%d,%d)" % (label, i, j))
+    for i, row in enumerate(A.rows):
+        bad = [j for j in row if j != i]
+        if row.get(i, ZERO) != c:
+            bad.append(i)
+        if bad:
+            raise NotScalar(
+                "%s is not scalar at entry (%d,%d)" % (label, i, min(bad))
+            )
     return c

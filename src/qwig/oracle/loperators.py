@@ -15,7 +15,14 @@ from ..errors import DegenerateRoots
 from ..exactq import ONE, QFraction, Q_MINUS_QINV, qnum, qpow
 from ..superweight import char_roots, rho, subalgebra_roots
 from .expressions import etilde_expr
-from .linalg import gkron, matmul, mat_scale, shifted_product, zeros
+from .linalg import (
+    Matrix,
+    gkron,
+    matmul,
+    mat_scale,
+    shift_diagonal,
+    shifted_product,
+)
 
 __all__ = [
     "eij_matrix",
@@ -62,9 +69,8 @@ def vector_slot_parities(sig):
 
 
 def _elementary(d, i, j):
-    m = zeros(d)
-    m[i - 1, j - 1] = ONE
-    return m
+    """The d x d matrix unit e_ij (1-based)."""
+    return Matrix([{j - 1: ONE} if r == i - 1 else {} for r in range(d)], d)
 
 
 def l_operator(W, which, top=None):
@@ -84,7 +90,7 @@ def l_operator(W, which, top=None):
     sig = W.sig
     d = sig.d if top is None else top
     slot_pars = [vector_slot_parities(sig)[:d], W.parities]
-    total = zeros(d * W.dim)
+    total = [{} for _ in range(d * W.dim)]
     for i in range(1, d + 1):
         for j in range(i, d + 1):
             pi, pj = sig.parity(i), sig.parity(j)
@@ -108,8 +114,8 @@ def l_operator(W, which, top=None):
                 raise ValueError("unknown L-operator kind %r" % (which,))
             if sgn < 0:
                 first = -first
-            gkron([(first, p), (mat, p)], slot_pars, out=total)
-    return total
+            gkron([(first, p), (mat, p)], slot_pars, rows=total)
+    return Matrix(total, d * W.dim)
 
 
 def char_matrix(W, kind, top=None):
@@ -140,26 +146,21 @@ def _build_char_matrix(W, kind, d):
         r = rho(sig)
         # (rho, eps_i) carries the grading sign of the bilinear form
         rp = [sig.sign(i + 1) * r[i] for i in range(d)]
-        out = zeros(d * W.dim)
-        for bi in range(d):
-            for bj in range(d):
-                scale = QFraction(qpow(rp[bj] - rp[bi]))
-                for s in range(W.dim):
-                    for t in range(W.dim):
-                        v = A[bi * W.dim + s, bj * W.dim + t]
-                        if v:
-                            out[bi * W.dim + s, bj * W.dim + t] = v * scale
-        return out
+        scales = [[QFraction(qpow(y - x)) for y in rp] for x in rp]
+        dw = W.dim
+        return Matrix(
+            [{c: v * scales[i // dw][c // dw] for c, v in row.items()}
+             for i, row in enumerate(A.rows)],
+            A.ncols,
+        )
     if kind not in _L_PAIRS:
         raise ValueError("unknown characteristic matrix kind %r" % (kind,))
     left, right = _L_PAIRS[kind]
     prod = matmul(l_operator(W, left, d), l_operator(W, right, d))
-    # (I - prod) inv, touching only the nonzeros of prod and the diagonal
-    inv = Q_MINUS_QINV.inverse()
-    A = mat_scale(prod, -inv)
-    for i in range(A.shape[0]):
-        A[i, i] = A[i, i] + inv
-    return A
+    # (I - prod) inv = -inv prod - (-inv) I, touching only the nonzeros of
+    # prod and the diagonal
+    neg_inv = -Q_MINUS_QINV.inverse()
+    return shift_diagonal(mat_scale(prod, neg_inv), neg_inv)
 
 
 def char_eigenvalue(alpha, kind):

@@ -1,5 +1,6 @@
 """Concrete finite-dimensional modules: vector module, tensor powers,
-highest weight vectors and cyclic submodules.
+highest weight vectors and cyclic submodules.  Generator matrices are
+sparse linalg.Matrix values.
 
 Generator conventions on the vector module: e_a -> e_{a,a+1},
 f_a -> e_{a+1,a}, E_aa -> e_aa (the Cartan action stays classical).  On a
@@ -12,8 +13,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-import numpy as np
-
 from ..errors import (
     MultiplicityAmbiguous,
     NonIntegralWeight,
@@ -24,7 +23,7 @@ from ..errors import (
 from ..exactq import ONE, ZERO, QFraction, qpow
 from ..superweight import Weight
 from .expressions import _h_coeffs
-from .linalg import gkron, insert_row, nullspace, solve_coords, zeros
+from .linalg import Matrix, gkron, insert_row, nullspace, solve_coords
 
 __all__ = [
     "RepModule",
@@ -59,14 +58,11 @@ class RepModule:
         """The value build() made once per module and kept under key.
 
         Every later caller shares the kept value, so it must not change:
-        an array is made read-only, and any other value must be immutable,
+        a Matrix has no setter, and any other value must be immutable too,
         such as a tuple of tuples.
         """
         if key not in self._cache:
-            value = build()
-            if isinstance(value, np.ndarray):
-                value.flags.writeable = False
-            self._cache[key] = value
+            self._cache[key] = build()
         return self._cache[key]
 
     def cartan_diagonal(self, coeffs, shift=Fraction(0)):
@@ -86,10 +82,10 @@ class RepModule:
 
     def cartan(self, coeffs, shift=Fraction(0)):
         """Diagonal matrix of q^(sum_j coeffs_j E_jj + shift)."""
-        out = zeros(self.dim)
-        for i, x in enumerate(self.cartan_diagonal(coeffs, shift)):
-            out[i, i] = x
-        return out
+        return Matrix(
+            [{i: x} for i, x in enumerate(self.cartan_diagonal(coeffs, shift))],
+            self.dim,
+        )
 
 
 def vector_rep(sig):
@@ -104,12 +100,8 @@ def vector_rep(sig):
     e = {}
     f = {}
     for a in range(1, d):
-        ma = zeros(d)
-        ma[a - 1, a] = ONE
-        e[a] = ma
-        mf = zeros(d)
-        mf[a, a - 1] = ONE
-        f[a] = mf
+        e[a] = Matrix([{a: ONE} if r == a - 1 else {} for r in range(d)], d)
+        f[a] = Matrix([{a - 1: ONE} if r == a else {} for r in range(d)], d)
     return RepModule(sig, weights, parities, e, f)
 
 
@@ -154,14 +146,16 @@ def _weight_of(W, vec):
 
 
 def _apply(mat, vec):
-    n = mat.shape[0]
-    out = [ZERO] * n
-    for j, c in enumerate(vec):
-        if not c:
-            continue
-        for i in range(n):
-            if mat[i, j]:
-                out[i] = out[i] + mat[i, j] * c
+    """The product of a Matrix and a vector (a list of QFraction)."""
+    nz = {j: c for j, c in enumerate(vec) if c}
+    out = []
+    for row in mat.rows:
+        acc = None
+        for j, x in row.items():
+            c = nz.get(j)
+            if c is not None:
+                acc = x * c if acc is None else acc + x * c
+        out.append(ZERO if acc is None else acc)
     return out
 
 
@@ -181,19 +175,14 @@ def highest_weight_vectors(W, gens=None):
     out = []
     for wt in sorted(by_weight):
         idxs = by_weight[wt]
-        # stack the raising images of the weight-space basis vectors
-        cols = []
-        for i in idxs:
-            col = []
-            for a in gens:
-                v = [W.e[a][r, i] for r in range(W.dim)]
-                col.extend(v)
-            cols.append(col)
-        A = np.empty((len(cols[0]), len(cols)), dtype=object)
-        for j, col in enumerate(cols):
-            for i, x in enumerate(col):
-                A[i, j] = x
-        null = nullspace(A)
+        # stack the raising images of the weight-space basis vectors as
+        # the columns of one matrix
+        rows = [
+            {c: row[i] for c, i in enumerate(idxs) if i in row}
+            for a in gens
+            for row in W.e[a].rows
+        ]
+        null = nullspace(Matrix(rows, len(idxs)))
         vecs = []
         for coeffs in null:
             v = [ZERO] * W.dim
@@ -221,8 +210,8 @@ def submodule(W, start_vectors):
     for j, wt in enumerate(weights):
         by_weight.setdefault(wt, []).append(j)
     dim = len(basis)
-    e = {a: zeros(dim) for a in range(1, sig.d)}
-    f = {a: zeros(dim) for a in range(1, sig.d)}
+    e = {a: [{} for _ in range(dim)] for a in range(1, sig.d)}
+    f = {a: [{} for _ in range(dim)] for a in range(1, sig.d)}
     for j, v in enumerate(basis):
         for a in range(1, sig.d):
             for gens, target in ((W.e[a], e[a]), (W.f[a], f[a])):
@@ -235,7 +224,10 @@ def submodule(W, start_vectors):
                     raise NotRealized("span not closed under the action")
                 coords = solve_coords([basis[i] for i in idxs], img)
                 for c, i in zip(coords, idxs):
-                    target[i, j] = c
+                    if c:
+                        target[i][j] = c
+    e = {a: Matrix(rows, dim) for a, rows in e.items()}
+    f = {a: Matrix(rows, dim) for a, rows in f.items()}
     mod = RepModule(sig, weights, parities, e, f)
     return mod, basis
 

@@ -13,32 +13,23 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .errors import (
-    AdmissibilityError,
-    DegenerateRoots,
-    IndexOutOfRange,
-    UnknownPhaseConvention,
-)
+from .errors import AdmissibilityError, DegenerateRoots, IndexOutOfRange
 from .exactq import ONE, ZERO, QFraction, qnum, qpow
 from .superweight import char_roots, deformed_root
 
 __all__ = [
     "CoefficientTable",
-    "omega_lower",
-    "omega_raise",
     "omega",
     "omega_classical",
     "gamma",
     "mu",
     "omega_coupled",
     "omega_coupled_composite",
-    "rwc",
     "omega_table",
     "coupled_table",
     "sum_rule_residual",
     "linear_system_residuals",
     "MU_SHIFT_DEFAULT",
-    "register_phase_convention",
 ]
 
 FORMS = ("root_product", "qnumber_phase")
@@ -201,14 +192,6 @@ def omega_classical(b, k, variant):
     return num / den
 
 
-def omega_lower(b, k, form="root_product"):
-    return omega(b, k, "lower", form)
-
-
-def omega_raise(b, k, form="root_product"):
-    return omega(b, k, "raise", form)
-
-
 def gamma(b, r, variant, form="root_product", alpha0_override=None):
     """Squared reduced matrix element (q-length) for shift index r.
 
@@ -361,36 +344,6 @@ def omega_coupled_composite(b, k, r, variant):
     corr1 = side.F_root(side.alpha[k], r)
     corr2 = _root_diff(side.alpha[k], side.alpha0[r], side.root_kind)
     return QFraction.from_factors([w.num, m.num], [w.den, m.den, corr1, corr2])
-
-
-# -- phase conventions ------------------------------------------------------
-
-_PHASE_CONVENTIONS = {
-    "all_plus": lambda variant, k, r=None: 1,
-}
-
-
-def register_phase_convention(name, fn):
-    """Register a phase rule (variant, k, r=None) -> +1/-1 under a name."""
-    _PHASE_CONVENTIONS[name] = fn
-
-
-def rwc(b, k, variant, r=None, form="root_product", phase_convention="all_plus"):
-    """Reduced Wigner coefficient: (phase, squared value).
-
-    The closed formulas determine squares only; the phase is a bookkeeping
-    convention applied on top (default: every coefficient nonnegative).
-    """
-    try:
-        phase_fn = _PHASE_CONVENTIONS[phase_convention]
-    except KeyError:
-        raise UnknownPhaseConvention(phase_convention)
-    sq = (
-        omega(b, k, variant, form)
-        if r is None
-        else omega_coupled(b, k, r, variant, form)
-    )
-    return phase_fn(variant, k, r), sq
 
 
 # -- tables and identities ---------------------------------------------------

@@ -185,6 +185,27 @@ def test_verify_all_builds_modules_once(capsys, monkeypatch):
     assert obj["cases"] == cases
 
 
+@pytest.mark.parametrize("m, n, passes, skips", [
+    (2, 1, 75, {"NotRealized": 48, "DegenerateRoots": 18, "message": 4}),
+    (1, 2, 78, {"DegenerateRoots": 33, "NotRealized": 18, "message": 6}),
+])
+def test_verify_all_outcome_counts(capsys, m, n, passes, skips):
+    # every case verify runs on the two rank-3 signatures, by outcome; a
+    # SKIP's detail is its exception's name or, for the rest, a message
+    code, obj = run_json(capsys, "verify", "--m", str(m), "--n", str(n),
+                         "--suite", "all")
+    assert code == 0
+    assert obj["counts"] == {"PASS": passes, "SKIP": sum(skips.values()),
+                             "FAIL": 0}
+    reasons = {}
+    for case in obj["cases"]:
+        if case["status"] == "SKIP":
+            detail = case["detail"]
+            key = detail if detail in ("NotRealized", "DegenerateRoots") else "message"
+            reasons[key] = reasons.get(key, 0) + 1
+    assert reasons == skips
+
+
 @pytest.mark.parametrize("form", ["root_product", "qnumber_phase", "both"])
 @pytest.mark.parametrize("sig, weight, lower, kind", [
     ((2, 1), "1,0|0", "0,0", "lower"),

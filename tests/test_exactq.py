@@ -16,7 +16,6 @@ from qwig import (
     QFraction,
     parse_qfraction,
     qnum,
-    qnum_frac,
     qpow,
 )
 
@@ -103,13 +102,6 @@ def test_deformed_root_identity():
         assert lhs == QFraction(qpow(-a) * qnum(a))
 
 
-def test_qnum_frac_half_integer():
-    h = Fraction(1, 2)
-    expect = QFraction(qpow(h) - qpow(-h), Q_MINUS_QINV)
-    assert qnum_frac(h) == expect
-    assert qnum_frac(Fraction(3)) == QFraction(qnum(3))
-
-
 # -- randomized properties ---------------------------------------------------
 
 coeffs = st.integers(min_value=-6, max_value=6)
@@ -190,6 +182,26 @@ def test_operations_match_normalizing_from_scratch(a, b, g):
     if y:
         assert _same(y.inverse(), QFraction(y.den, y.num))
         assert _same(x / y, QFraction(x.num * y.den, x.den * y.num))
+
+
+@settings(max_examples=150, deadline=None)
+@given(rat_polys, rat_polys, nonzero_polys, nonzero_polys, nonzero_polys)
+def test_sum_with_shared_denominator_factor(a, c, u, v, g):
+    # a/(g u) + c/(g v): Henrici's rule cancels the sum against g alone
+    x, y = QFraction(a, g * u), QFraction(c, g * v)
+    want = QFraction(x.num * y.den + y.num * x.den, x.den * y.den)
+    assert _same(x + y, want)
+    assert hash(x + y) == hash(want)
+
+
+def test_sum_whose_numerator_shares_the_denominators_gcd():
+    # 1/(g u) + 1/(g v) = (u + v)/(g u v), and u + v = 3 g
+    g = HalfLaurent.const(1) + qpow(1)
+    u = HalfLaurent.const(1) + 2 * qpow(1)
+    v = HalfLaurent.const(2) + qpow(1)
+    x, y = QFraction(1, g * u), QFraction(1, g * v)
+    assert _same(x + y, QFraction(3, u * v))
+    assert _same(x + y, QFraction(x.num * y.den + y.num * x.den, x.den * y.den))
 
 
 def test_from_factors_updates_factors_in_place():

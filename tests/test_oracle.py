@@ -1,8 +1,10 @@
 """Brute-force oracle: representations, L-operators, characteristic
 matrices, projectors, and the closed-form validations that fix conventions."""
 
+import itertools
 import json
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -34,7 +36,6 @@ from qwig import (
     index_sets,
     mu,
     omega,
-    omega_raise,
     qnum,
     qpow,
 )
@@ -73,12 +74,16 @@ from qwig.oracle.checks import (
 )
 from qwig.oracle.expressions import CartanAtom, Expr, eij_expr, etilde_expr
 from qwig.oracle.linalg import (
+    Matrix,
+    gkron,
     identity,
     is_zero_matrix,
     mat_inverse,
     mat_scale,
     matmul,
     nullspace,
+    scale_columns,
+    scale_rows,
     solve_coords,
     zeros,
 )
@@ -376,7 +381,8 @@ def _gl21_module_200():
 
 
 def _dense_char_matrix(W, kind, top):
-    """The defining formula of char_matrix, evaluated densely."""
+    """The defining formula of char_matrix, (I - RT R)(q - q^-1)^-1 and its
+    conjugation by D, evaluated with whole-matrix operations."""
     left, right = {"ahat": ("RT", "R"), "atilde": ("RtildeT", "Rtilde")}.get(
         kind, ("dualRT", "dualR")
     )
@@ -386,11 +392,10 @@ def _dense_char_matrix(W, kind, top):
     if kind != "abar":
         return A
     r = rho(W.sig)
-    D, Dinv = zeros(N), zeros(N)
-    for i in range(N):
-        b = i // W.dim + 1
-        e = W.sig.sign(b) * r[b - 1]
-        D[i, i], Dinv[i, i] = QFraction(qpow(-e)), QFraction(qpow(e))
+    exps = [W.sig.sign(b) * r[b - 1] for b in range(1, top + 1)
+            for _ in range(W.dim)]
+    D = Matrix([{i: QFraction(qpow(-e))} for i, e in enumerate(exps)], N)
+    Dinv = Matrix([{i: QFraction(qpow(e))} for i, e in enumerate(exps)], N)
     return matmul(matmul(D, A), Dinv)
 
 
@@ -412,13 +417,13 @@ def test_cached_matrices_equal_fresh_builds():
         for top in (d, d - 1):
             A = char_matrix(W, kind, top=top)
             assert char_matrix(W, kind, top=top) is A
-            assert A.tolist() == _dense_char_matrix(fresh, kind, top).tolist()
+            assert A == _dense_char_matrix(fresh, kind, top)
         dense = _dense_char_matrix(fresh, kind, d)
         nodes = char_eigenvalues(lam, kind)
         for k in range(1, d + 1):
             P = _projector(W, lam, k, kind)
             assert _projector(W, lam, k, kind) is P
-            assert P.tolist() == _dense_projector(dense, nodes, k).tolist()
+            assert P == _dense_projector(dense, nodes, k)
     checked = 0
     for ckind, variant in (("atilde", "adjoint"), ("adual", "dual")):
         dense = _dense_char_matrix(fresh, ckind, d - 1)
@@ -431,7 +436,7 @@ def test_cached_matrices_equal_fresh_builds():
                 except DegenerateRoots:
                     continue
                 assert _sub_projector(W, b.lam0, r, ckind) is P0
-                assert P0.tolist() == _dense_projector(dense, nodes, r).tolist()
+                assert P0 == _dense_projector(dense, nodes, r)
                 checked += 1
     assert checked >= 4
 
@@ -467,7 +472,7 @@ def test_evaluate_matches_explicit_matrix_products():
                     if spower:
                         expr = expr.antipode(sig, spower)
                     want = _explicit_evaluate(expr, W)
-                    assert expr.evaluate(W).tolist() == want.tolist()
+                    assert expr.evaluate(W) == want
                     checked += not is_zero_matrix(want)
     assert checked >= 40
 
@@ -533,7 +538,7 @@ def test_cached_matrices_are_read_only():
         _projector(W, lam, 1, "atilde"),
         etilde_matrix(W, 1, 2),
     ):
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             M[0, 0] = ONE
 
 
@@ -629,13 +634,10 @@ def _q(k):
 
 def test_folded_linear_algebra():
     q, one = _q(1), ONE
-    A = zeros(3)
-    for (i, j), v in {(0, 0): q, (0, 1): one, (1, 0): one, (1, 2): _q(-1),
-                      (2, 1): QFraction(qnum(2)), (2, 2): q}.items():
-        A[i, j] = v
-    assert matmul(A, mat_inverse(A)).tolist() == identity(3).tolist()
-    S = zeros(2)
-    S[0, 0], S[0, 1], S[1, 0], S[1, 1] = q, _q(2), one, q
+    A = Matrix([{0: q, 1: one}, {0: one, 2: _q(-1)},
+                {1: QFraction(qnum(2)), 2: q}], 3)
+    assert matmul(A, mat_inverse(A)) == identity(3)
+    S = Matrix.from_dense([[q, _q(2)], [one, q]])
     with pytest.raises(ValueError):
         mat_inverse(S)
 
@@ -643,10 +645,7 @@ def test_folded_linear_algebra():
     # is their sum: pivots out of order, rank 2
     rows = [[ZERO, one, q, ZERO], [one, ZERO, one, _q(-1)]]
     rows.append([x + y for x, y in zip(*rows)])
-    B = zeros(3, 4)
-    for i, row in enumerate(rows):
-        for j, v in enumerate(row):
-            B[i, j] = v
+    B = Matrix.from_dense(rows)
     null = nullspace(B)
     assert len(null) == 4 - 2
     for v in null:
@@ -659,3 +658,120 @@ def test_folded_linear_algebra():
     assert solve_coords(cols, target) == coeffs
     with pytest.raises(ValueError):
         solve_coords(cols, [ZERO, ZERO, one])
+
+
+# -- the sparse Matrix against a dense list-of-lists reference -------------------
+
+# entries that cancel in sums and products: x and -x, and x times its inverse
+_POOL = [ONE, -ONE, _q(1), -_q(1), _q(-1), QFraction(qnum(2)),
+         QFraction(qpow(1), qnum(2)), -QFraction(qpow(1), qnum(2))]
+
+
+def _random_dense(rng, r, c, density=0.4):
+    return [[rng.choice(_POOL) if rng.random() < density else ZERO
+             for _ in range(c)] for _ in range(r)]
+
+
+def _dense(A):
+    r, c = A.shape
+    return [[A[i, j] for j in range(c)] for i in range(r)]
+
+
+def _ref_matmul(X, Y):
+    return [[sum((x * Y[k][j] for k, x in enumerate(row)), ZERO)
+             for j in range(len(Y[0]))] for row in X]
+
+
+def _ref_gkron(dense_ops, slot_parities):
+    """Entry (rows, cols) of the graded Kronecker product: the product of
+    the factors' entries, with sign (-1)^(p_j * sum_{i<j} par_i(col_i))."""
+    def index(ks, dims):
+        out = 0
+        for k, d in zip(ks, dims):
+            out = out * d + k
+        return out
+
+    dims = [len(m) for m, _ in dense_ops]
+    n = 1
+    for d in dims:
+        n *= d
+    out = [[ZERO] * n for _ in range(n)]
+    for rs in itertools.product(*map(range, dims)):
+        for cs in itertools.product(*map(range, dims)):
+            x, carried = ONE, 0
+            for (m, p), r, c, pars in zip(dense_ops, rs, cs, slot_parities):
+                x = x * m[r][c]
+                if p and carried % 2:
+                    x = -x
+                carried += pars[c]
+            out[index(rs, dims)][index(cs, dims)] = x
+    return out
+
+
+def _assert_no_stored_zero(A):
+    assert all(x for row in A.rows for x in row.values())
+    assert all(0 <= j < A.ncols for row in A.rows for j in row)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_matrix_operations_match_dense_reference(seed):
+    rng = random.Random(seed)
+    n, m, p = rng.randint(1, 5), rng.randint(1, 5), rng.randint(1, 5)
+    X, Y, Z = (_random_dense(rng, n, m), _random_dense(rng, m, p),
+               _random_dense(rng, n, m))
+    A, B, C = Matrix.from_dense(X), Matrix.from_dense(Y), Matrix.from_dense(Z)
+    c = rng.choice(_POOL)
+    rdiag = [rng.choice(_POOL + [ZERO]) for _ in range(n)]
+    cdiag = [rng.choice(_POOL + [ZERO]) for _ in range(m)]
+    r0, r1 = sorted(rng.sample(range(n + 1), 2))
+    c0, c1 = sorted(rng.sample(range(m + 1), 2))
+    cases = [
+        (matmul(A, B), _ref_matmul(X, Y)),
+        (A + C, [[x + z for x, z in zip(u, w)] for u, w in zip(X, Z)]),
+        (A - C, [[x - z for x, z in zip(u, w)] for u, w in zip(X, Z)]),
+        (-A, [[-x for x in u] for u in X]),
+        (mat_scale(A, c), [[x * c for x in u] for u in X]),
+        (mat_scale(A, ZERO), [[ZERO] * m for _ in X]),
+        (scale_rows(rdiag, A), [[d * x for x in u] for d, u in zip(rdiag, X)]),
+        (scale_columns(A, cdiag), [[x * d for x, d in zip(u, cdiag)] for u in X]),
+        (A[r0:r1, c0:c1], [u[c0:c1] for u in X[r0:r1]]),
+    ]
+    for got, want in cases:
+        _assert_no_stored_zero(got)
+        assert _dense(got) == want
+    assert A[n - 1, m - 1] == X[n - 1][m - 1]
+    assert is_zero_matrix(A - A) and not any((A - A).rows)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_gkron_matches_dense_reference(seed):
+    rng = random.Random(seed)
+    dims = [rng.randint(1, 3) for _ in range(rng.choice((2, 3)))]
+    pars = [[rng.randint(0, 1) for _ in range(d)] for d in dims]
+    dense_ops = [(_random_dense(rng, d, d, 0.6), rng.randint(0, 1)) for d in dims]
+    ops = [(Matrix.from_dense(m), p) for m, p in dense_ops]
+    got = gkron(ops, pars)
+    _assert_no_stored_zero(got)
+    want = _ref_gkron(dense_ops, pars)
+    assert _dense(got) == want
+    # summing into row dicts in place: a product plus its negative is zero
+    rows = [{} for _ in range(got.shape[0])]
+    gkron(ops, pars, rows=rows)
+    gkron([(-ops[0][0], ops[0][1])] + ops[1:], pars, rows=rows)
+    assert not any(rows)
+
+
+_NO_NUMPY_SCRIPT = """
+import sys
+import qwig.oracle
+import qwig.cli
+print("numpy" in sys.modules)
+"""
+
+
+def test_package_imports_without_numpy():
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(qwig.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-c", _NO_NUMPY_SCRIPT],
+                          capture_output=True, text=True, env=env, check=True)
+    assert done.stdout.strip() == "False"

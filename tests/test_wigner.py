@@ -12,7 +12,6 @@ from qwig import (
     ONE,
     QFraction,
     Signature,
-    UnknownPhaseConvention,
     Weight,
     ZERO,
     coupled_table,
@@ -26,12 +25,9 @@ from qwig import (
     omega_classical,
     omega_coupled,
     omega_coupled_composite,
-    omega_lower,
-    omega_raise,
     omega_table,
     qnum,
     qpow,
-    rwc,
     sum_rule_residual,
 )
 from qwig import wigner
@@ -50,40 +46,40 @@ HALF_HIGH = QFraction(qpow(1), qnum(2))  # q/[2]_q
 
 def test_omega_lower_gl21_example():
     b = index_sets(Weight(S21, (1, 0, 0)), (0, 0))
-    assert omega_lower(b, 1) == QFraction(-qpow(-2))
-    assert omega_lower(b, 2) == ZERO  # 2 in I0bar
-    assert omega_lower(b, 3) == ONE + QFraction(qpow(-2))
+    assert omega(b, 1, "lower") == QFraction(-qpow(-2))
+    assert omega(b, 2, "lower") == ZERO  # 2 in I0bar
+    assert omega(b, 3, "lower") == ONE + QFraction(qpow(-2))
 
 
 def test_omega_lower_empty_products():
     b = index_sets(Weight(S11, (1, 0)), (1,))
-    assert omega_lower(b, 2) == ONE
-    assert omega_lower(b, 1) == ZERO
+    assert omega(b, 2, "lower") == ONE
+    assert omega(b, 1, "lower") == ZERO
 
 
 def test_omega_lower_degenerate():
     b = index_sets(Weight(S11, (1, 0)), (0,))
     with pytest.raises(DegenerateRoots):
-        omega_lower(b, 1)
+        omega(b, 1, "lower")
 
 
 def test_omega_raise_gl11_example():
     b = index_sets(Weight(S11, (1, 0)), (1,))
-    assert omega_raise(b, 1) == HALF_LOW
-    assert omega_raise(b, 2) == HALF_HIGH
+    assert omega(b, 1, "raise") == HALF_LOW
+    assert omega(b, 2, "raise") == HALF_HIGH
 
 
 def test_omega_raise_gl21_example():
     b = index_sets(Weight(S21, (1, 0, 0)), (1, 0))
-    assert omega_raise(b, 1) == HALF_LOW
-    assert omega_raise(b, 2) == HALF_HIGH
-    assert omega_raise(b, 3) == ZERO  # accidental zero on an admissible index
+    assert omega(b, 1, "raise") == HALF_LOW
+    assert omega(b, 2, "raise") == HALF_HIGH
+    assert omega(b, 3, "raise") == ZERO  # accidental zero on an admissible index
 
 
 def test_omega_raise_trivial_weight():
     b = index_sets(Weight(S11, (0, 0)), (0,))
-    assert omega_raise(b, 1) == ONE
-    assert omega_raise(b, 2) == ZERO
+    assert omega(b, 1, "raise") == ONE
+    assert omega(b, 2, "raise") == ZERO
 
 
 def test_omega_index_range():
@@ -226,18 +222,8 @@ def test_coupled_composite_cross_check():
 
 def test_rwc():
     b = index_sets(Weight(S11, (1, 0)), (1,))
-    assert rwc(b, 1, "raise") == (1, HALF_LOW)
-    assert rwc(b, 2, "raise", form="qnumber_phase") == (1, HALF_HIGH)
-    with pytest.raises(UnknownPhaseConvention):
-        rwc(b, 1, "raise", phase_convention="classical")
-
-
-def test_register_phase_convention():
-    from qwig import register_phase_convention
-
-    register_phase_convention("flip_odd", lambda variant, k, r=None: -1 if k % 2 else 1)
-    b = index_sets(Weight(S11, (1, 0)), (1,))
-    assert rwc(b, 1, "raise", phase_convention="flip_odd") == (-1, HALF_LOW)
+    assert omega(b, 1, "raise") == HALF_LOW
+    assert omega(b, 2, "raise", "qnumber_phase") == HALF_HIGH
 
 
 def test_omega_classical_matches_limit():
