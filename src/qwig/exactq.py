@@ -193,9 +193,6 @@ class HalfLaurent:
     def min_dexp(self):
         return min(self._t)
 
-    def max_dexp(self):
-        return max(self._t)
-
     def is_monomial(self):
         return len(self._t) == 1
 

@@ -28,6 +28,7 @@ from .linalg import (
     zeros,
 )
 from .loperators import (
+    _char_variant,
     _elementary,
     big_entry,
     char_eigenvalue,
@@ -103,6 +104,7 @@ def qybe_check(sig):
 def intertwining_check(sig):
     """R intertwines the coproduct and the opposite coproduct on V (x) V."""
     V = vector_rep(sig)
+    T = tensor_module(V, V)
     pars = vector_slot_parities(sig)
     slot_pars = [pars, pars]
     R = l_operator(V, "R")
@@ -111,11 +113,8 @@ def intertwining_check(sig):
         half = [c / 2 for c in h]
         neg = [-c for c in half]
         p = 1 if a == sig.m else 0
-        for g in ("e", "f"):
-            x = V.e[a] if g == "e" else V.f[a]
-            cop = gkron([(V.cartan(half), 0), (x, p)], slot_pars) + gkron(
-                [(x, p), (V.cartan(neg), 0)], slot_pars
-            )
+        for x, cop in ((V.e[a], T.e[a]), (V.f[a], T.f[a])):
+            # the coproduct on V (x) V is tensor_module's; opp is its opposite
             opp = gkron([(x, p), (V.cartan(half), 0)], slot_pars) + gkron(
                 [(V.cartan(neg), 0), (x, p)], slot_pars
             )
@@ -201,7 +200,7 @@ def char_identity_check(W, lam, kind):
     itself survives root collisions, but every downstream projector
     manipulation does not, so degenerate cases are excluded from sweeps.
     """
-    variant = "adjoint" if kind in ("ahat", "atilde") else "dual"
+    variant = _char_variant(kind)
     check_generic(char_roots(lam, variant), "%s roots of %s" % (variant, lam))
     return is_zero_matrix(
         shifted_product(char_matrix(W, kind), char_eigenvalues(lam, kind))
@@ -252,7 +251,6 @@ def supertrace_invariant(W, kind, power=1):
 
 
 _KIND_TO_CHAR = {"raise": "atilde", "lower": "adual"}
-_KIND_TO_VARIANT = {"raise": "adjoint", "lower": "dual"}
 
 
 def _branch_vector(W, lam, lam0):
@@ -300,14 +298,21 @@ def _sub_projector(W, lam0, r, ckind):
     lam0 deformed roots.  Genuinely a projector only on the lam0
     component; see _shift_projector for the component-aware variant."""
     sig = W.sig
-    variant = _KIND_TO_VARIANT["raise" if ckind == "atilde" else "lower"]
+    return W.cached(
+        ("subP", ckind, tuple(lam0), r),
+        lambda: projector(
+            char_matrix(W, ckind, top=sig.d - 1), _sub_nodes(lam0, ckind, sig), r
+        ),
+    )
 
-    def build():
-        alphas = subalgebra_roots(tuple(lam0), variant, sig)
-        nodes = tuple(char_eigenvalue(a, ckind) for a in alphas)
-        return projector(char_matrix(W, ckind, top=sig.d - 1), nodes, r)
 
-    return W.cached(("subP", ckind, tuple(lam0), r), build)
+def _sub_nodes(lam0, ckind, sig):
+    """The deformed eigenvalues of the subalgebra characteristic matrix on
+    the component of subalgebra highest weight lam0, indexed 1..d-1."""
+    alphas = subalgebra_roots(
+        tuple(int(c) for c in lam0), _char_variant(ckind), sig
+    )
+    return tuple(char_eigenvalue(a, ckind) for a in alphas)
 
 
 def _shift_projector(W, r, ckind):
@@ -331,7 +336,6 @@ def _build_shift_projector(W, r, ckind):
     sig = W.sig
     d = sig.d
     dw = W.dim
-    variant = _KIND_TO_VARIANT["raise" if ckind == "atilde" else "lower"]
     A0 = char_matrix(W, ckind, top=d - 1)
     comps = subalgebra_components(W)
     # the component basis vectors are the columns of B
@@ -341,8 +345,7 @@ def _build_shift_projector(W, r, ckind):
     total = zeros(N)
     col = 0
     for lam0p, basis in comps:
-        alphas = subalgebra_roots(tuple(int(c) for c in lam0p), variant, sig)
-        nodes = tuple(char_eigenvalue(a, ckind) for a in alphas)
+        nodes = _sub_nodes(lam0p, ckind, sig)
         sel = Matrix(
             [{j: ONE} if col <= j < col + len(basis) else {} for j in range(dw)],
             dw,

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from ..errors import DegenerateRoots
 from ..exactq import ONE, QFraction, Q_MINUS_QINV, qnum, qpow
-from ..superweight import char_roots, rho, subalgebra_roots
+from ..superweight import char_roots, rho
 from .expressions import etilde_expr
 from .linalg import (
     Matrix,
@@ -163,6 +163,12 @@ def _build_char_matrix(W, kind, d):
     return shift_diagonal(mat_scale(prod, neg_inv), neg_inv)
 
 
+def _char_variant(kind):
+    """The root variant whose exponents give a characteristic matrix's
+    eigenvalues."""
+    return "adjoint" if kind in ("ahat", "atilde") else "dual"
+
+
 def char_eigenvalue(alpha, kind):
     """Deformed eigenvalue of a characteristic matrix from its classical
     root exponent."""
@@ -173,18 +179,11 @@ def char_eigenvalue(alpha, kind):
     raise ValueError("unknown characteristic matrix kind %r" % (kind,))
 
 
-def char_eigenvalues(lam, kind, subalgebra=False):
-    """All deformed eigenvalues for V(' ) (x) V(lam), indexed 1..d.
-
-    With subalgebra=True, lam is a subalgebra weight of the parent
-    signature lam.sig and the subalgebra root exponents are used.
-    """
-    variant = "adjoint" if kind in ("ahat", "atilde") else "dual"
-    if subalgebra:
-        alphas = subalgebra_roots(lam, variant, lam.sig)
-    else:
-        alphas = char_roots(lam, variant)
-    return tuple(char_eigenvalue(a, kind) for a in alphas)
+def char_eigenvalues(lam, kind):
+    """All deformed eigenvalues for V(' ) (x) V(lam), indexed 1..d."""
+    return tuple(
+        char_eigenvalue(a, kind) for a in char_roots(lam, _char_variant(kind))
+    )
 
 
 def projector(A, eigenvalues, r):

@@ -150,11 +150,6 @@ def bilinear_form(lam, mu):
     )
 
 
-def _form_with(sig, comps, i):
-    """(w, eps_i) for a component tuple of Fractions."""
-    return Fraction(sig.sign(i)) * comps[i - 1]
-
-
 def rho(sig):
     """Half-sum of even positive roots minus half-sum of odd positive roots.
 
@@ -240,15 +235,13 @@ def subalgebra_roots(lam0, variant, parent_sig):
 
 
 @lru_cache(maxsize=None)
-def deformed_root(alpha, variant):
-    """q-deformation of a classical root exponent alpha.
+def deformed_root(alpha):
+    """q-deformation of a classical root exponent alpha:
+    (1 - q^(-2 alpha))/(q - q^-1) = q^-alpha [alpha]_q.
 
-    adjoint: (1 - q^(-2 alpha))/(q - q^-1) = q^-alpha [alpha]_q,
-    dual: the same expression; the variants differ only through which
-    exponent is fed in, so a single formula serves both.
+    Adjoint and dual roots share this formula; the variants differ only
+    through which exponent is fed in.
     """
-    if variant not in ("adjoint", "dual"):
-        raise ValueError("variant must be 'adjoint' or 'dual'")
     return QFraction(qpow(-alpha) * qnum(alpha))
 
 
@@ -297,14 +290,11 @@ class RootSet:
             weight=lam,
             variant=variant,
             alphas=alphas,
-            deformed=tuple(deformed_root(a, variant) for a in alphas),
+            deformed=tuple(deformed_root(a) for a in alphas),
         )
 
     def is_generic(self):
         return len(set(self.alphas)) == len(self.alphas)
-
-    def require_generic(self):
-        check_generic(self.alphas, "%s roots of %s" % (self.variant, self.weight))
 
     def to_json(self):
         return {

@@ -42,25 +42,10 @@ FORMS = ("root_product", "qnumber_phase")
 MU_SHIFT_DEFAULT = "unshifted"
 
 
-def _deformed(x, root_kind):
-    """deformed_root(x) as the polynomial it is (its denominator is 1)."""
-    return deformed_root(x, root_kind).num
-
-
 @lru_cache(maxsize=None)
-def _F(x, alpha0, t, root_kind):
-    """The root-product factor deformed(x) - q^(2t) deformed(alpha0) + t q^t."""
-    return (
-        _deformed(x, root_kind)
-        - qpow(2 * t) * _deformed(alpha0, root_kind)
-        + t * qpow(t)
-    )
-
-
-@lru_cache(maxsize=None)
-def _root_diff(x, y, root_kind):
+def _root_diff(x, y):
     """The root-product factor deformed(x) - deformed(y)."""
-    return _deformed(x, root_kind) - _deformed(y, root_kind)
+    return deformed_root(x).num - deformed_root(y).num
 
 
 class _Side:
@@ -68,21 +53,21 @@ class _Side:
 
     tau is -1 on the lowering side and +1 on the raising side; the
     deformed-root combination entering every product is
-    F_y(x) = x - q^(2 tau s_y) a0_y + tau s_y q^(tau s_y),
-    equal to q^(-alpha_x - alpha0_y + tau s_y) [alpha_x - alpha0_y + tau s_y]_q.
+    F_y(x) = deformed(x) - deformed(beta_y), beta_y = alpha0_y - tau s_y,
+    equal to q^(-x - beta_y) [x - beta_y]_q.
     Never mutated after construction, so _side shares one per branching.
     """
 
     def __init__(self, b, variant):
         if variant == "lower":
             self.tau = -1
-            root_kind = "dual"
+            self.root_kind = "dual"
             self.K = b.lower_indices()
             self.L = tuple(sorted(b.I0 + b.I1))
             self.even_count = len(b.I0)
         elif variant == "raise":
             self.tau = 1
-            root_kind = "adjoint"
+            self.root_kind = "adjoint"
             self.K = b.raise_indices()
             self.L = tuple(sorted(b.I0bar + b.I1))
             self.even_count = len(b.I0bar)
@@ -90,13 +75,12 @@ class _Side:
             raise ValueError("variant must be 'lower' or 'raise'")
         self.b = b
         self.variant = variant
-        self.root_kind = root_kind
         sig = b.sig
         self.alpha = dict(
-            zip(range(1, sig.d + 1), char_roots(b.lam, root_kind))
+            zip(range(1, sig.d + 1), char_roots(b.lam, self.root_kind))
         )
         self.alpha0 = dict(
-            zip(range(1, sig.d), b.sub_roots(root_kind))
+            zip(range(1, sig.d), b.sub_roots(self.root_kind))
         )
         self.sign = {i: sig.sign(i) for i in range(1, sig.d + 1)}
         self.n = sig.n
@@ -104,9 +88,7 @@ class _Side:
 
     def F_root(self, x_alpha, ell):
         """F_ell at the deformed root of the exponent x_alpha."""
-        return _F(
-            x_alpha, self.alpha0[ell], self.tau * self.sign[ell], self.root_kind
-        )
+        return _root_diff(x_alpha, self.beta(ell))
 
     def F_arg(self, x_alpha, ell):
         """q-number argument of F_ell: x_alpha - alpha0_ell + tau s_ell."""
@@ -116,6 +98,18 @@ class _Side:
         """Exponent with G(ell) = deformed(beta_ell) absorbing the shift."""
         return self.alpha0[ell] - self.tau * self.sign[ell]
 
+    def require_in_range(self, k):
+        d = self.b.sig.d
+        if not 1 <= k <= d:
+            raise IndexOutOfRange("shift index %d outside 1..%d" % (k, d))
+
+    def require_admissible(self, r):
+        if r not in self.L:
+            raise AdmissibilityError(
+                "index %d not admissible for %s side (need one of %s)"
+                % (r, self.variant, self.L)
+            )
+
     def require_K_generic(self):
         vals = [self.alpha[k] for k in self.K]
         if len(set(vals)) != len(vals):
@@ -123,6 +117,14 @@ class _Side:
                 "%s roots of %s coincide on the admissible set"
                 % (self.root_kind, self.b.lam)
             )
+
+    def require_clear(self, point, r):
+        """No beta_l with l != r in L sits at the exponent point."""
+        for l in self.L:
+            if l != r and self.beta(l) == point:
+                raise DegenerateRoots(
+                    "subalgebra roots degenerate at %d and %d" % (r, l)
+                )
 
     def sigma(self):
         """Global sign of gamma and mu."""
@@ -150,8 +152,7 @@ def omega(b, k, variant, form="root_product"):
     """
     _check_form(form)
     side = _side(b, variant)
-    if not 1 <= k <= b.sig.d:
-        raise IndexOutOfRange("shift index %d outside 1..%d" % (k, b.sig.d))
+    side.require_in_range(k)
     if k not in side.K:
         return ZERO
     side.require_K_generic()
@@ -159,7 +160,7 @@ def omega(b, k, variant, form="root_product"):
     others = [side.alpha[l] for l in side.K if l != k]
     if form == "root_product":
         nums = [side.F_root(ak, r) for r in side.L]
-        dens = [_root_diff(ak, al, side.root_kind) for al in others]
+        dens = [_root_diff(ak, al) for al in others]
     else:
         # q-number/phase form with the closed phase exponent
         xi = -(side.I0_size + ak + b.eta)
@@ -177,8 +178,7 @@ def omega_classical(b, k, variant):
     from fractions import Fraction
 
     side = _side(b, variant)
-    if not 1 <= k <= b.sig.d:
-        raise IndexOutOfRange("shift index %d outside 1..%d" % (k, b.sig.d))
+    side.require_in_range(k)
     if k not in side.K:
         return Fraction(0)
     side.require_K_generic()
@@ -192,6 +192,25 @@ def omega_classical(b, k, variant):
     return num / den
 
 
+def _matrix_element(side, r, point, form, phase):
+    """The product shared by gamma and mu, read at the subalgebra-root
+    exponent point:
+      sigma prod_{k in K} (a_k - G) / prod_{l != r in L} (G - G(l))
+    with a_k = deformed(alpha_k) and G = deformed(point); the q-number form
+    carries q^phase.
+    """
+    side.require_clear(point, r)
+    others = [side.beta(l) for l in side.L if l != r]
+    if form == "root_product":
+        phase = 0
+        nums = [_root_diff(side.alpha[k], point) for k in side.K]
+        dens = [_root_diff(point, bl) for bl in others]
+    else:
+        nums = [qnum(side.alpha[k] - point) for k in side.K]
+        dens = [qnum(point - bl) for bl in others]
+    return QFraction.from_factors([side.sigma() * qpow(phase)] + nums, dens)
+
+
 def gamma(b, r, variant, form="root_product", alpha0_override=None):
     """Squared reduced matrix element (q-length) for shift index r.
 
@@ -201,32 +220,13 @@ def gamma(b, r, variant, form="root_product", alpha0_override=None):
     """
     _check_form(form)
     side = _side(b, variant)
-    if r not in side.L:
-        raise AdmissibilityError(
-            "index %d not admissible for %s side (need one of %s)"
-            % (r, variant, side.L)
-        )
+    side.require_admissible(r)
     a0r = side.alpha0[r] if alpha0_override is None else alpha0_override
-    betas = {l: side.beta(l) for l in side.L}
-    betas[r] = a0r - side.tau * side.sign[r]
-    for l in side.L:
-        if l != r and betas[l] == betas[r]:
-            raise DegenerateRoots(
-                "shifted subalgebra roots coincide at %d and %d" % (r, l)
-            )
-    t = side.tau * side.sign[r]
-    others = [betas[l] for l in side.L if l != r]
-    if form == "root_product":
-        phase = 0
-        nums = [_F(side.alpha[k], a0r, t, side.root_kind) for k in side.K]
-        dens = [_root_diff(betas[r], bl, side.root_kind) for bl in others]
-    else:
-        # q-number/phase form, phase collected from every factor
-        phase = sum(t - side.alpha[k] - a0r for k in side.K)
-        phase += sum(betas[r] + bl for bl in others)
-        nums = [qnum(side.alpha[k] - a0r + t) for k in side.K]
-        dens = [qnum(betas[r] - bl) for bl in others]
-    return QFraction.from_factors([side.sigma() * qpow(phase)] + nums, dens)
+    point = a0r - side.tau * side.sign[r]
+    # q-number phase, collected from every factor
+    phase = sum(point + side.beta(l) for l in side.L if l != r)
+    phase -= sum(side.alpha[k] + point for k in side.K)
+    return _matrix_element(side, r, point, form, phase)
 
 
 def mu(b, r, variant, form="root_product", convention=None):
@@ -243,34 +243,12 @@ def mu(b, r, variant, form="root_product", convention=None):
     if convention not in ("shifted", "unshifted"):
         raise ValueError("convention must be 'shifted' or 'unshifted'")
     side = _side(b, variant)
-    if r not in side.L:
-        raise AdmissibilityError(
-            "index %d not admissible for %s side (need one of %s)"
-            % (r, variant, side.L)
-        )
-    bullet = side.alpha0[r]
-    if convention == "shifted":
-        bullet += side.tau * side.sign[r]
-    for l in side.L:
-        if l != r and side.beta(l) == bullet:
-            raise DegenerateRoots(
-                "root at %d collides with shifted root at %d" % (l, r)
-            )
-    others = [side.beta(l) for l in side.L if l != r]
-    if form == "root_product":
-        phase = 0
-        nums = [_root_diff(side.alpha[k], bullet, side.root_kind) for k in side.K]
-        dens = [_root_diff(bullet, bl, side.root_kind) for bl in others]
-    else:
-        phase = (
-            b.eta
-            + side.I0_size
-            - 3 * bullet
-            + side.tau * side.sign[r] * (2 if convention == "shifted" else 1)
-        )
-        nums = [qnum(side.alpha[k] - bullet) for k in side.K]
-        dens = [qnum(bullet - bl) for bl in others]
-    return QFraction.from_factors([side.sigma() * qpow(phase)] + nums, dens)
+    side.require_admissible(r)
+    t = side.tau * side.sign[r]
+    shifted = convention == "shifted"
+    point = side.alpha0[r] + (t if shifted else 0)
+    phase = b.eta + side.I0_size - 3 * point + t * (2 if shifted else 1)
+    return _matrix_element(side, r, point, form, phase)
 
 
 def omega_coupled(b, k, r, variant, form="qnumber_phase"):
@@ -291,23 +269,14 @@ def omega_coupled(b, k, r, variant, form="qnumber_phase"):
     """
     _check_form(form)
     side = _side(b, variant)
-    if not 1 <= k <= b.sig.d:
-        raise IndexOutOfRange("shift index %d outside 1..%d" % (k, b.sig.d))
-    if r not in side.L:
-        raise AdmissibilityError(
-            "index %d not admissible for %s side (need one of %s)"
-            % (r, variant, side.L)
-        )
+    side.require_in_range(k)
+    side.require_admissible(r)
     if k not in side.K:
         return ZERO
     side.require_K_generic()
-    for l in side.L:
-        if l != r and side.alpha0[r] == side.beta(l):
-            raise DegenerateRoots(
-                "subalgebra roots degenerate at %d and %d" % (r, l)
-            )
     ak = side.alpha[k]
     a0r = side.alpha0[r]
+    side.require_clear(a0r, r)
     ls = [l for l in side.L if l != r]
     aps = [side.alpha[p] for p in side.K if p != k]
     if form == "qnumber_phase":
@@ -317,9 +286,9 @@ def omega_coupled(b, k, r, variant, form="qnumber_phase"):
         dens += [qnum(ap - ak) for ap in aps]
     else:
         nums = [side.F_root(ak, l) for l in ls]
-        nums += [_root_diff(ap, a0r, side.root_kind) for ap in aps]
+        nums += [_root_diff(ap, a0r) for ap in aps]
         dens = [side.F_root(a0r, l) for l in ls]
-        dens += [_root_diff(ap, ak, side.root_kind) for ap in aps]
+        dens += [_root_diff(ap, ak) for ap in aps]
     return QFraction.from_factors(nums, dens)
 
 
@@ -332,17 +301,14 @@ def omega_coupled_composite(b, k, r, variant):
     ZeroDivisionError as 'not applicable'.
     """
     side = _side(b, variant)
-    if r not in side.L:
-        raise AdmissibilityError(
-            "index %d not admissible for %s side (need one of %s)"
-            % (r, variant, side.L)
-        )
+    side.require_in_range(k)
+    side.require_admissible(r)
     if k not in side.K:
         return ZERO
     w = omega(b, k, variant)
     m = mu(b, r, variant)
     corr1 = side.F_root(side.alpha[k], r)
-    corr2 = _root_diff(side.alpha[k], side.alpha0[r], side.root_kind)
+    corr2 = _root_diff(side.alpha[k], side.alpha0[r])
     return QFraction.from_factors([w.num, m.num], [w.den, m.den, corr1, corr2])
 
 
@@ -421,8 +387,7 @@ def linear_system_residuals(b, variant, form="root_product"):
                 continue
             acc = acc + QFraction.from_factors(
                 [side.F_root(ak, l) for l in side.L if l != r],
-                [_root_diff(ak, side.alpha[l], side.root_kind)
-                 for l in side.K if l != k],
+                [_root_diff(ak, side.alpha[l]) for l in side.K if l != k],
             )
         out[r] = acc
     return out

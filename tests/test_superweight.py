@@ -91,8 +91,8 @@ def test_char_roots_examples():
     assert char_roots(lam, "dual") == (1, -1, 0)
     lam0 = Weight(S11, (0, 0))
     assert char_roots(lam0, "adjoint") == (0, -1)
-    assert deformed_root(0, "adjoint") == QFraction(0)
-    assert deformed_root(-1, "adjoint") == QFraction(-qpow(1))
+    assert deformed_root(0) == QFraction(0)
+    assert deformed_root(-1) == QFraction(-qpow(1))
     with pytest.raises(ValueError):
         char_roots(lam, "other")
 
@@ -107,8 +107,7 @@ def test_subalgebra_roots_examples():
 
 def test_deformed_root_identity():
     for a in range(-8, 9):
-        for variant in ("adjoint", "dual"):
-            assert deformed_root(a, variant) == QFraction(qpow(-a) * qnum(a))
+        assert deformed_root(a) == QFraction(qpow(-a) * qnum(a))
 
 
 def test_check_generic():

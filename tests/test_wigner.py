@@ -33,7 +33,7 @@ from qwig import (
 from qwig import wigner
 from qwig.cli import main
 from qwig.superweight import subalgebra_roots
-from qwig.wigner import FORMS, MU_SHIFT_DEFAULT, _F, _root_diff, _side, _Side
+from qwig.wigner import FORMS, MU_SHIFT_DEFAULT, _root_diff, _side, _Side
 
 S11 = Signature(1, 1)
 S21 = Signature(2, 1)
@@ -109,8 +109,8 @@ def test_linear_system_spot():
 
 def test_gamma_gl21_example():
     b = index_sets(Weight(S21, (2, 0, 0)), (1, 0))
-    a = [deformed_root(x, "dual") for x in (2, -1, 0)]
-    a01 = deformed_root(2, "dual")
+    a = [deformed_root(x) for x in (2, -1, 0)]
+    a01 = deformed_root(2)
     factor = lambda x: x - QFraction(qpow(-2)) * a01 - QFraction(qpow(-1))
     assert gamma(b, 1, "lower") == -(factor(a[0]) * factor(a[2]))
 
@@ -183,6 +183,12 @@ def test_coupled_errors_and_zero():
     assert omega_coupled(b, 2, 1, "lower") == ZERO  # k = 2 not admissible
     with pytest.raises(IndexOutOfRange):
         omega_coupled(b, 4, 1, "lower")
+    b = index_sets(Weight(S12, (2, 1, 0)), (1, 1))
+    for k in (0, 4):
+        with pytest.raises(IndexOutOfRange):
+            omega_coupled(b, k, 2, "raise")
+        with pytest.raises(IndexOutOfRange):
+            omega_coupled_composite(b, k, 2, "raise")
 
 
 def test_coupled_forms_agree_spot():
@@ -252,17 +258,21 @@ def test_tables():
     assert all(isinstance(k, tuple) for k in ct.entries)
 
 
+def _shifted_factor(x, y, t):
+    """deformed(x) - q^(2t) deformed(y) + t q^t, built afresh."""
+    return (deformed_root(x) - QFraction(qpow(2 * t)) * deformed_root(y)
+            + t * QFraction(qpow(t)))
+
+
 def test_cached_factors_equal_fresh_ones():
     span = range(-6, 7)
-    for kind in ("adjoint", "dual"):
-        a = {x: deformed_root(x, kind) for x in span}
-        for x in span:
-            for y in span:
-                assert _root_diff(x, y, kind) == a[x] - a[y]
-                for t in (-1, 1):
-                    shift = t * QFraction(qpow(t))
-                    fresh = a[x] - QFraction(qpow(2 * t)) * a[y] + shift
-                    assert _F(x, y, t, kind) == fresh
+    for x in span:
+        for y in span:
+            assert _root_diff(x, y) == deformed_root(x) - deformed_root(y)
+            # the shifted factor is one root difference
+            for t in (-1, 1):
+                assert _root_diff(x, y - t) == _shifted_factor(x, y, t)
+    checked = 0
     for lam in ((2, 1, 0), (3, 1, -1)):
         for b in branch_candidates(Weight(S21, lam)):
             for variant in ("lower", "raise"):
@@ -271,6 +281,13 @@ def test_cached_factors_equal_fresh_ones():
                 fresh = _Side(b, variant)
                 assert (side.K, side.L) == (fresh.K, fresh.L)
                 assert (side.alpha, side.alpha0) == (fresh.alpha, fresh.alpha0)
+                for l in side.L:
+                    t = side.tau * side.sign[l]
+                    for x in span:
+                        assert side.F_root(x, l) == _shifted_factor(
+                            x, side.alpha0[l], t)
+                        checked += 1
+    assert checked
 
 
 def test_linear_system_computes_each_omega_once(monkeypatch):
