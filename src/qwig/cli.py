@@ -383,9 +383,10 @@ def _cmd_verify(args):
         if args.suite == "all"
         else [args.suite]
     )
-    if args.jobs > 1 and len(suites) > 1:
+    jobs = min(args.jobs, len(suites))
+    if jobs > 1:
         units = [(s, args.m, args.n) for s in suites]
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
             chunks = list(pool.map(_run_unit, units))
     else:
         chunks = _run_units(suites, args.m, args.n)
@@ -407,6 +408,14 @@ def _cmd_verify(args):
 
 
 # -- parser ------------------------------------------------------------------
+
+
+def _positive_int(text):
+    """An int of at least 1, else a usage error."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError("must be at least 1, not %d" % value)
+    return value
 
 
 # The parser is read-only once built, and building it costs far more than a
@@ -459,8 +468,9 @@ def build_parser():
     sp.add_argument("--m", type=int, required=True)
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--suite", choices=SUITES, default="all")
-    sp.add_argument("--jobs", type=int, default=1,
-                    help="worker pool size (default: 1)")
+    sp.add_argument("--jobs", type=_positive_int, default=1,
+                    help="worker pool size, at most one per suite "
+                    "(default: 1)")
     sp.add_argument("--out", help="output path")
     sp.set_defaults(fn=_cmd_verify)
 

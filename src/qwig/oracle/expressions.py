@@ -31,22 +31,39 @@ class GenAtom:
         self.a = a
         self.parity = parity
 
-    def key(self):
-        return ("g", self.kind, self.a)
+
+def _doubled(x):
+    """2x as an int, for x an int or Fraction multiple of 1/2."""
+    x2 = 2 * Fraction(x)
+    if x2.denominator != 1:
+        raise InvalidArgument(
+            "Cartan exponent %s is not a multiple of 1/2" % (x,)
+        )
+    return x2.numerator
 
 
 class CartanAtom:
-    """The diagonal element q^(sum_j coeffs_j E_jj + shift)."""
+    """The diagonal element q^(sum_j coeffs_j E_jj + shift).
 
-    __slots__ = ("coeffs", "shift", "parity")
+    dcoeffs and dshift hold the coefficients and the shift doubled, as
+    ints, the convention exactq uses for exponents.
+    """
 
-    def __init__(self, coeffs, shift=Fraction(0)):
-        self.coeffs = tuple(Fraction(c) for c in coeffs)
-        self.shift = Fraction(shift)
+    __slots__ = ("dcoeffs", "dshift", "parity")
+
+    def __init__(self, coeffs, shift=0):
+        self.dcoeffs = tuple(_doubled(c) for c in coeffs)
+        self.dshift = _doubled(shift)
         self.parity = 0
 
-    def key(self):
-        return ("c", self.coeffs, self.shift)
+    @classmethod
+    def _raw(cls, dcoeffs, dshift):
+        # internal: the doubled ints are already known
+        atom = cls.__new__(cls)
+        atom.dcoeffs = dcoeffs
+        atom.dshift = dshift
+        atom.parity = 0
+        return atom
 
 
 def _h_coeffs(sig, a):
@@ -115,9 +132,9 @@ class Expr:
             for atom in reversed(atoms):
                 if isinstance(atom, CartanAtom):
                     # the scalar part q^shift is central and fixed by S
-                    new_atoms.append(
-                        CartanAtom([-x for x in atom.coeffs], atom.shift)
-                    )
+                    new_atoms.append(CartanAtom._raw(
+                        tuple(-x for x in atom.dcoeffs), atom.dshift
+                    ))
                 else:
                     h = _h_coeffs(sig, atom.a)
                     half = tuple(x / 2 for x in h)
@@ -145,7 +162,7 @@ class Expr:
             acc = None  # the product from the first generator on
             for atom in atoms:
                 if isinstance(atom, CartanAtom):
-                    diag = W.cartan_diagonal(atom.coeffs, atom.shift)
+                    diag = W.cartan_diagonal(atom.dcoeffs, atom.dshift)
                     if acc is not None:
                         acc = scale_columns(acc, diag)
                     elif lead is None:
@@ -191,10 +208,15 @@ def eij_expr(sig, i, j):
 
 
 @lru_cache(maxsize=None)
-def _etilde_cached(m, n, i, j):
+def _etilde_cached(m, n, i, j, spower):
+    """etilde_expr, with the antipode (spower=1) or its inverse
+    (spower=-1) applied: rewritten once per signature and shared by every
+    module that evaluates it."""
     from ..superweight import Signature
 
     sig = Signature(m, n)
+    if spower:
+        return _etilde_cached(m, n, i, j, 0).antipode(sig, spower)
     d = sig.d
     coeffs = [Fraction(0)] * d
     if i == j:
@@ -215,4 +237,4 @@ def etilde_expr(sig, i, j):
     for i > j (lowering) the same with (j) <-> (i) labels swapped, and
     q^((i)E_ii) on the diagonal.
     """
-    return _etilde_cached(sig.m, sig.n, i, j)
+    return _etilde_cached(sig.m, sig.n, i, j, 0)

@@ -164,8 +164,11 @@ def scale_columns(A, diag):
 
 
 def mat_pow(A, p):
-    out = identity(A.shape[0])
-    for _ in range(p):
+    """A^p for an int p >= 0 (the identity for p <= 0)."""
+    if p < 1:
+        return identity(A.shape[0])
+    out = A
+    for _ in range(p - 1):
         out = matmul(out, A)
     return out
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 from ..errors import DegenerateRoots
 from ..exactq import ONE, QFraction, Q_MINUS_QINV, qnum, qpow
 from ..superweight import char_roots, rho
-from .expressions import etilde_expr
+from .expressions import _etilde_cached
 from .linalg import (
     Matrix,
     gkron,
@@ -47,13 +47,11 @@ CHAR_KINDS = ("ahat", "atilde", "adual", "abar")
 def etilde_matrix(W, i, j, spower=0):
     """Matrix on W of the L-operator entry generator, optionally with the
     antipode (spower=1) or its inverse (spower=-1) applied first."""
-    def build():
-        expr = etilde_expr(W.sig, i, j)
-        if spower:
-            expr = expr.antipode(W.sig, spower)
-        return expr.evaluate(W)
-
-    return W.cached(("Et", i, j, spower), build)
+    sig = W.sig
+    return W.cached(
+        ("Et", i, j, spower),
+        lambda: _etilde_cached(sig.m, sig.n, i, j, spower).evaluate(W),
+    )
 
 
 def eij_matrix(W, i, j):

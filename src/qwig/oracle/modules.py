@@ -12,6 +12,8 @@ graded Kronecker product.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
+from operator import mul
 
 from ..errors import (
     MultiplicityAmbiguous,
@@ -22,7 +24,7 @@ from ..errors import (
 )
 from ..exactq import ONE, ZERO, QFraction, qpow
 from ..superweight import Weight
-from .expressions import _h_coeffs
+from .expressions import CartanAtom, _h_coeffs
 from .linalg import Matrix, gkron, insert_row, nullspace, solve_coords
 
 __all__ = [
@@ -40,14 +42,15 @@ __all__ = [
 class RepModule:
     """A finite-dimensional weight module with explicit generator matrices.
 
-    weights[i] is the tuple of E_jj eigenvalues (Fractions) of basis vector
-    i, parities[i] its grading.  e[a]/f[a] are the simple generator
-    matrices for a = 1..m+n-1.
+    weights[i] is the tuple of E_jj eigenvalues of basis vector i, as ints
+    (a component that is not an integer raises NonIntegralWeight),
+    parities[i] its grading.  e[a]/f[a] are the simple generator matrices
+    for a = 1..m+n-1.
     """
 
     def __init__(self, sig, weights, parities, e, f):
         self.sig = sig
-        self.weights = [tuple(Fraction(c) for c in w) for w in weights]
+        self.weights = [_int_weight(w) for w in weights]
         self.parities = list(parities)
         self.e = e
         self.f = f
@@ -65,27 +68,41 @@ class RepModule:
             self._cache[key] = build()
         return self._cache[key]
 
-    def cartan_diagonal(self, coeffs, shift=Fraction(0)):
-        """The diagonal of q^(sum_j coeffs_j E_jj + shift), one QFraction
-        per basis vector, made once per module and kept."""
+    def cartan_diagonal(self, dcoeffs, dshift):
+        """The diagonal of q^((sum_j dcoeffs_j E_jj + dshift)/2), one
+        QFraction per basis vector, for an int tuple dcoeffs and an int
+        dshift (the doubled coefficients and shift of a CartanAtom); made
+        once per module and kept."""
 
         def build():
             return tuple(
-                QFraction(qpow(
-                    sum((c * wj for c, wj in zip(coeffs, w)), Fraction(0))
-                    + shift
-                ))
+                _qmonomial(sum(map(mul, dcoeffs, w)) + dshift)
                 for w in self.weights
             )
 
-        return self.cached(("cartan", tuple(coeffs), shift), build)
+        return self.cached(("cartan", dcoeffs, dshift), build)
 
     def cartan(self, coeffs, shift=Fraction(0)):
-        """Diagonal matrix of q^(sum_j coeffs_j E_jj + shift)."""
-        return Matrix(
-            [{i: x} for i, x in enumerate(self.cartan_diagonal(coeffs, shift))],
-            self.dim,
-        )
+        """Diagonal matrix of q^(sum_j coeffs_j E_jj + shift), for int or
+        Fraction multiples of 1/2."""
+        atom = CartanAtom(coeffs, shift)
+        diag = self.cartan_diagonal(atom.dcoeffs, atom.dshift)
+        return Matrix([{i: x} for i, x in enumerate(diag)], self.dim)
+
+
+def _int_weight(w):
+    """The weight w as a tuple of ints."""
+    out = tuple(int(c) for c in w)
+    if out != tuple(w):
+        raise NonIntegralWeight("weight %s is not integral" % (w,))
+    return out
+
+
+@lru_cache(maxsize=None)
+def _qmonomial(dexp):
+    """q^(dexp/2) as a QFraction, normalised once per exponent; modules
+    share the value, so the cache holds one entry per exponent met."""
+    return QFraction(qpow(Fraction(dexp, 2)))
 
 
 def vector_rep(sig):
@@ -93,8 +110,8 @@ def vector_rep(sig):
     d = sig.d
     weights = []
     for i in range(d):
-        w = [Fraction(0)] * d
-        w[i] = Fraction(1)
+        w = [0] * d
+        w[i] = 1
         weights.append(tuple(w))
     parities = [sig.parity(i + 1) for i in range(d)]
     e = {}
@@ -282,7 +299,7 @@ def realized_modules(sig, k_max, dim_cap):
             seen.add(wt)
             M, _ = submodule(W, [vecs[0]])
             if M.dim <= dim_cap:
-                out.append((Weight(sig, tuple(int(c) for c in wt)), M))
+                out.append((Weight(sig, wt), M))
     return out
 
 
@@ -332,7 +349,7 @@ def subalgebra_highest_vector(W, lam0, e_last):
     Returns its index-coefficient list, raising NotRealized or
     MultiplicityAmbiguous as appropriate.
     """
-    target = tuple(Fraction(c) for c in lam0) + (Fraction(e_last),)
+    target = tuple(lam0) + (e_last,)
     hits = [vecs for wt, vecs in _subalgebra_highest_vectors(W) if wt == target]
     if not hits or not hits[0]:
         raise NotRealized("no subalgebra highest weight vector for %s" % (lam0,))

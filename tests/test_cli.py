@@ -162,6 +162,45 @@ def test_verify_jobs_flag(capsys):
     assert obj["counts"]["FAIL"] == 0
 
 
+def test_verify_jobs_pool_is_bounded_by_suites(capsys, monkeypatch):
+    import qwig.cli as cli
+
+    sizes = []
+
+    class Recorder:
+        """Stands in for the process pool: records its size, maps in
+        process."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, units):
+            return map(fn, units)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", Recorder)
+    sig = ("--m", "1", "--n", "1")
+    n_suites = len([s for s in cli.SUITES if s != "all"])
+    code, obj = run_json(capsys, "verify", *sig, "--jobs", "100000")
+    assert code == 0 and sizes == [n_suites]
+    code, single = run_json(capsys, "verify", *sig, "--jobs", "1")
+    assert single == obj
+    code, _ = run_json(capsys, "verify", *sig, "--suite", "qybe",
+                       "--jobs", "8")
+    assert code == 0 and sizes == [n_suites]
+    for bad in ("0", "-3"):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", *sig, "--jobs", bad])
+        assert exc.value.code == 2
+        capsys.readouterr()
+    assert sizes == [n_suites]
+
+
 def test_verify_all_builds_modules_once(capsys, monkeypatch):
     import qwig.oracle.modules as modules
     from qwig.cli import SUITES

@@ -79,6 +79,7 @@ from qwig.oracle.linalg import (
     identity,
     is_zero_matrix,
     mat_inverse,
+    mat_pow,
     mat_scale,
     matmul,
     nullspace,
@@ -125,6 +126,43 @@ def test_vector_rep_cartan():
     c = V.cartan([Fraction(0), Fraction(0), Fraction(3)])
     assert c[0, 0] == ONE and c[1, 1] == ONE
     assert c[2, 2] == QFraction(qpow(3))
+
+
+def test_cartan_diagonal_matches_fraction_reference():
+    # the diagonal comes from doubled int exponents; the reference here
+    # sums Fraction exponents and normalises q^x through QFraction
+    V21 = vector_rep(S21)
+    for W in (vector_rep(Signature(2, 2)), tensor_module(V21, V21),
+              _gl21_module_200()):
+        sig, d = W.sig, W.sig.d
+        assert all(type(c) is int for w in W.weights for c in w)
+        coeff_sets = [tuple(Fraction(j % 3 - 1) for j in range(d))]
+        for a in range(1, d):  # h_a / 2
+            c = [Fraction(0)] * d
+            c[a - 1] = Fraction(sig.sign(a), 2)
+            c[a] = Fraction(-sig.sign(a + 1), 2)
+            coeff_sets.append(tuple(c))
+        for coeffs in coeff_sets:
+            for shift in (Fraction(0), Fraction(1, 2), Fraction(-1, 2)):
+                want = tuple(
+                    QFraction(qpow(sum((c * Fraction(x)
+                                        for c, x in zip(coeffs, w)),
+                                       Fraction(0)) + shift))
+                    for w in W.weights
+                )
+                atom = CartanAtom(coeffs, shift)
+                assert W.cartan_diagonal(atom.dcoeffs, atom.dshift) == want
+                C = W.cartan(coeffs, shift)
+                assert [C[i, i] for i in range(W.dim)] == list(want)
+
+
+def test_cartan_exponents_must_be_half_integral():
+    with pytest.raises(InvalidArgument):
+        CartanAtom((Fraction(1, 3), 0))
+    with pytest.raises(InvalidArgument):
+        vector_rep(S11).cartan((0, 0), Fraction(1, 3))
+    with pytest.raises(NonIntegralWeight):
+        RepModule(S11, [(Fraction(1, 2), 0)], [0], {1: zeros(1)}, {1: zeros(1)})
 
 
 def test_eij_recursion_and_pivots():
@@ -443,13 +481,19 @@ def test_cached_matrices_equal_fresh_builds():
 
 def _explicit_evaluate(expr, W):
     """The matrix of expr as the sum over its terms of coeff times the
-    matmul product of W.cartan and generator matrices."""
+    matmul product of diagonal Cartan matrices, built here from qpow, and
+    generator matrices."""
     total = zeros(W.dim)
     for coeff, atoms in expr.terms:
         acc = identity(W.dim)
         for atom in atoms:
             if isinstance(atom, CartanAtom):
-                m = W.cartan(atom.coeffs, atom.shift)
+                m = Matrix([
+                    {i: QFraction(qpow(Fraction(
+                        sum(c * x for c, x in zip(atom.dcoeffs, w))
+                        + atom.dshift, 2)))}
+                    for i, w in enumerate(W.weights)
+                ], W.dim)
             else:
                 m = (W.e if atom.kind == "e" else W.f)[atom.a]
             acc = matmul(acc, m)
@@ -475,6 +519,40 @@ def test_evaluate_matches_explicit_matrix_products():
                     assert expr.evaluate(W) == want
                     checked += not is_zero_matrix(want)
     assert checked >= 40
+
+
+def _expr_structure(expr):
+    """The terms of expr with every atom read out field by field."""
+    return [
+        (c, [(type(a).__name__,) + tuple(getattr(a, f) for f in a.__slots__)
+             for a in atoms])
+        for c, atoms in expr.terms
+    ]
+
+
+def test_etilde_rewritten_once_per_signature(monkeypatch):
+    # etilde_matrix on two modules of one signature evaluates one shared
+    # rewritten expression, equal to a fresh antipode rewrite
+    evaluated = []
+    evaluate = Expr.evaluate
+
+    def record(expr, W):
+        evaluated.append(expr)
+        return evaluate(expr, W)
+
+    monkeypatch.setattr(Expr, "evaluate", record)
+    V21 = vector_rep(S21)
+    modules = (tensor_module(V21, V21), _gl21_module_200())
+    for i, j in ((1, 2), (3, 1), (2, 3), (2, 2)):
+        for spower in (0, 1, -1):
+            evaluated.clear()
+            for W in modules:
+                etilde_matrix(W, i, j, spower)
+            assert len(evaluated) == 2 and evaluated[0] is evaluated[1]
+            fresh = etilde_expr(S21, i, j)
+            if spower:
+                fresh = fresh.antipode(S21, spower)
+            assert _expr_structure(evaluated[0]) == _expr_structure(fresh)
 
 
 def _sandwich_coupled(W, lam, lam0, k, r, kind):
@@ -588,9 +666,11 @@ from fractions import Fraction
 
 import qwig.superweight as sw
 from qwig import QwigError, Signature
-from qwig.oracle.expressions import Expr, eij_expr
+from qwig.oracle.expressions import CartanAtom, Expr, eij_expr
 from qwig.oracle.linalg import matmul, zeros
-from qwig.oracle.modules import _parity_of_weight, tensor_module, vector_rep
+from qwig.oracle.modules import (
+    RepModule, _parity_of_weight, tensor_module, vector_rep,
+)
 
 S11, S21 = Signature(1, 1), Signature(2, 1)
 sw.rho_even_odd = lambda sig: ((Fraction(0),) * sig.d,) * 2
@@ -602,6 +682,10 @@ cases = {
     "tensor_module": lambda: tensor_module(vector_rep(S11), vector_rep(S21)),
     "parity_of_weight": lambda: _parity_of_weight(S21, (0, 0, Fraction(1, 2))),
     "matmul": lambda: matmul(zeros(2, 3), zeros(2, 3)),
+    "cartan_atom": lambda: CartanAtom((Fraction(1, 3), 0)),
+    "module_weight": lambda: RepModule(
+        S11, [(Fraction(1, 2), 0)], [0], {1: zeros(1)}, {1: zeros(1)}
+    ),
 }
 missed = {}
 for name, call in cases.items():
@@ -725,7 +809,13 @@ def test_matrix_operations_match_dense_reference(seed):
     cdiag = [rng.choice(_POOL + [ZERO]) for _ in range(m)]
     r0, r1 = sorted(rng.sample(range(n + 1), 2))
     c0, c1 = sorted(rng.sample(range(m + 1), 2))
-    cases = [
+    S = _random_dense(rng, n, n)
+    S[0][0] = _q(1)
+    powers = [[[ONE if i == j else ZERO for j in range(n)] for i in range(n)]]
+    for _ in range(3):
+        powers.append(_ref_matmul(powers[-1], S))
+    cases = [(mat_pow(Matrix.from_dense(S), k), want)
+             for k, want in enumerate(powers)] + [
         (matmul(A, B), _ref_matmul(X, Y)),
         (A + C, [[x + z for x, z in zip(u, w)] for u, w in zip(X, Z)]),
         (A - C, [[x - z for x, z in zip(u, w)] for u, w in zip(X, Z)]),
