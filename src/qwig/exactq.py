@@ -116,11 +116,15 @@ class HalfLaurent:
     def __neg__(self):
         return HalfLaurent._raw({k: -c for k, c in self._t.items()})
 
+    # each operator tests for the usual HalfLaurent operand first: the
+    # Fraction test goes through abc.__instancecheck__ on every miss
+
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = HalfLaurent.const(other)
-        if not isinstance(other, HalfLaurent):
-            return NotImplemented
+        if type(other) is not HalfLaurent:
+            if isinstance(other, (int, Fraction)):
+                other = HalfLaurent.const(other)
+            elif not isinstance(other, HalfLaurent):
+                return NotImplemented
         if not self._t:
             return other
         if not other._t:
@@ -141,23 +145,25 @@ class HalfLaurent:
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = HalfLaurent.const(other)
-        if not isinstance(other, HalfLaurent):
-            return NotImplemented
+        if type(other) is not HalfLaurent:
+            if isinstance(other, (int, Fraction)):
+                other = HalfLaurent.const(other)
+            elif not isinstance(other, HalfLaurent):
+                return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            c = _as_fraction(other)
-            if not c:
-                return HalfLaurent._raw({})
-            return HalfLaurent._raw({k: v * c for k, v in self._t.items()})
-        if not isinstance(other, HalfLaurent):
-            return NotImplemented
+        if type(other) is not HalfLaurent:
+            if isinstance(other, (int, Fraction)):
+                c = _as_fraction(other)
+                if not c:
+                    return HalfLaurent._raw({})
+                return HalfLaurent._raw({k: v * c for k, v in self._t.items()})
+            if not isinstance(other, HalfLaurent):
+                return NotImplemented
         t = {}
         for k1, c1 in self._t.items():
             for k2, c2 in other._t.items():
@@ -451,6 +457,32 @@ class QFraction:
         return cls._raw(*_strip_unit(num.shift(shift), den))
 
     @classmethod
+    def sum_of_products(cls, pairs):
+        """sum(a * b for a, b in pairs) for QFraction pairs, in normal form.
+
+        The products of pairs whose denominators are both 1 are added term
+        by term into one coefficient map, so no HalfLaurent or QFraction is
+        built per product or per partial sum.  The other pairs go through
+        * and +, and the polynomial part joins them in one last addition.
+        """
+        t = {}
+        rest = None
+        for a, b in pairs:
+            if _is_one(a.den) and _is_one(b.den):
+                bt = b.num._t
+                for k1, c1 in a.num._t.items():
+                    for k2, c2 in bt.items():
+                        k = k1 + k2
+                        c0 = t.get(k)
+                        t[k] = c1 * c2 if c0 is None else c0 + c1 * c2
+            else:
+                p = a * b
+                rest = p if rest is None else rest + p
+        poly = cls._raw(HalfLaurent._raw({k: c for k, c in t.items() if c}),
+                        _POLY_ONE)
+        return poly if rest is None else rest + poly
+
+    @classmethod
     def _reduced(cls, num, den):
         # num/den in lowest terms; den is already normalized
         return cls._raw(num, den) if _is_one(den) else cls(num, den)
@@ -647,8 +679,31 @@ Q_MINUS_QINV = QFraction(qpow(1) - qpow(-1))
 # -- parsing of the printed form ------------------------------------------
 
 
+def _is_int_str(s):
+    """Whether s is ASCII digits with an optional leading minus sign."""
+    d = s[1:] if s[:1] == "-" else s
+    return d.isascii() and d.isdigit()
+
+
+def _parse_coeff(s):
+    return int(s) if _is_int_str(s) else Fraction(s)
+
+
+def _parse_dexp(s):
+    """The doubled exponent of a printed power q^s."""
+    if _is_int_str(s):
+        return 2 * int(s)
+    if s.endswith("/2") and _is_int_str(s[:-2]):
+        return int(s[:-2])
+    return int(Fraction(s) * 2)
+
+
 def parse_half_laurent(s):
-    """Parse the output of HalfLaurent.__str__."""
+    """Parse the output of HalfLaurent.__str__.
+
+    Integer coefficients and integer or half-integer exponents, the forms
+    __str__ prints, are read as ints; anything else goes through Fraction.
+    """
     s = s.strip()
     if s == "0":
         return HalfLaurent._raw({})
@@ -666,13 +721,13 @@ def parse_half_laurent(s):
         if "q^" in piece:
             if "*" in piece:
                 cs, es = piece.split("*q^")
-                coeff = Fraction(cs)
+                coeff = _parse_coeff(cs)
             else:
-                coeff = Fraction(1)
+                coeff = 1
                 es = piece[2:]
-            dexp = int(Fraction(es) * 2)
+            dexp = _parse_dexp(es)
         else:
-            coeff = Fraction(piece)
+            coeff = _parse_coeff(piece)
             dexp = 0
         terms.append((dexp, sign * coeff))
     return HalfLaurent(terms)

@@ -9,7 +9,7 @@ after it is built: builders fill plain dicts and wrap them once.
 from __future__ import annotations
 
 from ..errors import NotScalar, QwigError
-from ..exactq import ONE, ZERO
+from ..exactq import ONE, ZERO, QFraction
 
 __all__ = [
     "Matrix",
@@ -128,20 +128,35 @@ def matmul(A, B):
     rows_b = B.rows
     out = []
     for row_a in A.rows:
-        acc = {}
+        pairs = {}
         for k, a in row_a.items():
             for j, b in rows_b[k].items():
-                s = acc.get(j)
-                acc[j] = a * b if s is None else s + a * b
-        out.append({j: x for j, x in acc.items() if x})
+                pairs.setdefault(j, []).append((a, b))
+        row = {}
+        for j, ps in pairs.items():
+            x = QFraction.sum_of_products(ps)
+            if x:
+                row[j] = x
+        out.append(row)
     return Matrix(out, p)
 
 
 def mat_scale(A, c):
+    """The matrix c A.  Each distinct entry value is multiplied once: equal
+    values hash equally and give equal products."""
     if not c:
         return zeros(*A.shape)
-    return Matrix([{j: x * c for j, x in row.items()} for row in A.rows],
-                  A.ncols)
+    scaled = {}
+    rows = []
+    for row in A.rows:
+        out = {}
+        for j, x in row.items():
+            y = scaled.get(x)
+            if y is None:
+                y = scaled[x] = x * c
+            out[j] = y
+        rows.append(out)
+    return Matrix(rows, A.ncols)
 
 
 def scale_rows(diag, A):

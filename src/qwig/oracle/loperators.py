@@ -155,10 +155,9 @@ def _build_char_matrix(W, kind, d):
         raise ValueError("unknown characteristic matrix kind %r" % (kind,))
     left, right = _L_PAIRS[kind]
     prod = matmul(l_operator(W, left, d), l_operator(W, right, d))
-    # (I - prod) inv = -inv prod - (-inv) I, touching only the nonzeros of
-    # prod and the diagonal
-    neg_inv = -Q_MINUS_QINV.inverse()
-    return shift_diagonal(mat_scale(prod, neg_inv), neg_inv)
+    # (I - prod) inv = -inv (prod - I): the diagonal shift adds polynomials,
+    # and one scaling touches only the nonzeros of prod and the diagonal
+    return mat_scale(shift_diagonal(prod, ONE), -Q_MINUS_QINV.inverse())
 
 
 def _char_variant(kind):

@@ -1,5 +1,6 @@
 """Command-line interface: output shapes, determinism, exit codes."""
 
+import hashlib
 import json
 
 import pytest
@@ -280,3 +281,22 @@ def test_parser_built_once_serves_each_call(capsys):
     for argv in calls + calls[::-1]:
         assert run(capsys, *argv) == alone[argv]
     assert build_parser.cache_info().misses == 1
+
+
+# sha256 of `verify --suite all` stdout.  Every printed value, detail and
+# count enters the digest, so a change meant to keep results identical
+# must keep these; a change that alters the output updates them and says so.
+VERIFY_ALL_SHA256 = {
+    (1, 1): "6b080cdf99f08502fa3b0c8b0eab61aff275f74d8133f1791acae7d9b8fc41d1",
+    (2, 1): "d76cae8eb7955cf24f53e92449ab5d622ebe463a0e6a6bd6701856315c0a738b",
+    (1, 2): "f40b4f53e8cb07622c1cbd1a0301ff8edca820dc9c7618235b93e5ca5185b6ec",
+    (2, 2): "c567cba41d51ff2f3d93db0de2e9210377fb801e94590477919e9f67e423d81e",
+}
+
+
+@pytest.mark.parametrize("m, n", sorted(VERIFY_ALL_SHA256))
+def test_verify_all_output_is_pinned(capsys, m, n):
+    code, out = run(capsys, "verify", "--m", str(m), "--n", str(n),
+                    "--suite", "all")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_ALL_SHA256[m, n]

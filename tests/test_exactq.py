@@ -18,6 +18,7 @@ from qwig import (
     qnum,
     qpow,
 )
+from qwig.exactq import parse_half_laurent
 
 Q_MINUS_QINV = qpow(1) - qpow(-1)
 
@@ -242,3 +243,55 @@ def test_from_factors_matches_whole_quotient(nums, dens, shared):
     y = QFraction(math.prod(nums, start=one), math.prod(dens, start=one))
     assert _same(x, y)
     assert hash(x) == hash(y)
+
+
+def _fraction_parse(s):
+    """Reference reader of HalfLaurent.__str__: every coefficient and
+    exponent through Fraction."""
+    s = s.strip()
+    if s == "0":
+        return HalfLaurent()
+    terms = []
+    for piece in s.replace(" - ", " +-").replace(" + ", " +").split(" +"):
+        piece = piece.strip()
+        sign = 1
+        if piece.startswith("-"):
+            sign, piece = -1, piece[1:]
+        if "q^" not in piece:
+            terms.append((0, sign * Fraction(piece)))
+            continue
+        cs, es = piece.split("*q^") if "*" in piece else ("1", piece[2:])
+        terms.append((int(Fraction(es) * 2), sign * Fraction(cs)))
+    return HalfLaurent(terms)
+
+
+@pytest.mark.parametrize("s", [
+    "q^2/4", "2/4*q^1", "q^1.5", "q^4/2", "q^-6/2", "q^-0", "007*q^02",
+    "-3/6*q^-1/2 + 0.5", "-q^3/2 - 2*q^-3/2 + 1/3", "1.25*q^-2 - 4/2",
+    "q^1/3", " 3*q^ 2 ", "+3*q^2", "--2*q^1", "2*q^1 - 2*q^1",
+])
+def test_parse_non_canonical_forms_like_fraction_reader(s):
+    got = parse_half_laurent(s)
+    assert got == _fraction_parse(s)
+    assert hash(got) == hash(_fraction_parse(s))
+
+
+@settings(max_examples=100, deadline=None)
+@given(polys)
+def test_parse_printed_form_like_fraction_reader(p):
+    assert parse_half_laurent(str(p)) == _fraction_parse(str(p)) == p
+
+
+def test_half_laurent_operands():
+    p = qnum(2)
+    for other in (3, Fraction(1, 2), HalfLaurent.const(3)):
+        c = other if isinstance(other, HalfLaurent) else HalfLaurent.const(other)
+        assert p + other == other + p == HalfLaurent({2: 1, 0: c.at_one(), -2: 1})
+        assert p - other == -(other - p)
+        assert p * other == other * p == HalfLaurent(
+            {k: v * c.at_one() for k, v in p.items()})
+    for op in ("__add__", "__sub__", "__mul__"):
+        assert getattr(p, op)(1.5) is NotImplemented
+        assert getattr(p, op)("q") is NotImplemented
+    with pytest.raises(TypeError):
+        p + 1.5

@@ -17,6 +17,7 @@ import qwig
 from qwig import (
     AdmissibilityError,
     DegenerateRoots,
+    HalfLaurent,
     IndexOutOfRange,
     InvalidArgument,
     MultiplicityAmbiguous,
@@ -849,6 +850,63 @@ def test_gkron_matches_dense_reference(seed):
     gkron(ops, pars, rows=rows)
     gkron([(-ops[0][0], ops[0][1])] + ops[1:], pars, rows=rows)
     assert not any(rows)
+
+
+# -- the summed product kernel against the dense reference ----------------------
+
+# polynomials, one with Fraction coefficients, and two denominators other
+# than 1
+_KPOLY = QFraction(HalfLaurent({-1: Fraction(1, 2), 2: 3}))
+_KERNEL_POOL = [ONE, -_q(1), _KPOLY, -_KPOLY, QFraction(qnum(3)),
+                QFraction(qpow(1), qnum(2)),
+                QFraction(HalfLaurent({0: Fraction(2, 3), 1: 1}), qnum(3))]
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_summed_products_match_dense_reference(seed):
+    rng = random.Random(seed)
+    n, m, p = rng.randint(1, 4), rng.randint(2, 5), rng.randint(1, 4)
+    X = [[rng.choice(_KERNEL_POOL) if rng.random() < 0.6 else ZERO
+          for _ in range(m)] for _ in range(n)]
+    Y = [[rng.choice(_KERNEL_POOL) if rng.random() < 0.6 else ZERO
+          for _ in range(p)] for _ in range(m)]
+    # row 0 times column 0 is x y - x y, both products of polynomials
+    x, y = rng.choice(_KERNEL_POOL[:5]), rng.choice(_KERNEL_POOL[:5])
+    X[0] = [x, x] + [ZERO] * (m - 2)
+    Y[0][0], Y[1][0] = y, -y
+    got = matmul(Matrix.from_dense(X), Matrix.from_dense(Y))
+    _assert_no_stored_zero(got)
+    assert 0 not in got.rows[0]
+    assert _dense(got) == _ref_matmul(X, Y)
+    for row in X:
+        pairs = [(a, Y[k][0]) for k, a in enumerate(row)]
+        want = sum((a * b for a, b in pairs), ZERO)
+        s = QFraction.sum_of_products(pairs)
+        assert (s.num, s.den) == (want.num, want.den)
+
+
+def test_sum_of_products_cancels_across_both_paths():
+    # a product of two non-unit denominators that is a polynomial, cancelled
+    # by the fused products of polynomials
+    p = _KPOLY + QFraction(qnum(3))
+    a = QFraction(qnum(3), qnum(2))
+    b = p * QFraction(qnum(2), qnum(3))
+    for pairs in ([(a, b), (-p, ONE)], [(a, b), (p, -ONE), (p, ONE), (ONE, -p)],
+                  []):
+        s = QFraction.sum_of_products(pairs)
+        assert (s.num, s.den) == (ZERO.num, ZERO.den)
+
+
+def test_mat_scale_with_repeated_entries():
+    rng = random.Random(5)
+    X = [[rng.choice(_KERNEL_POOL[2:5] + [ZERO]) for _ in range(6)]
+         for _ in range(5)]
+    A = Matrix.from_dense(X)
+    assert len(set(A.flat)) < sum(1 for _ in A.flat)
+    for c in _KERNEL_POOL:
+        got = mat_scale(A, c)
+        _assert_no_stored_zero(got)
+        assert _dense(got) == [[x * c for x in row] for row in X]
 
 
 _NO_NUMPY_SCRIPT = """
