@@ -12,7 +12,6 @@ from .errors import (
     MultiplicityAmbiguous,
     NonIntegralWeight,
     NotABranching,
-    NotHomogeneous,
     NotRealized,
     NotScalar,
     PoleAtOne,
@@ -66,7 +65,7 @@ __all__ = [
     "IndexOutOfRange", "NonIntegralWeight", "NotABranching",
     "DegenerateRoots", "AdmissibilityError",
     "MultiplicityAmbiguous", "NotRealized", "NotScalar", "InvalidArgument",
-    "NotHomogeneous", "ConsistencyError",
+    "ConsistencyError",
     "HalfLaurent", "QFraction", "qpow", "qnum",
     "parse_qfraction", "ZERO", "ONE",
     "Signature", "Weight", "RootSet", "bilinear_form", "rho",

@@ -6,7 +6,7 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import NotABranching, SignatureMismatch
-from .superweight import Signature, Weight, subalgebra_roots
+from .superweight import Weight, subalgebra_roots
 
 __all__ = ["BranchingData", "branch_candidates", "index_sets"]
 
@@ -105,18 +105,6 @@ class BranchingData:
 
     def sub_roots(self, variant):
         return subalgebra_roots(self.lam0, variant, self.sig)
-
-    def lam0_weight(self):
-        """lam0 as a Weight of the subalgebra signature (needs n >= 2)."""
-        return Weight(self.sig.sub(), self.lam0)
-
-    def shifted_lam0(self, r, delta):
-        """lam0 with the subalgebra component at global index r shifted."""
-        if not 1 <= r <= self.sig.d - 1:
-            raise SignatureMismatch("no subalgebra component at index %d" % r)
-        c = list(self.lam0)
-        c[r - 1] += delta
-        return tuple(c)
 
     def __str__(self):
         m = self.sig.m

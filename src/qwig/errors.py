@@ -41,10 +41,6 @@ class InvalidArgument(QwigError, ValueError):
     """An argument lies outside the values a routine accepts."""
 
 
-class NotHomogeneous(QwigError):
-    """An expression mixes even and odd terms where a grading is required."""
-
-
 class ConsistencyError(QwigError):
     """Two independent computations of the same quantity disagree."""
 

@@ -13,7 +13,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import PoleAtOne, PoleAtPoint
+from .errors import PoleAtOne
 
 __all__ = [
     "HalfLaurent",
@@ -44,13 +44,6 @@ def _coeff_div(a, b):
         return Fraction(a, b) if r else q
     r = Fraction(a) / b
     return r.numerator if r.denominator == 1 else r
-
-
-def _float_root(q):
-    """sqrt(q) rounded to a float, as the exact rational it stands for."""
-    if q <= 0:
-        raise ValueError("q must be a positive real number")
-    return Fraction(math.sqrt(q))
 
 
 class HalfLaurent:
@@ -209,18 +202,6 @@ class HalfLaurent:
         return HalfLaurent._raw({k + dexp: c for k, c in self._t.items()})
 
     # -- evaluation -------------------------------------------------------
-
-    def _at_root(self, y):
-        """Exact value at q^(1/2) = y, for a rational y."""
-        return sum((c * y**k for k, c in self._t.items()), Fraction(0))
-
-    def eval_numeric(self, q):
-        """Value at the real q > 0, rounded once.
-
-        The sum is taken exactly at y = sqrt(q) as a float, so cancellation
-        between monomials costs no accuracy.
-        """
-        return float(self._at_root(_float_root(q)))
 
     def at_one(self):
         """Exact value at q = 1 (every monomial evaluates to 1)."""
@@ -602,15 +583,6 @@ class QFraction:
 
     # -- evaluation -------------------------------------------------------
 
-    def eval_numeric(self, q):
-        """Value at the real q > 0, taken exactly as in HalfLaurent.eval_numeric
-        and rounded once."""
-        y = _float_root(q)
-        d = self.den._at_root(y)
-        if not d:
-            raise PoleAtPoint("denominator vanishes at q=%r" % (q,))
-        return float(self.num._at_root(y) / d)
-
     def limit_q1(self):
         """Exact classical limit q -> 1, as a Fraction."""
         d = self.den.at_one()
@@ -625,12 +597,6 @@ class QFraction:
             "num": [[k, str(c)] for k, c in sorted(self.num.items())],
             "den": [[k, str(c)] for k, c in sorted(self.den.items())],
         }
-
-    @classmethod
-    def from_json(cls, obj):
-        num = HalfLaurent([(int(k), Fraction(c)) for k, c in obj["num"]])
-        den = HalfLaurent([(int(k), Fraction(c)) for k, c in obj["den"]])
-        return cls(num, den)
 
     def __str__(self):
         if _is_one(self.den):

@@ -5,7 +5,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .exactq import QFraction, ZERO, qnum, qpow
-from .superweight import bilinear_form, rho, rho_even_odd
+from .superweight import rho, rho_even_odd
 
 __all__ = ["chi_v", "chi_C1", "casimir_exponent"]
 

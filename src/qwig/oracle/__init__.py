@@ -15,7 +15,6 @@ from .checks import (
 )
 from .loperators import (
     CHAR_KINDS,
-    L_KINDS,
     big_entry,
     char_eigenvalue,
     char_eigenvalues,
@@ -41,7 +40,7 @@ __all__ = [
     "qybe_check", "intertwining_check", "coproduct_check",
     "subalgebra_block_check", "char_identity_check", "all_projectors",
     "supertrace_invariant", "wigner_oracle", "coupled_oracle", "mu_oracle",
-    "L_KINDS", "CHAR_KINDS", "eij_matrix", "etilde_matrix", "l_operator",
+    "CHAR_KINDS", "eij_matrix", "etilde_matrix", "l_operator",
     "char_matrix", "char_eigenvalue", "char_eigenvalues", "projector",
     "big_entry", "vector_slot_parities",
     "RepModule", "vector_rep", "tensor_module", "highest_weight_vectors",

@@ -109,8 +109,7 @@ def intertwining_check(sig):
     slot_pars = [pars, pars]
     R = l_operator(V, "R")
     for a in range(1, sig.d):
-        h = _h_coeffs(sig, a)
-        half = [c / 2 for c in h]
+        half = [Fraction(c, 2) for c in _h_coeffs(sig, a)]
         neg = [-c for c in half]
         p = 1 if a == sig.m else 0
         for x, cop in ((V.e[a], T.e[a]), (V.f[a], T.f[a])):

@@ -11,18 +11,20 @@ project onto the irreducible summands of V (x) W or V* (x) W.
 
 from __future__ import annotations
 
-from ..errors import DegenerateRoots
+from ..errors import DegenerateRoots, IndexOutOfRange, InvalidArgument
 from ..exactq import ONE, QFraction, Q_MINUS_QINV, qnum, qpow
 from ..superweight import char_roots, rho
-from .expressions import _etilde_cached
 from .linalg import (
     Matrix,
     gkron,
     matmul,
     mat_scale,
+    scale_columns,
+    scale_rows,
     shift_diagonal,
     shifted_product,
 )
+from .modules import _h_coeffs
 
 __all__ = [
     "eij_matrix",
@@ -34,32 +36,83 @@ __all__ = [
     "projector",
     "big_entry",
     "vector_slot_parities",
-    "L_KINDS",
     "CHAR_KINDS",
 ]
 
-# which L-operator: (first-slot elementary matrix order, antipode power,
-# dual sign rule); i <= j throughout
-L_KINDS = ("R", "RT", "Rtilde", "RtildeT", "dualR", "dualRT")
 CHAR_KINDS = ("ahat", "atilde", "adual", "abar")
+
+
+def _check_spower(spower):
+    if spower not in (-1, 0, 1):
+        raise InvalidArgument(
+            "antipode power must be -1, 0 or 1, not %r" % (spower,)
+        )
+
+
+def eij_matrix(W, i, j, spower=0):
+    """Matrix on W of the root element E_ij (i != j), optionally with the
+    antipode (spower=1) or its inverse (spower=-1) applied.
+
+    E_ij is e_i or f_j when |i - j| = 1, else E_ik E_kj - q^(-(k)) E_kj E_ik
+    with k next to j.  The antipode reverses each product and takes a
+    simple generator x_a to -q^(-+h_a/2) x_a q^(+-h_a/2).  No reversal
+    needs a Koszul sign: each term of E_ij holds every simple generator at
+    most once, and only e_m and f_m are odd.
+    """
+    if i == j:
+        raise IndexOutOfRange("E_%d%d is not a root element" % (i, j))
+    _check_spower(spower)
+    return W.cached(("Eij", i, j, spower), lambda: _eij(W, i, j, spower))
+
+
+def _eij(W, i, j, spower):
+    if abs(i - j) == 1:
+        a = min(i, j)
+        x = W.e[a] if i < j else W.f[a]
+        if not spower:
+            return x
+        dh = tuple(spower * c for c in _h_coeffs(W.sig, a))
+        left = W.cartan_diagonal(tuple(-c for c in dh), 0)
+        return scale_columns(
+            scale_rows([-y for y in left], x), W.cartan_diagonal(dh, 0)
+        )
+    k = j - 1 if i < j else j + 1
+    first, second = eij_matrix(W, i, k, spower), eij_matrix(W, k, j, spower)
+    if spower:
+        first, second = second, first
+    return matmul(first, second) + mat_scale(
+        matmul(second, first), -QFraction(qpow(-W.sig.sign(k)))
+    )
 
 
 def etilde_matrix(W, i, j, spower=0):
     """Matrix on W of the L-operator entry generator, optionally with the
-    antipode (spower=1) or its inverse (spower=-1) applied first."""
+    antipode (spower=1) or its inverse (spower=-1) applied.
+
+    Off the diagonal it is kappa_i q^(((i)E_ii + (j)E_jj - (i))/2) E_ij,
+    kappa_i = (-1)^[i] (q - q^-1); its image is
+    kappa_i S^+-1(E_ij) q^(-((i)E_ii + (j)E_jj)/2 - (i)/2).  On the
+    diagonal it is q^((i)E_ii), and q^(-(i)E_ii) under either antipode.
+    """
+    _check_spower(spower)
+    return W.cached(("Et", i, j, spower), lambda: _etilde(W, i, j, spower))
+
+
+def _etilde(W, i, j, spower):
     sig = W.sig
-    return W.cached(
-        ("Et", i, j, spower),
-        lambda: _etilde_cached(sig.m, sig.n, i, j, spower).evaluate(W),
-    )
-
-
-def eij_matrix(W, i, j):
-    """Matrix on W of the non-simple root element E_ij (i != j), built by
-    the recursion E_ij = E_ik E_kj - q^(-(k)) E_kj E_ik."""
-    from .expressions import eij_expr
-
-    return W.cached(("Eij", i, j), lambda: eij_expr(W.sig, i, j).evaluate(W))
+    flip = -1 if spower else 1
+    dcoeffs = [0] * sig.d
+    if i == j:
+        dcoeffs[i - 1] = 2 * flip * sig.sign(i)
+        diag = W.cartan_diagonal(tuple(dcoeffs), 0)
+        return Matrix([{r: x} for r, x in enumerate(diag)], W.dim)
+    dcoeffs[i - 1] = flip * sig.sign(i)
+    dcoeffs[j - 1] = flip * sig.sign(j)
+    kappa = Q_MINUS_QINV if sig.parity(i) == 0 else -Q_MINUS_QINV
+    diag = [kappa * x
+            for x in W.cartan_diagonal(tuple(dcoeffs), -sig.sign(i))]
+    E = eij_matrix(W, i, j, spower)
+    return scale_columns(E, diag) if spower else scale_rows(diag, E)
 
 
 def vector_slot_parities(sig):
@@ -69,6 +122,19 @@ def vector_slot_parities(sig):
 def _elementary(d, i, j):
     """The d x d matrix unit e_ij (1-based)."""
     return Matrix([{j - 1: ONE} if r == i - 1 else {} for r in range(d)], d)
+
+
+# kind -> (first-slot matrix unit, Et entry, antipode power, dual sign):
+# "ij" is e_ij or Et_ij, "ji" the transpose, i <= j throughout; a dual
+# sign label x gives the sign (-1)^([x]([i]+[j])), "" none
+_L_KINDS = {
+    "R": ("ji", "ij", 0, ""),
+    "RT": ("ij", "ji", 0, ""),
+    "Rtilde": ("ij", "ji", 1, ""),
+    "RtildeT": ("ji", "ij", -1, ""),
+    "dualR": ("ij", "ij", -1, "j"),
+    "dualRT": ("ji", "ji", -1, "i"),
+}
 
 
 def l_operator(W, which, top=None):
@@ -85,33 +151,21 @@ def l_operator(W, which, top=None):
       dualR:   sum_{i<=j} (-1)^([j]([i]+[j])) e_ij (x) S^-1(Et_ij)
       dualRT:  sum_{i<=j} (-1)^([i]([i]+[j])) e_ji (x) S^-1(Et_ji)
     """
+    if which not in _L_KINDS:
+        raise ValueError("unknown L-operator kind %r" % (which,))
+    first_order, et_order, spower, sign_label = _L_KINDS[which]
     sig = W.sig
     d = sig.d if top is None else top
     slot_pars = [vector_slot_parities(sig)[:d], W.parities]
     total = [{} for _ in range(d * W.dim)]
     for i in range(1, d + 1):
         for j in range(i, d + 1):
-            pi, pj = sig.parity(i), sig.parity(j)
-            p = (pi + pj) % 2
-            sgn = 1
-            if which == "R":
-                first, mat = _elementary(d, j, i), etilde_matrix(W, i, j)
-            elif which == "RT":
-                first, mat = _elementary(d, i, j), etilde_matrix(W, j, i)
-            elif which == "Rtilde":
-                first, mat = _elementary(d, i, j), etilde_matrix(W, j, i, 1)
-            elif which == "RtildeT":
-                first, mat = _elementary(d, j, i), etilde_matrix(W, i, j, -1)
-            elif which == "dualR":
-                first, mat = _elementary(d, i, j), etilde_matrix(W, i, j, -1)
-                sgn = -1 if (pj * p) % 2 else 1
-            elif which == "dualRT":
-                first, mat = _elementary(d, j, i), etilde_matrix(W, j, i, -1)
-                sgn = -1 if (pi * p) % 2 else 1
-            else:
-                raise ValueError("unknown L-operator kind %r" % (which,))
-            if sgn < 0:
+            index = {"i": i, "j": j}
+            p = (sig.parity(i) + sig.parity(j)) % 2
+            first = _elementary(d, *(index[c] for c in first_order))
+            if sign_label and sig.parity(index[sign_label]) * p:
                 first = -first
+            mat = etilde_matrix(W, *(index[c] for c in et_order), spower)
             gkron([(first, p), (mat, p)], slot_pars, rows=total)
     return Matrix(total, d * W.dim)
 

@@ -16,6 +16,7 @@ from functools import lru_cache
 from operator import mul
 
 from ..errors import (
+    InvalidArgument,
     MultiplicityAmbiguous,
     NonIntegralWeight,
     NotRealized,
@@ -24,7 +25,6 @@ from ..errors import (
 )
 from ..exactq import ONE, ZERO, QFraction, qpow
 from ..superweight import Weight
-from .expressions import CartanAtom, _h_coeffs
 from .linalg import Matrix, gkron, insert_row, nullspace, solve_coords
 
 __all__ = [
@@ -71,7 +71,7 @@ class RepModule:
     def cartan_diagonal(self, dcoeffs, dshift):
         """The diagonal of q^((sum_j dcoeffs_j E_jj + dshift)/2), one
         QFraction per basis vector, for an int tuple dcoeffs and an int
-        dshift (the doubled coefficients and shift of a CartanAtom); made
+        dshift (the doubled coefficients and shift of the exponent); made
         once per module and kept."""
 
         def build():
@@ -85,9 +85,28 @@ class RepModule:
     def cartan(self, coeffs, shift=Fraction(0)):
         """Diagonal matrix of q^(sum_j coeffs_j E_jj + shift), for int or
         Fraction multiples of 1/2."""
-        atom = CartanAtom(coeffs, shift)
-        diag = self.cartan_diagonal(atom.dcoeffs, atom.dshift)
+        diag = self.cartan_diagonal(
+            tuple(_doubled(c) for c in coeffs), _doubled(shift)
+        )
         return Matrix([{i: x} for i, x in enumerate(diag)], self.dim)
+
+
+def _doubled(x):
+    """2x as an int, for x an int or Fraction multiple of 1/2."""
+    x2 = 2 * Fraction(x)
+    if x2.denominator != 1:
+        raise InvalidArgument(
+            "Cartan exponent %s is not a multiple of 1/2" % (x,)
+        )
+    return x2.numerator
+
+
+def _h_coeffs(sig, a):
+    """Coefficient vector of h_a = (a) E_aa - (a+1) E_{a+1,a+1}, as ints."""
+    c = [0] * sig.d
+    c[a - 1] = sig.sign(a)
+    c[a] = -sig.sign(a + 1)
+    return tuple(c)
 
 
 def _int_weight(w):
@@ -141,8 +160,7 @@ def tensor_module(W1, W2):
     e = {}
     f = {}
     for a in range(1, sig.d):
-        ha = _h_coeffs(sig, a)
-        half = [c / 2 for c in ha]
+        half = [Fraction(c, 2) for c in _h_coeffs(sig, a)]
         neg_half = [-c for c in half]
         p = 1 if a == sig.m else 0
         e[a] = gkron(

@@ -24,8 +24,6 @@ __all__ = [
     "Signature",
     "Weight",
     "RootSet",
-    "parity",
-    "sign",
     "bilinear_form",
     "rho",
     "rho_even_odd",
@@ -62,23 +60,8 @@ class Signature:
         """(i) = (-1)^[i], the grading sign of basis index i."""
         return 1 if self.parity(i) == 0 else -1
 
-    def sub(self):
-        """Signature of the gl(m|n-1) subalgebra (n must exceed 1)."""
-        if self.n < 2:
-            raise ValueError("gl(%d|%d) has no gl(m|n-1) subalgebra of the "
-                             "same kind" % (self.m, self.n))
-        return Signature(self.m, self.n - 1)
-
     def __str__(self):
         return "gl(%d|%d)" % (self.m, self.n)
-
-
-def parity(sig, i):
-    return sig.parity(i)
-
-
-def sign(sig, i):
-    return sig.sign(i)
 
 
 @dataclass(frozen=True)
@@ -109,12 +92,6 @@ class Weight:
     @property
     def odd(self):
         return self.comps[self.sig.m :]
-
-    def is_dominant(self):
-        """Weakly decreasing within each graded block (no cross constraint)."""
-        return all(a >= b for a, b in zip(self.even, self.even[1:])) and all(
-            a >= b for a, b in zip(self.odd, self.odd[1:])
-        )
 
     @classmethod
     def parse(cls, sig, text):
@@ -213,7 +190,7 @@ def char_roots(lam, variant):
 def subalgebra_roots(lam0, variant, parent_sig):
     """Characteristic roots of a gl(m|n-1) weight, in the parent's labels.
 
-    lam0 is a Weight of parent_sig.sub() when n - 1 >= 1, or a bare tuple
+    lam0 is a Weight of gl(m|n-1) when n - 1 >= 1, or a bare tuple
     of m integers when n - 1 = 0 (plain gl(m)).  The adjoint exponents do
     not depend on n, the dual ones use n - 1 in place of n.
     """

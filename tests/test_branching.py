@@ -68,10 +68,6 @@ def test_eta_and_shift():
     b = index_sets(Weight(S12, (0, 2, 1)), (0, 1))
     assert b.eta == 2
     assert b.e_last == 2
-    assert b.shifted_lam0(2, 1) == (0, 2)
-    assert b.lam0_weight() == Weight(S11, (0, 1))
-    with pytest.raises(SignatureMismatch):
-        b.shifted_lam0(3, 1)
 
 
 def test_index_set_partition_and_counting_sums():

@@ -22,7 +22,6 @@ from qwig import (
     InvalidArgument,
     MultiplicityAmbiguous,
     NonIntegralWeight,
-    NotHomogeneous,
     NotRealized,
     NotScalar,
     ONE,
@@ -57,6 +56,7 @@ from qwig.oracle import (
     mu_oracle,
     projector,
     qybe_check,
+    realized_modules,
     subalgebra_block_check,
     submodule,
     supertrace_invariant,
@@ -73,7 +73,6 @@ from qwig.oracle.checks import (
     _shift_projector,
     _sub_projector,
 )
-from qwig.oracle.expressions import CartanAtom, Expr, eij_expr, etilde_expr
 from qwig.oracle.linalg import (
     Matrix,
     gkron,
@@ -151,15 +150,15 @@ def test_cartan_diagonal_matches_fraction_reference():
                                        Fraction(0)) + shift))
                     for w in W.weights
                 )
-                atom = CartanAtom(coeffs, shift)
-                assert W.cartan_diagonal(atom.dcoeffs, atom.dshift) == want
+                dcoeffs = tuple(int(2 * c) for c in coeffs)
+                assert W.cartan_diagonal(dcoeffs, int(2 * shift)) == want
                 C = W.cartan(coeffs, shift)
                 assert [C[i, i] for i in range(W.dim)] == list(want)
 
 
 def test_cartan_exponents_must_be_half_integral():
     with pytest.raises(InvalidArgument):
-        CartanAtom((Fraction(1, 3), 0))
+        vector_rep(S11).cartan((Fraction(1, 3), 0))
     with pytest.raises(InvalidArgument):
         vector_rep(S11).cartan((0, 0), Fraction(1, 3))
     with pytest.raises(NonIntegralWeight):
@@ -185,11 +184,10 @@ def test_eij_pivot_independence():
     for i, j in [(1, 4), (4, 1)]:
         base = eij_matrix(V, i, j)
         for k in range(min(i, j) + 1, max(i, j)):
-            eik = eij_expr(sig, i, k)
-            ekj = eij_expr(sig, k, j)
-            alt = (
-                eik * ekj - (ekj * eik).scale(QFraction(qpow(-sig.sign(k))))
-            ).evaluate(V)
+            eik, ekj = eij_matrix(V, i, k), eij_matrix(V, k, j)
+            alt = matmul(eik, ekj) - mat_scale(
+                matmul(ekj, eik), QFraction(qpow(-sig.sign(k)))
+            )
             assert is_zero_matrix(alt - base)
 
 
@@ -200,6 +198,57 @@ def test_etilde_diagonal_entries():
         for j in range(3):
             want = QFraction(qpow(S21.sign(i))) if j == i - 1 else ONE
             assert et[j, j] == want
+
+
+def test_etilde_matches_explicit_diagonal_product():
+    # Et_ij = kappa_i q^(((i)E_ii + (j)E_jj - (i))/2) E_ij with the
+    # diagonal built here from qpow and multiplied out as a matrix
+    V21 = vector_rep(S21)
+    for W in (vector_rep(Signature(2, 2)), tensor_module(V21, V21),
+              _gl21_module_200()):
+        sig = W.sig
+        for i, j in itertools.permutations(range(1, sig.d + 1), 2):
+            si, sj = sig.sign(i), sig.sign(j)
+            D = Matrix([
+                {r: QFraction(qpow(Fraction(si * w[i - 1] + sj * w[j - 1] - si,
+                                            2)))}
+                for r, w in enumerate(W.weights)
+            ], W.dim)
+            kappa = QFraction(qpow(1) - qpow(-1))
+            if sig.parity(i):
+                kappa = -kappa
+            want = mat_scale(matmul(D, eij_matrix(W, i, j)), kappa)
+            assert etilde_matrix(W, i, j) == want
+
+
+def test_etilde_satisfies_antipode_axiom():
+    # the antipode axiom on the L-operator entries: for i <= j, summed over
+    # k = i..j with a = Et_ik and b = Et_kj,
+    #   S(a) b = a S(b) = S^-1(b) a = b S^-1(a) = delta_ij I,
+    # and for i > j the same sums over k = j..i with a = Et_kj, b = Et_ik
+    # vanish
+    checked = spread = 0
+    for sig in (S21, S12, Signature(2, 2)):
+        V = vector_rep(sig)
+        for W in (V, tensor_module(V, V)):
+            for i, j in itertools.product(range(1, sig.d + 1), repeat=2):
+                sums = [zeros(W.dim)] * 4
+                nonzero = [0] * 4
+                for k in range(min(i, j), max(i, j) + 1):
+                    a, b = ((i, k), (k, j)) if i <= j else ((k, j), (i, k))
+                    terms = (((a, 1), (b, 0)), ((a, 0), (b, 1)),
+                             ((b, -1), (a, 0)), ((b, 0), (a, -1)))
+                    for n, ((x, sx), (y, sy)) in enumerate(terms):
+                        term = matmul(etilde_matrix(W, *x, sx),
+                                      etilde_matrix(W, *y, sy))
+                        sums[n] = sums[n] + term
+                        nonzero[n] += not is_zero_matrix(term)
+                want = identity(W.dim) if i == j else zeros(W.dim)
+                for total in sums:
+                    assert total == want, (sig, W.dim, i, j)
+                checked += 4
+                spread += sum(c >= 2 for c in nonzero)
+    assert checked == 272 and spread == 192
 
 
 def test_l_operator_on_trivial_module():
@@ -316,19 +365,9 @@ def test_mu_shift_convention_resolution():
 def test_mu_unshifted_matches_oracle_broadly():
     ok = mismatches_shifted = 0
     for sig in (S11, S21):
-        V = vector_rep(sig)
-        T = tensor_module(V, V)
-        mods = []
-        for wt, vecs in highest_weight_vectors(T):
-            if len(vecs) == 1:
-                M, _ = submodule(T, vecs)
-                mods.append((Weight(sig, tuple(int(c) for c in wt)), M))
-        mods.append((Weight(sig, tuple(int(c) for c in V.weights[0])), V))
-        for lam, M in mods:
+        for lam, M in realized_modules(sig, 2, sig.d ** 2):
             for b in branch_candidates(lam):
                 for kind in ("lower", "raise"):
-                    from qwig.wigner import _Side
-
                     for r in _Side(b, kind).L:
                         try:
                             oracle = mu_oracle(M, lam, b.lam0, r, kind)
@@ -480,82 +519,6 @@ def test_cached_matrices_equal_fresh_builds():
     assert checked >= 4
 
 
-def _explicit_evaluate(expr, W):
-    """The matrix of expr as the sum over its terms of coeff times the
-    matmul product of diagonal Cartan matrices, built here from qpow, and
-    generator matrices."""
-    total = zeros(W.dim)
-    for coeff, atoms in expr.terms:
-        acc = identity(W.dim)
-        for atom in atoms:
-            if isinstance(atom, CartanAtom):
-                m = Matrix([
-                    {i: QFraction(qpow(Fraction(
-                        sum(c * x for c, x in zip(atom.dcoeffs, w))
-                        + atom.dshift, 2)))}
-                    for i, w in enumerate(W.weights)
-                ], W.dim)
-            else:
-                m = (W.e if atom.kind == "e" else W.f)[atom.a]
-            acc = matmul(acc, m)
-        total = total + mat_scale(acc, coeff)
-    return total
-
-
-def test_evaluate_matches_explicit_matrix_products():
-    # evaluate applies Cartan atoms as row and column scalings; the
-    # reference multiplies out every diagonal matrix
-    V21 = vector_rep(S21)
-    checked = 0
-    for W in (vector_rep(Signature(2, 2)), tensor_module(V21, V21),
-              _gl21_module_200()):
-        sig = W.sig
-        for i in range(1, sig.d + 1):
-            for j in range(1, sig.d + 1):
-                for spower in (0, 1, -1):
-                    expr = etilde_expr(sig, i, j)
-                    if spower:
-                        expr = expr.antipode(sig, spower)
-                    want = _explicit_evaluate(expr, W)
-                    assert expr.evaluate(W) == want
-                    checked += not is_zero_matrix(want)
-    assert checked >= 40
-
-
-def _expr_structure(expr):
-    """The terms of expr with every atom read out field by field."""
-    return [
-        (c, [(type(a).__name__,) + tuple(getattr(a, f) for f in a.__slots__)
-             for a in atoms])
-        for c, atoms in expr.terms
-    ]
-
-
-def test_etilde_rewritten_once_per_signature(monkeypatch):
-    # etilde_matrix on two modules of one signature evaluates one shared
-    # rewritten expression, equal to a fresh antipode rewrite
-    evaluated = []
-    evaluate = Expr.evaluate
-
-    def record(expr, W):
-        evaluated.append(expr)
-        return evaluate(expr, W)
-
-    monkeypatch.setattr(Expr, "evaluate", record)
-    V21 = vector_rep(S21)
-    modules = (tensor_module(V21, V21), _gl21_module_200())
-    for i, j in ((1, 2), (3, 1), (2, 3), (2, 2)):
-        for spower in (0, 1, -1):
-            evaluated.clear()
-            for W in modules:
-                etilde_matrix(W, i, j, spower)
-            assert len(evaluated) == 2 and evaluated[0] is evaluated[1]
-            fresh = etilde_expr(S21, i, j)
-            if spower:
-                fresh = fresh.antipode(S21, spower)
-            assert _expr_structure(evaluated[0]) == _expr_structure(fresh)
-
-
 def _sandwich_coupled(W, lam, lam0, k, r, kind):
     """coupled_oracle's ratio from the sandwich X = E0 P E0, multiplied
     out as matrices."""
@@ -645,15 +608,9 @@ def test_parity_of_non_integral_weight():
         _parity_of_weight(S21, (0, 0, Fraction(1, 2)))
 
 
-def test_mixed_parity_expression_has_no_grading():
-    # e_1 of gl(1|1) is odd, a Cartan exponential even
-    with pytest.raises(NotHomogeneous):
-        (Expr.gen(S11, "e", 1) + Expr.cartan((0, 0))).parity()
-
-
 def test_antipode_power_must_be_plus_or_minus_one():
     with pytest.raises(InvalidArgument):
-        Expr.gen(S21, "e", 1).antipode(S21, 2)
+        etilde_matrix(vector_rep(S21), 1, 2, 2)
 
 
 def test_eij_of_a_diagonal_index_pair():
@@ -667,8 +624,8 @@ from fractions import Fraction
 
 import qwig.superweight as sw
 from qwig import QwigError, Signature
-from qwig.oracle.expressions import CartanAtom, Expr, eij_expr
 from qwig.oracle.linalg import matmul, zeros
+from qwig.oracle.loperators import eij_matrix, etilde_matrix
 from qwig.oracle.modules import (
     RepModule, _parity_of_weight, tensor_module, vector_rep,
 )
@@ -676,14 +633,13 @@ from qwig.oracle.modules import (
 S11, S21 = Signature(1, 1), Signature(2, 1)
 sw.rho_even_odd = lambda sig: ((Fraction(0),) * sig.d,) * 2
 cases = {
-    "parity": lambda: (Expr.gen(S11, "e", 1) + Expr.cartan((0, 0))).parity(),
-    "antipode": lambda: Expr.gen(S21, "e", 1).antipode(S21, 2),
-    "eij_expr": lambda: eij_expr(S21, 2, 2),
+    "antipode": lambda: etilde_matrix(vector_rep(S21), 1, 2, 2),
+    "eij": lambda: eij_matrix(vector_rep(S21), 2, 2),
     "rho": lambda: sw.rho(S21),
     "tensor_module": lambda: tensor_module(vector_rep(S11), vector_rep(S21)),
     "parity_of_weight": lambda: _parity_of_weight(S21, (0, 0, Fraction(1, 2))),
     "matmul": lambda: matmul(zeros(2, 3), zeros(2, 3)),
-    "cartan_atom": lambda: CartanAtom((Fraction(1, 3), 0)),
+    "cartan": lambda: vector_rep(S11).cartan((0, 0), Fraction(1, 3)),
     "module_weight": lambda: RepModule(
         S11, [(Fraction(1, 2), 0)], [0], {1: zeros(1)}, {1: zeros(1)}
     ),

@@ -140,8 +140,6 @@ def test_weight_basics():
     assert lam.comps == (1, 0, 0)
     assert lam[1] == 1 and lam[3] == 0
     assert lam.even == (1, 0) and lam.odd == (0,)
-    assert lam.is_dominant()
-    assert not Weight(S21, (0, 1, 0)).is_dominant()
     assert str(lam) == "1,0|0"
     with pytest.raises(NonIntegralWeight):
         Weight.parse(S21, "1,x|0")
