@@ -15,7 +15,6 @@ from .errors import (
     NotRealized,
     NotScalar,
     PoleAtOne,
-    PoleAtPoint,
     QwigError,
     SignatureMismatch,
 )
@@ -61,7 +60,7 @@ from .wigner import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "QwigError", "PoleAtPoint", "PoleAtOne", "SignatureMismatch",
+    "QwigError", "PoleAtOne", "SignatureMismatch",
     "IndexOutOfRange", "NonIntegralWeight", "NotABranching",
     "DegenerateRoots", "AdmissibilityError",
     "MultiplicityAmbiguous", "NotRealized", "NotScalar", "InvalidArgument",

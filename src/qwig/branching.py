@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import NotABranching, SignatureMismatch
 from .superweight import Weight, subalgebra_roots
@@ -84,7 +85,7 @@ class BranchingData:
     def I1t(self):
         return self.I1 + (self.sig.d,)
 
-    @property
+    @cached_property
     def eta(self):
         m, n = self.sig.m, self.sig.n
         return sum(self.lam[m + u] for u in range(1, n + 1)) - sum(

@@ -5,11 +5,7 @@ class QwigError(Exception):
     """Base class for all package-specific errors."""
 
 
-class PoleAtPoint(QwigError):
-    """Numeric evaluation hit a zero of the denominator."""
-
-
-class PoleAtOne(PoleAtPoint):
+class PoleAtOne(QwigError):
     """The classical limit q -> 1 does not exist for this element."""
 
 

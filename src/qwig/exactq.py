@@ -334,12 +334,127 @@ def _cancel(a, b):
     return _exact_div(a, g), _exact_div(b, g)
 
 
-# The closed forms draw their factors from a small recurring set, so the
-# pairs that from_factors cancels recur across values.  A gcd is defined only
-# up to a monomial, so the pairs are cached shifted to lowest doubled
-# exponent 0 (the cancelled factors then have lowest exponent 0 too).  The
-# bound keeps memory flat over a long run.
-_cancel_low = lru_cache(maxsize=1024)(_cancel)
+# -- cyclotomic factor maps, in x = q^(1/2) ---------------------------------
+#
+# A closed-form value is a ratio of products of q-numbers and monomials, so
+# each of its factors is c x^s prod_d Phi_d(x)^e_d.  The Phi_d are
+# irreducible over Q and pairwise coprime, so such factors cancel by adding
+# exponents, and the value's canonical form follows with no gcd.  The closed
+# forms draw their factors from a small recurring set; the bounds keep memory
+# flat over a long run.
+
+
+def _times_binomial(p, n, k):
+    """The coefficient dict p times (1 - x^n)^k."""
+    for _ in range(k):
+        out = dict(p)
+        for e, c in p.items():
+            c0 = out.get(e + n, 0) - c
+            if c0:
+                out[e + n] = c0
+            else:
+                del out[e + n]
+        p = out
+    return p
+
+
+@lru_cache(maxsize=4096)
+def _factor_map(f):
+    """(c, s, e) with f = c q^(s/2) prod_d Phi_d(q^(1/2))^e_d, e a tuple of
+    (d, e_d) pairs, for a nonzero HalfLaurent f; None if f is no such product.
+
+    f shifted to lowest exponent 0 and divided by its constant term is peeled
+    as p = prod_N (1 - x^N)^g(N).  The peel keeps a = p prod_{g<0} (1 - x^N)^-g
+    and b = prod_{g>0} (1 - x^N)^g.  The lowest term where a and b differ
+    sits at the next N and gives g(N).  The peel ends when a == b, which is
+    the exact expansion p = prod_N (1 - x^N)^g(N).  It gives up, with None,
+    at a g(N) that is not an integer, at |g(N)| > deg p, or at
+    N > max(6, deg p ** 2).  No cyclotomic product reaches these: its
+    |g(N)| <= sum e_d <= deg p, and each N divides a d with
+    deg p >= phi(d) >= d ** 0.5 (for d > 6).  Since 1 - x^N = -prod_{d | N} Phi_d,
+    e_d is the sum of g(N) over the multiples N of d.
+    """
+    t = f._t
+    s = min(t)
+    c0 = t[s]
+    a = {k - s: _coeff_div(c, c0) for k, c in t.items()}
+    deg = max(a)
+    b = {0: 1}
+    g = {}
+    while a != b:
+        n = next(k for k in sorted(a.keys() | b.keys())
+                 if a.get(k, 0) != b.get(k, 0))
+        gn = b.get(n, 0) - a.get(n, 0)
+        if type(gn) is not int or abs(gn) > deg or n > max(6, deg * deg):
+            return None
+        g[n] = gn
+        if gn < 0:
+            a = _times_binomial(a, n, -gn)
+        else:
+            b = _times_binomial(b, n, gn)
+    e = {}
+    for n, gn in g.items():
+        for d in range(1, n + 1):
+            if n % d == 0:
+                e[d] = e.get(d, 0) + gn
+    unit = -c0 if sum(g.values()) % 2 else c0
+    return unit, s, tuple((d, k) for d, k in e.items() if k)
+
+
+@lru_cache(maxsize=4096)
+def _mobius_terms(d):
+    """The pairs (N, mu(d/N)) with Phi_d = prod_{N | d} (x^N - 1)^mu(d/N),
+    over the N with mu(d/N) != 0."""
+    terms = [(d, 1)]
+    p, rest = 2, d
+    while rest > 1:
+        if p * p > rest:  # rest is prime
+            p = rest
+        if rest % p == 0:
+            terms += [(n // p, -m) for n, m in terms]
+            while rest % p == 0:
+                rest //= p
+        p += 1
+    return tuple(terms)
+
+
+def _cyclotomic_product(e):
+    """prod_d Phi_d(x)^e_d for a dict of positive e_d, as a dense coefficient
+    list: the binomials x^N - 1 of the Phi_d's Moebius products are all
+    multiplied in before any is divided out, so each quotient is exact."""
+    h = {}
+    for d, k in e.items():
+        for n, m in _mobius_terms(d):
+            h[n] = h.get(n, 0) + m * k
+    p = [1]
+    for n, k in h.items():
+        for _ in range(k):
+            out = [0] * n + p
+            for i, c in enumerate(p):
+                out[i] -= c
+            p = out
+    for n, k in h.items():
+        for _ in range(-k):
+            # p = (x^n - 1) r gives r_i = r_(i-n) - p_i
+            r = [-c for c in p[: len(p) - n]]
+            for i in range(n, len(r)):
+                r[i] += r[i - n]
+            p = r
+    return p
+
+
+@lru_cache(maxsize=1024)
+def _cyclotomic_quotient(e):
+    """(num, den) with num/den = prod_d Phi_d(x)^e_d, for a sorted tuple e
+    of (d, e_d) pairs with e_d != 0, in QFraction's normal form: den's
+    constant term, the product of the Phi_d(0) = +-1, is made 1."""
+    num = _cyclotomic_product({d: k for d, k in e if k > 0})
+    den = _cyclotomic_product({d: -k for d, k in e if k < 0})
+    if den[0] < 0:
+        num = [-c for c in num]
+        den = [-c for c in den]
+    return (HalfLaurent._raw({i: c for i, c in enumerate(num) if c}),
+            HalfLaurent._raw({i: c for i, c in enumerate(den) if c}))
 
 
 _POLY_ONE = HalfLaurent.const(1)
@@ -403,39 +518,41 @@ class QFraction:
         """prod(nums)/prod(dens) for sequences of HalfLaurent factors, in
         normal form.
 
-        Each numerator factor is cancelled against each denominator factor,
-        both updated in place, so every pair ends coprime and so do the two
-        products: they are multiplied out with no gcd of the whole.  A zero
-        denominator factor raises ZeroDivisionError; otherwise a zero
-        numerator factor gives ZERO.
+        Each factor's cyclotomic map (_factor_map) is found once and kept.
+        Numerator maps multiply their units and add their shifts and Phi_d
+        exponents in, denominator maps divide and subtract them out.  The
+        Phi_d left with a positive exponent make the numerator and those
+        with a negative one the denominator, so the two are coprime with no
+        gcd.  If some factor has no map, the quotient of the whole products
+        is normalised by QFraction.  A zero denominator factor raises
+        ZeroDivisionError; otherwise a zero numerator factor gives ZERO.
         """
         if not all(dens):
             raise ZeroDivisionError("zero denominator")
         if not all(nums):
             return ZERO
-        # factors are cancelled shifted to lowest exponent 0; shift keeps
-        # the monomial taken out of them
-        shift = 0
-        low = []
-        for d in dens:
-            s = d.min_dexp()
-            shift -= s
-            low.append(d.shift(-s))
-        num = _POLY_ONE
-        for f in nums:
-            s = f.min_dexp()
-            shift += s
-            f = f.shift(-s)
-            for i, d in enumerate(low):
-                if f.is_monomial():
-                    break
-                if not d.is_monomial():
-                    f, low[i] = _cancel_low(f, d)
-            num = num * f
-        den = _POLY_ONE
-        for d in low:
-            den = den * d
-        return cls._raw(*_strip_unit(num.shift(shift), den))
+        unit, shift, e = 1, 0, {}
+        for factors, sign in ((nums, 1), (dens, -1)):
+            for f in factors:
+                if len(f._t) == 1:
+                    ((s, c),) = f._t.items()
+                    fe = ()
+                else:
+                    m = _factor_map(f)
+                    if m is None:
+                        return cls(math.prod(nums, start=_POLY_ONE),
+                                   math.prod(dens, start=_POLY_ONE))
+                    c, s, fe = m
+                unit = unit * c if sign > 0 else _coeff_div(unit, c)
+                shift += sign * s
+                for d, k in fe:
+                    e[d] = e.get(d, 0) + sign * k
+        num, den = _cyclotomic_quotient(
+            tuple(sorted(item for item in e.items() if item[1])))
+        if shift or unit != 1:
+            num = HalfLaurent._raw(
+                {i + shift: _as_fraction(unit * c) for i, c in num._t.items()})
+        return cls._raw(num, den)
 
     @classmethod
     def sum_of_products(cls, pairs):

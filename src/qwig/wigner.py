@@ -85,6 +85,8 @@ class _Side:
         self.sign = {i: sig.sign(i) for i in range(1, sig.d + 1)}
         self.n = sig.n
         self.I0_size = len(b.I0)
+        vals = [self.alpha[k] for k in self.K]
+        self.K_generic = len(set(vals)) == len(vals)
 
     def F_root(self, x_alpha, ell):
         """F_ell at the deformed root of the exponent x_alpha."""
@@ -111,8 +113,7 @@ class _Side:
             )
 
     def require_K_generic(self):
-        vals = [self.alpha[k] for k in self.K]
-        if len(set(vals)) != len(vals):
+        if not self.K_generic:
             raise DegenerateRoots(
                 "%s roots of %s coincide on the admissible set"
                 % (self.root_kind, self.b.lam)

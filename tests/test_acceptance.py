@@ -9,7 +9,6 @@ characteristic matrix dimension capped at 81.
 
 import json
 import time
-from fractions import Fraction
 
 import pytest
 
@@ -37,7 +36,7 @@ from qwig import (
 )
 from qwig.wigner import MU_SHIFT_DEFAULT, _Side
 from qwig.oracle import coupled_oracle, realized_modules, wigner_oracle
-from conftest import ORACLE_SIGS, dominant_weights
+from conftest import ORACLE_SIGS
 
 RANK4_ORACLE_SIGS = [(2, 2), (3, 1), (1, 3)]
 

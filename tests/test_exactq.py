@@ -4,7 +4,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qwig import (
@@ -17,7 +17,7 @@ from qwig import (
     qnum,
     qpow,
 )
-from qwig.exactq import parse_half_laurent
+from qwig.exactq import _factor_map, parse_half_laurent
 
 Q_MINUS_QINV = qpow(1) - qpow(-1)
 
@@ -206,17 +206,36 @@ def test_from_factors_zero_factors():
             QFraction.from_factors(nums, [qnum(2), HalfLaurent()])
 
 
-monomials = st.builds(
-    lambda k, c: HalfLaurent({k: c}), dexps,
-    st.fractions(min_value=-6, max_value=6, max_denominator=4).filter(bool),
-)
-factors = st.one_of(nonzero_polys, rat_polys.filter(bool), monomials)
+units = st.fractions(min_value=-6, max_value=6, max_denominator=4).filter(bool)
+monomials = st.builds(lambda k, c: HalfLaurent({k: c}), dexps, units)
+# the closed forms' factors: units times q-numbers, shifted
+cyclotomic = st.builds(lambda n, k, c: qnum(n).shift(k) * c,
+                       st.integers(-9, 9).filter(bool), dexps, units)
+factors = st.one_of(nonzero_polys, rat_polys.filter(bool), monomials, cyclotomic)
+
+
+def _root_diff(x, y):
+    """A root-product factor: q^-x [x] - q^-y [y] = q^(-x-y) [x - y]."""
+    return qpow(-x) * qnum(x) - qpow(-y) * qnum(y)
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.one_of(polys, factors), max_size=4),
        st.lists(factors, max_size=4),
        st.lists(st.tuples(factors, dexps, st.integers(1, 3)), max_size=3))
+# products of q-numbers, monomials and root differences, with negative and
+# Fraction units, repeated factors, and full cancellation to 1
+@example([qnum(6), -qnum(4), qpow(3)], [qnum(2), qnum(3), qnum(12) * Fraction(2, 3)], [])
+@example([_root_diff(5, 1), _root_diff(2, 7) * -2, qpow(Fraction(-1, 2))],
+         [_root_diff(3, -1), _root_diff(7, 1), _root_diff(4, 4) + 3], [])
+@example([qnum(2), qnum(2), qnum(2)], [qnum(4), qnum(-2) * Fraction(1, 3)], [])
+@example([qnum(6) * Fraction(-3, 2), qnum(4).shift(3), _root_diff(1, 4)],
+         [qnum(4).shift(3), _root_diff(1, 4), qnum(6) * Fraction(-3, 2)], [])
+@example([qnum(5)], [], [(qnum(10), -3, 2), (_root_diff(0, 6), 1, 1)])
+# factors with an odd power of Phi_1(q^(1/2)) = q^(1/2) - 1, whose sign
+# flips when peeled as 1 - q^(1/2)
+@example([qpow(1) - qpow(-1), HalfLaurent({0: 1, 1: -1}), qnum(3)],
+         [HalfLaurent({1: 2, 0: -2}), qnum(2)], [])
 def test_from_factors_matches_whole_quotient(nums, dens, shared):
     # factors shared between the sides, up to a unit, and repeated ones
     nums = nums + [g for g, _, _ in shared] + [g for g, _, _ in shared[:1]]
@@ -224,6 +243,36 @@ def test_from_factors_matches_whole_quotient(nums, dens, shared):
     x = QFraction.from_factors(nums, dens)
     one = HalfLaurent.const(1)
     y = QFraction(math.prod(nums, start=one), math.prod(dens, start=one))
+    assert _same(x, y)
+    assert hash(x) == hash(y)
+
+
+def test_qnum_factor_map():
+    # [n] = q^(1-n) (x^(4n) - 1)/(x^4 - 1) in x = q^(1/2): each Phi_d(x)
+    # with d | 4n and d not dividing 4, once
+    for n in range(1, 61):
+        unit, shift, e = _factor_map(qnum(n))
+        assert (unit, shift) == (1, 2 - 2 * n)
+        assert dict(e) == {d: 1 for d in range(1, 4 * n + 1)
+                           if 4 * n % d == 0 and 4 % d}
+
+
+@pytest.mark.parametrize("f", [
+    HalfLaurent({0: 1, 1: -1000}),                     # 1 - 1000 q^(1/2)
+    HalfLaurent({0: 1, 2: 2}),                         # 1 + 2q
+    qnum(5) * HalfLaurent({0: 3, 2: 1}),               # [5] (q + 3)
+    # Lehmer's polynomial in q: its Mahler measure is the least known > 1,
+    # so the peel's g(N) stay small longest
+    HalfLaurent({2 * k: c for k, c in
+                 {0: 1, 1: 1, 3: -1, 4: -1, 5: -1, 6: -1, 7: -1, 9: 1, 10: 1}.items()}),
+])
+def test_non_cyclotomic_factor_falls_back(f):
+    # the peel gives up after bounded work, and from_factors takes the
+    # quotient of the whole products instead
+    assert _factor_map(f) is None
+    nums, dens = [f, qnum(6), qpow(2)], [qnum(3), f.shift(1) * -2, qnum(4)]
+    x = QFraction.from_factors(nums, dens)
+    y = QFraction(math.prod(nums), math.prod(dens))
     assert _same(x, y)
     assert hash(x) == hash(y)
 

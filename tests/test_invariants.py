@@ -1,7 +1,5 @@
 """Closed-form central element eigenvalues."""
 
-from fractions import Fraction
-
 import pytest
 
 from qwig import (
