@@ -28,8 +28,8 @@ from .errors import (
 )
 from .invariants import chi_C1, chi_v
 from .superweight import RootSet, Signature, Weight, is_typical
-from .wigner import coupled_table, omega_table
-from .exactq import ONE, ZERO
+from .wigner import coupled_table, omega_table, sum_rule_residual
+from .exactq import ONE
 
 SUITES = (
     "qybe",
@@ -159,9 +159,9 @@ def _cmd_wigner(args):
     payload = primary.to_json()
     payload["form"] = args.form
     if not args.coupled:
-        total = sum(primary.entries.values(), ZERO)
-        payload["sum"] = str(total)
-        payload["sum_rule_residual"] = str(total - ONE)
+        residual = sum_rule_residual(b, args.kind, forms[0])
+        payload["sum"] = str(residual + ONE)
+        payload["sum_rule_residual"] = str(residual)
     if args.form == "both":
         second = tables[forms[1]]
         payload["entries_qnumber_phase"] = second.to_json()["entries"]
@@ -238,7 +238,7 @@ def _suite_charid(sig, modules):
 
 def _suite_projectors(sig, modules):
     from .oracle.checks import all_projectors
-    from .oracle.linalg import identity, is_zero_matrix, matmul
+    from .oracle.linalg import identity, is_zero_matrix, mat_scale, matmul
 
     out = []
     for lam, M in modules():
@@ -249,14 +249,16 @@ def _suite_projectors(sig, modules):
             except DegenerateRoots as exc:
                 out.append(_skip("projectors", inputs, str(exc)))
                 continue
-            # P_i P_j = delta_ij P_i and sum_i P_i = I
+            # P_i P_j = delta_ij P_i and sum_i P_i = I, with the products
+            # taken on the polynomial N_i = s_i P_i: N_i N_i = s_i N_i and
+            # N_i N_j = 0
             ok = True
             total = None
-            for i, p in enumerate(ps):
+            for i, (p, n, s) in enumerate(ps):
                 total = p if total is None else total + p
-                ok = ok and matmul(p, p) == p
-                for j in range(i + 1, len(ps)):
-                    ok = ok and is_zero_matrix(matmul(p, ps[j]))
+                ok = ok and matmul(n, n) == mat_scale(n, s)
+                for _, m, _ in ps[i + 1:]:
+                    ok = ok and is_zero_matrix(matmul(n, m))
             ok = ok and total == identity(total.shape[0])
             out.append(_case("projectors", inputs, ok))
     return out

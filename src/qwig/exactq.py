@@ -195,12 +195,6 @@ class HalfLaurent:
     def is_monomial(self):
         return len(self._t) == 1
 
-    def shift(self, dexp):
-        """Multiply by the monomial q^(dexp/2)."""
-        if not self._t or not dexp:
-            return self
-        return HalfLaurent._raw({k + dexp: c for k, c in self._t.items()})
-
     # -- evaluation -------------------------------------------------------
 
     def at_one(self):
@@ -358,6 +352,30 @@ def _times_binomial(p, n, k):
     return p
 
 
+_E_GAMMA = 1.7810724179901979  # e ** (Euler's constant)
+
+
+@lru_cache(maxsize=None)
+def _max_cyclotomic_index(deg):
+    """The largest d with phi(d) <= deg, that is the largest d for which
+    Phi_d, of degree phi(d), can divide a polynomial of degree deg.
+
+    Every n >= 3 has phi(n) > n / (e^gamma ln ln n + 3 / ln ln n) (Rosser
+    and Schoenfeld 1962), a bound increasing in n; the doubling stops at an
+    n where it exceeds deg, and a totient sieve up to that n finds every d.
+    """
+    n = 8
+    while n <= deg * (_E_GAMMA * math.log(math.log(n))
+                      + 3 / math.log(math.log(n))):
+        n *= 2
+    phi = list(range(n + 1))
+    for p in range(2, n + 1):
+        if phi[p] == p:
+            for k in range(p, n + 1, p):
+                phi[k] -= phi[k] // p
+    return max((d for d in range(1, n + 1) if phi[d] <= deg), default=0)
+
+
 @lru_cache(maxsize=4096)
 def _factor_map(f):
     """(c, s, e) with f = c q^(s/2) prod_d Phi_d(q^(1/2))^e_d, e a tuple of
@@ -368,24 +386,26 @@ def _factor_map(f):
     and b = prod_{g>0} (1 - x^N)^g.  The lowest term where a and b differ
     sits at the next N and gives g(N).  The peel ends when a == b, which is
     the exact expansion p = prod_N (1 - x^N)^g(N).  It gives up, with None,
-    at a g(N) that is not an integer, at |g(N)| > deg p, or at
-    N > max(6, deg p ** 2).  No cyclotomic product reaches these: its
-    |g(N)| <= sum e_d <= deg p, and each N divides a d with
-    deg p >= phi(d) >= d ** 0.5 (for d > 6).  Since 1 - x^N = -prod_{d | N} Phi_d,
-    e_d is the sum of g(N) over the multiples N of d.
+    at a g(N) that is not an integer, at |g(N)| > deg p, or at an N above
+    the largest d with phi(d) <= deg p.  No cyclotomic product reaches
+    these: its |g(N)| <= sum e_d <= deg p, and g(N) != 0 only for N dividing
+    a d with e_d != 0, where phi(d) = deg Phi_d <= deg p.  Since
+    1 - x^N = -prod_{d | N} Phi_d, e_d is the sum of g(N) over the multiples
+    N of d.
     """
     t = f._t
     s = min(t)
     c0 = t[s]
     a = {k - s: _coeff_div(c, c0) for k, c in t.items()}
     deg = max(a)
+    top = _max_cyclotomic_index(deg)
     b = {0: 1}
     g = {}
     while a != b:
         n = next(k for k in sorted(a.keys() | b.keys())
                  if a.get(k, 0) != b.get(k, 0))
         gn = b.get(n, 0) - a.get(n, 0)
-        if type(gn) is not int or abs(gn) > deg or n > max(6, deg * deg):
+        if type(gn) is not int or abs(gn) > deg or n > top:
             return None
         g[n] = gn
         if gn < 0:
@@ -455,6 +475,50 @@ def _cyclotomic_quotient(e):
         den = [-c for c in den]
     return (HalfLaurent._raw({i: c for i, c in enumerate(num) if c}),
             HalfLaurent._raw({i: c for i, c in enumerate(den) if c}))
+
+
+def _merged_map(nums, dens):
+    """(c, s, e) with prod(nums)/prod(dens) = c q^(s/2) prod_d Phi_d^e_d, e a
+    dict, for sequences of nonzero HalfLaurent factors; None if some factor
+    has no map."""
+    unit, shift, e = 1, 0, {}
+    for factors, sign in ((nums, 1), (dens, -1)):
+        for f in factors:
+            if len(f._t) == 1:
+                ((s, c),) = f._t.items()
+                fe = ()
+            else:
+                m = _factor_map(f)
+                if m is None:
+                    return None
+                c, s, fe = m
+            unit = unit * c if sign > 0 else _coeff_div(unit, c)
+            shift += sign * s
+            for d, k in fe:
+                e[d] = e.get(d, 0) + sign * k
+    return unit, shift, e
+
+
+def _divide_exactly(t, phi):
+    """The quotient of the coefficient dicts t / phi, for a nonzero t and a
+    monic phi with lowest exponent 0; None if phi does not divide t."""
+    low = min(t)
+    p = [0] * (max(t) - low + 1)
+    for i, c in t.items():
+        p[i - low] = c
+    m = max(phi)
+    if len(p) <= m:
+        return None
+    lower = [(j, c) for j, c in phi.items() if j < m]
+    q = [0] * (len(p) - m)
+    for i in range(len(q) - 1, -1, -1):
+        c = q[i] = p[i + m]
+        if c:
+            for j, cj in lower:
+                p[i + j] -= c * cj
+    if any(p[:m]):
+        return None
+    return {i + low: c for i, c in enumerate(q) if c}
 
 
 _POLY_ONE = HalfLaurent.const(1)
@@ -531,28 +595,76 @@ class QFraction:
             raise ZeroDivisionError("zero denominator")
         if not all(nums):
             return ZERO
-        unit, shift, e = 1, 0, {}
-        for factors, sign in ((nums, 1), (dens, -1)):
-            for f in factors:
-                if len(f._t) == 1:
-                    ((s, c),) = f._t.items()
-                    fe = ()
-                else:
-                    m = _factor_map(f)
-                    if m is None:
-                        return cls(math.prod(nums, start=_POLY_ONE),
-                                   math.prod(dens, start=_POLY_ONE))
-                    c, s, fe = m
-                unit = unit * c if sign > 0 else _coeff_div(unit, c)
-                shift += sign * s
-                for d, k in fe:
-                    e[d] = e.get(d, 0) + sign * k
+        m = _merged_map(nums, dens)
+        if m is None:
+            return cls(math.prod(nums, start=_POLY_ONE),
+                       math.prod(dens, start=_POLY_ONE))
+        unit, shift, e = m
         num, den = _cyclotomic_quotient(
             tuple(sorted(item for item in e.items() if item[1])))
         if shift or unit != 1:
             num = HalfLaurent._raw(
                 {i + shift: _as_fraction(unit * c) for i, c in num._t.items()})
         return cls._raw(num, den)
+
+    @classmethod
+    def sum_of_quotients(cls, terms):
+        """sum(from_factors(nums, dens) for nums, dens in terms), in normal
+        form, over one common denominator and with no gcd.
+
+        Each term's factor maps merge into c q^(s/2) prod_d Phi_d^e_d.  The
+        common denominator is prod_d Phi_d^D_d with D_d the largest -e_d of
+        any term; every term's numerator over it is expanded and added into
+        one coefficient map.  A zero sum, the residuals' usual result, stops
+        there.  Otherwise each Phi_d of the denominator is divided out of the
+        sum while it divides it exactly; the Phi_d are irreducible and
+        pairwise coprime, so what is left is in lowest terms.  If some
+        factor has no map, the terms are built by from_factors and added by
+        +.  A zero denominator factor raises ZeroDivisionError; a term with
+        a zero numerator factor adds nothing.
+        """
+        terms = list(terms)
+        maps = []
+        for nums, dens in terms:
+            if not all(dens):
+                raise ZeroDivisionError("zero denominator")
+            if not all(nums):
+                continue
+            m = _merged_map(nums, dens)
+            if m is None:
+                return sum((cls.from_factors(n, d) for n, d in terms), ZERO)
+            maps.append(m)
+        common = {}
+        for _, _, e in maps:
+            for d, k in e.items():
+                if k < common.get(d, 0):
+                    common[d] = k
+        t = {}
+        for unit, shift, e in maps:
+            over = dict(e)
+            for d, k in common.items():
+                over[d] = over.get(d, 0) - k
+            num, _ = _cyclotomic_quotient(
+                tuple(sorted(item for item in over.items() if item[1])))
+            for i, c in num._t.items():
+                c0 = t.get(i + shift)
+                t[i + shift] = unit * c if c0 is None else c0 + unit * c
+        t = {i: _as_fraction(c) for i, c in t.items() if c}
+        if not t:
+            return ZERO
+        for d in sorted(common):
+            phi = _cyclotomic_quotient(((d, 1),))[0]._t
+            while common[d]:
+                quotient = _divide_exactly(t, phi)
+                if quotient is None:
+                    break
+                t = quotient
+                common[d] += 1
+        sign, den = _cyclotomic_quotient(
+            tuple(sorted(item for item in common.items() if item[1])))
+        if sign._t[0] != 1:
+            t = {i: -c for i, c in t.items()}
+        return cls._raw(HalfLaurent._raw(t), den)
 
     @classmethod
     def sum_of_products(cls, pairs):

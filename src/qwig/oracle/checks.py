@@ -37,6 +37,7 @@ from .loperators import (
     etilde_matrix,
     l_operator,
     projector,
+    projector_parts,
     vector_slot_parities,
 )
 from .modules import (
@@ -208,20 +209,29 @@ def char_identity_check(W, lam, kind):
 
 def all_projectors(W, lam, kind):
     """All d eigenspace projectors of the characteristic matrix on V' (x) W,
-    indexed by shift position 1..d."""
-    return [_projector(W, lam, r, kind) for r in range(1, W.sig.d + 1)]
+    indexed by shift position 1..d, as triples (P, N, s) with P = N/s, N
+    the product of the unscaled factors and s the scalar of projector_parts."""
+    return [(_projector(W, lam, r, kind),) + _projector_parts(W, lam, r, kind)
+            for r in range(1, W.sig.d + 1)]
 
 
-def _projector(W, lam, k, ckind):
-    """The k-th eigenspace projector of the characteristic matrix on
-    V' (x) W, with nodes at the deformed roots of lam; built once per
-    module and shared read-only."""
+def _projector_parts(W, lam, k, ckind):
+    """The unscaled product N and scale s of the k-th eigenspace projector
+    N/s of the characteristic matrix on V' (x) W, with nodes at the
+    deformed roots of lam; built once per module and shared read-only."""
     return W.cached(
-        ("P", ckind, tuple(lam.comps), k),
-        lambda: projector(
+        ("N", ckind, tuple(lam.comps), k),
+        lambda: projector_parts(
             char_matrix(W, ckind), char_eigenvalues(lam, ckind), k
         ),
     )
+
+
+def _projector(W, lam, k, ckind):
+    """The k-th eigenspace projector N/s, kept next to its parts."""
+    N, scale = _projector_parts(W, lam, k, ckind)
+    return W.cached(("P", ckind, tuple(lam.comps), k),
+                    lambda: mat_scale(N, scale.inverse()))
 
 
 _RHO_SIGN = {"ahat": 1, "atilde": 1, "adual": -1, "abar": -1}

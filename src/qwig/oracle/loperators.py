@@ -34,6 +34,7 @@ __all__ = [
     "char_eigenvalue",
     "char_eigenvalues",
     "projector",
+    "projector_parts",
     "big_entry",
     "vector_slot_parities",
     "CHAR_KINDS",
@@ -237,8 +238,10 @@ def char_eigenvalues(lam, kind):
     )
 
 
-def projector(A, eigenvalues, r):
-    """Lagrange interpolation projector onto the r-th eigenspace (1-based).
+def projector_parts(A, eigenvalues, r):
+    """(N, s) with N = prod_v (A - v) and s = prod_v (target - v) over the
+    eigenvalues v other than the r-th (1-based), the target: the Lagrange
+    projector onto the r-th eigenspace is N/s.
 
     A is a characteristic matrix, eigenvalues its full deformed spectrum.
     """
@@ -250,13 +253,22 @@ def projector(A, eigenvalues, r):
             raise DegenerateRoots(
                 "eigenvalues %d and %d coincide (%s)" % (r, k, v)
             )
-    # multiply the unscaled factors A - v and divide by the product of the
-    # node differences once: per-factor scaling costs a pass over every
-    # entry and leaves denominators for each product to reduce
     scale = ONE
     for v in others:
         scale = scale * (target - v)
-    return mat_scale(shifted_product(A, others), scale.inverse())
+    return shifted_product(A, others), scale
+
+
+def projector(A, eigenvalues, r):
+    """Lagrange interpolation projector onto the r-th eigenspace (1-based).
+
+    A is a characteristic matrix, eigenvalues its full deformed spectrum.
+    The unscaled factors A - v are multiplied and the product divided by
+    the node differences once: per-factor scaling costs a pass over every
+    entry and leaves denominators for each product to reduce.
+    """
+    N, scale = projector_parts(A, eigenvalues, r)
+    return mat_scale(N, scale.inverse())
 
 
 def big_entry(M, dW, i, j):

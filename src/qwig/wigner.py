@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .errors import AdmissibilityError, DegenerateRoots, IndexOutOfRange
-from .exactq import ONE, ZERO, QFraction, qnum, qpow
+from .exactq import ZERO, HalfLaurent, QFraction, qnum, qpow
 from .superweight import char_roots, deformed_root
 
 __all__ = [
@@ -33,6 +33,8 @@ __all__ = [
 ]
 
 FORMS = ("root_product", "qnumber_phase")
+
+_MINUS_ONE = HalfLaurent.const(-1)
 
 # Evaluation point of the subalgebra root entering mu.  'shifted' reads it
 # at the lower weight moved one step along the shift direction, 'unshifted'
@@ -142,20 +144,14 @@ def _check_form(form):
         raise ValueError("form must be one of %s" % (FORMS,))
 
 
-def omega(b, k, variant, form="root_product"):
-    """Squared reduced Wigner coefficient for a single shift index k.
-
-    Vanishes (exactly) for admissible-complement indices; on the
-    admissible set the root-product and q-number forms are
-      prod_{r in L} F_r(a_k) / prod_{l != k in K} (a_k - a_l)
-      q^xi_k prod_r [alpha_k - alpha0_r + tau s_r] / prod_{l != k} [alpha_k - alpha_l]
-    with xi_k = -(|I0 or I0bar| ... ) collected below.
-    """
+def _omega_factors(b, k, variant, form):
+    """The factor lists (nums, dens) of omega_k in the given form, or None
+    for k outside the admissible set K, where omega_k vanishes."""
     _check_form(form)
     side = _side(b, variant)
     side.require_in_range(k)
     if k not in side.K:
-        return ZERO
+        return None
     side.require_K_generic()
     ak = side.alpha[k]
     others = [side.alpha[l] for l in side.K if l != k]
@@ -167,7 +163,20 @@ def omega(b, k, variant, form="root_product"):
         xi = -(side.I0_size + ak + b.eta)
         nums = [qpow(xi)] + [qnum(side.F_arg(ak, r)) for r in side.L]
         dens = [qnum(ak - al) for al in others]
-    return QFraction.from_factors(nums, dens)
+    return nums, dens
+
+
+def omega(b, k, variant, form="root_product"):
+    """Squared reduced Wigner coefficient for a single shift index k.
+
+    Vanishes (exactly) for admissible-complement indices; on the
+    admissible set the root-product and q-number forms are
+      prod_{r in L} F_r(a_k) / prod_{l != k in K} (a_k - a_l)
+      q^xi_k prod_r [alpha_k - alpha0_r + tau s_r] / prod_{l != k} [alpha_k - alpha_l]
+    with xi_k = -(|I0 or I0bar| ... ) collected below.
+    """
+    factors = _omega_factors(b, k, variant, form)
+    return ZERO if factors is None else QFraction.from_factors(*factors)
 
 
 def omega_classical(b, k, variant):
@@ -360,10 +369,9 @@ def coupled_table(b, variant, form="qnumber_phase"):
 
 def sum_rule_residual(b, variant, form="root_product"):
     """sum_k omega_k - 1, exactly zero when the closed forms are right."""
-    total = ZERO
-    for k in range(1, b.sig.d + 1):
-        total = total + omega(b, k, variant, form)
-    return total - ONE
+    terms = [_omega_factors(b, k, variant, form) for k in range(1, b.sig.d + 1)]
+    terms = [t for t in terms if t is not None]
+    return QFraction.sum_of_quotients(terms + [([_MINUS_ONE], [])])
 
 
 def linear_system_residuals(b, variant, form="root_product"):
@@ -376,19 +384,19 @@ def linear_system_residuals(b, variant, form="root_product"):
     side = _side(b, variant)
     if not side.L:  # no relations, and no omega, even on a degenerate K
         return {}
-    omegas = {k: omega(b, k, variant, form) for k in side.K}
+    factors = {k: _omega_factors(b, k, variant, form) for k in side.K}
     out = {}
     for r in side.L:
-        acc = ZERO
-        for k in side.K:
+        terms = []
+        for k, (nums, dens) in factors.items():
             ak = side.alpha[k]
             f = side.F_root(ak, r)
             if f:
-                acc = acc + omegas[k] / f
-                continue
-            acc = acc + QFraction.from_factors(
-                [side.F_root(ak, l) for l in side.L if l != r],
-                [_root_diff(ak, side.alpha[l]) for l in side.K if l != k],
-            )
-        out[r] = acc
+                terms.append((nums, dens + [f]))
+            else:
+                terms.append((
+                    [side.F_root(ak, l) for l in side.L if l != r],
+                    [_root_diff(ak, side.alpha[l]) for l in side.K if l != k],
+                ))
+        out[r] = QFraction.sum_of_quotients(terms)
     return out

@@ -17,7 +17,7 @@ from qwig import (
     qnum,
     qpow,
 )
-from qwig.exactq import _factor_map, parse_half_laurent
+from qwig.exactq import _factor_map, _max_cyclotomic_index, parse_half_laurent
 
 Q_MINUS_QINV = qpow(1) - qpow(-1)
 
@@ -194,8 +194,8 @@ def test_from_factors_updates_factors_in_place():
     p = qnum(2) + HalfLaurent({1: Fraction(1, 2)})
     assert QFraction.from_factors([p * p], [p, p]) == ONE
     assert QFraction.from_factors([p, p], [p * p]) == ONE
-    x = QFraction.from_factors([p * p, qpow(3)], [p.shift(5) * 3, p])
-    assert _same(x, QFraction(qpow(3), HalfLaurent.const(3).shift(5)))
+    x = QFraction.from_factors([p * p, qpow(3)], [p * qpow(Fraction(5, 2)) * 3, p])
+    assert _same(x, QFraction(qpow(3), 3 * qpow(Fraction(5, 2))))
 
 
 def test_from_factors_zero_factors():
@@ -209,7 +209,7 @@ def test_from_factors_zero_factors():
 units = st.fractions(min_value=-6, max_value=6, max_denominator=4).filter(bool)
 monomials = st.builds(lambda k, c: HalfLaurent({k: c}), dexps, units)
 # the closed forms' factors: units times q-numbers, shifted
-cyclotomic = st.builds(lambda n, k, c: qnum(n).shift(k) * c,
+cyclotomic = st.builds(lambda n, k, c: qnum(n) * qpow(Fraction(k, 2)) * c,
                        st.integers(-9, 9).filter(bool), dexps, units)
 factors = st.one_of(nonzero_polys, rat_polys.filter(bool), monomials, cyclotomic)
 
@@ -229,8 +229,8 @@ def _root_diff(x, y):
 @example([_root_diff(5, 1), _root_diff(2, 7) * -2, qpow(Fraction(-1, 2))],
          [_root_diff(3, -1), _root_diff(7, 1), _root_diff(4, 4) + 3], [])
 @example([qnum(2), qnum(2), qnum(2)], [qnum(4), qnum(-2) * Fraction(1, 3)], [])
-@example([qnum(6) * Fraction(-3, 2), qnum(4).shift(3), _root_diff(1, 4)],
-         [qnum(4).shift(3), _root_diff(1, 4), qnum(6) * Fraction(-3, 2)], [])
+@example([qnum(6) * Fraction(-3, 2), qnum(4) * qpow(Fraction(3, 2)), _root_diff(1, 4)],
+         [qnum(4) * qpow(Fraction(3, 2)), _root_diff(1, 4), qnum(6) * Fraction(-3, 2)], [])
 @example([qnum(5)], [], [(qnum(10), -3, 2), (_root_diff(0, 6), 1, 1)])
 # factors with an odd power of Phi_1(q^(1/2)) = q^(1/2) - 1, whose sign
 # flips when peeled as 1 - q^(1/2)
@@ -239,7 +239,7 @@ def _root_diff(x, y):
 def test_from_factors_matches_whole_quotient(nums, dens, shared):
     # factors shared between the sides, up to a unit, and repeated ones
     nums = nums + [g for g, _, _ in shared] + [g for g, _, _ in shared[:1]]
-    dens = dens + [g.shift(k) * c for g, k, c in shared]
+    dens = dens + [g * qpow(Fraction(k, 2)) * c for g, k, c in shared]
     x = QFraction.from_factors(nums, dens)
     one = HalfLaurent.const(1)
     y = QFraction(math.prod(nums, start=one), math.prod(dens, start=one))
@@ -265,16 +265,95 @@ def test_qnum_factor_map():
     # so the peel's g(N) stay small longest
     HalfLaurent({2 * k: c for k, c in
                  {0: 1, 1: 1, 3: -1, 4: -1, 5: -1, 6: -1, 7: -1, 9: 1, 10: 1}.items()}),
+    # degree 16 in q^(1/2): the peel gives up by N = 60, the largest d with
+    # phi(d) <= 16, where a bound of degree squared let it run to N = 141
+    parse_half_laurent("q^-4 - q^5/2 - q^4"),
 ])
 def test_non_cyclotomic_factor_falls_back(f):
     # the peel gives up after bounded work, and from_factors takes the
     # quotient of the whole products instead
     assert _factor_map(f) is None
-    nums, dens = [f, qnum(6), qpow(2)], [qnum(3), f.shift(1) * -2, qnum(4)]
+    nums, dens = [f, qnum(6), qpow(2)], [qnum(3), f * qpow(Fraction(1, 2)) * -2, qnum(4)]
     x = QFraction.from_factors(nums, dens)
     y = QFraction(math.prod(nums), math.prod(dens))
     assert _same(x, y)
     assert hash(x) == hash(y)
+
+
+def _totient(n):
+    out, rest, p = n, n, 2
+    while p * p <= rest:
+        if rest % p == 0:
+            out -= out // p
+            while rest % p == 0:
+                rest //= p
+        p += 1
+    return out - out // rest if rest > 1 else out
+
+
+def test_peel_bound_is_largest_cyclotomic_index():
+    # phi(d) >= (d / 2) ** 0.5, so no d above 2 deg^2 has phi(d) <= deg
+    for deg in range(1, 41):
+        want = max(d for d in range(1, 2 * deg * deg + 1) if _totient(d) <= deg)
+        assert _max_cyclotomic_index(deg) == want
+    assert _max_cyclotomic_index(16) == 60
+
+
+quotient_terms = st.lists(
+    st.tuples(st.lists(st.one_of(cyclotomic, monomials), max_size=3),
+              st.lists(cyclotomic, max_size=3)),
+    max_size=4)
+
+
+def _sum_by_addition(terms):
+    return sum((QFraction.from_factors(n, d) for n, d in terms), ZERO)
+
+
+@settings(max_examples=200, deadline=None)
+@given(quotient_terms, st.lists(st.integers(0, 3), max_size=4))
+# q^-1/[2] + q/[2] = 1: the whole common denominator divides out
+@example([([qpow(-1)], [qnum(2)]), ([qpow(1)], [qnum(2)])], [])
+# [2]/[2]^2 + [4]/[2]^2 = [3]/[2]: one of the two powers of each Phi_d of
+# [2] divides out
+@example([([qnum(2)], [qnum(2), qnum(2)]), ([qnum(4)], [qnum(2), qnum(2)])], [])
+# shared Phi_d with negative and Fraction units, one term repeated negated
+@example([([qnum(6) * Fraction(-3, 2)], [qnum(3), qnum(4)]),
+          ([qpow(Fraction(1, 2)) * -2], [qnum(2) * Fraction(1, 3)]),
+          ([qnum(12)], [qnum(6), qnum(-4)])], [0, 2])
+def test_sum_of_quotients_matches_sum(terms, negated):
+    # each drawn index repeats one term negated, so that sums cancel in part
+    terms = terms + [([HalfLaurent.const(-1)] + terms[i][0], terms[i][1])
+                     for i in negated if i < len(terms)]
+    x = QFraction.sum_of_quotients(terms)
+    y = _sum_by_addition(terms)
+    assert _same(x, y)
+    assert hash(x) == hash(y)
+    # and the whole sum cancels against its negation
+    minus = [([HalfLaurent.const(-1)] + n, d) for n, d in terms]
+    assert _same(QFraction.sum_of_quotients(terms + minus), ZERO)
+
+
+def test_sum_of_quotients_edge_cases():
+    p = qnum(3)
+    assert _same(QFraction.sum_of_quotients([]), ZERO)
+    assert _same(QFraction.sum_of_quotients(iter([([p], [qnum(2)])])),
+                 QFraction.from_factors([p], [qnum(2)]))
+    # a zero numerator factor: the term adds nothing
+    terms = [([p, HalfLaurent()], [qnum(2)]), ([qpow(1)], [p])]
+    assert _same(QFraction.sum_of_quotients(terms), QFraction(qpow(1), p))
+    assert _same(QFraction.sum_of_quotients(terms[:1]), ZERO)
+    # a zero denominator factor raises, whatever the other terms are
+    for nums in ([p], [HalfLaurent()]):
+        with pytest.raises(ZeroDivisionError):
+            QFraction.sum_of_quotients(
+                [([qpow(1)], [p]), (nums, [qnum(2), HalfLaurent()])])
+    # a factor with no map sends every term through from_factors and +
+    f = HalfLaurent({0: 1, 2: 2})
+    assert _factor_map(f) is None
+    terms = [([qnum(4)], [qnum(2), f]), ([f], [qnum(3)]), ([qpow(-1)], [qnum(2)])]
+    x = QFraction.sum_of_quotients(terms)
+    assert _same(x, _sum_by_addition(terms))
+    assert hash(x) == hash(_sum_by_addition(terms))
 
 
 def _fraction_parse(s):

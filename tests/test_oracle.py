@@ -69,6 +69,7 @@ from qwig.oracle.checks import (
     _branch_vector,
     _embed,
     _projector,
+    _projector_parts,
     _ratio,
     _shift_projector,
     _sub_projector,
@@ -88,6 +89,7 @@ from qwig.oracle.linalg import (
     solve_coords,
     zeros,
 )
+from qwig.oracle.loperators import projector_parts
 from qwig.oracle.modules import (
     _apply,
     _parity_of_weight,
@@ -308,6 +310,12 @@ def test_projector_algebra_gl11():
         assert is_zero_matrix(matmul(p, p) - p)
     assert is_zero_matrix(matmul(ps[0], ps[1]))
     assert is_zero_matrix(ps[0] + ps[1] - identity(4))
+    # the same algebra on the unscaled products N = s P
+    parts = [projector_parts(A, vals, r) for r in (1, 2)]
+    for p, (n, s) in zip(ps, parts):
+        assert mat_scale(n, s.inverse()) == p
+        assert matmul(n, n) == mat_scale(n, s)
+    assert is_zero_matrix(matmul(parts[0][0], parts[1][0]))
 
 
 def test_projector_degenerate():
@@ -502,6 +510,9 @@ def test_cached_matrices_equal_fresh_builds():
             P = _projector(W, lam, k, kind)
             assert _projector(W, lam, k, kind) is P
             assert P == _dense_projector(dense, nodes, k)
+            N, s = _projector_parts(W, lam, k, kind)
+            assert _projector_parts(W, lam, k, kind)[0] is N
+            assert P == mat_scale(N, s.inverse())
     checked = 0
     for ckind, variant in (("atilde", "adjoint"), ("adual", "dual")):
         dense = _dense_char_matrix(fresh, ckind, d - 1)

@@ -107,6 +107,68 @@ def test_linear_system_spot():
         assert res and all(v == ZERO for v in res.values())
 
 
+def _sum_rule_by_addition(b, variant, form):
+    total = ZERO
+    for k in range(1, b.sig.d + 1):
+        total = total + omega(b, k, variant, form)
+    return total - ONE
+
+
+def _linear_residuals_by_addition(b, variant, form):
+    side = _Side(b, variant)
+    if not side.L:
+        return {}
+    omegas = {k: omega(b, k, variant, form) for k in side.K}
+    out = {}
+    for r in side.L:
+        acc = ZERO
+        for k in side.K:
+            ak = side.alpha[k]
+            f = side.F_root(ak, r)
+            if f:
+                acc = acc + omegas[k] / f
+            else:
+                acc = acc + QFraction.from_factors(
+                    [side.F_root(ak, l) for l in side.L if l != r],
+                    [_root_diff(ak, side.alpha[l]) for l in side.K if l != k])
+        out[r] = acc
+    return out
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except DegenerateRoots:
+        return DegenerateRoots
+
+
+def test_residuals_match_sums_of_omega(sweep_branchings):
+    # the one-denominator sums give what omega values added by + give, in
+    # structure and in hash, and raise DegenerateRoots on the same cases
+    def same(x, y):
+        return x is y or (x.num == y.num and x.den == y.den and hash(x) == hash(y))
+
+    degenerate = zero_f = 0
+    for b in sweep_branchings[::20]:
+        for variant in ("lower", "raise"):
+            side = _Side(b, variant)
+            zero_f += any(not side.F_root(side.alpha[k], r)
+                          for k in side.K for r in side.L)
+            for form in FORMS:
+                got = _outcome(sum_rule_residual, b, variant, form)
+                want = _outcome(_sum_rule_by_addition, b, variant, form)
+                assert same(got, want), (str(b), variant, form)
+                degenerate += got is DegenerateRoots
+                got = _outcome(linear_system_residuals, b, variant, form)
+                want = _outcome(_linear_residuals_by_addition, b, variant, form)
+                if got is DegenerateRoots or want is DegenerateRoots:
+                    assert got is want, (str(b), variant, form)
+                    continue
+                assert got.keys() == want.keys()
+                assert all(same(got[r], want[r]) for r in got), (str(b), variant)
+    assert degenerate and zero_f
+
+
 def test_gamma_gl21_example():
     b = index_sets(Weight(S21, (2, 0, 0)), (1, 0))
     a = [deformed_root(x) for x in (2, -1, 0)]
