@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+from itertools import zip_longest
 
 from .errors import PoleAtOne
 
@@ -175,18 +176,6 @@ class HalfLaurent:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("exponent must be a nonnegative integer")
-        out = HalfLaurent.const(1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
     # -- structure queries ------------------------------------------------
 
     def min_dexp(self):
@@ -318,6 +307,69 @@ def _poly_prem(pa, pb):
     return pa
 
 
+# -- dense polynomial kernel ------------------------------------------------
+#
+# Every polynomial quotient below is synthetic division on coefficient lists,
+# p[i] the coefficient of x^i and p[-1] nonzero, and every product it needs
+# is a product of binomials (Knuth, TAOCP vol. 2, 4.6.1).
+
+
+def _dense(t):
+    """(low, p) with t = x^low sum_i p[i] x^i, for a nonzero coefficient
+    dict t."""
+    low = min(t)
+    p = [0] * (max(t) - low + 1)
+    for i, c in t.items():
+        p[i - low] = c
+    return low, p
+
+
+def _sparse(low, p):
+    """The HalfLaurent x^low sum_i p[i] x^i."""
+    return HalfLaurent._raw({i + low: c for i, c in enumerate(p) if c})
+
+
+def _times_binomial(p, n, k):
+    """The coefficient list p times (1 - x^n)^k; p itself for k <= 0."""
+    for _ in range(k):
+        out = p + [0] * n
+        for i, c in enumerate(p):
+            out[i + n] -= c
+        p = out
+    return p
+
+
+def _divide(p, g):
+    """The quotient list p / g, or None if g does not divide p."""
+    m = len(g) - 1
+    lc = g[m]
+    lower = [(j, c) for j, c in enumerate(g[:m]) if c]
+    p = list(p)
+    q = [0] * (len(p) - m)
+    for i in range(len(q) - 1, -1, -1):
+        c = p[i + m]
+        if c:
+            if lc != 1:
+                c = _coeff_div(c, lc)
+            q[i] = c
+            for j, cj in lower:
+                p[i + j] -= c * cj
+    if any(p[:m]):
+        return None
+    return q
+
+
+def _exact_div(a, g):
+    """a / g in the Laurent ring, for nonzero HalfLaurents; ArithmeticError
+    if g does not divide a."""
+    la, pa = _dense(a._t)
+    lg, pg = _dense(g._t)
+    q = _divide(pa, pg)
+    if q is None:
+        raise ArithmeticError("inexact polynomial division")
+    return _sparse(la - lg, q)
+
+
 def _cancel(a, b):
     """(a/h, b/h) for h = gcd(a, b), on nonzero HalfLaurents."""
     if a.is_monomial() or b.is_monomial():
@@ -336,20 +388,6 @@ def _cancel(a, b):
 # exponents, and the value's canonical form follows with no gcd.  The closed
 # forms draw their factors from a small recurring set; the bounds keep memory
 # flat over a long run.
-
-
-def _times_binomial(p, n, k):
-    """The coefficient dict p times (1 - x^n)^k."""
-    for _ in range(k):
-        out = dict(p)
-        for e, c in p.items():
-            c0 = out.get(e + n, 0) - c
-            if c0:
-                out[e + n] = c0
-            else:
-                del out[e + n]
-        p = out
-    return p
 
 
 _E_GAMMA = 1.7810724179901979  # e ** (Euler's constant)
@@ -393,18 +431,16 @@ def _factor_map(f):
     1 - x^N = -prod_{d | N} Phi_d, e_d is the sum of g(N) over the multiples
     N of d.
     """
-    t = f._t
-    s = min(t)
-    c0 = t[s]
-    a = {k - s: _coeff_div(c, c0) for k, c in t.items()}
-    deg = max(a)
+    s, p = _dense(f._t)
+    c0 = p[0]
+    a = [_coeff_div(c, c0) for c in p]
+    deg = len(a) - 1
     top = _max_cyclotomic_index(deg)
-    b = {0: 1}
+    b = [1]
     g = {}
     while a != b:
-        n = next(k for k in sorted(a.keys() | b.keys())
-                 if a.get(k, 0) != b.get(k, 0))
-        gn = b.get(n, 0) - a.get(n, 0)
+        n, gn = next((i, y - x) for i, (x, y)
+                     in enumerate(zip_longest(a, b, fillvalue=0)) if x != y)
         if type(gn) is not int or abs(gn) > deg or n > top:
             return None
         g[n] = gn
@@ -438,43 +474,38 @@ def _mobius_terms(d):
     return tuple(terms)
 
 
-def _cyclotomic_product(e):
-    """prod_d Phi_d(x)^e_d for a dict of positive e_d, as a dense coefficient
-    list: the binomials x^N - 1 of the Phi_d's Moebius products are all
-    multiplied in before any is divided out, so each quotient is exact."""
+@lru_cache(maxsize=1024)
+def _cyclotomic_poly(e):
+    """prod_d Phi_d(x)^e_d as a coefficient tuple, for a sorted tuple e of
+    (d, e_d) pairs with e_d > 0.
+
+    The binomials of the Phi_d's Moebius products are all multiplied in, as
+    1 - x^N, before any monic x^N - 1 is divided out, so each division is
+    exact.  The product is monic, which fixes its sign.
+    """
     h = {}
-    for d, k in e.items():
+    for d, k in e:
         for n, m in _mobius_terms(d):
             h[n] = h.get(n, 0) + m * k
     p = [1]
     for n, k in h.items():
-        for _ in range(k):
-            out = [0] * n + p
-            for i, c in enumerate(p):
-                out[i] -= c
-            p = out
+        p = _times_binomial(p, n, k)
     for n, k in h.items():
         for _ in range(-k):
-            # p = (x^n - 1) r gives r_i = r_(i-n) - p_i
-            r = [-c for c in p[: len(p) - n]]
-            for i in range(n, len(r)):
-                r[i] += r[i - n]
-            p = r
-    return p
+            p = _divide(p, [-1] + [0] * (n - 1) + [1])
+    return tuple(p) if p[-1] > 0 else tuple(-c for c in p)
 
 
-@lru_cache(maxsize=1024)
-def _cyclotomic_quotient(e):
-    """(num, den) with num/den = prod_d Phi_d(x)^e_d, for a sorted tuple e
-    of (d, e_d) pairs with e_d != 0, in QFraction's normal form: den's
-    constant term, the product of the Phi_d(0) = +-1, is made 1."""
-    num = _cyclotomic_product({d: k for d, k in e if k > 0})
-    den = _cyclotomic_product({d: -k for d, k in e if k < 0})
-    if den[0] < 0:
-        num = [-c for c in num]
-        den = [-c for c in den]
-    return (HalfLaurent._raw({i: c for i, c in enumerate(num) if c}),
-            HalfLaurent._raw({i: c for i, c in enumerate(den) if c}))
+def _cyclotomic_parts(e):
+    """(num, den) coefficient tuples with num/den = prod_d Phi_d(x)^e_d, for
+    a dict e, in QFraction's normal form: den(0) = 1.  Phi_1(0) = -1 and
+    Phi_d(0) = 1 for d > 1, so both are negated when Phi_1 has an odd
+    negative exponent."""
+    num = _cyclotomic_poly(tuple(sorted((d, k) for d, k in e.items() if k > 0)))
+    den = _cyclotomic_poly(tuple(sorted((d, -k) for d, k in e.items() if k < 0)))
+    if e.get(1, 0) < 0 and e[1] % 2:
+        return tuple(-c for c in num), tuple(-c for c in den)
+    return num, den
 
 
 def _merged_map(nums, dens):
@@ -497,28 +528,6 @@ def _merged_map(nums, dens):
             for d, k in fe:
                 e[d] = e.get(d, 0) + sign * k
     return unit, shift, e
-
-
-def _divide_exactly(t, phi):
-    """The quotient of the coefficient dicts t / phi, for a nonzero t and a
-    monic phi with lowest exponent 0; None if phi does not divide t."""
-    low = min(t)
-    p = [0] * (max(t) - low + 1)
-    for i, c in t.items():
-        p[i - low] = c
-    m = max(phi)
-    if len(p) <= m:
-        return None
-    lower = [(j, c) for j, c in phi.items() if j < m]
-    q = [0] * (len(p) - m)
-    for i in range(len(q) - 1, -1, -1):
-        c = q[i] = p[i + m]
-        if c:
-            for j, cj in lower:
-                p[i + j] -= c * cj
-    if any(p[:m]):
-        return None
-    return {i + low: c for i, c in enumerate(q) if c}
 
 
 _POLY_ONE = HalfLaurent.const(1)
@@ -600,12 +609,10 @@ class QFraction:
             return cls(math.prod(nums, start=_POLY_ONE),
                        math.prod(dens, start=_POLY_ONE))
         unit, shift, e = m
-        num, den = _cyclotomic_quotient(
-            tuple(sorted(item for item in e.items() if item[1])))
-        if shift or unit != 1:
-            num = HalfLaurent._raw(
-                {i + shift: _as_fraction(unit * c) for i, c in num._t.items()})
-        return cls._raw(num, den)
+        num, den = _cyclotomic_parts(e)
+        if unit != 1:
+            num = [_as_fraction(unit * c) for c in num]
+        return cls._raw(_sparse(shift, num), _sparse(0, den))
 
     @classmethod
     def sum_of_quotients(cls, terms):
@@ -644,27 +651,28 @@ class QFraction:
             over = dict(e)
             for d, k in common.items():
                 over[d] = over.get(d, 0) - k
-            num, _ = _cyclotomic_quotient(
+            num = _cyclotomic_poly(
                 tuple(sorted(item for item in over.items() if item[1])))
-            for i, c in num._t.items():
-                c0 = t.get(i + shift)
-                t[i + shift] = unit * c if c0 is None else c0 + unit * c
+            for i, c in enumerate(num, shift):
+                if c:
+                    c0 = t.get(i)
+                    t[i] = unit * c if c0 is None else c0 + unit * c
         t = {i: _as_fraction(c) for i, c in t.items() if c}
         if not t:
             return ZERO
+        low, p = _dense(t)
         for d in sorted(common):
-            phi = _cyclotomic_quotient(((d, 1),))[0]._t
+            phi = _cyclotomic_poly(((d, 1),))
             while common[d]:
-                quotient = _divide_exactly(t, phi)
+                quotient = _divide(p, phi)
                 if quotient is None:
                     break
-                t = quotient
+                p = quotient
                 common[d] += 1
-        sign, den = _cyclotomic_quotient(
-            tuple(sorted(item for item in common.items() if item[1])))
-        if sign._t[0] != 1:
-            t = {i: -c for i, c in t.items()}
-        return cls._raw(HalfLaurent._raw(t), den)
+        sign, den = _cyclotomic_parts(common)
+        if sign[0] < 0:
+            p = [-c for c in p]
+        return cls._raw(_sparse(low, p), _sparse(0, den))
 
     @classmethod
     def sum_of_products(cls, pairs):
@@ -796,20 +804,6 @@ class QFraction:
             raise ZeroDivisionError("inverse of zero")
         return QFraction._raw(*_strip_unit(self.den, self.num))
 
-    def __pow__(self, n):
-        if not isinstance(n, int):
-            raise ValueError("exponent must be an integer")
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = ONE
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
     # -- evaluation -------------------------------------------------------
 
     def limit_q1(self):
@@ -837,33 +831,6 @@ class QFraction:
 
     def __repr__(self):
         return "QFraction(%s)" % self
-
-
-def _exact_div(a, g):
-    """Exact division of a by g in the Laurent ring (g must divide a)."""
-    sh_a = a.min_dexp()
-    sh_g = g.min_dexp()
-    pa = {k - sh_a: c for k, c in a.items()}
-    pg = {k - sh_g: c for k, c in g.items()}
-    out = {}
-    dg = max(pg)
-    lg = pg[dg]
-    while pa:
-        da = max(pa)
-        if da < dg:
-            raise ArithmeticError("inexact polynomial division")
-        f = _coeff_div(pa[da], lg)
-        sh = da - dg
-        out[sh] = f
-        for k, c in pg.items():
-            kk = k + sh
-            c0 = pa.get(kk)
-            c0 = -f * c if c0 is None else c0 - f * c
-            if c0:
-                pa[kk] = c0
-            elif kk in pa:
-                del pa[kk]
-    return HalfLaurent._raw({k + sh_a - sh_g: c for k, c in out.items()})
 
 
 ZERO = QFraction(0)

@@ -63,31 +63,26 @@ __all__ = [
 ]
 
 
-def _r_matrix_terms(sig):
-    """The L-operator as a list of (i, j) index pairs; the matrices are
-    filled in per slot placement."""
-    return [(i, j) for i in range(1, sig.d + 1) for j in range(i, sig.d + 1)]
-
-
 def _three_slot(sig, V, a, b):
     """R acting on slots (a, b) of V (x) V (x) V (1-based slots)."""
     d = sig.d
     pars = vector_slot_parities(sig)
     slot_pars = [pars, pars, pars]
     total = [{} for _ in range(d ** 3)]
-    for i, j in _r_matrix_terms(sig):
-        p = (sig.parity(i) + sig.parity(j)) % 2
-        eji = _elementary(d, j, i)
-        et = etilde_matrix(V, i, j)
-        ops = []
-        for slot in (1, 2, 3):
-            if slot == a:
-                ops.append((eji, p))
-            elif slot == b:
-                ops.append((et, p))
-            else:
-                ops.append((identity(d), 0))
-        gkron(ops, slot_pars, rows=total)
+    for i in range(1, d + 1):
+        for j in range(i, d + 1):
+            p = (sig.parity(i) + sig.parity(j)) % 2
+            eji = _elementary(d, j, i)
+            et = etilde_matrix(V, i, j)
+            ops = []
+            for slot in (1, 2, 3):
+                if slot == a:
+                    ops.append((eji, p))
+                elif slot == b:
+                    ops.append((et, p))
+                else:
+                    ops.append((identity(d), 0))
+            gkron(ops, slot_pars, rows=total)
     return Matrix(total, d ** 3)
 
 
@@ -170,15 +165,9 @@ def coproduct_check(sig):
                 return False
 
     # global form: both sides act on V (x) (V (x) V)
-    slot3 = [pars, T.parities]
-    lhs = [{} for _ in range(d ** 3)]
-    for i, j in _r_matrix_terms(sig):
-        p = (sig.parity(i) + sig.parity(j)) % 2
-        gkron([(_elementary(d, j, i), p), (etilde_matrix(T, i, j), p)], slot3,
-              rows=lhs)
     R13 = _three_slot(sig, V, 1, 3)
     R12 = _three_slot(sig, V, 1, 2)
-    return Matrix(lhs, d ** 3) == matmul(R13, R12)
+    return l_operator(T, "R") == matmul(R13, R12)
 
 
 def subalgebra_block_check(W, kind):

@@ -15,6 +15,7 @@ from .errors import (
     ConsistencyError,
     DegenerateRoots,
     IndexOutOfRange,
+    InvalidArgument,
     NonIntegralWeight,
     SignatureMismatch,
 )
@@ -44,7 +45,7 @@ class Signature:
 
     def __post_init__(self):
         if self.m < 1 or self.n < 1:
-            raise ValueError("signature needs m >= 1 and n >= 1")
+            raise InvalidArgument("signature needs m >= 1 and n >= 1")
 
     @property
     def d(self):

@@ -113,6 +113,16 @@ def test_weight_parse_errors(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ("verify", "--m", "0", "--n", "1"),
+    ("roots", "--weight", "|1"),
+    ("invariants", "--weight", "1,0|"),
+])
+def test_empty_signature_block_is_a_typed_error(capsys, argv):
+    code, obj = run_json(capsys, *argv)
+    assert code == 1 and obj["error"]["type"] == "InvalidArgument"
+
+
 def test_usage_error_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["wigner", "--weight", "1,0|0"])  # missing required flags

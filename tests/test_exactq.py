@@ -17,7 +17,13 @@ from qwig import (
     qnum,
     qpow,
 )
-from qwig.exactq import _factor_map, _max_cyclotomic_index, parse_half_laurent
+from qwig.exactq import (
+    _cyclotomic_poly,
+    _exact_div,
+    _factor_map,
+    _max_cyclotomic_index,
+    parse_half_laurent,
+)
 
 Q_MINUS_QINV = qpow(1) - qpow(-1)
 
@@ -105,7 +111,8 @@ fractions = st.builds(QFraction, polys, nonzero_polys)
 rat_polys = st.dictionaries(
     dexps, st.fractions(min_value=-6, max_value=6, max_denominator=4), max_size=4
 ).map(HalfLaurent)
-rat_fractions = st.builds(QFraction, rat_polys, rat_polys.filter(bool))
+nonzero_rat_polys = rat_polys.filter(bool)
+rat_fractions = st.builds(QFraction, rat_polys, nonzero_rat_polys)
 
 
 @settings(max_examples=150, deadline=None)
@@ -211,7 +218,12 @@ monomials = st.builds(lambda k, c: HalfLaurent({k: c}), dexps, units)
 # the closed forms' factors: units times q-numbers, shifted
 cyclotomic = st.builds(lambda n, k, c: qnum(n) * qpow(Fraction(k, 2)) * c,
                        st.integers(-9, 9).filter(bool), dexps, units)
-factors = st.one_of(nonzero_polys, rat_polys.filter(bool), monomials, cyclotomic)
+factors = st.one_of(nonzero_polys, nonzero_rat_polys, monomials, cyclotomic)
+
+
+# Phi_1(q^(1/2)) = q^(1/2) - 1 and its cube
+PHI1 = HalfLaurent({1: 1, 0: -1})
+PHI1_CUBED = HalfLaurent({3: 1, 2: -3, 1: 3, 0: -1})
 
 
 def _root_diff(x, y):
@@ -236,6 +248,10 @@ def _root_diff(x, y):
 # flips when peeled as 1 - q^(1/2)
 @example([qpow(1) - qpow(-1), HalfLaurent({0: 1, 1: -1}), qnum(3)],
          [HalfLaurent({1: 2, 0: -2}), qnum(2)], [])
+# an odd power of Phi_1 left in the denominator, whose constant term -1
+# the normal form makes 1
+@example([qnum(3)], [PHI1], [])
+@example([qnum(2) * Fraction(-1, 2), qpow(1)], [PHI1_CUBED * Fraction(2, 3), qnum(3)], [])
 def test_from_factors_matches_whole_quotient(nums, dens, shared):
     # factors shared between the sides, up to a unit, and repeated ones
     nums = nums + [g for g, _, _ in shared] + [g for g, _, _ in shared[:1]]
@@ -299,6 +315,25 @@ def test_peel_bound_is_largest_cyclotomic_index():
     assert _max_cyclotomic_index(16) == 60
 
 
+def test_cyclotomic_products_over_divisors():
+    # prod_{d | n} Phi_d(x) = x^n - 1
+    for n in range(1, 61):
+        e = tuple((d, 1) for d in range(1, n + 1) if n % d == 0)
+        assert _cyclotomic_poly(e) == (-1,) + (0,) * (n - 1) + (1,)
+
+
+@settings(max_examples=150, deadline=None)
+@given(nonzero_rat_polys, nonzero_rat_polys, nonzero_rat_polys)
+def test_exact_div_inverts_products(a, g, r):
+    assert _exact_div(a * g, g) == a
+    # g divides no nonzero r of lower degree, so a g + r is inexact
+    span = max(k for k, _ in g.items()) - g.min_dexp()
+    if span:
+        r = HalfLaurent({k: c for k, c in r.items() if k - r.min_dexp() < span})
+        with pytest.raises(ArithmeticError):
+            _exact_div(a * g + r, g)
+
+
 quotient_terms = st.lists(
     st.tuples(st.lists(st.one_of(cyclotomic, monomials), max_size=3),
               st.lists(cyclotomic, max_size=3)),
@@ -320,6 +355,10 @@ def _sum_by_addition(terms):
 @example([([qnum(6) * Fraction(-3, 2)], [qnum(3), qnum(4)]),
           ([qpow(Fraction(1, 2)) * -2], [qnum(2) * Fraction(1, 3)]),
           ([qnum(12)], [qnum(6), qnum(-4)])], [0, 2])
+# a common denominator with an odd power of Phi_1, which the sum does not
+# divide out
+@example([([qpow(1)], [PHI1]), ([qnum(2)], [PHI1 * Fraction(1, 3)])], [])
+@example([([qnum(3)], [PHI1_CUBED * Fraction(-2, 5)]), ([qpow(-1)], [PHI1, qnum(2)])], [])
 def test_sum_of_quotients_matches_sum(terms, negated):
     # each drawn index repeats one term negated, so that sums cancel in part
     terms = terms + [([HalfLaurent.const(-1)] + terms[i][0], terms[i][1])

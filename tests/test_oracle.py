@@ -646,6 +646,7 @@ sw.rho_even_odd = lambda sig: ((Fraction(0),) * sig.d,) * 2
 cases = {
     "antipode": lambda: etilde_matrix(vector_rep(S21), 1, 2, 2),
     "eij": lambda: eij_matrix(vector_rep(S21), 2, 2),
+    "signature": lambda: Signature(0, 1),
     "rho": lambda: sw.rho(S21),
     "tensor_module": lambda: tensor_module(vector_rep(S11), vector_rep(S21)),
     "parity_of_weight": lambda: _parity_of_weight(S21, (0, 0, Fraction(1, 2))),
