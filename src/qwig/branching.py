@@ -19,24 +19,29 @@ def _check_pair(lam, lam0):
         raise SignatureMismatch(
             "lower weight needs %d components for %s" % (m + n - 1, sig)
         )
-    for i in range(1, m + 1):
-        if not lam[i] >= lam0[i - 1] >= lam[i] - 1:
+    c = lam.comps
+    for i in range(m):
+        if not c[i] >= lam0[i] >= c[i] - 1:
             raise NotABranching(
                 "even label %d: need %d >= %d >= %d"
-                % (i, lam[i], lam0[i - 1], lam[i] - 1)
+                % (i + 1, c[i], lam0[i], c[i] - 1)
             )
-    for u in range(1, n):
-        if not lam[m + u] >= lam0[m + u - 1] >= lam[m + u + 1]:
+    for u in range(m, m + n - 1):
+        if not c[u] >= lam0[u] >= c[u + 1]:
             raise NotABranching(
                 "odd label %d: need %d >= %d >= %d"
-                % (u, lam[m + u], lam0[m + u - 1], lam[m + u + 1])
+                % (u - m + 1, c[u], lam0[u], c[u + 1])
             )
-    ev = lam0[:m]
-    od = lam0[m:]
-    if any(a < b for a, b in zip(ev, ev[1:])) or any(
-        a < b for a, b in zip(od, od[1:])
-    ):
+    if not _dominant(lam0, m):
         raise NotABranching("lower weight %r is not dominant" % (lam0,))
+
+
+def _dominant(lam0, m):
+    """Whether both blocks of lam0, split after m components, are
+    nonincreasing."""
+    return all(lam0[i] >= lam0[i + 1] for i in range(m - 1)) and all(
+        lam0[i] >= lam0[i + 1] for i in range(m, len(lam0) - 1)
+    )
 
 
 @dataclass(frozen=True)
@@ -62,19 +67,17 @@ class BranchingData:
     def sig(self):
         return self.lam.sig
 
-    @property
+    @cached_property
     def I0(self):
-        m = self.sig.m
+        c = self.lam.comps
         return tuple(
-            i for i in range(1, m + 1) if self.lam0[i - 1] == self.lam[i] - 1
+            i + 1 for i in range(self.sig.m) if self.lam0[i] == c[i] - 1
         )
 
-    @property
+    @cached_property
     def I0bar(self):
-        m = self.sig.m
-        return tuple(
-            i for i in range(1, m + 1) if self.lam0[i - 1] == self.lam[i]
-        )
+        c = self.lam.comps
+        return tuple(i + 1 for i in range(self.sig.m) if self.lam0[i] == c[i])
 
     @property
     def I1(self):
@@ -87,33 +90,38 @@ class BranchingData:
 
     @cached_property
     def eta(self):
-        m, n = self.sig.m, self.sig.n
-        return sum(self.lam[m + u] for u in range(1, n + 1)) - sum(
-            self.lam0[m + u - 1] for u in range(1, n)
-        )
+        m = self.sig.m
+        return sum(self.lam.comps[m:]) - sum(self.lam0[m:])
 
     @property
     def e_last(self):
         return len(self.I0) + self.eta
 
     def lower_indices(self):
-        """Admissible shifts for the lowering side: I0 u I1t, sorted."""
-        return tuple(sorted(self.I0 + self.I1t))
+        """Admissible shifts for the lowering side: I0 u I1t, sorted, since
+        I0 lies in 1..m and I1t in m+1..m+n."""
+        return self.I0 + self.I1t
 
     def raise_indices(self):
         """Admissible shifts for the raising side: I0bar u I1t, sorted."""
-        return tuple(sorted(self.I0bar + self.I1t))
+        return self.I0bar + self.I1t
 
     def sub_roots(self, variant):
         return subalgebra_roots(self.lam0, variant, self.sig)
 
-    def __str__(self):
+    # str is formatted once per branching: callers print the same one many
+    # times, in check messages and verify details
+    @cached_property
+    def _text(self):
         m = self.sig.m
         return "%s >= %s|%s" % (
             self.lam,
             ",".join(str(c) for c in self.lam0[:m]),
             ",".join(str(c) for c in self.lam0[m:]),
         )
+
+    def __str__(self):
+        return self._text
 
 
 def index_sets(lam, lam0):
@@ -122,19 +130,18 @@ def index_sets(lam, lam0):
 
 
 def branch_candidates(lam):
-    """All lower weights lam0 admissible under lam, lexicographically sorted."""
-    sig = lam.sig
-    m, n = sig.m, sig.n
-    ranges = []
-    for i in range(1, m + 1):
-        ranges.append(range(lam[i] - 1, lam[i] + 1))
-    for u in range(1, n):
-        ranges.append(range(lam[m + u + 1], lam[m + u] + 1))
-    out = []
-    for cand in itertools.product(*ranges):
-        try:
-            out.append(BranchingData(lam, cand))
-        except NotABranching:
-            continue
-    out.sort(key=lambda b: b.lam0)
-    return out
+    """All lower weights lam0 admissible under lam, lexicographically sorted.
+
+    Each component of lam0 ranges over an ascending range allowed by the
+    betweenness rules, so the product of the ranges comes out sorted; only
+    the candidates that are not dominant are left out.
+    """
+    m, n = lam.sig.m, lam.sig.n
+    c = lam.comps
+    ranges = [range(x - 1, x + 1) for x in c[:m]]
+    ranges += [range(c[u + 1], c[u] + 1) for u in range(m, m + n - 1)]
+    return [
+        BranchingData(lam, cand)
+        for cand in itertools.product(*ranges)
+        if _dominant(cand, m)
+    ]

@@ -14,6 +14,7 @@ import csv
 import functools
 import io
 import json
+import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
@@ -77,7 +78,89 @@ def _parse_lower(text, sig):
 
 
 def _dump_json(obj):
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """json.dumps(obj, sort_keys=True, indent=2) + "\n", byte for byte.
+
+    With an indent, json.dumps runs its generator-based pure-Python
+    encoder; this writer appends the same pieces to one list instead.  The
+    type dispatch, the key conversion and their errors follow
+    json.encoder._make_iterencode; circular references are not detected.
+    """
+    out = []
+    _write_json(obj, out, "\n")
+    out.append("\n")
+    return "".join(out)
+
+
+def _write_json(o, out, newline):
+    """Append the JSON text of o to out; newline starts a line at o's
+    indent."""
+    if isinstance(o, str):
+        out.append(_json_str(o))
+    elif o is None:
+        out.append("null")
+    elif o is True:
+        out.append("true")
+    elif o is False:
+        out.append("false")
+    elif isinstance(o, int):
+        out.append(int.__repr__(o))
+    elif isinstance(o, float):
+        out.append(_json_float(o))
+    elif isinstance(o, (list, tuple)):
+        if not o:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        out.append("[")
+        for v in o:
+            out.append(inner)
+            _write_json(v, out, inner)
+            out.append(",")
+        out[-1] = newline + "]"
+    elif isinstance(o, dict):
+        if not o:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        out.append("{")
+        for k, v in sorted(o.items()):
+            out.append(inner + _json_key(k) + ": ")
+            _write_json(v, out, inner)
+            out.append(",")
+        out[-1] = newline + "}"
+    else:
+        raise TypeError("Object of type %s is not JSON serializable"
+                        % o.__class__.__name__)
+
+
+_json_str = json.encoder.encode_basestring_ascii
+
+
+def _json_float(x):
+    if x != x:
+        return "NaN"
+    if x == math.inf:
+        return "Infinity"
+    if x == -math.inf:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _json_key(k):
+    if isinstance(k, str):
+        return _json_str(k)
+    if isinstance(k, float):
+        return _json_str(_json_float(k))
+    if k is True:
+        return '"true"'
+    if k is False:
+        return '"false"'
+    if k is None:
+        return '"null"'
+    if isinstance(k, int):
+        return _json_str(int.__repr__(k))
+    raise TypeError("keys must be str, int, float, bool or None, not %s"
+                    % k.__class__.__name__)
 
 
 def _emit(payload, out_path, csv_rows=None):

@@ -241,33 +241,106 @@ def qnum(x):
 # -- univariate gcd over Q, on shifted (nonnegative) exponents -------------
 #
 # The gcd is unique up to a unit (a monomial times a nonzero scalar), so it
-# is computed on primitive integer polynomials with pseudo-remainders:
-# Python int arithmetic is far cheaper than Fraction arithmetic, and the
-# normalized result is the same polynomial whichever associate is found.
+# is computed on primitive integer polynomials: Python int arithmetic is far
+# cheaper than Fraction arithmetic, and the normalized result is the same
+# polynomial whichever associate is found.
 
 
-def _primitive(p):
-    """The nonzero dict p scaled by a rational to coprime int coefficients."""
+def _primitive_list(cs):
+    """The nonzero coefficient sequence cs scaled by a rational to coprime
+    int coefficients, as a list."""
     lcm = None
-    for c in p.values():
+    for c in cs:
         if type(c) is not int:
             d = c.denominator
             lcm = d if lcm is None else lcm * d // math.gcd(lcm, d)
     if lcm is not None:
-        p = {k: c * lcm if type(c) is int else c.numerator * (lcm // c.denominator)
-             for k, c in p.items()}
-    g = math.gcd(*p.values())
-    if g != 1:
-        p = {k: c // g for k, c in p.items()}
-    return p
+        cs = [c * lcm if type(c) is int else c.numerator * (lcm // c.denominator)
+              for c in cs]
+    g = math.gcd(*cs)
+    return [c // g for c in cs] if g != 1 else list(cs)
+
+
+def _primitive(p):
+    """The nonzero dict p scaled by a rational to coprime int coefficients."""
+    return dict(zip(p, _primitive_list(p.values())))
+
+
+# GCDHEU evaluates at up to this many points, each larger by 73794/27011
+# (about 2.73) than the last, before the pseudo-remainder loop takes over
+_HEU_POINTS = 6
 
 
 def _poly_gcd(a, b):
-    """Gcd of two nonzero HalfLaurents up to a unit (monomial times scalar).
+    """(g, a/g, b/g) for the gcd g of two nonzero HalfLaurents, which is
+    unique up to a unit (monomial times scalar) and normalized with lowest
+    doubled exponent 0 and lowest coefficient 1.
 
-    The result is normalized with lowest doubled exponent 0 and lowest
-    coefficient 1.
+    The heuristic gcd GCDHEU (Char, Geddes and Gonnet, J. Symbolic Comput.
+    7, 1989; Geddes, Czapor and Labahn, Algorithms for Computer Algebra,
+    7.7) evaluates the primitive int polynomials A, B of a and b, shifted to
+    exponent 0, at an integer xi >= 2 min(|A|, |B|) + 2 (max norms), and
+    reads a polynomial h back from the balanced base-xi digits of
+    gcd(A(xi), B(xi)).  If the primitive part of h divides both A and B it
+    is their gcd, and a constant h proves them coprime; the divisions that
+    show it give the cofactors.  A point where it does not divide is
+    unlucky, and the next is larger; after _HEU_POINTS points the
+    pseudo-remainder loop (_prs_gcd) decides.
     """
+    la, pa = _dense(a._t)
+    lb, pb = _dense(b._t)
+    ia, ib = _primitive_list(pa), _primitive_list(pb)
+    xi = 2 * min(max(map(abs, ia)), max(map(abs, ib))) + 2
+    for _ in range(_HEU_POINTS):
+        h = _balanced_digits(math.gcd(_horner(ia, xi), _horner(ib, xi)), xi)
+        if len(h) == 1:
+            return _POLY_ONE, a, b
+        if len(h) <= min(len(pa), len(pb)):
+            c = math.gcd(*h)
+            if c != 1:
+                h = [x // c for x in h]
+            qa = _divide(pa, h)
+            qb = None if qa is None else _divide(pb, h)
+            if qb is not None:
+                # a = x^la qa h and h = h0 g with g(0) = 1
+                h0 = h[0]
+                if h0 != 1:
+                    h = [_coeff_div(x, h0) for x in h]
+                    qa = [x * h0 for x in qa]
+                    qb = [x * h0 for x in qb]
+                return _sparse(0, h), _sparse(la, qa), _sparse(lb, qb)
+        xi = xi * 73794 // 27011
+    g = _prs_gcd(a, b)
+    if g.is_monomial():
+        return g, a, b
+    return g, _exact_div(a, g), _exact_div(b, g)
+
+
+def _horner(p, x):
+    """The int coefficient list p evaluated at the int x."""
+    v = 0
+    for c in reversed(p):
+        v = v * x + c
+    return v
+
+
+def _balanced_digits(v, xi):
+    """The list h with v = sum_i h[i] xi^i and -xi/2 < h[i] <= xi/2, for an
+    int v > 0: the polynomial GCDHEU reads back from gcd(A(xi), B(xi))."""
+    h = []
+    half = xi // 2
+    while v:
+        v, c = divmod(v, xi)
+        if c > half:
+            c -= xi
+            v += 1
+        h.append(c)
+    return h
+
+
+def _prs_gcd(a, b):
+    """Gcd of two nonzero HalfLaurents by primitive pseudo-remainders,
+    normalized as in _poly_gcd."""
     # shift both so exponents start at 0; monomial factors are units
     pa = _primitive({k - a.min_dexp(): c for k, c in a.items()})
     pb = _primitive({k - b.min_dexp(): c for k, c in b.items()})
@@ -374,10 +447,8 @@ def _cancel(a, b):
     """(a/h, b/h) for h = gcd(a, b), on nonzero HalfLaurents."""
     if a.is_monomial() or b.is_monomial():
         return a, b
-    g = _poly_gcd(a, b)
-    if g.is_monomial():
-        return a, b
-    return _exact_div(a, g), _exact_div(b, g)
+    _, a, b = _poly_gcd(a, b)
+    return a, b
 
 
 # -- cyclotomic factor maps, in x = q^(1/2) ---------------------------------
@@ -753,10 +824,9 @@ class QFraction:
         # a/b + c/d = t/((b/g)(d/g)g) for t = a(d/g) + c(b/g), and t shares
         # with that denominator only the factors it shares with g
         a, b, c, d = self.num, self.den, other.num, other.den
-        g = _poly_gcd(b, d)
+        g, b, d = _poly_gcd(b, d)
         if g.is_monomial():
             return QFraction._raw(a * d + c * b, b * d)
-        b, d = _exact_div(b, g), _exact_div(d, g)
         t, g = _cancel(a * d + c * b, g)
         return QFraction._raw(t, b * d * g)
 

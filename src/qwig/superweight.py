@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .errors import (
     ConsistencyError,
@@ -106,11 +106,17 @@ class Weight:
         w = cls(sig, even + odd)
         return w
 
-    def __str__(self):
+    # formatted once: a weight is printed in every message and key that
+    # names it or one of its branchings
+    @cached_property
+    def _text(self):
         return "%s|%s" % (
             ",".join(str(c) for c in self.even),
             ",".join(str(c) for c in self.odd),
         )
+
+    def __str__(self):
+        return self._text
 
 
 def _check_same_sig(a, b):
@@ -177,12 +183,13 @@ def char_roots(lam, variant):
     """
     sig = lam.sig
     m, n = sig.m, sig.n
+    c = lam.comps
     if variant == "adjoint":
-        ev = tuple(lam[i] + 1 - i for i in range(1, m + 1))
-        od = tuple(u - m - 1 - lam[m + u] for u in range(1, n + 1))
+        ev = tuple(c[i - 1] + 1 - i for i in range(1, m + 1))
+        od = tuple(u - m - 1 - c[m + u - 1] for u in range(1, n + 1))
     elif variant == "dual":
-        ev = tuple(lam[i] + m - n - i for i in range(1, m + 1))
-        od = tuple(u - n - lam[m + u] for u in range(1, n + 1))
+        ev = tuple(c[i - 1] + m - n - i for i in range(1, m + 1))
+        od = tuple(u - n - c[m + u - 1] for u in range(1, n + 1))
     else:
         raise ValueError("variant must be 'adjoint' or 'dual'")
     return ev + od

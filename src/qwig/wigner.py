@@ -65,13 +65,13 @@ class _Side:
             self.tau = -1
             self.root_kind = "dual"
             self.K = b.lower_indices()
-            self.L = tuple(sorted(b.I0 + b.I1))
+            self.L = b.I0 + b.I1
             self.even_count = len(b.I0)
         elif variant == "raise":
             self.tau = 1
             self.root_kind = "adjoint"
             self.K = b.raise_indices()
-            self.L = tuple(sorted(b.I0bar + b.I1))
+            self.L = b.I0bar + b.I1
             self.even_count = len(b.I0bar)
         else:
             raise ValueError("variant must be 'lower' or 'raise'")
@@ -84,7 +84,7 @@ class _Side:
         self.alpha0 = dict(
             zip(range(1, sig.d), b.sub_roots(self.root_kind))
         )
-        self.sign = {i: sig.sign(i) for i in range(1, sig.d + 1)}
+        self.sign = {i: 1 if i <= sig.m else -1 for i in range(1, sig.d + 1)}
         self.n = sig.n
         self.I0_size = len(b.I0)
         vals = [self.alpha[k] for k in self.K]

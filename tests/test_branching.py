@@ -1,5 +1,9 @@
 """Branching candidate enumeration and index-set combinatorics."""
 
+import itertools
+import pickle
+import random
+
 import pytest
 
 from qwig import (
@@ -93,3 +97,67 @@ def test_candidates_sorted_and_valid(sweep_branchings):
         assert b.lower_indices() == tuple(sorted(b.I0 + b.I1t))
         assert b.raise_indices() == tuple(sorted(b.I0bar + b.I1t))
         assert b.e_last == len(b.I0) + b.eta
+
+
+def _reference_candidates(lam):
+    """The lower weights under lam as first enumerated: every candidate in
+    the betweenness ranges, kept when BranchingData accepts it, then sorted,
+    with the index sets read through Weight.__getitem__."""
+    m, n = lam.sig.m, lam.sig.n
+    ranges = [range(lam[i] - 1, lam[i] + 1) for i in range(1, m + 1)]
+    ranges += [range(lam[m + u + 1], lam[m + u] + 1) for u in range(1, n)]
+    out = []
+    for cand in itertools.product(*ranges):
+        try:
+            index_sets(lam, cand)
+        except NotABranching:
+            continue
+        I0 = tuple(i for i in range(1, m + 1) if cand[i - 1] == lam[i] - 1)
+        I0bar = tuple(i for i in range(1, m + 1) if cand[i - 1] == lam[i])
+        I1t = tuple(range(m + 1, m + n + 1))
+        eta = sum(lam[m + u] for u in range(1, n + 1)) - sum(cand[m:])
+        out.append((cand, I0, I0bar, tuple(sorted(I0 + I1t)),
+                    tuple(sorted(I0bar + I1t)), eta))
+    return sorted(out)
+
+
+def _seeded_weights(count):
+    rng = random.Random(2024)
+    out = []
+    for _ in range(count):
+        m, n = rng.choice(((3, 2), (4, 3)))
+        ev = sorted((rng.randint(-8, 8) for _ in range(m)), reverse=True)
+        od = sorted((rng.randint(-8, 8) for _ in range(n)), reverse=True)
+        out.append(Weight(Signature(m, n), tuple(ev + od)))
+    return out
+
+
+def test_candidates_match_reference_construction(sweep_weights):
+    # the tuples are read directly and the product is not re-sorted; the
+    # candidates and their index sets stay those of the sorted construction
+    for lam in sweep_weights + _seeded_weights(200):
+        got = [(b.lam0, b.I0, b.I0bar, b.lower_indices(), b.raise_indices(),
+                b.eta) for b in branch_candidates(lam)]
+        assert got == _reference_candidates(lam)
+
+
+def _fresh_str(b):
+    lam, m = b.lam, b.sig.m
+    return "%s|%s >= %s|%s" % tuple(
+        ",".join(map(str, part)) for part in
+        (lam.comps[:m], lam.comps[m:], b.lam0[:m], b.lam0[m:]))
+
+
+def test_branching_str_is_formatted_once(sweep_branchings):
+    for b in sweep_branchings[::7]:
+        assert str(b) == _fresh_str(b) == str(b)
+        assert str(b.lam) == _fresh_str(b).partition(" >= ")[0]
+    lam = Weight(Signature(3, 2), (4, 1, -2, 3, -1))
+    b, c = index_sets(lam, (3, 1, -2, 0)), index_sets(lam, (3, 1, -2, 0))
+    assert str(b) == "4,1,-2|3,-1 >= 3,1,-2|0" and str(b) is str(b)
+    # one formatted, one not: still equal, equally hashed and picklable
+    assert b == c and hash(b) == hash(c)
+    for x in (b, c, lam):
+        y = pickle.loads(pickle.dumps(x))
+        assert y == x and hash(y) == hash(x) and str(y) == str(x)
+    assert str(c) == str(b)

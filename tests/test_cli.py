@@ -2,11 +2,14 @@
 
 import hashlib
 import json
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qwig import Signature, Weight, index_sets, parse_qfraction, sum_rule_residual
-from qwig.cli import build_parser, main
+from qwig.cli import _dump_json, build_parser, main
 
 
 def run(capsys, *argv):
@@ -299,6 +302,8 @@ VERIFY_ALL_SHA256 = {
     (2, 1): "d76cae8eb7955cf24f53e92449ab5d622ebe463a0e6a6bd6701856315c0a738b",
     (1, 2): "f40b4f53e8cb07622c1cbd1a0301ff8edca820dc9c7618235b93e5ca5185b6ec",
     (2, 2): "c567cba41d51ff2f3d93db0de2e9210377fb801e94590477919e9f67e423d81e",
+    (3, 1): "0f7b8fba57c7dec8a11724d5d2988636bcea3c1a7a3c7df25c11edae2c4080bd",
+    (1, 3): "9457e27f190c7fc218ea2ca6b4cf037ea739e603099a2bb5060cc80d31afcacf",
 }
 
 
@@ -308,3 +313,66 @@ def test_verify_all_output_is_pinned(capsys, m, n):
                     "--suite", "all")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_ALL_SHA256[m, n]
+
+
+# text covers non-ASCII and control characters
+json_scalars = st.one_of(
+    st.none(), st.booleans(), st.floats(), st.text(),
+    st.integers(), st.integers(min_value=-10 ** 40, max_value=10 ** 40))
+# the keys of one dict share a type, since json sorts them before it
+# converts them
+json_keys = (st.text(), st.integers(), st.booleans(), st.none(),
+             st.floats(allow_nan=False))
+json_trees = st.recursive(
+    json_scalars,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=3).map(tuple),
+        *(st.dictionaries(k, children, max_size=4) for k in json_keys)),
+    max_leaves=20)
+
+
+@settings(max_examples=300, deadline=None)
+@given(json_trees)
+@example({"b": [1, -2, 10 ** 30], "a": {"x": None, "y": True, "z": False}})
+@example({3: "é☃\n\t\x00\x1f\"\\", -1: [[], {}, ()], 0: [1.5, -0.0]})
+@example({True: float("nan"), False: [float("inf"), float("-inf")]})
+@example({None: {2.5: {}}})
+@example([[[]], [{}], "\ud800"])
+def test_dump_json_matches_json_dumps(x):
+    assert _dump_json(x) == json.dumps(x, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("x", [
+    {"a": object()}, [1, {2, 3}], Fraction(1, 2), {(1, 2): 0}, {"a": {b"k": 1}},
+])
+def test_dump_json_rejects_what_json_rejects(x):
+    with pytest.raises(TypeError):
+        json.dumps(x, sort_keys=True, indent=2)
+    with pytest.raises(TypeError):
+        _dump_json(x)
+
+
+# sha256 of `qwig wigner` stdout for gl(3|2) and gl(4|3) tables, single
+# shift in both forms and coupled, as printed by json.dumps
+WIGNER_SHA256 = {
+    ("--weight=4,4,-3|8,-7", "--lower=4,3,-4,-3", "--kind", "lower",
+     "--form", "both"):
+        "04762e151c9e85e3d1f73bfdc203e75ebc623845e377d7269bf3e8805ac66605",
+    ("--weight=8,5,-7|4,2", "--lower=8,4,-7,2", "--kind", "lower",
+     "--coupled"):
+        "900c150e7e797a8d9abfa426c30d8e39972ce35760c27becbe6f6b731e336133",
+    ("--weight=4,3,1,-4|5,5,-6", "--lower=3,2,1,-4,5,-4", "--kind", "lower",
+     "--form", "both"):
+        "e8633699ad7ed01494aa1d54f0f2c76b49437afba1060066c05026bd71df5600",
+    ("--weight=4,-2,-3,-6|6,-5,-8", "--lower=3,-2,-3,-7,4,-8", "--kind",
+     "raise", "--coupled"):
+        "76e39faeedf494b672dfc59aa40277a5a856e6b87b3a5c84eb7da85122dbb0a8",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(WIGNER_SHA256))
+def test_wigner_output_is_pinned(capsys, argv):
+    code, out = run(capsys, "wigner", *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == WIGNER_SHA256[argv]

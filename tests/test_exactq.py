@@ -17,11 +17,14 @@ from qwig import (
     qnum,
     qpow,
 )
+import qwig.exactq
 from qwig.exactq import (
     _cyclotomic_poly,
     _exact_div,
     _factor_map,
     _max_cyclotomic_index,
+    _poly_gcd,
+    _prs_gcd,
     parse_half_laurent,
 )
 
@@ -332,6 +335,59 @@ def test_exact_div_inverts_products(a, g, r):
         r = HalfLaurent({k: c for k, c in r.items() if k - r.min_dexp() < span})
         with pytest.raises(ArithmeticError):
             _exact_div(a * g + r, g)
+
+
+# coefficients above 10^6, so that the evaluation point starts large
+big_polys = st.dictionaries(
+    dexps, st.integers(-10 ** 9, 10 ** 9).filter(lambda c: abs(c) > 10 ** 6),
+    min_size=1, max_size=4).map(HalfLaurent)
+gcd_factors = st.one_of(factors, big_polys)
+
+
+def _check_gcd(x, y):
+    g, qx, qy = _poly_gcd(x, y)
+    assert g == _prs_gcd(x, y)
+    assert qx * g == x and qy * g == y
+    return g
+
+
+@settings(max_examples=200, deadline=None)
+@given(gcd_factors, gcd_factors, st.lists(gcd_factors, max_size=2))
+# equal inputs, a | b, coprime inputs
+@example(qnum(6), qnum(6), [])
+@example(qnum(3), qnum(6) * qpow(Fraction(1, 2)), [qnum(4)])
+@example(HalfLaurent({0: 1, 2: 2}), qnum(5), [])
+# a shared cyclotomic factor with Fraction units, and a shared factor
+# with none
+@example(qnum(4) * Fraction(-3, 2), qnum(6) * Fraction(2, 5), [_root_diff(2, 5)])
+@example(qnum(2), qnum(3), [HalfLaurent({0: 1, 2: 2}), HalfLaurent({0: 3, 1: -1})])
+# coefficients above 10^6
+@example(HalfLaurent({0: 1234567, 4: -7654321}), HalfLaurent({0: 10 ** 7, 2: 1}),
+         [HalfLaurent({0: -2 * 10 ** 6, 3: 3 * 10 ** 6 + 1})])
+# the first point is unlucky: for q^-2 - 1 and q^-2 + 1 + q^2 it is 4, where
+# gcd(A(4), B(4)) = 3 reads back as q^(1/2) - 1, which divides neither
+@example(qpow(-2) - 1, qpow(-2) + 1 + qpow(2), [])
+def test_heuristic_gcd_matches_prs(a, b, shared):
+    g = math.prod(shared, start=HalfLaurent.const(1))
+    _check_gcd(a * g, b * g)
+
+
+def test_unlucky_point_grows_and_prs_decides(monkeypatch):
+    a, b = qpow(-2) - 1, qpow(-2) + 1 + qpow(2)
+    calls = []
+
+    def prs(x, y):
+        calls.append((x, y))
+        return _prs_gcd(x, y)
+
+    monkeypatch.setattr(qwig.exactq, "_prs_gcd", prs)
+    # the second point finds the gcd 1, with no pseudo-remainders
+    assert _check_gcd(a, b) == 1 and not calls
+    # with one point allowed, the pseudo-remainder loop decides
+    monkeypatch.setattr(qwig.exactq, "_HEU_POINTS", 1)
+    assert _check_gcd(a, b) == 1 and calls == [(a, b)]
+    g = qnum(2) * qnum(3)
+    assert _check_gcd(a * g, b * g) == g * qpow(3)
 
 
 quotient_terms = st.lists(
