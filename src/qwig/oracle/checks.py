@@ -23,6 +23,7 @@ from .linalg import (
     mat_pow,
     mat_scale,
     matmul,
+    matvec,
     scalar_of,
     shifted_product,
     zeros,
@@ -41,7 +42,6 @@ from .loperators import (
     vector_slot_parities,
 )
 from .modules import (
-    _apply,
     _h_coeffs,
     subalgebra_components,
     subalgebra_highest_vector,
@@ -261,12 +261,11 @@ def _ratio(numer_vecs, denom_vecs):
     vectors; ZERO when both vanish everywhere, NotScalar on mismatch."""
     c = None
     for u, v in zip(numer_vecs, denom_vecs):
-        for x, y in zip(u, v):
-            if not y:
-                if x:
-                    raise NotScalar("no consistent proportionality factor")
-                continue
-            t = x / y
+        for j in sorted(u.keys() | v.keys()):
+            y = v.get(j)
+            if y is None:
+                raise NotScalar("no consistent proportionality factor")
+            t = u.get(j, ZERO) / y
             if c is None:
                 c = t
             elif c != t:
@@ -286,7 +285,7 @@ def wigner_oracle(W, lam, lam0, k, kind):
     d = sig.d
     b, w0 = _branch_vector(W, lam, lam0)
     P = _projector(W, lam, k, _KIND_TO_CHAR[kind])
-    u = _apply(big_entry(P, W.dim, d, d), w0)
+    u = matvec(big_entry(P, W.dim, d, d), w0)
     return _ratio([u], [w0])
 
 
@@ -337,7 +336,11 @@ def _build_shift_projector(W, r, ckind):
     A0 = char_matrix(W, ckind, top=d - 1)
     comps = subalgebra_components(W)
     # the component basis vectors are the columns of B
-    B = Matrix.from_dense(zip(*(v for _, basis in comps for v in basis)))
+    rows = [{} for _ in range(dw)]
+    for j, u in enumerate(u for _, basis in comps for u in basis):
+        for i, x in u.items():
+            rows[i][j] = x
+    B = Matrix(rows, dw)
     Binv = mat_inverse(B)
     N = (d - 1) * dw
     total = zeros(N)
@@ -382,14 +385,12 @@ def coupled_oracle(W, lam, lam0, k, r, kind):
     lhs_vecs = []
     rhs_vecs = []
     for j in range(d - 1):
-        vec = [ZERO] * (d * W.dim)
-        for s, c in enumerate(w0):
-            vec[j * W.dim + s] = c
+        vec = {j * W.dim + s: c for s, c in w0.items()}
         # E0 P E0 vec, applied factor by factor to the vector
-        u = _apply(E0, vec)
-        lhs_vecs.append(_apply(E0, _apply(P, u)))
+        u = matvec(E0, vec)
+        lhs_vecs.append(matvec(E0, matvec(P, u)))
         rhs_vecs.append(u)
-    if all(not x for v in rhs_vecs for x in v):
+    if not any(rhs_vecs):
         raise NotRealized(
             "shift projector %d annihilates the %s component" % (r, (lam0,))
         )
@@ -423,19 +424,21 @@ def mu_oracle(W, lam, lam0, r, kind):
     row_d = A[n0:, :n0]  # the blocks A_{d,l}, l < d
     lefts = []  # lefts[j - 1][i - 1]: sum_k (P0)_{ik} A_{k,d} phi_j
     for j in range(1, d):
-        vec = [ZERO] * n0
-        vec[(j - 1) * dw : j * dw] = w0
+        vec = {(j - 1) * dw + s: c for s, c in w0.items()}
         # phi_j = sum_l A_{d,l} (P0)_{lj} w0
-        phi = _apply(row_d, _apply(P0, vec))
-        x = _apply(P0, _apply(col_d, phi))
-        lefts.append([x[(i - 1) * dw : i * dw] for i in range(1, d)])
+        phi = matvec(row_d, matvec(P0, vec))
+        blocks = [{} for _ in range(d - 1)]
+        for idx, c in matvec(P0, matvec(col_d, phi)).items():
+            i, s = divmod(idx, dw)
+            blocks[i][s] = c
+        lefts.append(blocks)
     lhs_vecs = []
     rhs_vecs = []
     for i in range(1, d):
         for j in range(1, d):
             lhs_vecs.append(lefts[j - 1][i - 1])
-            rhs_vecs.append(_apply(big_entry(P, dw, i, j), w0))
-    if all(not x for v in rhs_vecs for x in v):
+            rhs_vecs.append(matvec(big_entry(P, dw, i, j), w0))
+    if not any(rhs_vecs):
         raise NotRealized(
             "projector %d has no support on the %s component" % (r, (lam0,))
         )

@@ -1,14 +1,15 @@
 """Sparse exact linear algebra over the q^(1/2) function field.
 
-A Matrix is a tuple of row dicts {column: nonzero QFraction}.  The big
-operators built here are weight-sparse, so every operation visits the
-stored entries only.  A Matrix never stores a zero and is never changed
-after it is built: builders fill plain dicts and wrap them once.
+A Matrix is a tuple of row dicts {column: nonzero QFraction}, and a vector
+is one such dict {index: nonzero QFraction}.  The big operators built here
+are weight-sparse, so every operation visits the stored entries only.  A
+Matrix never stores a zero and is never changed after it is built:
+builders fill plain dicts and wrap them once.
 """
 
 from __future__ import annotations
 
-from ..errors import NotScalar, QwigError
+from ..errors import InvalidArgument, NotScalar, QwigError
 from ..exactq import ONE, ZERO, QFraction
 
 __all__ = [
@@ -16,6 +17,7 @@ __all__ = [
     "zeros",
     "identity",
     "matmul",
+    "matvec",
     "mat_scale",
     "scale_rows",
     "scale_columns",
@@ -24,7 +26,7 @@ __all__ = [
     "gkron",
     "nullspace",
     "mat_inverse",
-    "solve_coords",
+    "reduce_row",
     "insert_row",
     "shift_diagonal",
     "shifted_product",
@@ -42,13 +44,6 @@ class Matrix:
     def __init__(self, rows, ncols):
         self.rows = tuple(rows)
         self.ncols = ncols
-
-    @classmethod
-    def from_dense(cls, rows):
-        """The matrix of a list of equally long lists of QFraction."""
-        rows = list(rows)
-        ncols = len(rows[0]) if rows else 0
-        return cls([{j: x for j, x in enumerate(r) if x} for r in rows], ncols)
 
     @property
     def shape(self):
@@ -139,6 +134,20 @@ def matmul(A, B):
                 row[j] = x
         out.append(row)
     return Matrix(out, p)
+
+
+def matvec(A, v):
+    """The product of a Matrix and a vector, as a vector."""
+    out = {}
+    for i, row in enumerate(A.rows):
+        acc = None
+        for j, x in row.items():
+            c = v.get(j)
+            if c is not None:
+                acc = x * c if acc is None else acc + x * c
+        if acc:
+            out[i] = acc
+    return out
 
 
 def mat_scale(A, c):
@@ -232,31 +241,46 @@ def gkron(ops, slot_parities, rows=None):
     return Matrix(out, total) if rows is None else None
 
 
+def reduce_row(basis, vec):
+    """Reduce the vector vec against basis, a list of (pivot, row) pairs in
+    echelon form: unit pivots, and each row zero at the pivots of the rows
+    before it.
+
+    Returns (coeffs, rest) with vec = sum_k coeffs[k] * row_k + rest, coeffs
+    a dict {k: nonzero multiplier}.  rest is zero at every pivot, so it is
+    empty exactly when vec lies in the span, and coeffs are then the
+    coordinates of vec in the basis.
+    """
+    rest = dict(vec)
+    coeffs = {}
+    for k, (p, base) in enumerate(basis):
+        c = rest.get(p)
+        if c is not None:
+            coeffs[k] = c
+            for j, b in base.items():
+                _add_entry(rest, j, -(c * b))
+    return coeffs, rest
+
+
 def insert_row(basis, vec):
-    """Reduce vec against basis, a list of (pivot, row) pairs with unit
-    pivots, and append it when it is independent of them.
+    """Reduce vec against the echelon basis of reduce_row and append the
+    rest, scaled to a unit pivot at its first index, when it is nonzero.
 
     Returns whether vec enlarged the span.
     """
-    vec = list(vec)
-    for p, base in basis:
-        c = vec[p]
-        if c:
-            for j, b in enumerate(base):
-                if b:
-                    vec[j] = vec[j] - c * b
-    lead = next((j for j, x in enumerate(vec) if x), None)
-    if lead is None:
+    _, rest = reduce_row(basis, vec)
+    if not rest:
         return False
-    inv = vec[lead].inverse()
-    basis.append((lead, [x * inv for x in vec]))
+    lead = min(rest)
+    inv = rest[lead].inverse()
+    basis.append((lead, {j: x * inv for j, x in rest.items()}))
     return True
 
 
 def _rref(rows):
-    """Reduced row echelon form of a list of row vectors (lists of
-    QFraction): (pivots, rows), each row with a unit pivot and every pivot
-    column zero outside its own row."""
+    """Reduced row echelon form of a list of row vectors: (pivots, rows),
+    each row with a unit pivot and every pivot column zero outside its own
+    row."""
     basis = []
     for r in rows:
         insert_row(basis, r)
@@ -265,59 +289,37 @@ def _rref(rows):
     for i in range(len(out) - 1, -1, -1):
         p = pivots[i]
         for k in range(i):
-            c = out[k][p]
-            if c:
-                out[k] = [x - c * y for x, y in zip(out[k], out[i])]
+            c = out[k].get(p)
+            if c is not None:
+                for j, y in out[i].items():
+                    _add_entry(out[k], j, -(c * y))
     return pivots, out
 
 
-def _dense(row, n):
-    return [row.get(j, ZERO) for j in range(n)]
-
-
 def mat_inverse(A):
-    """Inverse of a square exact matrix; ValueError when singular."""
+    """Inverse of a square exact matrix; InvalidArgument when singular."""
     n = A.shape[0]
-    aug = []
-    for i, row in enumerate(A.rows):
-        aug.append(_dense(row, n) + [ONE if j == i else ZERO for j in range(n)])
-    pivots, rows = _rref(aug)
+    pivots, rows = _rref([{**row, n + i: ONE} for i, row in enumerate(A.rows)])
     if sorted(pivots) != list(range(n)):
-        raise ValueError("matrix is singular")
+        raise InvalidArgument("matrix is singular")
     out = [None] * n
     for p, row in zip(pivots, rows):
-        out[p] = {j: x for j, x in enumerate(row[n:]) if x}
+        out[p] = {j - n: x for j, x in row.items() if j >= n}
     return Matrix(out, n)
 
 
 def nullspace(A):
-    """Basis of the right nullspace of A, as a list of length-n vectors."""
-    n = A.shape[1]
-    pivots, rows = _rref([_dense(row, n) for row in A.rows if row])
+    """Basis of the right nullspace of A, as a list of vectors."""
+    pivots, rows = _rref([row for row in A.rows if row])
     basis = []
-    for fj in (j for j in range(n) if j not in pivots):
-        v = [ZERO] * n
-        v[fj] = ONE
+    for fj in (j for j in range(A.ncols) if j not in pivots):
+        v = {fj: ONE}
         for p, row in zip(pivots, rows):
-            v[p] = -row[fj]
+            x = row.get(fj)
+            if x is not None:
+                v[p] = -x
         basis.append(v)
     return basis
-
-
-def solve_coords(basis_cols, target):
-    """Coordinates of target in the span of basis_cols (lists of QFraction).
-
-    Raises ValueError when the target lies outside the span.
-    """
-    ncols = len(basis_cols)
-    aug = [[col[i] for col in basis_cols] + [t] for i, t in enumerate(target)]
-    pivots, rows = _rref(aug)
-    if ncols in pivots:
-        raise ValueError("target not in span")
-    coords = [ZERO] * ncols
-    for p, row in zip(pivots, rows):
-        coords[p] = row[ncols]
-    return coords
 
 
 def shift_diagonal(A, v):

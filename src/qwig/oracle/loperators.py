@@ -153,7 +153,7 @@ def l_operator(W, which, top=None):
       dualRT:  sum_{i<=j} (-1)^([i]([i]+[j])) e_ji (x) S^-1(Et_ji)
     """
     if which not in _L_KINDS:
-        raise ValueError("unknown L-operator kind %r" % (which,))
+        raise InvalidArgument("unknown L-operator kind %r" % (which,))
     first_order, et_order, spower, sign_label = _L_KINDS[which]
     sig = W.sig
     d = sig.d if top is None else top
@@ -207,7 +207,7 @@ def _build_char_matrix(W, kind, d):
             A.ncols,
         )
     if kind not in _L_PAIRS:
-        raise ValueError("unknown characteristic matrix kind %r" % (kind,))
+        raise InvalidArgument("unknown characteristic matrix kind %r" % (kind,))
     left, right = _L_PAIRS[kind]
     prod = matmul(l_operator(W, left, d), l_operator(W, right, d))
     # (I - prod) inv = -inv (prod - I): the diagonal shift adds polynomials,
@@ -228,7 +228,7 @@ def char_eigenvalue(alpha, kind):
         return -QFraction(qpow(alpha) * qnum(alpha))
     if kind in ("atilde", "adual", "abar"):
         return QFraction(qpow(-alpha) * qnum(alpha))
-    raise ValueError("unknown characteristic matrix kind %r" % (kind,))
+    raise InvalidArgument("unknown characteristic matrix kind %r" % (kind,))
 
 
 def char_eigenvalues(lam, kind):

@@ -1,6 +1,7 @@
 """Concrete finite-dimensional modules: vector module, tensor powers,
 highest weight vectors and cyclic submodules.  Generator matrices are
-sparse linalg.Matrix values.
+sparse linalg.Matrix values, and vectors are linalg's sparse dicts
+{basis index: nonzero QFraction}.
 
 Generator conventions on the vector module: e_a -> e_{a,a+1},
 f_a -> e_{a+1,a}, E_aa -> e_aa (the Cartan action stays classical).  On a
@@ -23,9 +24,9 @@ from ..errors import (
     QwigError,
     SignatureMismatch,
 )
-from ..exactq import ONE, ZERO, QFraction, qpow
+from ..exactq import ONE, QFraction, qpow
 from ..superweight import Weight
-from .linalg import Matrix, gkron, insert_row, nullspace, solve_coords
+from .linalg import Matrix, gkron, insert_row, matvec, nullspace, reduce_row
 
 __all__ = [
     "RepModule",
@@ -174,24 +175,10 @@ def tensor_module(W1, W2):
 
 def _weight_of(W, vec):
     """The weight of a nonzero weight vector in W coordinates."""
-    wts = {W.weights[i] for i, c in enumerate(vec) if c}
+    wts = {W.weights[i] for i in vec}
     if len(wts) != 1:
         raise QwigError("not a weight vector: it spans %d weights" % len(wts))
     return next(iter(wts))
-
-
-def _apply(mat, vec):
-    """The product of a Matrix and a vector (a list of QFraction)."""
-    nz = {j: c for j, c in enumerate(vec) if c}
-    out = []
-    for row in mat.rows:
-        acc = None
-        for j, x in row.items():
-            c = nz.get(j)
-            if c is not None:
-                acc = x * c if acc is None else acc + x * c
-        out.append(ZERO if acc is None else acc)
-    return out
 
 
 def highest_weight_vectors(W, gens=None):
@@ -217,13 +204,8 @@ def highest_weight_vectors(W, gens=None):
             for a in gens
             for row in W.e[a].rows
         ]
-        null = nullspace(Matrix(rows, len(idxs)))
-        vecs = []
-        for coeffs in null:
-            v = [ZERO] * W.dim
-            for c, i in zip(coeffs, idxs):
-                v[i] = c
-            vecs.append(v)
+        vecs = [{idxs[c]: x for c, x in coeffs.items()}
+                for coeffs in nullspace(Matrix(rows, len(idxs)))]
         if vecs:
             out.append((wt, vecs))
     return out
@@ -233,34 +215,35 @@ def submodule(W, start_vectors):
     """The span generated from start_vectors under all lowering generators.
 
     start_vectors must be weight vectors.  Returns (module, basis) where
-    basis is the list of spanning vectors in W coordinates.
+    basis is the list of spanning vectors in W coordinates.  Raises
+    NotRealized when the span is not closed under the action.
     """
     sig = W.sig
-    span = _lowering_span(W, start_vectors, range(1, sig.d))
-    weights = [wt for wt, _ in span]
-    basis = [v for _, v in span]
+    weights = []
+    basis = []
+    spaces = {}  # weight -> (index of its first basis vector, echelon basis)
+    for wt, echelon in _lowering_span(W, start_vectors, range(1, sig.d)):
+        spaces[wt] = (len(basis), echelon)
+        weights += [wt] * len(echelon)
+        basis += [v for _, v in echelon]
     parities = [_parity_of_weight(sig, wt) for wt in weights]
-    # express generator images in the new basis
-    by_weight = {}
-    for j, wt in enumerate(weights):
-        by_weight.setdefault(wt, []).append(j)
+    # the coordinates of each generator image are the multipliers that
+    # reduce it against its weight space's echelon basis
     dim = len(basis)
     e = {a: [{} for _ in range(dim)] for a in range(1, sig.d)}
     f = {a: [{} for _ in range(dim)] for a in range(1, sig.d)}
     for j, v in enumerate(basis):
         for a in range(1, sig.d):
             for gens, target in ((W.e[a], e[a]), (W.f[a], f[a])):
-                img = _apply(gens, v)
-                if not any(img):
+                img = matvec(gens, v)
+                if not img:
                     continue
-                wt2 = _weight_of(W, img)
-                idxs = by_weight.get(wt2)
-                if idxs is None:
+                first, echelon = spaces.get(_weight_of(W, img), (0, []))
+                coeffs, rest = reduce_row(echelon, img)
+                if rest:
                     raise NotRealized("span not closed under the action")
-                coords = solve_coords([basis[i] for i in idxs], img)
-                for c, i in zip(coords, idxs):
-                    if c:
-                        target[i][j] = c
+                for k, c in coeffs.items():
+                    target[first + k][j] = c
     e = {a: Matrix(rows, dim) for a, rows in e.items()}
     f = {a: Matrix(rows, dim) for a, rows in f.items()}
     mod = RepModule(sig, weights, parities, e, f)
@@ -276,9 +259,9 @@ def _parity_of_weight(sig, wt):
 
 
 def _lowering_span(W, starts, gens):
-    """Per-weight echelon basis of the span of the weight vectors starts
-    under the lowering generators gens, as (weight, vector) pairs sorted
-    by weight."""
+    """Per-weight echelon bases of the span of the weight vectors starts
+    under the lowering generators gens, as (weight, [(pivot, vector)])
+    pairs sorted by weight."""
     spaces = {}  # weight -> echelon basis of (pivot, vector) pairs
     queue = []
 
@@ -292,10 +275,10 @@ def _lowering_span(W, starts, gens):
     while queue:
         v = queue.pop()
         for a in gens:
-            img = _apply(W.f[a], v)
-            if any(img):
+            img = matvec(W.f[a], v)
+            if img:
                 push(img)
-    return [(wt, v) for wt in sorted(spaces) for _, v in spaces[wt]]
+    return [(wt, spaces[wt]) for wt in sorted(spaces)]
 
 
 def realized_modules(sig, k_max, dim_cap):
@@ -335,8 +318,10 @@ def subalgebra_components(W):
     comps = []
     for wt, vecs in _subalgebra_highest_vectors(W):
         for v in vecs:
-            span = _lowering_span(W, [v], gens)
-            comps.append((wt[: sig.d - 1], [u for _, u in span]))
+            span = _lowering_span(W, [dict(v)], gens)
+            comps.append(
+                (wt[: sig.d - 1], [u for _, rows in span for _, u in rows])
+            )
     joint = {}  # weight -> echelon basis of (pivot, vector) pairs
     total = 0
     for _, basis in comps:
@@ -355,7 +340,7 @@ def _subalgebra_highest_vectors(W):
     return W.cached(
         ("subhw",),
         lambda: tuple(
-            (wt, tuple(tuple(v) for v in vecs))
+            (wt, tuple(tuple(v.items()) for v in vecs))
             for wt, vecs in highest_weight_vectors(W, gens=range(1, W.sig.d - 1))
         ),
     )
@@ -364,7 +349,7 @@ def _subalgebra_highest_vectors(W):
 def subalgebra_highest_vector(W, lam0, e_last):
     """The gl(m|n-1) highest weight vector of weight (lam0, e_last) in W.
 
-    Returns its index-coefficient list, raising NotRealized or
+    Returns it as a fresh vector, raising NotRealized or
     MultiplicityAmbiguous as appropriate.
     """
     target = tuple(lam0) + (e_last,)
@@ -376,4 +361,4 @@ def subalgebra_highest_vector(W, lam0, e_last):
         raise MultiplicityAmbiguous(
             "subalgebra weight %s has multiplicity %d" % (lam0, len(vecs))
         )
-    return list(vecs[0])
+    return dict(vecs[0])

@@ -1,6 +1,7 @@
 """Brute-force oracle: representations, L-operators, characteristic
 matrices, projectors, and the closed-form validations that fix conventions."""
 
+import hashlib
 import itertools
 import json
 import os
@@ -79,19 +80,20 @@ from qwig.oracle.linalg import (
     gkron,
     identity,
     is_zero_matrix,
+    insert_row,
     mat_inverse,
     mat_pow,
     mat_scale,
     matmul,
+    matvec,
     nullspace,
+    reduce_row,
     scale_columns,
     scale_rows,
-    solve_coords,
     zeros,
 )
 from qwig.oracle.loperators import projector_parts
 from qwig.oracle.modules import (
-    _apply,
     _parity_of_weight,
     _subalgebra_highest_vectors,
 )
@@ -416,10 +418,8 @@ def test_sub_projector_equals_component_aware_projector():
                     continue
                 aware = _embed(_shift_projector(V, r, ckind), V, d)
                 for j in range(d - 1):
-                    vec = [ZERO] * (d * V.dim)
-                    for s, c in enumerate(w0):
-                        vec[j * V.dim + s] = c
-                    assert _apply(fixed, vec) == _apply(aware, vec)
+                    vec = {j * V.dim + s: c for s, c in w0.items()}
+                    assert matvec(fixed, vec) == matvec(aware, vec)
 
 
 def test_e_last_matches_oracle_weight():
@@ -541,11 +541,10 @@ def _sandwich_coupled(W, lam, lam0, k, r, kind):
     X = matmul(matmul(E0, P), E0)
     lhs, rhs = [], []
     for j in range(d - 1):
-        vec = [ZERO] * (d * W.dim)
-        vec[j * W.dim : (j + 1) * W.dim] = w0
-        lhs.append(_apply(X, vec))
-        rhs.append(_apply(E0, vec))
-    if all(not x for v in rhs for x in v):
+        vec = {j * W.dim + s: c for s, c in w0.items()}
+        lhs.append(matvec(X, vec))
+        rhs.append(matvec(E0, vec))
+    if not any(rhs):
         raise NotRealized("the shift projector annihilates the component")
     return _ratio(lhs, rhs)
 
@@ -580,7 +579,7 @@ def test_subalgebra_highest_vectors_found_once_per_module():
         isinstance(v, tuple) for _, vecs in kept for v in vecs
     )
     fresh = highest_weight_vectors(_gl21_module_200(), gens=range(1, S21.d - 1))
-    assert [(wt, [list(v) for v in vecs]) for wt, vecs in kept] == fresh
+    assert [(wt, [dict(v) for v in vecs]) for wt, vecs in kept] == fresh
 
 
 def test_cached_matrices_are_read_only():
@@ -611,7 +610,15 @@ def test_tensor_module_signature_mismatch():
 def test_submodule_rejects_non_weight_vector():
     V = vector_rep(S21)
     with pytest.raises(QwigError, match="not a weight vector"):
-        submodule(V, [[ONE, ONE, ZERO]])
+        submodule(V, [{0: ONE, 1: ONE}])
+
+
+def test_submodule_of_a_span_not_closed():
+    # v1 (x) v1 and v3 (x) v3 in V (x) V of gl(2|1): e_2 maps v3 (x) v3 to
+    # weight (0,1,1), off the one vector that the lowering span holds there
+    V = vector_rep(S21)
+    with pytest.raises(NotRealized, match="not closed"):
+        submodule(tensor_module(V, V), [{0: ONE}, {8: ONE}])
 
 
 def test_parity_of_non_integral_weight():
@@ -634,11 +641,13 @@ import json
 from fractions import Fraction
 
 import qwig.superweight as sw
-from qwig import QwigError, Signature
-from qwig.oracle.linalg import matmul, zeros
-from qwig.oracle.loperators import eij_matrix, etilde_matrix
+from qwig import ONE, QwigError, Signature
+from qwig.oracle.linalg import mat_inverse, matmul, zeros
+from qwig.oracle.loperators import (
+    char_eigenvalue, char_matrix, eij_matrix, etilde_matrix, l_operator,
+)
 from qwig.oracle.modules import (
-    RepModule, _parity_of_weight, tensor_module, vector_rep,
+    RepModule, _parity_of_weight, submodule, tensor_module, vector_rep,
 )
 
 S11, S21 = Signature(1, 1), Signature(2, 1)
@@ -655,6 +664,13 @@ cases = {
     "module_weight": lambda: RepModule(
         S11, [(Fraction(1, 2), 0)], [0], {1: zeros(1)}, {1: zeros(1)}
     ),
+    "span_not_closed": lambda: submodule(
+        tensor_module(vector_rep(S21), vector_rep(S21)), [{0: ONE}, {8: ONE}]
+    ),
+    "singular_inverse": lambda: mat_inverse(zeros(2)),
+    "l_operator_kind": lambda: l_operator(vector_rep(S11), "nope"),
+    "char_matrix_kind": lambda: char_matrix(vector_rep(S11), "nope"),
+    "char_eigenvalue_kind": lambda: char_eigenvalue(1, "nope"),
 }
 missed = {}
 for name, call in cases.items():
@@ -678,11 +694,18 @@ def test_typed_errors_hold_under_python_O():
     assert json.loads(done.stdout) == {"debug": False, "missed": {}}
 
 
-# -- the reduced-echelon routine shared by inverse, nullspace and solve ---------
+# -- the echelon routine shared by reduce_row, inverse and nullspace -------------
 
 
 def _q(k):
     return QFraction(qpow(k))
+
+
+def _from_dense(rows):
+    """The Matrix of a list of equally long lists of QFraction."""
+    rows = list(rows)
+    return Matrix([{j: x for j, x in enumerate(r) if x} for r in rows],
+                  len(rows[0]) if rows else 0)
 
 
 def test_folded_linear_algebra():
@@ -690,27 +713,70 @@ def test_folded_linear_algebra():
     A = Matrix([{0: q, 1: one}, {0: one, 2: _q(-1)},
                 {1: QFraction(qnum(2)), 2: q}], 3)
     assert matmul(A, mat_inverse(A)) == identity(3)
-    S = Matrix.from_dense([[q, _q(2)], [one, q]])
-    with pytest.raises(ValueError):
+    S = _from_dense([[q, _q(2)], [one, q]])
+    with pytest.raises(InvalidArgument):
         mat_inverse(S)
 
     # the first row leads in column 1, the second in column 0, and the third
     # is their sum: pivots out of order, rank 2
     rows = [[ZERO, one, q, ZERO], [one, ZERO, one, _q(-1)]]
     rows.append([x + y for x, y in zip(*rows)])
-    B = Matrix.from_dense(rows)
+    B = _from_dense(rows)
     null = nullspace(B)
     assert len(null) == 4 - 2
     for v in null:
-        assert all(not x for x in (sum((B[i, j] * v[j] for j in range(4)), ZERO)
-                                   for i in range(3)))
+        assert v and matvec(B, v) == {}
 
-    cols = [[one, q, ZERO], [ZERO, one, QFraction(qnum(3))]]
-    coeffs = [_q(-1), one + q]
-    target = [coeffs[0] * a + coeffs[1] * b for a, b in zip(*cols)]
-    assert solve_coords(cols, target) == coeffs
-    with pytest.raises(ValueError):
-        solve_coords(cols, [ZERO, ZERO, one])
+    # each column is zero at the pivots before it, so the multipliers that
+    # reduce a target are its coordinates
+    cols = [{0: one, 1: q}, {1: one, 2: QFraction(qnum(3))}]
+    basis = []
+    assert all(insert_row(basis, c) for c in cols)
+    assert basis == [(0, cols[0]), (1, cols[1])]
+    coeffs = {0: _q(-1), 1: one + q}
+    target = matvec(_from_dense([[one, ZERO], [q, one],
+                                 [ZERO, QFraction(qnum(3))]]), coeffs)
+    assert reduce_row(basis, target) == (coeffs, {})
+    assert not insert_row(basis, target) and len(basis) == 2
+    assert reduce_row(basis, {2: one}) == ({}, {2: one})
+    assert reduce_row(basis, {0: one, 2: one}) == (
+        {0: one, 1: -q}, {2: one + q * QFraction(qnum(3))})
+
+
+def test_ratio_on_sparse_vectors():
+    c, y = _q(1), QFraction(qnum(2))
+    # one factor across paired vectors, an empty pair taking no part
+    assert _ratio([{0: c * y, 3: c}, {}], [{0: y, 3: ONE}, {}]) == c
+    assert _ratio([{}], [{2: y}]) == ZERO
+    assert _ratio([{}, {}], [{}, {}]) == ZERO
+    with pytest.raises(NotScalar, match="no consistent"):
+        _ratio([{1: ONE}], [{0: ONE}])
+    with pytest.raises(NotScalar, match="inconsistent"):
+        _ratio([{0: ONE, 1: c}], [{0: ONE, 1: ONE}])
+    # a missing numerator entry is a zero, not a hole
+    with pytest.raises(NotScalar, match="inconsistent"):
+        _ratio([{0: c}], [{0: ONE, 1: ONE}])
+
+
+# sha256 of every e[a] and f[a] entry, zeros included and rows in order, of
+# every module of the oracle_modules fixture: it fixes the echelon bases
+# that submodule builds, not only the results of verify
+MODULE_MATRICES_SHA256 = (
+    "af5c548640beeed8f7ab9e678cf196b332f4187551717967922aa5a2a2f37f24"
+)
+
+
+def test_module_matrices_are_pinned(oracle_modules):
+    h = hashlib.sha256()
+    for key, modules in sorted(oracle_modules.items()):
+        for lam, M in modules:
+            h.update(("%s %s %d\n" % (key, lam, M.dim)).encode())
+            for a in sorted(M.e):
+                for A in (M.e[a], M.f[a]):
+                    for i in range(M.dim):
+                        for j in range(M.dim):
+                            h.update(("%s\n" % (A[i, j],)).encode())
+    assert h.hexdigest() == MODULE_MATRICES_SHA256
 
 
 # -- the sparse Matrix against a dense list-of-lists reference -------------------
@@ -772,7 +838,7 @@ def test_matrix_operations_match_dense_reference(seed):
     n, m, p = rng.randint(1, 5), rng.randint(1, 5), rng.randint(1, 5)
     X, Y, Z = (_random_dense(rng, n, m), _random_dense(rng, m, p),
                _random_dense(rng, n, m))
-    A, B, C = Matrix.from_dense(X), Matrix.from_dense(Y), Matrix.from_dense(Z)
+    A, B, C = _from_dense(X), _from_dense(Y), _from_dense(Z)
     c = rng.choice(_POOL)
     rdiag = [rng.choice(_POOL + [ZERO]) for _ in range(n)]
     cdiag = [rng.choice(_POOL + [ZERO]) for _ in range(m)]
@@ -783,7 +849,7 @@ def test_matrix_operations_match_dense_reference(seed):
     powers = [[[ONE if i == j else ZERO for j in range(n)] for i in range(n)]]
     for _ in range(3):
         powers.append(_ref_matmul(powers[-1], S))
-    cases = [(mat_pow(Matrix.from_dense(S), k), want)
+    cases = [(mat_pow(_from_dense(S), k), want)
              for k, want in enumerate(powers)] + [
         (matmul(A, B), _ref_matmul(X, Y)),
         (A + C, [[x + z for x, z in zip(u, w)] for u, w in zip(X, Z)]),
@@ -808,7 +874,7 @@ def test_gkron_matches_dense_reference(seed):
     dims = [rng.randint(1, 3) for _ in range(rng.choice((2, 3)))]
     pars = [[rng.randint(0, 1) for _ in range(d)] for d in dims]
     dense_ops = [(_random_dense(rng, d, d, 0.6), rng.randint(0, 1)) for d in dims]
-    ops = [(Matrix.from_dense(m), p) for m, p in dense_ops]
+    ops = [(_from_dense(m), p) for m, p in dense_ops]
     got = gkron(ops, pars)
     _assert_no_stored_zero(got)
     want = _ref_gkron(dense_ops, pars)
@@ -842,7 +908,7 @@ def test_summed_products_match_dense_reference(seed):
     x, y = rng.choice(_KERNEL_POOL[:5]), rng.choice(_KERNEL_POOL[:5])
     X[0] = [x, x] + [ZERO] * (m - 2)
     Y[0][0], Y[1][0] = y, -y
-    got = matmul(Matrix.from_dense(X), Matrix.from_dense(Y))
+    got = matmul(_from_dense(X), _from_dense(Y))
     _assert_no_stored_zero(got)
     assert 0 not in got.rows[0]
     assert _dense(got) == _ref_matmul(X, Y)
@@ -869,7 +935,7 @@ def test_mat_scale_with_repeated_entries():
     rng = random.Random(5)
     X = [[rng.choice(_KERNEL_POOL[2:5] + [ZERO]) for _ in range(6)]
          for _ in range(5)]
-    A = Matrix.from_dense(X)
+    A = _from_dense(X)
     assert len(set(A.flat)) < sum(1 for _ in A.flat)
     for c in _KERNEL_POOL:
         got = mat_scale(A, c)
