@@ -33,7 +33,7 @@ print("%s: dim V = %d, dim V(x)V = %d" % (sig, V.dim, T.dim))
 for wt, vecs in highest_weight_vectors(T):
     comps = tuple(int(c) for c in wt)
     lam = Weight(sig, comps)
-    M, _ = submodule(T, vecs)
+    M = submodule(T, vecs)
     print("\nhighest weight %s, multiplicity %d, module dim %d"
           % (lam, len(vecs), M.dim))
     if len(vecs) != 1:

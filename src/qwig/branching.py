@@ -123,6 +123,15 @@ class BranchingData:
     def __str__(self):
         return self._text
 
+    # hashed once: every _side lookup hashes the branching, which would
+    # otherwise hash its Weight and that Weight's Signature again
+    @cached_property
+    def _hash(self):
+        return hash((self.lam, self.lam0))
+
+    def __hash__(self):
+        return self._hash
+
 
 def index_sets(lam, lam0):
     """BranchingData for the pair, raising NotABranching when invalid."""

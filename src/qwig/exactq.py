@@ -581,23 +581,21 @@ def _cyclotomic_parts(e):
 
 def _merged_map(nums, dens):
     """(c, s, e) with prod(nums)/prod(dens) = c q^(s/2) prod_d Phi_d^e_d, e a
-    dict, for sequences of nonzero HalfLaurent factors; None if some factor
-    has no map."""
+    dict, for sequences of factor maps (c, s, e), each e a tuple of (d, e_d)
+    pairs as _factor_map gives them."""
     unit, shift, e = 1, 0, {}
-    for factors, sign in ((nums, 1), (dens, -1)):
-        for f in factors:
-            if len(f._t) == 1:
-                ((s, c),) = f._t.items()
-                fe = ()
-            else:
-                m = _factor_map(f)
-                if m is None:
-                    return None
-                c, s, fe = m
-            unit = unit * c if sign > 0 else _coeff_div(unit, c)
-            shift += sign * s
-            for d, k in fe:
-                e[d] = e.get(d, 0) + sign * k
+    for c, s, fe in nums:
+        if c != 1:
+            unit *= c
+        shift += s
+        for d, k in fe:
+            e[d] = e.get(d, 0) + k
+    for c, s, fe in dens:
+        if c != 1:
+            unit = _coeff_div(unit, c)
+        shift -= s
+        for d, k in fe:
+            e[d] = e.get(d, 0) - k
     return unit, shift, e
 
 
@@ -662,24 +660,35 @@ class QFraction:
         """prod(nums)/prod(dens) for sequences of HalfLaurent factors, in
         normal form.
 
-        Each factor's cyclotomic map (_factor_map) is found once and kept.
-        Numerator maps multiply their units and add their shifts and Phi_d
-        exponents in, denominator maps divide and subtract them out.  The
-        Phi_d left with a positive exponent make the numerator and those
-        with a negative one the denominator, so the two are coprime with no
-        gcd.  If some factor has no map, the quotient of the whole products
-        is normalised by QFraction.  A zero denominator factor raises
-        ZeroDivisionError; otherwise a zero numerator factor gives ZERO.
+        Each factor's cyclotomic map is found once (_factor_map) and the
+        maps are merged by from_maps.  If some factor has no map, the
+        quotient of the whole products is normalised by QFraction.  A zero
+        denominator factor raises ZeroDivisionError; otherwise a zero
+        numerator factor gives ZERO.
         """
         if not all(dens):
             raise ZeroDivisionError("zero denominator")
         if not all(nums):
             return ZERO
-        m = _merged_map(nums, dens)
-        if m is None:
+        num_maps = [_factor_map(f) for f in nums]
+        den_maps = [_factor_map(f) for f in dens]
+        if None in num_maps or None in den_maps:
             return cls(math.prod(nums, start=_POLY_ONE),
                        math.prod(dens, start=_POLY_ONE))
-        unit, shift, e = m
+        return cls.from_maps(num_maps, den_maps)
+
+    @classmethod
+    def from_maps(cls, nums, dens):
+        """The quotient of the products of two sequences of factor maps
+        (c, s, e), c q^(s/2) prod_d Phi_d(q^(1/2))^e_d each, in normal form.
+
+        Numerator maps multiply their units and add their shifts and Phi_d
+        exponents in, denominator maps divide and subtract them out.  The
+        Phi_d left with a positive exponent make the numerator and those
+        with a negative one the denominator, so the two are coprime with no
+        gcd.
+        """
+        unit, shift, e = _merged_map(nums, dens)
         num, den = _cyclotomic_parts(e)
         if unit != 1:
             num = [_as_fraction(unit * c) for c in num]
@@ -687,7 +696,7 @@ class QFraction:
 
     @classmethod
     def sum_of_quotients(cls, terms):
-        """sum(from_factors(nums, dens) for nums, dens in terms), in normal
+        """sum(from_maps(nums, dens) for nums, dens in terms), in normal
         form, over one common denominator and with no gcd.
 
         Each term's factor maps merge into c q^(s/2) prod_d Phi_d^e_d.  The
@@ -696,22 +705,9 @@ class QFraction:
         one coefficient map.  A zero sum, the residuals' usual result, stops
         there.  Otherwise each Phi_d of the denominator is divided out of the
         sum while it divides it exactly; the Phi_d are irreducible and
-        pairwise coprime, so what is left is in lowest terms.  If some
-        factor has no map, the terms are built by from_factors and added by
-        +.  A zero denominator factor raises ZeroDivisionError; a term with
-        a zero numerator factor adds nothing.
+        pairwise coprime, so what is left is in lowest terms.
         """
-        terms = list(terms)
-        maps = []
-        for nums, dens in terms:
-            if not all(dens):
-                raise ZeroDivisionError("zero denominator")
-            if not all(nums):
-                continue
-            m = _merged_map(nums, dens)
-            if m is None:
-                return sum((cls.from_factors(n, d) for n, d in terms), ZERO)
-            maps.append(m)
+        maps = [_merged_map(nums, dens) for nums, dens in terms]
         common = {}
         for _, _, e in maps:
             for d, k in e.items():

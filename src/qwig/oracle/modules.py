@@ -214,9 +214,9 @@ def highest_weight_vectors(W, gens=None):
 def submodule(W, start_vectors):
     """The span generated from start_vectors under all lowering generators.
 
-    start_vectors must be weight vectors.  Returns (module, basis) where
-    basis is the list of spanning vectors in W coordinates.  Raises
-    NotRealized when the span is not closed under the action.
+    start_vectors must be weight vectors.  Returns the RepModule on the
+    span's echelon basis.  Raises NotRealized when the span is not closed
+    under the action.
     """
     sig = W.sig
     weights = []
@@ -246,8 +246,7 @@ def submodule(W, start_vectors):
                     target[first + k][j] = c
     e = {a: Matrix(rows, dim) for a, rows in e.items()}
     f = {a: Matrix(rows, dim) for a, rows in f.items()}
-    mod = RepModule(sig, weights, parities, e, f)
-    return mod, basis
+    return RepModule(sig, weights, parities, e, f)
 
 
 def _parity_of_weight(sig, wt):
@@ -298,7 +297,7 @@ def realized_modules(sig, k_max, dim_cap):
             if wt in seen or len(vecs) != 1:
                 continue
             seen.add(wt)
-            M, _ = submodule(W, [vecs[0]])
+            M = submodule(W, [vecs[0]])
             if M.dim <= dim_cap:
                 out.append((Weight(sig, wt), M))
     return out

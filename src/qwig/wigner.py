@@ -13,8 +13,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .errors import AdmissibilityError, DegenerateRoots, IndexOutOfRange
-from .exactq import ZERO, HalfLaurent, QFraction, qnum, qpow
+from .errors import (
+    AdmissibilityError,
+    ConsistencyError,
+    DegenerateRoots,
+    IndexOutOfRange,
+)
+from .exactq import ZERO, QFraction, _factor_map, qnum
 from .superweight import char_roots, deformed_root
 
 __all__ = [
@@ -34,8 +39,6 @@ __all__ = [
 
 FORMS = ("root_product", "qnumber_phase")
 
-_MINUS_ONE = HalfLaurent.const(-1)
-
 # Evaluation point of the subalgebra root entering mu.  'shifted' reads it
 # at the lower weight moved one step along the shift direction, 'unshifted'
 # at the lower weight itself.  The default is fixed by validating the
@@ -48,6 +51,33 @@ MU_SHIFT_DEFAULT = "unshifted"
 def _root_diff(x, y):
     """The root-product factor deformed(x) - deformed(y)."""
     return deformed_root(x).num - deformed_root(y).num
+
+
+# Every closed-form factor is a root difference or a q-number of small
+# integer arguments, so its cyclotomic map (exactq._factor_map) is kept by
+# those integers and no factor polynomial is built per call.  Each map is
+# still peeled from the factor's own polynomial, so the two forms stay
+# independent.  The bounds keep memory flat over a long run.
+
+
+def _peeled(f):
+    """The factor map of f, which every root difference and q-number has."""
+    m = _factor_map(f)
+    if m is None:
+        raise ConsistencyError("%s is no product of cyclotomic polynomials" % f)
+    return m
+
+
+@lru_cache(maxsize=4096)
+def _root_map(x, y):
+    """The factor map of _root_diff(x, y), which is zero iff x == y."""
+    return _peeled(_root_diff(x, y))
+
+
+@lru_cache(maxsize=1024)
+def _qnum_map(n):
+    """The factor map of qnum(n), which is zero iff n == 0."""
+    return _peeled(qnum(n))
 
 
 class _Side:
@@ -144,25 +174,25 @@ def _check_form(form):
         raise ValueError("form must be one of %s" % (FORMS,))
 
 
-def _omega_factors(b, k, variant, form):
-    """The factor lists (nums, dens) of omega_k in the given form, or None
-    for k outside the admissible set K, where omega_k vanishes."""
-    _check_form(form)
-    side = _side(b, variant)
-    side.require_in_range(k)
-    if k not in side.K:
-        return None
-    side.require_K_generic()
+def _omega_maps(side, k, form):
+    """The factor maps (nums, dens) of omega_k in the given form, for k in
+    the generic admissible set K; None where a numerator factor vanishes."""
     ak = side.alpha[k]
     others = [side.alpha[l] for l in side.K if l != k]
     if form == "root_product":
-        nums = [side.F_root(ak, r) for r in side.L]
-        dens = [_root_diff(ak, al) for al in others]
+        betas = [side.beta(r) for r in side.L]
+        if ak in betas:
+            return None
+        nums = [_root_map(ak, br) for br in betas]
+        dens = [_root_map(ak, al) for al in others]
     else:
         # q-number/phase form with the closed phase exponent
-        xi = -(side.I0_size + ak + b.eta)
-        nums = [qpow(xi)] + [qnum(side.F_arg(ak, r)) for r in side.L]
-        dens = [qnum(ak - al) for al in others]
+        args = [side.F_arg(ak, r) for r in side.L]
+        if 0 in args:
+            return None
+        xi = -(side.I0_size + ak + side.b.eta)
+        nums = [(1, 2 * xi, ())] + [_qnum_map(x) for x in args]
+        dens = [_qnum_map(ak - al) for al in others]
     return nums, dens
 
 
@@ -175,8 +205,14 @@ def omega(b, k, variant, form="root_product"):
       q^xi_k prod_r [alpha_k - alpha0_r + tau s_r] / prod_{l != k} [alpha_k - alpha_l]
     with xi_k = -(|I0 or I0bar| ... ) collected below.
     """
-    factors = _omega_factors(b, k, variant, form)
-    return ZERO if factors is None else QFraction.from_factors(*factors)
+    _check_form(form)
+    side = _side(b, variant)
+    side.require_in_range(k)
+    if k not in side.K:
+        return ZERO
+    side.require_K_generic()
+    maps = _omega_maps(side, k, form)
+    return ZERO if maps is None else QFraction.from_maps(*maps)
 
 
 def omega_classical(b, k, variant):
@@ -211,14 +247,19 @@ def _matrix_element(side, r, point, form, phase):
     """
     side.require_clear(point, r)
     others = [side.beta(l) for l in side.L if l != r]
+    roots = [side.alpha[k] for k in side.K]
     if form == "root_product":
-        phase = 0
-        nums = [_root_diff(side.alpha[k], point) for k in side.K]
-        dens = [_root_diff(point, bl) for bl in others]
+        if point in roots:
+            return ZERO
+        nums = [(side.sigma(), 0, ())] + [_root_map(a, point) for a in roots]
+        dens = [_root_map(point, bl) for bl in others]
     else:
-        nums = [qnum(side.alpha[k] - point) for k in side.K]
-        dens = [qnum(point - bl) for bl in others]
-    return QFraction.from_factors([side.sigma() * qpow(phase)] + nums, dens)
+        args = [a - point for a in roots]
+        if 0 in args:
+            return ZERO
+        nums = [(side.sigma(), 2 * phase, ())] + [_qnum_map(x) for x in args]
+        dens = [_qnum_map(point - bl) for bl in others]
+    return QFraction.from_maps(nums, dens)
 
 
 def gamma(b, r, variant, form="root_product", alpha0_override=None):
@@ -290,16 +331,21 @@ def omega_coupled(b, k, r, variant, form="qnumber_phase"):
     ls = [l for l in side.L if l != r]
     aps = [side.alpha[p] for p in side.K if p != k]
     if form == "qnumber_phase":
-        nums = [qpow(ak - a0r)] + [qnum(side.F_arg(ak, l)) for l in ls]
-        nums += [qnum(ap - a0r) for ap in aps]
-        dens = [qnum(side.F_arg(a0r, l)) for l in ls]
-        dens += [qnum(ap - ak) for ap in aps]
+        args = [side.F_arg(ak, l) for l in ls] + [ap - a0r for ap in aps]
+        if 0 in args:
+            return ZERO
+        nums = [(1, 2 * (ak - a0r), ())] + [_qnum_map(x) for x in args]
+        dens = [_qnum_map(side.F_arg(a0r, l)) for l in ls]
+        dens += [_qnum_map(ap - ak) for ap in aps]
     else:
-        nums = [side.F_root(ak, l) for l in ls]
-        nums += [_root_diff(ap, a0r) for ap in aps]
-        dens = [side.F_root(a0r, l) for l in ls]
-        dens += [_root_diff(ap, ak) for ap in aps]
-    return QFraction.from_factors(nums, dens)
+        betas = [side.beta(l) for l in ls]
+        if ak in betas or a0r in aps:
+            return ZERO
+        nums = [_root_map(ak, bl) for bl in betas]
+        nums += [_root_map(ap, a0r) for ap in aps]
+        dens = [_root_map(a0r, bl) for bl in betas]
+        dens += [_root_map(ap, ak) for ap in aps]
+    return QFraction.from_maps(nums, dens)
 
 
 def omega_coupled_composite(b, k, r, variant):
@@ -369,9 +415,12 @@ def coupled_table(b, variant, form="qnumber_phase"):
 
 def sum_rule_residual(b, variant, form="root_product"):
     """sum_k omega_k - 1, exactly zero when the closed forms are right."""
-    terms = [_omega_factors(b, k, variant, form) for k in range(1, b.sig.d + 1)]
+    _check_form(form)
+    side = _side(b, variant)
+    side.require_K_generic()
+    terms = [_omega_maps(side, k, form) for k in side.K]
     terms = [t for t in terms if t is not None]
-    return QFraction.sum_of_quotients(terms + [([_MINUS_ONE], [])])
+    return QFraction.sum_of_quotients(terms + [([(-1, 0, ())], [])])
 
 
 def linear_system_residuals(b, variant, form="root_product"):
@@ -384,19 +433,26 @@ def linear_system_residuals(b, variant, form="root_product"):
     side = _side(b, variant)
     if not side.L:  # no relations, and no omega, even on a degenerate K
         return {}
-    factors = {k: _omega_factors(b, k, variant, form) for k in side.K}
+    _check_form(form)
+    side.require_K_generic()
+    maps = {k: _omega_maps(side, k, form) for k in side.K}
     out = {}
     for r in side.L:
+        br = side.beta(r)
         terms = []
-        for k, (nums, dens) in factors.items():
+        for k, m in maps.items():
             ak = side.alpha[k]
-            f = side.F_root(ak, r)
-            if f:
-                terms.append((nums, dens + [f]))
-            else:
+            if ak != br:
+                if m is not None:
+                    terms.append((m[0], m[1] + [_root_map(ak, br)]))
+                continue
+            # F_r(a_k) = 0: omega_k with that factor cancelled, which is
+            # zero if another F_l(a_k) vanishes too
+            betas = [side.beta(l) for l in side.L if l != r]
+            if ak not in betas:
                 terms.append((
-                    [side.F_root(ak, l) for l in side.L if l != r],
-                    [_root_diff(ak, side.alpha[l]) for l in side.K if l != k],
+                    [_root_map(ak, bl) for bl in betas],
+                    [_root_map(ak, side.alpha[l]) for l in side.K if l != k],
                 ))
         out[r] = QFraction.sum_of_quotients(terms)
     return out

@@ -161,3 +161,17 @@ def test_branching_str_is_formatted_once(sweep_branchings):
         y = pickle.loads(pickle.dumps(x))
         assert y == x and hash(y) == hash(x) and str(y) == str(x)
     assert str(c) == str(b)
+
+
+def test_branching_hash_is_computed_once():
+    # separately built equal branchings, one hashed before it is pickled and
+    # one after: equal, equally hashed, and interchangeable as keys
+    b = index_sets(Weight(Signature(3, 2), (4, 1, -2, 3, -1)), (3, 1, -2, 0))
+    c = index_sets(Weight(Signature(3, 2), (4, 1, -2, 3, -1)), [3, 1, -2, 0])
+    assert b is not c and b.lam is not c.lam
+    assert hash(b) == hash(c) == hash((b.lam, b.lam0))
+    assert b == c and {b: 1}[c] == 1
+    assert b.__dict__["_hash"] == hash(b)
+    for x in (b, index_sets(c.lam, c.lam0)):
+        y = pickle.loads(pickle.dumps(x))
+        assert y == x and hash(y) == hash(x) and {x: 1}[y] == 1

@@ -400,6 +400,12 @@ def _sum_by_addition(terms):
     return sum((QFraction.from_factors(n, d) for n, d in terms), ZERO)
 
 
+def _mapped(terms):
+    """The terms with each factor replaced by its cyclotomic map."""
+    return [([_factor_map(f) for f in n], [_factor_map(f) for f in d])
+            for n, d in terms]
+
+
 @settings(max_examples=200, deadline=None)
 @given(quotient_terms, st.lists(st.integers(0, 3), max_size=4))
 # q^-1/[2] + q/[2] = 1: the whole common denominator divides out
@@ -419,36 +425,34 @@ def test_sum_of_quotients_matches_sum(terms, negated):
     # each drawn index repeats one term negated, so that sums cancel in part
     terms = terms + [([HalfLaurent.const(-1)] + terms[i][0], terms[i][1])
                      for i in negated if i < len(terms)]
-    x = QFraction.sum_of_quotients(terms)
+    x = QFraction.sum_of_quotients(_mapped(terms))
     y = _sum_by_addition(terms)
     assert _same(x, y)
     assert hash(x) == hash(y)
     # and the whole sum cancels against its negation
     minus = [([HalfLaurent.const(-1)] + n, d) for n, d in terms]
-    assert _same(QFraction.sum_of_quotients(terms + minus), ZERO)
+    assert _same(QFraction.sum_of_quotients(_mapped(terms + minus)), ZERO)
 
 
 def test_sum_of_quotients_edge_cases():
     p = qnum(3)
     assert _same(QFraction.sum_of_quotients([]), ZERO)
-    assert _same(QFraction.sum_of_quotients(iter([([p], [qnum(2)])])),
+    terms = [([p], [qnum(2)])]
+    assert _same(QFraction.sum_of_quotients(iter(_mapped(terms))),
                  QFraction.from_factors([p], [qnum(2)]))
-    # a zero numerator factor: the term adds nothing
-    terms = [([p, HalfLaurent()], [qnum(2)]), ([qpow(1)], [p])]
-    assert _same(QFraction.sum_of_quotients(terms), QFraction(qpow(1), p))
-    assert _same(QFraction.sum_of_quotients(terms[:1]), ZERO)
-    # a zero denominator factor raises, whatever the other terms are
-    for nums in ([p], [HalfLaurent()]):
-        with pytest.raises(ZeroDivisionError):
-            QFraction.sum_of_quotients(
-                [([qpow(1)], [p]), (nums, [qnum(2), HalfLaurent()])])
-    # a factor with no map sends every term through from_factors and +
-    f = HalfLaurent({0: 1, 2: 2})
-    assert _factor_map(f) is None
-    terms = [([qnum(4)], [qnum(2), f]), ([f], [qnum(3)]), ([qpow(-1)], [qnum(2)])]
-    x = QFraction.sum_of_quotients(terms)
-    assert _same(x, _sum_by_addition(terms))
-    assert hash(x) == hash(_sum_by_addition(terms))
+    # a term and its negation: the sum stops at zero
+    terms += [([p, qpow(1), -qpow(-1)], [qnum(2)])]
+    assert _same(QFraction.sum_of_quotients(_mapped(terms)), ZERO)
+
+
+def test_from_maps_matches_from_factors():
+    # units other than 1 on both sides, a monomial map, and full cancellation
+    nums = [qnum(6) * Fraction(-3, 2), qpow(Fraction(5, 2)), qnum(4)]
+    dens = [qnum(3) * Fraction(2, 5), qnum(2), qpow(-1) * -2]
+    x = QFraction.from_maps(*_mapped([(nums, dens)])[0])
+    assert _same(x, QFraction.from_factors(nums, dens))
+    assert _same(QFraction.from_maps(*_mapped([(dens, dens)])[0]), ONE)
+    assert _same(QFraction.from_maps([], []), ONE)
 
 
 def _fraction_parse(s):

@@ -334,7 +334,7 @@ def test_tensor_decomposition_gl11():
     assert set(hws) == {(2, 0), (1, 1)}
     for wt, vecs in hws.items():
         assert len(vecs) == 1
-        M, _ = submodule(T, vecs)
+        M = submodule(T, vecs)
         assert M.dim == 2
         assert char_identity_check(M, Weight(S11, wt), "atilde")
 
@@ -463,7 +463,7 @@ def _gl21_module_200():
     V = vector_rep(S21)
     T = tensor_module(V, V)
     vecs = dict(highest_weight_vectors(T))[(2, 0, 0)]
-    return submodule(T, vecs)[0]
+    return submodule(T, vecs)
 
 
 def _dense_char_matrix(W, kind, top):

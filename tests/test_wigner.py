@@ -4,10 +4,14 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qwig import (
     AdmissibilityError,
+    ConsistencyError,
     DegenerateRoots,
+    HalfLaurent,
     IndexOutOfRange,
     ONE,
     QFraction,
@@ -32,8 +36,18 @@ from qwig import (
 )
 from qwig import wigner
 from qwig.cli import main
+from qwig.exactq import _factor_map
 from qwig.superweight import subalgebra_roots
-from qwig.wigner import FORMS, MU_SHIFT_DEFAULT, _root_diff, _side, _Side
+from qwig.wigner import (
+    FORMS,
+    MU_SHIFT_DEFAULT,
+    _peeled,
+    _qnum_map,
+    _root_diff,
+    _root_map,
+    _side,
+    _Side,
+)
 
 S11 = Signature(1, 1)
 S21 = Signature(2, 1)
@@ -352,6 +366,133 @@ def test_cached_factors_equal_fresh_ones():
                             x, side.alpha0[l], t)
                         checked += 1
     assert checked
+
+
+# The closed forms as factor lists of HalfLaurent polynomials through
+# QFraction.from_factors: the construction that the integer-keyed maps and
+# zero tests replace, kept as the reference they must reproduce.
+
+
+def _factor_omega(b, k, variant, form):
+    side = _side(b, variant)
+    side.require_in_range(k)
+    if k not in side.K:
+        return ZERO
+    side.require_K_generic()
+    ak = side.alpha[k]
+    others = [side.alpha[l] for l in side.K if l != k]
+    if form == "root_product":
+        nums = [side.F_root(ak, r) for r in side.L]
+        dens = [_root_diff(ak, al) for al in others]
+    else:
+        xi = -(side.I0_size + ak + b.eta)
+        nums = [qpow(xi)] + [qnum(side.F_arg(ak, r)) for r in side.L]
+        dens = [qnum(ak - al) for al in others]
+    return QFraction.from_factors(nums, dens)
+
+
+def _factor_mu(b, r, variant, form, convention):
+    side = _side(b, variant)
+    side.require_admissible(r)
+    t = side.tau * side.sign[r]
+    shifted = convention == "shifted"
+    point = side.alpha0[r] + (t if shifted else 0)
+    phase = b.eta + side.I0_size - 3 * point + t * (2 if shifted else 1)
+    side.require_clear(point, r)
+    others = [side.beta(l) for l in side.L if l != r]
+    if form == "root_product":
+        phase = 0
+        nums = [_root_diff(side.alpha[k], point) for k in side.K]
+        dens = [_root_diff(point, bl) for bl in others]
+    else:
+        nums = [qnum(side.alpha[k] - point) for k in side.K]
+        dens = [qnum(point - bl) for bl in others]
+    return QFraction.from_factors([side.sigma() * qpow(phase)] + nums, dens)
+
+
+def _factor_coupled(b, k, r, variant, form):
+    side = _side(b, variant)
+    side.require_in_range(k)
+    side.require_admissible(r)
+    if k not in side.K:
+        return ZERO
+    side.require_K_generic()
+    ak = side.alpha[k]
+    a0r = side.alpha0[r]
+    side.require_clear(a0r, r)
+    ls = [l for l in side.L if l != r]
+    aps = [side.alpha[p] for p in side.K if p != k]
+    if form == "qnumber_phase":
+        nums = [qpow(ak - a0r)] + [qnum(side.F_arg(ak, l)) for l in ls]
+        nums += [qnum(ap - a0r) for ap in aps]
+        dens = [qnum(side.F_arg(a0r, l)) for l in ls]
+        dens += [qnum(ap - ak) for ap in aps]
+    else:
+        nums = [side.F_root(ak, l) for l in ls]
+        nums += [_root_diff(ap, a0r) for ap in aps]
+        dens = [side.F_root(a0r, l) for l in ls]
+        dens += [_root_diff(ap, ak) for ap in aps]
+    return QFraction.from_factors(nums, dens)
+
+
+def _result(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as exc:  # the type is compared, whatever it is
+        return type(exc)
+
+
+def test_maps_equal_factor_lists(sweep_branchings):
+    # every value equal in structure, and every exception of the same type,
+    # on every 4th sweep branching, in both forms and variants
+    counts = {"zero": 0, "value": 0, "error": 0}
+
+    def check(got, want, *where):
+        if isinstance(want, type):
+            assert got is want, where
+            counts["error"] += 1
+        else:
+            assert (got.num, got.den) == (want.num, want.den), where
+            counts["zero" if not want else "value"] += 1
+
+    for b in sweep_branchings[::4]:
+        d = b.sig.d
+        for variant in ("lower", "raise"):
+            side = _side(b, variant)
+            for form in FORMS:
+                for k in range(1, d + 1):
+                    check(_result(omega, b, k, variant, form),
+                          _result(_factor_omega, b, k, variant, form),
+                          str(b), variant, form, k)
+                for r in range(1, d):
+                    for conv in ("unshifted", "shifted"):
+                        check(_result(mu, b, r, variant, form, conv),
+                              _result(_factor_mu, b, r, variant, form, conv),
+                              str(b), variant, form, r, conv)
+                for k in range(1, d + 1):
+                    for r in side.L:
+                        check(_result(omega_coupled, b, k, r, variant, form),
+                              _result(_factor_coupled, b, k, r, variant, form),
+                              str(b), variant, form, k, r)
+    assert all(counts.values()), counts
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(-40, 40), st.integers(-40, 40))
+def test_zero_tests_and_integer_keyed_maps(x, y):
+    # each form's zero test on integers is its factor's zero, and the maps
+    # kept by integer are those peeled from the factor's polynomial
+    assert (not _root_diff(x, y)) == (x == y)
+    assert (not qnum(x)) == (x == 0)
+    if x != y:
+        assert _root_map(x, y) == _factor_map(_root_diff(x, y))
+    if x:
+        assert _qnum_map(x) == _factor_map(qnum(x))
+
+
+def test_a_factor_with_no_map_is_a_typed_error():
+    with pytest.raises(ConsistencyError):
+        _peeled(HalfLaurent({0: 1, 2: 2}))  # 1 + 2q
 
 
 def test_linear_system_computes_each_omega_once(monkeypatch):
