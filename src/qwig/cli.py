@@ -16,7 +16,6 @@ import io
 import json
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from .branching import BranchingData, branch_candidates
 from .errors import (
@@ -45,6 +44,8 @@ SUITES = (
 
 # verify covers the modules inside V^(x)k, k <= K_MAX, of dimension <= DIM_CAP
 K_MAX, DIM_CAP = 2, 30
+# verify keeps the realised modules of this many signatures, about 1 MB each
+MODULE_STORE_SIZE = 4
 
 
 def _parse_weight(text, m=None, n=None):
@@ -276,6 +277,15 @@ def _cmd_invariants(args):
 # -- verify suites -----------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=MODULE_STORE_SIZE)
+def _modules(sig):
+    """The realised modules of sig, kept whole for the process, so that
+    each module's cached matrices serve every later verify call."""
+    from .oracle.modules import realized_modules
+
+    return tuple(realized_modules(sig, K_MAX, DIM_CAP))
+
+
 def _case(name, inputs, ok, detail=""):
     return {
         "case": name,
@@ -290,24 +300,24 @@ def _skip(name, inputs, reason):
             "detail": reason}
 
 
-def _suite_qybe(sig, modules):
+def _suite_qybe(sig):
     from .oracle.checks import qybe_check
 
     return [_case("qybe", {"m": sig.m, "n": sig.n}, qybe_check(sig))]
 
 
-def _suite_coproduct(sig, modules):
+def _suite_coproduct(sig):
     from .oracle.checks import coproduct_check
 
     return [_case("coproduct", {"m": sig.m, "n": sig.n},
                   coproduct_check(sig))]
 
 
-def _suite_charid(sig, modules):
+def _suite_charid(sig):
     from .oracle.checks import char_identity_check
 
     out = []
-    for lam, M in modules():
+    for lam, M in _modules(sig):
         for kind in ("atilde", "adual"):
             inputs = {"weight": str(lam), "kind": kind}
             try:
@@ -319,12 +329,12 @@ def _suite_charid(sig, modules):
     return out
 
 
-def _suite_projectors(sig, modules):
+def _suite_projectors(sig):
     from .oracle.checks import all_projectors
     from .oracle.linalg import identity, is_zero_matrix, mat_scale, matmul
 
     out = []
-    for lam, M in modules():
+    for lam, M in _modules(sig):
         for kind in ("atilde", "adual"):
             inputs = {"weight": str(lam), "kind": kind}
             try:
@@ -347,13 +357,13 @@ def _suite_projectors(sig, modules):
     return out
 
 
-def _closed_vs_oracle(sig, modules, coupled):
+def _closed_vs_oracle(sig, coupled):
     from .oracle.checks import coupled_oracle, wigner_oracle
     from .wigner import _side, omega, omega_coupled
 
     name = "coupled" if coupled else "wigner"
     out = []
-    for lam, M in modules():
+    for lam, M in _modules(sig):
         for b in branch_candidates(lam):
             for kind in ("lower", "raise"):
                 side = _side(b, kind)
@@ -390,19 +400,19 @@ def _closed_vs_oracle(sig, modules, coupled):
     return out
 
 
-def _suite_wigner(sig, modules):
-    return _closed_vs_oracle(sig, modules, coupled=False)
+def _suite_wigner(sig):
+    return _closed_vs_oracle(sig, coupled=False)
 
 
-def _suite_coupled(sig, modules):
-    return _closed_vs_oracle(sig, modules, coupled=True)
+def _suite_coupled(sig):
+    return _closed_vs_oracle(sig, coupled=True)
 
 
-def _suite_invariants(sig, modules):
+def _suite_invariants(sig):
     from .oracle.checks import supertrace_invariant
 
     out = []
-    for lam, M in modules():
+    for lam, M in _modules(sig):
         inputs = {"weight": str(lam)}
         ok = chi_v(lam, "v") * chi_v(lam, "vtilde") == ONE
         out.append(_case("invariants/unitarity", inputs, ok))
@@ -444,17 +454,9 @@ _SUITE_FN = {
 
 def _run_units(suites, m, n):
     """The case lists of the suites, run in order in this process.  The
-    module suites share one list of realised modules, built at most once,
-    so each module's cached matrices serve every suite."""
+    module suites share the store's realised modules, built on first use."""
     sig = Signature(m, n)
-
-    @functools.cache
-    def modules():
-        from .oracle.modules import realized_modules
-
-        return realized_modules(sig, K_MAX, DIM_CAP)
-
-    return [_SUITE_FN[s](sig, modules) for s in suites]
+    return [_SUITE_FN[s](sig) for s in suites]
 
 
 def _run_unit(unit):
@@ -470,6 +472,8 @@ def _cmd_verify(args):
     )
     jobs = min(args.jobs, len(suites))
     if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         units = [(s, args.m, args.n) for s in suites]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             chunks = list(pool.map(_run_unit, units))

@@ -34,7 +34,7 @@ from qwig import (
     omega_coupled,
     sum_rule_residual,
 )
-from qwig.wigner import MU_SHIFT_DEFAULT, _Side
+from qwig.wigner import MU_SHIFT_DEFAULT, _side
 from qwig.oracle import coupled_oracle, realized_modules, wigner_oracle
 from conftest import ORACLE_SIGS
 
@@ -93,7 +93,7 @@ def test_criterion_04_form_equivalence(sweep_branchings):
     )
     for b in sweep_branchings:
         for variant in ("lower", "raise"):
-            side = _Side(b, variant)
+            side = _side(b, variant)
             for k in side.K:
                 try:
                     rp = omega(b, k, variant, "root_product")
@@ -160,7 +160,7 @@ def _oracle_matches(sig, modules):
     for lam, M in modules:
         for b in branch_candidates(lam):
             for kind in ("lower", "raise"):
-                side = _Side(b, kind)
+                side = _side(b, kind)
                 for k in range(1, sig.d + 1):
                     try:
                         closed = omega(b, k, kind)
@@ -261,7 +261,7 @@ def test_criterion_08_invariant_eigenvalues(oracle_modules, sweep_weights):
 def test_criterion_09_classical_limit(sweep_branchings):
     checked = 0
     for b in sweep_branchings:
-        side = _Side(b, "raise")
+        side = _side(b, "raise")
         for k in side.K:
             try:
                 value = omega(b, k, "raise")

@@ -2,14 +2,19 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qwig import Signature, Weight, index_sets, parse_qfraction, sum_rule_residual
-from qwig.cli import _dump_json, build_parser, main
+import qwig
+from qwig.cli import MODULE_STORE_SIZE, _dump_json, _modules, build_parser, main
 
 
 def run(capsys, *argv):
@@ -195,7 +200,7 @@ def test_verify_jobs_pool_is_bounded_by_suites(capsys, monkeypatch):
         def map(self, fn, units):
             return map(fn, units)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", Recorder)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", Recorder)
     sig = ("--m", "1", "--n", "1")
     n_suites = len([s for s in cli.SUITES if s != "all"])
     code, obj = run_json(capsys, "verify", *sig, "--jobs", "100000")
@@ -213,9 +218,21 @@ def test_verify_jobs_pool_is_bounded_by_suites(capsys, monkeypatch):
     assert sizes == [n_suites]
 
 
-def test_verify_all_builds_modules_once(capsys, monkeypatch):
+def test_cli_import_leaves_process_pool_unloaded():
+    # concurrent.futures costs import time and RSS in every process, and
+    # only verify --jobs N > 1 uses it
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(qwig.__file__).resolve().parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import qwig.cli, sys; print('concurrent.futures' in sys.modules)"],
+        capture_output=True, text=True, env=env, check=True)
+    assert done.stdout.strip() == "False"
+
+
+def _count_builds(monkeypatch):
+    """The argument tuples of every realized_modules call from now on."""
     import qwig.oracle.modules as modules
-    from qwig.cli import SUITES
 
     calls = []
     build = modules.realized_modules
@@ -225,15 +242,61 @@ def test_verify_all_builds_modules_once(capsys, monkeypatch):
         return build(*args)
 
     monkeypatch.setattr(modules, "realized_modules", counted)
+    return calls
+
+
+def test_verify_all_builds_modules_once(capsys, monkeypatch):
+    # one build serves --suite all and every single-suite call after it
+    from qwig.cli import SUITES
+
+    _modules.cache_clear()
+    calls = _count_builds(monkeypatch)
     sig = ("--m", "2", "--n", "1", "--jobs", "1")
     code, obj = run_json(capsys, "verify", "--suite", "all", *sig)
     assert code == 0
-    assert len(calls) == 1
     cases = []
     for suite in SUITES:
         if suite != "all":
             cases.extend(run_json(capsys, "verify", "--suite", suite, *sig)[1]["cases"])
+    assert len(calls) == 1
     assert obj["cases"] == cases
+
+
+def test_verify_suite_output_is_the_same_from_a_warm_store(capsys):
+    from qwig.cli import SUITES
+
+    suites = [s for s in SUITES if s != "all"]
+    sig = ("--m", "2", "--n", "1")
+    for suite in suites:
+        _modules.cache_clear()
+        cold = run(capsys, "verify", *sig, "--suite", suite)
+        _modules.cache_clear()
+        for other in suites:
+            if other != suite:
+                run(capsys, "verify", *sig, "--suite", other)
+        assert run(capsys, "verify", *sig, "--suite", suite) == cold, suite
+
+
+def test_module_store_is_bounded(capsys, monkeypatch):
+    sigs = [(m, d - m) for d in range(2, 6) for m in range(1, d)]
+    sigs = sigs[:MODULE_STORE_SIZE + 1]
+    assert len(sigs) == MODULE_STORE_SIZE + 1
+    _modules.cache_clear()
+    calls = _count_builds(monkeypatch)
+    first = {}
+    for m, n in sigs:
+        first[m, n] = run(capsys, "verify", "--m", str(m), "--n", str(n),
+                          "--suite", "charid")
+    assert len(calls) == len(sigs)
+    assert _modules.cache_info().currsize == MODULE_STORE_SIZE
+    # the least recently used signature was evicted: it rebuilds, and
+    # prints the same bytes
+    m, n = sigs[0]
+    again = run(capsys, "verify", "--m", str(m), "--n", str(n),
+                "--suite", "charid")
+    assert calls[-1][0] == Signature(m, n) and len(calls) == len(sigs) + 1
+    assert again == first[m, n]
+    assert _modules.cache_info().currsize == MODULE_STORE_SIZE
 
 
 @pytest.mark.parametrize("m, n, passes, skips", [
