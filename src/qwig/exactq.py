@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import zip_longest
 
-from .errors import PoleAtOne
+from .errors import ConsistencyError, InvalidArgument, PoleAtOne
 
 __all__ = [
     "HalfLaurent",
@@ -222,7 +222,7 @@ def qpow(x):
         return HalfLaurent._raw({2 * x: 1})
     x2 = _as_fraction(_as_fraction(x) * 2)
     if isinstance(x2, Fraction):
-        raise ValueError("exponent must be a multiple of 1/2")
+        raise InvalidArgument("exponent must be a multiple of 1/2")
     return HalfLaurent._raw({x2: 1})
 
 
@@ -230,7 +230,7 @@ def qpow(x):
 def qnum(x):
     """Symmetric q-number [x]_q = (q^x - q^-x)/(q - q^-1) for integer x."""
     if not isinstance(x, int):
-        raise ValueError("qnum takes an integer argument")
+        raise InvalidArgument("qnum takes an integer argument")
     if x == 0:
         return HalfLaurent._raw({})
     s = 1 if x > 0 else -1
@@ -488,17 +488,18 @@ def _max_cyclotomic_index(deg):
 @lru_cache(maxsize=4096)
 def _factor_map(f):
     """(c, s, e) with f = c q^(s/2) prod_d Phi_d(q^(1/2))^e_d, e a tuple of
-    (d, e_d) pairs, for a nonzero HalfLaurent f; None if f is no such product.
+    (d, e_d) pairs, for a nonzero HalfLaurent f; ConsistencyError if f is
+    no such product.
 
     f shifted to lowest exponent 0 and divided by its constant term is peeled
     as p = prod_N (1 - x^N)^g(N).  The peel keeps a = p prod_{g<0} (1 - x^N)^-g
     and b = prod_{g>0} (1 - x^N)^g.  The lowest term where a and b differ
     sits at the next N and gives g(N).  The peel ends when a == b, which is
-    the exact expansion p = prod_N (1 - x^N)^g(N).  It gives up, with None,
-    at a g(N) that is not an integer, at |g(N)| > deg p, or at an N above
-    the largest d with phi(d) <= deg p.  No cyclotomic product reaches
-    these: its |g(N)| <= sum e_d <= deg p, and g(N) != 0 only for N dividing
-    a d with e_d != 0, where phi(d) = deg Phi_d <= deg p.  Since
+    the exact expansion p = prod_N (1 - x^N)^g(N).  It gives up at a g(N)
+    that is not an integer, at |g(N)| > deg p, or at an N above the largest
+    d with phi(d) <= deg p.  No cyclotomic product reaches these: its
+    |g(N)| <= sum e_d <= deg p, and g(N) != 0 only for N dividing a d with
+    e_d != 0, where phi(d) = deg Phi_d <= deg p.  Since
     1 - x^N = -prod_{d | N} Phi_d, e_d is the sum of g(N) over the multiples
     N of d.
     """
@@ -513,7 +514,8 @@ def _factor_map(f):
         n, gn = next((i, y - x) for i, (x, y)
                      in enumerate(zip_longest(a, b, fillvalue=0)) if x != y)
         if type(gn) is not int or abs(gn) > deg or n > top:
-            return None
+            raise ConsistencyError(
+                "%s is no product of cyclotomic polynomials" % f)
         g[n] = gn
         if gn < 0:
             a = _times_binomial(a, n, -gn)
@@ -654,28 +656,6 @@ class QFraction:
         out.den = den
         out._hash = None
         return out
-
-    @classmethod
-    def from_factors(cls, nums, dens):
-        """prod(nums)/prod(dens) for sequences of HalfLaurent factors, in
-        normal form.
-
-        Each factor's cyclotomic map is found once (_factor_map) and the
-        maps are merged by from_maps.  If some factor has no map, the
-        quotient of the whole products is normalised by QFraction.  A zero
-        denominator factor raises ZeroDivisionError; otherwise a zero
-        numerator factor gives ZERO.
-        """
-        if not all(dens):
-            raise ZeroDivisionError("zero denominator")
-        if not all(nums):
-            return ZERO
-        num_maps = [_factor_map(f) for f in nums]
-        den_maps = [_factor_map(f) for f in dens]
-        if None in num_maps or None in den_maps:
-            return cls(math.prod(nums, start=_POLY_ONE),
-                       math.prod(dens, start=_POLY_ONE))
-        return cls.from_maps(num_maps, den_maps)
 
     @classmethod
     def from_maps(cls, nums, dens):

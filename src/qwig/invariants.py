@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .errors import InvalidArgument
 from .exactq import QFraction, ZERO, qnum, qpow
 from .superweight import rho, rho_even_odd
 
@@ -30,7 +31,7 @@ def chi_v(lam, kind="v"):
         return QFraction(qpow(-e))
     if kind == "vtilde":
         return QFraction(qpow(e))
-    raise ValueError("kind must be 'v' or 'vtilde'")
+    raise InvalidArgument("kind must be 'v' or 'vtilde'")
 
 
 def chi_C1(lam, kind="dual"):
@@ -52,14 +53,14 @@ def chi_C1(lam, kind="dual"):
         a = tuple(Fraction(lam[i]) - 2 * r0[i - 1] for i in range(1, sig.d + 1))
         b = tuple(Fraction(lam[i]) - 2 * r1[i - 1] for i in range(1, sig.d + 1))
     else:
-        raise ValueError("kind must be 'dual' or 'adjoint'")
+        raise InvalidArgument("kind must be 'dual' or 'adjoint'")
     total = ZERO
     for i in range(1, sig.d + 1):
         s = sig.sign(i)
         exp = -Fraction(s) * a[i - 1]
         arg = Fraction(s) * b[i - 1]
         if arg.denominator != 1:
-            raise ValueError("q-number argument must be an integer")
+            raise InvalidArgument("q-number argument must be an integer")
         term = QFraction(qpow(exp) * qnum(int(arg)))
         total = total + (term if sig.parity(i) == 0 else -term)
     return total

@@ -8,14 +8,13 @@ explicit matrices so the two routes stay independent.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from ..branching import BranchingData
 from ..errors import NotRealized, NotScalar
 from ..exactq import ONE, ZERO, QFraction, qpow
 from ..superweight import char_roots, check_generic, rho, subalgebra_roots
 from .linalg import (
     Matrix,
+    diagonal,
     gkron,
     identity,
     is_zero_matrix,
@@ -105,13 +104,15 @@ def intertwining_check(sig):
     slot_pars = [pars, pars]
     R = l_operator(V, "R")
     for a in range(1, sig.d):
-        half = [Fraction(c, 2) for c in _h_coeffs(sig, a)]
-        neg = [-c for c in half]
+        # q^(h_a/2) and q^(-h_a/2) on V
+        dh = _h_coeffs(sig, a)
+        half = diagonal(V.cartan_diagonal(dh, 0))
+        neg = diagonal(V.cartan_diagonal(tuple(-c for c in dh), 0))
         p = 1 if a == sig.m else 0
         for x, cop in ((V.e[a], T.e[a]), (V.f[a], T.f[a])):
             # the coproduct on V (x) V is tensor_module's; opp is its opposite
-            opp = gkron([(x, p), (V.cartan(half), 0)], slot_pars) + gkron(
-                [(V.cartan(neg), 0), (x, p)], slot_pars
+            opp = gkron([(x, p), (half, 0)], slot_pars) + gkron(
+                [(neg, 0), (x, p)], slot_pars
             )
             if matmul(R, cop) != matmul(opp, R):
                 return False
@@ -135,9 +136,10 @@ def coproduct_check(sig):
     d = sig.d
 
     def cart(label):
-        coeffs = [Fraction(0)] * d
-        coeffs[label - 1] = Fraction(sig.sign(label))
-        return V.cartan(coeffs)
+        # q^((label) E_ll), from its doubled exponent
+        dcoeffs = [0] * d
+        dcoeffs[label - 1] = 2 * sig.sign(label)
+        return diagonal(V.cartan_diagonal(tuple(dcoeffs), 0))
 
     for i in range(1, d + 1):
         for j in range(i, d + 1):

@@ -16,6 +16,7 @@ __all__ = [
     "Matrix",
     "zeros",
     "identity",
+    "diagonal",
     "matmul",
     "matvec",
     "mat_scale",
@@ -112,7 +113,12 @@ def zeros(r, c=None):
 
 
 def identity(n):
-    return Matrix([{i: ONE} for i in range(n)], n)
+    return diagonal((ONE,) * n)
+
+
+def diagonal(values):
+    """The square Matrix with the nonzero values on its diagonal."""
+    return Matrix([{i: x} for i, x in enumerate(values)], len(values))
 
 
 def matmul(A, B):

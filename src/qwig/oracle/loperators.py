@@ -16,6 +16,7 @@ from ..exactq import ONE, QFraction, Q_MINUS_QINV, qnum, qpow
 from ..superweight import char_roots, rho
 from .linalg import (
     Matrix,
+    diagonal,
     gkron,
     matmul,
     mat_scale,
@@ -105,8 +106,7 @@ def _etilde(W, i, j, spower):
     dcoeffs = [0] * sig.d
     if i == j:
         dcoeffs[i - 1] = 2 * flip * sig.sign(i)
-        diag = W.cartan_diagonal(tuple(dcoeffs), 0)
-        return Matrix([{r: x} for r, x in enumerate(diag)], W.dim)
+        return diagonal(W.cartan_diagonal(tuple(dcoeffs), 0))
     dcoeffs[i - 1] = flip * sig.sign(i)
     dcoeffs[j - 1] = flip * sig.sign(j)
     kappa = Q_MINUS_QINV if sig.parity(i) == 0 else -Q_MINUS_QINV

@@ -17,7 +17,6 @@ from functools import lru_cache
 from operator import mul
 
 from ..errors import (
-    InvalidArgument,
     MultiplicityAmbiguous,
     NonIntegralWeight,
     NotRealized,
@@ -26,7 +25,15 @@ from ..errors import (
 )
 from ..exactq import ONE, QFraction, qpow
 from ..superweight import Weight
-from .linalg import Matrix, gkron, insert_row, matvec, nullspace, reduce_row
+from .linalg import (
+    Matrix,
+    diagonal,
+    gkron,
+    insert_row,
+    matvec,
+    nullspace,
+    reduce_row,
+)
 
 __all__ = [
     "RepModule",
@@ -83,27 +90,10 @@ class RepModule:
 
         return self.cached(("cartan", dcoeffs, dshift), build)
 
-    def cartan(self, coeffs, shift=Fraction(0)):
-        """Diagonal matrix of q^(sum_j coeffs_j E_jj + shift), for int or
-        Fraction multiples of 1/2."""
-        diag = self.cartan_diagonal(
-            tuple(_doubled(c) for c in coeffs), _doubled(shift)
-        )
-        return Matrix([{i: x} for i, x in enumerate(diag)], self.dim)
-
-
-def _doubled(x):
-    """2x as an int, for x an int or Fraction multiple of 1/2."""
-    x2 = 2 * Fraction(x)
-    if x2.denominator != 1:
-        raise InvalidArgument(
-            "Cartan exponent %s is not a multiple of 1/2" % (x,)
-        )
-    return x2.numerator
-
 
 def _h_coeffs(sig, a):
-    """Coefficient vector of h_a = (a) E_aa - (a+1) E_{a+1,a+1}, as ints."""
+    """Coefficient vector of h_a = (a) E_aa - (a+1) E_{a+1,a+1}, as ints:
+    the doubled coefficients of the exponent of q^(h_a/2)."""
     c = [0] * sig.d
     c[a - 1] = sig.sign(a)
     c[a] = -sig.sign(a + 1)
@@ -161,15 +151,15 @@ def tensor_module(W1, W2):
     e = {}
     f = {}
     for a in range(1, sig.d):
-        half = [Fraction(c, 2) for c in _h_coeffs(sig, a)]
-        neg_half = [-c for c in half]
+        # q^(h_a/2) on W1 and q^(-h_a/2) on W2
+        dh = _h_coeffs(sig, a)
+        left = diagonal(W1.cartan_diagonal(dh, 0))
+        right = diagonal(W2.cartan_diagonal(tuple(-c for c in dh), 0))
         p = 1 if a == sig.m else 0
-        e[a] = gkron(
-            [(W1.cartan(half), 0), (W2.e[a], p)], slot_pars
-        ) + gkron([(W1.e[a], p), (W2.cartan(neg_half), 0)], slot_pars)
-        f[a] = gkron(
-            [(W1.cartan(half), 0), (W2.f[a], p)], slot_pars
-        ) + gkron([(W1.f[a], p), (W2.cartan(neg_half), 0)], slot_pars)
+        e[a] = gkron([(left, 0), (W2.e[a], p)], slot_pars) + gkron(
+            [(W1.e[a], p), (right, 0)], slot_pars)
+        f[a] = gkron([(left, 0), (W2.f[a], p)], slot_pars) + gkron(
+            [(W1.f[a], p), (right, 0)], slot_pars)
     return RepModule(sig, weights, parities, e, f)
 
 

@@ -74,7 +74,7 @@ class Weight:
 
     def __post_init__(self):
         if len(self.comps) != self.sig.d:
-            raise ValueError(
+            raise InvalidArgument(
                 "expected %d components, got %d" % (self.sig.d, len(self.comps))
             )
         if not all(isinstance(c, int) for c in self.comps):
@@ -181,18 +181,7 @@ def char_roots(lam, variant):
                        alpha_u = u - n - lam_u.
     Returns a tuple of ints indexed by global position 1..m+n.
     """
-    sig = lam.sig
-    m, n = sig.m, sig.n
-    c = lam.comps
-    if variant == "adjoint":
-        ev = tuple(c[i - 1] + 1 - i for i in range(1, m + 1))
-        od = tuple(u - m - 1 - c[m + u - 1] for u in range(1, n + 1))
-    elif variant == "dual":
-        ev = tuple(c[i - 1] + m - n - i for i in range(1, m + 1))
-        od = tuple(u - n - c[m + u - 1] for u in range(1, n + 1))
-    else:
-        raise ValueError("variant must be 'adjoint' or 'dual'")
-    return ev + od
+    return _root_exponents(lam.comps, lam.sig.m, lam.sig.n, variant)
 
 
 def subalgebra_roots(lam0, variant, parent_sig):
@@ -208,14 +197,20 @@ def subalgebra_roots(lam0, variant, parent_sig):
         raise SignatureMismatch(
             "subalgebra weight needs %d components" % (m + n - 1)
         )
+    return _root_exponents(comps, m, n - 1, variant)
+
+
+def _root_exponents(comps, m, n, variant):
+    """char_roots' exponents of a gl(m|n) weight's components, for any
+    n >= 0 (n = 0 is plain gl(m))."""
     if variant == "adjoint":
         ev = tuple(comps[i - 1] + 1 - i for i in range(1, m + 1))
-        od = tuple(u - m - 1 - comps[m + u - 1] for u in range(1, n))
+        od = tuple(u - m - 1 - comps[m + u - 1] for u in range(1, n + 1))
     elif variant == "dual":
-        ev = tuple(comps[i - 1] + m - (n - 1) - i for i in range(1, m + 1))
-        od = tuple(u - (n - 1) - comps[m + u - 1] for u in range(1, n))
+        ev = tuple(comps[i - 1] + m - n - i for i in range(1, m + 1))
+        od = tuple(u - n - comps[m + u - 1] for u in range(1, n + 1))
     else:
-        raise ValueError("variant must be 'adjoint' or 'dual'")
+        raise InvalidArgument("variant must be 'adjoint' or 'dual'")
     return ev + od
 
 

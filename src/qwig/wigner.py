@@ -15,9 +15,9 @@ from functools import lru_cache
 
 from .errors import (
     AdmissibilityError,
-    ConsistencyError,
     DegenerateRoots,
     IndexOutOfRange,
+    InvalidArgument,
 )
 from .exactq import ZERO, QFraction, _factor_map, qnum
 from .superweight import char_roots, deformed_root
@@ -60,24 +60,16 @@ def _root_diff(x, y):
 # independent.  The bounds keep memory flat over a long run.
 
 
-def _peeled(f):
-    """The factor map of f, which every root difference and q-number has."""
-    m = _factor_map(f)
-    if m is None:
-        raise ConsistencyError("%s is no product of cyclotomic polynomials" % f)
-    return m
-
-
 @lru_cache(maxsize=4096)
 def _root_map(x, y):
     """The factor map of _root_diff(x, y), which is zero iff x == y."""
-    return _peeled(_root_diff(x, y))
+    return _factor_map(_root_diff(x, y))
 
 
 @lru_cache(maxsize=1024)
 def _qnum_map(n):
     """The factor map of qnum(n), which is zero iff n == 0."""
-    return _peeled(qnum(n))
+    return _factor_map(qnum(n))
 
 
 class _Side:
@@ -104,7 +96,7 @@ class _Side:
             self.L = b.I0bar + b.I1
             self.even_count = len(b.I0bar)
         else:
-            raise ValueError("variant must be 'lower' or 'raise'")
+            raise InvalidArgument("variant must be 'lower' or 'raise'")
         self.b = b
         self.variant = variant
         sig = b.sig
@@ -119,10 +111,6 @@ class _Side:
         self.I0_size = len(b.I0)
         vals = [self.alpha[k] for k in self.K]
         self.K_generic = len(set(vals)) == len(vals)
-
-    def F_root(self, x_alpha, ell):
-        """F_ell at the deformed root of the exponent x_alpha."""
-        return _root_diff(x_alpha, self.beta(ell))
 
     def F_arg(self, x_alpha, ell):
         """q-number argument of F_ell: x_alpha - alpha0_ell + tau s_ell."""
@@ -171,7 +159,7 @@ _side = lru_cache(maxsize=8)(_Side)
 
 def _check_form(form):
     if form not in FORMS:
-        raise ValueError("form must be one of %s" % (FORMS,))
+        raise InvalidArgument("form must be one of %s" % (FORMS,))
 
 
 def _omega_maps(side, k, form):
@@ -292,7 +280,7 @@ def mu(b, r, variant, form="root_product", convention=None):
     if convention is None:
         convention = MU_SHIFT_DEFAULT
     if convention not in ("shifted", "unshifted"):
-        raise ValueError("convention must be 'shifted' or 'unshifted'")
+        raise InvalidArgument("convention must be 'shifted' or 'unshifted'")
     side = _side(b, variant)
     side.require_admissible(r)
     t = side.tau * side.sign[r]
@@ -361,11 +349,9 @@ def omega_coupled_composite(b, k, r, variant):
     side.require_admissible(r)
     if k not in side.K:
         return ZERO
-    w = omega(b, k, variant)
-    m = mu(b, r, variant)
-    corr1 = side.F_root(side.alpha[k], r)
-    corr2 = _root_diff(side.alpha[k], side.alpha0[r])
-    return QFraction.from_factors([w.num, m.num], [w.den, m.den, corr1, corr2])
+    ak = side.alpha[k]
+    corr = _root_diff(ak, side.beta(r)) * _root_diff(ak, side.alpha0[r])
+    return omega(b, k, variant) * mu(b, r, variant) / QFraction(corr)
 
 
 # -- tables and identities ---------------------------------------------------

@@ -4,11 +4,25 @@ import itertools
 
 import pytest
 
-from qwig import Signature, Weight, branch_candidates
+from qwig import ZERO, QFraction, Signature, Weight, branch_candidates
+from qwig.exactq import _factor_map
 from qwig.oracle.modules import realized_modules
 
 SWEEP_SIGS = [(m, n) for m in (1, 2, 3) for n in (1, 2)]
 ORACLE_SIGS = [(1, 1), (2, 1), (1, 2)]
+
+
+def quotient_of_factors(nums, dens):
+    """prod(nums)/prod(dens) for HalfLaurent factors that are products of
+    cyclotomic polynomials: each is peeled by _factor_map and the maps are
+    merged by QFraction.from_maps.  A zero denominator factor raises
+    ZeroDivisionError; otherwise a zero numerator factor gives ZERO."""
+    if not all(dens):
+        raise ZeroDivisionError("zero denominator")
+    if not all(nums):
+        return ZERO
+    return QFraction.from_maps([_factor_map(f) for f in nums],
+                               [_factor_map(f) for f in dens])
 
 
 def dominant_weights(m, n, lo=-2, hi=3):

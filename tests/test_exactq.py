@@ -7,9 +7,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import quotient_of_factors
 from qwig import (
     ONE,
     ZERO,
+    ConsistencyError,
     HalfLaurent,
     PoleAtOne,
     QFraction,
@@ -198,30 +200,13 @@ def test_sum_whose_numerator_shares_the_denominators_gcd():
     assert _same(x + y, QFraction(x.num * y.den + y.num * x.den, x.den * y.den))
 
 
-def test_from_factors_updates_factors_in_place():
-    # p^2 over [p, p]: the numerator factor must stay divided by the first p
-    # when it meets the second
-    p = qnum(2) + HalfLaurent({1: Fraction(1, 2)})
-    assert QFraction.from_factors([p * p], [p, p]) == ONE
-    assert QFraction.from_factors([p, p], [p * p]) == ONE
-    x = QFraction.from_factors([p * p, qpow(3)], [p * qpow(Fraction(5, 2)) * 3, p])
-    assert _same(x, QFraction(qpow(3), 3 * qpow(Fraction(5, 2))))
-
-
-def test_from_factors_zero_factors():
-    p = qnum(3)
-    assert _same(QFraction.from_factors([p, HalfLaurent()], [p, qnum(2)]), ZERO)
-    for nums in ([p], [HalfLaurent()]):
-        with pytest.raises(ZeroDivisionError):
-            QFraction.from_factors(nums, [qnum(2), HalfLaurent()])
-
-
 units = st.fractions(min_value=-6, max_value=6, max_denominator=4).filter(bool)
 monomials = st.builds(lambda k, c: HalfLaurent({k: c}), dexps, units)
 # the closed forms' factors: units times q-numbers, shifted
 cyclotomic = st.builds(lambda n, k, c: qnum(n) * qpow(Fraction(k, 2)) * c,
                        st.integers(-9, 9).filter(bool), dexps, units)
 factors = st.one_of(nonzero_polys, nonzero_rat_polys, monomials, cyclotomic)
+cyclotomic_factors = st.one_of(monomials, cyclotomic)
 
 
 # Phi_1(q^(1/2)) = q^(1/2) - 1 and its cube
@@ -235,9 +220,10 @@ def _root_diff(x, y):
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.lists(st.one_of(polys, factors), max_size=4),
-       st.lists(factors, max_size=4),
-       st.lists(st.tuples(factors, dexps, st.integers(1, 3)), max_size=3))
+@given(st.lists(cyclotomic_factors, max_size=4),
+       st.lists(cyclotomic_factors, max_size=4),
+       st.lists(st.tuples(cyclotomic_factors, dexps, st.integers(1, 3)),
+                max_size=3))
 # products of q-numbers, monomials and root differences, with negative and
 # Fraction units, repeated factors, and full cancellation to 1
 @example([qnum(6), -qnum(4), qpow(3)], [qnum(2), qnum(3), qnum(12) * Fraction(2, 3)], [])
@@ -255,11 +241,11 @@ def _root_diff(x, y):
 # the normal form makes 1
 @example([qnum(3)], [PHI1], [])
 @example([qnum(2) * Fraction(-1, 2), qpow(1)], [PHI1_CUBED * Fraction(2, 3), qnum(3)], [])
-def test_from_factors_matches_whole_quotient(nums, dens, shared):
+def test_from_maps_matches_whole_quotient(nums, dens, shared):
     # factors shared between the sides, up to a unit, and repeated ones
     nums = nums + [g for g, _, _ in shared] + [g for g, _, _ in shared[:1]]
     dens = dens + [g * qpow(Fraction(k, 2)) * c for g, k, c in shared]
-    x = QFraction.from_factors(nums, dens)
+    x = QFraction.from_maps(*_mapped([(nums, dens)])[0])
     one = HalfLaurent.const(1)
     y = QFraction(math.prod(nums, start=one), math.prod(dens, start=one))
     assert _same(x, y)
@@ -289,14 +275,9 @@ def test_qnum_factor_map():
     parse_half_laurent("q^-4 - q^5/2 - q^4"),
 ])
 def test_non_cyclotomic_factor_falls_back(f):
-    # the peel gives up after bounded work, and from_factors takes the
-    # quotient of the whole products instead
-    assert _factor_map(f) is None
-    nums, dens = [f, qnum(6), qpow(2)], [qnum(3), f * qpow(Fraction(1, 2)) * -2, qnum(4)]
-    x = QFraction.from_factors(nums, dens)
-    y = QFraction(math.prod(nums), math.prod(dens))
-    assert _same(x, y)
-    assert hash(x) == hash(y)
+    # the peel gives up after bounded work, with a typed error
+    with pytest.raises(ConsistencyError):
+        _factor_map(f)
 
 
 def _totient(n):
@@ -397,7 +378,7 @@ quotient_terms = st.lists(
 
 
 def _sum_by_addition(terms):
-    return sum((QFraction.from_factors(n, d) for n, d in terms), ZERO)
+    return sum((quotient_of_factors(n, d) for n, d in terms), ZERO)
 
 
 def _mapped(terms):
@@ -439,18 +420,19 @@ def test_sum_of_quotients_edge_cases():
     assert _same(QFraction.sum_of_quotients([]), ZERO)
     terms = [([p], [qnum(2)])]
     assert _same(QFraction.sum_of_quotients(iter(_mapped(terms))),
-                 QFraction.from_factors([p], [qnum(2)]))
+                 quotient_of_factors([p], [qnum(2)]))
     # a term and its negation: the sum stops at zero
     terms += [([p, qpow(1), -qpow(-1)], [qnum(2)])]
     assert _same(QFraction.sum_of_quotients(_mapped(terms)), ZERO)
 
 
 def test_from_maps_matches_from_factors():
-    # units other than 1 on both sides, a monomial map, and full cancellation
+    # units other than 1 on both sides, a monomial map, and full
+    # cancellation; the reference is the quotient of the factors' products
     nums = [qnum(6) * Fraction(-3, 2), qpow(Fraction(5, 2)), qnum(4)]
     dens = [qnum(3) * Fraction(2, 5), qnum(2), qpow(-1) * -2]
     x = QFraction.from_maps(*_mapped([(nums, dens)])[0])
-    assert _same(x, QFraction.from_factors(nums, dens))
+    assert _same(x, QFraction(math.prod(nums), math.prod(dens)))
     assert _same(QFraction.from_maps(*_mapped([(dens, dens)])[0]), ONE)
     assert _same(QFraction.from_maps([], []), ONE)
 

@@ -77,6 +77,7 @@ from qwig.oracle.checks import (
 )
 from qwig.oracle.linalg import (
     Matrix,
+    diagonal,
     gkron,
     identity,
     is_zero_matrix,
@@ -126,8 +127,9 @@ def test_vector_rep_gl11():
 
 
 def test_vector_rep_cartan():
+    # q^(3 E_33), from its doubled exponent
     V = vector_rep(S21)
-    c = V.cartan([Fraction(0), Fraction(0), Fraction(3)])
+    c = diagonal(V.cartan_diagonal((0, 0, 6), 0))
     assert c[0, 0] == ONE and c[1, 1] == ONE
     assert c[2, 2] == QFraction(qpow(3))
 
@@ -156,15 +158,9 @@ def test_cartan_diagonal_matches_fraction_reference():
                 )
                 dcoeffs = tuple(int(2 * c) for c in coeffs)
                 assert W.cartan_diagonal(dcoeffs, int(2 * shift)) == want
-                C = W.cartan(coeffs, shift)
-                assert [C[i, i] for i in range(W.dim)] == list(want)
 
 
-def test_cartan_exponents_must_be_half_integral():
-    with pytest.raises(InvalidArgument):
-        vector_rep(S11).cartan((Fraction(1, 3), 0))
-    with pytest.raises(InvalidArgument):
-        vector_rep(S11).cartan((0, 0), Fraction(1, 3))
+def test_module_weights_must_be_integral():
     with pytest.raises(NonIntegralWeight):
         RepModule(S11, [(Fraction(1, 2), 0)], [0], {1: zeros(1)}, {1: zeros(1)})
 
@@ -639,9 +635,14 @@ def test_eij_of_a_diagonal_index_pair():
 _TYPED_ERRORS_SCRIPT = """
 import json
 from fractions import Fraction
+from unittest import mock
 
+import qwig.invariants
 import qwig.superweight as sw
-from qwig import ONE, QwigError, Signature
+from qwig import (
+    ONE, QwigError, Signature, Weight, chi_C1, chi_v, index_sets, mu, omega,
+    qnum, qpow,
+)
 from qwig.oracle.linalg import mat_inverse, matmul, zeros
 from qwig.oracle.loperators import (
     char_eigenvalue, char_matrix, eij_matrix, etilde_matrix, l_operator,
@@ -651,16 +652,23 @@ from qwig.oracle.modules import (
 )
 
 S11, S21 = Signature(1, 1), Signature(2, 1)
-sw.rho_even_odd = lambda sig: ((Fraction(0),) * sig.d,) * 2
+LAM = Weight(S21, (1, 0, 0))
+B = index_sets(LAM, (0, 0))
+# each patch holds only while its case runs
+zero_rho = mock.patch.object(
+    sw, "rho_even_odd", lambda sig: ((Fraction(0),) * sig.d,) * 2)
+# a half-integral odd rho makes chi_C1's adjoint q-number arguments fractional
+quarter_rho = mock.patch.object(
+    qwig.invariants, "rho_even_odd",
+    lambda sig: ((Fraction(0),) * sig.d, (Fraction(1, 4),) * sig.d))
 cases = {
     "antipode": lambda: etilde_matrix(vector_rep(S21), 1, 2, 2),
     "eij": lambda: eij_matrix(vector_rep(S21), 2, 2),
     "signature": lambda: Signature(0, 1),
-    "rho": lambda: sw.rho(S21),
+    "rho": zero_rho(lambda: sw.rho(S21)),
     "tensor_module": lambda: tensor_module(vector_rep(S11), vector_rep(S21)),
     "parity_of_weight": lambda: _parity_of_weight(S21, (0, 0, Fraction(1, 2))),
     "matmul": lambda: matmul(zeros(2, 3), zeros(2, 3)),
-    "cartan": lambda: vector_rep(S11).cartan((0, 0), Fraction(1, 3)),
     "module_weight": lambda: RepModule(
         S11, [(Fraction(1, 2), 0)], [0], {1: zeros(1)}, {1: zeros(1)}
     ),
@@ -671,6 +679,17 @@ cases = {
     "l_operator_kind": lambda: l_operator(vector_rep(S11), "nope"),
     "char_matrix_kind": lambda: char_matrix(vector_rep(S11), "nope"),
     "char_eigenvalue_kind": lambda: char_eigenvalue(1, "nope"),
+    "wigner_variant": lambda: omega(B, 1, "nope"),
+    "wigner_form": lambda: omega(B, 1, "lower", "nope"),
+    "mu_convention": lambda: mu(B, 1, "lower", "root_product", "nope"),
+    "weight_length": lambda: Weight(S21, (1, 0)),
+    "char_roots_variant": lambda: sw.char_roots(LAM, "nope"),
+    "subalgebra_roots_variant": lambda: sw.subalgebra_roots((1, 0), "nope", S21),
+    "chi_v_kind": lambda: chi_v(LAM, "nope"),
+    "chi_C1_kind": lambda: chi_C1(LAM, "nope"),
+    "chi_C1_qnumber": quarter_rho(lambda: chi_C1(LAM, "adjoint")),
+    "qpow": lambda: qpow(Fraction(1, 3)),
+    "qnum": lambda: qnum(Fraction(1, 2)),
 }
 missed = {}
 for name, call in cases.items():

@@ -105,6 +105,22 @@ def test_subalgebra_roots_examples():
         subalgebra_roots((1, 0, 0), "adjoint", S21)
 
 
+def test_subalgebra_roots_are_char_roots_of_the_lower_weight(sweep_branchings):
+    # with n >= 2 the lower weight is a gl(m|n-1) weight, whose own roots
+    # the subalgebra roots are
+    checked = 0
+    for b in sweep_branchings:
+        m, n = b.sig.m, b.sig.n
+        if n < 2:
+            continue
+        lam0 = Weight(Signature(m, n - 1), b.lam0)
+        for variant in ("adjoint", "dual"):
+            assert b.sub_roots(variant) == char_roots(lam0, variant), (
+                str(b), variant)
+            checked += 1
+    assert checked
+
+
 def test_deformed_root_identity():
     for a in range(-8, 9):
         assert deformed_root(a) == QFraction(qpow(-a) * qnum(a))

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import quotient_of_factors
 from qwig import (
     AdmissibilityError,
     ConsistencyError,
@@ -41,7 +42,6 @@ from qwig.superweight import subalgebra_roots
 from qwig.wigner import (
     FORMS,
     MU_SHIFT_DEFAULT,
-    _peeled,
     _qnum_map,
     _root_diff,
     _root_map,
@@ -56,6 +56,12 @@ S32 = Signature(3, 2)
 
 HALF_LOW = QFraction(qpow(-1), qnum(2))  # q^-1/[2]_q
 HALF_HIGH = QFraction(qpow(1), qnum(2))  # q/[2]_q
+
+
+def _F(side, x_alpha, ell):
+    """F_ell at the deformed root of the exponent x_alpha:
+    deformed(x_alpha) - deformed(beta_ell)."""
+    return _root_diff(x_alpha, side.beta(ell))
 
 
 def test_omega_lower_gl21_example():
@@ -138,12 +144,12 @@ def _linear_residuals_by_addition(b, variant, form):
         acc = ZERO
         for k in side.K:
             ak = side.alpha[k]
-            f = side.F_root(ak, r)
+            f = _F(side, ak, r)
             if f:
                 acc = acc + omegas[k] / f
             else:
-                acc = acc + QFraction.from_factors(
-                    [side.F_root(ak, l) for l in side.L if l != r],
+                acc = acc + quotient_of_factors(
+                    [_F(side, ak, l) for l in side.L if l != r],
                     [_root_diff(ak, side.alpha[l]) for l in side.K if l != k])
         out[r] = acc
     return out
@@ -166,7 +172,7 @@ def test_residuals_match_sums_of_omega(sweep_branchings):
     for b in sweep_branchings[::20]:
         for variant in ("lower", "raise"):
             side = _Side(b, variant)
-            zero_f += any(not side.F_root(side.alpha[k], r)
+            zero_f += any(not _F(side, side.alpha[k], r)
                           for k in side.K for r in side.L)
             for form in FORMS:
                 got = _outcome(sum_rule_residual, b, variant, form)
@@ -362,15 +368,16 @@ def test_cached_factors_equal_fresh_ones():
                 for l in side.L:
                     t = side.tau * side.sign[l]
                     for x in span:
-                        assert side.F_root(x, l) == _shifted_factor(
+                        assert _F(side, x, l) == _shifted_factor(
                             x, side.alpha0[l], t)
                         checked += 1
     assert checked
 
 
-# The closed forms as factor lists of HalfLaurent polynomials through
-# QFraction.from_factors: the construction that the integer-keyed maps and
-# zero tests replace, kept as the reference they must reproduce.
+# The closed forms as factor lists of HalfLaurent polynomials, each factor
+# peeled on its own (quotient_of_factors): the construction that the
+# integer-keyed maps and zero tests replace, kept as the reference they
+# must reproduce.
 
 
 def _factor_omega(b, k, variant, form):
@@ -382,13 +389,13 @@ def _factor_omega(b, k, variant, form):
     ak = side.alpha[k]
     others = [side.alpha[l] for l in side.K if l != k]
     if form == "root_product":
-        nums = [side.F_root(ak, r) for r in side.L]
+        nums = [_F(side, ak, r) for r in side.L]
         dens = [_root_diff(ak, al) for al in others]
     else:
         xi = -(side.I0_size + ak + b.eta)
         nums = [qpow(xi)] + [qnum(side.F_arg(ak, r)) for r in side.L]
         dens = [qnum(ak - al) for al in others]
-    return QFraction.from_factors(nums, dens)
+    return quotient_of_factors(nums, dens)
 
 
 def _factor_mu(b, r, variant, form, convention):
@@ -407,7 +414,7 @@ def _factor_mu(b, r, variant, form, convention):
     else:
         nums = [qnum(side.alpha[k] - point) for k in side.K]
         dens = [qnum(point - bl) for bl in others]
-    return QFraction.from_factors([side.sigma() * qpow(phase)] + nums, dens)
+    return quotient_of_factors([side.sigma() * qpow(phase)] + nums, dens)
 
 
 def _factor_coupled(b, k, r, variant, form):
@@ -428,11 +435,11 @@ def _factor_coupled(b, k, r, variant, form):
         dens = [qnum(side.F_arg(a0r, l)) for l in ls]
         dens += [qnum(ap - ak) for ap in aps]
     else:
-        nums = [side.F_root(ak, l) for l in ls]
+        nums = [_F(side, ak, l) for l in ls]
         nums += [_root_diff(ap, a0r) for ap in aps]
-        dens = [side.F_root(a0r, l) for l in ls]
+        dens = [_F(side, a0r, l) for l in ls]
         dens += [_root_diff(ap, ak) for ap in aps]
-    return QFraction.from_factors(nums, dens)
+    return quotient_of_factors(nums, dens)
 
 
 def _result(fn, *args):
@@ -492,7 +499,7 @@ def test_zero_tests_and_integer_keyed_maps(x, y):
 
 def test_a_factor_with_no_map_is_a_typed_error():
     with pytest.raises(ConsistencyError):
-        _peeled(HalfLaurent({0: 1, 2: 2}))  # 1 + 2q
+        _factor_map(HalfLaurent({0: 1, 2: 2}))  # 1 + 2q
 
 
 def test_linear_system_computes_each_omega_once(monkeypatch):
