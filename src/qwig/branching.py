@@ -6,7 +6,7 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import NotABranching, SignatureMismatch
+from .errors import NonIntegralWeight, NotABranching, SignatureMismatch
 from .superweight import Weight, subalgebra_roots
 
 __all__ = ["BranchingData", "branch_candidates", "index_sets"]
@@ -19,6 +19,8 @@ def _check_pair(lam, lam0):
         raise SignatureMismatch(
             "lower weight needs %d components for %s" % (m + n - 1, sig)
         )
+    if not all(type(x) is int for x in lam0):
+        raise NonIntegralWeight("lower weight components must be integers")
     c = lam.comps
     for i in range(m):
         if not c[i] >= lam0[i] >= c[i] - 1:

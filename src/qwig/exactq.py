@@ -261,11 +261,6 @@ def _primitive_list(cs):
     return [c // g for c in cs] if g != 1 else list(cs)
 
 
-def _primitive(p):
-    """The nonzero dict p scaled by a rational to coprime int coefficients."""
-    return dict(zip(p, _primitive_list(p.values())))
-
-
 # GCDHEU evaluates at up to this many points, each larger by 73794/27011
 # (about 2.73) than the last, before the pseudo-remainder loop takes over
 _HEU_POINTS = 6
@@ -285,14 +280,19 @@ def _poly_gcd(a, b):
     is their gcd, and a constant h proves them coprime; the divisions that
     show it give the cofactors.  A point where it does not divide is
     unlucky, and the next is larger; after _HEU_POINTS points the
-    pseudo-remainder loop (_prs_gcd) decides.
+    pseudo-remainder gcd of A and B (_prs_gcd) is the last h, and goes
+    through the same divisions and normalisation.
     """
     la, pa = _dense(a._t)
     lb, pb = _dense(b._t)
     ia, ib = _primitive_list(pa), _primitive_list(pb)
     xi = 2 * min(max(map(abs, ia)), max(map(abs, ib))) + 2
-    for _ in range(_HEU_POINTS):
-        h = _balanced_digits(math.gcd(_horner(ia, xi), _horner(ib, xi)), xi)
+    for point in range(_HEU_POINTS + 1):
+        if point < _HEU_POINTS:
+            h = _balanced_digits(math.gcd(_horner(ia, xi), _horner(ib, xi)), xi)
+            xi = xi * 73794 // 27011
+        else:
+            h = _prs_gcd(ia, ib)
         if len(h) == 1:
             return _POLY_ONE, a, b
         if len(h) <= min(len(pa), len(pb)):
@@ -309,11 +309,6 @@ def _poly_gcd(a, b):
                     qa = [x * h0 for x in qa]
                     qb = [x * h0 for x in qb]
                 return _sparse(0, h), _sparse(la, qa), _sparse(lb, qb)
-        xi = xi * 73794 // 27011
-    g = _prs_gcd(a, b)
-    if g.is_monomial():
-        return g, a, b
-    return g, _exact_div(a, g), _exact_div(b, g)
 
 
 def _horner(p, x):
@@ -339,45 +334,31 @@ def _balanced_digits(v, xi):
 
 
 def _prs_gcd(a, b):
-    """Gcd of two nonzero HalfLaurents by primitive pseudo-remainders,
-    normalized as in _poly_gcd."""
-    # shift both so exponents start at 0; monomial factors are units
-    pa = _primitive({k - a.min_dexp(): c for k, c in a.items()})
-    pb = _primitive({k - b.min_dexp(): c for k, c in b.items()})
-    while pb:
-        pa = _poly_prem(pa, pb)
-        pa, pb = pb, (_primitive(pa) if pa else pa)
-    low = min(pa)
-    lc = pa[low]
-    return HalfLaurent._raw({k - low: _coeff_div(c, lc) for k, c in pa.items()})
-
-
-def _poly_prem(pa, pb):
-    """Remainder of pa by pb up to a nonzero int factor; int-coefficient
-    dicts with nonnegative doubled exponents."""
-    pa = dict(pa)
-    db = max(pb)
-    lb = pb[db]
-    while pa:
-        da = max(pa)
-        if da < db:
+    """A gcd of the primitive int coefficient lists a and b, with nonzero
+    constant terms, by primitive pseudo-remainders (Geddes, Czapor and
+    Labahn, 7.2).  Each remainder is stripped of its factors of x, a unit
+    of the Laurent ring that divides neither input."""
+    while len(b) > 1:
+        # a <- s a - f x^(deg a - deg b) b cancels the leading term of a
+        a = list(a)
+        lb = b[-1]
+        while len(a) >= len(b):
+            f = a[-1]
+            g = math.gcd(f, lb)
+            s, f = lb // g, f // g
+            if s != 1:
+                a = [s * c for c in a]
+            for i, c in enumerate(b, len(a) - len(b)):
+                a[i] -= f * c
+            while a and not a[-1]:
+                a.pop()
+        if not a:
             break
-        # pa <- s*pa - f*q^sh*pb cancels the leading term of pa
-        f = pa[da]
-        g = math.gcd(f, lb)
-        s, f = lb // g, f // g
-        if s != 1:
-            pa = {k: s * c for k, c in pa.items()}
-        sh = da - db
-        for k, c in pb.items():
-            kk = k + sh
-            c0 = pa.get(kk)
-            c0 = -f * c if c0 is None else c0 - f * c
-            if c0:
-                pa[kk] = c0
-            elif kk in pa:
-                del pa[kk]
-    return pa
+        low = 0
+        while not a[low]:
+            low += 1
+        a, b = b, _primitive_list(a[low:])
+    return b
 
 
 # -- dense polynomial kernel ------------------------------------------------
@@ -430,17 +411,6 @@ def _divide(p, g):
     if any(p[:m]):
         return None
     return q
-
-
-def _exact_div(a, g):
-    """a / g in the Laurent ring, for nonzero HalfLaurents; ArithmeticError
-    if g does not divide a."""
-    la, pa = _dense(a._t)
-    lg, pg = _dense(g._t)
-    q = _divide(pa, pg)
-    if q is None:
-        raise ArithmeticError("inexact polynomial division")
-    return _sparse(la - lg, q)
 
 
 def _cancel(a, b):
@@ -898,12 +868,16 @@ def _parse_coeff(s):
 
 
 def _parse_dexp(s):
-    """The doubled exponent of a printed power q^s."""
+    """The doubled exponent of a printed power q^s; InvalidArgument if s is
+    not a multiple of 1/2."""
     if _is_int_str(s):
         return 2 * int(s)
     if s.endswith("/2") and _is_int_str(s[:-2]):
         return int(s[:-2])
-    return int(Fraction(s) * 2)
+    d = Fraction(s) * 2
+    if d.denominator != 1:
+        raise InvalidArgument("exponent %s is not a multiple of 1/2" % s)
+    return d.numerator
 
 
 def parse_half_laurent(s):

@@ -26,12 +26,10 @@ def chi_v(lam, kind="v"):
 
     kind 'v' gives q^-(lam, lam+2rho), kind 'vtilde' the inverse.
     """
+    if kind not in ("v", "vtilde"):
+        raise InvalidArgument("kind must be 'v' or 'vtilde'")
     e = casimir_exponent(lam)
-    if kind == "v":
-        return QFraction(qpow(-e))
-    if kind == "vtilde":
-        return QFraction(qpow(e))
-    raise InvalidArgument("kind must be 'v' or 'vtilde'")
+    return QFraction(qpow(-e if kind == "v" else e))
 
 
 def chi_C1(lam, kind="dual"):

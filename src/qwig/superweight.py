@@ -44,6 +44,8 @@ class Signature:
     n: int
 
     def __post_init__(self):
+        if type(self.m) is not int or type(self.n) is not int:
+            raise InvalidArgument("signature needs integers m and n")
         if self.m < 1 or self.n < 1:
             raise InvalidArgument("signature needs m >= 1 and n >= 1")
 
@@ -77,7 +79,7 @@ class Weight:
             raise InvalidArgument(
                 "expected %d components, got %d" % (self.sig.d, len(self.comps))
             )
-        if not all(isinstance(c, int) for c in self.comps):
+        if not all(type(c) is int for c in self.comps):
             raise NonIntegralWeight("weight components must be integers")
 
     def __getitem__(self, i):

@@ -3,10 +3,12 @@
 import itertools
 import pickle
 import random
+from fractions import Fraction
 
 import pytest
 
 from qwig import (
+    NonIntegralWeight,
     NotABranching,
     Signature,
     SignatureMismatch,
@@ -66,6 +68,15 @@ def test_not_a_branching():
         index_sets(Weight(S21, (1, 1, 0)), (0, 1))
     with pytest.raises(SignatureMismatch):
         index_sets(Weight(S21, (1, 0, 0)), (1, 0, 0))
+
+
+@pytest.mark.parametrize("lam0", [
+    (0.5, 0), (Fraction(1, 2), 0), (Fraction(1), 0), (1.0, 0), (True, 0),
+])
+def test_lower_weight_components_must_be_ints(lam0):
+    # each component lies between the labels of lam
+    with pytest.raises(NonIntegralWeight):
+        index_sets(Weight(S21, (1, 0, 0)), lam0)
 
 
 def test_eta_and_shift():

@@ -2,6 +2,7 @@
 
 import math
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -13,6 +14,7 @@ from qwig import (
     ZERO,
     ConsistencyError,
     HalfLaurent,
+    InvalidArgument,
     PoleAtOne,
     QFraction,
     parse_qfraction,
@@ -22,7 +24,8 @@ from qwig import (
 import qwig.exactq
 from qwig.exactq import (
     _cyclotomic_poly,
-    _exact_div,
+    _dense,
+    _divide,
     _factor_map,
     _max_cyclotomic_index,
     _poly_gcd,
@@ -306,16 +309,21 @@ def test_cyclotomic_products_over_divisors():
         assert _cyclotomic_poly(e) == (-1,) + (0,) * (n - 1) + (1,)
 
 
+def _coeffs(p):
+    """The coefficient list of the nonzero HalfLaurent p shifted to
+    exponent 0."""
+    return _dense(p._t)[1]
+
+
 @settings(max_examples=150, deadline=None)
 @given(nonzero_rat_polys, nonzero_rat_polys, nonzero_rat_polys)
-def test_exact_div_inverts_products(a, g, r):
-    assert _exact_div(a * g, g) == a
+def test_divide_inverts_products(a, g, r):
+    assert _divide(_coeffs(a * g), _coeffs(g)) == _coeffs(a)
     # g divides no nonzero r of lower degree, so a g + r is inexact
-    span = max(k for k, _ in g.items()) - g.min_dexp()
+    span = len(_coeffs(g)) - 1
     if span:
         r = HalfLaurent({k: c for k, c in r.items() if k - r.min_dexp() < span})
-        with pytest.raises(ArithmeticError):
-            _exact_div(a * g + r, g)
+        assert _divide(_coeffs(a * g + r), _coeffs(g)) is None
 
 
 # coefficients above 10^6, so that the evaluation point starts large
@@ -327,7 +335,11 @@ gcd_factors = st.one_of(factors, big_polys)
 
 def _check_gcd(x, y):
     g, qx, qy = _poly_gcd(x, y)
-    assert g == _prs_gcd(x, y)
+    # with no heuristic point, the pseudo-remainder gcd goes through the
+    # same divisions and normalisation; the real _prs_gcd is patched back
+    # in, so that a test recording its calls sees none of these
+    with mock.patch.multiple(qwig.exactq, _HEU_POINTS=0, _prs_gcd=_prs_gcd):
+        assert _poly_gcd(x, y) == (g, qx, qy)
     assert qx * g == x and qy * g == y
     return g
 
@@ -348,6 +360,9 @@ def _check_gcd(x, y):
 # the first point is unlucky: for q^-2 - 1 and q^-2 + 1 + q^2 it is 4, where
 # gcd(A(4), B(4)) = 3 reads back as q^(1/2) - 1, which divides neither
 @example(qpow(-2) - 1, qpow(-2) + 1 + qpow(2), [])
+# the first pseudo-remainder of (1 + x + x^2) g by (1 + x^2) g, x = q^(1/2),
+# is x g, whose factor x is stripped
+@example(HalfLaurent({0: 1, 1: 1, 2: 1}), HalfLaurent({0: 1, 2: 1}), [qnum(3)])
 def test_heuristic_gcd_matches_prs(a, b, shared):
     g = math.prod(shared, start=HalfLaurent.const(1))
     _check_gcd(a * g, b * g)
@@ -364,9 +379,11 @@ def test_unlucky_point_grows_and_prs_decides(monkeypatch):
     monkeypatch.setattr(qwig.exactq, "_prs_gcd", prs)
     # the second point finds the gcd 1, with no pseudo-remainders
     assert _check_gcd(a, b) == 1 and not calls
-    # with one point allowed, the pseudo-remainder loop decides
+    # with one point allowed, the pseudo-remainder loop decides, on the
+    # primitive coefficient lists of a and b shifted to exponent 0
     monkeypatch.setattr(qwig.exactq, "_HEU_POINTS", 1)
-    assert _check_gcd(a, b) == 1 and calls == [(a, b)]
+    assert _check_gcd(a, b) == 1 and calls == [
+        ([1, 0, 0, 0, -1], [1, 0, 0, 0, 1, 0, 0, 0, 1])]
     g = qnum(2) * qnum(3)
     assert _check_gcd(a * g, b * g) == g * qpow(3)
 
@@ -460,12 +477,20 @@ def _fraction_parse(s):
 @pytest.mark.parametrize("s", [
     "q^2/4", "2/4*q^1", "q^1.5", "q^4/2", "q^-6/2", "q^-0", "007*q^02",
     "-3/6*q^-1/2 + 0.5", "-q^3/2 - 2*q^-3/2 + 1/3", "1.25*q^-2 - 4/2",
-    "q^1/3", " 3*q^ 2 ", "+3*q^2", "--2*q^1", "2*q^1 - 2*q^1",
+    " 3*q^ 2 ", "+3*q^2", "--2*q^1", "2*q^1 - 2*q^1",
 ])
 def test_parse_non_canonical_forms_like_fraction_reader(s):
     got = parse_half_laurent(s)
     assert got == _fraction_parse(s)
     assert hash(got) == hash(_fraction_parse(s))
+
+
+@pytest.mark.parametrize("s", ["q^1/3", "q^3/4", "2*q^-1/6 + 1"])
+def test_parse_rejects_exponents_off_the_half_integers(s):
+    with pytest.raises(InvalidArgument):
+        parse_half_laurent(s)
+    with pytest.raises(InvalidArgument):
+        parse_qfraction(s)
 
 
 @settings(max_examples=100, deadline=None)

@@ -1,8 +1,12 @@
 """Closed-form central element eigenvalues."""
 
+from unittest import mock
+
 import pytest
 
+import qwig.invariants
 from qwig import (
+    InvalidArgument,
     ONE,
     QFraction,
     Signature,
@@ -31,6 +35,15 @@ def test_chi_v_examples():
     assert chi_v(Weight(S21, (1, 0, 0)), "vtilde") == QFraction(qpow(1))
     with pytest.raises(ValueError):
         chi_v(Weight(S11, (0, 0)), "w")
+
+
+def test_chi_v_checks_its_kind_first():
+    def fail(lam):
+        raise AssertionError("casimir_exponent computed for a bad kind")
+
+    with mock.patch.object(qwig.invariants, "casimir_exponent", fail):
+        with pytest.raises(InvalidArgument):
+            chi_v(Weight(S21, (1, 0, 0)), "nope")
 
 
 def test_chi_v_reciprocity(sweep_weights):

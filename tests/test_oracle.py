@@ -641,7 +641,7 @@ import qwig.invariants
 import qwig.superweight as sw
 from qwig import (
     ONE, QwigError, Signature, Weight, chi_C1, chi_v, index_sets, mu, omega,
-    qnum, qpow,
+    parse_qfraction, qnum, qpow,
 )
 from qwig.oracle.linalg import mat_inverse, matmul, zeros
 from qwig.oracle.loperators import (
@@ -690,6 +690,9 @@ cases = {
     "chi_C1_qnumber": quarter_rho(lambda: chi_C1(LAM, "adjoint")),
     "qpow": lambda: qpow(Fraction(1, 3)),
     "qnum": lambda: qnum(Fraction(1, 2)),
+    "parse_exponent": lambda: parse_qfraction("q^1/3"),
+    "lower_weight": lambda: index_sets(LAM, (Fraction(1, 2), 0)),
+    "signature_dimension": lambda: Signature(Fraction(3, 2), 1),
 }
 missed = {}
 for name, call in cases.items():

@@ -9,6 +9,7 @@ from qwig import (
     ConsistencyError,
     DegenerateRoots,
     IndexOutOfRange,
+    InvalidArgument,
     NonIntegralWeight,
     QFraction,
     RootSet,
@@ -161,6 +162,22 @@ def test_weight_basics():
         Weight.parse(S21, "1,x|0")
     with pytest.raises(ValueError):
         Signature(0, 1)
+
+
+@pytest.mark.parametrize("m, n", [
+    (Fraction(3, 2), 1), (1.5, 1), (2, 1.0), (True, 1), (1, True),
+])
+def test_signature_dimensions_must_be_ints(m, n):
+    with pytest.raises(InvalidArgument):
+        Signature(m, n)
+
+
+@pytest.mark.parametrize("comps", [
+    (True, 0, 0), (1, False, 0), (1.0, 0, 0), (Fraction(1), 0, 0),
+])
+def test_weight_components_must_be_ints(comps):
+    with pytest.raises(NonIntegralWeight):
+        Weight(S21, comps)
 
 
 def test_dual_subroot_matches_parent_on_I0(sweep_branchings):
