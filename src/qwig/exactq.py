@@ -916,13 +916,18 @@ def parse_half_laurent(s):
 
 
 def parse_qfraction(s):
-    """Parse the output of QFraction.__str__."""
-    s = s.strip()
-    if "/(" in s:
-        # split at the last "/(" so numerators like (..)/(..) work
-        i = s.rindex("/(")
-        num_s, den_s = s[:i], s[i + 2 : -1]
-        if num_s.startswith("(") and num_s.endswith(")"):
-            num_s = num_s[1:-1]
-        return QFraction(parse_half_laurent(num_s), parse_half_laurent(den_s))
-    return QFraction(parse_half_laurent(s))
+    """Parse the output of QFraction.__str__; InvalidArgument on text that
+    is not such output, a zero denominator included."""
+    text = s.strip()
+    try:
+        if "/(" in text:
+            # split at the last "/(" so numerators like (..)/(..) work
+            i = text.rindex("/(")
+            num_s, den_s = text[:i], text[i + 2 : -1]
+            if num_s.startswith("(") and num_s.endswith(")"):
+                num_s = num_s[1:-1]
+            return QFraction(parse_half_laurent(num_s),
+                             parse_half_laurent(den_s))
+        return QFraction(parse_half_laurent(text))
+    except (ValueError, ZeroDivisionError) as exc:
+        raise InvalidArgument("cannot parse %r: %s" % (s, exc)) from None

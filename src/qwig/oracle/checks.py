@@ -10,19 +10,20 @@ from __future__ import annotations
 
 from ..branching import BranchingData
 from ..errors import NotRealized, NotScalar
-from ..exactq import ONE, ZERO, QFraction, qpow
+from ..exactq import ZERO, QFraction, qpow
 from ..superweight import char_roots, check_generic, rho, subalgebra_roots
 from .linalg import (
     Matrix,
+    _add_entry,
     diagonal,
     gkron,
     identity,
     is_zero_matrix,
-    mat_inverse,
     mat_pow,
     mat_scale,
     matmul,
     matvec,
+    reduce_row,
     scalar_of,
     shifted_product,
     zeros,
@@ -292,82 +293,71 @@ def wigner_oracle(W, lam, lam0, k, kind):
 
 
 def _sub_projector(W, lam0, r, ckind):
-    """The subalgebra shift projector P0_r on V' (x) W: the Lagrange
-    polynomial of the subalgebra characteristic matrix with nodes at the
-    lam0 deformed roots.  Genuinely a projector only on the lam0
-    component; see _shift_projector for the component-aware variant."""
+    """The Lagrange polynomial of the subalgebra characteristic matrix on
+    V' (x) W with nodes at the lam0 deformed roots, kept once per module.
+    It is P0_r on the part of V' (x) W whose module slot lies in a
+    component of subalgebra highest weight lam0, and nothing elsewhere: the
+    oracles apply it only through _shift_project."""
     sig = W.sig
-    return W.cached(
-        ("subP", ckind, tuple(lam0), r),
-        lambda: projector(
-            char_matrix(W, ckind, top=sig.d - 1), _sub_nodes(lam0, ckind, sig), r
-        ),
-    )
+
+    def build():
+        alphas = subalgebra_roots(
+            tuple(int(c) for c in lam0), _char_variant(ckind), sig
+        )
+        nodes = tuple(char_eigenvalue(a, ckind) for a in alphas)
+        return projector(char_matrix(W, ckind, top=sig.d - 1), nodes, r)
+
+    return W.cached(("subP", ckind, tuple(lam0), r), build)
 
 
-def _sub_nodes(lam0, ckind, sig):
-    """The deformed eigenvalues of the subalgebra characteristic matrix on
-    the component of subalgebra highest weight lam0, indexed 1..d-1."""
-    alphas = subalgebra_roots(
-        tuple(int(c) for c in lam0), _char_variant(ckind), sig
-    )
-    return tuple(char_eigenvalue(a, ckind) for a in alphas)
+def _shift_project(W, vec, r, ckind):
+    """P0_r applied to the vector vec on V (x) W: the projector onto the
+    r-th shift eigenspace of the subalgebra characteristic matrix on
+    V' (x) W, zero on the last vector slot.
 
-
-def _shift_projector(W, r, ckind):
-    """Global projector onto the r-th shift eigenspace of the subalgebra
-    characteristic matrix on V' (x) W.
-
-    The eigenvalue attached to a shift depends on which subalgebra
-    component of W the matrix acts on, so the projector is assembled
-    component by component: restrict the module slot to one component,
-    then apply the Lagrange polynomial with that component's nodes.  On
-    every identity checked here it agrees with the fixed-node _sub_projector
-    (asserted in tests); the oracles use the fixed-node form, which is the
-    cheaper of the two.
+    The eigenvalue of a shift depends on the subalgebra component of W
+    that the matrix acts on.  So the module slot of each V' block of vec is
+    split into its components, by one reduce_row against the tagged
+    echelon of subalgebra_components, and each part is mapped by the
+    _sub_projector with its own component's nodes; the images are summed.
+    Only the components that vec meets are used, so a component it never
+    reaches cannot raise DegenerateRoots.
     """
-    return W.cached(
-        ("shiftP", ckind, r), lambda: _build_shift_projector(W, r, ckind)
-    )
-
-
-def _build_shift_projector(W, r, ckind):
-    sig = W.sig
-    d = sig.d
     dw = W.dim
-    A0 = char_matrix(W, ckind, top=d - 1)
-    comps = subalgebra_components(W)
-    # the component basis vectors are the columns of B
-    rows = [{} for _ in range(dw)]
-    for j, u in enumerate(u for _, basis in comps for u in basis):
-        for i, x in u.items():
-            rows[i][j] = x
-    B = Matrix(rows, dw)
-    Binv = mat_inverse(B)
-    N = (d - 1) * dw
-    total = zeros(N)
-    col = 0
-    for lam0p, basis in comps:
-        nodes = _sub_nodes(lam0p, ckind, sig)
-        sel = Matrix(
-            [{j: ONE} if col <= j < col + len(basis) else {} for j in range(dw)],
-            dw,
-        )
-        col += len(basis)
-        Q = matmul(matmul(B, sel), Binv)
-        # Q is parity preserving, so 1 (x) Q needs no Koszul sign
-        EQ = Matrix(
-            [{bi * dw + j: x for j, x in row.items()}
-             for bi in range(d - 1) for row in Q.rows],
-            N,
-        )
-        total = total + matmul(projector(A0, nodes, r), EQ)
-    return total
+    n0 = (W.sig.d - 1) * dw
+    lam0s, echelon = subalgebra_components(W)
+    blocks = {}  # V' block -> its module vector
+    for i, x in vec.items():
+        if i < n0:
+            blocks.setdefault(i // dw, {})[i % dw] = x
+    parts = {}  # lam0 -> the part of vec in its components
+    for j, w in blocks.items():
+        for i, x in reduce_row(echelon, w)[1].items():
+            c, s = divmod(i, dw)
+            _add_entry(parts.setdefault(lam0s[c - 1], {}), j * dw + s, -x)
+    out = {}
+    for lam0, part in parts.items():
+        for i, x in matvec(_sub_projector(W, lam0, r, ckind), part).items():
+            _add_entry(out, i, x)
+    return out
 
 
-def _embed(P0, W, d):
-    """Zero-pad a V' (x) W operator to V (x) W."""
-    return Matrix(list(P0.rows) + [{} for _ in range(W.dim)], d * W.dim)
+def _shifted_family(W, lam, lam0, r, ckind):
+    """(w0, us): w0 the lam0 subalgebra highest weight vector and us the
+    test family P0_r (e_j (x) w0), j = 1..d-1, that coupled_oracle and
+    mu_oracle share; it does not depend on k, so it is kept once per
+    module."""
+
+    def build():
+        _, w0 = _branch_vector(W, lam, lam0)
+        us = tuple(
+            _shift_project(W, {j * W.dim + s: c for s, c in w0.items()},
+                           r, ckind)
+            for j in range(W.sig.d - 1)
+        )
+        return w0, us
+
+    return W.cached(("P0w0", ckind, tuple(lam.comps), tuple(lam0), r), build)
 
 
 def coupled_oracle(W, lam, lam0, k, r, kind):
@@ -378,25 +368,14 @@ def coupled_oracle(W, lam, lam0, k, r, kind):
     (the shifted lower component is absent, e.g. non-dominant), in which
     case the identity degenerates to 0 = 0 and defines no scalar.
     """
-    sig = W.sig
-    d = sig.d
-    b, w0 = _branch_vector(W, lam, lam0)
     ckind = _KIND_TO_CHAR[kind]
+    _, us = _shifted_family(W, lam, lam0, r, ckind)
     P = _projector(W, lam, k, ckind)
-    E0 = _embed(_sub_projector(W, lam0, r, ckind), W, d)
-    lhs_vecs = []
-    rhs_vecs = []
-    for j in range(d - 1):
-        vec = {j * W.dim + s: c for s, c in w0.items()}
-        # E0 P E0 vec, applied factor by factor to the vector
-        u = matvec(E0, vec)
-        lhs_vecs.append(matvec(E0, matvec(P, u)))
-        rhs_vecs.append(u)
-    if not any(rhs_vecs):
+    if not any(us):
         raise NotRealized(
             "shift projector %d annihilates the %s component" % (r, (lam0,))
         )
-    return _ratio(lhs_vecs, rhs_vecs)
+    return _ratio([_shift_project(W, matvec(P, u), r, ckind) for u in us], us)
 
 
 def mu_oracle(W, lam, lam0, r, kind):
@@ -413,35 +392,29 @@ def mu_oracle(W, lam, lam0, r, kind):
     consistent scalar mu_r.  Raises NotRealized when every tested entry of
     P_r vanishes on the branching vector (vacuous identity).
     """
-    sig = W.sig
-    d = sig.d
-    b, w0 = _branch_vector(W, lam, lam0)
+    d = W.sig.d
     ckind = _KIND_TO_CHAR[kind]
-    A = char_matrix(W, ckind)
+    w0, us = _shifted_family(W, lam, lam0, r, ckind)
     P = _projector(W, lam, r, ckind)
-    P0 = _sub_projector(W, lam0, r, ckind)
     dw = W.dim
-    n0 = (d - 1) * dw
-    col_d = A[:n0, n0:]  # the blocks A_{k,d}, k < d
-    row_d = A[n0:, :n0]  # the blocks A_{d,l}, l < d
-    lefts = []  # lefts[j - 1][i - 1]: sum_k (P0)_{ik} A_{k,d} phi_j
-    for j in range(1, d):
-        vec = {(j - 1) * dw + s: c for s, c in w0.items()}
-        # phi_j = sum_l A_{d,l} (P0)_{lj} w0
-        phi = matvec(row_d, matvec(P0, vec))
-        blocks = [{} for _ in range(d - 1)]
-        for idx, c in matvec(P0, matvec(col_d, phi)).items():
-            i, s = divmod(idx, dw)
-            blocks[i][s] = c
-        lefts.append(blocks)
-    lhs_vecs = []
-    rhs_vecs = []
-    for i in range(1, d):
-        for j in range(1, d):
-            lhs_vecs.append(lefts[j - 1][i - 1])
-            rhs_vecs.append(matvec(big_entry(P, dw, i, j), w0))
+    rhs_vecs = [matvec(big_entry(P, dw, i, j), w0)
+                for i in range(1, d) for j in range(1, d)]
     if not any(rhs_vecs):
         raise NotRealized(
             "projector %d has no support on the %s component" % (r, (lam0,))
         )
+    A = char_matrix(W, ckind)
+    n0 = (d - 1) * dw
+    col_d = A[:n0, n0:]  # the blocks A_{k,d}, k < d
+    row_d = A[n0:, :n0]  # the blocks A_{d,l}, l < d
+    lefts = []  # lefts[j - 1][i - 1]: sum_k (P0)_{ik} A_{k,d} phi_j
+    for u in us:
+        # phi_j = sum_l A_{d,l} (P0)_{lj} w0
+        phi = matvec(row_d, u)
+        blocks = [{} for _ in range(d - 1)]
+        for idx, c in _shift_project(W, matvec(col_d, phi), r, ckind).items():
+            i, s = divmod(idx, dw)
+            blocks[i][s] = c
+        lefts.append(blocks)
+    lhs_vecs = [lefts[j][i] for i in range(d - 1) for j in range(d - 1)]
     return _ratio(lhs_vecs, rhs_vecs)

@@ -9,7 +9,7 @@ builders fill plain dicts and wrap them once.
 
 from __future__ import annotations
 
-from ..errors import InvalidArgument, NotScalar, QwigError
+from ..errors import NotScalar, QwigError
 from ..exactq import ONE, ZERO, QFraction
 
 __all__ = [
@@ -26,7 +26,6 @@ __all__ = [
     "mat_pow",
     "gkron",
     "nullspace",
-    "mat_inverse",
     "reduce_row",
     "insert_row",
     "shift_diagonal",
@@ -300,18 +299,6 @@ def _rref(rows):
                 for j, y in out[i].items():
                     _add_entry(out[k], j, -(c * y))
     return pivots, out
-
-
-def mat_inverse(A):
-    """Inverse of a square exact matrix; InvalidArgument when singular."""
-    n = A.shape[0]
-    pivots, rows = _rref([{**row, n + i: ONE} for i, row in enumerate(A.rows)])
-    if sorted(pivots) != list(range(n)):
-        raise InvalidArgument("matrix is singular")
-    out = [None] * n
-    for p, row in zip(pivots, rows):
-        out[p] = {j - n: x for j, x in row.items() if j >= n}
-    return Matrix(out, n)
 
 
 def nullspace(A):

@@ -294,33 +294,46 @@ def realized_modules(sig, k_max, dim_cap):
 
 
 def subalgebra_components(W):
-    """Decomposition of W into its subalgebra components.
+    """Decomposition of W into its subalgebra components, found once per
+    module.
 
     Each component is the cyclic span of a subalgebra highest weight
-    vector under the subalgebra lowering generators.  Returns a list of
-    (lam0, basis) pairs, lam0 the first d-1 weight coordinates of the
-    component's highest weight.  Raises NotRealized when the spans fail to
-    exhaust W (restriction not semisimple, or a span not closed).
+    vector under the subalgebra lowering generators.  Returns (lam0s,
+    echelon): lam0s[c] is the first d-1 weight coordinates of component
+    c's highest weight, and echelon is a reduce_row basis of the component
+    vectors, each vector u of component c entered with a tagged copy of
+    itself at offset (c+1)*dim.  reduce_row(echelon, w) of a vector w on W
+    then leaves -w_c at offset (c+1)*dim for each component c, w_c the part
+    of w in c, and nothing below dim.  Raises NotRealized when the spans
+    fail to exhaust W (restriction not semisimple, or a span not closed).
     """
+    return W.cached(("subcomps",), lambda: _subalgebra_components(W))
+
+
+def _subalgebra_components(W):
     sig = W.sig
     gens = list(range(1, sig.d - 1))
-    comps = []
+    lam0s = []
+    joint = {}  # weight -> echelon basis of (pivot, tagged vector) pairs
     for wt, vecs in _subalgebra_highest_vectors(W):
         for v in vecs:
-            span = _lowering_span(W, [dict(v)], gens)
-            comps.append(
-                (wt[: sig.d - 1], [u for _, rows in span for _, u in rows])
-            )
-    joint = {}  # weight -> echelon basis of (pivot, vector) pairs
-    total = 0
-    for _, basis in comps:
-        for v in basis:
-            if not insert_row(joint.setdefault(_weight_of(W, v), []), v):
-                raise NotRealized("subalgebra components are not independent")
-            total += 1
-    if total != W.dim:
+            lam0s.append(wt[: sig.d - 1])
+            offset = len(lam0s) * W.dim
+            for _, rows in _lowering_span(W, [dict(v)], gens):
+                for _, u in rows:
+                    basis = joint.setdefault(_weight_of(W, u), [])
+                    tagged = dict(u)
+                    tagged.update((offset + i, x) for i, x in u.items())
+                    # a pivot in a tag means u depends on the vectors before
+                    if not insert_row(basis, tagged) or basis[-1][0] >= W.dim:
+                        raise NotRealized(
+                            "subalgebra components are not independent"
+                        )
+    echelon = tuple(row for basis in joint.values() for row in basis)
+    if len(echelon) != W.dim:
         raise NotRealized("subalgebra restriction is not semisimple")
-    return comps
+    # rows of different weights share no index, so one list is an echelon
+    return tuple(lam0s), echelon
 
 
 def _subalgebra_highest_vectors(W):

@@ -75,6 +75,8 @@ class Weight:
     comps: tuple
 
     def __post_init__(self):
+        # stored as a tuple, so that a weight built from a list hashes
+        object.__setattr__(self, "comps", tuple(self.comps))
         if len(self.comps) != self.sig.d:
             raise InvalidArgument(
                 "expected %d components, got %d" % (self.sig.d, len(self.comps))

@@ -37,6 +37,7 @@ from qwig import (
     index_sets,
     mu,
     omega,
+    omega_coupled,
     qnum,
     qpow,
 )
@@ -68,11 +69,10 @@ from qwig.oracle import (
 from qwig.oracle.checks import (
     _KIND_TO_CHAR,
     _branch_vector,
-    _embed,
     _projector,
     _projector_parts,
     _ratio,
-    _shift_projector,
+    _shift_project,
     _sub_projector,
 )
 from qwig.oracle.linalg import (
@@ -82,7 +82,6 @@ from qwig.oracle.linalg import (
     identity,
     is_zero_matrix,
     insert_row,
-    mat_inverse,
     mat_pow,
     mat_scale,
     matmul,
@@ -93,8 +92,9 @@ from qwig.oracle.linalg import (
     scale_rows,
     zeros,
 )
-from qwig.oracle.loperators import projector_parts
+from qwig.oracle.loperators import _char_variant, projector_parts
 from qwig.oracle.modules import (
+    _lowering_span,
     _parity_of_weight,
     _subalgebra_highest_vectors,
 )
@@ -368,9 +368,21 @@ def test_mu_shift_convention_resolution():
     assert mu(b, 1, "raise", convention="shifted") != oracle
 
 
+# (signature, lambda, lambda0, kind, r) of the realised modules below where
+# mu's unshifted closed form and mu_oracle disagree, every r an odd index:
+# on the first, the closed form gives q^4 and the oracle 0.  Which side is
+# wrong is open; the set is pinned so that no change moves it unnoticed.
+MU_ODD_R_DISAGREEMENTS = {
+    ("gl(1|2)", "1|1,0", (0, 0), "raise", 2),
+    ("gl(1|2)", "1|1,0", (1, 0), "raise", 2),
+    ("gl(1|2)", "1|1,0", (1, 1), "lower", 2),
+}
+
+
 def test_mu_unshifted_matches_oracle_broadly():
     ok = mismatches_shifted = 0
-    for sig in (S11, S21):
+    disagree = set()
+    for sig in (S11, S21, S12):
         for lam, M in realized_modules(sig, 2, sig.d ** 2):
             for b in branch_candidates(lam):
                 for kind in ("lower", "raise"):
@@ -383,39 +395,85 @@ def test_mu_unshifted_matches_oracle_broadly():
                             closed = mu(b, r, kind, convention="unshifted")
                         except SKIPS:
                             continue
-                        assert closed == oracle
+                        if closed != oracle:
+                            assert sig.parity(r), (str(lam), b.lam0, kind, r)
+                            disagree.add((str(sig), str(lam), b.lam0, kind, r))
+                            continue
                         ok += 1
                         try:
                             if mu(b, r, kind, convention="shifted") != oracle:
                                 mismatches_shifted += 1
                         except SKIPS:
                             pass
+    assert disagree == MU_ODD_R_DISAGREEMENTS
     assert ok >= 8
     # the rejected convention genuinely disagrees somewhere
     assert mismatches_shifted >= 1
 
 
-def test_sub_projector_equals_component_aware_projector():
-    # the cheap fixed-node subalgebra projector agrees with the
-    # component-aware one on every branching test vector
-    V = vector_rep(S21)
-    lam = Weight(S21, (1, 0, 0))
-    d = S21.d
-    for b in branch_candidates(lam):
-        try:
-            _, w0 = _branch_vector(V, lam, b.lam0)
-        except SKIPS:
-            continue
-        for ckind in ("atilde", "adual"):
-            for r in range(1, d):
-                try:
-                    fixed = _embed(_sub_projector(V, b.lam0, r, ckind), V, d)
-                except DegenerateRoots:
-                    continue
-                aware = _embed(_shift_projector(V, r, ckind), V, d)
-                for j in range(d - 1):
-                    vec = {j * V.dim + s: c for s, c in w0.items()}
-                    assert matvec(fixed, vec) == matvec(aware, vec)
+def _first_module(sig, comps):
+    """The highest weight module of weight comps generated in V^(x)|comps|
+    by its first highest weight vector there, taken when the weight has
+    multiplicity above 1 too."""
+    W = vector_rep(sig)
+    for _ in range(sum(comps) - 1):
+        W = tensor_module(W, vector_rep(sig))
+    vecs = dict(highest_weight_vectors(W))[comps]
+    return Weight(sig, comps), submodule(W, vecs[:1])
+
+
+# (signature, lambda, lambda0, kind, r) of coupled cases where P_k moves the
+# test family e_j (x) w0 into subalgebra components other than lambda0's;
+# with lambda0's nodes on the outer P0_r the ratio was not a scalar
+_CROSSING_CASES = [
+    (S12, (2, 1, 0), (2, 0), "raise", 2),
+    (S12, (2, 2, 0), (2, 0), "raise", 2),
+    (S12, (2, 2, 0), (2, 1), "raise", 2),
+    (S12, (3, 1, 0), (2, 1), "lower", 2),
+    (S12, (3, 1, 0), (3, 0), "raise", 2),
+    (Signature(1, 3), (2, 1, 0, 0), (2, 0, 0), "raise", 2),
+    (Signature(2, 2), (2, 1, 1, 0), (2, 1, 0), "raise", 3),
+]
+
+
+def test_coupled_oracle_uses_each_components_nodes():
+    for sig, comps, lam0, kind, r in _CROSSING_CASES:
+        lam, W = _first_module(sig, comps)
+        b = index_sets(lam, lam0)
+        for k in (1, 2, 3):
+            got = coupled_oracle(W, lam, lam0, k, r, kind)
+            assert got == omega_coupled(b, k, r, kind), (str(lam), lam0, k)
+    # a component that P_k reaches has coincident nodes: the case is a
+    # DegenerateRoots skip, where the fixed nodes gave no scalar
+    lam, W = _first_module(Signature(2, 2), (2, 1, 1, 0))
+    for k in (1, 3, 4):
+        with pytest.raises(DegenerateRoots):
+            coupled_oracle(W, lam, (1, 1, 1), k, 3, "lower")
+
+
+def test_outer_shift_projector_is_component_aware():
+    # on the first crossing case the fixed-node polynomial and P0_r agree on
+    # the test family, which lies in the lambda0 component, and differ on
+    # its image under P_k; _shift_project matches the matrix reference
+    sig, comps, lam0, kind, r = _CROSSING_CASES[0]
+    lam, W = _first_module(sig, comps)
+    ckind = _KIND_TO_CHAR[kind]
+    n0 = (sig.d - 1) * W.dim
+    fixed = _sub_projector(W, lam0, r, ckind)
+    _, w0 = _branch_vector(W, lam, lam0)
+    differ = 0
+    for j in range(sig.d - 1):
+        vec = {j * W.dim + s: c for s, c in w0.items()}
+        u = _shift_project(W, vec, r, ckind)
+        assert u == matvec(fixed, vec)
+        for k in (1, 2, 3):
+            v = matvec(_projector(W, lam, k, ckind), u)
+            aware = _shift_project(W, v, r, ckind)
+            want = _component_shift_projector(W, r, ckind, [v])
+            assert aware == matvec(want, v)
+            differ += aware != matvec(fixed, {i: x for i, x in v.items()
+                                              if i < n0})
+    assert differ
 
 
 def test_e_last_matches_oracle_weight():
@@ -526,28 +584,90 @@ def test_cached_matrices_equal_fresh_builds():
     assert checked >= 4
 
 
+def _component_projections(W):
+    """(lam0, Q) per subalgebra component of W, Q the projection of W onto
+    the component along the others, as a matrix: Q = B S B^-1 with B the
+    matrix whose columns are all the components' vectors and S the selector
+    of this component's columns.  The columns of B^-1 are the solutions x
+    of B x = e_s, read off the nullspace of [B | -I]."""
+    d, dw = W.sig.d, W.dim
+    comps = [
+        (wt[: d - 1],
+         [u for _, rows in _lowering_span(W, [dict(v)], range(1, d - 1))
+          for _, u in rows])
+        for wt, vecs in _subalgebra_highest_vectors(W) for v in vecs
+    ]
+    rows = [{} for _ in range(dw)]
+    for t, u in enumerate(u for _, basis in comps for u in basis):
+        for i, x in u.items():
+            rows[i][t] = x
+    B = Matrix(rows, dw)
+    inverse = [{} for _ in range(dw)]
+    for v in nullspace(Matrix([{**row, dw + i: -ONE}
+                               for i, row in enumerate(rows)], 2 * dw)):
+        (s,) = [j - dw for j in v if j >= dw]
+        for t, x in v.items():
+            if t < dw:
+                inverse[t][s] = x
+    inverse = Matrix(inverse, dw)
+    out, t0 = [], 0
+    for lam0, basis in comps:
+        t1 = t0 + len(basis)
+        select = Matrix([{t: ONE} if t0 <= t < t1 else {}
+                         for t in range(dw)], dw)
+        out.append((lam0, matmul(matmul(B, select), inverse)))
+        t0 = t1
+    return out
+
+
+def _component_shift_projector(W, r, ckind, vecs):
+    """P0_r on V (x) W, zero on the last vector slot, built component by
+    component as the sum of L_c (1 (x) Q_c): L_c the Lagrange projector of
+    the subalgebra characteristic matrix with component c's nodes, Q_c its
+    projection.  Components whose 1 (x) Q_c kills every vector of vecs are
+    left out."""
+    sig, dw = W.sig, W.dim
+    d = sig.d
+    N = d * dw
+    A0 = char_matrix(W, ckind, top=d - 1)
+    total = zeros(N)
+    for lam0, Q in _component_projections(W):
+        EQ = Matrix([{b * dw + j: x for j, x in row.items()}
+                     for b in range(d - 1) for row in Q.rows]
+                    + [{} for _ in range(dw)], N)
+        if not any(matvec(EQ, v) for v in vecs):
+            continue
+        alphas = subalgebra_roots(lam0, _char_variant(ckind), sig)
+        nodes = tuple(char_eigenvalue(a, ckind) for a in alphas)
+        L = projector(A0, nodes, r)
+        total = total + matmul(Matrix(list(L.rows) + [{} for _ in range(dw)],
+                                      N), EQ)
+    return total
+
+
 def _sandwich_coupled(W, lam, lam0, k, r, kind):
-    """coupled_oracle's ratio from the sandwich X = E0 P E0, multiplied
-    out as matrices."""
+    """coupled_oracle's ratio from the sandwich X = E0' P E0, multiplied
+    out as matrices: E0 the component-aware P0_r over the components of the
+    test family, E0' the one over the components of its image P E0."""
     d = W.sig.d
     _, w0 = _branch_vector(W, lam, lam0)
     ckind = _KIND_TO_CHAR[kind]
     P = _projector(W, lam, k, ckind)
-    E0 = _embed(_sub_projector(W, lam0, r, ckind), W, d)
-    X = matmul(matmul(E0, P), E0)
-    lhs, rhs = [], []
-    for j in range(d - 1):
-        vec = {j * W.dim + s: c for s, c in w0.items()}
-        lhs.append(matvec(X, vec))
-        rhs.append(matvec(E0, vec))
+    vecs = [{j * W.dim + s: c for s, c in w0.items()} for j in range(d - 1)]
+    E0 = _component_shift_projector(W, r, ckind, vecs)
+    rhs = [matvec(E0, vec) for vec in vecs]
     if not any(rhs):
         raise NotRealized("the shift projector annihilates the component")
-    return _ratio(lhs, rhs)
+    PE0 = matmul(P, E0)
+    outer = _component_shift_projector(W, r, ckind,
+                                       [matvec(PE0, v) for v in vecs])
+    X = matmul(outer, PE0)
+    return _ratio([matvec(X, vec) for vec in vecs], rhs)
 
 
 def test_coupled_oracle_equals_sandwich_ratio(oracle_modules):
     outcomes = {"value": 0, "NotRealized": 0}
-    for lam, M in oracle_modules[(2, 1)]:
+    for lam, M in oracle_modules[(2, 1)] + oracle_modules[(1, 2)]:
         for b in branch_candidates(lam):
             for kind in ("lower", "raise"):
                 side = _Side(b, kind)
@@ -643,7 +763,7 @@ from qwig import (
     ONE, QwigError, Signature, Weight, chi_C1, chi_v, index_sets, mu, omega,
     parse_qfraction, qnum, qpow,
 )
-from qwig.oracle.linalg import mat_inverse, matmul, zeros
+from qwig.oracle.linalg import matmul, zeros
 from qwig.oracle.loperators import (
     char_eigenvalue, char_matrix, eij_matrix, etilde_matrix, l_operator,
 )
@@ -675,7 +795,6 @@ cases = {
     "span_not_closed": lambda: submodule(
         tensor_module(vector_rep(S21), vector_rep(S21)), [{0: ONE}, {8: ONE}]
     ),
-    "singular_inverse": lambda: mat_inverse(zeros(2)),
     "l_operator_kind": lambda: l_operator(vector_rep(S11), "nope"),
     "char_matrix_kind": lambda: char_matrix(vector_rep(S11), "nope"),
     "char_eigenvalue_kind": lambda: char_eigenvalue(1, "nope"),
@@ -691,6 +810,10 @@ cases = {
     "qpow": lambda: qpow(Fraction(1, 3)),
     "qnum": lambda: qnum(Fraction(1, 2)),
     "parse_exponent": lambda: parse_qfraction("q^1/3"),
+    "parse_exponent_text": lambda: parse_qfraction("q^x"),
+    "parse_missing_exponent": lambda: parse_qfraction("2*q^"),
+    "parse_two_slashes": lambda: parse_qfraction("q^1/2/3"),
+    "parse_zero_denominator": lambda: parse_qfraction("1/(0)"),
     "lower_weight": lambda: index_sets(LAM, (Fraction(1, 2), 0)),
     "signature_dimension": lambda: Signature(Fraction(3, 2), 1),
 }
@@ -716,7 +839,7 @@ def test_typed_errors_hold_under_python_O():
     assert json.loads(done.stdout) == {"debug": False, "missed": {}}
 
 
-# -- the echelon routine shared by reduce_row, inverse and nullspace -------------
+# -- the echelon routine shared by reduce_row and nullspace -------------
 
 
 def _q(k):
@@ -732,13 +855,6 @@ def _from_dense(rows):
 
 def test_folded_linear_algebra():
     q, one = _q(1), ONE
-    A = Matrix([{0: q, 1: one}, {0: one, 2: _q(-1)},
-                {1: QFraction(qnum(2)), 2: q}], 3)
-    assert matmul(A, mat_inverse(A)) == identity(3)
-    S = _from_dense([[q, _q(2)], [one, q]])
-    with pytest.raises(InvalidArgument):
-        mat_inverse(S)
-
     # the first row leads in column 1, the second in column 0, and the third
     # is their sum: pivots out of order, rank 2
     rows = [[ZERO, one, q, ZERO], [one, ZERO, one, _q(-1)]]

@@ -180,6 +180,13 @@ def test_weight_components_must_be_ints(comps):
         Weight(S21, comps)
 
 
+def test_weight_built_from_a_list_hashes():
+    lam = Weight(S21, [1, 0, 0])
+    assert lam.comps == (1, 0, 0)
+    assert lam == Weight(S21, (1, 0, 0))
+    assert hash(lam) == hash(Weight(S21, (1, 0, 0)))
+
+
 def test_dual_subroot_matches_parent_on_I0(sweep_branchings):
     # for r in I0 the dual subalgebra root at r equals the parent root
     for b in sweep_branchings[:4000]:
