@@ -34,16 +34,10 @@ def _check_pair(lam, lam0):
                 "odd label %d: need %d >= %d >= %d"
                 % (u - m + 1, c[u], lam0[u], c[u + 1])
             )
-    if not _dominant(lam0, m):
+    # only the even block can fail dominance here: the odd rules give
+    # lam0_u >= lam_(u+1) >= lam0_(u+1), so the odd block is nonincreasing
+    if not all(lam0[i] >= lam0[i + 1] for i in range(m - 1)):
         raise NotABranching("lower weight %r is not dominant" % (lam0,))
-
-
-def _dominant(lam0, m):
-    """Whether both blocks of lam0, split after m components, are
-    nonincreasing."""
-    return all(lam0[i] >= lam0[i + 1] for i in range(m - 1)) and all(
-        lam0[i] >= lam0[i + 1] for i in range(m, len(lam0) - 1)
-    )
 
 
 @dataclass(frozen=True)
@@ -62,8 +56,9 @@ class BranchingData:
     lam0: tuple
 
     def __post_init__(self):
-        _check_pair(self.lam, tuple(self.lam0))
-        object.__setattr__(self, "lam0", tuple(self.lam0))
+        lam0 = tuple(self.lam0)
+        _check_pair(self.lam, lam0)
+        object.__setattr__(self, "lam0", lam0)
 
     @property
     def sig(self):
@@ -143,16 +138,28 @@ def index_sets(lam, lam0):
 def branch_candidates(lam):
     """All lower weights lam0 admissible under lam, lexicographically sorted.
 
-    Each component of lam0 ranges over an ascending range allowed by the
-    betweenness rules, so the product of the ranges comes out sorted; only
-    the candidates that are not dominant are left out.
+    Only dominant candidates are enumerated: the even block takes
+    lam0_i in {lam_i - 1, lam_i}, extended only while it stays
+    nonincreasing, and the odd block is the plain product of its betweenness
+    ranges, dominant by the rules alone (see _check_pair).  Prefixes and
+    ranges ascend, so the candidates come out sorted.  Each one is valid by
+    construction, so it is built without BranchingData's check.
     """
     m, n = lam.sig.m, lam.sig.n
     c = lam.comps
-    ranges = [range(x - 1, x + 1) for x in c[:m]]
-    ranges += [range(c[u + 1], c[u] + 1) for u in range(m, m + n - 1)]
-    return [
-        BranchingData(lam, cand)
-        for cand in itertools.product(*ranges)
-        if _dominant(cand, m)
-    ]
+    evens = [()]
+    for x in c[:m]:
+        evens = [p + (y,) for p in evens for y in (x - 1, x) if not p or p[-1] >= y]
+    odds = list(itertools.product(
+        *[range(c[u + 1], c[u] + 1) for u in range(m, m + n - 1)]))
+    # fields set in the order __init__ sets them, so that each instance dict
+    # still shares its keys with the class
+    new, setattr_ = object.__new__, object.__setattr__
+    out = []
+    for ev in evens:
+        for od in odds:
+            b = new(BranchingData)
+            setattr_(b, "lam", lam)
+            setattr_(b, "lam0", ev + od)
+            out.append(b)
+    return out

@@ -20,7 +20,7 @@ from .errors import (
     InvalidArgument,
 )
 from .exactq import ZERO, QFraction, _factor_map, qnum
-from .superweight import char_roots, deformed_root
+from .superweight import _root_exponents, deformed_root
 
 __all__ = [
     "CoefficientTable",
@@ -86,29 +86,34 @@ class _Side:
         if variant == "lower":
             self.tau = -1
             self.root_kind = "dual"
-            self.K = b.lower_indices()
-            self.L = b.I0 + b.I1
-            self.even_count = len(b.I0)
         elif variant == "raise":
             self.tau = 1
             self.root_kind = "adjoint"
-            self.K = b.raise_indices()
-            self.L = b.I0bar + b.I1
-            self.even_count = len(b.I0bar)
         else:
             raise InvalidArgument("variant must be 'lower' or 'raise'")
         self.b = b
         self.variant = variant
-        sig = b.sig
-        self.alpha = dict(
-            zip(range(1, sig.d + 1), char_roots(b.lam, self.root_kind))
-        )
+        # read from the components of the (valid) branching: L is I0 u I1
+        # on the lowering side and I0bar u I1 on the raising side, K is L
+        # with the last position d added
+        c, lam0 = b.lam.comps, b.lam0
+        m, n = b.lam.sig.m, b.lam.sig.n
+        d = m + n
+        I0 = tuple(i for i in range(1, m + 1) if lam0[i - 1] == c[i - 1] - 1)
+        if variant == "lower":
+            even = I0
+        else:
+            even = tuple(i for i in range(1, m + 1) if lam0[i - 1] == c[i - 1])
+        self.L = even + tuple(range(m + 1, d))
+        self.K = self.L + (d,)
+        self.even_count = len(even)
+        self.alpha = dict(enumerate(_root_exponents(c, m, n, self.root_kind), 1))
         self.alpha0 = dict(
-            zip(range(1, sig.d), b.sub_roots(self.root_kind))
+            enumerate(_root_exponents(lam0, m, n - 1, self.root_kind), 1)
         )
-        self.sign = {i: 1 if i <= sig.m else -1 for i in range(1, sig.d + 1)}
-        self.n = sig.n
-        self.I0_size = len(b.I0)
+        self.sign = _signs(m, d)
+        self.n = n
+        self.I0_size = len(I0)
         vals = [self.alpha[k] for k in self.K]
         self.K_generic = len(set(vals)) == len(vals)
 
@@ -150,6 +155,13 @@ class _Side:
     def sigma(self):
         """Global sign of gamma and mu."""
         return 1 if (self.even_count + self.n - 1) % 2 == 0 else -1
+
+
+@lru_cache(maxsize=None)
+def _signs(m, d):
+    """The grading signs {i: (i)} of gl(m|d-m), one dict per signature,
+    shared by every side of it and never mutated."""
+    return {i: 1 if i <= m else -1 for i in range(1, d + 1)}
 
 
 # Callers visit one branching at a time and need both of its variants; 8

@@ -1,6 +1,7 @@
 """Shared fixtures: the dominant weight sweep and oracle-realized modules."""
 
 import itertools
+import random
 
 import pytest
 
@@ -37,6 +38,26 @@ def dominant_weights(m, n, lo=-2, hi=3):
         ]
 
     return [Weight(sig, ev + od) for ev in blocks(m) for od in blocks(n)]
+
+
+def all_weights(m, n, lo=-2, hi=2):
+    """Every integral weight of gl(m|n), dominant or not, with components
+    in [lo, hi]."""
+    sig = Signature(m, n)
+    return [Weight(sig, c)
+            for c in itertools.product(range(lo, hi + 1), repeat=m + n)]
+
+
+def seeded_weights(count):
+    """Seeded dominant gl(3|2) and gl(4|3) weights, components in [-8, 8]."""
+    rng = random.Random(2024)
+    out = []
+    for _ in range(count):
+        m, n = rng.choice(((3, 2), (4, 3)))
+        ev = sorted((rng.randint(-8, 8) for _ in range(m)), reverse=True)
+        od = sorted((rng.randint(-8, 8) for _ in range(n)), reverse=True)
+        out.append(Weight(Signature(m, n), tuple(ev + od)))
+    return out
 
 
 @pytest.fixture(scope="session")

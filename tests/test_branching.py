@@ -2,7 +2,7 @@
 
 import itertools
 import pickle
-import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -16,7 +16,8 @@ from qwig import (
     branch_candidates,
     index_sets,
 )
-from conftest import dominant_weights
+from qwig.branching import BranchingData, _check_pair
+from conftest import all_weights, dominant_weights, seeded_weights
 
 S11 = Signature(1, 1)
 S21 = Signature(2, 1)
@@ -132,24 +133,122 @@ def _reference_candidates(lam):
     return sorted(out)
 
 
-def _seeded_weights(count):
-    rng = random.Random(2024)
-    out = []
-    for _ in range(count):
-        m, n = rng.choice(((3, 2), (4, 3)))
-        ev = sorted((rng.randint(-8, 8) for _ in range(m)), reverse=True)
-        od = sorted((rng.randint(-8, 8) for _ in range(n)), reverse=True)
-        out.append(Weight(Signature(m, n), tuple(ev + od)))
-    return out
-
-
 def test_candidates_match_reference_construction(sweep_weights):
     # the tuples are read directly and the product is not re-sorted; the
     # candidates and their index sets stay those of the sorted construction
-    for lam in sweep_weights + _seeded_weights(200):
+    for lam in sweep_weights + seeded_weights(200):
         got = [(b.lam0, b.I0, b.I0bar, b.lower_indices(), b.raise_indices(),
                 b.eta) for b in branch_candidates(lam)]
         assert got == _reference_candidates(lam)
+
+
+SMALL_SIGS = [(m, n) for m in (1, 2, 3) for n in (1, 2, 3)]
+
+
+def _dominant_both_blocks(lam0, m):
+    return all(lam0[i] >= lam0[i + 1] for i in range(m - 1)) and all(
+        lam0[i] >= lam0[i + 1] for i in range(m, len(lam0) - 1)
+    )
+
+
+def _check_pair_both_blocks(lam, lam0):
+    """_check_pair with a dominance test on both blocks of lam0: the
+    reference that the even-block test must agree with."""
+    sig = lam.sig
+    m, n = sig.m, sig.n
+    if len(lam0) != m + n - 1:
+        raise SignatureMismatch(
+            "lower weight needs %d components for %s" % (m + n - 1, sig)
+        )
+    if not all(type(x) is int for x in lam0):
+        raise NonIntegralWeight("lower weight components must be integers")
+    c = lam.comps
+    for i in range(m):
+        if not c[i] >= lam0[i] >= c[i] - 1:
+            raise NotABranching(
+                "even label %d: need %d >= %d >= %d"
+                % (i + 1, c[i], lam0[i], c[i] - 1)
+            )
+    for u in range(m, m + n - 1):
+        if not c[u] >= lam0[u] >= c[u + 1]:
+            raise NotABranching(
+                "odd label %d: need %d >= %d >= %d"
+                % (u - m + 1, c[u], lam0[u], c[u + 1])
+            )
+    if not _dominant_both_blocks(lam0, m):
+        raise NotABranching("lower weight %r is not dominant" % (lam0,))
+
+
+def _verdict(check, lam, lam0):
+    try:
+        check(lam, lam0)
+    except Exception as e:  # the verdict is the exception's type and text
+        return type(e), str(e)
+    return None
+
+
+def _betweenness_ranges(lam):
+    m, n = lam.sig.m, lam.sig.n
+    c = lam.comps
+    ranges = [range(x - 1, x + 1) for x in c[:m]]
+    return ranges + [range(c[u + 1], c[u] + 1) for u in range(m, m + n - 1)]
+
+
+def test_dropped_dominance_check_changes_no_verdict():
+    # every pair with lam and lam0 in [-2, 2] while m + n <= 4; above that,
+    # every pair within the betweenness ranges, the only pairs that reach
+    # the dominance test
+    checked = 0
+    for m, n in SMALL_SIGS:
+        for lam in all_weights(m, n):
+            if m + n <= 4:
+                lowers = itertools.product(range(-2, 3), repeat=m + n - 1)
+            else:
+                lowers = itertools.product(*_betweenness_ranges(lam))
+            for lam0 in lowers:
+                assert _verdict(_check_pair, lam, lam0) == _verdict(
+                    _check_pair_both_blocks, lam, lam0), (lam, lam0)
+                checked += 1
+    assert checked > 400000
+
+
+def _product_and_filter(lam):
+    """The reference enumeration: the whole betweenness product, filtered by
+    dominance of both blocks, each candidate built through the check."""
+    return [BranchingData(lam, cand)
+            for cand in itertools.product(*_betweenness_ranges(lam))
+            if _dominant_both_blocks(cand, lam.sig.m)]
+
+
+def test_candidates_equal_product_and_filter():
+    weights = [w for m, n in SMALL_SIGS for w in all_weights(m, n)]
+    total = 0
+    for lam in weights + seeded_weights(200):
+        got, want = branch_candidates(lam), _product_and_filter(lam)
+        assert [b.lam0 for b in got] == [w.lam0 for w in want]
+        for b in got:
+            _check_pair(lam, b.lam0)
+            assert type(b.lam0) is tuple and b.lam is lam
+        # pickled before hash and str are first computed and cached
+        back = pickle.loads(pickle.dumps(got))
+        for bs in (got, back):
+            assert bs == want
+            assert list(map(hash, bs)) == list(map(hash, want))
+            assert list(map(str, bs)) == list(map(str, want))
+        total += len(got)
+    assert total > 10000
+
+
+def test_candidates_keep_shared_key_dicts(sweep_weights):
+    # an enumerated candidate's instance dict is no larger than that of one
+    # built through __init__, before and after its lazy attributes are set
+    for lam in sweep_weights[::13]:
+        for b in branch_candidates(lam):
+            ref = BranchingData(lam, b.lam0)
+            assert sys.getsizeof(b.__dict__) <= sys.getsizeof(ref.__dict__)
+            for x in (b, ref):
+                x.I0, x.eta, str(x), hash(x)
+            assert sys.getsizeof(b.__dict__) <= sys.getsizeof(ref.__dict__)
 
 
 def _fresh_str(b):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import quotient_of_factors
+from conftest import quotient_of_factors, seeded_weights
 from qwig import (
     AdmissibilityError,
     ConsistencyError,
@@ -38,7 +38,7 @@ from qwig import (
 from qwig import wigner
 from qwig.cli import main
 from qwig.exactq import _factor_map
-from qwig.superweight import subalgebra_roots
+from qwig.superweight import char_roots, subalgebra_roots
 from qwig.wigner import (
     FORMS,
     MU_SHIFT_DEFAULT,
@@ -346,6 +346,50 @@ def _shifted_factor(x, y, t):
     """deformed(x) - q^(2t) deformed(y) + t q^t, built afresh."""
     return (deformed_root(x) - QFraction(qpow(2 * t)) * deformed_root(y)
             + t * QFraction(qpow(t)))
+
+
+def _reference_side_fields(b, variant):
+    """Every field of a side, built through char_roots, b.sub_roots, the
+    index-set methods and a fresh sign dict: the reference for the one-pass
+    construction."""
+    lower = variant == "lower"
+    kind = "dual" if lower else "adjoint"
+    sig = b.sig
+    K = b.lower_indices() if lower else b.raise_indices()
+    alpha = dict(zip(range(1, sig.d + 1), char_roots(b.lam, kind)))
+    vals = [alpha[k] for k in K]
+    return {
+        "tau": -1 if lower else 1,
+        "root_kind": kind,
+        "K": K,
+        "L": (b.I0 if lower else b.I0bar) + b.I1,
+        "even_count": len(b.I0 if lower else b.I0bar),
+        "b": b,
+        "variant": variant,
+        "alpha": alpha,
+        "alpha0": dict(zip(range(1, sig.d), b.sub_roots(kind))),
+        "sign": {i: 1 if i <= sig.m else -1 for i in range(1, sig.d + 1)},
+        "n": sig.n,
+        "I0_size": len(b.I0),
+        "K_generic": len(set(vals)) == len(vals),
+    }
+
+
+def test_side_fields_equal_reference_construction(sweep_branchings):
+    seeded = [b for lam in seeded_weights(40) for b in branch_candidates(lam)]
+    for b in sweep_branchings + seeded:
+        for variant in ("lower", "raise"):
+            side = _Side(b, variant)
+            want = _reference_side_fields(b, variant)
+            assert vars(side) == want
+            assert type(side.K) is type(side.L) is tuple
+            assert type(side.alpha) is type(side.alpha0) is dict
+            # what the benchmark reads of a side, by 1-based position
+            for r in side.L:
+                t = side.tau * want["sign"][r]
+                assert side.beta(r) == want["alpha0"][r] - t
+                assert side.F_arg(7, r) == 7 - want["alpha0"][r] + t
+    assert _Side(b, "lower").sign is _Side(b, "raise").sign
 
 
 def test_cached_factors_equal_fresh_ones():
