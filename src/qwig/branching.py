@@ -34,10 +34,23 @@ def _check_pair(lam, lam0):
                 "odd label %d: need %d >= %d >= %d"
                 % (u - m + 1, c[u], lam0[u], c[u + 1])
             )
-    # only the even block can fail dominance here: the odd rules give
-    # lam0_u >= lam_(u+1) >= lam0_(u+1), so the odd block is nonincreasing
-    if not all(lam0[i] >= lam0[i + 1] for i in range(m - 1)):
+    # only the even blocks can fail dominance here: the odd rules give
+    # lam0_u >= lam_(u+1) >= lam0_(u+1) and lam_u >= lam0_u >= lam_(u+1), so
+    # both odd blocks are nonincreasing.  An even step of lam up by exactly
+    # 1 passes the even rules.
+    if not _even_block_dominant(lam0, m):
         raise NotABranching("lower weight %r is not dominant" % (lam0,))
+    if not _even_block_dominant(c, m):
+        raise NotABranching("upper weight %s is not dominant" % (lam,))
+
+
+def _even_block_dominant(c, m):
+    # a plain loop, without a generator: it runs twice per checked pair and
+    # once per enumerated upper weight
+    for i in range(m - 1):
+        if c[i] < c[i + 1]:
+            return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -141,12 +154,15 @@ def branch_candidates(lam):
     Only dominant candidates are enumerated: the even block takes
     lam0_i in {lam_i - 1, lam_i}, extended only while it stays
     nonincreasing, and the odd block is the plain product of its betweenness
-    ranges, dominant by the rules alone (see _check_pair).  Prefixes and
-    ranges ascend, so the candidates come out sorted.  Each one is valid by
-    construction, so it is built without BranchingData's check.
+    ranges, dominant by the rules alone (see _check_pair).  A non-dominant
+    lam has no candidates.  Prefixes and ranges ascend, so the candidates
+    come out sorted.  Each one is valid by construction, so it is built
+    without BranchingData's check.
     """
     m, n = lam.sig.m, lam.sig.n
     c = lam.comps
+    if not _even_block_dominant(c, m):
+        return []
     evens = [()]
     for x in c[:m]:
         evens = [p + (y,) for p in evens for y in (x - 1, x) if not p or p[-1] >= y]

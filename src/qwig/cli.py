@@ -14,14 +14,15 @@ import csv
 import functools
 import io
 import json
-import math
 import sys
 
 from .branching import BranchingData, branch_candidates
 from .errors import (
     AdmissibilityError,
     DegenerateRoots,
+    InvalidArgument,
     MultiplicityAmbiguous,
+    NonIntegralWeight,
     NotRealized,
     NotScalar,
     QwigError,
@@ -30,17 +31,6 @@ from .invariants import chi_C1, chi_v
 from .superweight import RootSet, Signature, Weight, is_typical
 from .wigner import coupled_table, omega_table, sum_rule_residual
 from .exactq import ONE
-
-SUITES = (
-    "qybe",
-    "coproduct",
-    "charid",
-    "projectors",
-    "wigner",
-    "coupled",
-    "invariants",
-    "all",
-)
 
 # verify covers the modules inside V^(x)k, k <= K_MAX, of dimension <= DIM_CAP
 K_MAX, DIM_CAP = 2, 30
@@ -53,14 +43,15 @@ def _parse_weight(text, m=None, n=None):
     not supplied."""
     even_s, bar, odd_s = text.partition("|")
     if not bar:
-        raise QwigError("weight %r needs a '|' separating the blocks" % text)
+        raise InvalidArgument(
+            "weight %r needs a '|' separating the blocks" % text)
     ev = [x for x in even_s.split(",") if x.strip() != ""]
     od = [x for x in odd_s.split(",") if x.strip() != ""]
     pm, pn = len(ev), len(od)
     if m is not None and m != pm:
-        raise QwigError("--m %d conflicts with weight %r" % (m, text))
+        raise InvalidArgument("--m %d conflicts with weight %r" % (m, text))
     if n is not None and n != pn:
-        raise QwigError("--n %d conflicts with weight %r" % (n, text))
+        raise InvalidArgument("--n %d conflicts with weight %r" % (n, text))
     return Weight.parse(Signature(pm, pn), text)
 
 
@@ -70,21 +61,22 @@ def _parse_lower(text, sig):
     try:
         comps = tuple(int(x) for x in parts if x.strip() != "")
     except ValueError:
-        raise QwigError("cannot parse lower weight %r" % text)
+        raise NonIntegralWeight("cannot parse lower weight %r" % text)
     if len(comps) != sig.d - 1:
-        raise QwigError(
+        raise InvalidArgument(
             "lower weight needs %d components for %s" % (sig.d - 1, sig)
         )
     return comps
 
 
 def _dump_json(obj):
-    """json.dumps(obj, sort_keys=True, indent=2) + "\n", byte for byte.
+    """json.dumps(obj, sort_keys=True, indent=2) + "\n", byte for byte, for
+    the types the commands print: dicts with str keys, lists, str, int,
+    bool and None.  Anything else raises TypeError.
 
     With an indent, json.dumps runs its generator-based pure-Python
-    encoder; this writer appends the same pieces to one list instead.  The
-    type dispatch, the key conversion and their errors follow
-    json.encoder._make_iterencode; circular references are not detected.
+    encoder; this writer appends the same pieces to one list instead.
+    Circular references are not detected.
     """
     out = []
     _write_json(obj, out, "\n")
@@ -105,9 +97,7 @@ def _write_json(o, out, newline):
         out.append("false")
     elif isinstance(o, int):
         out.append(int.__repr__(o))
-    elif isinstance(o, float):
-        out.append(_json_float(o))
-    elif isinstance(o, (list, tuple)):
+    elif isinstance(o, list):
         if not o:
             out.append("[]")
             return
@@ -124,8 +114,9 @@ def _write_json(o, out, newline):
             return
         inner = newline + "  "
         out.append("{")
+        # _json_str raises TypeError on a key that is not a str
         for k, v in sorted(o.items()):
-            out.append(inner + _json_key(k) + ": ")
+            out.append(inner + _json_str(k) + ": ")
             _write_json(v, out, inner)
             out.append(",")
         out[-1] = newline + "}"
@@ -137,39 +128,12 @@ def _write_json(o, out, newline):
 _json_str = json.encoder.encode_basestring_ascii
 
 
-def _json_float(x):
-    if x != x:
-        return "NaN"
-    if x == math.inf:
-        return "Infinity"
-    if x == -math.inf:
-        return "-Infinity"
-    return float.__repr__(x)
-
-
-def _json_key(k):
-    if isinstance(k, str):
-        return _json_str(k)
-    if isinstance(k, float):
-        return _json_str(_json_float(k))
-    if k is True:
-        return '"true"'
-    if k is False:
-        return '"false"'
-    if k is None:
-        return '"null"'
-    if isinstance(k, int):
-        return _json_str(int.__repr__(k))
-    raise TypeError("keys must be str, int, float, bool or None, not %s"
-                    % k.__class__.__name__)
-
-
 def _emit(payload, out_path, csv_rows=None):
     """Write payload as JSON, or the rows that csv_rows() builds to a .csv
     out_path."""
     if out_path and out_path.endswith(".csv"):
         if csv_rows is None:
-            raise QwigError("CSV output is only available for tables")
+            raise InvalidArgument("CSV output is only available for tables")
         buf = io.StringIO()
         w = csv.writer(buf, lineterminator="\n")
         for row in csv_rows():
@@ -286,82 +250,88 @@ def _modules(sig):
     return tuple(realized_modules(sig, K_MAX, DIM_CAP))
 
 
-def _case(name, inputs, ok, detail=""):
+def _outcome(name, inputs, check, skips=(), reason=str):
+    """The verify case of check(), which returns (ok, detail): PASS or FAIL
+    by ok, or SKIP when ok is None.  A check that raises one of skips is a
+    SKIP too, with reason(exc) as its detail."""
+    try:
+        ok, detail = check()
+    except skips as exc:
+        ok, detail = None, reason(exc)
     return {
         "case": name,
         "inputs": inputs,
-        "status": "PASS" if ok else "FAIL",
+        "status": "SKIP" if ok is None else "PASS" if ok else "FAIL",
         "detail": detail,
     }
 
 
-def _skip(name, inputs, reason):
-    return {"case": name, "inputs": inputs, "status": "SKIP",
-            "detail": reason}
+def _class_name(exc):
+    return type(exc).__name__
 
 
-def _suite_qybe(sig):
+def _suite_qybe(name, sig):
     from .oracle.checks import qybe_check
 
-    return [_case("qybe", {"m": sig.m, "n": sig.n}, qybe_check(sig))]
+    return [_outcome(name, {"m": sig.m, "n": sig.n},
+                     lambda: (qybe_check(sig), ""))]
 
 
-def _suite_coproduct(sig):
+def _suite_coproduct(name, sig):
     from .oracle.checks import coproduct_check
 
-    return [_case("coproduct", {"m": sig.m, "n": sig.n},
-                  coproduct_check(sig))]
+    return [_outcome(name, {"m": sig.m, "n": sig.n},
+                     lambda: (coproduct_check(sig), ""))]
 
 
-def _suite_charid(sig):
+def _charid(M, lam, kind):
     from .oracle.checks import char_identity_check
 
-    out = []
-    for lam, M in _modules(sig):
-        for kind in ("atilde", "adual"):
-            inputs = {"weight": str(lam), "kind": kind}
-            try:
-                ok = char_identity_check(M, lam, kind)
-            except DegenerateRoots as exc:
-                out.append(_skip("charid", inputs, str(exc)))
-                continue
-            out.append(_case("charid", inputs, ok))
-    return out
+    return char_identity_check(M, lam, kind), ""
 
 
-def _suite_projectors(sig):
+def _projectors(M, lam, kind):
     from .oracle.checks import all_projectors
     from .oracle.linalg import identity, is_zero_matrix, mat_scale, matmul
 
-    out = []
-    for lam, M in _modules(sig):
-        for kind in ("atilde", "adual"):
-            inputs = {"weight": str(lam), "kind": kind}
-            try:
-                ps = all_projectors(M, lam, kind)
-            except DegenerateRoots as exc:
-                out.append(_skip("projectors", inputs, str(exc)))
-                continue
-            # P_i P_j = delta_ij P_i and sum_i P_i = I, with the products
-            # taken on the polynomial N_i = s_i P_i: N_i N_i = s_i N_i and
-            # N_i N_j = 0
-            ok = True
-            total = None
-            for i, (p, n, s) in enumerate(ps):
-                total = p if total is None else total + p
-                ok = ok and matmul(n, n) == mat_scale(n, s)
-                for _, m, _ in ps[i + 1:]:
-                    ok = ok and is_zero_matrix(matmul(n, m))
-            ok = ok and total == identity(total.shape[0])
-            out.append(_case("projectors", inputs, ok))
-    return out
+    ps = all_projectors(M, lam, kind)
+    # P_i P_j = delta_ij P_i and sum_i P_i = I, with the products taken on
+    # the polynomial N_i = s_i P_i: N_i N_i = s_i N_i and N_i N_j = 0
+    ok = True
+    total = None
+    for i, (p, n, s) in enumerate(ps):
+        total = p if total is None else total + p
+        ok = ok and matmul(n, n) == mat_scale(n, s)
+        for _, m, _ in ps[i + 1:]:
+            ok = ok and is_zero_matrix(matmul(n, m))
+    return ok and total == identity(total.shape[0]), ""
 
 
-def _closed_vs_oracle(sig, coupled):
+def _each_module_kind(check, name, sig):
+    """check(M, lam, kind) on each module and characteristic matrix kind."""
+    return [
+        _outcome(name, {"weight": str(lam), "kind": kind},
+                 functools.partial(check, M, lam, kind), DegenerateRoots)
+        for lam, M in _modules(sig)
+        for kind in ("atilde", "adual")
+    ]
+
+
+def _closed_vs_oracle(coupled, name, sig):
     from .oracle.checks import coupled_oracle, wigner_oracle
     from .wigner import _side, omega, omega_coupled
 
-    name = "coupled" if coupled else "wigner"
+    def check(M, lam, b, k, r, kind):
+        if coupled:
+            closed = omega_coupled(b, k, r, kind)
+            oracle = coupled_oracle(M, lam, b.lam0, k, r, kind)
+        else:
+            closed = omega(b, k, kind)
+            oracle = wigner_oracle(M, lam, b.lam0, k, kind)
+        return closed == oracle, "closed=%s oracle=%s" % (closed, oracle)
+
+    skips = (DegenerateRoots, NotRealized, NotScalar, MultiplicityAmbiguous,
+             AdmissibilityError)
     out = []
     for lam, M in _modules(sig):
         for b in branch_candidates(lam):
@@ -381,82 +351,55 @@ def _closed_vs_oracle(sig, coupled):
                     }
                     if r is not None:
                         inputs["r"] = r
-                    try:
-                        if coupled:
-                            closed = omega_coupled(b, k, r, kind)
-                            oracle = coupled_oracle(M, lam, b.lam0, k, r, kind)
-                        else:
-                            closed = omega(b, k, kind)
-                            oracle = wigner_oracle(M, lam, b.lam0, k, kind)
-                    except (DegenerateRoots, NotRealized, NotScalar,
-                            MultiplicityAmbiguous, AdmissibilityError) as exc:
-                        out.append(_skip(name, inputs,
-                                         type(exc).__name__))
-                        continue
-                    out.append(
-                        _case(name, inputs, closed == oracle,
-                              "closed=%s oracle=%s" % (closed, oracle))
-                    )
+                    out.append(_outcome(
+                        name, inputs,
+                        functools.partial(check, M, lam, b, k, r, kind),
+                        skips, _class_name))
     return out
 
 
-def _suite_wigner(sig):
-    return _closed_vs_oracle(sig, coupled=False)
-
-
-def _suite_coupled(sig):
-    return _closed_vs_oracle(sig, coupled=True)
-
-
-def _suite_invariants(sig):
+def _suite_invariants(name, sig):
     from .oracle.checks import supertrace_invariant
+
+    def c1(M, lam, kind, form):
+        # the adjoint-form closed eigenvalue is only valid on typical weights
+        if form == "adjoint" and not is_typical(lam):
+            return None, "atypical highest weight"
+        oracle = supertrace_invariant(M, kind, 1)
+        return chi_C1(lam, form) == oracle, ""
 
     out = []
     for lam, M in _modules(sig):
         inputs = {"weight": str(lam)}
-        ok = chi_v(lam, "v") * chi_v(lam, "vtilde") == ONE
-        out.append(_case("invariants/unitarity", inputs, ok))
-        try:
-            oracle = supertrace_invariant(M, "adual", 1)
-        except NotScalar as exc:
-            out.append(_skip("invariants/C1", inputs, str(exc)))
-        else:
-            out.append(
-                _case("invariants/C1", inputs, chi_C1(lam, "dual") == oracle)
-            )
-        # the adjoint-form closed eigenvalue is only valid on typical weights
-        if is_typical(lam):
-            try:
-                oracle = supertrace_invariant(M, "atilde", 1)
-            except NotScalar as exc:
-                out.append(_skip("invariants/C1_tilde", inputs, str(exc)))
-            else:
-                out.append(
-                    _case("invariants/C1_tilde", inputs,
-                          chi_C1(lam, "adjoint") == oracle)
-                )
-        else:
-            out.append(_skip("invariants/C1_tilde", inputs,
-                             "atypical highest weight"))
+        out.append(_outcome(
+            name + "/unitarity", inputs,
+            lambda: (chi_v(lam, "v") * chi_v(lam, "vtilde") == ONE, "")))
+        for case, kind, form in (("C1", "adual", "dual"),
+                                 ("C1_tilde", "atilde", "adjoint")):
+            out.append(_outcome(
+                name + "/" + case, inputs,
+                functools.partial(c1, M, lam, kind, form), NotScalar))
     return out
 
 
+# every suite verify runs, in the order --suite all runs them
 _SUITE_FN = {
     "qybe": _suite_qybe,
     "coproduct": _suite_coproduct,
-    "charid": _suite_charid,
-    "projectors": _suite_projectors,
-    "wigner": _suite_wigner,
-    "coupled": _suite_coupled,
+    "charid": functools.partial(_each_module_kind, _charid),
+    "projectors": functools.partial(_each_module_kind, _projectors),
+    "wigner": functools.partial(_closed_vs_oracle, False),
+    "coupled": functools.partial(_closed_vs_oracle, True),
     "invariants": _suite_invariants,
 }
+SUITES = tuple(_SUITE_FN) + ("all",)
 
 
 def _run_units(suites, m, n):
     """The case lists of the suites, run in order in this process.  The
     module suites share the store's realised modules, built on first use."""
     sig = Signature(m, n)
-    return [_SUITE_FN[s](sig) for s in suites]
+    return [_SUITE_FN[s](s, sig) for s in suites]
 
 
 def _run_unit(unit):
@@ -465,11 +408,7 @@ def _run_unit(unit):
 
 
 def _cmd_verify(args):
-    suites = (
-        [s for s in SUITES if s != "all"]
-        if args.suite == "all"
-        else [args.suite]
-    )
+    suites = list(_SUITE_FN) if args.suite == "all" else [args.suite]
     jobs = min(args.jobs, len(suites))
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
@@ -518,10 +457,9 @@ def build_parser():
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, weight=True):
-        if weight:
-            sp.add_argument("--weight", required=True,
-                            help="highest weight, e.g. '1,0|0'")
+    def common(sp):
+        sp.add_argument("--weight", required=True,
+                        help="highest weight, e.g. '1,0|0'")
         sp.add_argument("--m", type=int, help="even block size")
         sp.add_argument("--n", type=int, help="odd block size")
         sp.add_argument("--out", help="output path (.csv for tables)")

@@ -47,7 +47,6 @@ FORMS = ("root_product", "qnumber_phase")
 MU_SHIFT_DEFAULT = "unshifted"
 
 
-@lru_cache(maxsize=None)
 def _root_diff(x, y):
     """The root-product factor deformed(x) - deformed(y)."""
     return deformed_root(x).num - deformed_root(y).num

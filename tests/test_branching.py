@@ -152,8 +152,8 @@ def _dominant_both_blocks(lam0, m):
 
 
 def _check_pair_both_blocks(lam, lam0):
-    """_check_pair with a dominance test on both blocks of lam0: the
-    reference that the even-block test must agree with."""
+    """_check_pair with a dominance test on both blocks of lam0 and of lam:
+    the reference that the even-block tests must agree with."""
     sig = lam.sig
     m, n = sig.m, sig.n
     if len(lam0) != m + n - 1:
@@ -177,6 +177,8 @@ def _check_pair_both_blocks(lam, lam0):
             )
     if not _dominant_both_blocks(lam0, m):
         raise NotABranching("lower weight %r is not dominant" % (lam0,))
+    if not _dominant_both_blocks(lam.comps, m):
+        raise NotABranching("upper weight %s is not dominant" % (lam,))
 
 
 def _verdict(check, lam, lam0):
@@ -213,8 +215,11 @@ def test_dropped_dominance_check_changes_no_verdict():
 
 
 def _product_and_filter(lam):
-    """The reference enumeration: the whole betweenness product, filtered by
-    dominance of both blocks, each candidate built through the check."""
+    """The reference enumeration: nothing under a non-dominant lam, else the
+    whole betweenness product, filtered by dominance of both blocks, each
+    candidate built through the check."""
+    if not _dominant_both_blocks(lam.comps, lam.sig.m):
+        return []
     return [BranchingData(lam, cand)
             for cand in itertools.product(*_betweenness_ranges(lam))
             if _dominant_both_blocks(cand, lam.sig.m)]
@@ -237,6 +242,24 @@ def test_candidates_equal_product_and_filter():
             assert list(map(str, bs)) == list(map(str, want))
         total += len(got)
     assert total > 10000
+
+
+def test_non_dominant_upper_weight_has_no_branching():
+    # an even block of lam that steps up by exactly 1 passes every
+    # betweenness rule with some lam0; the upper-weight test rejects it
+    reached = 0
+    for m, n in SMALL_SIGS:
+        for lam in all_weights(m, n):
+            if _dominant_both_blocks(lam.comps, m):
+                continue
+            assert branch_candidates(lam) == []
+            for lam0 in itertools.product(*_betweenness_ranges(lam)):
+                with pytest.raises(NotABranching) as exc:
+                    index_sets(lam, lam0)
+                reached += str(exc.value).startswith("upper weight")
+    assert reached == 8632
+    with pytest.raises(NotABranching, match=r"^upper weight -2,-1\|-2 is not"):
+        index_sets(Weight(S21, (-2, -1, -2)), (-2, -2))
 
 
 def test_candidates_keep_shared_key_dicts(sweep_weights):

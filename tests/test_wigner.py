@@ -2,6 +2,7 @@
 
 import json
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
@@ -43,11 +44,14 @@ from qwig.wigner import (
     FORMS,
     MU_SHIFT_DEFAULT,
     _qnum_map,
-    _root_diff,
     _root_map,
     _side,
     _Side,
 )
+
+# the factor-list references below take thousands of root differences of
+# the same few exponents; the library keeps only their maps (_root_map)
+_root_diff = lru_cache(maxsize=None)(wigner._root_diff)
 
 S11 = Signature(1, 1)
 S21 = Signature(2, 1)
