@@ -16,7 +16,7 @@ import io
 import json
 import sys
 
-from .branching import BranchingData, branch_candidates
+from .branching import BranchingData, _even_block_dominant, branch_candidates
 from .errors import (
     AdmissibilityError,
     DegenerateRoots,
@@ -39,8 +39,8 @@ MODULE_STORE_SIZE = 4
 
 
 def _parse_weight(text, m=None, n=None):
-    """Parse '1,0|0' into a Weight, inferring the signature when m, n are
-    not supplied."""
+    """Parse '1,0|0' into a dominant Weight, both blocks nonincreasing,
+    inferring the signature when m, n are not supplied."""
     even_s, bar, odd_s = text.partition("|")
     if not bar:
         raise InvalidArgument(
@@ -52,7 +52,11 @@ def _parse_weight(text, m=None, n=None):
         raise InvalidArgument("--m %d conflicts with weight %r" % (m, text))
     if n is not None and n != pn:
         raise InvalidArgument("--n %d conflicts with weight %r" % (n, text))
-    return Weight.parse(Signature(pm, pn), text)
+    lam = Weight.parse(Signature(pm, pn), text)
+    if not (_even_block_dominant(lam.even, pm)
+            and _even_block_dominant(lam.odd, pn)):
+        raise InvalidArgument("weight %s is not dominant" % lam)
+    return lam
 
 
 def _parse_lower(text, sig):

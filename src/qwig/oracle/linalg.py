@@ -9,7 +9,7 @@ builders fill plain dicts and wrap them once.
 
 from __future__ import annotations
 
-from ..errors import NotScalar, QwigError
+from ..errors import InvalidArgument, NotScalar
 from ..exactq import ONE, ZERO, QFraction
 
 __all__ = [
@@ -25,7 +25,6 @@ __all__ = [
     "is_zero_matrix",
     "mat_pow",
     "gkron",
-    "nullspace",
     "reduce_row",
     "insert_row",
     "shift_diagonal",
@@ -60,7 +59,7 @@ class Matrix:
             r0, r1, rstep = i.indices(len(self.rows))
             c0, c1, cstep = j.indices(self.ncols)
             if rstep != 1 or cstep != 1:
-                raise QwigError("matrix blocks take unit-step slices")
+                raise InvalidArgument("matrix blocks take unit-step slices")
             return Matrix(
                 [{c - c0: x for c, x in row.items() if c0 <= c < c1}
                  for row in self.rows[r0:r1]],
@@ -81,7 +80,8 @@ class Matrix:
 
     def __add__(self, other):
         if self.shape != other.shape:
-            raise QwigError("cannot add %dx%d and %dx%d" % (self.shape + other.shape))
+            raise InvalidArgument(
+                "cannot add %dx%d and %dx%d" % (self.shape + other.shape))
         rows = []
         for a, b in zip(self.rows, other.rows):
             row = dict(a)
@@ -124,7 +124,7 @@ def matmul(A, B):
     n, m = A.shape
     m2, p = B.shape
     if m != m2:
-        raise QwigError("cannot multiply %dx%d by %dx%d" % (n, m, m2, p))
+        raise InvalidArgument("cannot multiply %dx%d by %dx%d" % (n, m, m2, p))
     rows_b = B.rows
     out = []
     for row_a in A.rows:
@@ -280,39 +280,6 @@ def insert_row(basis, vec):
     inv = rest[lead].inverse()
     basis.append((lead, {j: x * inv for j, x in rest.items()}))
     return True
-
-
-def _rref(rows):
-    """Reduced row echelon form of a list of row vectors: (pivots, rows),
-    each row with a unit pivot and every pivot column zero outside its own
-    row."""
-    basis = []
-    for r in rows:
-        insert_row(basis, r)
-    pivots = [p for p, _ in basis]
-    out = [r for _, r in basis]
-    for i in range(len(out) - 1, -1, -1):
-        p = pivots[i]
-        for k in range(i):
-            c = out[k].get(p)
-            if c is not None:
-                for j, y in out[i].items():
-                    _add_entry(out[k], j, -(c * y))
-    return pivots, out
-
-
-def nullspace(A):
-    """Basis of the right nullspace of A, as a list of vectors."""
-    pivots, rows = _rref([row for row in A.rows if row])
-    basis = []
-    for fj in (j for j in range(A.ncols) if j not in pivots):
-        v = {fj: ONE}
-        for p, row in zip(pivots, rows):
-            x = row.get(fj)
-            if x is not None:
-                v[p] = -x
-        basis.append(v)
-    return basis
 
 
 def shift_diagonal(A, v):

@@ -17,10 +17,10 @@ from functools import lru_cache
 from operator import mul
 
 from ..errors import (
+    InvalidArgument,
     MultiplicityAmbiguous,
     NonIntegralWeight,
     NotRealized,
-    QwigError,
     SignatureMismatch,
 )
 from ..exactq import ONE, QFraction, qpow
@@ -31,7 +31,6 @@ from .linalg import (
     gkron,
     insert_row,
     matvec,
-    nullspace,
     reduce_row,
 )
 
@@ -167,7 +166,8 @@ def _weight_of(W, vec):
     """The weight of a nonzero weight vector in W coordinates."""
     wts = {W.weights[i] for i in vec}
     if len(wts) != 1:
-        raise QwigError("not a weight vector: it spans %d weights" % len(wts))
+        raise InvalidArgument(
+            "not a weight vector: it spans %d weights" % len(wts))
     return next(iter(wts))
 
 
@@ -176,29 +176,28 @@ def highest_weight_vectors(W, gens=None):
 
     gens restricts the raising set (used for subalgebra highest weight
     vectors).  Returns a sorted list of (weight, [vectors]).
+
+    Basis vector j's raising images form one row, row i of the g-th
+    generator at g*dim + i, tagged with 1 at tag + j.  In its weight's
+    echelon, a row whose image part reduces to zero leads in its tag, a
+    kernel vector; those rows span the kernel.
     """
-    sig = W.sig
-    if gens is None:
-        gens = range(1, sig.d)
-    gens = list(gens)
-    by_weight = {}
-    for i, wt in enumerate(W.weights):
-        by_weight.setdefault(wt, []).append(i)
-    out = []
-    for wt in sorted(by_weight):
-        idxs = by_weight[wt]
-        # stack the raising images of the weight-space basis vectors as
-        # the columns of one matrix
-        rows = [
-            {c: row[i] for c, i in enumerate(idxs) if i in row}
-            for a in gens
-            for row in W.e[a].rows
-        ]
-        vecs = [{idxs[c]: x for c, x in coeffs.items()}
-                for coeffs in nullspace(Matrix(rows, len(idxs)))]
-        if vecs:
-            out.append((wt, vecs))
-    return out
+    gens = list(range(1, W.sig.d) if gens is None else gens)
+    dim = W.dim
+    rows = [{} for _ in range(dim)]
+    for g, a in enumerate(gens):
+        for i, row in enumerate(W.e[a].rows):
+            for j, x in row.items():
+                rows[j][g * dim + i] = x
+    tag = len(gens) * dim
+    echelons = {}  # weight -> echelon basis of (pivot, tagged row) pairs
+    for j, (wt, row) in enumerate(zip(W.weights, rows)):
+        row[tag + j] = ONE
+        insert_row(echelons.setdefault(wt, []), row)
+    kernels = {wt: [{k - tag: x for k, x in row.items()}
+                    for lead, row in basis if lead >= tag]
+               for wt, basis in echelons.items()}
+    return [(wt, kernels[wt]) for wt in sorted(kernels) if kernels[wt]]
 
 
 def submodule(W, start_vectors):
@@ -355,10 +354,9 @@ def subalgebra_highest_vector(W, lam0, e_last):
     MultiplicityAmbiguous as appropriate.
     """
     target = tuple(lam0) + (e_last,)
-    hits = [vecs for wt, vecs in _subalgebra_highest_vectors(W) if wt == target]
-    if not hits or not hits[0]:
+    vecs = dict(_subalgebra_highest_vectors(W)).get(target)
+    if vecs is None:
         raise NotRealized("no subalgebra highest weight vector for %s" % (lam0,))
-    vecs = hits[0]
     if len(vecs) > 1:
         raise MultiplicityAmbiguous(
             "subalgebra weight %s has multiplicity %d" % (lam0, len(vecs))

@@ -140,6 +140,18 @@ def test_empty_signature_block_is_a_typed_error(capsys, argv):
     assert code == 1 and obj["error"]["type"] == "InvalidArgument"
 
 
+@pytest.mark.parametrize("weight", ["0,1|0", "0|0,1"])
+@pytest.mark.parametrize("argv", [
+    ("roots",), ("invariants",), ("branch",),
+    ("wigner", "--lower", "0,0", "--kind", "lower"),
+])
+def test_non_dominant_weight_is_rejected(capsys, argv, weight):
+    code, obj = run_json(capsys, *argv, "--weight", weight)
+    assert code == 1
+    assert obj == {"error": {"type": "InvalidArgument",
+                             "message": "weight %s is not dominant" % weight}}
+
+
 def test_usage_error_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["wigner", "--weight", "1,0|0"])  # missing required flags

@@ -27,7 +27,6 @@ from qwig import (
     NotScalar,
     ONE,
     QFraction,
-    QwigError,
     Signature,
     SignatureMismatch,
     Weight,
@@ -77,6 +76,7 @@ from qwig.oracle.checks import (
 )
 from qwig.oracle.linalg import (
     Matrix,
+    _add_entry,
     diagonal,
     gkron,
     identity,
@@ -86,7 +86,6 @@ from qwig.oracle.linalg import (
     mat_scale,
     matmul,
     matvec,
-    nullspace,
     reduce_row,
     scale_columns,
     scale_rows,
@@ -372,17 +371,22 @@ def test_mu_shift_convention_resolution():
 # mu's unshifted closed form and mu_oracle disagree, every r an odd index:
 # on the first, the closed form gives q^4 and the oracle 0.  Which side is
 # wrong is open; the set is pinned so that no change moves it unnoticed.
+# gl(2|2) and gl(3|1) have none.
 MU_ODD_R_DISAGREEMENTS = {
     ("gl(1|2)", "1|1,0", (0, 0), "raise", 2),
     ("gl(1|2)", "1|1,0", (1, 0), "raise", 2),
     ("gl(1|2)", "1|1,0", (1, 1), "lower", 2),
+    ("gl(1|3)", "1|1,0,0", (0, 0, 0), "raise", 2),
+    ("gl(1|3)", "1|1,0,0", (1, 0, 0), "raise", 2),
+    ("gl(1|3)", "1|1,0,0", (1, 1, 0), "lower", 2),
 }
 
 
 def test_mu_unshifted_matches_oracle_broadly():
     ok = mismatches_shifted = 0
     disagree = set()
-    for sig in (S11, S21, S12):
+    for sig in (S11, S21, S12, Signature(2, 2), Signature(3, 1),
+                Signature(1, 3)):
         for lam, M in realized_modules(sig, 2, sig.d ** 2):
             for b in branch_candidates(lam):
                 for kind in ("lower", "raise"):
@@ -714,7 +718,7 @@ def test_cached_matrices_are_read_only():
 
 
 def test_matmul_shape_mismatch():
-    with pytest.raises(QwigError):
+    with pytest.raises(InvalidArgument):
         matmul(zeros(2, 3), zeros(2, 3))
 
 
@@ -725,7 +729,7 @@ def test_tensor_module_signature_mismatch():
 
 def test_submodule_rejects_non_weight_vector():
     V = vector_rep(S21)
-    with pytest.raises(QwigError, match="not a weight vector"):
+    with pytest.raises(InvalidArgument, match="not a weight vector"):
         submodule(V, [{0: ONE, 1: ONE}])
 
 
@@ -839,7 +843,82 @@ def test_typed_errors_hold_under_python_O():
     assert json.loads(done.stdout) == {"debug": False, "missed": {}}
 
 
-# -- the echelon routine shared by reduce_row and nullspace -------------
+# -- the echelon routine, and a Gauss-Jordan kernel as its reference -----
+
+
+def nullspace(A):
+    """Basis of the right nullspace of A, as a list of vectors, by
+    Gauss-Jordan elimination: every pivot column is cleared outside its own
+    row, and each column without a pivot gives one vector."""
+    basis = []
+    for row in A.rows:
+        if row:
+            insert_row(basis, row)
+    pivots = [p for p, _ in basis]
+    rows = [dict(r) for _, r in basis]
+    for i in range(len(rows) - 1, -1, -1):
+        for k in range(i):
+            c = rows[k].get(pivots[i])
+            if c is not None:
+                for j, y in rows[i].items():
+                    _add_entry(rows[k], j, -(c * y))
+    out = []
+    for fj in (j for j in range(A.ncols) if j not in pivots):
+        v = {fj: ONE}
+        for p, row in zip(pivots, rows):
+            x = row.get(fj)
+            if x is not None:
+                v[p] = -x
+        out.append(v)
+    return out
+
+
+def _reference_highest_weight_vectors(W, gens):
+    """highest_weight_vectors by nullspace, one weight space at a time: the
+    raising images of the weight space's basis vectors are the columns of
+    one matrix."""
+    by_weight = {}
+    for i, wt in enumerate(W.weights):
+        by_weight.setdefault(wt, []).append(i)
+    out = []
+    for wt in sorted(by_weight):
+        idxs = by_weight[wt]
+        rows = [{c: row[i] for c, i in enumerate(idxs) if i in row}
+                for a in gens for row in W.e[a].rows]
+        vecs = [{idxs[c]: x for c, x in v.items()}
+                for v in nullspace(Matrix(rows, len(idxs)))]
+        if vecs:
+            out.append((wt, vecs))
+    return out
+
+
+def _tensor_powers(sig, k_max):
+    V = W = vector_rep(sig)
+    yield W
+    for _ in range(k_max - 1):
+        W = tensor_module(W, V)
+        yield W
+
+
+def test_highest_weight_vectors_match_gauss_jordan():
+    cases = [(Signature(m, n), 3) for m, n in
+             ((1, 1), (2, 1), (1, 2), (2, 2), (3, 1), (1, 3))]
+    cases.append((Signature(3, 2), 4))
+    for sig, k_max in cases:
+        for W in _tensor_powers(sig, k_max):
+            for gens in (range(1, sig.d), range(1, sig.d - 1)):
+                found = highest_weight_vectors(W, gens)
+                ref = _reference_highest_weight_vectors(W, gens)
+                assert [wt for wt, _ in found] == [wt for wt, _ in ref]
+                for (wt, vecs), (_, ref_vecs) in zip(found, ref):
+                    assert len(vecs) == len(ref_vecs)
+                    basis = []
+                    for v in vecs:
+                        assert {W.weights[i] for i in v} == {wt}
+                        assert all(matvec(W.e[a], v) == {} for a in gens)
+                        assert insert_row(basis, v)
+                    for v in ref_vecs:
+                        assert reduce_row(basis, v)[1] == {}
 
 
 def _q(k):
