@@ -18,13 +18,11 @@ import sys
 
 from .branching import BranchingData, _even_block_dominant, branch_candidates
 from .errors import (
-    AdmissibilityError,
     DegenerateRoots,
     InvalidArgument,
     MultiplicityAmbiguous,
     NonIntegralWeight,
     NotRealized,
-    NotScalar,
     QwigError,
 )
 from .invariants import chi_C1, chi_v
@@ -60,17 +58,25 @@ def _parse_weight(text, m=None, n=None):
 
 
 def _parse_lower(text, sig):
-    """Parse a lower weight string into a tuple of m+n-1 ints."""
-    parts = text.replace("|", ",").split(",")
+    """Parse a lower weight of gl(m|n-1), 'a,b,c' or 'a,b|c', into a tuple
+    of m+n-1 ints.  The blocks read as in Weight.parse: a block may be
+    empty, an item may not.  With a '|' the blocks hold m and n-1
+    components."""
+    even_s, bar, odd_s = text.partition("|")
     try:
-        comps = tuple(int(x) for x in parts if x.strip() != "")
+        even, odd = (tuple(int(x) for x in s.split(",")) if s else ()
+                     for s in (even_s, odd_s))
     except ValueError:
         raise NonIntegralWeight("cannot parse lower weight %r" % text)
-    if len(comps) != sig.d - 1:
+    if bar and (len(even), len(odd)) != (sig.m, sig.n - 1):
+        raise InvalidArgument(
+            "lower weight %r needs blocks of %d and %d components for %s"
+            % (text, sig.m, sig.n - 1, sig))
+    if len(even) + len(odd) != sig.d - 1:
         raise InvalidArgument(
             "lower weight needs %d components for %s" % (sig.d - 1, sig)
         )
-    return comps
+    return even + odd
 
 
 def _dump_json(obj):
@@ -257,11 +263,14 @@ def _modules(sig):
 def _outcome(name, inputs, check, skips=(), reason=str):
     """The verify case of check(), which returns (ok, detail): PASS or FAIL
     by ok, or SKIP when ok is None.  A check that raises one of skips is a
-    SKIP too, with reason(exc) as its detail."""
+    SKIP too, with reason(exc) as its detail; any other QwigError is a
+    FAIL, with "<Class>: <message>" as its detail."""
     try:
         ok, detail = check()
     except skips as exc:
         ok, detail = None, reason(exc)
+    except QwigError as exc:
+        ok, detail = False, "%s: %s" % (_class_name(exc), exc)
     return {
         "case": name,
         "inputs": inputs,
@@ -274,48 +283,24 @@ def _class_name(exc):
     return type(exc).__name__
 
 
-def _suite_qybe(name, sig):
-    from .oracle.checks import qybe_check
+def _on_signature(check, name, sig):
+    """The one case of checks.<check>(sig).  Each suite looks its checks up
+    on qwig.oracle.checks as it runs, so a wrapper put there sees them."""
+    from .oracle import checks
 
     return [_outcome(name, {"m": sig.m, "n": sig.n},
-                     lambda: (qybe_check(sig), ""))]
-
-
-def _suite_coproduct(name, sig):
-    from .oracle.checks import coproduct_check
-
-    return [_outcome(name, {"m": sig.m, "n": sig.n},
-                     lambda: (coproduct_check(sig), ""))]
-
-
-def _charid(M, lam, kind):
-    from .oracle.checks import char_identity_check
-
-    return char_identity_check(M, lam, kind), ""
-
-
-def _projectors(M, lam, kind):
-    from .oracle.checks import all_projectors
-    from .oracle.linalg import identity, is_zero_matrix, mat_scale, matmul
-
-    ps = all_projectors(M, lam, kind)
-    # P_i P_j = delta_ij P_i and sum_i P_i = I, with the products taken on
-    # the polynomial N_i = s_i P_i: N_i N_i = s_i N_i and N_i N_j = 0
-    ok = True
-    total = None
-    for i, (p, n, s) in enumerate(ps):
-        total = p if total is None else total + p
-        ok = ok and matmul(n, n) == mat_scale(n, s)
-        for _, m, _ in ps[i + 1:]:
-            ok = ok and is_zero_matrix(matmul(n, m))
-    return ok and total == identity(total.shape[0]), ""
+                     lambda: (getattr(checks, check)(sig), ""))]
 
 
 def _each_module_kind(check, name, sig):
-    """check(M, lam, kind) on each module and characteristic matrix kind."""
+    """checks.<check>(M, lam, kind) on each module and characteristic
+    matrix kind."""
+    from .oracle import checks
+
+    fn = getattr(checks, check)
     return [
         _outcome(name, {"weight": str(lam), "kind": kind},
-                 functools.partial(check, M, lam, kind), DegenerateRoots)
+                 lambda: (fn(M, lam, kind), ""), DegenerateRoots)
         for lam, M in _modules(sig)
         for kind in ("atilde", "adual")
     ]
@@ -334,8 +319,7 @@ def _closed_vs_oracle(coupled, name, sig):
             oracle = wigner_oracle(M, lam, b.lam0, k, kind)
         return closed == oracle, "closed=%s oracle=%s" % (closed, oracle)
 
-    skips = (DegenerateRoots, NotRealized, NotScalar, MultiplicityAmbiguous,
-             AdmissibilityError)
+    skips = (DegenerateRoots, NotRealized, MultiplicityAmbiguous)
     out = []
     for lam, M in _modules(sig):
         for b in branch_candidates(lam):
@@ -382,16 +366,17 @@ def _suite_invariants(name, sig):
                                  ("C1_tilde", "atilde", "adjoint")):
             out.append(_outcome(
                 name + "/" + case, inputs,
-                functools.partial(c1, M, lam, kind, form), NotScalar))
+                functools.partial(c1, M, lam, kind, form)))
     return out
 
 
 # every suite verify runs, in the order --suite all runs them
 _SUITE_FN = {
-    "qybe": _suite_qybe,
-    "coproduct": _suite_coproduct,
-    "charid": functools.partial(_each_module_kind, _charid),
-    "projectors": functools.partial(_each_module_kind, _projectors),
+    "qybe": functools.partial(_on_signature, "qybe_check"),
+    "coproduct": functools.partial(_on_signature, "coproduct_check"),
+    "charid": functools.partial(_each_module_kind, "char_identity_check"),
+    "projectors": functools.partial(_each_module_kind,
+                                    "projector_algebra_check"),
     "wigner": functools.partial(_closed_vs_oracle, False),
     "coupled": functools.partial(_closed_vs_oracle, True),
     "invariants": _suite_invariants,
@@ -399,55 +384,21 @@ _SUITE_FN = {
 SUITES = tuple(_SUITE_FN) + ("all",)
 
 
-def _run_units(suites, m, n):
-    """The case lists of the suites, run in order in this process.  The
-    module suites share the store's realised modules, built on first use."""
-    sig = Signature(m, n)
-    return [_SUITE_FN[s](s, sig) for s in suites]
-
-
-def _run_unit(unit):
-    suite, m, n = unit
-    return _run_units([suite], m, n)[0]
-
-
 def _cmd_verify(args):
+    """Every case of the chosen suites, run in order in this process: the
+    module suites share the store's realised modules, built on first use."""
+    sig = Signature(args.m, args.n)
     suites = list(_SUITE_FN) if args.suite == "all" else [args.suite]
-    jobs = min(args.jobs, len(suites))
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        units = [(s, args.m, args.n) for s in suites]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            chunks = list(pool.map(_run_unit, units))
-    else:
-        chunks = _run_units(suites, args.m, args.n)
-    cases = [c for chunk in chunks for c in chunk]
-    n_fail = sum(1 for c in cases if c["status"] == "FAIL")
-    payload = {
-        "suite": args.suite,
-        "signature": [args.m, args.n],
-        "cases": cases,
-        "counts": {
-            "PASS": sum(1 for c in cases if c["status"] == "PASS"),
-            "FAIL": n_fail,
-            "SKIP": sum(1 for c in cases if c["status"] == "SKIP"),
-        },
-        "all_pass": n_fail == 0,
-    }
-    _emit(payload, args.out)
-    return 0 if n_fail == 0 else 1
+    cases = [c for s in suites for c in _SUITE_FN[s](s, sig)]
+    counts = {k: sum(1 for c in cases if c["status"] == k)
+              for k in ("PASS", "FAIL", "SKIP")}
+    _emit({"suite": args.suite, "signature": [args.m, args.n],
+           "cases": cases, "counts": counts, "all_pass": counts["FAIL"] == 0},
+          args.out)
+    return 0 if counts["FAIL"] == 0 else 1
 
 
 # -- parser ------------------------------------------------------------------
-
-
-def _positive_int(text):
-    """An int of at least 1, else a usage error."""
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be at least 1, not %d" % value)
-    return value
 
 
 # The parser is read-only once built, and building it costs far more than a
@@ -499,9 +450,9 @@ def build_parser():
     sp.add_argument("--m", type=int, required=True)
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--suite", choices=SUITES, default="all")
-    sp.add_argument("--jobs", type=_positive_int, default=1,
-                    help="worker pool size, at most one per suite "
-                    "(default: 1)")
+    sp.add_argument("--jobs", type=int, choices=(1,), default=1,
+                    help="kept for compatibility: suites run in this "
+                    "process, so 1 is the only value")
     sp.add_argument("--out", help="output path")
     sp.set_defaults(fn=_cmd_verify)
 

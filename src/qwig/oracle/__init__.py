@@ -2,12 +2,12 @@
 characteristic matrices and projectors over the exact field."""
 
 from .checks import (
-    all_projectors,
     char_identity_check,
     coproduct_check,
     coupled_oracle,
     intertwining_check,
     mu_oracle,
+    projector_algebra_check,
     qybe_check,
     subalgebra_block_check,
     supertrace_invariant,
@@ -38,7 +38,7 @@ from .modules import (
 
 __all__ = [
     "qybe_check", "intertwining_check", "coproduct_check",
-    "subalgebra_block_check", "char_identity_check", "all_projectors",
+    "subalgebra_block_check", "char_identity_check", "projector_algebra_check",
     "supertrace_invariant", "wigner_oracle", "coupled_oracle", "mu_oracle",
     "CHAR_KINDS", "eij_matrix", "etilde_matrix", "l_operator",
     "char_matrix", "char_eigenvalue", "char_eigenvalues", "projector",

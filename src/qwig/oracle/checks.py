@@ -55,7 +55,7 @@ __all__ = [
     "coproduct_check",
     "subalgebra_block_check",
     "char_identity_check",
-    "all_projectors",
+    "projector_algebra_check",
     "supertrace_invariant",
     "wigner_oracle",
     "coupled_oracle",
@@ -199,12 +199,21 @@ def char_identity_check(W, lam, kind):
     )
 
 
-def all_projectors(W, lam, kind):
-    """All d eigenspace projectors of the characteristic matrix on V' (x) W,
-    indexed by shift position 1..d, as triples (P, N, s) with P = N/s, N
-    the product of the unscaled factors and s the scalar of projector_parts."""
-    return [(_projector(W, lam, r, kind),) + _projector_parts(W, lam, r, kind)
-            for r in range(1, W.sig.d + 1)]
+def projector_algebra_check(W, lam, kind):
+    """Whether the d eigenspace projectors P_r = N_r/s_r of the
+    characteristic matrix on V' (x) W, with nodes at the deformed roots of
+    lam, satisfy P_i P_j = delta_ij P_i, taken on the N_r as N_i N_i =
+    s_i N_i and N_i N_j = 0, and sum_r P_r = I.  Raises DegenerateRoots
+    when two nodes coincide."""
+    rs = range(1, W.sig.d + 1)
+    parts = [_projector_parts(W, lam, r, kind) for r in rs]
+    for i, (n, s) in enumerate(parts):
+        if matmul(n, n) != mat_scale(n, s) or not all(
+                is_zero_matrix(matmul(n, m)) for m, _ in parts[i + 1:]):
+            return False
+    total = sum((_projector(W, lam, r, kind) for r in rs[1:]),
+                _projector(W, lam, 1, kind))
+    return total == identity(total.shape[0])
 
 
 def _projector_parts(W, lam, k, ckind):

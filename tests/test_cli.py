@@ -12,7 +12,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qwig import Signature, Weight, index_sets, parse_qfraction, sum_rule_residual
+from qwig import (
+    NotScalar,
+    Signature,
+    Weight,
+    index_sets,
+    parse_qfraction,
+    sum_rule_residual,
+)
 import qwig
 from qwig.cli import MODULE_STORE_SIZE, _dump_json, _modules, build_parser, main
 
@@ -121,10 +128,21 @@ def test_weight_parse_errors(tmp_path, capsys):
     code, obj = run_json(capsys, "wigner", "--weight", "1,0|0",
                          "--lower", "0", "--kind", "lower")
     assert code == 1 and obj["error"]["type"] == "InvalidArgument"
-    for lower in ("0,x", "0,0.5"):
+    # lower weights read their blocks as upper weights do: an empty item is
+    # an error, and with a '|' each block holds its own number of labels
+    for lower in ("0,x", "0,0.5", "1,,0", "1,0,", ",1,0", "1|0|"):
         code, obj = run_json(capsys, "wigner", "--weight", "1,0|0",
                              "--lower", lower, "--kind", "lower")
         assert code == 1 and obj["error"]["type"] == "NonIntegralWeight"
+    for lower in ("1|0", "|1,0", "1,0|0"):
+        code, obj = run_json(capsys, "wigner", "--weight", "1,0|0",
+                             "--lower", lower, "--kind", "lower")
+        assert code == 1 and obj["error"]["type"] == "InvalidArgument"
+    for weight, plain, blocks in (("1,0|0", "1,0", "1,0|"),
+                                  ("1,0|0,0", "1,0,0", "1,0|0")):
+        outs = [run(capsys, "wigner", "--weight", weight, "--lower", lower,
+                    "--kind", "lower") for lower in (plain, blocks)]
+        assert outs[0] == outs[1] and outs[0][0] == 0
     code, obj = run_json(capsys, "roots", "--weight", "1,0|0",
                          "--out", str(tmp_path / "roots.csv"))
     assert code == 1 and obj["error"]["type"] == "InvalidArgument"
@@ -193,62 +211,54 @@ def test_out_json_file(tmp_path, capsys):
     assert obj["classical"] == [1, -1, -2]
 
 
-def test_verify_jobs_flag(capsys):
-    code, obj = run_json(capsys, "verify", "--m", "1", "--n", "1",
-                         "--suite", "invariants", "--jobs", "2")
-    assert code == 0
-    assert obj["counts"]["FAIL"] == 0
-
-
-def test_verify_jobs_pool_is_bounded_by_suites(capsys, monkeypatch):
-    import qwig.cli as cli
-
-    sizes = []
-
-    class Recorder:
-        """Stands in for the process pool: records its size, maps in
-        process."""
-
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, units):
-            return map(fn, units)
-
-    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", Recorder)
+def test_verify_jobs_accepts_only_one(capsys):
+    # --jobs is kept for compatibility; every suite runs in this process
     sig = ("--m", "1", "--n", "1")
-    n_suites = len([s for s in cli.SUITES if s != "all"])
-    code, obj = run_json(capsys, "verify", *sig, "--jobs", "100000")
-    assert code == 0 and sizes == [n_suites]
-    code, single = run_json(capsys, "verify", *sig, "--jobs", "1")
-    assert single == obj
-    code, _ = run_json(capsys, "verify", *sig, "--suite", "qybe",
-                       "--jobs", "8")
-    assert code == 0 and sizes == [n_suites]
-    for bad in ("0", "-3"):
+    assert run(capsys, "verify", *sig, "--jobs", "1") == run(capsys, "verify", *sig)
+    for bad in ("2", "0", "-3"):
         with pytest.raises(SystemExit) as exc:
             main(["verify", *sig, "--jobs", bad])
         assert exc.value.code == 2
         capsys.readouterr()
-    assert sizes == [n_suites]
 
 
 def test_cli_import_leaves_process_pool_unloaded():
-    # concurrent.futures costs import time and RSS in every process, and
-    # only verify --jobs N > 1 uses it
+    # the oracle and concurrent.futures cost import time and RSS; the CLI
+    # loads the oracle only when a verify suite runs, and never a pool
     env = dict(os.environ,
                PYTHONPATH=str(Path(qwig.__file__).resolve().parents[1]))
-    done = subprocess.run(
-        [sys.executable, "-c",
-         "import qwig.cli, sys; print('concurrent.futures' in sys.modules)"],
-        capture_output=True, text=True, env=env, check=True)
-    assert done.stdout.strip() == "False"
+    script = "\n".join([
+        "import sys, qwig.cli",
+        "loaded = lambda: [m in sys.modules for m in "
+        "('qwig.oracle', 'concurrent.futures')]",
+        "before = loaded()",
+        "code = qwig.cli.main(['verify', '--m', '1', '--n', '1'])",
+        "print(before, code, loaded())",
+    ])
+    done = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, env=env, check=True)
+    assert done.stdout.splitlines()[-1] == "[False, False] 0 [True, False]"
+
+
+@pytest.mark.parametrize("target, argv", [
+    ("wigner_oracle", ("--m", "2", "--n", "1", "--suite", "wigner")),
+    ("supertrace_invariant", ("--m", "1", "--n", "1", "--suite", "invariants")),
+])
+def test_oracle_error_outside_the_skip_reasons_is_a_fail(capsys, monkeypatch,
+                                                         target, argv):
+    # a typed error that no skip reason names is a FAIL that names it, not
+    # a SKIP and not an aborted run
+    def broken(*args):
+        raise NotScalar("stand-in")
+
+    monkeypatch.setattr("qwig.oracle.checks." + target, broken)
+    code, obj = run_json(capsys, "verify", *argv)
+    assert code == 1 and obj["all_pass"] is False
+    fails = [c for c in obj["cases"] if c["status"] == "FAIL"]
+    assert fails and obj["counts"]["FAIL"] == len(fails)
+    assert {c["detail"] for c in fails} == {"NotScalar: stand-in"}
+    assert not any("NotScalar" in c["detail"]
+                   for c in obj["cases"] if c["status"] == "SKIP")
 
 
 def _count_builds(monkeypatch):

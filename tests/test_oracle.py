@@ -56,6 +56,7 @@ from qwig.oracle import (
     l_operator,
     mu_oracle,
     projector,
+    projector_algebra_check,
     qybe_check,
     realized_modules,
     subalgebra_block_check,
@@ -313,6 +314,23 @@ def test_projector_algebra_gl11():
         assert mat_scale(n, s.inverse()) == p
         assert matmul(n, n) == mat_scale(n, s)
     assert is_zero_matrix(matmul(parts[0][0], parts[1][0]))
+
+
+def test_projector_algebra_check_can_fail():
+    # True with the nodes of the module's own highest weight; False with
+    # the nodes of another weight, whose Lagrange polynomials are not the
+    # module's eigenspace projectors
+    V = vector_rep(S11)
+    assert projector_algebra_check(V, Weight(S11, (1, 0)), "atilde")
+    with pytest.raises(DegenerateRoots):
+        projector_algebra_check(V, Weight(S11, (1, 0)), "adual")
+    for kind in ("atilde", "adual"):
+        assert not projector_algebra_check(V, Weight(S11, (2, 0)), kind)
+    modules = dict(realized_modules(S21, 2, 30))
+    lam, other = Weight.parse(S21, "2,0|0"), Weight.parse(S21, "1,0|0")
+    for kind in ("atilde", "adual"):
+        assert projector_algebra_check(modules[lam], lam, kind)
+        assert not projector_algebra_check(modules[lam], other, kind)
 
 
 def test_projector_degenerate():
