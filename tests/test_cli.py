@@ -211,15 +211,37 @@ def test_out_json_file(tmp_path, capsys):
     assert obj["classical"] == [1, -1, -2]
 
 
-def test_verify_jobs_accepts_only_one(capsys):
-    # --jobs is kept for compatibility; every suite runs in this process
+def test_verify_jobs_flag(capsys):
+    # --jobs is kept for compatibility: --jobs 1 is the default run
     sig = ("--m", "1", "--n", "1")
+    code, obj = run_json(capsys, "verify", *sig, "--suite", "invariants",
+                         "--jobs", "1")
+    assert code == 0
+    assert obj["counts"]["FAIL"] == 0
     assert run(capsys, "verify", *sig, "--jobs", "1") == run(capsys, "verify", *sig)
-    for bad in ("2", "0", "-3"):
+
+
+def test_verify_jobs_pool_is_bounded_by_suites(capsys, monkeypatch):
+    # every suite runs in this process: no pool is built, and asking for
+    # more than one job (or fewer) is a usage error
+    sizes = []
+
+    class Recorder:
+        """Stands in for the process pool and records its size."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", Recorder)
+    sig = ("--m", "1", "--n", "1")
+    code, obj = run_json(capsys, "verify", *sig, "--jobs", "1")
+    assert code == 0 and obj["counts"]["FAIL"] == 0 and sizes == []
+    for bad in ("100000", "2", "0", "-3"):
         with pytest.raises(SystemExit) as exc:
             main(["verify", *sig, "--jobs", bad])
         assert exc.value.code == 2
         capsys.readouterr()
+    assert sizes == []
 
 
 def test_cli_import_leaves_process_pool_unloaded():
