@@ -40,5 +40,4 @@ for comps in [(0, 0, 0), (1, 0, 0), (2, 1, 0), (1, 1, 1)]:
     print("  %s  typical=%s" % (w, is_typical(w)))
     print("    v       = %s" % chi_v(w, "v"))
     print("    v~      = %s" % chi_v(w, "vtilde"))
-    print("    C1      = %s" % chi_C1(w, "dual"))
-    print("    C1~     = %s" % chi_C1(w, "adjoint"))
+    print("    C1      = %s" % chi_C1(w))

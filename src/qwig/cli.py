@@ -241,8 +241,7 @@ def _cmd_invariants(args):
         "typical": is_typical(lam),
         "v": pack(chi_v(lam, "v")),
         "v_tilde": pack(chi_v(lam, "vtilde")),
-        "C1": pack(chi_C1(lam, "dual")),
-        "C1_tilde": pack(chi_C1(lam, "adjoint")),
+        "C1": pack(chi_C1(lam)),
     }
     _emit(payload, args.out)
     return 0
@@ -262,9 +261,9 @@ def _modules(sig):
 
 def _outcome(name, inputs, check, skips=(), reason=str):
     """The verify case of check(), which returns (ok, detail): PASS or FAIL
-    by ok, or SKIP when ok is None.  A check that raises one of skips is a
-    SKIP too, with reason(exc) as its detail; any other QwigError is a
-    FAIL, with "<Class>: <message>" as its detail."""
+    by ok.  A check that raises one of skips is a SKIP, with reason(exc)
+    as its detail; any other QwigError is a FAIL, with "<Class>: <message>"
+    as its detail."""
     try:
         ok, detail = check()
     except skips as exc:
@@ -349,12 +348,8 @@ def _closed_vs_oracle(coupled, name, sig):
 def _suite_invariants(name, sig):
     from .oracle.checks import supertrace_invariant
 
-    def c1(M, lam, kind, form):
-        # the adjoint-form closed eigenvalue is only valid on typical weights
-        if form == "adjoint" and not is_typical(lam):
-            return None, "atypical highest weight"
-        oracle = supertrace_invariant(M, kind, 1)
-        return chi_C1(lam, form) == oracle, ""
+    def c1(M, lam, kind):
+        return chi_C1(lam) == supertrace_invariant(M, kind, 1), ""
 
     out = []
     for lam, M in _modules(sig):
@@ -362,11 +357,9 @@ def _suite_invariants(name, sig):
         out.append(_outcome(
             name + "/unitarity", inputs,
             lambda: (chi_v(lam, "v") * chi_v(lam, "vtilde") == ONE, "")))
-        for case, kind, form in (("C1", "adual", "dual"),
-                                 ("C1_tilde", "atilde", "adjoint")):
-            out.append(_outcome(
-                name + "/" + case, inputs,
-                functools.partial(c1, M, lam, kind, form)))
+        for case, kind in (("C1", "adual"), ("C1_tilde", "atilde")):
+            out.append(_outcome(name + "/" + case, inputs,
+                                functools.partial(c1, M, lam, kind)))
     return out
 
 

@@ -235,6 +235,8 @@ def _projector(W, lam, k, ckind):
                     lambda: mat_scale(N, scale.inverse()))
 
 
+# atilde's +1 is its only central pairing: with -1 its supertrace is not a
+# scalar on gl(2|1) 2,1|0 (test_atilde_pairs_only_with_plus_two_rho).
 _RHO_SIGN = {"ahat": 1, "atilde": 1, "adual": -1, "abar": -1}
 
 
@@ -392,14 +394,15 @@ def mu_oracle(W, lam, lam0, r, kind):
     the r-th projector by the shift components of the characteristic
     matrix's last row and column.
 
-    lower: q^(2(rho,eps_i)) psi[r]_i phi[r]_j = mu_r (P_r)_{ij}, where
-    q^(2 rho_i) psi[r]_i = sum_k (P0_r)_{ik} A_{k,d} and
-    phi[r]_j = sum_l A_{d,l} (P0_r)_{lj};
-    raise: (-1)^[i] phi~[r]_i psi~[r]_j = mu~_r (P~_r)_{ij} with the same
-    block recipe applied to the adjoint-type matrix.
-    Evaluated on the lam0 subalgebra highest weight vector; returns the
-    consistent scalar mu_r.  Raises NotRealized when every tested entry of
-    P_r vanishes on the branching vector (vacuous identity).
+    For i, j < d it returns the consistent scalar mu_r with
+      (sum_k (P0_r)_{ik} A_{k,d}) (sum_l A_{d,l} (P0_r)_{lj}) w0
+        = mu_r (P_r)_{ij} w0,
+    w0 the lam0 subalgebra highest weight vector and A the dual-type
+    matrix for 'lower', the adjoint-type one for 'raise'.  Both kinds use
+    this one recipe: no q^(2 rho_i) factor and no grading sign (-1)^[i] is
+    applied.  Whether either belongs here is open (ROADMAP item 1).
+    Raises NotRealized when every tested entry of P_r vanishes on the
+    branching vector (vacuous identity).
     """
     d = W.sig.d
     ckind = _KIND_TO_CHAR[kind]

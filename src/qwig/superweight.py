@@ -232,8 +232,8 @@ def deformed_root(alpha):
 def is_typical(lam):
     """Whether (lam + rho, eps_i - eps_u) != 0 for every even i, odd u.
 
-    Atypical weights label modules whose irreducible character degenerates;
-    several closed forms hold only on the typical (Zariski-dense) set.
+    Atypical weights label modules whose irreducible character degenerates.
+    No closed form is gated on typicality; `qwig invariants` reports it.
     """
     sig = lam.sig
     r = rho(sig)

@@ -41,9 +41,9 @@ FORMS = ("root_product", "qnumber_phase")
 
 # Evaluation point of the subalgebra root entering mu.  'shifted' reads it
 # at the lower weight moved one step along the shift direction, 'unshifted'
-# at the lower weight itself.  The default is fixed by validating the
-# squared-matrix-element factorization against the brute-force oracle; the
-# unshifted reading is the one that survives (see tests/test_oracle.py).
+# at the lower weight itself.  The unshifted reading agrees with mu_oracle
+# on every r of even index; the cases of odd index where the two disagree
+# are pinned in MU_ODD_R_DISAGREEMENTS (tests/test_oracle.py).
 MU_SHIFT_DEFAULT = "unshifted"
 
 
@@ -284,8 +284,8 @@ def mu(b, r, variant, form="root_product", convention=None):
 
     convention 'unshifted' evaluates the subalgebra root at the lower
     weight itself, 'shifted' at the lower weight moved by the shift
-    direction.  Only one convention satisfies the oracle factorization
-    identity; the validated default lives in MU_SHIFT_DEFAULT.
+    direction.  The default, MU_SHIFT_DEFAULT, is the one that meets the
+    oracle factorization identity, validated on r of even index.
     """
     _check_form(form)
     if convention is None:

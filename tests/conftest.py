@@ -7,7 +7,9 @@ import pytest
 
 from qwig import ZERO, QFraction, Signature, Weight, branch_candidates
 from qwig.exactq import _factor_map
-from qwig.oracle.modules import realized_modules
+from qwig.oracle.modules import (
+    highest_weight_vectors, realized_modules, submodule, tensor_module, vector_rep,
+)
 
 SWEEP_SIGS = [(m, n) for m in (1, 2, 3) for n in (1, 2)]
 ORACLE_SIGS = [(1, 1), (2, 1), (1, 2)]
@@ -24,6 +26,17 @@ def quotient_of_factors(nums, dens):
         return ZERO
     return QFraction.from_maps([_factor_map(f) for f in nums],
                                [_factor_map(f) for f in dens])
+
+
+def first_module(sig, comps):
+    """The highest weight module of weight comps generated in V^(x)|comps|
+    by its first highest weight vector there, taken when the weight has
+    multiplicity above 1 too."""
+    W = vector_rep(sig)
+    for _ in range(sum(comps) - 1):
+        W = tensor_module(W, vector_rep(sig))
+    vecs = dict(highest_weight_vectors(W))[comps]
+    return Weight(sig, comps), submodule(W, vecs[:1])
 
 
 def dominant_weights(m, n, lo=-2, hi=3):

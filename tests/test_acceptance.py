@@ -36,7 +36,7 @@ from qwig import (
 )
 from qwig.wigner import MU_SHIFT_DEFAULT, _side
 from qwig.oracle import coupled_oracle, realized_modules, wigner_oracle
-from conftest import ORACLE_SIGS
+from conftest import ORACLE_SIGS, first_module
 
 RANK4_ORACLE_SIGS = [(2, 2), (3, 1), (1, 3)]
 
@@ -220,39 +220,21 @@ def test_criterion_07_r_matrix_identities():
 def test_criterion_08_invariant_eigenvalues(oracle_modules, sweep_weights):
     from qwig.oracle import supertrace_invariant
 
-    dual_checked = adjoint_checked = 0
-    for (m, n), modules in oracle_modules.items():
-        for lam, M in modules:
-            try:
-                oracle = supertrace_invariant(M, "adual", 1)
-            except NotScalar:
-                continue
-            assert chi_C1(lam, "dual") == oracle, "C1 mismatch at %s" % lam
-            dual_checked += 1
-            # the adjoint-form closed eigenvalue holds on the typical
-            # (Zariski-dense) set; on atypical weights the oracle value
-            # collapses onto the dual closed form instead
-            try:
-                oracle_t = supertrace_invariant(M, "atilde", 1)
-            except NotScalar:
-                continue
-            if is_typical(lam):
-                assert chi_C1(lam, "adjoint") == oracle_t, (
-                    "C1-tilde mismatch at typical %s" % lam
-                )
-                adjoint_checked += 1
-            else:
-                assert oracle_t == chi_C1(lam, "dual"), (
-                    "atypical C1-tilde deviates from the degenerate value at %s"
-                    % lam
-                )
-    assert dual_checked >= 10 and adjoint_checked >= 5
+    modules = [lm for ms in oracle_modules.values() for lm in ms]
+    # typical, with a graded block that is not constant; realized_modules
+    # leaves it out, its multiplicity in V^(x)3 being 2
+    modules.append(first_module(Signature(2, 1), (2, 1, 0)))
+    for lam, M in modules:
+        expected = chi_C1(lam)
+        for kind in ("adual", "atilde", "abar"):
+            assert supertrace_invariant(M, kind, 1) == expected, (str(lam), kind)
+    assert len(modules) >= 10
+    assert {is_typical(lam) for lam, _ in modules} == {True, False}
 
     for m in range(1, 5):
         for n in range(1, 5):
             zero = Weight(Signature(m, n), (0,) * (m + n))
-            assert chi_C1(zero, "dual") == ZERO
-            assert chi_C1(zero, "adjoint") == ZERO
+            assert chi_C1(zero) == ZERO
 
     for lam in sweep_weights:
         assert chi_v(lam, "v") * chi_v(lam, "vtilde") == ONE

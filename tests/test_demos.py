@@ -15,7 +15,7 @@ ROOT = Path(__file__).resolve().parent.parent
 # says so.
 DEMO_SHA256 = {
     "classical_limit.py":
-        "b34bea55df7d808282dfecd067669ed08f92c0172e37ed445b9bd36aaccbdd48",
+        "75bf5bef49290e3c2b04d44f10022391939f378edc49020b22274858269313ed",
     "oracle_walkthrough.py":
         "daac1a699164e92eb8c201e829b5560432c1e374d1207e9bce56da0756921593",
     "wigner_tables.py":

@@ -52,17 +52,12 @@ def test_chi_v_reciprocity(sweep_weights):
 
 
 def test_chi_C1_examples():
-    assert chi_C1(Weight(S11, (1, 0)), "dual") == ONE
-    assert chi_C1(Weight(S11, (0, 0)), "dual") == ZERO
-    # nontrivial cancellation between the two graded terms
-    assert chi_C1(Weight(S11, (0, 0)), "adjoint") == ZERO
-    with pytest.raises(ValueError):
-        chi_C1(Weight(S11, (0, 0)), "other")
+    assert chi_C1(Weight(S11, (1, 0))) == ONE
+    assert chi_C1(Weight(S11, (0, 0))) == ZERO
 
 
 def test_chi_C1_trivial_weight_all_signatures():
     for m in range(1, 5):
         for n in range(1, 5):
             zero = Weight(Signature(m, n), (0,) * (m + n))
-            assert chi_C1(zero, "dual") == ZERO
-            assert chi_C1(zero, "adjoint") == ZERO
+            assert chi_C1(zero) == ZERO

@@ -68,6 +68,7 @@ from qwig.oracle import (
 )
 from qwig.oracle.checks import (
     _KIND_TO_CHAR,
+    _RHO_SIGN,
     _branch_vector,
     _projector,
     _projector_parts,
@@ -100,6 +101,7 @@ from qwig.oracle.modules import (
 )
 from qwig.superweight import rho, subalgebra_roots
 from qwig.wigner import _Side
+from conftest import first_module
 
 S11 = Signature(1, 1)
 S21 = Signature(2, 1)
@@ -433,17 +435,6 @@ def test_mu_unshifted_matches_oracle_broadly():
     assert mismatches_shifted >= 1
 
 
-def _first_module(sig, comps):
-    """The highest weight module of weight comps generated in V^(x)|comps|
-    by its first highest weight vector there, taken when the weight has
-    multiplicity above 1 too."""
-    W = vector_rep(sig)
-    for _ in range(sum(comps) - 1):
-        W = tensor_module(W, vector_rep(sig))
-    vecs = dict(highest_weight_vectors(W))[comps]
-    return Weight(sig, comps), submodule(W, vecs[:1])
-
-
 # (signature, lambda, lambda0, kind, r) of coupled cases where P_k moves the
 # test family e_j (x) w0 into subalgebra components other than lambda0's;
 # with lambda0's nodes on the outer P0_r the ratio was not a scalar
@@ -460,14 +451,14 @@ _CROSSING_CASES = [
 
 def test_coupled_oracle_uses_each_components_nodes():
     for sig, comps, lam0, kind, r in _CROSSING_CASES:
-        lam, W = _first_module(sig, comps)
+        lam, W = first_module(sig, comps)
         b = index_sets(lam, lam0)
         for k in (1, 2, 3):
             got = coupled_oracle(W, lam, lam0, k, r, kind)
             assert got == omega_coupled(b, k, r, kind), (str(lam), lam0, k)
     # a component that P_k reaches has coincident nodes: the case is a
     # DegenerateRoots skip, where the fixed nodes gave no scalar
-    lam, W = _first_module(Signature(2, 2), (2, 1, 1, 0))
+    lam, W = first_module(Signature(2, 2), (2, 1, 1, 0))
     for k in (1, 3, 4):
         with pytest.raises(DegenerateRoots):
             coupled_oracle(W, lam, (1, 1, 1), k, 3, "lower")
@@ -478,7 +469,7 @@ def test_outer_shift_projector_is_component_aware():
     # the test family, which lies in the lambda0 component, and differ on
     # its image under P_k; _shift_project matches the matrix reference
     sig, comps, lam0, kind, r = _CROSSING_CASES[0]
-    lam, W = _first_module(sig, comps)
+    lam, W = first_module(sig, comps)
     ckind = _KIND_TO_CHAR[kind]
     n0 = (sig.d - 1) * W.dim
     fixed = _sub_projector(W, lam0, r, ckind)
@@ -518,10 +509,20 @@ def test_supertrace_examples():
     V = vector_rep(S11)
     lam = Weight(S11, (1, 0))
     assert supertrace_invariant(V, "adual", 1) == ONE
-    assert chi_C1(lam, "dual") == ONE
+    assert chi_C1(lam) == ONE
     for kind in ("adual", "atilde"):
         for p in (1, 2):
             assert supertrace_invariant(trivial_module(S11), kind, p) == ZERO
+
+
+def test_atilde_pairs_only_with_plus_two_rho(monkeypatch):
+    # gl(2|1) 2,1|0 is typical and its graded block is not constant; the
+    # Atilde supertrace is central there with q^(+2 rho) only
+    lam, W = first_module(S21, (2, 1, 0))
+    assert supertrace_invariant(W, "atilde", 1) == chi_C1(lam)
+    monkeypatch.setitem(_RHO_SIGN, "atilde", -1)
+    with pytest.raises(NotScalar):
+        supertrace_invariant(W, "atilde", 1)
 
 
 def test_supertrace_higher_power_is_scalar():
@@ -779,10 +780,9 @@ import json
 from fractions import Fraction
 from unittest import mock
 
-import qwig.invariants
 import qwig.superweight as sw
 from qwig import (
-    ONE, QwigError, Signature, Weight, chi_C1, chi_v, index_sets, mu, omega,
+    ONE, QwigError, Signature, Weight, chi_v, index_sets, mu, omega,
     parse_qfraction, qnum, qpow,
 )
 from qwig.oracle.linalg import matmul, zeros
@@ -799,10 +799,6 @@ B = index_sets(LAM, (0, 0))
 # each patch holds only while its case runs
 zero_rho = mock.patch.object(
     sw, "rho_even_odd", lambda sig: ((Fraction(0),) * sig.d,) * 2)
-# a half-integral odd rho makes chi_C1's adjoint q-number arguments fractional
-quarter_rho = mock.patch.object(
-    qwig.invariants, "rho_even_odd",
-    lambda sig: ((Fraction(0),) * sig.d, (Fraction(1, 4),) * sig.d))
 cases = {
     "antipode": lambda: etilde_matrix(vector_rep(S21), 1, 2, 2),
     "eij": lambda: eij_matrix(vector_rep(S21), 2, 2),
@@ -827,8 +823,6 @@ cases = {
     "char_roots_variant": lambda: sw.char_roots(LAM, "nope"),
     "subalgebra_roots_variant": lambda: sw.subalgebra_roots((1, 0), "nope", S21),
     "chi_v_kind": lambda: chi_v(LAM, "nope"),
-    "chi_C1_kind": lambda: chi_C1(LAM, "nope"),
-    "chi_C1_qnumber": quarter_rho(lambda: chi_C1(LAM, "adjoint")),
     "qpow": lambda: qpow(Fraction(1, 3)),
     "qnum": lambda: qnum(Fraction(1, 2)),
     "parse_exponent": lambda: parse_qfraction("q^1/3"),
