@@ -187,8 +187,9 @@ class HalfLaurent:
     # -- evaluation -------------------------------------------------------
 
     def at_one(self):
-        """Exact value at q = 1 (every monomial evaluates to 1)."""
-        return sum(self._t.values(), Fraction(0))
+        """Exact value at q = 1 (every monomial evaluates to 1); an int when
+        every coefficient is an int."""
+        return sum(self._t.values())
 
     # -- printing ---------------------------------------------------------
 
@@ -539,23 +540,31 @@ def _cyclotomic_poly(e):
     return tuple(p) if p[-1] > 0 else tuple(-c for c in p)
 
 
-def _cyclotomic_parts(e):
-    """(num, den) coefficient tuples with num/den = prod_d Phi_d(x)^e_d, for
-    a dict e, in QFraction's normal form: den(0) = 1.  Phi_1(0) = -1 and
-    Phi_d(0) = 1 for d > 1, so both are negated when Phi_1 has an odd
-    negative exponent."""
-    num = _cyclotomic_poly(tuple(sorted((d, k) for d, k in e.items() if k > 0)))
-    den = _cyclotomic_poly(tuple(sorted((d, -k) for d, k in e.items() if k < 0)))
-    if e.get(1, 0) < 0 and e[1] % 2:
-        return tuple(-c for c in num), tuple(-c for c in den)
-    return num, den
+@lru_cache(maxsize=1024)
+def _cyclotomic_den(e):
+    """(sign, den) with den = sign prod_d Phi_d(x)^e_d as a HalfLaurent in
+    QFraction's normal form, den(0) = 1, for a tuple e as _cyclotomic_poly
+    takes it; built once per tuple.  Phi_1(0) = -1 and Phi_d(0) = 1 for
+    d > 1, so sign is -1 when Phi_1 has an odd exponent."""
+    p = _cyclotomic_poly(e)
+    if p[0] > 0:
+        return 1, _sparse(0, p)
+    return -1, _sparse(0, [-c for c in p])
 
 
-def _merged_map(nums, dens):
-    """(c, s, e) with prod(nums)/prod(dens) = c q^(s/2) prod_d Phi_d^e_d, e a
-    dict, for sequences of factor maps (c, s, e), each e a tuple of (d, e_d)
-    pairs as _factor_map gives them."""
-    unit, shift, e = 1, 0, {}
+def _den_exponents(e):
+    """The sorted (d, -e_d) pairs of the Phi_d with e_d < 0 in the dict e:
+    the denominator's key for _cyclotomic_den."""
+    return tuple(sorted((d, -k) for d, k in e.items() if k < 0))
+
+
+def _merged_map(nums, dens, start=(1, 0, ())):
+    """(c, s, e) with start prod(nums)/prod(dens) = c q^(s/2) prod_d
+    Phi_d^e_d, for sequences of factor maps (c, s, e), each e a tuple of
+    (d, e_d) pairs as _factor_map gives them, and a merged map start, 1 by
+    default.  e is a new dict: start's is never changed."""
+    unit, shift, e = start
+    e = dict(e)
     for c, s, fe in nums:
         if c != 1:
             unit *= c
@@ -630,34 +639,45 @@ class QFraction:
     @classmethod
     def from_maps(cls, nums, dens):
         """The quotient of the products of two sequences of factor maps
-        (c, s, e), c q^(s/2) prod_d Phi_d(q^(1/2))^e_d each, in normal form.
+        (c, s, e), c q^(s/2) prod_d Phi_d(q^(1/2))^e_d each, in normal form:
+        the maps merged by _merged_map, then from_merged."""
+        return cls.from_merged(*_merged_map(nums, dens))
 
-        Numerator maps multiply their units and add their shifts and Phi_d
-        exponents in, denominator maps divide and subtract them out.  The
-        Phi_d left with a positive exponent make the numerator and those
+    @classmethod
+    def from_merged(cls, unit, shift, e):
+        """unit q^(shift/2) prod_d Phi_d(q^(1/2))^e_d in normal form, for a
+        merged map as _merged_map gives it.
+
+        The Phi_d with a positive exponent make the numerator and those
         with a negative one the denominator, so the two are coprime with no
         gcd.
         """
-        unit, shift, e = _merged_map(nums, dens)
-        num, den = _cyclotomic_parts(e)
+        num = _cyclotomic_poly(tuple(sorted((d, k) for d, k in e.items() if k > 0)))
+        sign, den = _cyclotomic_den(_den_exponents(e))
+        if sign < 0:
+            unit = -unit
         if unit != 1:
-            num = [_as_fraction(unit * c) for c in num]
-        return cls._raw(_sparse(shift, num), _sparse(0, den))
+            if type(unit) is int:
+                num = [unit * c for c in num]
+            else:
+                num = [_as_fraction(unit * c) for c in num]
+        return cls._raw(_sparse(shift, num), den)
 
     @classmethod
-    def sum_of_quotients(cls, terms):
-        """sum(from_maps(nums, dens) for nums, dens in terms), in normal
-        form, over one common denominator and with no gcd.
+    def sum_of_quotients(cls, merged):
+        """sum(from_merged(*m) for m in merged), in normal form, over one
+        common denominator and with no gcd.
 
-        Each term's factor maps merge into c q^(s/2) prod_d Phi_d^e_d.  The
-        common denominator is prod_d Phi_d^D_d with D_d the largest -e_d of
-        any term; every term's numerator over it is expanded and added into
-        one coefficient map.  A zero sum, the residuals' usual result, stops
+        Each term is a merged map c q^(s/2) prod_d Phi_d^e_d.  The common
+        denominator is prod_d Phi_d^D_d with D_d the largest -e_d of any
+        term; every term's numerator over it is expanded and added into one
+        coefficient map.  A zero sum, the residuals' usual result, stops
         there.  Otherwise each Phi_d of the denominator is divided out of the
         sum while it divides it exactly; the Phi_d are irreducible and
-        pairwise coprime, so what is left is in lowest terms.
+        pairwise coprime, so what is left is in lowest terms.  No term's
+        dict is changed.
         """
-        maps = [_merged_map(nums, dens) for nums, dens in terms]
+        maps = list(merged)
         common = {}
         for _, _, e in maps:
             for d, k in e.items():
@@ -686,10 +706,10 @@ class QFraction:
                     break
                 p = quotient
                 common[d] += 1
-        sign, den = _cyclotomic_parts(common)
-        if sign[0] < 0:
+        sign, den = _cyclotomic_den(_den_exponents(common))
+        if sign < 0:
             p = [-c for c in p]
-        return cls._raw(_sparse(low, p), _sparse(0, den))
+        return cls._raw(_sparse(low, p), den)
 
     @classmethod
     def sum_of_products(cls, pairs):
@@ -827,7 +847,7 @@ class QFraction:
         d = self.den.at_one()
         if not d:
             raise PoleAtOne("no finite limit at q=1 for %s" % self)
-        return self.num.at_one() / d
+        return Fraction(self.num.at_one(), d)
 
     # -- serialization ----------------------------------------------------
 

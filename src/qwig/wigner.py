@@ -11,6 +11,7 @@ runs over the admissible sets determined by the branching.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import lru_cache
 
 from .errors import (
@@ -19,7 +20,7 @@ from .errors import (
     IndexOutOfRange,
     InvalidArgument,
 )
-from .exactq import ZERO, QFraction, _factor_map, qnum
+from .exactq import ZERO, QFraction, _factor_map, _merged_map, qnum
 from .superweight import _root_exponents, deformed_root
 
 __all__ = [
@@ -78,7 +79,10 @@ class _Side:
     deformed-root combination entering every product is
     F_y(x) = deformed(x) - deformed(beta_y), beta_y = alpha0_y - tau s_y,
     equal to q^(-x - beta_y) [x - beta_y]_q.
-    Never mutated after construction, so _side shares one per branching.
+    Its root data never change after construction, so _side shares one per
+    branching.  omega_memo holds, per form, every omega_k's merged map
+    (exactq._merged_map) and the values omega has returned (_omega_memo).
+    It lives as long as the side, so _side's bound bounds it too.
     """
 
     def __init__(self, b, variant):
@@ -115,6 +119,7 @@ class _Side:
         self.I0_size = len(I0)
         vals = [self.alpha[k] for k in self.K]
         self.K_generic = len(set(vals)) == len(vals)
+        self.omega_memo = {}
 
     def F_arg(self, x_alpha, ell):
         """q-number argument of F_ell: x_alpha - alpha0_ell + tau s_ell."""
@@ -173,26 +178,47 @@ def _check_form(form):
         raise InvalidArgument("form must be one of %s" % (FORMS,))
 
 
-def _omega_maps(side, k, form):
+def _omega_maps(side, k, form, cancel=None):
     """The factor maps (nums, dens) of omega_k in the given form, for k in
-    the generic admissible set K; None where a numerator factor vanishes."""
+    the generic admissible set K; None where a numerator factor vanishes.
+    With cancel = r in L, those of omega_k / F_r(a_k), the factor F_r(a_k)
+    left out, which stay finite where F_r(a_k) = 0."""
     ak = side.alpha[k]
+    ls = [r for r in side.L if r != cancel]
     others = [side.alpha[l] for l in side.K if l != k]
     if form == "root_product":
-        betas = [side.beta(r) for r in side.L]
+        betas = [side.beta(r) for r in ls]
         if ak in betas:
             return None
         nums = [_root_map(ak, br) for br in betas]
         dens = [_root_map(ak, al) for al in others]
     else:
-        # q-number/phase form with the closed phase exponent
-        args = [side.F_arg(ak, r) for r in side.L]
+        # q-number/phase form with the closed phase exponent; leaving out
+        # F_r(a_k) = q^(-a_k - beta_r) [a_k - beta_r] adds a_k + beta_r
+        args = [side.F_arg(ak, r) for r in ls]
         if 0 in args:
             return None
         xi = -(side.I0_size + ak + side.b.eta)
+        if cancel is not None:
+            xi += ak + side.beta(cancel)
         nums = [(1, 2 * xi, ())] + [_qnum_map(x) for x in args]
         dens = [_qnum_map(ak - al) for al in others]
     return nums, dens
+
+
+def _omega_memo(side, form):
+    """side.omega_memo[form], made on first use: the dict {k: merged map of
+    omega_k} over the generic K, None where a numerator factor vanishes,
+    and the dict {k: QFraction} that omega fills.  The merged maps are
+    shared, so callers must not change them."""
+    memo = side.omega_memo.get(form)
+    if memo is None:
+        merged = {}
+        for k in side.K:
+            maps = _omega_maps(side, k, form)
+            merged[k] = None if maps is None else _merged_map(*maps)
+        memo = side.omega_memo[form] = (merged, {})
+    return memo
 
 
 def omega(b, k, variant, form="root_product"):
@@ -202,7 +228,8 @@ def omega(b, k, variant, form="root_product"):
     admissible set the root-product and q-number forms are
       prod_{r in L} F_r(a_k) / prod_{l != k in K} (a_k - a_l)
       q^xi_k prod_r [alpha_k - alpha0_r + tau s_r] / prod_{l != k} [alpha_k - alpha_l]
-    with xi_k = -(|I0 or I0bar| ... ) collected below.
+    with xi_k = -(|I0 or I0bar| ... ) collected below.  The value is kept
+    on the side (_omega_memo), so a repeat call returns the same object.
     """
     _check_form(form)
     side = _side(b, variant)
@@ -210,8 +237,12 @@ def omega(b, k, variant, form="root_product"):
     if k not in side.K:
         return ZERO
     side.require_K_generic()
-    maps = _omega_maps(side, k, form)
-    return ZERO if maps is None else QFraction.from_maps(*maps)
+    merged, values = _omega_memo(side, form)
+    value = values.get(k)
+    if value is None:
+        m = merged[k]
+        value = values[k] = ZERO if m is None else QFraction.from_merged(*m)
+    return value
 
 
 def omega_classical(b, k, variant):
@@ -220,21 +251,19 @@ def omega_classical(b, k, variant):
     Built from the classical root integers directly; the q -> 1 limit of
     omega must reproduce it exactly on every generic branching.
     """
-    from fractions import Fraction
-
     side = _side(b, variant)
     side.require_in_range(k)
     if k not in side.K:
         return Fraction(0)
     side.require_K_generic()
-    num = Fraction(1)
+    ak = side.alpha[k]
+    num = den = 1
     for r in side.L:
-        num *= side.F_arg(side.alpha[k], r)
-    den = Fraction(1)
+        num *= side.F_arg(ak, r)
     for l in side.K:
         if l != k:
-            den *= side.alpha[k] - side.alpha[l]
-    return num / den
+            den *= ak - side.alpha[l]
+    return Fraction(num, den)
 
 
 def _matrix_element(side, r, point, form, phase):
@@ -415,41 +444,45 @@ def sum_rule_residual(b, variant, form="root_product"):
     _check_form(form)
     side = _side(b, variant)
     side.require_K_generic()
-    terms = [_omega_maps(side, k, form) for k in side.K]
-    terms = [t for t in terms if t is not None]
-    return QFraction.sum_of_quotients(terms + [([(-1, 0, ())], [])])
+    merged, _ = _omega_memo(side, form)
+    terms = [m for m in merged.values() if m is not None]
+    return QFraction.sum_of_quotients(terms + [(-1, 0, {})])
 
 
 def linear_system_residuals(b, variant, form="root_product"):
     """The defining linear relations sum_k omega_k / F_r(a_k) for r in L.
 
-    When F_r(a_k) = 0 the matching numerator factor of omega_k vanishes
-    too, so the term is accumulated with that factor cancelled instead of
-    evaluating a 0/0.
+    Each term divides F_r(a_k) out of a copy of omega_k's merged map; in the
+    q-number form 1/F_r(a_k) = q^(a_k + beta_r) / [a_k - beta_r], so that
+    the two forms stay independent.  When F_r(a_k) = 0 the matching
+    numerator factor of omega_k vanishes too, so the term is accumulated
+    with that factor cancelled instead of evaluating a 0/0.
     """
     side = _side(b, variant)
     if not side.L:  # no relations, and no omega, even on a degenerate K
         return {}
     _check_form(form)
     side.require_K_generic()
-    maps = {k: _omega_maps(side, k, form) for k in side.K}
+    merged, _ = _omega_memo(side, form)
     out = {}
     for r in side.L:
         br = side.beta(r)
         terms = []
-        for k, m in maps.items():
+        for k, m in merged.items():
             ak = side.alpha[k]
             if ak != br:
-                if m is not None:
-                    terms.append((m[0], m[1] + [_root_map(ak, br)]))
+                if m is None:
+                    continue
+                if form == "root_product":
+                    terms.append(_merged_map([], [_root_map(ak, br)], m))
+                else:
+                    terms.append(_merged_map(
+                        [(1, 2 * (ak + br), ())], [_qnum_map(ak - br)], m))
                 continue
             # F_r(a_k) = 0: omega_k with that factor cancelled, which is
             # zero if another F_l(a_k) vanishes too
-            betas = [side.beta(l) for l in side.L if l != r]
-            if ak not in betas:
-                terms.append((
-                    [_root_map(ak, bl) for bl in betas],
-                    [_root_map(ak, side.alpha[l]) for l in side.K if l != k],
-                ))
+            maps = _omega_maps(side, k, form, cancel=r)
+            if maps is not None:
+                terms.append(_merged_map(*maps))
         out[r] = QFraction.sum_of_quotients(terms)
     return out

@@ -231,11 +231,6 @@ def test_criterion_08_invariant_eigenvalues(oracle_modules, sweep_weights):
     assert len(modules) >= 10
     assert {is_typical(lam) for lam, _ in modules} == {True, False}
 
-    for m in range(1, 5):
-        for n in range(1, 5):
-            zero = Weight(Signature(m, n), (0,) * (m + n))
-            assert chi_C1(zero) == ZERO
-
     for lam in sweep_weights:
         assert chi_v(lam, "v") * chi_v(lam, "vtilde") == ONE
 

@@ -28,6 +28,7 @@ from qwig.exactq import (
     _divide,
     _factor_map,
     _max_cyclotomic_index,
+    _merged_map,
     _poly_gcd,
     _prs_gcd,
     parse_half_laurent,
@@ -93,6 +94,11 @@ def test_limit_q1_examples():
     assert QFraction(qpow(-1), qnum(2)).limit_q1() == Fraction(1, 2)
     with pytest.raises(PoleAtOne):
         QFraction(1, Q_MINUS_QINV).limit_q1()
+    # a Fraction, whether the coefficients are ints or Fractions
+    for x in (QFraction(qnum(3)), QFraction(qpow(-1), qnum(2)), ZERO,
+              QFraction(HalfLaurent({0: Fraction(1, 3), 2: Fraction(2, 3)}),
+                        qnum(2) * Fraction(3, 2))):
+        assert type(x.limit_q1()) is Fraction
 
 
 def test_qnum_addition_law():
@@ -121,6 +127,15 @@ rat_polys = st.dictionaries(
 ).map(HalfLaurent)
 nonzero_rat_polys = rat_polys.filter(bool)
 rat_fractions = st.builds(QFraction, rat_polys, nonzero_rat_polys)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(polys, rat_polys))
+def test_at_one_is_the_coefficient_sum(p):
+    # the sum the old Fraction(0) start gave, and an int on int coefficients
+    assert p.at_one() == sum((c for _, c in p.items()), Fraction(0))
+    if all(type(c) is int for _, c in p.items()):
+        assert type(p.at_one()) is int
 
 
 @settings(max_examples=150, deadline=None)
@@ -404,6 +419,11 @@ def _mapped(terms):
             for n, d in terms]
 
 
+def _merged(terms):
+    """The terms as merged maps, the input of sum_of_quotients."""
+    return [_merged_map(*t) for t in _mapped(terms)]
+
+
 @settings(max_examples=200, deadline=None)
 @given(quotient_terms, st.lists(st.integers(0, 3), max_size=4))
 # q^-1/[2] + q/[2] = 1: the whole common denominator divides out
@@ -423,24 +443,24 @@ def test_sum_of_quotients_matches_sum(terms, negated):
     # each drawn index repeats one term negated, so that sums cancel in part
     terms = terms + [([HalfLaurent.const(-1)] + terms[i][0], terms[i][1])
                      for i in negated if i < len(terms)]
-    x = QFraction.sum_of_quotients(_mapped(terms))
+    x = QFraction.sum_of_quotients(_merged(terms))
     y = _sum_by_addition(terms)
     assert _same(x, y)
     assert hash(x) == hash(y)
     # and the whole sum cancels against its negation
     minus = [([HalfLaurent.const(-1)] + n, d) for n, d in terms]
-    assert _same(QFraction.sum_of_quotients(_mapped(terms + minus)), ZERO)
+    assert _same(QFraction.sum_of_quotients(_merged(terms + minus)), ZERO)
 
 
 def test_sum_of_quotients_edge_cases():
     p = qnum(3)
     assert _same(QFraction.sum_of_quotients([]), ZERO)
     terms = [([p], [qnum(2)])]
-    assert _same(QFraction.sum_of_quotients(iter(_mapped(terms))),
+    assert _same(QFraction.sum_of_quotients(iter(_merged(terms))),
                  quotient_of_factors([p], [qnum(2)]))
     # a term and its negation: the sum stops at zero
     terms += [([p, qpow(1), -qpow(-1)], [qnum(2)])]
-    assert _same(QFraction.sum_of_quotients(_mapped(terms)), ZERO)
+    assert _same(QFraction.sum_of_quotients(_merged(terms)), ZERO)
 
 
 def test_from_maps_matches_from_factors():

@@ -329,9 +329,12 @@ def test_omega_classical_matches_limit():
                     v = omega(b, k, variant)
                 except DegenerateRoots:
                     continue
-                assert v.limit_q1() == omega_classical(b, k, variant)
+                classical = omega_classical(b, k, variant)
+                assert type(classical) is Fraction
+                assert v.limit_q1() == classical
     b = index_sets(Weight(S21, (1, 0, 0)), (0, 0))
     assert omega_classical(b, 2, "lower") == Fraction(0)
+    assert type(omega_classical(b, 2, "lower")) is Fraction  # off K
 
 
 def test_tables():
@@ -376,6 +379,7 @@ def _reference_side_fields(b, variant):
         "n": sig.n,
         "I0_size": len(b.I0),
         "K_generic": len(set(vals)) == len(vals),
+        "omega_memo": {},  # filled on first use of omega_k
     }
 
 
@@ -548,6 +552,75 @@ def test_zero_tests_and_integer_keyed_maps(x, y):
 def test_a_factor_with_no_map_is_a_typed_error():
     with pytest.raises(ConsistencyError):
         _factor_map(HalfLaurent({0: 1, 2: 2}))  # 1 + 2q
+
+
+def _shape(x):
+    """A value's (num, den), a residual dict's per r, or an exception type
+    as it is: what structural equality compares."""
+    if isinstance(x, type):
+        return x
+    if isinstance(x, dict):
+        return {r: (v.num, v.den) for r, v in x.items()}
+    return (x.num, x.den)
+
+
+def test_omega_memo_order_and_sharing(sweep_branchings):
+    # on every 4th sweep branching, omega for every k, the sum rule and the
+    # residuals give the same values whichever fills the memo first; the
+    # residuals change no memo dict, and a repeat omega call returns the
+    # kept object
+    checked = 0
+    for b in sweep_branchings[::4]:
+        ks = range(1, b.sig.d + 1)
+        for variant in ("lower", "raise"):
+            for form in FORMS:
+                def omegas():
+                    return [_shape(_result(omega, b, k, variant, form)) for k in ks]
+
+                def residuals():
+                    return [_shape(_result(fn, b, variant, form))
+                            for fn in (sum_rule_residual, linear_system_residuals)]
+
+                _side.cache_clear()
+                omega_first = {"omega": omegas()}
+                memo = _side(b, variant).omega_memo.get(form)
+                kept = [] if memo is None else [
+                    (m, m[2], dict(m[2])) for m in memo[0].values() if m]
+                omega_first["residuals"] = residuals()
+                for m, e, copy in kept:
+                    assert m[2] is e and e == copy, (str(b), variant, form)
+                for k in memo[0] if memo else ():
+                    assert omega(b, k, variant, form) is omega(b, k, variant, form)
+                _side.cache_clear()
+                residuals_first = {"residuals": residuals()}
+                residuals_first["omega"] = omegas()
+                assert omega_first == residuals_first, (str(b), variant, form)
+                checked += len(kept)
+    assert checked >= 1000
+
+
+def test_qnumber_route_uses_no_root_factor(sweep_branchings, monkeypatch):
+    # the two forms stay independent: with every root-product factor map
+    # made to raise, the q-number sum rules and residuals are still ZERO
+    def no_root_map(x, y):
+        raise AssertionError("root factor (%d, %d) in the q-number route" % (x, y))
+
+    monkeypatch.setattr(wigner, "_root_map", no_root_map)
+    _side.cache_clear()
+    checked = 0
+    for b in sweep_branchings[::4]:
+        for variant in ("lower", "raise"):
+            try:
+                residual = sum_rule_residual(b, variant, "qnumber_phase")
+                residuals = linear_system_residuals(b, variant, "qnumber_phase")
+            except DegenerateRoots:
+                continue
+            assert residual == ZERO, (str(b), variant)
+            for r, value in residuals.items():
+                assert value == ZERO, (str(b), variant, r)
+                checked += 1
+    _side.cache_clear()
+    assert checked >= 1000
 
 
 def test_linear_system_computes_each_omega_once(monkeypatch):
