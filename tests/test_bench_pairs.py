@@ -27,7 +27,8 @@ def _write(checkout, sha, workload, seed, p50, wall, failed=0):
     (out / ("%s-seed%d-trace0.json" % (workload, seed))).write_text(json.dumps(result))
 
 
-def test_pairs_summaries_and_record(tmp_path, capsys):
+def test_pairs_summaries_and_record(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
     parent, change = tmp_path / "parent", tmp_path / "change"
     p50 = {1: (1.0, 0.8), 2: (2.0, 1.9), 3: (3.0, 3.5), 4: (4.0, 3.0), 5: (5.0, 4.0)}
     for seed, (a, b) in p50.items():
@@ -35,7 +36,7 @@ def test_pairs_summaries_and_record(tmp_path, capsys):
         _write(change, "bbb", "closed_forms", seed, b, 10.0, failed=seed == 5)
     assert bench_pairs.main([
         "--parent", str(parent), "--change", str(change),
-        "--run", "closed_forms:1-3,4,5", "--label", "t", "--out", str(tmp_path)]) == 0
+        "--run", "closed_forms:1-3,4,5", "--label", "t"]) == 0
     record = json.loads((tmp_path / "BENCH_t.json").read_text())
     assert record["label"] == "t"
     assert record["git_sha"] == {"parent": "aaa", "change": "bbb"}

@@ -8,9 +8,10 @@ For each ``--run WORKLOAD:SEEDS`` it reads
 checkouts, as ``perfbench/run.py --trace 0`` leaves them, and pairs the two
 results of each seed.  It prints, per metric, each side's median and
 quartiles, the change of the median in percent and the number of pairs in
-which the change reads lower, and writes ``BENCH_<label>.json`` with the
-same numbers, both git shas and the machine record.  It runs nothing: run
-the benchmark on both checkouts first, alternating which goes first.
+which the change reads lower.  It writes ``BENCH_<label>.json``, in the
+current directory, with the same numbers, both git shas and the machine
+record.  It runs nothing: run the benchmark on both checkouts first,
+alternating which goes first.
 """
 
 import argparse
@@ -90,7 +91,6 @@ def main(argv=None):
     p.add_argument("--run", type=parse_run, action="append", required=True,
                    metavar="WORKLOAD:SEEDS")
     p.add_argument("--label", required=True, help="names BENCH_<label>.json")
-    p.add_argument("--out", default=".", help="directory of the written file")
     args = p.parse_args(argv)
     record = {"label": args.label, "workloads": {}}
     sides = {"parent": [], "change": []}
@@ -121,7 +121,7 @@ def main(argv=None):
     record["machine"] = {key: one(sides["parent"] + sides["change"], key, "two sides'")
                          for key in sides["parent"][0]["machine"]
                          if key not in ("git_sha", "seed")}
-    path = Path(args.out) / ("BENCH_%s.json" % args.label)
+    path = Path("BENCH_%s.json" % args.label)
     path.write_text(json.dumps(record, indent=2) + "\n")
     print("wrote %s" % path)
     return 0
