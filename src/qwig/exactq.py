@@ -10,6 +10,7 @@ most denominators equal to 1 and makes gcd reduction cheap in practice.
 from __future__ import annotations
 
 import math
+import struct
 from fractions import Fraction
 from functools import lru_cache
 from itertools import zip_longest
@@ -430,6 +431,51 @@ def _cancel(a, b):
 # exponents, and the value's canonical form follows with no gcd.  The closed
 # forms draw their factors from a small recurring set; the bounds keep memory
 # flat over a long run.
+#
+# A map is (c, s, E, b).  E packs the exponents as one int,
+# E = sum_d e_d 2^(16 d), a balanced 16-bit digit per d (Monagan and Pearce,
+# CASC 2007, pack exponent vectors the same way), so maps multiply and divide
+# by adding and subtracting E, and an exponent that reaches zero leaves no
+# trace.  b bounds every |e_d|: a factor's b is its largest |e_d|, checked
+# when the factor is packed, and a merge's b is the sum of its maps' b,
+# checked after the merge.  No map's b exceeds _BOUND, so the difference of
+# two maps' E, the most that a sum forms, has every digit below 2^15 in
+# size, inside its slot, and unpacks to the exponents it was built from.  A
+# map that would break the bound raises ConsistencyError instead.
+
+_SLOT = 16  # bits per exponent; the byte patterns below are written for 16
+_BOUND = (1 << (_SLOT - 2)) - 1
+
+
+def _pack(e):
+    """The packed exponent vector of the dict {d: e_d}."""
+    return sum(k << (_SLOT * d) for d, k in e.items())
+
+
+def _unpack(E):
+    """The dict {d: e_d} of the nonzero exponents packed in E, in
+    increasing d: with 2^15 added to every digit, each slot of E is one
+    unsigned 16-bit int."""
+    n = E.bit_length() // _SLOT + 1
+    half = 1 << (_SLOT - 1)
+    x = E + int.from_bytes(b"\x00\x80" * n, "little")
+    return {d: v - half for d, v in enumerate(
+        struct.unpack("<%dH" % n, x.to_bytes(2 * n, "little"))) if v != half}
+
+
+def _split(E):
+    """(P, N) with E = P - N, P packing the positive exponents of E and N
+    the negated negative ones.  Each digit is offset by 2^15, into
+    [1, 2^16), so that a slot's top bit is set exactly when its exponent is
+    not negative; a mask of those slots selects either part, in a few
+    operations on whole ints."""
+    n = E.bit_length() // _SLOT + 1
+    ones = int.from_bytes(b"\x01\x00" * n, "little")  # 1 in each slot
+    offset = ones << (_SLOT - 1)
+    x = E + offset
+    pos = ((x >> (_SLOT - 1)) & ones) * ((1 << _SLOT) - 1)
+    neg = ((1 << (_SLOT * n)) - 1) ^ pos
+    return (x & pos) - (offset & pos), (offset & neg) - (x & neg)
 
 
 _E_GAMMA = 1.7810724179901979  # e ** (Euler's constant)
@@ -458,9 +504,9 @@ def _max_cyclotomic_index(deg):
 
 @lru_cache(maxsize=4096)
 def _factor_map(f):
-    """(c, s, e) with f = c q^(s/2) prod_d Phi_d(q^(1/2))^e_d, e a tuple of
-    (d, e_d) pairs, for a nonzero HalfLaurent f; ConsistencyError if f is
-    no such product.
+    """The map (c, s, E, b) with f = c q^(s/2) prod_d Phi_d(q^(1/2))^e_d, E
+    the e_d packed and b their largest size, for a nonzero HalfLaurent f;
+    ConsistencyError if f is no such product, or has an e_d beyond _BOUND.
 
     f shifted to lowest exponent 0 and divided by its constant term is peeled
     as p = prod_N (1 - x^N)^g(N).  The peel keeps a = p prod_{g<0} (1 - x^N)^-g
@@ -498,7 +544,11 @@ def _factor_map(f):
             if n % d == 0:
                 e[d] = e.get(d, 0) + gn
     unit = -c0 if sum(g.values()) % 2 else c0
-    return unit, s, tuple((d, k) for d, k in e.items() if k)
+    bound = max(map(abs, e.values()), default=0)
+    if bound > _BOUND:
+        raise ConsistencyError(
+            "%s has a cyclotomic exponent beyond %d" % (f, _BOUND))
+    return unit, s, _pack(e), bound
 
 
 @lru_cache(maxsize=4096)
@@ -519,16 +569,16 @@ def _mobius_terms(d):
 
 
 @lru_cache(maxsize=1024)
-def _cyclotomic_poly(e):
-    """prod_d Phi_d(x)^e_d as a coefficient tuple, for a sorted tuple e of
-    (d, e_d) pairs with e_d > 0.
+def _cyclotomic_poly(P):
+    """prod_d Phi_d(x)^e_d as a coefficient tuple, for a packed vector P of
+    exponents e_d >= 0.
 
     The binomials of the Phi_d's Moebius products are all multiplied in, as
     1 - x^N, before any monic x^N - 1 is divided out, so each division is
     exact.  The product is monic, which fixes its sign.
     """
     h = {}
-    for d, k in e:
+    for d, k in _unpack(P).items():
         for n, m in _mobius_terms(d):
             h[n] = h.get(n, 0) + m * k
     p = [1]
@@ -541,43 +591,40 @@ def _cyclotomic_poly(e):
 
 
 @lru_cache(maxsize=1024)
-def _cyclotomic_den(e):
+def _cyclotomic_den(N):
     """(sign, den) with den = sign prod_d Phi_d(x)^e_d as a HalfLaurent in
-    QFraction's normal form, den(0) = 1, for a tuple e as _cyclotomic_poly
-    takes it; built once per tuple.  Phi_1(0) = -1 and Phi_d(0) = 1 for
-    d > 1, so sign is -1 when Phi_1 has an odd exponent."""
-    p = _cyclotomic_poly(e)
+    QFraction's normal form, den(0) = 1, for a packed vector N as
+    _cyclotomic_poly takes it; built once per vector.  Phi_1(0) = -1 and
+    Phi_d(0) = 1 for d > 1, so sign is -1 when Phi_1 has an odd exponent."""
+    p = _cyclotomic_poly(N)
     if p[0] > 0:
         return 1, _sparse(0, p)
     return -1, _sparse(0, [-c for c in p])
 
 
-def _den_exponents(e):
-    """The sorted (d, -e_d) pairs of the Phi_d with e_d < 0 in the dict e:
-    the denominator's key for _cyclotomic_den."""
-    return tuple(sorted((d, -k) for d, k in e.items() if k < 0))
-
-
-def _merged_map(nums, dens, start=(1, 0, ())):
-    """(c, s, e) with start prod(nums)/prod(dens) = c q^(s/2) prod_d
-    Phi_d^e_d, for sequences of factor maps (c, s, e), each e a tuple of
-    (d, e_d) pairs as _factor_map gives them, and a merged map start, 1 by
-    default.  e is a new dict: start's is never changed."""
-    unit, shift, e = start
-    e = dict(e)
-    for c, s, fe in nums:
+def _merged_map(nums, dens):
+    """The map (c, s, E, b) of prod(nums)/prod(dens), for sequences of maps
+    (c, s, E, b): factor maps as _factor_map gives them, monomials
+    (c, s, 0, 0), or merged maps.  Each merge is one int addition or
+    subtraction per map; ConsistencyError if the sum b of the maps' bounds
+    exceeds _BOUND, so that no exponent can leave its slot."""
+    unit, shift, E, bound = 1, 0, 0, 0
+    for c, s, fe, b in nums:
         if c != 1:
             unit *= c
         shift += s
-        for d, k in fe:
-            e[d] = e.get(d, 0) + k
-    for c, s, fe in dens:
+        E += fe
+        bound += b
+    for c, s, fe, b in dens:
         if c != 1:
             unit = _coeff_div(unit, c)
         shift -= s
-        for d, k in fe:
-            e[d] = e.get(d, 0) - k
-    return unit, shift, e
+        E -= fe
+        bound += b
+    if bound > _BOUND:
+        raise ConsistencyError(
+            "merged cyclotomic exponents may exceed %d" % _BOUND)
+    return unit, shift, E, bound
 
 
 _POLY_ONE = HalfLaurent.const(1)
@@ -638,59 +685,51 @@ class QFraction:
 
     @classmethod
     def from_maps(cls, nums, dens):
-        """The quotient of the products of two sequences of factor maps
-        (c, s, e), c q^(s/2) prod_d Phi_d(q^(1/2))^e_d each, in normal form:
-        the maps merged by _merged_map, then from_merged."""
-        return cls.from_merged(*_merged_map(nums, dens))
+        """The quotient of the products of two sequences of maps, each
+        c q^(s/2) prod_d Phi_d(q^(1/2))^e_d: the maps merged by _merged_map,
+        then from_merged."""
+        return cls.from_merged(_merged_map(nums, dens))
 
-    @classmethod
-    def from_merged(cls, unit, shift, e):
-        """unit q^(shift/2) prod_d Phi_d(q^(1/2))^e_d in normal form, for a
-        merged map as _merged_map gives it.
+    @staticmethod
+    def from_merged(m):
+        """The value of the merged map m = (unit, shift, E, b), as
+        _merged_map gives it, kept factored (_Factored).
 
-        The Phi_d with a positive exponent make the numerator and those
-        with a negative one the denominator, so the two are coprime with no
-        gcd.
+        Its key (unit, shift, E) is canonical, since the Phi_d are monic,
+        irreducible and pairwise coprime: two factored values are equal
+        exactly when their keys are, and compare with no polynomial built.
+        num and den are built on first read, the Phi_d with a positive
+        exponent multiplied out into the numerator and those with a negative
+        one into the denominator, so the two are coprime with no gcd.
         """
-        num = _cyclotomic_poly(tuple(sorted((d, k) for d, k in e.items() if k > 0)))
-        sign, den = _cyclotomic_den(_den_exponents(e))
-        if sign < 0:
-            unit = -unit
-        if unit != 1:
-            if type(unit) is int:
-                num = [unit * c for c in num]
-            else:
-                num = [_as_fraction(unit * c) for c in num]
-        return cls._raw(_sparse(shift, num), den)
+        out = _Factored.__new__(_Factored)
+        out._key = m[:3]
+        out._hash = None
+        return out
 
     @classmethod
     def sum_of_quotients(cls, merged):
-        """sum(from_merged(*m) for m in merged), in normal form, over one
+        """sum(from_merged(m) for m in merged), in normal form, over one
         common denominator and with no gcd.
 
         Each term is a merged map c q^(s/2) prod_d Phi_d^e_d.  The common
-        denominator is prod_d Phi_d^D_d with D_d the largest -e_d of any
-        term; every term's numerator over it is expanded and added into one
+        denominator is prod_d Phi_d^-C_d with C_d the least of 0 and every
+        term's e_d, taken slot by slot on the packed vectors as
+        min(C, E) = C - P(C - E) (_split); each term's numerator over it is
+        the cached product keyed by E - C, expanded and added into one
         coefficient map.  A zero sum, the residuals' usual result, stops
-        there.  Otherwise each Phi_d of the denominator is divided out of the
-        sum while it divides it exactly; the Phi_d are irreducible and
-        pairwise coprime, so what is left is in lowest terms.  No term's
-        dict is changed.
+        there.  Otherwise each Phi_d of the denominator is divided out of
+        the sum while it divides it exactly; the Phi_d are irreducible and
+        pairwise coprime, so what is left is in lowest terms.  Every key and
+        difference is of two maps within _BOUND, so it stays in its slots.
         """
         maps = list(merged)
-        common = {}
-        for _, _, e in maps:
-            for d, k in e.items():
-                if k < common.get(d, 0):
-                    common[d] = k
+        least = 0
+        for m in maps:
+            least -= _split(least - m[2])[0]
         t = {}
-        for unit, shift, e in maps:
-            over = dict(e)
-            for d, k in common.items():
-                over[d] = over.get(d, 0) - k
-            num = _cyclotomic_poly(
-                tuple(sorted(item for item in over.items() if item[1])))
-            for i, c in enumerate(num, shift):
+        for unit, shift, E, _ in maps:
+            for i, c in enumerate(_cyclotomic_poly(E - least), shift):
                 if c:
                     c0 = t.get(i)
                     t[i] = unit * c if c0 is None else c0 + unit * c
@@ -698,15 +737,16 @@ class QFraction:
         if not t:
             return ZERO
         low, p = _dense(t)
-        for d in sorted(common):
-            phi = _cyclotomic_poly(((d, 1),))
+        common = _unpack(-least)
+        for d in common:
+            phi = _cyclotomic_poly(1 << (_SLOT * d))
             while common[d]:
                 quotient = _divide(p, phi)
                 if quotient is None:
                     break
                 p = quotient
-                common[d] += 1
-        sign, den = _cyclotomic_den(_den_exponents(common))
+                common[d] -= 1
+        sign, den = _cyclotomic_den(_pack(common))
         if sign < 0:
             p = [-c for c in p]
         return cls._raw(_sparse(low, p), den)
@@ -867,6 +907,49 @@ class QFraction:
 
     def __repr__(self):
         return "QFraction(%s)" % self
+
+
+class _Factored(QFraction):
+    """A QFraction kept as the key (unit, shift, E) of its merged map, as
+    QFraction.from_merged makes it, with num and den built on first read.
+
+    Reading num or den (str, to_json, limit_q1, arithmetic, hash, or ==
+    against an unfactored value) builds both from the cached cyclotomic
+    products of E's positive and negative parts (_split) and keeps them in
+    the slots, so later reads cost what a plain QFraction's do.  Two
+    factored values compare by key alone.  A factored value is never 0.
+    """
+
+    __slots__ = ("_key",)
+
+    def __getattr__(self, name):
+        # reached only while the num and den slots are unset
+        if name != "num" and name != "den":
+            raise AttributeError(name)
+        unit, shift, E = self._key
+        pos, neg = _split(E)
+        num = _cyclotomic_poly(pos)
+        sign, den = _cyclotomic_den(neg)
+        if sign < 0:
+            unit = -unit
+        if unit != 1:
+            if type(unit) is int:
+                num = [unit * c for c in num]
+            else:
+                num = [_as_fraction(unit * c) for c in num]
+        self.num = num = _sparse(shift, num)
+        self.den = den
+        return num if name == "num" else den
+
+    def __eq__(self, other):
+        if type(other) is _Factored:
+            return self._key == other._key
+        return QFraction.__eq__(self, other)
+
+    __hash__ = QFraction.__hash__
+
+    def __bool__(self):
+        return True
 
 
 ZERO = QFraction(0)

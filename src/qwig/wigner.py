@@ -81,8 +81,10 @@ class _Side:
     equal to q^(-x - beta_y) [x - beta_y]_q.
     Its root data never change after construction, so _side shares one per
     branching.  omega_memo holds, per form, every omega_k's merged map
-    (exactq._merged_map) and the values omega has returned (_omega_memo).
-    It lives as long as the side, so _side's bound bounds it too.
+    (exactq._merged_map, an immutable tuple with the exponents packed in
+    one int) and the values omega has returned (_omega_memo), which stay
+    factored until read.  It lives as long as the side, so _side's bound
+    of 8 sides bounds it too.
     """
 
     def __init__(self, b, variant):
@@ -201,7 +203,7 @@ def _omega_maps(side, k, form, cancel=None):
         xi = -(side.I0_size + ak + side.b.eta)
         if cancel is not None:
             xi += ak + side.beta(cancel)
-        nums = [(1, 2 * xi, ())] + [_qnum_map(x) for x in args]
+        nums = [(1, 2 * xi, 0, 0)] + [_qnum_map(x) for x in args]
         dens = [_qnum_map(ak - al) for al in others]
     return nums, dens
 
@@ -209,8 +211,7 @@ def _omega_maps(side, k, form, cancel=None):
 def _omega_memo(side, form):
     """side.omega_memo[form], made on first use: the dict {k: merged map of
     omega_k} over the generic K, None where a numerator factor vanishes,
-    and the dict {k: QFraction} that omega fills.  The merged maps are
-    shared, so callers must not change them."""
+    and the dict {k: QFraction} that omega fills."""
     memo = side.omega_memo.get(form)
     if memo is None:
         merged = {}
@@ -241,7 +242,7 @@ def omega(b, k, variant, form="root_product"):
     value = values.get(k)
     if value is None:
         m = merged[k]
-        value = values[k] = ZERO if m is None else QFraction.from_merged(*m)
+        value = values[k] = ZERO if m is None else QFraction.from_merged(m)
     return value
 
 
@@ -279,13 +280,13 @@ def _matrix_element(side, r, point, form, phase):
     if form == "root_product":
         if point in roots:
             return ZERO
-        nums = [(side.sigma(), 0, ())] + [_root_map(a, point) for a in roots]
+        nums = [(side.sigma(), 0, 0, 0)] + [_root_map(a, point) for a in roots]
         dens = [_root_map(point, bl) for bl in others]
     else:
         args = [a - point for a in roots]
         if 0 in args:
             return ZERO
-        nums = [(side.sigma(), 2 * phase, ())] + [_qnum_map(x) for x in args]
+        nums = [(side.sigma(), 2 * phase, 0, 0)] + [_qnum_map(x) for x in args]
         dens = [_qnum_map(point - bl) for bl in others]
     return QFraction.from_maps(nums, dens)
 
@@ -362,7 +363,7 @@ def omega_coupled(b, k, r, variant, form="qnumber_phase"):
         args = [side.F_arg(ak, l) for l in ls] + [ap - a0r for ap in aps]
         if 0 in args:
             return ZERO
-        nums = [(1, 2 * (ak - a0r), ())] + [_qnum_map(x) for x in args]
+        nums = [(1, 2 * (ak - a0r), 0, 0)] + [_qnum_map(x) for x in args]
         dens = [_qnum_map(side.F_arg(a0r, l)) for l in ls]
         dens += [_qnum_map(ap - ak) for ap in aps]
     else:
@@ -431,6 +432,7 @@ def omega_table(b, variant, form="root_product"):
 
 
 def coupled_table(b, variant, form="qnumber_phase"):
+    _check_form(form)
     side = _side(b, variant)
     t = CoefficientTable(kind="coupled_%s" % variant, branching=b, form=form)
     for k in side.K:
@@ -446,22 +448,22 @@ def sum_rule_residual(b, variant, form="root_product"):
     side.require_K_generic()
     merged, _ = _omega_memo(side, form)
     terms = [m for m in merged.values() if m is not None]
-    return QFraction.sum_of_quotients(terms + [(-1, 0, {})])
+    return QFraction.sum_of_quotients(terms + [(-1, 0, 0, 0)])
 
 
 def linear_system_residuals(b, variant, form="root_product"):
     """The defining linear relations sum_k omega_k / F_r(a_k) for r in L.
 
-    Each term divides F_r(a_k) out of a copy of omega_k's merged map; in the
+    Each term merges omega_k's merged map with 1/F_r(a_k); in the
     q-number form 1/F_r(a_k) = q^(a_k + beta_r) / [a_k - beta_r], so that
     the two forms stay independent.  When F_r(a_k) = 0 the matching
     numerator factor of omega_k vanishes too, so the term is accumulated
     with that factor cancelled instead of evaluating a 0/0.
     """
+    _check_form(form)
     side = _side(b, variant)
     if not side.L:  # no relations, and no omega, even on a degenerate K
         return {}
-    _check_form(form)
     side.require_K_generic()
     merged, _ = _omega_memo(side, form)
     out = {}
@@ -474,10 +476,10 @@ def linear_system_residuals(b, variant, form="root_product"):
                 if m is None:
                     continue
                 if form == "root_product":
-                    terms.append(_merged_map([], [_root_map(ak, br)], m))
+                    terms.append(_merged_map([m], [_root_map(ak, br)]))
                 else:
                     terms.append(_merged_map(
-                        [(1, 2 * (ak + br), ())], [_qnum_map(ak - br)], m))
+                        [m, (1, 2 * (ak + br), 0, 0)], [_qnum_map(ak - br)]))
                 continue
             # F_r(a_k) = 0: omega_k with that factor cancelled, which is
             # zero if another F_l(a_k) vanishes too

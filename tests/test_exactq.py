@@ -28,9 +28,13 @@ from qwig.exactq import (
     _divide,
     _factor_map,
     _max_cyclotomic_index,
+    _BOUND,
     _merged_map,
+    _pack,
     _poly_gcd,
     _prs_gcd,
+    _split,
+    _unpack,
     parse_half_laurent,
 )
 
@@ -274,10 +278,11 @@ def test_qnum_factor_map():
     # [n] = q^(1-n) (x^(4n) - 1)/(x^4 - 1) in x = q^(1/2): each Phi_d(x)
     # with d | 4n and d not dividing 4, once
     for n in range(1, 61):
-        unit, shift, e = _factor_map(qnum(n))
+        unit, shift, E, bound = _factor_map(qnum(n))
         assert (unit, shift) == (1, 2 - 2 * n)
-        assert dict(e) == {d: 1 for d in range(1, 4 * n + 1)
-                           if 4 * n % d == 0 and 4 % d}
+        assert _unpack(E) == {d: 1 for d in range(1, 4 * n + 1)
+                              if 4 * n % d == 0 and 4 % d}
+        assert bound == (n > 1)
 
 
 @pytest.mark.parametrize("f", [
@@ -320,8 +325,9 @@ def test_peel_bound_is_largest_cyclotomic_index():
 def test_cyclotomic_products_over_divisors():
     # prod_{d | n} Phi_d(x) = x^n - 1
     for n in range(1, 61):
-        e = tuple((d, 1) for d in range(1, n + 1) if n % d == 0)
-        assert _cyclotomic_poly(e) == (-1,) + (0,) * (n - 1) + (1,)
+        e = {d: 1 for d in range(1, n + 1) if n % d == 0}
+        assert _unpack(_pack(e)) == e
+        assert _cyclotomic_poly(_pack(e)) == (-1,) + (0,) * (n - 1) + (1,)
 
 
 def _coeffs(p):
@@ -472,6 +478,91 @@ def test_from_maps_matches_from_factors():
     assert _same(x, QFraction(math.prod(nums), math.prod(dens)))
     assert _same(QFraction.from_maps(*_mapped([(dens, dens)])[0]), ONE)
     assert _same(QFraction.from_maps([], []), ONE)
+
+
+def _expanded(x):
+    """Whether x has built its num and den: a factored value's slots are
+    unset until then, and plain attribute lookup does not fill them."""
+    try:
+        object.__getattribute__(x, "num")
+    except AttributeError:
+        return False
+    return True
+
+
+def _agree(a, b, want):
+    """== and != give want in both operand orders."""
+    assert (a == b) is want and (b == a) is want
+    assert (a != b) is (not want) and (b != a) is (not want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(cyclotomic_factors, max_size=4),
+       st.lists(cyclotomic_factors, max_size=4),
+       st.lists(cyclotomic_factors, max_size=4),
+       st.lists(cyclotomic_factors, max_size=4),
+       cyclotomic_factors)
+@example([qnum(6)], [qnum(3)], [qnum(2) * qnum(6)], [qnum(2), qnum(3)], qnum(4))
+@example([qnum(2), qpow(-1)], [], [], [], qnum(3))  # q^-1 [2] = q^-2 + 1
+@example([], [], [qpow(Fraction(1, 2)) * 3], [], qnum(-5))  # 1 and 3 q^(1/2)
+def test_factored_values_compare_like_expanded_ones(n1, d1, n2, d2, g):
+    # x and y are factored (from_maps); z is x's factors reordered with g
+    # on both sides, so z == x.  Two factored values are equal exactly when
+    # their expanded normal forms are, and compare with nothing expanded;
+    # against plain values, ZERO, ONE and ints == and != agree in both
+    # orders, and each factored value hashes like its eager construction
+    one = HalfLaurent.const(1)
+
+    def both(nums, dens):
+        factored = QFraction.from_maps(*_mapped([(nums, dens)])[0])
+        eager = QFraction(math.prod(nums, start=one), math.prod(dens, start=one))
+        return factored, eager
+
+    x, ex = both(n1, d1)
+    y, ey = both(n2, d2)
+    z, ez = both(n1[::-1] + [g], d1 + [g])
+    assert type(x) is not QFraction and isinstance(x, QFraction)
+    _agree(x, y, _same(ex, ey))
+    _agree(x, z, True)
+    assert not any(map(_expanded, (x, y, z)))
+    for v in (ex, ey, ZERO, ONE, 0, 1, 3):
+        want = _same(ex, QFraction(v) if isinstance(v, int) else v)
+        _agree(both(n1, d1)[0], v, want)
+        _agree(x, v, want)
+    assert _expanded(x) and _same(x, ex) and _same(z, ex)
+    fresh = both(n1, d1)[0]
+    assert hash(fresh) == hash(ex) and bool(fresh) and len({fresh, ex}) == 1
+
+
+def test_packed_exponents_stay_in_their_slots(monkeypatch):
+    # balanced 16-bit digits round-trip up to 2^15 - 1 in size, and _split
+    # parts them by sign
+    e = {1: 2 ** 15 - 1, 2: -(2 ** 15 - 1), 3: -1, 5: 1, 9: -7}
+    E = _pack(e)
+    assert _unpack(E) == e
+    assert _split(E) == (_pack({d: k for d, k in e.items() if k > 0}),
+                         _pack({d: -k for d, k in e.items() if k < 0}))
+    assert _split(0) == (0, 0) and _unpack(0) == {}
+    # a merge may reach _BOUND, and the difference of two maps within it,
+    # the most a sum forms, still unpacks exactly
+    two = _factor_map(qnum(2))
+    assert two[3] == 1
+    top = _merged_map([two] * _BOUND, [])
+    low = _merged_map([], [two] * _BOUND)
+    assert top[3] == low[3] == _BOUND
+    assert _unpack(top[2] - low[2]) == {
+        d: 2 * _BOUND for d in _unpack(two[2])}
+    # past the bound a slot could overflow into the next: a typed error,
+    # never a wrong key
+    with pytest.raises(ConsistencyError):
+        _merged_map([two] * _BOUND, [two])
+    with pytest.raises(ConsistencyError):
+        QFraction.from_maps([top], [low])
+    # and a factor is checked when it is packed
+    monkeypatch.setattr(qwig.exactq, "_BOUND", 1)
+    assert _factor_map.__wrapped__(qnum(3))[3] == 1
+    with pytest.raises(ConsistencyError):
+        _factor_map.__wrapped__(qnum(3) * qnum(3))
 
 
 def _fraction_parse(s):

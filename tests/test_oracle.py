@@ -785,6 +785,7 @@ from qwig import (
     ONE, QwigError, Signature, Weight, chi_v, index_sets, mu, omega,
     parse_qfraction, qnum, qpow,
 )
+from qwig.exactq import _BOUND, _factor_map, _merged_map
 from qwig.oracle.linalg import matmul, zeros
 from qwig.oracle.loperators import (
     char_eigenvalue, char_matrix, eij_matrix, etilde_matrix, l_operator,
@@ -832,6 +833,8 @@ cases = {
     "parse_zero_denominator": lambda: parse_qfraction("1/(0)"),
     "lower_weight": lambda: index_sets(LAM, (Fraction(1, 2), 0)),
     "signature_dimension": lambda: Signature(Fraction(3, 2), 1),
+    "packed_exponent_bound": lambda: _merged_map(
+        [_factor_map(qnum(2))] * (_BOUND + 1), []),
 }
 missed = {}
 for name, call in cases.items():

@@ -15,6 +15,7 @@ from qwig import (
     DegenerateRoots,
     HalfLaurent,
     IndexOutOfRange,
+    InvalidArgument,
     ONE,
     QFraction,
     Signature,
@@ -79,6 +80,18 @@ def test_omega_lower_empty_products():
     b = index_sets(Weight(S11, (1, 0)), (1,))
     assert omega(b, 2, "lower") == ONE
     assert omega(b, 1, "lower") == ZERO
+
+
+def test_form_is_checked_where_there_are_no_relations():
+    # the lowering side of this branching has L = (): no residual and no
+    # coupled entry, yet a bad form is still an error
+    b = index_sets(Weight(S11, (1, 0)), (1,))
+    assert _side(b, "lower").L == ()
+    assert linear_system_residuals(b, "lower") == {}
+    assert coupled_table(b, "lower").entries == {}
+    for fn in (linear_system_residuals, coupled_table):
+        with pytest.raises(InvalidArgument):
+            fn(b, "lower", "bogus")
 
 
 def test_omega_lower_degenerate():
@@ -567,8 +580,9 @@ def _shape(x):
 def test_omega_memo_order_and_sharing(sweep_branchings):
     # on every 4th sweep branching, omega for every k, the sum rule and the
     # residuals give the same values whichever fills the memo first; the
-    # residuals change no memo dict, and a repeat omega call returns the
-    # kept object
+    # residuals leave every memo entry the same tuple of the same packed
+    # int exponents, which nothing can change, and a repeat omega call
+    # returns the kept object
     checked = 0
     for b in sweep_branchings[::4]:
         ks = range(1, b.sig.d + 1)
@@ -585,10 +599,11 @@ def test_omega_memo_order_and_sharing(sweep_branchings):
                 omega_first = {"omega": omegas()}
                 memo = _side(b, variant).omega_memo.get(form)
                 kept = [] if memo is None else [
-                    (m, m[2], dict(m[2])) for m in memo[0].values() if m]
+                    (k, m) for k, m in memo[0].items() if m]
                 omega_first["residuals"] = residuals()
-                for m, e, copy in kept:
-                    assert m[2] is e and e == copy, (str(b), variant, form)
+                for k, m in kept:
+                    assert memo[0][k] is m and type(m[2]) is int, (
+                        str(b), variant, form)
                 for k in memo[0] if memo else ():
                     assert omega(b, k, variant, form) is omega(b, k, variant, form)
                 _side.cache_clear()
