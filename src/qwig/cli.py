@@ -96,7 +96,8 @@ def _dump_json(obj):
 
 def _write_json(o, out, newline):
     """Append the JSON text of o to out; newline starts a line at o's
-    indent."""
+    indent.  A list item or dict value whose type is exactly str or int is
+    written in the loop, with no call; bools and subclasses recurse."""
     if isinstance(o, str):
         out.append(_json_str(o))
     elif o is None:
@@ -115,7 +116,13 @@ def _write_json(o, out, newline):
         out.append("[")
         for v in o:
             out.append(inner)
-            _write_json(v, out, inner)
+            t = type(v)
+            if t is str:
+                out.append(_json_str(v))
+            elif t is int:
+                out.append(int.__repr__(v))
+            else:
+                _write_json(v, out, inner)
             out.append(",")
         out[-1] = newline + "]"
     elif isinstance(o, dict):
@@ -127,7 +134,13 @@ def _write_json(o, out, newline):
         # _json_str raises TypeError on a key that is not a str
         for k, v in sorted(o.items()):
             out.append(inner + _json_str(k) + ": ")
-            _write_json(v, out, inner)
+            t = type(v)
+            if t is str:
+                out.append(_json_str(v))
+            elif t is int:
+                out.append(int.__repr__(v))
+            else:
+                _write_json(v, out, inner)
             out.append(",")
         out[-1] = newline + "}"
     else:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from ..branching import BranchingData
 from ..errors import NotRealized, NotScalar
-from ..exactq import ZERO, QFraction, qpow
+from ..exactq import ONE, ZERO, QFraction, qpow
 from ..superweight import char_roots, check_generic, rho, subalgebra_roots
 from .linalg import (
     Matrix,
@@ -37,7 +37,6 @@ from .loperators import (
     char_matrix,
     etilde_matrix,
     l_operator,
-    projector,
     projector_parts,
     vector_slot_parities,
 )
@@ -202,37 +201,36 @@ def char_identity_check(W, lam, kind):
 def projector_algebra_check(W, lam, kind):
     """Whether the d eigenspace projectors P_r = N_r/s_r of the
     characteristic matrix on V' (x) W, with nodes at the deformed roots of
-    lam, satisfy P_i P_j = delta_ij P_i, taken on the N_r as N_i N_i =
-    s_i N_i and N_i N_j = 0, and sum_r P_r = I.  Raises DegenerateRoots
-    when two nodes coincide."""
+    lam, satisfy P_i P_j = delta_ij P_i and sum_r P_r = I, all taken on the
+    polynomial N_r: N_i N_i = s_i N_i, N_i N_j = 0, and
+    sum_r (prod_{j != r} s_j) N_r = (prod_j s_j) I.  Raises
+    DegenerateRoots when two nodes coincide."""
     rs = range(1, W.sig.d + 1)
     parts = [_projector_parts(W, lam, r, kind) for r in rs]
     for i, (n, s) in enumerate(parts):
         if matmul(n, n) != mat_scale(n, s) or not all(
                 is_zero_matrix(matmul(n, m)) for m, _ in parts[i + 1:]):
             return False
-    total = sum((_projector(W, lam, r, kind) for r in rs[1:]),
-                _projector(W, lam, 1, kind))
-    return total == identity(total.shape[0])
+    every = ONE
+    for _, s in parts:
+        every = every * s
+    total = zeros(*parts[0][0].shape)
+    for n, s in parts:
+        total = total + mat_scale(n, every / s)
+    return total == diagonal((every,) * total.shape[0])
 
 
 def _projector_parts(W, lam, k, ckind):
     """The unscaled product N and scale s of the k-th eigenspace projector
     N/s of the characteristic matrix on V' (x) W, with nodes at the
-    deformed roots of lam; built once per module and shared read-only."""
+    deformed roots of lam; built once per module and shared read-only.
+    No caller forms N/s: each divides by s only the scalar it extracts."""
     return W.cached(
         ("N", ckind, tuple(lam.comps), k),
         lambda: projector_parts(
             char_matrix(W, ckind), char_eigenvalues(lam, ckind), k
         ),
     )
-
-
-def _projector(W, lam, k, ckind):
-    """The k-th eigenspace projector N/s, kept next to its parts."""
-    N, scale = _projector_parts(W, lam, k, ckind)
-    return W.cached(("P", ckind, tuple(lam.comps), k),
-                    lambda: mat_scale(N, scale.inverse()))
 
 
 # atilde's +1 is its only central pairing: with -1 its supertrace is not a
@@ -290,25 +288,26 @@ def _ratio(numer_vecs, denom_vecs):
 def wigner_oracle(W, lam, lam0, k, kind):
     """Squared reduced Wigner coefficient from the projector diagonal entry.
 
-    The (d, d) entry operator of the k-th projector is a subalgebra scalar;
-    its value on the lam0 subalgebra highest weight vector is returned.
-    kind 'raise' uses the adjoint-type matrix on V (x) W, 'lower' the
-    dual-type on V* (x) W.
+    The (d, d) entry operator of the k-th projector N/s is a subalgebra
+    scalar; its value on the lam0 subalgebra highest weight vector is
+    returned.  It is read off the polynomial N's entry and divided by s
+    once.  kind 'raise' uses the adjoint-type matrix on V (x) W, 'lower'
+    the dual-type on V* (x) W.
     """
-    sig = W.sig
-    d = sig.d
-    b, w0 = _branch_vector(W, lam, lam0)
-    P = _projector(W, lam, k, _KIND_TO_CHAR[kind])
-    u = matvec(big_entry(P, W.dim, d, d), w0)
-    return _ratio([u], [w0])
+    d = W.sig.d
+    _, w0 = _branch_vector(W, lam, lam0)
+    N, scale = _projector_parts(W, lam, k, _KIND_TO_CHAR[kind])
+    u = matvec(big_entry(N, W.dim, d, d), w0)
+    return _ratio([u], [w0]) / scale
 
 
 def _sub_projector(W, lam0, r, ckind):
-    """The Lagrange polynomial of the subalgebra characteristic matrix on
-    V' (x) W with nodes at the lam0 deformed roots, kept once per module.
-    It is P0_r on the part of V' (x) W whose module slot lies in a
-    component of subalgebra highest weight lam0, and nothing elsewhere: the
-    oracles apply it only through _shift_project."""
+    """The parts (N0, s0) of the Lagrange polynomial N0/s0 of the
+    subalgebra characteristic matrix on V' (x) W with nodes at the lam0
+    deformed roots, kept once per module (projector_parts).  N0/s0 is P0_r
+    on the part of V' (x) W whose module slot lies in a component of
+    subalgebra highest weight lam0, and nothing elsewhere: the oracles
+    apply it only through _shift_project."""
     sig = W.sig
 
     def build():
@@ -316,7 +315,7 @@ def _sub_projector(W, lam0, r, ckind):
             tuple(int(c) for c in lam0), _char_variant(ckind), sig
         )
         nodes = tuple(char_eigenvalue(a, ckind) for a in alphas)
-        return projector(char_matrix(W, ckind, top=sig.d - 1), nodes, r)
+        return projector_parts(char_matrix(W, ckind, top=sig.d - 1), nodes, r)
 
     return W.cached(("subP", ckind, tuple(lam0), r), build)
 
@@ -330,9 +329,10 @@ def _shift_project(W, vec, r, ckind):
     that the matrix acts on.  So the module slot of each V' block of vec is
     split into its components, by one reduce_row against the tagged
     echelon of subalgebra_components, and each part is mapped by the
-    _sub_projector with its own component's nodes; the images are summed.
-    Only the components that vec meets are used, so a component it never
-    reaches cannot raise DegenerateRoots.
+    _sub_projector with its own component's nodes: N0 is applied, and only
+    the nonzeros of its image are multiplied by that component's s0^-1.
+    The images are summed.  Only the components that vec meets are used,
+    so a component it never reaches cannot raise DegenerateRoots.
     """
     dw = W.dim
     n0 = (W.sig.d - 1) * dw
@@ -348,8 +348,10 @@ def _shift_project(W, vec, r, ckind):
             _add_entry(parts.setdefault(lam0s[c - 1], {}), j * dw + s, -x)
     out = {}
     for lam0, part in parts.items():
-        for i, x in matvec(_sub_projector(W, lam0, r, ckind), part).items():
-            _add_entry(out, i, x)
+        N0, s0 = _sub_projector(W, lam0, r, ckind)
+        inverse = s0.inverse()
+        for i, x in matvec(N0, part).items():
+            _add_entry(out, i, x * inverse)
     return out
 
 
@@ -374,6 +376,7 @@ def _shifted_family(W, lam, lam0, r, ckind):
 def coupled_oracle(W, lam, lam0, k, r, kind):
     """Coupled squared reduced Wigner coefficient from the sandwiched
     projector identity P0_r P_k P0_r = c P0_r on the lam0 component.
+    P_k = N/s is applied as N, and the ratio divided by s once.
 
     Raises NotRealized when P0_r annihilates the whole lam0 test family
     (the shifted lower component is absent, e.g. non-dominant), in which
@@ -381,12 +384,13 @@ def coupled_oracle(W, lam, lam0, k, r, kind):
     """
     ckind = _KIND_TO_CHAR[kind]
     _, us = _shifted_family(W, lam, lam0, r, ckind)
-    P = _projector(W, lam, k, ckind)
+    N, scale = _projector_parts(W, lam, k, ckind)
     if not any(us):
         raise NotRealized(
             "shift projector %d annihilates the %s component" % (r, (lam0,))
         )
-    return _ratio([_shift_project(W, matvec(P, u), r, ckind) for u in us], us)
+    return _ratio([_shift_project(W, matvec(N, u), r, ckind) for u in us],
+                  us) / scale
 
 
 def mu_oracle(W, lam, lam0, r, kind):
@@ -398,7 +402,8 @@ def mu_oracle(W, lam, lam0, r, kind):
       (sum_k (P0_r)_{ik} A_{k,d}) (sum_l A_{d,l} (P0_r)_{lj}) w0
         = mu_r (P_r)_{ij} w0,
     w0 the lam0 subalgebra highest weight vector and A the dual-type
-    matrix for 'lower', the adjoint-type one for 'raise'.  Both kinds use
+    matrix for 'lower', the adjoint-type one for 'raise'.  P_r = N/s
+    enters as N, and the ratio is multiplied by s once.  Both kinds use
     this one recipe: no q^(2 rho_i) factor and no grading sign (-1)^[i] is
     applied.  Whether either belongs here is open (ROADMAP item 1).
     Raises NotRealized when every tested entry of P_r vanishes on the
@@ -407,9 +412,9 @@ def mu_oracle(W, lam, lam0, r, kind):
     d = W.sig.d
     ckind = _KIND_TO_CHAR[kind]
     w0, us = _shifted_family(W, lam, lam0, r, ckind)
-    P = _projector(W, lam, r, ckind)
+    N, scale = _projector_parts(W, lam, r, ckind)
     dw = W.dim
-    rhs_vecs = [matvec(big_entry(P, dw, i, j), w0)
+    rhs_vecs = [matvec(big_entry(N, dw, i, j), w0)
                 for i in range(1, d) for j in range(1, d)]
     if not any(rhs_vecs):
         raise NotRealized(
@@ -429,4 +434,4 @@ def mu_oracle(W, lam, lam0, r, kind):
             blocks[i][s] = c
         lefts.append(blocks)
     lhs_vecs = [lefts[j][i] for i in range(d - 1) for j in range(d - 1)]
-    return _ratio(lhs_vecs, rhs_vecs)
+    return _ratio(lhs_vecs, rhs_vecs) * scale

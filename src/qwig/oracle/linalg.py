@@ -19,6 +19,7 @@ __all__ = [
     "diagonal",
     "matmul",
     "matvec",
+    "map_entries",
     "mat_scale",
     "scale_rows",
     "scale_columns",
@@ -155,22 +156,28 @@ def matvec(A, v):
     return out
 
 
-def mat_scale(A, c):
-    """The matrix c A.  Each distinct entry value is multiplied once: equal
-    values hash equally and give equal products."""
-    if not c:
-        return zeros(*A.shape)
-    scaled = {}
+def map_entries(A, fn):
+    """The matrix of fn(x) over the entries x of A, for an fn that takes
+    nonzero values to nonzero values.  fn runs once per distinct entry
+    value: equal values hash equally and give equal images."""
+    images = {}
     rows = []
     for row in A.rows:
         out = {}
         for j, x in row.items():
-            y = scaled.get(x)
+            y = images.get(x)
             if y is None:
-                y = scaled[x] = x * c
+                y = images[x] = fn(x)
             out[j] = y
         rows.append(out)
     return Matrix(rows, A.ncols)
+
+
+def mat_scale(A, c):
+    """The matrix c A, each distinct entry value multiplied once."""
+    if not c:
+        return zeros(*A.shape)
+    return map_entries(A, lambda x: x * c)
 
 
 def scale_rows(diag, A):
@@ -217,6 +224,9 @@ def gkron(ops, slot_parities, rows=None):
     With rows given, a list of row dicts as long as the product, the
     product's entries are added into them in place and None is returned:
     that sums many sparse products, wrapped once as a Matrix afterwards.
+
+    A factor that is the ONE object, the start value or an entry of an
+    identity or matrix-unit slot, is skipped rather than multiplied.
     """
     dims = [m.shape[0] for m, _ in ops]
     total = 1
@@ -237,7 +247,7 @@ def gkron(ops, slot_parities, rows=None):
         flip = p and carried % 2
         for b, mrow in enumerate(mat.rows):
             for a, v in mrow.items():
-                nacc = acc * v
+                nacc = v if acc is ONE else acc if v is ONE else acc * v
                 if flip:
                     nacc = -nacc
                 rec(slot + 1, row * d + b, col * d + a, nacc, carried + pars[a])
@@ -284,11 +294,12 @@ def insert_row(basis, vec):
 
 def shift_diagonal(A, v):
     """The matrix A - v I of a square A; only the diagonal is computed."""
+    neg = -v
     rows = []
     for i, row in enumerate(A.rows):
         row = dict(row)
         s = row.pop(i, None)
-        s = -v if s is None else s - v
+        s = neg if s is None else s + neg
         if s:
             row[i] = s
         rows.append(row)

@@ -11,13 +11,28 @@ project onto the irreducible summands of V (x) W or V* (x) W.
 
 from __future__ import annotations
 
-from ..errors import DegenerateRoots, IndexOutOfRange, InvalidArgument
-from ..exactq import ONE, QFraction, Q_MINUS_QINV, qnum, qpow
+from ..errors import (
+    ConsistencyError,
+    DegenerateRoots,
+    IndexOutOfRange,
+    InvalidArgument,
+)
+from ..exactq import (
+    ONE,
+    QFraction,
+    Q_MINUS_QINV,
+    _dense,
+    _divide,
+    _sparse,
+    qnum,
+    qpow,
+)
 from ..superweight import char_roots, rho
 from .linalg import (
     Matrix,
     diagonal,
     gkron,
+    map_entries,
     matmul,
     mat_scale,
     scale_columns,
@@ -193,6 +208,14 @@ _L_PAIRS = {
 
 
 def _build_char_matrix(W, kind, d):
+    """char_matrix's matrix, built from its definition.
+
+    abar conjugates adual's entries by the monomials q^((rho, eps_j) -
+    (rho, eps_i)).  The other kinds multiply their two L-operators and
+    divide the numerator of each distinct entry of the product minus I
+    exactly by -(q - q^-1) (_minus_over_kappa), so no entry goes through
+    a gcd.
+    """
     sig = W.sig
     if kind == "abar":
         A = char_matrix(W, "adual", d)
@@ -210,9 +233,29 @@ def _build_char_matrix(W, kind, d):
         raise InvalidArgument("unknown characteristic matrix kind %r" % (kind,))
     left, right = _L_PAIRS[kind]
     prod = matmul(l_operator(W, left, d), l_operator(W, right, d))
-    # (I - prod) inv = -inv (prod - I): the diagonal shift adds polynomials,
-    # and one scaling touches only the nonzeros of prod and the diagonal
-    return mat_scale(shift_diagonal(prod, ONE), -Q_MINUS_QINV.inverse())
+    return map_entries(shift_diagonal(prod, ONE), _minus_over_kappa)
+
+
+_X4_MINUS_1 = [-1, 0, 0, 0, 1]
+
+
+def _minus_over_kappa(x):
+    """-x/(q - q^-1) for an entry x of RT R - I, whose numerator q - q^-1
+    divides exactly.
+
+    In x = q^(1/2), q - q^-1 is x^-2 (x^4 - 1): the numerator is divided by
+    x^4 - 1 on its dense coefficient list, shifted up two half-steps and
+    negated, with no gcd.  The denominator is kept: it is coprime to the
+    numerator, so to the quotient too, and the value stays in normal form.
+    A remainder raises ConsistencyError: the L-operator products are
+    congruent to the identity modulo q - q^-1.
+    """
+    low, p = _dense(x.num._t)
+    quotient = _divide(p, _X4_MINUS_1)
+    if quotient is None:
+        raise ConsistencyError(
+            "q - q^-1 does not divide the numerator of %s" % (x,))
+    return QFraction._raw(_sparse(low + 2, [-c for c in quotient]), x.den)
 
 
 def _char_variant(kind):
@@ -244,6 +287,10 @@ def projector_parts(A, eigenvalues, r):
     projector onto the r-th eigenspace is N/s.
 
     A is a characteristic matrix, eigenvalues its full deformed spectrum.
+    The oracle keeps the two parts and never forms N/s: N is built with no
+    division, and s enters only the scalar or the vector that a caller
+    extracts from N (Bareiss, Math. Comp. 22 (1968), divides once in the
+    same way).
     """
     vals = list(eigenvalues)
     target = vals[r - 1]
@@ -265,7 +312,8 @@ def projector(A, eigenvalues, r):
     A is a characteristic matrix, eigenvalues its full deformed spectrum.
     The unscaled factors A - v are multiplied and the product divided by
     the node differences once: per-factor scaling costs a pass over every
-    entry and leaves denominators for each product to reduce.
+    entry and leaves denominators for each product to reduce.  The oracle
+    itself applies projector_parts and divides the scalar it extracts.
     """
     N, scale = projector_parts(A, eigenvalues, r)
     return mat_scale(N, scale.inverse())

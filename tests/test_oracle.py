@@ -17,6 +17,7 @@ import qwig
 
 from qwig import (
     AdmissibilityError,
+    ConsistencyError,
     DegenerateRoots,
     HalfLaurent,
     IndexOutOfRange,
@@ -27,6 +28,7 @@ from qwig import (
     NotScalar,
     ONE,
     QFraction,
+    QwigError,
     Signature,
     SignatureMismatch,
     Weight,
@@ -66,11 +68,11 @@ from qwig.oracle import (
     vector_rep,
     wigner_oracle,
 )
+from qwig.oracle import checks
 from qwig.oracle.checks import (
     _KIND_TO_CHAR,
     _RHO_SIGN,
     _branch_vector,
-    _projector,
     _projector_parts,
     _ratio,
     _shift_project,
@@ -93,7 +95,11 @@ from qwig.oracle.linalg import (
     scale_rows,
     zeros,
 )
-from qwig.oracle.loperators import _char_variant, projector_parts
+from qwig.oracle.loperators import (
+    _char_variant,
+    _minus_over_kappa,
+    projector_parts,
+)
 from qwig.oracle.modules import (
     _lowering_span,
     _parity_of_weight,
@@ -472,7 +478,7 @@ def test_outer_shift_projector_is_component_aware():
     lam, W = first_module(sig, comps)
     ckind = _KIND_TO_CHAR[kind]
     n0 = (sig.d - 1) * W.dim
-    fixed = _sub_projector(W, lam0, r, ckind)
+    fixed = _scaled(_sub_projector(W, lam0, r, ckind))
     _, w0 = _branch_vector(W, lam, lam0)
     differ = 0
     for j in range(sig.d - 1):
@@ -480,7 +486,7 @@ def test_outer_shift_projector_is_component_aware():
         u = _shift_project(W, vec, r, ckind)
         assert u == matvec(fixed, vec)
         for k in (1, 2, 3):
-            v = matvec(_projector(W, lam, k, ckind), u)
+            v = matvec(_scaled(_projector_parts(W, lam, k, ckind)), u)
             aware = _shift_project(W, v, r, ckind)
             want = _component_shift_projector(W, r, ckind, [v])
             assert aware == matvec(want, v)
@@ -562,6 +568,13 @@ def _dense_char_matrix(W, kind, top):
     return matmul(matmul(D, A), Dinv)
 
 
+def _scaled(parts):
+    """The projector N s^-1 of its parts (N, s), which the oracle never
+    forms."""
+    N, s = parts
+    return mat_scale(N, s.inverse())
+
+
 def _dense_projector(A, nodes, r):
     """Lagrange interpolation with every factor scaled on its own."""
     out = identity(A.shape[0])
@@ -584,12 +597,9 @@ def test_cached_matrices_equal_fresh_builds():
         dense = _dense_char_matrix(fresh, kind, d)
         nodes = char_eigenvalues(lam, kind)
         for k in range(1, d + 1):
-            P = _projector(W, lam, k, kind)
-            assert _projector(W, lam, k, kind) is P
-            assert P == _dense_projector(dense, nodes, k)
             N, s = _projector_parts(W, lam, k, kind)
             assert _projector_parts(W, lam, k, kind)[0] is N
-            assert P == mat_scale(N, s.inverse())
+            assert _scaled((N, s)) == _dense_projector(dense, nodes, k)
     checked = 0
     for ckind, variant in (("atilde", "adjoint"), ("adual", "dual")):
         dense = _dense_char_matrix(fresh, ckind, d - 1)
@@ -598,13 +608,80 @@ def test_cached_matrices_equal_fresh_builds():
             nodes = tuple(char_eigenvalue(a, ckind) for a in alphas)
             for r in range(1, d):
                 try:
-                    P0 = _sub_projector(W, b.lam0, r, ckind)
+                    N0, s0 = _sub_projector(W, b.lam0, r, ckind)
                 except DegenerateRoots:
                     continue
-                assert _sub_projector(W, b.lam0, r, ckind) is P0
-                assert P0 == _dense_projector(dense, nodes, r)
+                assert _sub_projector(W, b.lam0, r, ckind)[0] is N0
+                assert _scaled((N0, s0)) == _dense_projector(dense, nodes, r)
                 checked += 1
     assert checked >= 4
+
+
+def test_char_entry_division_is_exact_or_raises():
+    # -x/(q - q^-1) on the numerator alone, the denominator kept: the
+    # gl(1|2) module 2|1,0 cut from V^(x)3 by its first highest weight
+    # vector has entries with one
+    kappa = QFraction(qpow(1) - qpow(-1))
+    poly = kappa * QFraction(qpow(3) - 2 * qpow(Fraction(1, 2)))
+    over = poly / QFraction(qpow(2) + HalfLaurent.const(1))
+    for x in (kappa, -kappa, poly, over):
+        assert _minus_over_kappa(x) == -x / kappa
+    assert _minus_over_kappa(over).den == over.den != ONE.den
+    for x in (QFraction(qpow(1)), poly + ONE,
+              QFraction(1, qpow(1) + HalfLaurent.const(1)), over + ONE):
+        with pytest.raises(ConsistencyError):
+            _minus_over_kappa(x)
+    _, W = first_module(S12, (2, 1, 0))
+    A = char_matrix(W, "adual")
+    assert any(x.den != ONE.den for x in A.flat)
+    assert A == _dense_char_matrix(W, "adual", S12.d)
+
+
+def _oracle_results(W, lam):
+    """Every wigner_oracle, coupled_oracle and mu_oracle outcome on the
+    module, keyed by its inputs: the value, or the class of the QwigError
+    raised."""
+    out = {}
+    for b in branch_candidates(lam):
+        for kind in ("lower", "raise"):
+            side = _Side(b, kind)
+            calls = [(wigner_oracle, (k, kind)) for k in range(1, W.sig.d + 1)]
+            calls += [(coupled_oracle, (k, r, kind))
+                      for k in side.K for r in side.L]
+            calls += [(mu_oracle, (r, kind)) for r in side.L]
+            for fn, args in calls:
+                try:
+                    got = fn(W, lam, b.lam0, *args)
+                except QwigError as exc:
+                    got = type(exc)
+                out[fn.__name__, b.lam0, args] = got
+    return out
+
+
+def test_unscaled_extraction_equals_scaled_projectors(monkeypatch):
+    # the reference applies every projector as the matrix N s^-1, and its
+    # scale as 1, on modules of its own, so that it shares no cached value
+    sigs = (S21, S12, Signature(2, 2))
+    got = {(sig, str(lam)): _oracle_results(W, lam)
+           for sig in sigs for lam, W in realized_modules(sig, 2, 30)}
+    scaled = {}  # id(N) -> (N, the reference's parts); N is kept alive
+
+    def scaled_parts(parts):
+        def build(*args):
+            N, s = parts(*args)
+            if id(N) not in scaled:
+                scaled[id(N)] = N, (_scaled((N, s)), ONE)
+            return scaled[id(N)][1]
+        return build
+
+    for name in ("_projector_parts", "_sub_projector"):
+        monkeypatch.setattr(checks, name, scaled_parts(getattr(checks, name)))
+    want = {(sig, str(lam)): _oracle_results(W, lam)
+            for sig in sigs for lam, W in realized_modules(sig, 2, 30)}
+    assert got == want
+    outcomes = [x for results in got.values() for x in results.values()]
+    assert sum(isinstance(x, QFraction) for x in outcomes) >= 100
+    assert {DegenerateRoots, NotRealized} <= set(outcomes)
 
 
 def _component_projections(W):
@@ -675,7 +752,7 @@ def _sandwich_coupled(W, lam, lam0, k, r, kind):
     d = W.sig.d
     _, w0 = _branch_vector(W, lam, lam0)
     ckind = _KIND_TO_CHAR[kind]
-    P = _projector(W, lam, k, ckind)
+    P = _scaled(_projector_parts(W, lam, k, ckind))
     vecs = [{j * W.dim + s: c for s, c in w0.items()} for j in range(d - 1)]
     E0 = _component_shift_projector(W, r, ckind, vecs)
     rhs = [matvec(E0, vec) for vec in vecs]
@@ -726,7 +803,8 @@ def test_cached_matrices_are_read_only():
     lam = Weight(S21, (2, 0, 0))
     for M in (
         char_matrix(W, "adual"),
-        _projector(W, lam, 1, "atilde"),
+        _projector_parts(W, lam, 1, "atilde")[0],
+        _sub_projector(W, (2, 0), 1, "atilde")[0],
         etilde_matrix(W, 1, 2),
     ):
         with pytest.raises(TypeError):
@@ -782,13 +860,14 @@ from unittest import mock
 
 import qwig.superweight as sw
 from qwig import (
-    ONE, QwigError, Signature, Weight, chi_v, index_sets, mu, omega,
-    parse_qfraction, qnum, qpow,
+    ONE, QFraction, QwigError, Signature, Weight, chi_v, index_sets, mu,
+    omega, parse_qfraction, qnum, qpow,
 )
 from qwig.exactq import _BOUND, _factor_map, _merged_map
 from qwig.oracle.linalg import matmul, zeros
 from qwig.oracle.loperators import (
-    char_eigenvalue, char_matrix, eij_matrix, etilde_matrix, l_operator,
+    _minus_over_kappa, char_eigenvalue, char_matrix, eij_matrix,
+    etilde_matrix, l_operator,
 )
 from qwig.oracle.modules import (
     RepModule, _parity_of_weight, submodule, tensor_module, vector_rep,
@@ -817,6 +896,9 @@ cases = {
     "l_operator_kind": lambda: l_operator(vector_rep(S11), "nope"),
     "char_matrix_kind": lambda: char_matrix(vector_rep(S11), "nope"),
     "char_eigenvalue_kind": lambda: char_eigenvalue(1, "nope"),
+    "char_entry_remainder": lambda: _minus_over_kappa(QFraction(qpow(1))),
+    "char_entry_denominator": lambda: _minus_over_kappa(
+        QFraction(1, qpow(1) + qpow(0))),
     "wigner_variant": lambda: omega(B, 1, "nope"),
     "wigner_form": lambda: omega(B, 1, "lower", "nope"),
     "mu_convention": lambda: mu(B, 1, "lower", "root_product", "nope"),
