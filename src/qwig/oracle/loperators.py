@@ -243,8 +243,8 @@ def _minus_over_kappa(x):
     """-x/(q - q^-1) for an entry x of RT R - I, whose numerator q - q^-1
     divides exactly.
 
-    In x = q^(1/2), q - q^-1 is x^-2 (x^4 - 1): the numerator is divided by
-    x^4 - 1 on its dense coefficient list, shifted up two half-steps and
+    In t = q^(1/2), q - q^-1 is t^-2 (t^4 - 1): the numerator is divided by
+    t^4 - 1 on its dense coefficient list, shifted up two half-steps and
     negated, with no gcd.  The denominator is kept: it is coprime to the
     numerator, so to the quotient too, and the value stays in normal form.
     A remainder raises ConsistencyError: the L-operator products are
