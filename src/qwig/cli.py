@@ -362,7 +362,7 @@ def _suite_invariants(name, sig):
     from .oracle.checks import supertrace_invariant
 
     def c1(M, lam, kind):
-        return chi_C1(lam) == supertrace_invariant(M, kind, 1), ""
+        return chi_C1(lam) == supertrace_invariant(M, kind), ""
 
     out = []
     for lam, M in _modules(sig):

@@ -19,13 +19,11 @@ from .linalg import (
     gkron,
     identity,
     is_zero_matrix,
-    mat_pow,
     mat_scale,
     matmul,
     matvec,
     reduce_row,
-    scalar_of,
-    shifted_product,
+    shift_diagonal,
     zeros,
 )
 from .loperators import (
@@ -187,37 +185,37 @@ def char_identity_check(W, lam, kind):
     V' (x) W for the characteristic matrix of the given kind, with the
     deformed root spectrum of lam.
 
+    The product is N_d (M - a_d), with N_d = prod_{r<d} (M - a_r) the
+    unscaled last projector that the module already keeps for the
+    projectors, wigner and coupled checks: one product beyond it.
+
     Raises DegenerateRoots when two classical roots coincide: the identity
     itself survives root collisions, but every downstream projector
     manipulation does not, so degenerate cases are excluded from sweeps.
     """
     variant = _char_variant(kind)
     check_generic(char_roots(lam, variant), "%s roots of %s" % (variant, lam))
-    return is_zero_matrix(
-        shifted_product(char_matrix(W, kind), char_eigenvalues(lam, kind))
-    )
+    d = W.sig.d
+    N, _ = _projector_parts(W, lam, d, kind)
+    last = char_eigenvalues(lam, kind)[d - 1]
+    return is_zero_matrix(matmul(N, shift_diagonal(char_matrix(W, kind), last)))
 
 
 def projector_algebra_check(W, lam, kind):
     """Whether the d eigenspace projectors P_r = N_r/s_r of the
     characteristic matrix on V' (x) W, with nodes at the deformed roots of
-    lam, satisfy P_i P_j = delta_ij P_i and sum_r P_r = I, all taken on the
-    polynomial N_r: N_i N_i = s_i N_i, N_i N_j = 0, and
-    sum_r (prod_{j != r} s_j) N_r = (prod_j s_j) I.  Raises
-    DegenerateRoots when two nodes coincide."""
-    rs = range(1, W.sig.d + 1)
-    parts = [_projector_parts(W, lam, r, kind) for r in rs]
-    for i, (n, s) in enumerate(parts):
-        if matmul(n, n) != mat_scale(n, s) or not all(
-                is_zero_matrix(matmul(n, m)) for m, _ in parts[i + 1:]):
-            return False
-    every = ONE
-    for _, s in parts:
-        every = every * s
-    total = zeros(*parts[0][0].shape)
-    for n, s in parts:
-        total = total + mat_scale(n, every / s)
-    return total == diagonal((every,) * total.shape[0])
+    lam, are idempotent: N_r N_r = s_r N_r for each r.  Raises
+    DegenerateRoots when two nodes coincide.
+
+    That decides the whole projector algebra.  The P_r are the Lagrange
+    polynomials of distinct nodes, so sum_r P_r = I holds identically.
+    Idempotents that sum to I over a field of characteristic 0 are
+    pairwise orthogonal: tr P_r = rank P_r, so the ranks add up to the
+    dimension and the images form a direct sum, and P_i P_j v = 0 for
+    i != j follows from the uniqueness of the decomposition of P_j v.
+    """
+    parts = [_projector_parts(W, lam, r, kind) for r in range(1, W.sig.d + 1)]
+    return all(matmul(n, n) == mat_scale(n, s) for n, s in parts)
 
 
 def _projector_parts(W, lam, k, ckind):
@@ -238,15 +236,16 @@ def _projector_parts(W, lam, k, ckind):
 _RHO_SIGN = {"ahat": 1, "atilde": 1, "adual": -1, "abar": -1}
 
 
-def supertrace_invariant(W, kind, power=1):
-    """Supertrace invariant str(q^(+-2 h_rho) M^power) over the vector slot.
+def supertrace_invariant(W, kind):
+    """Supertrace invariant str(q^(+-2 h_rho) M) over the vector slot.
 
     The adjoint-type matrices pair with q^(+2(rho, eps_i)), the dual-type
     with q^(-2(rho, eps_i)).  The partial supertrace is a central operator
-    on an irreducible W; its scalar is returned (NotScalar otherwise).
+    on an irreducible W; its scalar, the one ratio of its rows to those of
+    the identity, is returned (NotScalar otherwise).
     """
     sig = W.sig
-    M = mat_pow(char_matrix(W, kind), power)
+    M = char_matrix(W, kind)
     r = rho(sig)
     sgn = _RHO_SIGN[kind]
     total = zeros(W.dim)
@@ -257,7 +256,7 @@ def supertrace_invariant(W, kind, power=1):
         if sig.parity(i):
             factor = -factor
         total = total + mat_scale(blk, factor)
-    return scalar_of(total, "supertrace invariant")
+    return _ratio(total.rows, [{i: ONE} for i in range(W.dim)])
 
 
 _KIND_TO_CHAR = {"raise": "atilde", "lower": "adual"}

@@ -9,7 +9,7 @@ builders fill plain dicts and wrap them once.
 
 from __future__ import annotations
 
-from ..errors import InvalidArgument, NotScalar
+from ..errors import InvalidArgument
 from ..exactq import ONE, ZERO, QFraction
 
 __all__ = [
@@ -24,13 +24,11 @@ __all__ = [
     "scale_rows",
     "scale_columns",
     "is_zero_matrix",
-    "mat_pow",
     "gkron",
     "reduce_row",
     "insert_row",
     "shift_diagonal",
     "shifted_product",
-    "scalar_of",
 ]
 
 
@@ -199,16 +197,6 @@ def scale_columns(A, diag):
     )
 
 
-def mat_pow(A, p):
-    """A^p for an int p >= 0 (the identity for p <= 0)."""
-    if p < 1:
-        return identity(A.shape[0])
-    out = A
-    for _ in range(p - 1):
-        out = matmul(out, A)
-    return out
-
-
 def is_zero_matrix(A):
     return not any(A.rows)
 
@@ -314,17 +302,3 @@ def shifted_product(A, values):
         out = factor if out is None else matmul(out, factor)
     return identity(A.shape[0]) if out is None else out
 
-
-def scalar_of(A, label="operator"):
-    """The scalar c with A = c * I, or NotScalar at the first entry, in
-    row-major order, that breaks it."""
-    c = A[0, 0]
-    for i, row in enumerate(A.rows):
-        bad = [j for j in row if j != i]
-        if row.get(i, ZERO) != c:
-            bad.append(i)
-        if bad:
-            raise NotScalar(
-                "%s is not scalar at entry (%d,%d)" % (label, i, min(bad))
-            )
-    return c

@@ -227,7 +227,7 @@ def test_criterion_08_invariant_eigenvalues(oracle_modules, sweep_weights):
     for lam, M in modules:
         expected = chi_C1(lam)
         for kind in ("adual", "atilde", "abar"):
-            assert supertrace_invariant(M, kind, 1) == expected, (str(lam), kind)
+            assert supertrace_invariant(M, kind) == expected, (str(lam), kind)
     assert len(modules) >= 10
     assert {is_typical(lam) for lam, _ in modules} == {True, False}
 

@@ -66,3 +66,29 @@ def test_missing_result_and_bad_arguments(tmp_path):
         bench_pairs.main(["--parent", "p", "--change", "c", "--run", "oracle",
                           "--label", "t"])
     assert bench_pairs.parse_seeds("3,5-7") == [3, 5, 6, 7]
+
+
+def test_spread_wider_than_the_bound_is_unresolved(tmp_path, capsys, monkeypatch):
+    # parent p50 spans 2.0 over a median of 3.0, beyond its bound of 0.2:
+    # unresolved while some change run reads no better than every parent
+    # run; wall_s spans as widely, but every change run reads lower
+    monkeypatch.chdir(tmp_path)
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    parent.mkdir()
+    (parent / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [
+        {"name": "latency_p50_ms", "better": "lower", "bound": 0.2},
+        {"name": "wall_s", "better": "lower", "bound": 0.2}]}))
+    for seed, (a, b) in {1: (1.0, 0.5), 2: (2.0, 1.0), 3: (3.0, 2.0),
+                         4: (4.0, 2.5), 5: (5.0, 0.9)}.items():
+        _write(parent, "aaa", "oracle", seed, a, a)
+        _write(change, "bbb", "oracle", seed, b, b / 10)
+    bench_pairs.main(["--parent", str(parent), "--change", str(change),
+                      "--run", "oracle:1-5", "--label", "t"])
+    m = json.loads((tmp_path / "BENCH_t.json").read_text())[
+        "workloads"]["oracle"]["metrics"]
+    assert m["latency_p50_ms"]["lower_in"] == 5
+    assert m["latency_p50_ms"]["unresolved"] is True
+    assert m["wall_s"]["unresolved"] is False
+    out = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in out if line.endswith("unresolved")] == [
+        "latency_p50_ms"]

@@ -8,7 +8,11 @@ For each ``--run WORKLOAD:SEEDS`` it reads
 checkouts, as ``perfbench/run.py --trace 0`` leaves them, and pairs the two
 results of each seed.  It prints, per metric, each side's median and
 quartiles, the change of the median in percent and the number of pairs in
-which the change reads lower.  It writes ``BENCH_<label>.json``, in the
+which the change reads lower.  A metric is marked unresolved when the
+parent's quartile spread, over the parent's median, exceeds the metric's
+bound in the parent's ``BENCHMARK.json``, unless every change run reads
+better than every parent run: its spread is then too wide to tell a move
+within the bound from noise.  It writes ``BENCH_<label>.json``, in the
 current directory, with the same numbers, both git shas and the machine
 record.  It runs nothing: run the benchmark on both checkouts first,
 alternating which goes first.
@@ -64,9 +68,32 @@ def one(results, key, what):
     return results[0]["machine"][key]
 
 
-def compare(parent, change):
+def bounds(checkout):
+    """{metric: (bound, better)} of the end-to-end metrics that the
+    checkout's BENCHMARK.json bounds; empty when it has no such file."""
+    try:
+        spec = json.loads((Path(checkout) / "BENCHMARK.json").read_text())
+    except FileNotFoundError:
+        return {}
+    return {m["name"]: (m["bound"], m["better"])
+            for m in spec.get("end_to_end", []) if "bound" in m}
+
+
+def unresolved(p, c, ps, bound, better):
+    """Whether the parent's quartile spread, over its median, exceeds the
+    bound while some change run does not read better than every parent
+    run."""
+    sign = 1 if better == "lower" else -1
+    if max(sign * x for x in c) < min(sign * x for x in p):
+        return False
+    return not ps["median"] or (ps["q3"] - ps["q1"]) / abs(ps["median"]) > bound
+
+
+def compare(parent, change, limits):
     """Per metric: each side's summary, the change of the median in
-    percent, and the pairs in which the change reads lower."""
+    percent, the pairs in which the change reads lower, and whether the
+    parent's spread leaves the metric unresolved under limits, the
+    bounds() of the parent."""
     out = {}
     for name, spec in parent[0]["metrics"].items():
         p = [r["metrics"][name]["value"] for r in parent]
@@ -80,6 +107,8 @@ def compare(parent, change):
             if ps["median"] else None,
             "lower_in": sum(b < a for a, b in zip(p, c)),
             "pairs": len(p),
+            "unresolved": name in limits
+            and unresolved(p, c, ps, *limits[name]),
         }
     return out
 
@@ -94,12 +123,13 @@ def main(argv=None):
     args = p.parse_args(argv)
     record = {"label": args.label, "workloads": {}}
     sides = {"parent": [], "change": []}
+    limits = bounds(args.parent)
     for workload, seeds in args.run:
         parent = [load(args.parent, workload, s) for s in seeds]
         change = [load(args.change, workload, s) for s in seeds]
         sides["parent"] += parent
         sides["change"] += change
-        metrics = compare(parent, change)
+        metrics = compare(parent, change, limits)
         record["workloads"][workload] = {
             "seeds": seeds,
             "failed": {"parent": sum(r["failed"] for r in parent),
@@ -113,9 +143,10 @@ def main(argv=None):
         for name, m in metrics.items():
             ps, cs = m["parent"], m["change"]
             pct = "n/a" if m["change_pct"] is None else "%+.1f%%" % m["change_pct"]
-            print("  %-16s %.4g [%.4g, %.4g] -> %.4g [%.4g, %.4g] %s  %s, lower in %d/%d"
+            print("  %-16s %.4g [%.4g, %.4g] -> %.4g [%.4g, %.4g] %s  %s, lower in %d/%d%s"
                   % (name, ps["median"], ps["q1"], ps["q3"], cs["median"],
-                     cs["q1"], cs["q3"], m["unit"], pct, m["lower_in"], m["pairs"]))
+                     cs["q1"], cs["q3"], m["unit"], pct, m["lower_in"], m["pairs"],
+                     ", unresolved" if m["unresolved"] else ""))
     record["git_sha"] = {side: one(results, "git_sha", side)
                          for side, results in sides.items()}
     record["machine"] = {key: one(sides["parent"] + sides["change"], key, "two sides'")
