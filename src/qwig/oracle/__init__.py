@@ -9,7 +9,6 @@ from .checks import (
     mu_oracle,
     projector_algebra_check,
     qybe_check,
-    subalgebra_block_check,
     supertrace_invariant,
     wigner_oracle,
 )
@@ -38,8 +37,8 @@ from .modules import (
 
 __all__ = [
     "qybe_check", "intertwining_check", "coproduct_check",
-    "subalgebra_block_check", "char_identity_check", "projector_algebra_check",
-    "supertrace_invariant", "wigner_oracle", "coupled_oracle", "mu_oracle",
+    "char_identity_check", "projector_algebra_check", "supertrace_invariant",
+    "wigner_oracle", "coupled_oracle", "mu_oracle",
     "CHAR_KINDS", "eij_matrix", "etilde_matrix", "l_operator",
     "char_matrix", "char_eigenvalue", "char_eigenvalues", "projector",
     "big_entry", "vector_slot_parities",

@@ -50,7 +50,6 @@ __all__ = [
     "qybe_check",
     "intertwining_check",
     "coproduct_check",
-    "subalgebra_block_check",
     "char_identity_check",
     "projector_algebra_check",
     "supertrace_invariant",
@@ -168,16 +167,6 @@ def coproduct_check(sig):
     R13 = _three_slot(sig, V, 1, 3)
     R12 = _three_slot(sig, V, 1, 2)
     return l_operator(T, "R") == matmul(R13, R12)
-
-
-def subalgebra_block_check(W, kind):
-    """Whether the leading (d-1)-block of the characteristic matrix equals
-    the subalgebra characteristic matrix built directly on V' (x) W."""
-    d = W.sig.d
-    full = char_matrix(W, kind)
-    lead = full[: (d - 1) * W.dim, : (d - 1) * W.dim]
-    sub = char_matrix(W, kind, top=d - 1)
-    return lead == sub
 
 
 def char_identity_check(W, lam, kind):
@@ -306,15 +295,26 @@ def _sub_projector(W, lam0, r, ckind):
     deformed roots, kept once per module (projector_parts).  N0/s0 is P0_r
     on the part of V' (x) W whose module slot lies in a component of
     subalgebra highest weight lam0, and nothing elsewhere: the oracles
-    apply it only through _shift_project."""
+    apply it only through _shift_project.
+
+    The subalgebra matrix is the leading (d-1)-block of the module's own,
+    sliced once per kind: the twisted L-operators are triangular in the
+    vector slot (RtildeT and dualRT lower, Rtilde and dualR upper), so
+    entry (a, b) of their product sums over k <= min(a, b) alone, and only
+    subalgebra generators enter for a, b < d.  That holds for atilde, adual
+    and abar, not for ahat, whose RT R sums over k >= max(a, b); the oracle
+    never passes ahat here."""
     sig = W.sig
 
     def build():
+        n0 = (sig.d - 1) * W.dim
+        A0 = W.cached(("char0", ckind),
+                      lambda: char_matrix(W, ckind)[:n0, :n0])
         alphas = subalgebra_roots(
             tuple(int(c) for c in lam0), _char_variant(ckind), sig
         )
         nodes = tuple(char_eigenvalue(a, ckind) for a in alphas)
-        return projector_parts(char_matrix(W, ckind, top=sig.d - 1), nodes, r)
+        return projector_parts(A0, nodes, r)
 
     return W.cached(("subP", ckind, tuple(lam0), r), build)
 

@@ -76,7 +76,7 @@ def eij_matrix(W, i, j, spower=0):
     needs a Koszul sign: each term of E_ij holds every simple generator at
     most once, and only e_m and f_m are odd.
     """
-    if i == j:
+    if i == j or not (1 <= i <= W.sig.d and 1 <= j <= W.sig.d):
         raise IndexOutOfRange("E_%d%d is not a root element" % (i, j))
     _check_spower(spower)
     return W.cached(("Eij", i, j, spower), lambda: _eij(W, i, j, spower))
@@ -153,12 +153,9 @@ _L_KINDS = {
 }
 
 
-def l_operator(W, which, top=None):
-    """The big matrix of an L-operator on V' (x) W.
-
-    V' is the defining module of the full algebra (top=None) or of the
-    subalgebra spanned by the first `top` basis directions, in which case
-    only generators with both indices <= top enter.  Kinds:
+def l_operator(W, which):
+    """The big matrix of an L-operator on V (x) W, V the defining module.
+    Kinds:
 
       R:       sum_{i<=j} e_ji (x) Et_ij
       RT:      sum_{i<=j} e_ij (x) Et_ji
@@ -171,8 +168,8 @@ def l_operator(W, which, top=None):
         raise InvalidArgument("unknown L-operator kind %r" % (which,))
     first_order, et_order, spower, sign_label = _L_KINDS[which]
     sig = W.sig
-    d = sig.d if top is None else top
-    slot_pars = [vector_slot_parities(sig)[:d], W.parities]
+    d = sig.d
+    slot_pars = [vector_slot_parities(sig), W.parities]
     total = [{} for _ in range(d * W.dim)]
     for i in range(1, d + 1):
         for j in range(i, d + 1):
@@ -186,8 +183,8 @@ def l_operator(W, which, top=None):
     return Matrix(total, d * W.dim)
 
 
-def char_matrix(W, kind, top=None):
-    """A characteristic matrix on V' (x) W (or V'* (x) W for the duals).
+def char_matrix(W, kind):
+    """A characteristic matrix on V (x) W (or V* (x) W for the duals).
 
       ahat:   (q - q^-1)^-1 (I - RT R)          adjoint, roots -q^abar [abar]
       atilde: (q - q^-1)^-1 (I - RtildeT Rtilde) adjoint, roots q^-abar [abar]
@@ -196,8 +193,7 @@ def char_matrix(W, kind, top=None):
 
     Built once per module and kind, and shared read-only.
     """
-    d = W.sig.d if top is None else top
-    return W.cached(("char", kind, d), lambda: _build_char_matrix(W, kind, d))
+    return W.cached(("char", kind), lambda: _build_char_matrix(W, kind))
 
 
 _L_PAIRS = {
@@ -207,7 +203,7 @@ _L_PAIRS = {
 }
 
 
-def _build_char_matrix(W, kind, d):
+def _build_char_matrix(W, kind):
     """char_matrix's matrix, built from its definition.
 
     abar conjugates adual's entries by the monomials q^((rho, eps_j) -
@@ -218,10 +214,10 @@ def _build_char_matrix(W, kind, d):
     """
     sig = W.sig
     if kind == "abar":
-        A = char_matrix(W, "adual", d)
+        A = char_matrix(W, "adual")
         r = rho(sig)
         # (rho, eps_i) carries the grading sign of the bilinear form
-        rp = [sig.sign(i + 1) * r[i] for i in range(d)]
+        rp = [sig.sign(i + 1) * r[i] for i in range(sig.d)]
         scales = [[QFraction(qpow(y - x)) for y in rp] for x in rp]
         dw = W.dim
         return Matrix(
@@ -232,7 +228,7 @@ def _build_char_matrix(W, kind, d):
     if kind not in _L_PAIRS:
         raise InvalidArgument("unknown characteristic matrix kind %r" % (kind,))
     left, right = _L_PAIRS[kind]
-    prod = matmul(l_operator(W, left, d), l_operator(W, right, d))
+    prod = matmul(l_operator(W, left), l_operator(W, right))
     return map_entries(shift_diagonal(prod, ONE), _minus_over_kappa)
 
 
@@ -293,6 +289,8 @@ def projector_parts(A, eigenvalues, r):
     same way).
     """
     vals = list(eigenvalues)
+    if not 1 <= r <= len(vals):
+        raise IndexOutOfRange("no eigenvalue %d of %d" % (r, len(vals)))
     target = vals[r - 1]
     others = [v for k, v in enumerate(vals, start=1) if k != r]
     for k, v in enumerate(vals, start=1):

@@ -92,3 +92,35 @@ def test_spread_wider_than_the_bound_is_unresolved(tmp_path, capsys, monkeypatch
     out = capsys.readouterr().out.splitlines()
     assert [line.split()[0] for line in out if line.endswith("unresolved")] == [
         "latency_p50_ms"]
+
+
+def test_net_lines_of_python_files(tmp_path, capsys, monkeypatch):
+    # a.py changes one line of three and b.py is new under src/; the one
+    # test file goes; tools/ is new; README.md and a.pyc do not count
+    monkeypatch.chdir(tmp_path)
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    files = {
+        parent: {"src/pkg/a.py": "x = 1\ny = 2\nz = 3\n",
+                 "tests/test_a.py": "def test():\n    pass\n",
+                 "README.md": "one\n"},
+        change: {"src/pkg/a.py": "x = 1\ny = 5\nz = 3\n",
+                 "src/pkg/b.py": "w = 4\n" * 4,
+                 "tools/t.py": "t = 0\n",
+                 "README.md": "one\ntwo\n"},
+    }
+    for root, tree in files.items():
+        for name, text in tree.items():
+            (root / name).parent.mkdir(parents=True, exist_ok=True)
+            (root / name).write_text(text)
+        _write(root, root.name, "oracle", 1, 1.0, 1.0)
+    (change / "src" / "pkg" / "a.pyc").write_bytes(b"\0\1")
+    bench_pairs.main(["--parent", str(parent), "--change", str(change),
+                      "--run", "oracle:1", "--label", "t"])
+    record = json.loads((tmp_path / "BENCH_t.json").read_text())
+    assert record["net_lines"] == {
+        "src": {"added": 5, "removed": 1, "net": 4},
+        "tests": {"added": 0, "removed": 2, "net": -2},
+        "tools": {"added": 1, "removed": 0, "net": 1},
+    }
+    assert "net lines: src +4 (+5/-1), tests -2 (+0/-2), tools +1 (+1/-0)" in (
+        capsys.readouterr().out)

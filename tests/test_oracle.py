@@ -61,7 +61,6 @@ from qwig.oracle import (
     projector_algebra_check,
     qybe_check,
     realized_modules,
-    subalgebra_block_check,
     submodule,
     supertrace_invariant,
     tensor_module,
@@ -297,13 +296,20 @@ def test_char_identity_examples():
 
 
 def test_ahat_does_not_block_partition():
-    # the plain L-operator matrix must NOT reduce to the subalgebra matrix
-    # in its leading block, while the twisted variants must
-    for sig in (S21, S12):
-        V = vector_rep(sig)
-        assert not subalgebra_block_check(V, "ahat")
-        assert subalgebra_block_check(V, "atilde")
-        assert subalgebra_block_check(V, "adual")
+    # the leading (d-1)-block of each twisted matrix is the subalgebra
+    # matrix, the one that _sub_projector slices; ahat's is not, since RT R
+    # sums over the last vector direction too
+    cases = 0
+    for sig in (S11, S21, S12, Signature(2, 2), Signature(3, 1),
+                Signature(1, 3)):
+        for _, W in realized_modules(sig, 2, 30):
+            n0 = (sig.d - 1) * W.dim
+            for kind in CHAR_KINDS:
+                lead = char_matrix(W, kind)[:n0, :n0]
+                sub = _dense_char_matrix(W, kind, sig.d - 1)
+                assert (lead == sub) == (kind != "ahat"), (str(sig), kind)
+                cases += 1
+    assert cases >= 72
 
 
 def test_projector_algebra_gl11():
@@ -340,6 +346,28 @@ def test_projector_algebra_check_can_fail():
     for kind in ("atilde", "adual"):
         assert projector_algebra_check(modules[lam], lam, kind)
         assert not projector_algebra_check(modules[lam], other, kind)
+
+
+def test_projector_algebra_check_tests_every_r(monkeypatch):
+    # a 9 x 9 matrix with a 2 x 2 Jordan block at 0 and -1, 1 on the rest
+    # of the diagonal, with nodes (0, -1, 1): L_1(x) = 1 - x^2 has zero
+    # derivative at 0, so N_1 N_1 = s_1 N_1 holds, while P_2 and P_3 keep
+    # a nilpotent part and are not idempotent
+    V = vector_rep(S21)
+    diag = [ZERO, ZERO] + [-ONE, ONE] * 3 + [-ONE]
+    rows = [{i: x} if x else {} for i, x in enumerate(diag)]
+    rows[0] = {1: ONE}
+    A = Matrix(rows, 9)
+    monkeypatch.setattr(checks, "char_eigenvalues",
+                        lambda lam, kind: (ZERO, -ONE, ONE))
+    monkeypatch.setattr(checks, "char_matrix", lambda W, kind: A)
+    lam = Weight(S21, (1, 0, 0))
+    idempotent = []
+    for r in (1, 2, 3):
+        N, s = _projector_parts(V, lam, r, "atilde")
+        idempotent.append(matmul(N, N) == mat_scale(N, s))
+    assert idempotent == [True, False, False]
+    assert not projector_algebra_check(V, lam, "atilde")
 
 
 def _projector_algebra_reference(W, lam, kind):
@@ -597,19 +625,22 @@ def _gl21_module_200():
     return submodule(T, vecs)
 
 
-def _dense_char_matrix(W, kind, top):
+def _dense_char_matrix(W, kind, dirs):
     """The defining formula of char_matrix, (I - RT R)(q - q^-1)^-1 and its
-    conjugation by D, evaluated with whole-matrix operations."""
+    conjugation by D, evaluated with whole-matrix operations on the first
+    dirs vector directions: RT and R are cut to their leading blocks before
+    they are multiplied, so for dirs < d it is the matrix of the subalgebra
+    on those directions."""
     left, right = {"ahat": ("RT", "R"), "atilde": ("RtildeT", "Rtilde")}.get(
         kind, ("dualRT", "dualR")
     )
-    N = top * W.dim
-    prod = matmul(l_operator(W, left, top), l_operator(W, right, top))
+    N = dirs * W.dim
+    prod = matmul(l_operator(W, left)[:N, :N], l_operator(W, right)[:N, :N])
     A = mat_scale(identity(N) - prod, QFraction(qpow(1) - qpow(-1)).inverse())
     if kind != "abar":
         return A
     r = rho(W.sig)
-    exps = [W.sig.sign(b) * r[b - 1] for b in range(1, top + 1)
+    exps = [W.sig.sign(b) * r[b - 1] for b in range(1, dirs + 1)
             for _ in range(W.dim)]
     D = Matrix([{i: QFraction(qpow(-e))} for i, e in enumerate(exps)], N)
     Dinv = Matrix([{i: QFraction(qpow(e))} for i, e in enumerate(exps)], N)
@@ -637,12 +668,14 @@ def test_cached_matrices_equal_fresh_builds():
     W, fresh = _gl21_module_200(), _gl21_module_200()
     lam = Weight(S21, (2, 0, 0))
     d = S21.d
+    n0 = (d - 1) * W.dim
     for kind in CHAR_KINDS:
-        for top in (d, d - 1):
-            A = char_matrix(W, kind, top=top)
-            assert char_matrix(W, kind, top=top) is A
-            assert A == _dense_char_matrix(fresh, kind, top)
+        A = char_matrix(W, kind)
+        assert char_matrix(W, kind) is A
         dense = _dense_char_matrix(fresh, kind, d)
+        assert A == dense
+        lead = A[:n0, :n0] == _dense_char_matrix(fresh, kind, d - 1)
+        assert lead == (kind != "ahat")
         nodes = char_eigenvalues(lam, kind)
         for k in range(1, d + 1):
             N, s = _projector_parts(W, lam, k, kind)
@@ -663,6 +696,9 @@ def test_cached_matrices_equal_fresh_builds():
                 assert _scaled((N0, s0)) == _dense_projector(dense, nodes, r)
                 checked += 1
     assert checked >= 4
+    # one characteristic matrix per kind: the subalgebra's is a slice
+    assert sorted(key for key in W._cache if key[0] == "char") == sorted(
+        ("char", kind) for kind in CHAR_KINDS)
 
 
 def test_char_entry_division_is_exact_or_raises():
@@ -777,7 +813,7 @@ def _component_shift_projector(W, r, ckind, vecs):
     sig, dw = W.sig, W.dim
     d = sig.d
     N = d * dw
-    A0 = char_matrix(W, ckind, top=d - 1)
+    A0 = _dense_char_matrix(W, ckind, d - 1)
     total = zeros(N)
     for lam0, Q in _component_projections(W):
         EQ = Matrix([{b * dw + j: x for j, x in row.items()}
@@ -899,6 +935,20 @@ def test_antipode_power_must_be_plus_or_minus_one():
 def test_eij_of_a_diagonal_index_pair():
     with pytest.raises(IndexOutOfRange):
         eij_matrix(vector_rep(S21), 2, 2)
+    for i, j in ((0, 1), (3, 4)):
+        with pytest.raises(IndexOutOfRange):
+            eij_matrix(vector_rep(S21), i, j)
+
+
+def test_projector_index_out_of_range():
+    V = vector_rep(S21)
+    A = char_matrix(V, "atilde")
+    vals = char_eigenvalues(Weight(S21, (1, 0, 0)), "atilde")
+    for r in (0, S21.d + 1):
+        with pytest.raises(IndexOutOfRange):
+            projector_parts(A, vals, r)
+        with pytest.raises(IndexOutOfRange):
+            projector(A, vals, r)
 
 
 _TYPED_ERRORS_SCRIPT = """
@@ -915,7 +965,7 @@ from qwig.exactq import _BOUND, _factor_map, _merged_map
 from qwig.oracle.linalg import matmul, zeros
 from qwig.oracle.loperators import (
     _minus_over_kappa, char_eigenvalue, char_matrix, eij_matrix,
-    etilde_matrix, l_operator,
+    etilde_matrix, l_operator, projector, projector_parts,
 )
 from qwig.oracle.modules import (
     RepModule, _parity_of_weight, submodule, tensor_module, vector_rep,
@@ -930,6 +980,12 @@ zero_rho = mock.patch.object(
 cases = {
     "antipode": lambda: etilde_matrix(vector_rep(S21), 1, 2, 2),
     "eij": lambda: eij_matrix(vector_rep(S21), 2, 2),
+    "eij_below": lambda: eij_matrix(vector_rep(S21), 0, 1),
+    "eij_above": lambda: eij_matrix(vector_rep(S21), 3, 4),
+    "projector_below": lambda: projector_parts(
+        char_matrix(vector_rep(S11), "atilde"), (ONE, -ONE), 0),
+    "projector_above": lambda: projector(
+        char_matrix(vector_rep(S11), "atilde"), (ONE, -ONE), 3),
     "signature": lambda: Signature(0, 1),
     "rho": zero_rho(lambda: sw.rho(S21)),
     "tensor_module": lambda: tensor_module(vector_rep(S11), vector_rep(S21)),

@@ -12,17 +12,23 @@ which the change reads lower.  A metric is marked unresolved when the
 parent's quartile spread, over the parent's median, exceeds the metric's
 bound in the parent's ``BENCHMARK.json``, unless every change run reads
 better than every parent run: its spread is then too wide to tell a move
-within the bound from noise.  It writes ``BENCH_<label>.json``, in the
-current directory, with the same numbers, both git shas and the machine
-record.  It runs nothing: run the benchmark on both checkouts first,
-alternating which goes first.
+within the bound from noise.  It also prints the lines of ``*.py`` files
+added and removed under ``src/``, ``tests/`` and ``tools/`` between the two
+checkouts, by ``git diff --no-index --numstat``.  It writes
+``BENCH_<label>.json``, in the current directory, with the same numbers,
+both git shas and the machine record.  It runs no benchmark: run the
+benchmark on both checkouts first, alternating which goes first.
 """
 
 import argparse
 import json
 import statistics
+import subprocess
 import sys
+import tempfile
 from pathlib import Path
+
+NET_DIRS = ("src", "tests", "tools")
 
 
 def parse_seeds(text):
@@ -113,6 +119,34 @@ def compare(parent, change, limits):
     return out
 
 
+def net_lines(parent, change):
+    """{dir: {"added", "removed", "net"}}: the lines of *.py files added
+    and removed under each of NET_DIRS from the parent's checkout to the
+    change's.  A directory missing from a checkout counts as empty."""
+    out = {}
+    with tempfile.TemporaryDirectory() as empty:
+        for name in NET_DIRS:
+            a, b = (Path(c) / name for c in (parent, change))
+            done = subprocess.run(
+                ["git", "diff", "--no-index", "--no-renames", "--numstat",
+                 str(a if a.is_dir() else empty), str(b if b.is_dir() else empty)],
+                capture_output=True, text=True)
+            if done.returncode > 1:
+                sys.exit("bench_pairs: git diff failed: %s" % done.stderr.strip())
+            added = removed = 0
+            for line in done.stdout.splitlines():
+                # the path reads "{old => new}/x.py", "{dev/null => new/x.py}"
+                # or "old/x.py => /dev/null"; binary files count "-"
+                plus, minus, path = line.split("\t", 2)
+                if plus != "-" and any(p.rstrip("}").endswith(".py")
+                                       for p in path.split(" => ")):
+                    added += int(plus)
+                    removed += int(minus)
+            out[name] = {"added": added, "removed": removed,
+                         "net": added - removed}
+    return out
+
+
 def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--parent", required=True, help="the parent's checkout")
@@ -147,6 +181,10 @@ def main(argv=None):
                   % (name, ps["median"], ps["q1"], ps["q3"], cs["median"],
                      cs["q1"], cs["q3"], m["unit"], pct, m["lower_in"], m["pairs"],
                      ", unresolved" if m["unresolved"] else ""))
+    record["net_lines"] = net_lines(args.parent, args.change)
+    print("net lines: " + ", ".join(
+        "%s %+d (+%d/-%d)" % (name, n["net"], n["added"], n["removed"])
+        for name, n in record["net_lines"].items()))
     record["git_sha"] = {side: one(results, "git_sha", side)
                          for side, results in sides.items()}
     record["machine"] = {key: one(sides["parent"] + sides["change"], key, "two sides'")
