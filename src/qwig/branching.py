@@ -3,11 +3,10 @@
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import NonIntegralWeight, NotABranching, SignatureMismatch
-from .superweight import Weight, subalgebra_roots
+from .superweight import _Value, subalgebra_roots
 
 __all__ = ["BranchingData", "branch_candidates", "index_sets"]
 
@@ -53,8 +52,7 @@ def _even_block_dominant(c, m):
     return True
 
 
-@dataclass(frozen=True)
-class BranchingData:
+class BranchingData(_Value):
     """A dominant weight pair (lam, lam0) satisfying the betweenness rules.
 
     Index sets use global positions 1..m+n:
@@ -65,12 +63,12 @@ class BranchingData:
     the distinguished last basis direction.
     """
 
-    lam: Weight
-    lam0: tuple
+    _fields = ("lam", "lam0")
 
-    def __post_init__(self):
-        lam0 = tuple(self.lam0)
-        _check_pair(self.lam, lam0)
+    def __init__(self, lam, lam0):
+        lam0 = tuple(lam0)
+        _check_pair(lam, lam0)
+        object.__setattr__(self, "lam", lam)
         object.__setattr__(self, "lam0", lam0)
 
     @property

@@ -10,7 +10,6 @@ QFraction strings are canonical.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import io
 import json
@@ -157,6 +156,7 @@ def _emit(payload, out_path, csv_rows=None):
     if out_path and out_path.endswith(".csv"):
         if csv_rows is None:
             raise InvalidArgument("CSV output is only available for tables")
+        import csv  # here, not at the top: only --out x.csv needs it
         buf = io.StringIO()
         w = csv.writer(buf, lineterminator="\n")
         for row in csv_rows():

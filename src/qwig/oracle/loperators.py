@@ -319,5 +319,8 @@ def projector(A, eigenvalues, r):
 
 def big_entry(M, dW, i, j):
     """The (i, j) operator-valued entry of a big matrix on V' (x) W, as a
-    dW x dW block (1-based first-slot indices)."""
+    dW x dW block (1-based first-slot indices 1..d, d = M's size / dW)."""
+    d = len(M.rows) // dW
+    if not (1 <= i <= d and 1 <= j <= d):
+        raise IndexOutOfRange("entry (%d, %d) outside 1..%d" % (i, j, d))
     return M[(i - 1) * dW : i * dW, (j - 1) * dW : j * dW]

@@ -7,7 +7,6 @@ with sign +1 on the even block and -1 on the odd block.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
@@ -36,18 +35,61 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Signature:
+class _Value:
+    """Base of the frozen value classes.
+
+    A subclass names its fields in _fields, and its __init__ sets each once
+    through object.__setattr__.  Two values are equal when they have the
+    same class and equal fields, and a value hashes as the tuple of its
+    fields unless its class defines __hash__.  repr reads
+    Signature(m=2, n=1), and a value pickles as its class called on its
+    fields.
+    """
+
+    def __init_subclass__(cls):
+        # __eq__ and __hash__ are compiled over the named fields: equality of
+        # weights and signatures runs in the sweep's inner loops, where an
+        # operator.attrgetter of the fields costs about twice as much on
+        # Python 3.11
+        mine = "".join("self.%s, " % f for f in cls._fields)
+        ns = {}
+        exec("def __eq__(self, other):\n"
+             "    if other.__class__ is self.__class__:\n"
+             "        return (%s) == (%s)\n"
+             "    return NotImplemented\n"
+             "def __hash__(self):\n"
+             "    return hash((%s))\n"
+             % (mine, mine.replace("self.", "other."), mine), ns)
+        cls.__eq__ = ns["__eq__"]
+        if "__hash__" not in cls.__dict__:
+            cls.__hash__ = ns["__hash__"]
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r" % name)
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete field %r" % name)
+
+    def __repr__(self):
+        return "%s(%s)" % (self.__class__.__qualname__, ", ".join(
+            "%s=%r" % (f, getattr(self, f)) for f in self._fields))
+
+    def __reduce__(self):
+        return self.__class__, tuple(getattr(self, f) for f in self._fields)
+
+
+class Signature(_Value):
     """The pair (m, n) of even and odd basis dimensions, both >= 1."""
 
-    m: int
-    n: int
+    _fields = ("m", "n")
 
-    def __post_init__(self):
-        if type(self.m) is not int or type(self.n) is not int:
+    def __init__(self, m, n):
+        if type(m) is not int or type(n) is not int:
             raise InvalidArgument("signature needs integers m and n")
-        if self.m < 1 or self.n < 1:
+        if m < 1 or n < 1:
             raise InvalidArgument("signature needs m >= 1 and n >= 1")
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "n", n)
 
     @property
     def d(self):
@@ -67,22 +109,22 @@ class Signature:
         return "gl(%d|%d)" % (self.m, self.n)
 
 
-@dataclass(frozen=True)
-class Weight:
+class Weight(_Value):
     """An integral gl(m|n) weight, components in the eps basis."""
 
-    sig: Signature
-    comps: tuple
+    _fields = ("sig", "comps")
 
-    def __post_init__(self):
+    def __init__(self, sig, comps):
         # stored as a tuple, so that a weight built from a list hashes
-        object.__setattr__(self, "comps", tuple(self.comps))
-        if len(self.comps) != self.sig.d:
+        comps = tuple(comps)
+        if len(comps) != sig.d:
             raise InvalidArgument(
-                "expected %d components, got %d" % (self.sig.d, len(self.comps))
+                "expected %d components, got %d" % (sig.d, len(comps))
             )
-        if not all(type(c) is int for c in self.comps):
+        if not all(type(c) is int for c in comps):
             raise NonIntegralWeight("weight components must be integers")
+        object.__setattr__(self, "sig", sig)
+        object.__setattr__(self, "comps", comps)
 
     def __getitem__(self, i):
         """Component at 1-based index i."""
@@ -258,14 +300,16 @@ def check_generic(alphas, label="characteristic roots"):
         seen[a] = pos
 
 
-@dataclass(frozen=True)
-class RootSet:
+class RootSet(_Value):
     """Characteristic data of a weight: classical and deformed roots."""
 
-    weight: Weight
-    variant: str
-    alphas: tuple
-    deformed: tuple
+    _fields = ("weight", "variant", "alphas", "deformed")
+
+    def __init__(self, weight, variant, alphas, deformed):
+        object.__setattr__(self, "weight", weight)
+        object.__setattr__(self, "variant", variant)
+        object.__setattr__(self, "alphas", alphas)
+        object.__setattr__(self, "deformed", deformed)
 
     @classmethod
     def of(cls, lam, variant):

@@ -10,7 +10,6 @@ runs over the admissible sets determined by the branching.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
@@ -398,14 +397,15 @@ def omega_coupled_composite(b, k, r, variant):
 # -- tables and identities ---------------------------------------------------
 
 
-@dataclass
 class CoefficientTable:
-    """A labelled family of exact coefficients for one branching."""
+    """A labelled family of exact coefficients for one branching, which
+    omega_table and coupled_table fill into entries."""
 
-    kind: str
-    branching: object
-    form: str
-    entries: dict = field(default_factory=dict)
+    def __init__(self, kind, branching, form):
+        self.kind = kind
+        self.branching = branching
+        self.form = form
+        self.entries = {}
 
     def to_json(self):
         def key_str(key):

@@ -1,6 +1,7 @@
 """Shared fixtures: the dominant weight sweep and oracle-realized modules."""
 
 import itertools
+import pickle
 import random
 
 import pytest
@@ -26,6 +27,28 @@ def quotient_of_factors(nums, dens):
         return ZERO
     return QFraction.from_maps([_factor_map(f) for f in nums],
                                [_factor_map(f) for f in dens])
+
+
+def check_value(cls, fields, text):
+    """The value semantics of cls(**fields), a frozen qwig value whose repr
+    is text: built by keyword, equal and equally hashed when built twice,
+    hashed as the tuple of its fields, unequal to that tuple, with fields
+    that can be neither assigned nor deleted, and equal after a pickle round
+    trip."""
+    x, y = cls(**fields), cls(**fields)
+    assert x is not y and x == y and not x != y
+    assert [getattr(x, f) for f in fields] == list(fields.values())
+    key = tuple(fields.values())
+    assert hash(x) == hash(y) == hash(key)
+    assert x != key and key != x and not x == key
+    for f in fields:
+        with pytest.raises(AttributeError):
+            setattr(x, f, fields[f])
+        with pytest.raises(AttributeError):
+            delattr(x, f)
+    z = pickle.loads(pickle.dumps(x))
+    assert type(z) is cls and z == x and hash(z) == hash(x)
+    assert repr(x) == repr(z) == text
 
 
 def first_module(sig, comps):

@@ -94,6 +94,48 @@ def test_spread_wider_than_the_bound_is_unresolved(tmp_path, capsys, monkeypatch
         "latency_p50_ms"]
 
 
+def test_claim_and_regression_flags(tmp_path, capsys, monkeypatch):
+    # parent p50 is 10..19: median 14.5, quartile spread 4.5.  The change
+    # ties one pair and reads 6 lower in the rest, median 9.5: better in
+    # 9/10 and by 5.0, so the claim is met.  Its wall_s median is 20% above
+    # the parent's, beyond the 15% bound
+    monkeypatch.chdir(tmp_path)
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    parent.mkdir()
+    (parent / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [
+        {"name": "latency_p50_ms", "better": "lower", "bound": 0.2},
+        {"name": "wall_s", "better": "lower", "bound": 0.15}]}))
+
+    def run(ties, drop, wall):
+        for seed in range(1, 11):
+            a = 9.0 + seed
+            _write(parent, "aaa", "oracle", seed, a, 1.0)
+            _write(change, "bbb", "oracle", seed, a if seed <= ties else a - drop,
+                   wall)
+        bench_pairs.main(["--parent", str(parent), "--change", str(change),
+                          "--run", "oracle:1-10", "--label", "t"])
+        return json.loads((tmp_path / "BENCH_t.json").read_text())[
+            "workloads"]["oracle"]["metrics"]
+
+    m = run(1, 6, 1.2)
+    p50, wall = m["latency_p50_ms"], m["wall_s"]
+    assert (p50["lower_in"], p50["claim_met"], p50["regressed"]) == (9, True, False)
+    assert (wall["claim_met"], wall["regressed"]) == (False, True)
+    out = capsys.readouterr().out
+    assert "lower in 9/10, claim met, unresolved" in out
+    assert "lower in 0/10, regressed" in out
+    # a second tie leaves 8 wins of 10 although the medians differ by 6.0;
+    # a median 10% worse is within the bound
+    m = run(2, 8, 1.1)
+    assert (m["latency_p50_ms"]["lower_in"], m["latency_p50_ms"]["claim_met"]) == (
+        8, False)
+    assert m["wall_s"]["regressed"] is False
+    # 9 wins by a median gap of 4.5, equal to the spread, is not more than it
+    m = run(1, 5, 1.0)
+    assert m["latency_p50_ms"]["claim_met"] is False
+    assert not any(m["wall_s"][f] for f in bench_pairs.FLAGS)
+
+
 def test_net_lines_of_python_files(tmp_path, capsys, monkeypatch):
     # a.py changes one line of three and b.py is new under src/; the one
     # test file goes; tools/ is new; README.md and a.pyc do not count

@@ -17,7 +17,7 @@ from qwig import (
     index_sets,
 )
 from qwig.branching import BranchingData, _check_pair
-from conftest import all_weights, dominant_weights, seeded_weights
+from conftest import all_weights, check_value, dominant_weights, seeded_weights
 
 S11 = Signature(1, 1)
 S21 = Signature(2, 1)
@@ -308,3 +308,6 @@ def test_branching_hash_is_computed_once():
     for x in (b, index_sets(c.lam, c.lam0)):
         y = pickle.loads(pickle.dumps(x))
         assert y == x and hash(y) == hash(x) and {x: 1}[y] == 1
+    check_value(BranchingData, {"lam": b.lam, "lam0": b.lam0},
+                "BranchingData(lam=Weight(sig=Signature(m=3, n=2), "
+                "comps=(4, 1, -2, 3, -1)), lam0=(3, 1, -2, 0))")

@@ -45,6 +45,7 @@ from qwig import (
 from qwig.oracle import (
     CHAR_KINDS,
     RepModule,
+    big_entry,
     char_eigenvalue,
     char_eigenvalues,
     char_identity_check,
@@ -938,6 +939,12 @@ def test_eij_of_a_diagonal_index_pair():
     for i, j in ((0, 1), (3, 4)):
         with pytest.raises(IndexOutOfRange):
             eij_matrix(vector_rep(S21), i, j)
+    # a first-slot index outside 1..3 of the 9 x 9 matrix, with dW = 3
+    A = char_matrix(vector_rep(S21), "atilde")
+    assert big_entry(A, 3, 3, 1).shape == (3, 3)
+    for i, j in ((0, 1), (4, 1), (1, 4), (1, 0)):
+        with pytest.raises(IndexOutOfRange):
+            big_entry(A, 3, i, j)
 
 
 def test_projector_index_out_of_range():
@@ -964,7 +971,7 @@ from qwig import (
 from qwig.exactq import _BOUND, _factor_map, _merged_map
 from qwig.oracle.linalg import matmul, zeros
 from qwig.oracle.loperators import (
-    _minus_over_kappa, char_eigenvalue, char_matrix, eij_matrix,
+    _minus_over_kappa, big_entry, char_eigenvalue, char_matrix, eij_matrix,
     etilde_matrix, l_operator, projector, projector_parts,
 )
 from qwig.oracle.modules import (
@@ -982,6 +989,8 @@ cases = {
     "eij": lambda: eij_matrix(vector_rep(S21), 2, 2),
     "eij_below": lambda: eij_matrix(vector_rep(S21), 0, 1),
     "eij_above": lambda: eij_matrix(vector_rep(S21), 3, 4),
+    "big_entry": lambda: big_entry(
+        char_matrix(vector_rep(S21), "atilde"), 3, 4, 1),
     "projector_below": lambda: projector_parts(
         char_matrix(vector_rep(S11), "atilde"), (ONE, -ONE), 0),
     "projector_above": lambda: projector(

@@ -1,8 +1,14 @@
 """Every name that a module's __all__ exports resolves."""
 
 import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import qwig
 
 MODULES = [
     "qwig",
@@ -28,3 +34,19 @@ def test_all_names_resolve(name):
     namespace = {}
     exec("from %s import *" % name, namespace)
     assert set(exported) <= set(namespace)
+
+
+def test_import_loads_no_unused_stdlib_modules():
+    # each qwig command is a fresh process: dataclasses would bring inspect,
+    # ast, dis and tokenize, and csv serves only --out x.csv
+    script = ("import sys\n"
+              "before = set(sys.modules)\n"
+              "import qwig, qwig.cli, qwig.oracle\n"
+              "print(' '.join(sorted(set(sys.modules) - before)))\n")
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(qwig.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env, check=True)
+    loaded = set(done.stdout.split())
+    assert {"qwig", "qwig.cli", "qwig.oracle"} <= loaded
+    assert loaded & {"dataclasses", "inspect", "ast", "dis", "tokenize", "csv"} == set()

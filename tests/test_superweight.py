@@ -27,6 +27,7 @@ from qwig import (
     rho_even_odd,
     subalgebra_roots,
 )
+from conftest import check_value
 
 S11 = Signature(1, 1)
 S21 = Signature(2, 1)
@@ -185,6 +186,22 @@ def test_weight_built_from_a_list_hashes():
     assert lam.comps == (1, 0, 0)
     assert lam == Weight(S21, (1, 0, 0))
     assert hash(lam) == hash(Weight(S21, (1, 0, 0)))
+
+
+@pytest.mark.parametrize("cls, fields, text", [
+    (Signature, {"m": 2, "n": 1}, "Signature(m=2, n=1)"),
+    (Weight, {"sig": S21, "comps": (1, 0, -1)},
+     "Weight(sig=Signature(m=2, n=1), comps=(1, 0, -1))"),
+    (RootSet, {"weight": Weight(S11, (1, 0)), "variant": "adjoint",
+               "alphas": (1, -1), "deformed": (QFraction(qpow(-1)), QFraction(-qpow(1)))},
+     "RootSet(weight=Weight(sig=Signature(m=1, n=1), comps=(1, 0)), "
+     "variant='adjoint', alphas=(1, -1), "
+     "deformed=(QFraction(q^-1), QFraction(-q^1)))"),
+])
+def test_value_semantics(cls, fields, text):
+    check_value(cls, fields, text)
+    if cls is RootSet:
+        assert RootSet.of(fields["weight"], "adjoint") == cls(**fields)
 
 
 def test_dual_subroot_matches_parent_on_I0(sweep_branchings):

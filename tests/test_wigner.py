@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from conftest import quotient_of_factors, seeded_weights
 from qwig import (
     AdmissibilityError,
+    CoefficientTable,
     ConsistencyError,
     DegenerateRoots,
     HalfLaurent,
@@ -89,6 +90,8 @@ def test_form_is_checked_where_there_are_no_relations():
     assert _side(b, "lower").L == ()
     assert linear_system_residuals(b, "lower") == {}
     assert coupled_table(b, "lower").entries == {}
+    t, u = (CoefficientTable("omega_lower", b, "root_product") for _ in "tu")
+    assert t.entries == {} and t.entries is not u.entries
     for fn in (linear_system_residuals, coupled_table):
         with pytest.raises(InvalidArgument):
             fn(b, "lower", "bogus")

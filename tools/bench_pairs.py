@@ -8,13 +8,17 @@ For each ``--run WORKLOAD:SEEDS`` it reads
 checkouts, as ``perfbench/run.py --trace 0`` leaves them, and pairs the two
 results of each seed.  It prints, per metric, each side's median and
 quartiles, the change of the median in percent and the number of pairs in
-which the change reads lower.  A metric is marked unresolved when the
-parent's quartile spread, over the parent's median, exceeds the metric's
-bound in the parent's ``BENCHMARK.json``, unless every change run reads
-better than every parent run: its spread is then too wide to tell a move
-within the bound from noise.  It also prints the lines of ``*.py`` files
-added and removed under ``src/``, ``tests/`` and ``tools/`` between the two
-checkouts, by ``git diff --no-index --numstat``.  It writes
+which the change reads lower.  Against each metric's bound and better
+direction in the parent's ``BENCHMARK.json`` it marks a metric
+"claim met" when the change reads strictly better in at least 9/10 of
+the pairs and its median beats the parent's by more than the parent's
+quartile spread; "regressed" when the change's median is worse than the
+parent's by more than the bound; and "unresolved" when the parent's
+quartile spread, over the parent's median, exceeds the bound, unless every
+change run reads better than every parent run: its spread is then too
+wide to tell a move within the bound from noise.  It also prints the
+lines of ``*.py`` files added and removed under ``src/``, ``tests/`` and
+``tools/`` between the two checkouts, by ``git diff --no-index --numstat``.  It writes
 ``BENCH_<label>.json``, in the current directory, with the same numbers,
 both git shas and the machine record.  It runs no benchmark: run the
 benchmark on both checkouts first, alternating which goes first.
@@ -29,6 +33,7 @@ import tempfile
 from pathlib import Path
 
 NET_DIRS = ("src", "tests", "tools")
+FLAGS = ("claim_met", "regressed", "unresolved")
 
 
 def parse_seeds(text):
@@ -85,21 +90,36 @@ def bounds(checkout):
             for m in spec.get("end_to_end", []) if "bound" in m}
 
 
-def unresolved(p, c, ps, bound, better):
-    """Whether the parent's quartile spread, over its median, exceeds the
-    bound while some change run does not read better than every parent
-    run."""
+def flags(p, c, ps, cs, bound, better):
+    """The verdicts on one metric, from the parent's and the change's runs
+    p and c (paired by seed), their summaries ps and cs, and the metric's
+    bound and better direction in the parent's BENCHMARK.json:
+
+    unresolved: the parent's quartile spread, over its median, exceeds the
+        bound, and some change run reads no better than every parent run;
+    claim_met: the change reads strictly better in at least 9/10 of the
+        pairs, ties counting for neither, and its median is better than the
+        parent's by more than the parent's quartile spread;
+    regressed: the change's median is worse than the parent's by more than
+        bound times the parent's median.
+    """
     sign = 1 if better == "lower" else -1
-    if max(sign * x for x in c) < min(sign * x for x in p):
-        return False
-    return not ps["median"] or (ps["q3"] - ps["q1"]) / abs(ps["median"]) > bound
+    spread = ps["q3"] - ps["q1"]
+    wins = sum(sign * b < sign * a for a, b in zip(p, c))
+    return {
+        "unresolved": max(sign * x for x in c) >= min(sign * x for x in p)
+        and (not ps["median"] or spread / abs(ps["median"]) > bound),
+        "claim_met": 10 * wins >= 9 * len(p)
+        and sign * (ps["median"] - cs["median"]) > spread,
+        "regressed": sign * (cs["median"] - ps["median"]) > bound * abs(ps["median"]),
+    }
 
 
 def compare(parent, change, limits):
     """Per metric: each side's summary, the change of the median in
-    percent, the pairs in which the change reads lower, and whether the
-    parent's spread leaves the metric unresolved under limits, the
-    bounds() of the parent."""
+    percent, the pairs in which the change reads lower, and the flags()
+    under limits, the bounds() of the parent; a metric without a bound has
+    every flag False."""
     out = {}
     for name, spec in parent[0]["metrics"].items():
         p = [r["metrics"][name]["value"] for r in parent]
@@ -113,9 +133,9 @@ def compare(parent, change, limits):
             if ps["median"] else None,
             "lower_in": sum(b < a for a, b in zip(p, c)),
             "pairs": len(p),
-            "unresolved": name in limits
-            and unresolved(p, c, ps, *limits[name]),
         }
+        out[name].update(flags(p, c, ps, cs, *limits[name]) if name in limits
+                         else dict.fromkeys(FLAGS, False))
     return out
 
 
@@ -180,7 +200,7 @@ def main(argv=None):
             print("  %-16s %.4g [%.4g, %.4g] -> %.4g [%.4g, %.4g] %s  %s, lower in %d/%d%s"
                   % (name, ps["median"], ps["q1"], ps["q3"], cs["median"],
                      cs["q1"], cs["q3"], m["unit"], pct, m["lower_in"], m["pairs"],
-                     ", unresolved" if m["unresolved"] else ""))
+                     "".join(", " + f.replace("_", " ") for f in FLAGS if m[f])))
     record["net_lines"] = net_lines(args.parent, args.change)
     print("net lines: " + ", ".join(
         "%s %+d (+%d/-%d)" % (name, n["net"], n["added"], n["removed"])
