@@ -272,15 +272,15 @@ def _modules(sig):
     return tuple(realized_modules(sig, K_MAX, DIM_CAP))
 
 
-def _outcome(name, inputs, check, skips=(), reason=str):
+def _outcome(name, inputs, check, skips=()):
     """The verify case of check(), which returns (ok, detail): PASS or FAIL
-    by ok.  A check that raises one of skips is a SKIP, with reason(exc)
-    as its detail; any other QwigError is a FAIL, with "<Class>: <message>"
-    as its detail."""
+    by ok, and SKIP when ok is None.  A check that raises one of skips is a
+    SKIP, and any other QwigError a FAIL, with "<Class>: <message>" as its
+    detail."""
     try:
         ok, detail = check()
     except skips as exc:
-        ok, detail = None, reason(exc)
+        ok, detail = None, "%s: %s" % (_class_name(exc), exc)
     except QwigError as exc:
         ok, detail = False, "%s: %s" % (_class_name(exc), exc)
     return {
@@ -304,34 +304,49 @@ def _on_signature(check, name, sig):
                      lambda: (getattr(checks, check)(sig), ""))]
 
 
-def _each_module_kind(check, name, sig):
+def _each_module_kind(check, detailed, name, sig):
     """checks.<check>(M, lam, kind) on each module and characteristic
-    matrix kind."""
+    matrix kind: a detailed check returns (ok, detail), any other ok."""
     from .oracle import checks
 
     fn = getattr(checks, check)
+
+    def case(M, lam, kind):
+        out = fn(M, lam, kind)
+        return out if detailed else (out, "")
+
     return [
         _outcome(name, {"weight": str(lam), "kind": kind},
-                 lambda: (fn(M, lam, kind), ""), DegenerateRoots)
+                 functools.partial(case, M, lam, kind), DegenerateRoots)
         for lam, M in _modules(sig)
         for kind in ("atilde", "adual")
     ]
 
 
 def _closed_vs_oracle(coupled, name, sig):
+    """Each closed form against its oracle.  The closed form is evaluated
+    first, so a case it refuses costs no oracle call; a SKIP's detail
+    names the side that raised: "<Class> (closed form|oracle): <message>"."""
     from .oracle.checks import coupled_oracle, wigner_oracle
     from .wigner import _side, omega, omega_coupled
 
+    skips = (DegenerateRoots, NotRealized, MultiplicityAmbiguous)
+
     def check(M, lam, b, k, r, kind):
-        if coupled:
-            closed = omega_coupled(b, k, r, kind)
-            oracle = coupled_oracle(M, lam, b.lam0, k, r, kind)
-        else:
-            closed = omega(b, k, kind)
-            oracle = wigner_oracle(M, lam, b.lam0, k, kind)
+        side = "closed form"
+        try:
+            if coupled:
+                closed = omega_coupled(b, k, r, kind)
+                side = "oracle"
+                oracle = coupled_oracle(M, lam, b.lam0, k, r, kind)
+            else:
+                closed = omega(b, k, kind)
+                side = "oracle"
+                oracle = wigner_oracle(M, lam, b.lam0, k, kind)
+        except skips as exc:
+            return None, "%s (%s): %s" % (_class_name(exc), side, exc)
         return closed == oracle, "closed=%s oracle=%s" % (closed, oracle)
 
-    skips = (DegenerateRoots, NotRealized, MultiplicityAmbiguous)
     out = []
     for lam, M in _modules(sig):
         for b in branch_candidates(lam):
@@ -353,8 +368,7 @@ def _closed_vs_oracle(coupled, name, sig):
                         inputs["r"] = r
                     out.append(_outcome(
                         name, inputs,
-                        functools.partial(check, M, lam, b, k, r, kind),
-                        skips, _class_name))
+                        functools.partial(check, M, lam, b, k, r, kind)))
     return out
 
 
@@ -380,9 +394,10 @@ def _suite_invariants(name, sig):
 _SUITE_FN = {
     "qybe": functools.partial(_on_signature, "qybe_check"),
     "coproduct": functools.partial(_on_signature, "coproduct_check"),
-    "charid": functools.partial(_each_module_kind, "char_identity_check"),
+    "charid": functools.partial(_each_module_kind, "char_identity_check",
+                                False),
     "projectors": functools.partial(_each_module_kind,
-                                    "projector_algebra_check"),
+                                    "projector_algebra_check", True),
     "wigner": functools.partial(_closed_vs_oracle, False),
     "coupled": functools.partial(_closed_vs_oracle, True),
     "invariants": _suite_invariants,
@@ -392,14 +407,22 @@ SUITES = tuple(_SUITE_FN) + ("all",)
 
 def _cmd_verify(args):
     """Every case of the chosen suites, run in order in this process: the
-    module suites share the store's realised modules, built on first use."""
+    module suites share the store's realised modules, built on first use.
+    "skips" counts the SKIPs by reason, the part of a detail before ": "."""
     sig = Signature(args.m, args.n)
     suites = list(_SUITE_FN) if args.suite == "all" else [args.suite]
     cases = [c for s in suites for c in _SUITE_FN[s](s, sig)]
     counts = {k: sum(1 for c in cases if c["status"] == k)
               for k in ("PASS", "FAIL", "SKIP")}
+    skips = {}
+    for c in cases:
+        if c["status"] == "SKIP":
+            reason = c["detail"].partition(": ")[0]
+            skips[reason] = skips.get(reason, 0) + 1
     _emit({"suite": args.suite, "signature": [args.m, args.n],
-           "cases": cases, "counts": counts, "all_pass": counts["FAIL"] == 0},
+           "cases": cases, "counts": counts,
+           "skips": dict(sorted(skips.items())),
+           "all_pass": counts["FAIL"] == 0},
           args.out)
     return 0 if counts["FAIL"] == 0 else 1
 

@@ -1,17 +1,28 @@
 """End-to-end oracle computations: Yang-Baxter and coproduct consistency,
-supertrace invariants, and extraction of squared reduced Wigner coefficients
-and reduced matrix elements from projector matrix elements.
+supertrace invariants, projector ranks, and extraction of squared reduced
+Wigner coefficients and reduced matrix elements from projectors applied to
+vectors.
 
 These routines never consult the closed forms; they work entirely with
-explicit matrices so the two routes stay independent.
+explicit matrices and vectors so the two routes stay independent.
 """
 
 from __future__ import annotations
 
-from ..branching import BranchingData
+from fractions import Fraction
+from itertools import combinations
+
+from ..branching import BranchingData, _even_block_dominant
 from ..errors import NotRealized, NotScalar
 from ..exactq import ONE, ZERO, QFraction, qpow
-from ..superweight import char_roots, check_generic, rho, subalgebra_roots
+from ..superweight import (
+    Weight,
+    char_roots,
+    check_generic,
+    is_typical,
+    rho,
+    subalgebra_roots,
+)
 from .linalg import (
     Matrix,
     _add_entry,
@@ -23,19 +34,19 @@ from .linalg import (
     matmul,
     matvec,
     reduce_row,
-    shift_diagonal,
+    shifted_product,
     zeros,
 )
 from .loperators import (
     _char_variant,
     _elementary,
+    _lagrange_nodes,
     big_entry,
     char_eigenvalue,
     char_eigenvalues,
     char_matrix,
     etilde_matrix,
     l_operator,
-    projector_parts,
     vector_slot_parities,
 )
 from .modules import (
@@ -172,11 +183,9 @@ def coproduct_check(sig):
 def char_identity_check(W, lam, kind):
     """Whether the exact polynomial identity prod_r (M - a_r) = 0 holds on
     V' (x) W for the characteristic matrix of the given kind, with the
-    deformed root spectrum of lam.
-
-    The product is N_d (M - a_d), with N_d = prod_{r<d} (M - a_r) the
-    unscaled last projector that the module already keeps for the
-    projectors, wigner and coupled checks: one product beyond it.
+    deformed root spectrum of lam.  The product is formed once, by
+    shifted_product: no other check multiplies matrices of the module's
+    size.
 
     Raises DegenerateRoots when two classical roots coincide: the identity
     itself survives root collisions, but every downstream projector
@@ -184,40 +193,173 @@ def char_identity_check(W, lam, kind):
     """
     variant = _char_variant(kind)
     check_generic(char_roots(lam, variant), "%s roots of %s" % (variant, lam))
-    d = W.sig.d
-    N, _ = _projector_parts(W, lam, d, kind)
-    last = char_eigenvalues(lam, kind)[d - 1]
-    return is_zero_matrix(matmul(N, shift_diagonal(char_matrix(W, kind), last)))
+    return is_zero_matrix(
+        shifted_product(char_matrix(W, kind), char_eigenvalues(lam, kind)))
 
 
 def projector_algebra_check(W, lam, kind):
-    """Whether the d eigenspace projectors P_r = N_r/s_r of the
-    characteristic matrix on V' (x) W, with nodes at the deformed roots of
-    lam, are idempotent: N_r N_r = s_r N_r for each r.  Raises
-    DegenerateRoots when two nodes coincide.
+    """The ranks of the d eigenspace projectors P_r = N_r/s_r of the
+    characteristic matrix A on V' (x) W, with nodes at the deformed roots
+    of lam, against the summands they project onto: (ok, detail), the
+    detail listing the d ranks.  Raises DegenerateRoots when two nodes
+    coincide.
 
-    That decides the whole projector algebra.  The P_r are the Lagrange
-    polynomials of distinct nodes, so sum_r P_r = I holds identically.
-    Idempotents that sum to I over a field of characteristic 0 are
-    pairwise orthogonal: tr P_r = rank P_r, so the ranks add up to the
-    dimension and the images form a direct sum, and P_i P_j v = 0 for
-    i != j follows from the uniqueness of the decomposition of P_j v.
+    rank P_r = tr(N_r)/s_r = sum_j c_j tr(A^j)/s_r, c_j the coefficients
+    of N_r's polynomial (_coefficients), so no N_r is formed.  P_r
+    projects onto the summand of weight mu = lam + eps_r (adjoint-type
+    kinds, V (x) W) or lam - eps_r (dual-type, V* (x) W).  Each rank must
+    be a nonnegative integer; 0 where mu is not dominant; and, where mu is
+    dominant and typical, 0 (the summand is absent) or Kac's dimension
+    2^(mn) dim L0(mu) (Kac, Comm. Algebra 5 (1977)).  An atypical summand
+    is checked for integrality alone.
+
+    Idempotence and orthogonality of the P_r need no check here:
+    L_i L_j - delta_ij L_i is divisible by prod_l (x - v_l) for the
+    Lagrange polynomials L_r of distinct nodes, so char_identity_check
+    decides them.
     """
-    parts = [_projector_parts(W, lam, r, kind) for r in range(1, W.sig.d + 1)]
-    return all(matmul(n, n) == mat_scale(n, s) for n, s in parts)
+    sig = W.sig
+    traces = _power_traces(W, kind)
+    ranks = []
+    for r in range(1, sig.d + 1):
+        coeffs, scale = _coefficients(W, kind, lam, r)
+        ranks.append(QFraction.sum_of_products(zip(coeffs, traces)) / scale)
+    step = 1 if _char_variant(kind) == "adjoint" else -1
+    ok = True
+    for r, rank in enumerate(ranks, start=1):
+        count = _count(rank)
+        comps = list(lam.comps)
+        comps[r - 1] += step
+        mu = Weight(sig, comps)
+        if count is None:
+            ok = False
+        elif not (_even_block_dominant(mu.even, sig.m)
+                  and _even_block_dominant(mu.odd, sig.n)):
+            ok = ok and count == 0
+        elif is_typical(mu):
+            ok = ok and count in (0, _kac_dimension(mu))
+    return ok, "ranks " + ",".join(str(x) for x in ranks)
 
 
-def _projector_parts(W, lam, k, ckind):
-    """The unscaled product N and scale s of the k-th eigenspace projector
-    N/s of the characteristic matrix on V' (x) W, with nodes at the
-    deformed roots of lam; built once per module and shared read-only.
-    No caller forms N/s: each divides by s only the scalar it extracts."""
-    return W.cached(
-        ("N", ckind, tuple(lam.comps), k),
-        lambda: projector_parts(
-            char_matrix(W, ckind), char_eigenvalues(lam, ckind), k
-        ),
-    )
+def _count(x):
+    """x as a nonnegative int, or None when it is not one."""
+    c = Fraction(dict(x.num.items()).get(0, 0))
+    return int(c) if x == c and c >= 0 and c.denominator == 1 else None
+
+
+def _kac_dimension(mu):
+    """Kac's dimension 2^(mn) dim L0(mu) of the typical gl(m|n) module of
+    highest weight mu, L0 the gl(m) (+) gl(n) module, whose dimension is
+    Weyl's prod_{i<j} (mu_i - mu_j + j - i)/(j - i) over each block."""
+    num = den = 1
+    for block in (mu.even, mu.odd):
+        for i, j in combinations(range(len(block)), 2):
+            num *= block[i] - block[j] + j - i
+            den *= j - i
+    return 2 ** (mu.sig.m * mu.sig.n) * num // den
+
+
+def _power_traces(W, kind):
+    """tr(A^j), j = 0..d-1, of A = char_matrix(W, kind), kept once per
+    module and kind.  tr(A^(a+b)) = sum_ik (A^a)_ik (A^b)_ki, so the powers
+    up to A^h, h = ceil((d-1)/2), serve: for d <= 5 the one product A A."""
+
+    def build():
+        A = char_matrix(W, kind)
+        powers = [identity(A.shape[0]), A]
+        while len(powers) <= W.sig.d // 2:
+            powers.append(matmul(powers[-1], A))
+        traces = []
+        for j in range(W.sig.d):
+            X, Y = powers[(j + 1) // 2].rows, powers[j // 2].rows
+            traces.append(QFraction.sum_of_products(
+                (x, Y[k][i]) for i, row in enumerate(X)
+                for k, x in row.items() if i in Y[k]))
+        return tuple(traces)
+
+    return W.cached(("traces", kind), build)
+
+
+def _lagrange(nodes, r):
+    """(c, s): c_0..c_(d-1), constant first, the coefficients of the
+    Lagrange numerator prod_{l != r} (x - v_l) over the d nodes, and
+    s = prod_{l != r} (v_r - v_l).  Raises DegenerateRoots where
+    projector_parts does."""
+    others, scale = _lagrange_nodes(nodes, r)
+    coeffs = [ONE]
+    for v in others:
+        coeffs = [a - v * b for a, b in zip([ZERO] + coeffs, coeffs + [ZERO])]
+    return tuple(coeffs), scale
+
+
+def _coefficients(W, ckind, lam, r):
+    """_lagrange's (c, s) of the r-th eigenspace projector N_r/s_r of the
+    characteristic matrix on V' (x) W, nodes at the deformed roots of lam,
+    kept once per module: N_r x = sum_j c_j A^j x (_apply), and s_r
+    divides only the scalar extracted."""
+    return W.cached(("L", ckind, tuple(lam.comps), r),
+                    lambda: _lagrange(char_eigenvalues(lam, ckind), r))
+
+
+def _sub_coefficients(W, ckind, lam0, r):
+    """_lagrange's (c0, s0) of the r-th projector of the subalgebra
+    characteristic matrix, nodes at the lam0 deformed roots, kept once per
+    module.  N0/s0 is P0_r on the components of subalgebra highest weight
+    lam0 only: the oracles apply it through _shift_project."""
+
+    def build():
+        alphas = subalgebra_roots(
+            tuple(int(c) for c in lam0), _char_variant(ckind), W.sig
+        )
+        return _lagrange(tuple(char_eigenvalue(a, ckind) for a in alphas), r)
+
+    return W.cached(("L0", ckind, tuple(lam0), r), build)
+
+
+def _powers(A, x, count):
+    """(x, A x, ..., A^(count-1) x)."""
+    out = [x]
+    for _ in range(count - 1):
+        out.append(matvec(A, out[-1]))
+    return tuple(out)
+
+
+def _start_powers(W, ckind, key, x):
+    """_powers of the start vector x that key names under the
+    characteristic matrix, up to A^(d-1) x; kept once per module, so one
+    set of d - 1 matvecs serves every projector of the module."""
+    return W.cached(("Ax", ckind) + key,
+                    lambda: _powers(char_matrix(W, ckind), x, W.sig.d))
+
+
+def _apply(coeffs, powers, rows=None):
+    """sum_j c_j A^j x from the powers A^j x, on the indices in rows only
+    when rows is given, with its entries in increasing order."""
+    pairs = {}
+    for c, v in zip(coeffs, powers):
+        if c:
+            for i, x in v.items():
+                if rows is None or i in rows:
+                    pairs.setdefault(i, []).append((c, x))
+    out = {}
+    for i in sorted(pairs):
+        x = QFraction.sum_of_products(pairs[i])
+        if x:
+            out[i] = x
+    return out
+
+
+def _cleared(vecs):
+    """(the vectors times f, f): f the product of the distinct
+    denominators of their entries, one polynomial that clears them all.
+    _ratio reads the same scalar off vectors with a common nonzero factor,
+    and sums of products of polynomials take no gcd."""
+    f = ONE
+    for den in {x.den for v in vecs for x in v.values()}:
+        f = f * QFraction(den)
+    if f == ONE:
+        return list(vecs), f
+    return [{i: x * f for i, x in v.items()} for v in vecs], f
 
 
 # atilde's +1 is its only central pairing: with -1 its supertrace is not a
@@ -256,6 +398,19 @@ def _branch_vector(W, lam, lam0):
     return b, subalgebra_highest_vector(W, b.lam0, b.e_last)
 
 
+def _branch_start(W, lam, lam0):
+    """The lam0 subalgebra highest weight vector w0, cleared of its
+    denominators (_cleared); kept once per module."""
+    return W.cached(("w0", tuple(lam.comps), tuple(lam0)),
+                    lambda: _cleared([_branch_vector(W, lam, lam0)[1]])[0][0])
+
+
+def _slot(W, j, w):
+    """e_j (x) w on V' (x) W, j = 1..d."""
+    offset = (j - 1) * W.dim
+    return {offset + s: c for s, c in w.items()}
+
+
 def _ratio(numer_vecs, denom_vecs):
     """The consistent exact scalar c with numer = c * denom across paired
     vectors; ZERO when both vanish everywhere, NotScalar on mismatch."""
@@ -277,64 +432,40 @@ def wigner_oracle(W, lam, lam0, k, kind):
     """Squared reduced Wigner coefficient from the projector diagonal entry.
 
     The (d, d) entry operator of the k-th projector N/s is a subalgebra
-    scalar; its value on the lam0 subalgebra highest weight vector is
-    returned.  It is read off the polynomial N's entry and divided by s
-    once.  kind 'raise' uses the adjoint-type matrix on V (x) W, 'lower'
-    the dual-type on V* (x) W.
+    scalar; its value on the lam0 subalgebra highest weight vector w0 is
+    returned.  N is applied to x = e_d (x) w0 from the powers A^j x, which
+    every k shares, the last slot of N x is compared with x, and the ratio
+    is divided by s once.  kind 'raise' uses the adjoint-type matrix on
+    V (x) W, 'lower' the dual-type on V* (x) W.
     """
     d = W.sig.d
-    _, w0 = _branch_vector(W, lam, lam0)
-    N, scale = _projector_parts(W, lam, k, _KIND_TO_CHAR[kind])
-    u = matvec(big_entry(N, W.dim, d, d), w0)
-    return _ratio([u], [w0]) / scale
+    ckind = _KIND_TO_CHAR[kind]
+    w0 = _branch_start(W, lam, lam0)
+    coeffs, scale = _coefficients(W, ckind, lam, k)
+    x = _slot(W, d, w0)
+    powers = _start_powers(W, ckind, ("e", tuple(lam.comps), tuple(lam0), d),
+                           x)
+    u = _apply(coeffs, powers, range((d - 1) * W.dim, d * W.dim))
+    return _ratio([u], [x]) / scale
 
 
-def _sub_projector(W, lam0, r, ckind):
-    """The parts (N0, s0) of the Lagrange polynomial N0/s0 of the
-    subalgebra characteristic matrix on V' (x) W with nodes at the lam0
-    deformed roots, kept once per module (projector_parts).  N0/s0 is P0_r
-    on the part of V' (x) W whose module slot lies in a component of
-    subalgebra highest weight lam0, and nothing elsewhere: the oracles
-    apply it only through _shift_project.
+def _component_powers(W, vec, ckind):
+    """{lam0: powers}: the part of vec on V (x) W in each subalgebra
+    component of weight lam0 that it meets, with its _powers under the
+    subalgebra characteristic matrix A0 up to A0^(d-2).
 
-    The subalgebra matrix is the leading (d-1)-block of the module's own,
-    sliced once per kind: the twisted L-operators are triangular in the
-    vector slot (RtildeT and dualRT lower, Rtilde and dualR upper), so
-    entry (a, b) of their product sums over k <= min(a, b) alone, and only
-    subalgebra generators enter for a, b < d.  That holds for atilde, adual
-    and abar, not for ahat, whose RT R sums over k >= max(a, b); the oracle
-    never passes ahat here."""
-    sig = W.sig
-
-    def build():
-        n0 = (sig.d - 1) * W.dim
-        A0 = W.cached(("char0", ckind),
-                      lambda: char_matrix(W, ckind)[:n0, :n0])
-        alphas = subalgebra_roots(
-            tuple(int(c) for c in lam0), _char_variant(ckind), sig
-        )
-        nodes = tuple(char_eigenvalue(a, ckind) for a in alphas)
-        return projector_parts(A0, nodes, r)
-
-    return W.cached(("subP", ckind, tuple(lam0), r), build)
-
-
-def _shift_project(W, vec, r, ckind):
-    """P0_r applied to the vector vec on V (x) W: the projector onto the
-    r-th shift eigenspace of the subalgebra characteristic matrix on
-    V' (x) W, zero on the last vector slot.
-
-    The eigenvalue of a shift depends on the subalgebra component of W
-    that the matrix acts on.  So the module slot of each V' block of vec is
-    split into its components, by one reduce_row against the tagged
-    echelon of subalgebra_components, and each part is mapped by the
-    _sub_projector with its own component's nodes: N0 is applied, and only
-    the nonzeros of its image are multiplied by that component's s0^-1.
-    The images are summed.  Only the components that vec meets are used,
-    so a component it never reaches cannot raise DegenerateRoots.
+    The module slot of each V' block of vec is split into its components
+    by one reduce_row against the tagged echelon of subalgebra_components;
+    the last vector slot is dropped.  A0 is the leading (d-1)-block of the
+    module's own matrix, sliced once per kind: the twisted L-operators are
+    triangular in the vector slot (RtildeT and dualRT lower, Rtilde and
+    dualR upper), so entry (a, b) of their product sums over k <= min(a, b)
+    alone, and only subalgebra generators enter for a, b < d.  That holds
+    for atilde, adual and abar, not for ahat, whose RT R sums over
+    k >= max(a, b); the oracle never passes ahat here.
     """
-    dw = W.dim
-    n0 = (W.sig.d - 1) * dw
+    d, dw = W.sig.d, W.dim
+    n0 = (d - 1) * dw
     lam0s, echelon = subalgebra_components(W)
     blocks = {}  # V' block -> its module vector
     for i, x in vec.items():
@@ -345,51 +476,76 @@ def _shift_project(W, vec, r, ckind):
         for i, x in reduce_row(echelon, w)[1].items():
             c, s = divmod(i, dw)
             _add_entry(parts.setdefault(lam0s[c - 1], {}), j * dw + s, -x)
+    A0 = W.cached(("char0", ckind), lambda: char_matrix(W, ckind)[:n0, :n0])
+    return {lam0: _powers(A0, part, d - 1) for lam0, part in parts.items()}
+
+
+def _shift_apply(W, powers, r, ckind):
+    """P0_r applied to the vector whose _component_powers are powers: each
+    component's part is mapped by its own N0 (_sub_coefficients), only the
+    nonzeros of the image are multiplied by that component's s0^-1, and
+    the images are summed.  Only the components the vector meets are used,
+    so a component it never reaches cannot raise DegenerateRoots."""
     out = {}
-    for lam0, part in parts.items():
-        N0, s0 = _sub_projector(W, lam0, r, ckind)
+    for lam0, vecs in powers.items():
+        coeffs, s0 = _sub_coefficients(W, ckind, lam0, r)
         inverse = s0.inverse()
-        for i, x in matvec(N0, part).items():
+        for i, x in _apply(coeffs, vecs).items():
             _add_entry(out, i, x * inverse)
     return out
 
 
+def _shift_project(W, vec, r, ckind):
+    """P0_r applied to the vector vec on V (x) W: the projector onto the
+    r-th shift eigenspace of the subalgebra characteristic matrix on
+    V' (x) W, zero on the last vector slot.  The eigenvalue of a shift
+    depends on the subalgebra component of W that the matrix acts on, so
+    each component's part of vec takes its own nodes."""
+    return _shift_apply(W, _component_powers(W, vec, ckind), r, ckind)
+
+
 def _shifted_family(W, lam, lam0, r, ckind):
-    """(w0, us): w0 the lam0 subalgebra highest weight vector and us the
-    test family P0_r (e_j (x) w0), j = 1..d-1, that coupled_oracle and
-    mu_oracle share; it does not depend on k, so it is kept once per
-    module."""
+    """(w0, us, f): w0 as _branch_start gives it, and us the test family
+    P0_r (e_j (x) w0), j = 1..d-1, times the polynomial f that clears its
+    denominators (_cleared).  coupled_oracle and mu_oracle share it; it
+    does not depend on k, so it is kept once per module, and the
+    component powers of the e_j (x) w0 serve every r."""
+    key = (tuple(lam.comps), tuple(lam0))
 
     def build():
-        _, w0 = _branch_vector(W, lam, lam0)
-        us = tuple(
-            _shift_project(W, {j * W.dim + s: c for s, c in w0.items()},
-                           r, ckind)
-            for j in range(W.sig.d - 1)
-        )
-        return w0, us
+        w0 = _branch_start(W, lam, lam0)
+        parts = W.cached(("P0x", ckind) + key, lambda: tuple(
+            _component_powers(W, _slot(W, j, w0), ckind)
+            for j in range(1, W.sig.d)))
+        us, f = _cleared([_shift_apply(W, p, r, ckind) for p in parts])
+        return w0, tuple(us), f
 
-    return W.cached(("P0w0", ckind, tuple(lam.comps), tuple(lam0), r), build)
+    return W.cached(("P0w0", ckind) + key + (r,), build)
 
 
 def coupled_oracle(W, lam, lam0, k, r, kind):
     """Coupled squared reduced Wigner coefficient from the sandwiched
     projector identity P0_r P_k P0_r = c P0_r on the lam0 component.
-    P_k = N/s is applied as N, and the ratio divided by s once.
+    P_k = N/s is applied as N, from the powers of the test family that
+    every k shares, and the ratio divided by s once.
 
     Raises NotRealized when P0_r annihilates the whole lam0 test family
     (the shifted lower component is absent, e.g. non-dominant), in which
     case the identity degenerates to 0 = 0 and defines no scalar.
     """
     ckind = _KIND_TO_CHAR[kind]
-    _, us = _shifted_family(W, lam, lam0, r, ckind)
-    N, scale = _projector_parts(W, lam, k, ckind)
+    _, us, _ = _shifted_family(W, lam, lam0, r, ckind)
+    coeffs, scale = _coefficients(W, ckind, lam, k)
     if not any(us):
         raise NotRealized(
             "shift projector %d annihilates the %s component" % (r, (lam0,))
         )
-    return _ratio([_shift_project(W, matvec(N, u), r, ckind) for u in us],
-                  us) / scale
+    key = ("P0", tuple(lam.comps), tuple(lam0), r)
+    images = []
+    for j, u in enumerate(us):
+        powers = _start_powers(W, ckind, key + (j,), u)
+        images.append(_shift_project(W, _apply(coeffs, powers), r, ckind))
+    return _ratio(images, us) / scale
 
 
 def mu_oracle(W, lam, lam0, r, kind):
@@ -402,35 +558,32 @@ def mu_oracle(W, lam, lam0, r, kind):
         = mu_r (P_r)_{ij} w0,
     w0 the lam0 subalgebra highest weight vector and A the dual-type
     matrix for 'lower', the adjoint-type one for 'raise'.  P_r = N/s
-    enters as N, and the ratio is multiplied by s once.  Both kinds use
-    this one recipe: no q^(2 rho_i) factor and no grading sign (-1)^[i] is
-    applied.  Whether either belongs here is open (ROADMAP item 1).
-    Raises NotRealized when every tested entry of P_r vanishes on the
-    branching vector (vacuous identity).
+    enters as N, applied to e_j (x) w0 from its powers, and the ratio is
+    multiplied by s, and divided by the factor f of the test family, once.
+    Both kinds use this one recipe: no q^(2 rho_i) factor and no grading
+    sign (-1)^[i] is applied.  Whether either belongs here is open (ROADMAP
+    item 1).  Raises NotRealized when every tested entry of P_r vanishes
+    on the branching vector (vacuous identity).
     """
     d = W.sig.d
+    n0 = (d - 1) * W.dim
     ckind = _KIND_TO_CHAR[kind]
-    w0, us = _shifted_family(W, lam, lam0, r, ckind)
-    N, scale = _projector_parts(W, lam, r, ckind)
-    dw = W.dim
-    rhs_vecs = [matvec(big_entry(N, dw, i, j), w0)
-                for i in range(1, d) for j in range(1, d)]
-    if not any(rhs_vecs):
+    w0, us, f = _shifted_family(W, lam, lam0, r, ckind)
+    coeffs, scale = _coefficients(W, ckind, lam, r)
+    key = ("e", tuple(lam.comps), tuple(lam0))
+    # rhs[j - 1]: the blocks (P_r)_{ij} w0 over i < d, as N_r (e_j (x) w0)
+    rhs = [_apply(coeffs, _start_powers(W, ckind, key + (j,), _slot(W, j, w0)),
+                  range(n0))
+           for j in range(1, d)]
+    if not any(rhs):
         raise NotRealized(
             "projector %d has no support on the %s component" % (r, (lam0,))
         )
     A = char_matrix(W, ckind)
-    n0 = (d - 1) * dw
     col_d = A[:n0, n0:]  # the blocks A_{k,d}, k < d
     row_d = A[n0:, :n0]  # the blocks A_{d,l}, l < d
-    lefts = []  # lefts[j - 1][i - 1]: sum_k (P0)_{ik} A_{k,d} phi_j
-    for u in us:
-        # phi_j = sum_l A_{d,l} (P0)_{lj} w0
-        phi = matvec(row_d, u)
-        blocks = [{} for _ in range(d - 1)]
-        for idx, c in _shift_project(W, matvec(col_d, phi), r, ckind).items():
-            i, s = divmod(idx, dw)
-            blocks[i][s] = c
-        lefts.append(blocks)
-    lhs_vecs = [lefts[j][i] for i in range(d - 1) for j in range(d - 1)]
-    return _ratio(lhs_vecs, rhs_vecs) * scale
+    # lhs[j - 1]: sum_k (P0)_{ik} A_{k,d} phi_j over i < d, with
+    # phi_j = sum_l A_{d,l} (P0)_{lj} w0
+    lhs = [_shift_project(W, matvec(col_d, matvec(row_d, u)), r, ckind)
+           for u in us]
+    return _ratio(lhs, rhs) * scale / f

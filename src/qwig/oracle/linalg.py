@@ -37,11 +37,24 @@ class Matrix:
     (i, j).  The rows must hold no zero.  They are taken as they are, not
     copied, and may be shared between matrices, since no one changes them."""
 
-    __slots__ = ("rows", "ncols")
+    __slots__ = ("rows", "ncols", "_columns")
 
     def __init__(self, rows, ncols):
         self.rows = tuple(rows)
         self.ncols = ncols
+        self._columns = None
+
+    @property
+    def columns(self):
+        """The column index j -> [(i, nonzero entry (i, j))], rows in
+        increasing order, built once on first use."""
+        if self._columns is None:
+            cols = {}
+            for i, row in enumerate(self.rows):
+                for j, x in row.items():
+                    cols.setdefault(j, []).append((i, x))
+            self._columns = cols
+        return self._columns
 
     @property
     def shape(self):
@@ -141,16 +154,19 @@ def matmul(A, B):
 
 
 def matvec(A, v):
-    """The product of a Matrix and a vector, as a vector."""
+    """The product of a Matrix and a vector, as a vector with its entries
+    in increasing row order.  Only the columns of A that v meets are
+    walked, through A's column index."""
+    cols = A.columns
+    pairs = {}
+    for j, c in v.items():
+        for i, x in cols.get(j, ()):
+            pairs.setdefault(i, []).append((x, c))
     out = {}
-    for i, row in enumerate(A.rows):
-        acc = None
-        for j, x in row.items():
-            c = v.get(j)
-            if c is not None:
-                acc = x * c if acc is None else acc + x * c
-        if acc:
-            out[i] = acc
+    for i in sorted(pairs):
+        x = QFraction.sum_of_products(pairs[i])
+        if x:
+            out[i] = x
     return out
 
 

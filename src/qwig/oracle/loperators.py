@@ -283,11 +283,19 @@ def projector_parts(A, eigenvalues, r):
     projector onto the r-th eigenspace is N/s.
 
     A is a characteristic matrix, eigenvalues its full deformed spectrum.
-    The oracle keeps the two parts and never forms N/s: N is built with no
-    division, and s enters only the scalar or the vector that a caller
-    extracts from N (Bareiss, Math. Comp. 22 (1968), divides once in the
-    same way).
+    N is built with no division, and s is left for the caller to divide
+    out of what it extracts (Bareiss, Math. Comp. 22 (1968), divides once
+    in the same way).  This is the matrix reference: the oracle forms no
+    N, and applies it to vectors from its polynomial's coefficients.
     """
+    others, scale = _lagrange_nodes(eigenvalues, r)
+    return shifted_product(A, others), scale
+
+
+def _lagrange_nodes(eigenvalues, r):
+    """(others, s): the eigenvalues other than the r-th (1-based), in
+    order, and s = prod_v (target - v) over them, the target the r-th.
+    Raises DegenerateRoots when another eigenvalue equals the target."""
     vals = list(eigenvalues)
     if not 1 <= r <= len(vals):
         raise IndexOutOfRange("no eigenvalue %d of %d" % (r, len(vals)))
@@ -301,7 +309,7 @@ def projector_parts(A, eigenvalues, r):
     scale = ONE
     for v in others:
         scale = scale * (target - v)
-    return shifted_product(A, others), scale
+    return others, scale
 
 
 def projector(A, eigenvalues, r):
@@ -310,8 +318,7 @@ def projector(A, eigenvalues, r):
     A is a characteristic matrix, eigenvalues its full deformed spectrum.
     The unscaled factors A - v are multiplied and the product divided by
     the node differences once: per-factor scaling costs a pass over every
-    entry and leaves denominators for each product to reduce.  The oracle
-    itself applies projector_parts and divides the scalar it extracts.
+    entry and leaves denominators for each product to reduce.
     """
     N, scale = projector_parts(A, eigenvalues, r)
     return mat_scale(N, scale.inverse())

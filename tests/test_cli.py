@@ -366,24 +366,84 @@ def test_module_store_is_bounded(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("m, n, passes, skips", [
-    (2, 1, 77, {"NotRealized": 48, "DegenerateRoots": 18, "message": 2}),
-    (1, 2, 80, {"DegenerateRoots": 33, "NotRealized": 18, "message": 4}),
+    (2, 1, 77, {"DegenerateRoots": 2, "DegenerateRoots (closed form)": 16,
+                "DegenerateRoots (oracle)": 2, "NotRealized (oracle)": 48}),
+    (1, 2, 80, {"DegenerateRoots": 4, "DegenerateRoots (closed form)": 24,
+                "DegenerateRoots (oracle)": 9, "NotRealized (oracle)": 18}),
 ])
 def test_verify_all_outcome_counts(capsys, m, n, passes, skips):
-    # every case verify runs on the two rank-3 signatures, by outcome; a
-    # SKIP's detail is its exception's name or, for the rest, a message
+    # every case verify runs on the two rank-3 signatures, by outcome.  A
+    # SKIP's detail is "<Class>: <message>", a wigner or coupled one
+    # "<Class> (closed form|oracle): <message>", and "skips" counts them by
+    # the part before ": ".  The unsided DegenerateRoots are the charid and
+    # projectors SKIPs.
     code, obj = run_json(capsys, "verify", "--m", str(m), "--n", str(n),
                          "--suite", "all")
     assert code == 0
     assert obj["counts"] == {"PASS": passes, "SKIP": sum(skips.values()),
                              "FAIL": 0}
+    assert obj["skips"] == skips
     reasons = {}
     for case in obj["cases"]:
         if case["status"] == "SKIP":
-            detail = case["detail"]
-            key = detail if detail in ("NotRealized", "DegenerateRoots") else "message"
-            reasons[key] = reasons.get(key, 0) + 1
+            reason = case["detail"].partition(": ")[0]
+            reasons[reason] = reasons.get(reason, 0) + 1
+            sided = case["case"] in ("wigner", "coupled")
+            assert reason.endswith(("(closed form)", "(oracle)")) == sided
     assert reasons == skips
+
+
+def test_skip_names_the_side_that_raised(capsys, monkeypatch):
+    # the closed form is evaluated first: a case it refuses makes no
+    # oracle call, and every other case makes one
+    from qwig.oracle import checks
+
+    calls = []
+    for name in ("wigner_oracle", "coupled_oracle"):
+        def counted(*args, fn=getattr(checks, name)):
+            calls.append(args)
+            return fn(*args)
+        monkeypatch.setattr(checks, name, counted)
+    cases = []
+    for suite in ("wigner", "coupled"):
+        cases += run_json(capsys, "verify", "--m", "2", "--n", "2",
+                          "--suite", suite)[1]["cases"]
+    closed = [c for c in cases if " (closed form): " in c["detail"]]
+    oracle = [c for c in cases if " (oracle): " in c["detail"]]
+    assert closed and oracle
+    assert len(calls) == len(cases) - len(closed)
+
+
+def test_verify_forms_no_projector_matrix(capsys, monkeypatch):
+    # verify --suite all on gl(2|2): shifted_product runs once per module
+    # and kind that charid decides, and projector_parts never runs, so no
+    # N_r or subalgebra N0 is formed
+    from qwig.oracle.linalg import shifted_product
+    from qwig.oracle.loperators import projector_parts
+
+    products = []
+
+    def counted(A, values):
+        products.append(id(A))
+        return shifted_product(A, values)
+
+    def forbidden(*args):
+        raise AssertionError("projector_parts ran")
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "qwig":
+            for key, value in list(vars(module).items()):
+                if value is shifted_product:
+                    monkeypatch.setattr(module, key, counted)
+                elif value is projector_parts:
+                    monkeypatch.setattr(module, key, forbidden)
+    _modules.cache_clear()
+    code, obj = run_json(capsys, "verify", "--m", "2", "--n", "2",
+                         "--suite", "all")
+    assert code == 0 and obj["counts"]["PASS"] == 60
+    decided = [c for c in obj["cases"]
+               if c["case"] == "charid" and c["status"] == "PASS"]
+    assert len(products) == len(set(products)) == len(decided) == 2
 
 
 @pytest.mark.parametrize("form", ["root_product", "qnumber_phase", "both"])
@@ -427,12 +487,12 @@ def test_parser_built_once_serves_each_call(capsys):
 # count enters the digest, so a change meant to keep results identical
 # must keep these; a change that alters the output updates them and says so.
 VERIFY_ALL_SHA256 = {
-    (1, 1): "6b080cdf99f08502fa3b0c8b0eab61aff275f74d8133f1791acae7d9b8fc41d1",
-    (2, 1): "11c6f825c7b226142545e685d48a8c3f488e1d562011a1e84c8eb780a43bd039",
-    (1, 2): "c5b1bdedb5a5400d16dec96f54ec9f79872eecb4949791672704edf79044e943",
-    (2, 2): "565ae0d7214c02b3720ef71e3f6f2bd6b6f1fb90adeb56923acc7376f9d133cd",
-    (3, 1): "5c45c714c3b9c5b065f4740afb7f82b232d994ac7253769466b48f26c5722fe3",
-    (1, 3): "6baf2751bcf58bb33bfdecf3bb7ea6e47c8ed3989b90d2755d95a4df6bce60b0",
+    (1, 1): "166ce7f0f6c0f4a92d7d3fe7c57bc2ee5a1b915b1bdc17dc97cda6d02709a342",
+    (2, 1): "b2c62118dfe6e10ae0ba625745974c4c08434cca16f94b172476fd14ba82da41",
+    (1, 2): "32c84017db14cbc0977ab49b0eb9541f66b96fda9c68b20049639c29554facdb",
+    (2, 2): "94a84280ef7e97aef3f606707229b0ba08b9805f0268105afa0d01530cffca5c",
+    (3, 1): "62281649d076db37833d0edb17b653bfd05b8fd7a35895cdb168cc248b3fb8ef",
+    (1, 3): "01092ab09f4a878b07e27355acc34bf05af00a0638513cef9ab713d0a4ecd3e8",
 }
 
 

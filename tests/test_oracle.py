@@ -72,11 +72,20 @@ from qwig.oracle import checks
 from qwig.oracle.checks import (
     _KIND_TO_CHAR,
     _RHO_SIGN,
+    _apply,
+    _branch_start,
     _branch_vector,
-    _projector_parts,
+    _coefficients,
+    _component_powers,
+    _kac_dimension,
+    _power_traces,
+    _powers,
     _ratio,
     _shift_project,
-    _sub_projector,
+    _shifted_family,
+    _slot,
+    _start_powers,
+    _sub_coefficients,
 )
 from qwig.oracle.linalg import (
     Matrix,
@@ -92,8 +101,6 @@ from qwig.oracle.linalg import (
     reduce_row,
     scale_columns,
     scale_rows,
-    shift_diagonal,
-    shifted_product,
     zeros,
 )
 from qwig.oracle.loperators import (
@@ -106,7 +113,7 @@ from qwig.oracle.modules import (
     _parity_of_weight,
     _subalgebra_highest_vectors,
 )
-from qwig.superweight import rho, subalgebra_roots
+from qwig.superweight import is_typical, rho, subalgebra_roots
 from qwig.wigner import _Side
 from conftest import first_module
 
@@ -298,7 +305,7 @@ def test_char_identity_examples():
 
 def test_ahat_does_not_block_partition():
     # the leading (d-1)-block of each twisted matrix is the subalgebra
-    # matrix, the one that _sub_projector slices; ahat's is not, since RT R
+    # matrix, the one that _component_powers slices; ahat's is not, since RT R
     # sums over the last vector direction too
     cases = 0
     for sig in (S11, S21, S12, Signature(2, 2), Signature(3, 1),
@@ -332,43 +339,159 @@ def test_projector_algebra_gl11():
     assert is_zero_matrix(matmul(parts[0][0], parts[1][0]))
 
 
+def _ranks(detail):
+    """The ranks a projector_algebra_check detail lists, as text."""
+    return detail.partition(" ")[2].split(",")
+
+
 def test_projector_algebra_check_can_fail():
     # True with the nodes of the module's own highest weight; False with
     # the nodes of another weight, whose Lagrange polynomials are not the
     # module's eigenspace projectors
     V = vector_rep(S11)
-    assert projector_algebra_check(V, Weight(S11, (1, 0)), "atilde")
+    assert projector_algebra_check(V, Weight(S11, (1, 0)), "atilde") == (
+        True, "ranks 2,2")
     with pytest.raises(DegenerateRoots):
         projector_algebra_check(V, Weight(S11, (1, 0)), "adual")
     for kind in ("atilde", "adual"):
-        assert not projector_algebra_check(V, Weight(S11, (2, 0)), kind)
+        assert not projector_algebra_check(V, Weight(S11, (2, 0)), kind)[0]
     modules = dict(realized_modules(S21, 2, 30))
     lam, other = Weight.parse(S21, "2,0|0"), Weight.parse(S21, "1,0|0")
     for kind in ("atilde", "adual"):
-        assert projector_algebra_check(modules[lam], lam, kind)
-        assert not projector_algebra_check(modules[lam], other, kind)
+        assert projector_algebra_check(modules[lam], lam, kind)[0]
+        assert not projector_algebra_check(modules[lam], other, kind)[0]
 
 
-def test_projector_algebra_check_tests_every_r(monkeypatch):
-    # a 9 x 9 matrix with a 2 x 2 Jordan block at 0 and -1, 1 on the rest
-    # of the diagonal, with nodes (0, -1, 1): L_1(x) = 1 - x^2 has zero
-    # derivative at 0, so N_1 N_1 = s_1 N_1 holds, while P_2 and P_3 keep
-    # a nilpotent part and are not idempotent
-    V = vector_rep(S21)
-    diag = [ZERO, ZERO] + [-ONE, ONE] * 3 + [-ONE]
-    rows = [{i: x} if x else {} for i, x in enumerate(diag)]
-    rows[0] = {1: ONE}
-    A = Matrix(rows, 9)
-    monkeypatch.setattr(checks, "char_eigenvalues",
-                        lambda lam, kind: (ZERO, -ONE, ONE))
-    monkeypatch.setattr(checks, "char_matrix", lambda W, kind: A)
-    lam = Weight(S21, (1, 0, 0))
-    idempotent = []
-    for r in (1, 2, 3):
-        N, s = _projector_parts(V, lam, r, "atilde")
-        idempotent.append(matmul(N, N) == mat_scale(N, s))
-    assert idempotent == [True, False, False]
-    assert not projector_algebra_check(V, lam, "atilde")
+def test_projector_algebra_check_tests_every_r():
+    # gl(2|1) V(1,1|0) with the nodes of 1,0|0: every rank is an integer
+    # and they sum to the dimension 12 of V (x) W.  r = 1 passes, since
+    # 2,0|0 is atypical, and r = 2 too, a typical summand absent; only
+    # r = 3 fails, since 1,0|1 is typical and dominant with Kac dimension
+    # 8, not 4
+    W = dict(realized_modules(S21, 2, 30))[Weight.parse(S21, "1,1|0")]
+    other = Weight.parse(S21, "1,0|0")
+    assert projector_algebra_check(W, other, "atilde") == (
+        False, "ranks 8,0,4")
+    typical = [is_typical(Weight.parse(S21, c))
+               for c in ("2,0|0", "1,1|0", "1,0|1")]
+    assert typical == [False, True, True]
+    assert _kac_dimension(Weight.parse(S21, "1,0|1")) == 8
+
+
+def _rank_rule(lam, kind, ranks):
+    """The rank check's verdict on ranks, as a reference: nonnegative
+    integers, 0 off the dominant weights lam +- eps_r, and 0 or Kac's
+    dimension on the typical dominant ones."""
+    sig = lam.sig
+    step = 1 if kind in ("ahat", "atilde") else -1
+    for r, rank in enumerate(ranks, start=1):
+        if not str(rank).isdigit():
+            return False
+        n = int(str(rank))
+        comps = list(lam.comps)
+        comps[r - 1] += step
+        mu = Weight(sig, comps)
+        even, odd = mu.even, mu.odd
+        dominant = (all(a >= b for a, b in zip(even, even[1:]))
+                    and all(a >= b for a, b in zip(odd, odd[1:])))
+        if not dominant and n:
+            return False
+        if dominant and is_typical(mu) and n not in (0, _kac_dimension(mu)):
+            return False
+    return True
+
+
+def _matrix_ranks(W, lam, kind):
+    """tr(N_r)/s_r read off the built N_r of projector_parts."""
+    A, nodes = char_matrix(W, kind), char_eigenvalues(lam, kind)
+    ranks = []
+    for r in range(1, W.sig.d + 1):
+        N, s = projector_parts(A, nodes, r)
+        ranks.append(sum((N[i, i] for i in range(N.shape[0])), ZERO) / s)
+    return ranks
+
+
+def test_rank_check_reads_the_built_projectors():
+    # with every module weight's nodes, right or wrong: the ranks the
+    # check lists are tr(N_r)/s_r of the built N_r, its verdict is the
+    # rank rule's on those, and it raises where projector_parts does
+    outcomes = set()
+    for sig in (S11, S21, S12, Signature(2, 2), Signature(3, 1),
+                Signature(1, 3)):
+        modules = realized_modules(sig, 2, 30)
+        for _, W in modules:
+            for lam, _ in modules:
+                for kind in ("atilde", "adual"):
+                    try:
+                        want = _matrix_ranks(W, lam, kind)
+                    except DegenerateRoots:
+                        with pytest.raises(DegenerateRoots):
+                            projector_algebra_check(W, lam, kind)
+                        outcomes.add(DegenerateRoots)
+                        continue
+                    ok, detail = projector_algebra_check(W, lam, kind)
+                    assert _ranks(detail) == [str(x) for x in want]
+                    assert ok == _rank_rule(lam, kind, want), (
+                        str(sig), str(lam), kind)
+                    outcomes.add(ok)
+    assert outcomes == {True, False, DegenerateRoots}
+
+
+def test_wrong_nodes_fail_the_rank_check():
+    # each module's check with the nodes of every other module weight of
+    # its signature: integrality alone (a rank that is not a nonnegative
+    # integer) fails 29 of the 44 non-degenerate cases, and the whole
+    # check 41.  A check that tested r = 1 alone would let 8 more through.
+    cases = failed = not_integral = 0
+    for sig in (S11, S21, S12, Signature(2, 2), Signature(3, 1),
+                Signature(1, 3)):
+        modules = realized_modules(sig, 2, 30)
+        for lam, W in modules:
+            for other, _ in modules:
+                for kind in ("atilde", "adual"):
+                    if other == lam:
+                        continue
+                    try:
+                        ok, detail = projector_algebra_check(W, other, kind)
+                    except DegenerateRoots:
+                        continue
+                    cases += 1
+                    failed += not ok
+                    not_integral += any(
+                        not x.isdigit() for x in _ranks(detail))
+    assert (cases, failed, not_integral) == (44, 41, 29)
+
+
+def test_kac_dimension_of_typical_modules():
+    # every typical module built has Kac's dimension 2^(mn) dim L0(lam)
+    typical = 0
+    for sig in (S11, S21, S12, Signature(2, 2), Signature(3, 1),
+                Signature(1, 3)):
+        for lam, W in realized_modules(sig, 3, 40):
+            if is_typical(lam):
+                assert W.dim == _kac_dimension(lam), str(lam)
+                typical += 1
+    assert typical == 11
+    # Weyl's formula on the even part: gl(3) (2,1,0) has dimension 8
+    assert _kac_dimension(Weight(Signature(3, 1), (2, 1, 0, 5))) == 2 ** 3 * 8
+
+
+def test_char_identity_decides_the_projector_algebra():
+    # the rank check tests no idempotence: where char_identity_check
+    # passes, the whole algebra holds, N_i N_i = s_i N_i, N_i N_j = 0 and
+    # sum_r P_r = I; with wrong nodes both fail together here
+    outcomes = set()
+    for sig in (S11, S21, S12):
+        modules = realized_modules(sig, 2, 30)
+        for _, W in modules:
+            for lam, _ in modules:
+                for kind in ("atilde", "adual"):
+                    got = _outcome_of(char_identity_check, W, lam, kind)
+                    want = _outcome_of(_projector_algebra_reference, W, lam,
+                                       kind)
+                    assert got == want, (str(sig), str(lam), kind)
+                    outcomes.add(got)
+    assert outcomes == {True, False, DegenerateRoots}
 
 
 def _projector_algebra_reference(W, lam, kind):
@@ -394,34 +517,6 @@ def _outcome_of(fn, *args):
         return fn(*args)
     except DegenerateRoots:
         return DegenerateRoots
-
-
-def test_idempotence_decides_the_projector_algebra():
-    # projector_algebra_check tests only N_r N_r = s_r N_r: orthogonality
-    # and the sum to I follow for idempotent Lagrange projectors of
-    # distinct nodes.  With every module weight's nodes, right or wrong,
-    # its outcome equals the whole algebra's; and char_identity_check's
-    # one product on the cached N_d is the full ordered product.
-    outcomes = set()
-    for sig in (S11, S21, S12):
-        modules = realized_modules(sig, 2, 30)
-        for _, W in modules:
-            for lam, _ in modules:
-                for kind in ("atilde", "adual"):
-                    got = _outcome_of(projector_algebra_check, W, lam, kind)
-                    want = _outcome_of(_projector_algebra_reference, W, lam,
-                                       kind)
-                    assert got == want, (str(sig), str(lam), kind)
-                    outcomes.add(got)
-                    d, A = sig.d, char_matrix(W, kind)
-                    nodes = char_eigenvalues(lam, kind)
-                    try:
-                        N, _ = _projector_parts(W, lam, d, kind)
-                    except DegenerateRoots:
-                        continue
-                    assert matmul(N, shift_diagonal(A, nodes[d - 1])) == (
-                        shifted_product(A, nodes))
-    assert outcomes == {True, False, DegenerateRoots}
 
 
 def test_projector_degenerate():
@@ -563,7 +658,9 @@ def test_outer_shift_projector_is_component_aware():
     lam, W = first_module(sig, comps)
     ckind = _KIND_TO_CHAR[kind]
     n0 = (sig.d - 1) * W.dim
-    fixed = _scaled(_sub_projector(W, lam0, r, ckind))
+    A = char_matrix(W, ckind)
+    fixed = _scaled(projector_parts(A[:n0, :n0], _sub_nodes(lam0, ckind, sig),
+                                    r))
     _, w0 = _branch_vector(W, lam, lam0)
     differ = 0
     for j in range(sig.d - 1):
@@ -571,7 +668,8 @@ def test_outer_shift_projector_is_component_aware():
         u = _shift_project(W, vec, r, ckind)
         assert u == matvec(fixed, vec)
         for k in (1, 2, 3):
-            v = matvec(_scaled(_projector_parts(W, lam, k, ckind)), u)
+            v = matvec(_scaled(projector_parts(
+                A, char_eigenvalues(lam, ckind), k)), u)
             aware = _shift_project(W, v, r, ckind)
             want = _component_shift_projector(W, r, ckind, [v])
             assert aware == matvec(want, v)
@@ -655,6 +753,23 @@ def _scaled(parts):
     return mat_scale(N, s.inverse())
 
 
+def _sub_nodes(lam0, ckind, sig):
+    """The subalgebra projector nodes: the deformed lam0 roots."""
+    alphas = subalgebra_roots(tuple(lam0), _char_variant(ckind), sig)
+    return tuple(char_eigenvalue(a, ckind) for a in alphas)
+
+
+def _columns_of(coeffs, A, n):
+    """The n x n matrix sum_j c_j A^j, built column by column from _powers
+    of the unit vectors, as the oracle applies it."""
+    rows = [{} for _ in range(n)]
+    for col in range(n):
+        powers = _powers(A, {col: ONE}, len(coeffs))
+        for i, x in _apply(coeffs, powers).items():
+            rows[i][col] = x
+    return Matrix(rows, n)
+
+
 def _dense_projector(A, nodes, r):
     """Lagrange interpolation with every factor scaled on its own."""
     out = identity(A.shape[0])
@@ -679,21 +794,22 @@ def test_cached_matrices_equal_fresh_builds():
         assert lead == (kind != "ahat")
         nodes = char_eigenvalues(lam, kind)
         for k in range(1, d + 1):
-            N, s = _projector_parts(W, lam, k, kind)
-            assert _projector_parts(W, lam, k, kind)[0] is N
-            assert _scaled((N, s)) == _dense_projector(dense, nodes, k)
+            coeffs, s = _coefficients(W, kind, lam, k)
+            assert _coefficients(W, kind, lam, k)[0] is coeffs
+            assert _scaled((_columns_of(coeffs, A, d * W.dim), s)) == (
+                _dense_projector(dense, nodes, k))
     checked = 0
-    for ckind, variant in (("atilde", "adjoint"), ("adual", "dual")):
+    for ckind in ("atilde", "adual"):
         dense = _dense_char_matrix(fresh, ckind, d - 1)
         for b in branch_candidates(lam):
-            alphas = subalgebra_roots(tuple(b.lam0), variant, S21)
-            nodes = tuple(char_eigenvalue(a, ckind) for a in alphas)
+            nodes = _sub_nodes(b.lam0, ckind, S21)
             for r in range(1, d):
                 try:
-                    N0, s0 = _sub_projector(W, b.lam0, r, ckind)
+                    c0, s0 = _sub_coefficients(W, ckind, b.lam0, r)
                 except DegenerateRoots:
                     continue
-                assert _sub_projector(W, b.lam0, r, ckind)[0] is N0
+                assert _sub_coefficients(W, ckind, b.lam0, r)[0] is c0
+                N0 = _columns_of(c0, char_matrix(W, ckind)[:n0, :n0], n0)
                 assert _scaled((N0, s0)) == _dense_projector(dense, nodes, r)
                 checked += 1
     assert checked >= 4
@@ -744,29 +860,93 @@ def _oracle_results(W, lam):
 
 
 def test_unscaled_extraction_equals_scaled_projectors(monkeypatch):
-    # the reference applies every projector as the matrix N s^-1, and its
-    # scale as 1, on modules of its own, so that it shares no cached value
+    # the reference applies every projector with its coefficients divided
+    # by s, and its scale as 1, to vectors whose denominators are kept, on
+    # modules of its own, so that it shares no cached value
     sigs = (S21, S12, Signature(2, 2))
     got = {(sig, str(lam)): _oracle_results(W, lam)
            for sig in sigs for lam, W in realized_modules(sig, 2, 30)}
-    scaled = {}  # id(N) -> (N, the reference's parts); N is kept alive
 
-    def scaled_parts(parts):
+    def scaled(parts):
         def build(*args):
-            N, s = parts(*args)
-            if id(N) not in scaled:
-                scaled[id(N)] = N, (_scaled((N, s)), ONE)
-            return scaled[id(N)][1]
+            coeffs, s = parts(*args)
+            return tuple(c / s for c in coeffs), ONE
         return build
 
-    for name in ("_projector_parts", "_sub_projector"):
-        monkeypatch.setattr(checks, name, scaled_parts(getattr(checks, name)))
+    for name in ("_coefficients", "_sub_coefficients"):
+        monkeypatch.setattr(checks, name, scaled(getattr(checks, name)))
+    monkeypatch.setattr(checks, "_cleared", lambda vecs: (list(vecs), ONE))
     want = {(sig, str(lam)): _oracle_results(W, lam)
             for sig in sigs for lam, W in realized_modules(sig, 2, 30)}
     assert got == want
     outcomes = [x for results in got.values() for x in results.values()]
     assert sum(isinstance(x, QFraction) for x in outcomes) >= 100
     assert {DegenerateRoots, NotRealized} <= set(outcomes)
+
+
+def _same_outcome(got, want):
+    """Asserts got() == want(), or that both raise DegenerateRoots; returns
+    "value" or DegenerateRoots."""
+    try:
+        expected = want()
+    except DegenerateRoots:
+        with pytest.raises(DegenerateRoots):
+            got()
+        return DegenerateRoots
+    assert got() == expected
+    return "value"
+
+
+def test_vector_path_equals_matrix_reference():
+    # every projector the oracle applies, applied from its coefficients
+    # and the cached powers, equals the built N_r (projector_parts) times
+    # the vector: on e_d (x) w0 and each P0_r family vector for the
+    # module's matrix, and on each component part for the subalgebra's
+    # leading block; the raising cases are the same on both paths
+    compared = []
+    for sig in (S11, S21, S12, Signature(2, 2), Signature(3, 1),
+                Signature(1, 3)):
+        d = sig.d
+        for lam, W in realized_modules(sig, 2, 30):
+            n0 = (d - 1) * W.dim
+            for ckind in ("atilde", "adual"):
+                A = char_matrix(W, ckind)
+                nodes = char_eigenvalues(lam, ckind)
+                for b in branch_candidates(lam):
+                    try:
+                        w0 = _branch_start(W, lam, b.lam0)
+                    except (NotRealized, MultiplicityAmbiguous):
+                        continue
+                    starts = [(("e", lam.comps, b.lam0, d), _slot(W, d, w0))]
+                    for r in range(1, d):
+                        try:
+                            _, us, _ = _shifted_family(W, lam, b.lam0, r,
+                                                       ckind)
+                        except DegenerateRoots:
+                            continue
+                        starts += [(("P0", lam.comps, b.lam0, r, j), u)
+                                   for j, u in enumerate(us)]
+                        for j in range(1, d):
+                            parts = _component_powers(W, _slot(W, j, w0),
+                                                      ckind)
+                            for lam0, powers in parts.items():
+                                compared.append(_same_outcome(
+                                    lambda: _apply(_sub_coefficients(
+                                        W, ckind, lam0, r)[0], powers),
+                                    lambda: matvec(projector_parts(
+                                        A[:n0, :n0],
+                                        _sub_nodes(lam0, ckind, sig), r)[0],
+                                        powers[0])))
+                    for key, x in starts:
+                        powers = _start_powers(W, ckind, key, x)
+                        for k in range(1, d + 1):
+                            compared.append(_same_outcome(
+                                lambda: _apply(_coefficients(
+                                    W, ckind, lam, k)[0], powers),
+                                lambda: matvec(projector_parts(
+                                    A, nodes, k)[0], x)))
+    assert (compared.count("value"), compared.count(DegenerateRoots)) == (
+        1890, 442)
 
 
 def _component_projections(W):
@@ -837,7 +1017,7 @@ def _sandwich_coupled(W, lam, lam0, k, r, kind):
     d = W.sig.d
     _, w0 = _branch_vector(W, lam, lam0)
     ckind = _KIND_TO_CHAR[kind]
-    P = _scaled(_projector_parts(W, lam, k, ckind))
+    P = projector(char_matrix(W, ckind), char_eigenvalues(lam, ckind), k)
     vecs = [{j * W.dim + s: c for s, c in w0.items()} for j in range(d - 1)]
     E0 = _component_shift_projector(W, r, ckind, vecs)
     rhs = [matvec(E0, vec) for vec in vecs]
@@ -886,14 +1066,18 @@ def test_subalgebra_highest_vectors_found_once_per_module():
 def test_cached_matrices_are_read_only():
     W = _gl21_module_200()
     lam = Weight(S21, (2, 0, 0))
+    _component_powers(W, {0: ONE}, "atilde")
     for M in (
         char_matrix(W, "adual"),
-        _projector_parts(W, lam, 1, "atilde")[0],
-        _sub_projector(W, (2, 0), 1, "atilde")[0],
+        W._cache[("char0", "atilde")],
         etilde_matrix(W, 1, 2),
     ):
         with pytest.raises(TypeError):
             M[0, 0] = ONE
+    # the kept coefficients and traces are tuples of values
+    coeffs, _ = _coefficients(W, "atilde", lam, 1)
+    for kept in (coeffs, _power_traces(W, "atilde")):
+        assert type(kept) is tuple and len(kept) == S21.d
 
 
 # -- typed errors in place of assertions ----------------------------------------
@@ -1285,6 +1469,12 @@ def test_matrix_operations_match_dense_reference(seed):
     for got, want in cases:
         _assert_no_stored_zero(got)
         assert _dense(got) == want
+    # matvec walks A's column index and keeps the rows in increasing order
+    v = {j: x for j, x in enumerate(_random_dense(rng, 1, m)[0]) if x}
+    got = matvec(A, v)
+    assert list(got) == sorted(got) and all(got.values())
+    assert [got.get(i, ZERO) for i in range(n)] == [
+        sum((x * v.get(j, ZERO) for j, x in enumerate(u)), ZERO) for u in X]
     assert A[n - 1, m - 1] == X[n - 1][m - 1]
     assert is_zero_matrix(A - A) and not any((A - A).rows)
 
