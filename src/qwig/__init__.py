@@ -31,7 +31,6 @@ from .superweight import (
     RootSet,
     Signature,
     Weight,
-    bilinear_form,
     char_roots,
     check_generic,
     deformed_root,
@@ -52,7 +51,6 @@ from .wigner import (
     omega,
     omega_classical,
     omega_coupled,
-    omega_coupled_composite,
     omega_table,
     sum_rule_residual,
 )
@@ -67,14 +65,14 @@ __all__ = [
     "ConsistencyError",
     "HalfLaurent", "QFraction", "qpow", "qnum",
     "parse_qfraction", "ZERO", "ONE",
-    "Signature", "Weight", "RootSet", "bilinear_form", "rho",
+    "Signature", "Weight", "RootSet", "rho",
     "rho_even_odd", "char_roots", "subalgebra_roots", "deformed_root",
     "check_generic", "is_typical",
     "BranchingData", "branch_candidates", "index_sets",
     "chi_v", "chi_C1", "casimir_exponent",
     "CoefficientTable", "omega",
     "omega_classical", "gamma", "mu", "omega_coupled",
-    "omega_coupled_composite", "omega_table", "coupled_table",
+    "omega_table", "coupled_table",
     "sum_rule_residual", "linear_system_residuals", "MU_SHIFT_DEFAULT",
     "__version__",
 ]

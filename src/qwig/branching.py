@@ -6,7 +6,7 @@ import itertools
 from functools import cached_property
 
 from .errors import NonIntegralWeight, NotABranching, SignatureMismatch
-from .superweight import _Value, subalgebra_roots
+from .superweight import _Value
 
 __all__ = ["BranchingData", "branch_candidates", "index_sets"]
 
@@ -113,9 +113,6 @@ class BranchingData(_Value):
     def raise_indices(self):
         """Admissible shifts for the raising side: I0bar u I1t, sorted."""
         return self.I0bar + self.I1t
-
-    def sub_roots(self, variant):
-        return subalgebra_roots(self.lam0, variant, self.sig)
 
     # str is formatted once per branching: callers print the same one many
     # times, in check messages and verify details

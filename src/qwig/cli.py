@@ -165,8 +165,13 @@ def _emit(payload, out_path, csv_rows=None):
     else:
         text = _dump_json(payload)
     if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            # a path that cannot be written is a usage error (exit 2)
+            build_parser().exit(2, "qwig: error: cannot write %s: %s\n"
+                                % (out_path, exc.strerror))
     else:
         sys.stdout.write(text)
 

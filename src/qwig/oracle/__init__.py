@@ -5,7 +5,6 @@ from .checks import (
     char_identity_check,
     coproduct_check,
     coupled_oracle,
-    intertwining_check,
     mu_oracle,
     projector_algebra_check,
     qybe_check,
@@ -36,7 +35,7 @@ from .modules import (
 )
 
 __all__ = [
-    "qybe_check", "intertwining_check", "coproduct_check",
+    "qybe_check", "coproduct_check",
     "char_identity_check", "projector_algebra_check", "supertrace_invariant",
     "wigner_oracle", "coupled_oracle", "mu_oracle",
     "CHAR_KINDS", "eij_matrix", "etilde_matrix", "l_operator",

@@ -50,7 +50,6 @@ from .loperators import (
     vector_slot_parities,
 )
 from .modules import (
-    _h_coeffs,
     subalgebra_components,
     subalgebra_highest_vector,
     tensor_module,
@@ -59,7 +58,6 @@ from .modules import (
 
 __all__ = [
     "qybe_check",
-    "intertwining_check",
     "coproduct_check",
     "char_identity_check",
     "projector_algebra_check",
@@ -102,29 +100,6 @@ def qybe_check(sig):
     lhs = matmul(matmul(R12, R13), R23)
     rhs = matmul(matmul(R23, R13), R12)
     return lhs == rhs
-
-
-def intertwining_check(sig):
-    """R intertwines the coproduct and the opposite coproduct on V (x) V."""
-    V = vector_rep(sig)
-    T = tensor_module(V, V)
-    pars = vector_slot_parities(sig)
-    slot_pars = [pars, pars]
-    R = l_operator(V, "R")
-    for a in range(1, sig.d):
-        # q^(h_a/2) and q^(-h_a/2) on V
-        dh = _h_coeffs(sig, a)
-        half = diagonal(V.cartan_diagonal(dh, 0))
-        neg = diagonal(V.cartan_diagonal(tuple(-c for c in dh), 0))
-        p = 1 if a == sig.m else 0
-        for x, cop in ((V.e[a], T.e[a]), (V.f[a], T.f[a])):
-            # the coproduct on V (x) V is tensor_module's; opp is its opposite
-            opp = gkron([(x, p), (half, 0)], slot_pars) + gkron(
-                [(neg, 0), (x, p)], slot_pars
-            )
-            if matmul(R, cop) != matmul(opp, R):
-                return False
-    return True
 
 
 def coproduct_check(sig):
@@ -211,7 +186,9 @@ def projector_algebra_check(W, lam, kind):
     be a nonnegative integer; 0 where mu is not dominant; and, where mu is
     dominant and typical, 0 (the summand is absent) or Kac's dimension
     2^(mn) dim L0(mu) (Kac, Comm. Algebra 5 (1977)).  An atypical summand
-    is checked for integrality alone.
+    is checked for integrality alone.  A rank counts a generalised
+    eigenspace, so a nilpotent part of A - v_r passes the rank check, and
+    char_identity_check decides it.
 
     Idempotence and orthogonality of the P_r need no check here:
     L_i L_j - delta_ij L_i is divisible by prod_l (x - v_l) for the
@@ -364,7 +341,7 @@ def _cleared(vecs):
 
 # atilde's +1 is its only central pairing: with -1 its supertrace is not a
 # scalar on gl(2|1) 2,1|0 (test_atilde_pairs_only_with_plus_two_rho).
-_RHO_SIGN = {"ahat": 1, "atilde": 1, "adual": -1, "abar": -1}
+_RHO_SIGN = {"atilde": 1, "adual": -1, "abar": -1}
 
 
 def supertrace_invariant(W, kind):
@@ -460,9 +437,10 @@ def _component_powers(W, vec, ckind):
     module's own matrix, sliced once per kind: the twisted L-operators are
     triangular in the vector slot (RtildeT and dualRT lower, Rtilde and
     dualR upper), so entry (a, b) of their product sums over k <= min(a, b)
-    alone, and only subalgebra generators enter for a, b < d.  That holds
-    for atilde, adual and abar, not for ahat, whose RT R sums over
-    k >= max(a, b); the oracle never passes ahat here.
+    alone, and only subalgebra generators enter for a, b < d.  So for
+    every kind the leading block is the subalgebra's matrix of that kind:
+    abar's conjugation is diagonal in the vector slot, and the subalgebra's
+    (rho, eps_i) differ from the algebra's by one constant, which cancels.
     """
     d, dw = W.sig.d, W.dim
     n0 = (d - 1) * dw
@@ -561,9 +539,9 @@ def mu_oracle(W, lam, lam0, r, kind):
     enters as N, applied to e_j (x) w0 from its powers, and the ratio is
     multiplied by s, and divided by the factor f of the test family, once.
     Both kinds use this one recipe: no q^(2 rho_i) factor and no grading
-    sign (-1)^[i] is applied.  Whether either belongs here is open (ROADMAP
-    item 1).  Raises NotRealized when every tested entry of P_r vanishes
-    on the branching vector (vacuous identity).
+    sign (-1)^[i] is applied.  Whether either belongs here is open.
+    Raises NotRealized when every tested entry of P_r vanishes on the
+    branching vector (vacuous identity).
     """
     d = W.sig.d
     n0 = (d - 1) * W.dim

@@ -3,7 +3,7 @@
 Each L-operator acts on V (x) W or V* (x) W, where V is the defining
 module and W an arbitrary module; it is assembled as sum over elementary
 matrices in the first slot tensored with algebra elements represented on W.
-The four characteristic matrices are affine functions of products of two
+The three characteristic matrices are affine functions of products of two
 such operators.  Their eigenvalues are simple affine-exponential functions
 of the highest weight, and the Lagrange interpolation polynomials in them
 project onto the irreducible summands of V (x) W or V* (x) W.
@@ -56,7 +56,7 @@ __all__ = [
     "CHAR_KINDS",
 ]
 
-CHAR_KINDS = ("ahat", "atilde", "adual", "abar")
+CHAR_KINDS = ("atilde", "adual", "abar")
 
 
 def _check_spower(spower):
@@ -145,7 +145,6 @@ def _elementary(d, i, j):
 # sign label x gives the sign (-1)^([x]([i]+[j])), "" none
 _L_KINDS = {
     "R": ("ji", "ij", 0, ""),
-    "RT": ("ij", "ji", 0, ""),
     "Rtilde": ("ij", "ji", 1, ""),
     "RtildeT": ("ji", "ij", -1, ""),
     "dualR": ("ij", "ij", -1, "j"),
@@ -158,7 +157,6 @@ def l_operator(W, which):
     Kinds:
 
       R:       sum_{i<=j} e_ji (x) Et_ij
-      RT:      sum_{i<=j} e_ij (x) Et_ji
       Rtilde:  sum_{i<=j} e_ij (x) S(Et_ji)
       RtildeT: sum_{i<=j} e_ji (x) S^-1(Et_ij)
       dualR:   sum_{i<=j} (-1)^([j]([i]+[j])) e_ij (x) S^-1(Et_ij)
@@ -186,7 +184,6 @@ def l_operator(W, which):
 def char_matrix(W, kind):
     """A characteristic matrix on V (x) W (or V* (x) W for the duals).
 
-      ahat:   (q - q^-1)^-1 (I - RT R)          adjoint, roots -q^abar [abar]
       atilde: (q - q^-1)^-1 (I - RtildeT Rtilde) adjoint, roots q^-abar [abar]
       adual:  (q - q^-1)^-1 (I - dualRT dualR)   dual, roots q^-a [a]
       abar:   D adual D^-1, D = q^-(rho, eps_i) on the first slot (same roots)
@@ -197,7 +194,6 @@ def char_matrix(W, kind):
 
 
 _L_PAIRS = {
-    "ahat": ("RT", "R"),
     "atilde": ("RtildeT", "Rtilde"),
     "adual": ("dualRT", "dualR"),
 }
@@ -236,8 +232,8 @@ _X4_MINUS_1 = [-1, 0, 0, 0, 1]
 
 
 def _minus_over_kappa(x):
-    """-x/(q - q^-1) for an entry x of RT R - I, whose numerator q - q^-1
-    divides exactly.
+    """-x/(q - q^-1) for an entry x of an L-operator product minus I, whose
+    numerator q - q^-1 divides exactly.
 
     In t = q^(1/2), q - q^-1 is t^-2 (t^4 - 1): the numerator is divided by
     t^4 - 1 on its dense coefficient list, shifted up two half-steps and
@@ -257,17 +253,15 @@ def _minus_over_kappa(x):
 def _char_variant(kind):
     """The root variant whose exponents give a characteristic matrix's
     eigenvalues."""
-    return "adjoint" if kind in ("ahat", "atilde") else "dual"
+    return "adjoint" if kind == "atilde" else "dual"
 
 
 def char_eigenvalue(alpha, kind):
     """Deformed eigenvalue of a characteristic matrix from its classical
     root exponent."""
-    if kind == "ahat":
-        return -QFraction(qpow(alpha) * qnum(alpha))
-    if kind in ("atilde", "adual", "abar"):
-        return QFraction(qpow(-alpha) * qnum(alpha))
-    raise InvalidArgument("unknown characteristic matrix kind %r" % (kind,))
+    if kind not in CHAR_KINDS:
+        raise InvalidArgument("unknown characteristic matrix kind %r" % (kind,))
+    return QFraction(qpow(-alpha) * qnum(alpha))
 
 
 def char_eigenvalues(lam, kind):

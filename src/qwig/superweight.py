@@ -24,7 +24,6 @@ __all__ = [
     "Signature",
     "Weight",
     "RootSet",
-    "bilinear_form",
     "rho",
     "rho_even_odd",
     "char_roots",
@@ -163,21 +162,6 @@ class Weight(_Value):
 
     def __str__(self):
         return self._text
-
-
-def _check_same_sig(a, b):
-    if a.sig != b.sig:
-        raise SignatureMismatch("%s vs %s" % (a.sig, b.sig))
-
-
-def bilinear_form(lam, mu):
-    """Graded form (lam, mu) = sum_i sign(i) lam_i mu_i, exact Fraction."""
-    _check_same_sig(lam, mu)
-    sig = lam.sig
-    return sum(
-        (Fraction(sig.sign(i)) * lam[i] * mu[i] for i in range(1, sig.d + 1)),
-        Fraction(0),
-    )
 
 
 def rho(sig):

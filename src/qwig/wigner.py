@@ -29,7 +29,6 @@ __all__ = [
     "gamma",
     "mu",
     "omega_coupled",
-    "omega_coupled_composite",
     "omega_table",
     "coupled_table",
     "sum_rule_residual",
@@ -374,24 +373,6 @@ def omega_coupled(b, k, r, variant, form="qnumber_phase"):
         dens = [_root_map(a0r, bl) for bl in betas]
         dens += [_root_map(ap, ak) for ap in aps]
     return QFraction.from_maps(nums, dens)
-
-
-def omega_coupled_composite(b, k, r, variant):
-    """Cross-check route: omega_k mu_r / (F_r(a_k) (a_k - a0_r)).
-
-    Uses the unshifted mu.  Undefined (0/0) whenever a correction factor
-    vanishes, which happens exactly when r sits in the even admissible
-    block; the direct forms remain finite there.  Callers should treat a
-    ZeroDivisionError as 'not applicable'.
-    """
-    side = _side(b, variant)
-    side.require_in_range(k)
-    side.require_admissible(r)
-    if k not in side.K:
-        return ZERO
-    ak = side.alpha[k]
-    corr = _root_diff(ak, side.beta(r)) * _root_diff(ak, side.alpha0[r])
-    return omega(b, k, variant) * mu(b, r, variant) / QFraction(corr)
 
 
 # -- tables and identities ---------------------------------------------------

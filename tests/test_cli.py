@@ -1,5 +1,6 @@
 """Command-line interface: output shapes, determinism, exit codes."""
 
+import errno
 import hashlib
 import json
 import os
@@ -222,6 +223,23 @@ def test_out_json_file(tmp_path, capsys):
     assert code == 0
     obj = json.loads(path.read_text())
     assert obj["classical"] == [1, -1, -2]
+
+
+@pytest.mark.parametrize("argv", [
+    ("roots", "--weight", "1,0|0"),
+    ("wigner", "--weight", "1,0|0", "--lower", "0,0", "--kind", "lower"),
+])
+def test_unwritable_out_is_a_usage_error(tmp_path, capsys, argv):
+    # a directory, and a path whose parent is missing: exit 2 with one
+    # line on stderr and nothing on stdout, not a traceback
+    for path, err in ((tmp_path, errno.EISDIR),
+                      (tmp_path / "missing" / "x.json", errno.ENOENT)):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--out", str(path)])
+        assert exc.value.code == 2
+        assert capsys.readouterr() == ("", "qwig: error: cannot write %s: %s\n"
+                                       % (path, os.strerror(err)))
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_verify_jobs_flag(capsys):

@@ -55,7 +55,6 @@ from qwig.oracle import (
     eij_matrix,
     etilde_matrix,
     highest_weight_vectors,
-    intertwining_check,
     l_operator,
     mu_oracle,
     projector,
@@ -66,6 +65,7 @@ from qwig.oracle import (
     supertrace_invariant,
     tensor_module,
     vector_rep,
+    vector_slot_parities,
     wigner_oracle,
 )
 from qwig.oracle import checks
@@ -109,6 +109,7 @@ from qwig.oracle.loperators import (
     projector_parts,
 )
 from qwig.oracle.modules import (
+    _h_coeffs,
     _lowering_span,
     _parity_of_weight,
     _subalgebra_highest_vectors,
@@ -271,8 +272,31 @@ def test_l_operator_on_trivial_module():
     for sig in (S11, S21):
         C = trivial_module(sig)
         assert is_zero_matrix(l_operator(C, "R") - identity(sig.d))
-        for kind in ("atilde", "adual", "ahat"):
+        for kind in ("atilde", "adual"):
             assert is_zero_matrix(char_matrix(C, kind))
+
+
+def intertwining_check(sig):
+    """R intertwines the coproduct and the opposite coproduct on V (x) V."""
+    V = vector_rep(sig)
+    T = tensor_module(V, V)
+    pars = vector_slot_parities(sig)
+    slot_pars = [pars, pars]
+    R = l_operator(V, "R")
+    for a in range(1, sig.d):
+        # q^(h_a/2) and q^(-h_a/2) on V
+        dh = _h_coeffs(sig, a)
+        half = diagonal(V.cartan_diagonal(dh, 0))
+        neg = diagonal(V.cartan_diagonal(tuple(-c for c in dh), 0))
+        p = 1 if a == sig.m else 0
+        for x, cop in ((V.e[a], T.e[a]), (V.f[a], T.f[a])):
+            # the coproduct on V (x) V is tensor_module's; opp is its opposite
+            opp = gkron([(x, p), (half, 0)], slot_pars) + gkron(
+                [(neg, 0), (x, p)], slot_pars
+            )
+            if matmul(R, cop) != matmul(opp, R):
+                return False
+    return True
 
 
 def test_intertwining():
@@ -303,10 +327,9 @@ def test_char_identity_examples():
     assert char_identity_check(V3, lam, "abar")
 
 
-def test_ahat_does_not_block_partition():
-    # the leading (d-1)-block of each twisted matrix is the subalgebra
-    # matrix, the one that _component_powers slices; ahat's is not, since RT R
-    # sums over the last vector direction too
+def test_leading_block_is_the_subalgebra_matrix():
+    # for every kind the leading (d-1)-block of the module's matrix is the
+    # subalgebra matrix, the one that _component_powers slices
     cases = 0
     for sig in (S11, S21, S12, Signature(2, 2), Signature(3, 1),
                 Signature(1, 3)):
@@ -315,9 +338,9 @@ def test_ahat_does_not_block_partition():
             for kind in CHAR_KINDS:
                 lead = char_matrix(W, kind)[:n0, :n0]
                 sub = _dense_char_matrix(W, kind, sig.d - 1)
-                assert (lead == sub) == (kind != "ahat"), (str(sig), kind)
+                assert lead == sub, (str(sig), kind)
                 cases += 1
-    assert cases >= 72
+    assert cases == 54  # 18 modules, 3 kinds
 
 
 def test_projector_algebra_gl11():
@@ -383,7 +406,7 @@ def _rank_rule(lam, kind, ranks):
     integers, 0 off the dominant weights lam +- eps_r, and 0 or Kac's
     dimension on the typical dominant ones."""
     sig = lam.sig
-    step = 1 if kind in ("ahat", "atilde") else -1
+    step = 1 if kind == "atilde" else -1
     for r, rank in enumerate(ranks, start=1):
         if not str(rank).isdigit():
             return False
@@ -460,6 +483,24 @@ def test_wrong_nodes_fail_the_rank_check():
                     not_integral += any(
                         not x.isdigit() for x in _ranks(detail))
     assert (cases, failed, not_integral) == (44, 41, 29)
+
+
+@pytest.mark.parametrize("m, n, module, nodes, ranks", [
+    (2, 1, "1,1|0", "2,0|0", "0,0,12"),
+    (1, 2, "2|0,0", "1|1,0", "0,0,12"),
+    (2, 2, "1,0|0,0", "2,0|0,0", "0,0,0,16"),
+])
+def test_wrong_nodes_that_only_char_identity_catches(m, n, module, nodes,
+                                                     ranks):
+    # with another module's adual nodes every rank is a nonnegative integer
+    # and the rank rule holds, yet A - v_r has a nilpotent part on the
+    # eigenspace of the last rank: only char_identity_check sees it
+    sig = Signature(m, n)
+    W = dict(realized_modules(sig, 2, 30))[Weight.parse(sig, module)]
+    other = Weight.parse(sig, nodes)
+    assert projector_algebra_check(W, other, "adual") == (
+        True, "ranks " + ranks)
+    assert char_identity_check(W, other, "adual") is False
 
 
 def test_kac_dimension_of_typical_modules():
@@ -725,14 +766,13 @@ def _gl21_module_200():
 
 
 def _dense_char_matrix(W, kind, dirs):
-    """The defining formula of char_matrix, (I - RT R)(q - q^-1)^-1 and its
-    conjugation by D, evaluated with whole-matrix operations on the first
-    dirs vector directions: RT and R are cut to their leading blocks before
-    they are multiplied, so for dirs < d it is the matrix of the subalgebra
-    on those directions."""
-    left, right = {"ahat": ("RT", "R"), "atilde": ("RtildeT", "Rtilde")}.get(
-        kind, ("dualRT", "dualR")
-    )
+    """The defining formula of char_matrix, (I - L' L)(q - q^-1)^-1 over
+    the kind's pair of L-operators and abar's conjugation by D, evaluated
+    with whole-matrix operations on the first dirs vector directions: L'
+    and L are cut to their leading blocks before they are multiplied, so
+    for dirs < d it is the matrix of the subalgebra on those directions."""
+    left, right = ("RtildeT", "Rtilde") if kind == "atilde" else (
+        "dualRT", "dualR")
     N = dirs * W.dim
     prod = matmul(l_operator(W, left)[:N, :N], l_operator(W, right)[:N, :N])
     A = mat_scale(identity(N) - prod, QFraction(qpow(1) - qpow(-1)).inverse())
@@ -790,8 +830,7 @@ def test_cached_matrices_equal_fresh_builds():
         assert char_matrix(W, kind) is A
         dense = _dense_char_matrix(fresh, kind, d)
         assert A == dense
-        lead = A[:n0, :n0] == _dense_char_matrix(fresh, kind, d - 1)
-        assert lead == (kind != "ahat")
+        assert A[:n0, :n0] == _dense_char_matrix(fresh, kind, d - 1)
         nodes = char_eigenvalues(lam, kind)
         for k in range(1, d + 1):
             coeffs, s = _coefficients(W, kind, lam, k)

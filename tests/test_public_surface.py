@@ -1,5 +1,7 @@
-"""Every name that a module's __all__ exports resolves."""
+"""Every name that a module's __all__ exports resolves, and has a caller
+outside the tests."""
 
+import ast
 import importlib
 import os
 import subprocess
@@ -23,6 +25,16 @@ MODULES = [
     "qwig.oracle.loperators",
     "qwig.oracle.checks",
 ]
+
+# where a caller of an exported name may live: the tests do not count
+CALLERS = ("src", "perfbench", "demos", "tools")
+
+# exported names that no caller reaches yet, each with the reason it stays
+KEPT = {
+    "gamma": "its alpha0_override goes when ROADMAP item 3 settles mu",
+    "mu_oracle": "ROADMAP item 3 mends it and runs mu in verify",
+    "__version__": "package metadata",
+}
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -50,3 +62,42 @@ def test_import_loads_no_unused_stdlib_modules():
     loaded = set(done.stdout.split())
     assert {"qwig", "qwig.cli", "qwig.oracle"} <= loaded
     assert loaded & {"dataclasses", "inspect", "ast", "dis", "tokenize", "csv"} == set()
+
+
+def _references(tree):
+    """The names that code refers to: loaded Names, attribute names and
+    exact str constants (the CLI dispatches by getattr on a name), outside
+    the __all__ assignments.  An import list holds aliases, not Names, so
+    an import alone is no reference."""
+    listed = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__"
+                for t in node.targets):
+            listed.update(map(id, ast.walk(node.value)))
+    refs = set()
+    for node in ast.walk(tree):
+        if id(node) in listed:
+            continue
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            refs.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            refs.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            refs.add(node.value)
+    return refs
+
+
+def test_every_exported_name_has_a_caller():
+    # nothing ships that no caller needs: an exported name that only the
+    # tests reach moves into them, unless KEPT says why it stays; a KEPT
+    # name that gains a caller leaves KEPT
+    root = Path(__file__).resolve().parents[1]
+    refs = set()
+    for top in CALLERS:
+        for path in sorted((root / top).rglob("*.py")):
+            refs |= _references(ast.parse(path.read_text(), str(path)))
+    exported = set()
+    for name in MODULES:
+        exported.update(importlib.import_module(name).__all__)
+    assert sorted(exported - refs) == sorted(KEPT)

@@ -16,7 +16,6 @@ from qwig import (
     Signature,
     SignatureMismatch,
     Weight,
-    bilinear_form,
     char_roots,
     check_generic,
     deformed_root,
@@ -34,26 +33,12 @@ S21 = Signature(2, 1)
 S12 = Signature(1, 2)
 
 
-def unit(sig, i):
-    c = [0] * sig.d
-    c[i - 1] = 1
-    return Weight(sig, tuple(c))
-
-
 def test_parity_and_sign():
     assert S21.parity(1) == 0 and S21.sign(1) == 1
     assert S21.parity(3) == 1 and S21.sign(3) == -1
     assert S11.sign(2) == -1
     with pytest.raises(IndexOutOfRange):
         S11.parity(3)
-
-
-def test_bilinear_form_examples():
-    assert bilinear_form(unit(S21, 1), unit(S21, 1)) == 1
-    assert bilinear_form(unit(S21, 3), unit(S21, 3)) == -1
-    assert bilinear_form(unit(S21, 1), unit(S21, 3)) == 0
-    with pytest.raises(SignatureMismatch):
-        bilinear_form(unit(S21, 1), unit(S11, 1))
 
 
 def test_rho_examples():
@@ -117,8 +102,8 @@ def test_subalgebra_roots_are_char_roots_of_the_lower_weight(sweep_branchings):
             continue
         lam0 = Weight(Signature(m, n - 1), b.lam0)
         for variant in ("adjoint", "dual"):
-            assert b.sub_roots(variant) == char_roots(lam0, variant), (
-                str(b), variant)
+            assert subalgebra_roots(b.lam0, variant, b.sig) == char_roots(
+                lam0, variant), (str(b), variant)
             checked += 1
     assert checked
 
@@ -210,6 +195,6 @@ def test_dual_subroot_matches_parent_on_I0(sweep_branchings):
         if not b.I0:
             continue
         parent = char_roots(b.lam, "dual")
-        sub = b.sub_roots("dual")
+        sub = subalgebra_roots(b.lam0, "dual", b.sig)
         for r in b.I0:
             assert sub[r - 1] == parent[r - 1]

@@ -32,7 +32,6 @@ from qwig import (
     omega,
     omega_classical,
     omega_coupled,
-    omega_coupled_composite,
     omega_table,
     qnum,
     qpow,
@@ -280,6 +279,25 @@ def test_coupled_example():
     assert omega_coupled(b, 1, 1, "raise") == ONE
 
 
+def omega_coupled_composite(b, k, r, variant):
+    """Cross-check route: omega_k mu_r / (F_r(a_k) (a_k - a0_r)), built
+    from the library's omega and unshifted mu by plain field arithmetic.
+
+    Undefined (0/0) whenever a correction factor vanishes, which happens
+    exactly when r sits in the even admissible block; the direct forms
+    remain finite there.  Callers treat a ZeroDivisionError as 'not
+    applicable'.
+    """
+    side = _side(b, variant)
+    side.require_in_range(k)
+    side.require_admissible(r)
+    if k not in side.K:
+        return ZERO
+    ak = side.alpha[k]
+    corr = _root_diff(ak, side.beta(r)) * _root_diff(ak, side.alpha0[r])
+    return omega(b, k, variant) * mu(b, r, variant) / QFraction(corr)
+
+
 def test_coupled_errors_and_zero():
     b = index_sets(Weight(S21, (1, 0, 0)), (0, 0))
     with pytest.raises(AdmissibilityError):
@@ -372,7 +390,7 @@ def _shifted_factor(x, y, t):
 
 
 def _reference_side_fields(b, variant):
-    """Every field of a side, built through char_roots, b.sub_roots, the
+    """Every field of a side, built through char_roots, subalgebra_roots, the
     index-set methods and a fresh sign dict: the reference for the one-pass
     construction."""
     lower = variant == "lower"
@@ -390,7 +408,8 @@ def _reference_side_fields(b, variant):
         "b": b,
         "variant": variant,
         "alpha": alpha,
-        "alpha0": dict(zip(range(1, sig.d), b.sub_roots(kind))),
+        "alpha0": dict(zip(range(1, sig.d),
+                           subalgebra_roots(b.lam0, kind, sig))),
         "sign": {i: 1 if i <= sig.m else -1 for i in range(1, sig.d + 1)},
         "n": sig.n,
         "I0_size": len(b.I0),
