@@ -32,7 +32,6 @@ from .superweight import (
     Signature,
     Weight,
     char_roots,
-    check_generic,
     deformed_root,
     is_typical,
     rho,
@@ -67,7 +66,7 @@ __all__ = [
     "parse_qfraction", "ZERO", "ONE",
     "Signature", "Weight", "RootSet", "rho",
     "rho_even_odd", "char_roots", "subalgebra_roots", "deformed_root",
-    "check_generic", "is_typical",
+    "is_typical",
     "BranchingData", "branch_candidates", "index_sets",
     "chi_v", "chi_C1", "casimir_exponent",
     "CoefficientTable", "omega",

@@ -75,14 +75,17 @@ class BranchingData(_Value):
     def sig(self):
         return self.lam.sig
 
-    @cached_property
+    # I0 and I0bar are computed on each read: on Python 3.11 that costs less
+    # than a cached_property's first read, which takes a lock, and _Side
+    # reads each of them about once per branching
+    @property
     def I0(self):
         c = self.lam.comps
         return tuple(
             i + 1 for i in range(self.sig.m) if self.lam0[i] == c[i] - 1
         )
 
-    @cached_property
+    @property
     def I0bar(self):
         c = self.lam.comps
         return tuple(i + 1 for i in range(self.sig.m) if self.lam0[i] == c[i])
@@ -94,7 +97,8 @@ class BranchingData(_Value):
 
     @property
     def I1t(self):
-        return self.I1 + (self.sig.d,)
+        m, d = self.sig.m, self.sig.d
+        return tuple(range(m + 1, d + 1))
 
     @cached_property
     def eta(self):

@@ -17,8 +17,6 @@ from ..errors import NotRealized, NotScalar
 from ..exactq import ONE, ZERO, QFraction, qpow
 from ..superweight import (
     Weight,
-    char_roots,
-    check_generic,
     is_typical,
     rho,
     subalgebra_roots,
@@ -26,7 +24,6 @@ from ..superweight import (
 from .linalg import (
     Matrix,
     _add_entry,
-    diagonal,
     gkron,
     identity,
     is_zero_matrix,
@@ -103,53 +100,13 @@ def qybe_check(sig):
 
 
 def coproduct_check(sig):
-    """Two consistency checks on the L-operator entry generators.
-
-    (1) entrywise: on V (x) V the generator Et_ij acts as
-        q^((i)E_ii) (x) Et_ij + Et_ij (x) q^((j)E_jj)
-          + sum_{i<k<j} Et_ik (x) Et_kj     (i < j),
-        and Et_ii (x) Et_ii on the diagonal;
-    (2) globally: R with the coproduct in its second leg equals R13 R12
-        in the triple vector representation.
-    """
+    """R with the coproduct in its second leg equals R13 R12 in the triple
+    vector representation, both sides acting on V (x) (V (x) V).  R there
+    is sum_{i<=j} e_ji (x) Et_ij on V (x) V, and the e_ji are linearly
+    independent, so the one identity decides the coproduct of every entry
+    generator Et_ij, block by block."""
     V = vector_rep(sig)
     T = tensor_module(V, V)
-    pars = vector_slot_parities(sig)
-    slot_pars = [pars, pars]
-    d = sig.d
-
-    def cart(label):
-        # q^((label) E_ll), from its doubled exponent
-        dcoeffs = [0] * d
-        dcoeffs[label - 1] = 2 * sig.sign(label)
-        return diagonal(V.cartan_diagonal(tuple(dcoeffs), 0))
-
-    for i in range(1, d + 1):
-        for j in range(i, d + 1):
-            lhs = etilde_matrix(T, i, j)
-            if i == j:
-                rhs = gkron([(cart(i), 0), (cart(i), 0)], slot_pars)
-            else:
-                p = (sig.parity(i) + sig.parity(j)) % 2
-                rhs = gkron(
-                    [(cart(i), 0), (etilde_matrix(V, i, j), p)], slot_pars
-                ) + gkron(
-                    [(etilde_matrix(V, i, j), p), (cart(j), 0)], slot_pars
-                )
-                for k in range(i + 1, j):
-                    p1 = (sig.parity(i) + sig.parity(k)) % 2
-                    p2 = (sig.parity(k) + sig.parity(j)) % 2
-                    rhs = rhs + gkron(
-                        [
-                            (etilde_matrix(V, i, k), p1),
-                            (etilde_matrix(V, k, j), p2),
-                        ],
-                        slot_pars,
-                    )
-            if lhs != rhs:
-                return False
-
-    # global form: both sides act on V (x) (V (x) V)
     R13 = _three_slot(sig, V, 1, 3)
     R12 = _three_slot(sig, V, 1, 2)
     return l_operator(T, "R") == matmul(R13, R12)
@@ -162,12 +119,10 @@ def char_identity_check(W, lam, kind):
     shifted_product: no other check multiplies matrices of the module's
     size.
 
-    Raises DegenerateRoots when two classical roots coincide: the identity
-    itself survives root collisions, but every downstream projector
-    manipulation does not, so degenerate cases are excluded from sweeps.
+    Repeated roots are kept, one factor each: the identity holds with
+    them (Green, J. Math. Phys. 12 (1971) 2106), and where A - a is not
+    diagonalisable the repeated factor is what makes the product vanish.
     """
-    variant = _char_variant(kind)
-    check_generic(char_roots(lam, variant), "%s roots of %s" % (variant, lam))
     return is_zero_matrix(
         shifted_product(char_matrix(W, kind), char_eigenvalues(lam, kind)))
 

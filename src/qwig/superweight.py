@@ -12,7 +12,6 @@ from functools import cached_property, lru_cache
 
 from .errors import (
     ConsistencyError,
-    DegenerateRoots,
     IndexOutOfRange,
     InvalidArgument,
     NonIntegralWeight,
@@ -29,7 +28,6 @@ __all__ = [
     "char_roots",
     "subalgebra_roots",
     "deformed_root",
-    "check_generic",
     "is_typical",
 ]
 
@@ -270,18 +268,6 @@ def is_typical(lam):
         for i in range(1, sig.m + 1)
         for u in range(sig.m + 1, sig.d + 1)
     )
-
-
-def check_generic(alphas, label="characteristic roots"):
-    """Raise DegenerateRoots unless all exponents are pairwise distinct."""
-    seen = {}
-    for pos, a in enumerate(alphas, start=1):
-        if a in seen:
-            raise DegenerateRoots(
-                "%s coincide at positions %d and %d (value %s)"
-                % (label, seen[a], pos, a)
-            )
-        seen[a] = pos
 
 
 class RootSet(_Value):

@@ -96,27 +96,22 @@ class _Side:
             raise InvalidArgument("variant must be 'lower' or 'raise'")
         self.b = b
         self.variant = variant
-        # read from the components of the (valid) branching: L is I0 u I1
-        # on the lowering side and I0bar u I1 on the raising side, K is L
-        # with the last position d added
         c, lam0 = b.lam.comps, b.lam0
         m, n = b.lam.sig.m, b.lam.sig.n
-        d = m + n
-        I0 = tuple(i for i in range(1, m + 1) if lam0[i - 1] == c[i - 1] - 1)
-        if variant == "lower":
-            even = I0
-        else:
-            even = tuple(i for i in range(1, m + 1) if lam0[i - 1] == c[i - 1])
-        self.L = even + tuple(range(m + 1, d))
-        self.K = self.L + (d,)
-        self.even_count = len(even)
+        lower = variant == "lower"
+        # K is the branching's admissible set, L is K without its last
+        # position d; I0 and I0bar split 1..m, so |I0| needs no second pass
+        # over the components
+        self.K = b.lower_indices() if lower else b.raise_indices()
+        self.L = self.K[:-1]
+        self.even_count = len(self.K) - n
+        self.I0_size = self.even_count if lower else m - self.even_count
         self.alpha = dict(enumerate(_root_exponents(c, m, n, self.root_kind), 1))
         self.alpha0 = dict(
             enumerate(_root_exponents(lam0, m, n - 1, self.root_kind), 1)
         )
-        self.sign = _signs(m, d)
+        self.sign = _signs(m, m + n)
         self.n = n
-        self.I0_size = len(I0)
         vals = [self.alpha[k] for k in self.K]
         self.K_generic = len(set(vals)) == len(vals)
         self.omega_memo = {}

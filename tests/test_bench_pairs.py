@@ -138,16 +138,19 @@ def test_claim_and_regression_flags(tmp_path, capsys, monkeypatch):
 
 def test_net_lines_of_python_files(tmp_path, capsys, monkeypatch):
     # a.py changes one line of three and b.py is new under src/; the one
-    # test file goes; tools/ is new; README.md and a.pyc do not count
+    # test file goes; tools/ is new; the demo loses one line of two;
+    # README.md and a.pyc do not count
     monkeypatch.chdir(tmp_path)
     parent, change = tmp_path / "parent", tmp_path / "change"
     files = {
         parent: {"src/pkg/a.py": "x = 1\ny = 2\nz = 3\n",
                  "tests/test_a.py": "def test():\n    pass\n",
+                 "demos/d.py": "print(1)\nprint(2)\n",
                  "README.md": "one\n"},
         change: {"src/pkg/a.py": "x = 1\ny = 5\nz = 3\n",
                  "src/pkg/b.py": "w = 4\n" * 4,
                  "tools/t.py": "t = 0\n",
+                 "demos/d.py": "print(1)\n",
                  "README.md": "one\ntwo\n"},
     }
     for root, tree in files.items():
@@ -163,6 +166,7 @@ def test_net_lines_of_python_files(tmp_path, capsys, monkeypatch):
         "src": {"added": 5, "removed": 1, "net": 4},
         "tests": {"added": 0, "removed": 2, "net": -2},
         "tools": {"added": 1, "removed": 0, "net": 1},
+        "demos": {"added": 0, "removed": 1, "net": -1},
     }
-    assert "net lines: src +4 (+5/-1), tests -2 (+0/-2), tools +1 (+1/-0)" in (
-        capsys.readouterr().out)
+    assert ("net lines: src +4 (+5/-1), tests -2 (+0/-2), tools +1 (+1/-0), "
+            "demos -1 (+0/-1)") in capsys.readouterr().out

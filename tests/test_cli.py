@@ -98,7 +98,7 @@ def test_verify_invariants_has_no_skip(capsys, m, n):
     assert code == 0
     assert obj["counts"]["FAIL"] == obj["counts"]["SKIP"] == 0
     assert {c["case"] for c in obj["cases"]} == {
-        "invariants/unitarity", "invariants/C1", "invariants/C1_tilde"}
+        "invariants/C1", "invariants/C1_tilde"}
 
 
 def test_verify_qybe(capsys):
@@ -157,9 +157,11 @@ def test_weight_parse_errors(tmp_path, capsys):
         outs = [run(capsys, "wigner", "--weight", weight, "--lower", lower,
                     "--kind", "lower") for lower in (plain, blocks)]
         assert outs[0] == outs[1] and outs[0][0] == 0
-    code, obj = run_json(capsys, "roots", "--weight", "1,0|0",
-                         "--out", str(tmp_path / "roots.csv"))
-    assert code == 1 and obj["error"]["type"] == "InvalidArgument"
+    with pytest.raises(SystemExit) as exc:
+        main(["roots", "--weight", "1,0|0", "--out",
+              str(tmp_path / "roots.csv")])
+    assert exc.value.code == 2
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("argv", [
@@ -240,6 +242,24 @@ def test_unwritable_out_is_a_usage_error(tmp_path, capsys, argv):
         assert capsys.readouterr() == ("", "qwig: error: cannot write %s: %s\n"
                                        % (path, os.strerror(err)))
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ("roots", "--weight", "0,1|0"),
+    ("branch", "--weight", "1,0|0"),
+    ("invariants", "--weight", "1,0|0"),
+    ("verify", "--m", "0", "--n", "1"),
+])
+def test_csv_out_without_a_table_is_a_usage_error(tmp_path, capsys, argv):
+    # refused before any work: the roots weight is not dominant and the
+    # verify signature is empty, errors that would otherwise come first
+    path = tmp_path / "x.csv"
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--out", str(path)])
+    assert exc.value.code == 2
+    assert capsys.readouterr() == (
+        "", "qwig: error: CSV output is only available for tables\n")
+    assert not path.exists()
 
 
 def test_verify_jobs_flag(capsys):
@@ -384,17 +404,17 @@ def test_module_store_is_bounded(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("m, n, passes, skips", [
-    (2, 1, 77, {"DegenerateRoots": 2, "DegenerateRoots (closed form)": 16,
+    (2, 1, 75, {"DegenerateRoots": 1, "DegenerateRoots (closed form)": 16,
                 "DegenerateRoots (oracle)": 2, "NotRealized (oracle)": 48}),
-    (1, 2, 80, {"DegenerateRoots": 4, "DegenerateRoots (closed form)": 24,
+    (1, 2, 79, {"DegenerateRoots": 2, "DegenerateRoots (closed form)": 24,
                 "DegenerateRoots (oracle)": 9, "NotRealized (oracle)": 18}),
 ])
 def test_verify_all_outcome_counts(capsys, m, n, passes, skips):
     # every case verify runs on the two rank-3 signatures, by outcome.  A
     # SKIP's detail is "<Class>: <message>", a wigner or coupled one
     # "<Class> (closed form|oracle): <message>", and "skips" counts them by
-    # the part before ": ".  The unsided DegenerateRoots are the charid and
-    # projectors SKIPs.
+    # the part before ": ".  The unsided DegenerateRoots are the projectors
+    # SKIPs: charid decides repeated roots.
     code, obj = run_json(capsys, "verify", "--m", str(m), "--n", str(n),
                          "--suite", "all")
     assert code == 0
@@ -458,10 +478,10 @@ def test_verify_forms_no_projector_matrix(capsys, monkeypatch):
     _modules.cache_clear()
     code, obj = run_json(capsys, "verify", "--m", "2", "--n", "2",
                          "--suite", "all")
-    assert code == 0 and obj["counts"]["PASS"] == 60
+    assert code == 0 and obj["counts"]["PASS"] == 61
     decided = [c for c in obj["cases"]
                if c["case"] == "charid" and c["status"] == "PASS"]
-    assert len(products) == len(set(products)) == len(decided) == 2
+    assert len(products) == len(set(products)) == len(decided) == 6
 
 
 @pytest.mark.parametrize("form", ["root_product", "qnumber_phase", "both"])
@@ -505,12 +525,12 @@ def test_parser_built_once_serves_each_call(capsys):
 # count enters the digest, so a change meant to keep results identical
 # must keep these; a change that alters the output updates them and says so.
 VERIFY_ALL_SHA256 = {
-    (1, 1): "166ce7f0f6c0f4a92d7d3fe7c57bc2ee5a1b915b1bdc17dc97cda6d02709a342",
-    (2, 1): "b2c62118dfe6e10ae0ba625745974c4c08434cca16f94b172476fd14ba82da41",
-    (1, 2): "32c84017db14cbc0977ab49b0eb9541f66b96fda9c68b20049639c29554facdb",
-    (2, 2): "94a84280ef7e97aef3f606707229b0ba08b9805f0268105afa0d01530cffca5c",
-    (3, 1): "62281649d076db37833d0edb17b653bfd05b8fd7a35895cdb168cc248b3fb8ef",
-    (1, 3): "01092ab09f4a878b07e27355acc34bf05af00a0638513cef9ab713d0a4ecd3e8",
+    (1, 1): "9eed28431007f1d76ee82c66a69d2495ec4bc7a5b481d43f0882cbe16dedd7c0",
+    (2, 1): "d213102d77bb8c88c05b84cadf1a01113ccaa46e494d5ec0fae7c838650e32e9",
+    (1, 2): "17f77ca07b6f36f34e168dbf6fc7f6eec11833083f65fb189f1eb97ad14a5f5d",
+    (2, 2): "abdaeab03342110f249171db5875220d02d187c2c0c9779bc4e9702359bc0da7",
+    (3, 1): "697141753d8050f2fc8762bf3e2e69adff8d8d3f22a8d2ebfb517ac18f15722c",
+    (1, 3): "f2855328c10b5e79f7e024fef393e39eb516e022ac770c3dfd8c58ae718ba159",
 }
 
 

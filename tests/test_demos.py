@@ -17,7 +17,7 @@ DEMO_SHA256 = {
     "classical_limit.py":
         "75bf5bef49290e3c2b04d44f10022391939f378edc49020b22274858269313ed",
     "oracle_walkthrough.py":
-        "daac1a699164e92eb8c201e829b5560432c1e374d1207e9bce56da0756921593",
+        "1e2ed07c3741ee2014913f7dd9791ad34a2102782cfe21eefd8c2f65c69cc5c1",
     "wigner_tables.py":
         "bd13f27efc4e79f84cecc6cfb019288608362c0d7c4ede08ecdead12243b9bb1",
 }

@@ -101,6 +101,7 @@ from qwig.oracle.linalg import (
     reduce_row,
     scale_columns,
     scale_rows,
+    shifted_product,
     zeros,
 )
 from qwig.oracle.loperators import (
@@ -314,17 +315,66 @@ def test_coproduct_exact_small():
     assert coproduct_check(S21)
 
 
+@pytest.mark.parametrize("sig", [S11, S21], ids=str)
+def test_coproduct_check_fails_on_every_single_entry_mutant(sig, monkeypatch):
+    # one nonzero entry of one Et_ij on V (x) V scaled by q or by -1: the
+    # global identity alone fails each mutant, so it needs no entrywise
+    # twin.  Scaled by 1, the patched entry passes
+    from qwig.oracle import loperators
+
+    d = sig.d
+    exact = loperators.etilde_matrix
+    T = tensor_module(vector_rep(sig), vector_rep(sig))
+    mutants = [
+        (i, j, row, col, factor)
+        for i in range(1, d + 1) for j in range(i, d + 1)
+        for row, entries in enumerate(etilde_matrix(T, i, j).rows)
+        for col in entries
+        for factor in (ONE, QFraction(qpow(1)), -ONE)
+    ]
+    for i, j, row, col, factor in mutants:
+        def mutated(W, a, b, spower=0):
+            M = exact(W, a, b, spower)
+            if W.dim != d * d or (a, b, spower) != (i, j, 0):
+                return M
+            rows = [dict(r) for r in M.rows]
+            rows[row][col] = rows[row][col] * factor
+            return Matrix(rows, M.ncols)
+
+        monkeypatch.setattr(loperators, "etilde_matrix", mutated)
+        assert coproduct_check(sig) is (factor == ONE), (i, j, row, col)
+    assert len(mutants) == 3 * {S11: 12, S21: 46}[sig]
+
+
 def test_char_identity_examples():
     V = vector_rep(S11)
     assert char_identity_check(V, Weight(S11, (1, 0)), "atilde")
-    with pytest.raises(DegenerateRoots):
-        char_identity_check(V, Weight(S11, (1, 0)), "adual")
+    # the dual roots of 1|0 coincide, and the identity holds with both
+    assert char_identity_check(V, Weight(S11, (1, 0)), "adual")
     V3 = vector_rep(S21)
     lam = Weight(S21, (1, 0, 0))
     assert char_identity_check(V3, lam, "atilde")
     assert char_identity_check(V3, lam, "adual")
     # the conjugated dual-type matrix satisfies the same identity
     assert char_identity_check(V3, lam, "abar")
+
+
+@pytest.mark.parametrize("m, n, module", [
+    (1, 1, "1|0"), (2, 1, "1,1|0"), (1, 2, "2|0,0"), (2, 2, "1,0|0,0"),
+])
+def test_char_identity_keeps_repeated_roots(m, n, module):
+    # the adual matrix has a Jordan block at a repeated root: the product
+    # over the distinct roots alone is nonzero, so the identity holds only
+    # with each root kept as often as it occurs
+    sig = Signature(m, n)
+    lam = Weight.parse(sig, module)
+    W = dict(realized_modules(sig, 2, 30))[lam]
+    roots = char_eigenvalues(lam, "adual")
+    distinct = list(dict.fromkeys(roots))
+    assert len(distinct) < len(roots)
+    assert char_identity_check(W, lam, "adual")
+    assert not is_zero_matrix(shifted_product(char_matrix(W, "adual"),
+                                              distinct))
 
 
 def test_leading_block_is_the_subalgebra_matrix():
@@ -520,19 +570,25 @@ def test_kac_dimension_of_typical_modules():
 def test_char_identity_decides_the_projector_algebra():
     # the rank check tests no idempotence: where char_identity_check
     # passes, the whole algebra holds, N_i N_i = s_i N_i, N_i N_j = 0 and
-    # sum_r P_r = I; with wrong nodes both fail together here
-    outcomes = set()
+    # sum_r P_r = I; with wrong nodes both fail together here.  Coinciding
+    # nodes have no Lagrange projectors, and there char_identity_check
+    # decides alone
+    outcomes, alone = set(), set()
     for sig in (S11, S21, S12):
         modules = realized_modules(sig, 2, 30)
         for _, W in modules:
             for lam, _ in modules:
                 for kind in ("atilde", "adual"):
-                    got = _outcome_of(char_identity_check, W, lam, kind)
+                    got = char_identity_check(W, lam, kind)
                     want = _outcome_of(_projector_algebra_reference, W, lam,
                                        kind)
-                    assert got == want, (str(sig), str(lam), kind)
-                    outcomes.add(got)
+                    if want is DegenerateRoots:
+                        alone.add(got)
+                    else:
+                        assert got == want, (str(sig), str(lam), kind)
+                    outcomes.add(want)
     assert outcomes == {True, False, DegenerateRoots}
+    assert alone == {True, False}
 
 
 def _projector_algebra_reference(W, lam, kind):

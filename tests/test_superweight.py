@@ -7,7 +7,6 @@ import pytest
 import qwig.superweight
 from qwig import (
     ConsistencyError,
-    DegenerateRoots,
     IndexOutOfRange,
     InvalidArgument,
     NonIntegralWeight,
@@ -17,7 +16,6 @@ from qwig import (
     SignatureMismatch,
     Weight,
     char_roots,
-    check_generic,
     deformed_root,
     is_typical,
     qnum,
@@ -111,14 +109,6 @@ def test_subalgebra_roots_are_char_roots_of_the_lower_weight(sweep_branchings):
 def test_deformed_root_identity():
     for a in range(-8, 9):
         assert deformed_root(a) == QFraction(qpow(-a) * qnum(a))
-
-
-def test_check_generic():
-    check_generic(char_roots(Weight(S21, (1, 0, 0)), "adjoint"))
-    check_generic(char_roots(Weight(S21, (1, 0, 0)), "dual"))
-    check_generic(char_roots(Weight(S11, (1, 0)), "adjoint"))
-    with pytest.raises(DegenerateRoots):
-        check_generic(char_roots(Weight(S11, (1, 0)), "dual"))
 
 
 def test_rootset_json():

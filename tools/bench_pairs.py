@@ -17,8 +17,9 @@ parent's by more than the bound; and "unresolved" when the parent's
 quartile spread, over the parent's median, exceeds the bound, unless every
 change run reads better than every parent run: its spread is then too
 wide to tell a move within the bound from noise.  It also prints the
-lines of ``*.py`` files added and removed under ``src/``, ``tests/`` and
-``tools/`` between the two checkouts, by ``git diff --no-index --numstat``.  It writes
+lines of ``*.py`` files added and removed under ``src/``, ``tests/``,
+``tools/`` and ``demos/`` between the two checkouts, by
+``git diff --no-index --numstat``.  It writes
 ``BENCH_<label>.json``, in the current directory, with the same numbers,
 both git shas and the machine record.  It runs no benchmark: run the
 benchmark on both checkouts first, alternating which goes first.
@@ -32,7 +33,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-NET_DIRS = ("src", "tests", "tools")
+NET_DIRS = ("src", "tests", "tools", "demos")
 FLAGS = ("claim_met", "regressed", "unresolved")
 
 
