@@ -35,7 +35,6 @@ from .superweight import (
     deformed_root,
     is_typical,
     rho,
-    rho_even_odd,
     subalgebra_roots,
 )
 from .branching import BranchingData, branch_candidates, index_sets
@@ -65,7 +64,7 @@ __all__ = [
     "HalfLaurent", "QFraction", "qpow", "qnum",
     "parse_qfraction", "ZERO", "ONE",
     "Signature", "Weight", "RootSet", "rho",
-    "rho_even_odd", "char_roots", "subalgebra_roots", "deformed_root",
+    "char_roots", "subalgebra_roots", "deformed_root",
     "is_typical",
     "BranchingData", "branch_candidates", "index_sets",
     "chi_v", "chi_C1", "casimir_exponent",

@@ -25,7 +25,7 @@ from .errors import (
     QwigError,
 )
 from .invariants import chi_C1, chi_v
-from .superweight import RootSet, Signature, Weight, is_typical
+from .superweight import RootSet, Signature, Weight, _parse_block, is_typical
 from .wigner import coupled_table, omega_table, sum_rule_residual
 from .exactq import ONE
 
@@ -63,8 +63,7 @@ def _parse_lower(text, sig):
     components."""
     even_s, bar, odd_s = text.partition("|")
     try:
-        even, odd = (tuple(int(x) for x in s.split(",")) if s else ()
-                     for s in (even_s, odd_s))
+        even, odd = _parse_block(even_s), _parse_block(odd_s)
     except ValueError:
         raise NonIntegralWeight("cannot parse lower weight %r" % text)
     if bar and (len(even), len(odd)) != (sig.m, sig.n - 1):

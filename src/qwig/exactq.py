@@ -502,7 +502,6 @@ def _max_cyclotomic_index(deg):
     return max((d for d in range(1, n + 1) if phi[d] <= deg), default=0)
 
 
-@lru_cache(maxsize=4096)
 def _factor_map(f):
     """The map (c, s, E, b) with f = c q^(s/2) prod_d Phi_d(q^(1/2))^e_d, E
     the e_d packed and b their largest size, for a nonzero HalfLaurent f;

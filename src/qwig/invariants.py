@@ -36,8 +36,8 @@ def chi_C1(lam):
     """Eigenvalue of the degree-one supertrace invariant on V(lam):
       sum_i (-1)^[i] q^-(lam+2rho, eps_i) [(lam, eps_i)]_q.
 
-    The invariants the oracle builds from its adual, atilde and abar
-    characteristic matrices all take this value, on typical and atypical
+    The invariants the oracle builds from its adual and atilde
+    characteristic matrices both take this value, on typical and atypical
     weights alike.
     """
     sig = lam.sig

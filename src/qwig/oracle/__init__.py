@@ -12,9 +12,7 @@ from .checks import (
     wigner_oracle,
 )
 from .loperators import (
-    CHAR_KINDS,
     big_entry,
-    char_eigenvalue,
     char_eigenvalues,
     char_matrix,
     eij_matrix,
@@ -38,8 +36,8 @@ __all__ = [
     "qybe_check", "coproduct_check",
     "char_identity_check", "projector_algebra_check", "supertrace_invariant",
     "wigner_oracle", "coupled_oracle", "mu_oracle",
-    "CHAR_KINDS", "eij_matrix", "etilde_matrix", "l_operator",
-    "char_matrix", "char_eigenvalue", "char_eigenvalues", "projector",
+    "eij_matrix", "etilde_matrix", "l_operator",
+    "char_matrix", "char_eigenvalues", "projector",
     "big_entry", "vector_slot_parities",
     "RepModule", "vector_rep", "tensor_module", "highest_weight_vectors",
     "submodule", "realized_modules", "subalgebra_highest_vector",

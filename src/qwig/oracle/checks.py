@@ -17,6 +17,7 @@ from ..errors import NotRealized, NotScalar
 from ..exactq import ONE, ZERO, QFraction, qpow
 from ..superweight import (
     Weight,
+    deformed_root,
     is_typical,
     rho,
     subalgebra_roots,
@@ -35,11 +36,10 @@ from .linalg import (
     zeros,
 )
 from .loperators import (
-    _char_variant,
+    _char_kind,
     _elementary,
     _lagrange_nodes,
     big_entry,
-    char_eigenvalue,
     char_eigenvalues,
     char_matrix,
     etilde_matrix,
@@ -136,14 +136,14 @@ def projector_algebra_check(W, lam, kind):
 
     rank P_r = tr(N_r)/s_r = sum_j c_j tr(A^j)/s_r, c_j the coefficients
     of N_r's polynomial (_coefficients), so no N_r is formed.  P_r
-    projects onto the summand of weight mu = lam + eps_r (adjoint-type
-    kinds, V (x) W) or lam - eps_r (dual-type, V* (x) W).  Each rank must
-    be a nonnegative integer; 0 where mu is not dominant; and, where mu is
-    dominant and typical, 0 (the summand is absent) or Kac's dimension
-    2^(mn) dim L0(mu) (Kac, Comm. Algebra 5 (1977)).  An atypical summand
-    is checked for integrality alone.  A rank counts a generalised
-    eigenspace, so a nilpotent part of A - v_r passes the rank check, and
-    char_identity_check decides it.
+    projects onto the summand of weight mu = lam + s eps_r, s the sign of
+    the kind's _KINDS entry: +1 for atilde on V (x) W, -1 for adual on
+    V* (x) W.  Each rank must be a nonnegative integer; 0 where mu is not
+    dominant; and, where mu is dominant and typical, 0 (the summand is
+    absent) or Kac's dimension 2^(mn) dim L0(mu) (Kac, Comm. Algebra 5
+    (1977)).  An atypical summand is checked for integrality alone.  A
+    rank counts a generalised eigenspace, so a nilpotent part of A - v_r
+    passes the rank check, and char_identity_check decides it.
 
     Idempotence and orthogonality of the P_r need no check here:
     L_i L_j - delta_ij L_i is divisible by prod_l (x - v_l) for the
@@ -156,7 +156,7 @@ def projector_algebra_check(W, lam, kind):
     for r in range(1, sig.d + 1):
         coeffs, scale = _coefficients(W, kind, lam, r)
         ranks.append(QFraction.sum_of_products(zip(coeffs, traces)) / scale)
-    step = 1 if _char_variant(kind) == "adjoint" else -1
+    step = _char_kind(kind)[1]
     ok = True
     for r, rank in enumerate(ranks, start=1):
         count = _count(rank)
@@ -241,9 +241,9 @@ def _sub_coefficients(W, ckind, lam0, r):
 
     def build():
         alphas = subalgebra_roots(
-            tuple(int(c) for c in lam0), _char_variant(ckind), W.sig
+            tuple(int(c) for c in lam0), _char_kind(ckind)[0], W.sig
         )
-        return _lagrange(tuple(char_eigenvalue(a, ckind) for a in alphas), r)
+        return _lagrange(tuple(deformed_root(a) for a in alphas), r)
 
     return W.cached(("L0", ckind, tuple(lam0), r), build)
 
@@ -294,23 +294,18 @@ def _cleared(vecs):
     return [{i: x * f for i, x in v.items()} for v in vecs], f
 
 
-# atilde's +1 is its only central pairing: with -1 its supertrace is not a
-# scalar on gl(2|1) 2,1|0 (test_atilde_pairs_only_with_plus_two_rho).
-_RHO_SIGN = {"atilde": 1, "adual": -1, "abar": -1}
-
-
 def supertrace_invariant(W, kind):
     """Supertrace invariant str(q^(+-2 h_rho) M) over the vector slot.
 
-    The adjoint-type matrices pair with q^(+2(rho, eps_i)), the dual-type
-    with q^(-2(rho, eps_i)).  The partial supertrace is a central operator
-    on an irreducible W; its scalar, the one ratio of its rows to those of
-    the identity, is returned (NotScalar otherwise).
+    atilde pairs with q^(+2(rho, eps_i)), adual with q^(-2(rho, eps_i)):
+    the sign of the kind's _KINDS entry.  The partial supertrace is a
+    central operator on an irreducible W; its scalar, the one ratio of its
+    rows to those of the identity, is returned (NotScalar otherwise).
     """
     sig = W.sig
     M = char_matrix(W, kind)
     r = rho(sig)
-    sgn = _RHO_SIGN[kind]
+    sgn = _char_kind(kind)[1]
     total = zeros(W.dim)
     for i in range(1, sig.d + 1):
         blk = big_entry(M, W.dim, i, i)
@@ -393,9 +388,7 @@ def _component_powers(W, vec, ckind):
     triangular in the vector slot (RtildeT and dualRT lower, Rtilde and
     dualR upper), so entry (a, b) of their product sums over k <= min(a, b)
     alone, and only subalgebra generators enter for a, b < d.  So for
-    every kind the leading block is the subalgebra's matrix of that kind:
-    abar's conjugation is diagonal in the vector slot, and the subalgebra's
-    (rho, eps_i) differ from the algebra's by one constant, which cancels.
+    every kind the leading block is the subalgebra's matrix of that kind.
     """
     d, dw = W.sig.d, W.dim
     n0 = (d - 1) * dw

@@ -3,7 +3,7 @@
 Each L-operator acts on V (x) W or V* (x) W, where V is the defining
 module and W an arbitrary module; it is assembled as sum over elementary
 matrices in the first slot tensored with algebra elements represented on W.
-The three characteristic matrices are affine functions of products of two
+The two characteristic matrices are affine functions of products of two
 such operators.  Their eigenvalues are simple affine-exponential functions
 of the highest weight, and the Lagrange interpolation polynomials in them
 project onto the irreducible summands of V (x) W or V* (x) W.
@@ -24,10 +24,9 @@ from ..exactq import (
     _dense,
     _divide,
     _sparse,
-    qnum,
     qpow,
 )
-from ..superweight import char_roots, rho
+from ..superweight import char_roots, deformed_root
 from .linalg import (
     Matrix,
     diagonal,
@@ -47,16 +46,30 @@ __all__ = [
     "etilde_matrix",
     "l_operator",
     "char_matrix",
-    "char_eigenvalue",
     "char_eigenvalues",
     "projector",
     "projector_parts",
     "big_entry",
     "vector_slot_parities",
-    "CHAR_KINDS",
 ]
 
-CHAR_KINDS = ("atilde", "adual", "abar")
+# kind -> (root variant of its eigenvalues, sign s, L-operator pair): the
+# summand of the r-th projector is lam + s eps_r, and the supertrace pairs
+# the matrix with q^(2s(rho, eps_i)).  atilde's +1 is its only central
+# pairing: with -1 its supertrace is not a scalar on gl(2|1) 2,1|0
+# (test_atilde_pairs_only_with_plus_two_rho).
+_KINDS = {
+    "atilde": ("adjoint", 1, ("RtildeT", "Rtilde")),
+    "adual": ("dual", -1, ("dualRT", "dualR")),
+}
+
+
+def _char_kind(kind):
+    """(variant, sign, L-operator pair) of a characteristic matrix kind
+    (_KINDS); InvalidArgument on an unknown kind."""
+    if kind not in _KINDS:
+        raise InvalidArgument("unknown characteristic matrix kind %r" % (kind,))
+    return _KINDS[kind]
 
 
 def _check_spower(spower):
@@ -182,48 +195,24 @@ def l_operator(W, which):
 
 
 def char_matrix(W, kind):
-    """A characteristic matrix on V (x) W (or V* (x) W for the duals).
+    """A characteristic matrix on V (x) W (or V* (x) W for adual).
 
-      atilde: (q - q^-1)^-1 (I - RtildeT Rtilde) adjoint, roots q^-abar [abar]
-      adual:  (q - q^-1)^-1 (I - dualRT dualR)   dual, roots q^-a [a]
-      abar:   D adual D^-1, D = q^-(rho, eps_i) on the first slot (same roots)
+      atilde: (q - q^-1)^-1 (I - RtildeT Rtilde), adjoint roots
+      adual:  (q - q^-1)^-1 (I - dualRT dualR),   dual roots
 
-    Built once per module and kind, and shared read-only.
+    Its eigenvalues are q^-a [a] over the root exponents a of its variant
+    (char_eigenvalues).  Built once per module and kind, and shared read-only.
     """
     return W.cached(("char", kind), lambda: _build_char_matrix(W, kind))
 
 
-_L_PAIRS = {
-    "atilde": ("RtildeT", "Rtilde"),
-    "adual": ("dualRT", "dualR"),
-}
-
-
 def _build_char_matrix(W, kind):
-    """char_matrix's matrix, built from its definition.
-
-    abar conjugates adual's entries by the monomials q^((rho, eps_j) -
-    (rho, eps_i)).  The other kinds multiply their two L-operators and
-    divide the numerator of each distinct entry of the product minus I
-    exactly by -(q - q^-1) (_minus_over_kappa), so no entry goes through
-    a gcd.
+    """char_matrix's matrix, built from its definition: the kind's two
+    L-operators are multiplied, and the numerator of each distinct entry
+    of the product minus I is divided exactly by -(q - q^-1)
+    (_minus_over_kappa), so no entry goes through a gcd.
     """
-    sig = W.sig
-    if kind == "abar":
-        A = char_matrix(W, "adual")
-        r = rho(sig)
-        # (rho, eps_i) carries the grading sign of the bilinear form
-        rp = [sig.sign(i + 1) * r[i] for i in range(sig.d)]
-        scales = [[QFraction(qpow(y - x)) for y in rp] for x in rp]
-        dw = W.dim
-        return Matrix(
-            [{c: v * scales[i // dw][c // dw] for c, v in row.items()}
-             for i, row in enumerate(A.rows)],
-            A.ncols,
-        )
-    if kind not in _L_PAIRS:
-        raise InvalidArgument("unknown characteristic matrix kind %r" % (kind,))
-    left, right = _L_PAIRS[kind]
+    left, right = _char_kind(kind)[2]
     prod = matmul(l_operator(W, left), l_operator(W, right))
     return map_entries(shift_diagonal(prod, ONE), _minus_over_kappa)
 
@@ -250,25 +239,11 @@ def _minus_over_kappa(x):
     return QFraction._raw(_sparse(low + 2, [-c for c in quotient]), x.den)
 
 
-def _char_variant(kind):
-    """The root variant whose exponents give a characteristic matrix's
-    eigenvalues."""
-    return "adjoint" if kind == "atilde" else "dual"
-
-
-def char_eigenvalue(alpha, kind):
-    """Deformed eigenvalue of a characteristic matrix from its classical
-    root exponent."""
-    if kind not in CHAR_KINDS:
-        raise InvalidArgument("unknown characteristic matrix kind %r" % (kind,))
-    return QFraction(qpow(-alpha) * qnum(alpha))
-
-
 def char_eigenvalues(lam, kind):
-    """All deformed eigenvalues for V(' ) (x) V(lam), indexed 1..d."""
-    return tuple(
-        char_eigenvalue(a, kind) for a in char_roots(lam, _char_variant(kind))
-    )
+    """All deformed eigenvalues for V(' ) (x) V(lam), indexed 1..d: the
+    deformed roots of the kind's variant."""
+    variant = _char_kind(kind)[0]
+    return tuple(deformed_root(a) for a in char_roots(lam, variant))
 
 
 def projector_parts(A, eigenvalues, r):

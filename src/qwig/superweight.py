@@ -11,7 +11,6 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 
 from .errors import (
-    ConsistencyError,
     IndexOutOfRange,
     InvalidArgument,
     NonIntegralWeight,
@@ -24,7 +23,6 @@ __all__ = [
     "Weight",
     "RootSet",
     "rho",
-    "rho_even_odd",
     "char_roots",
     "subalgebra_roots",
     "deformed_root",
@@ -142,12 +140,10 @@ class Weight(_Value):
         """Parse 'a,b|c' into a Weight of the given signature."""
         even_s, _, odd_s = text.partition("|")
         try:
-            even = tuple(int(x) for x in even_s.split(",")) if even_s else ()
-            odd = tuple(int(x) for x in odd_s.split(",")) if odd_s else ()
+            even, odd = _parse_block(even_s), _parse_block(odd_s)
         except ValueError:
             raise NonIntegralWeight("cannot parse weight %r" % text)
-        w = cls(sig, even + odd)
-        return w
+        return cls(sig, even + odd)
 
     # formatted once: a weight is printed in every message and key that
     # names it or one of its branchings
@@ -162,42 +158,34 @@ class Weight(_Value):
         return self._text
 
 
+def _parse_block(text):
+    """The comma-separated integers of one block of a weight, () for an
+    empty block; ValueError unless each item, once stripped, is ASCII
+    digits with an optional sign.  int() alone would also read '1_0' as 10
+    and non-ASCII digits as their values."""
+    if not text:
+        return ()
+    out = []
+    for item in text.split(","):
+        item = item.strip()
+        digits = item[1:] if item[:1] in ("+", "-") else item
+        if not (digits.isascii() and digits.isdigit()):
+            raise ValueError("not an integer: %r" % item)
+        out.append(int(item))
+    return tuple(out)
+
+
 def rho(sig):
     """Half-sum of even positive roots minus half-sum of odd positive roots.
 
     Returned as a tuple of Fractions in the eps basis; components are
     (m - n - 2i + 1)/2 on the even block and (m + n - 2u + 1)/2 on the odd
-    block.  The closed form is checked against direct enumeration of the
-    positive roots (ConsistencyError on a mismatch).
+    block.
     """
-    r0, r1 = rho_even_odd(sig)
-    out = tuple(a - b for a, b in zip(r0, r1))
     m, n = sig.m, sig.n
-    closed = tuple(
+    return tuple(
         Fraction(m - n - 2 * i + 1, 2) for i in range(1, m + 1)
     ) + tuple(Fraction(m + n - 2 * u + 1, 2) for u in range(1, n + 1))
-    if out != closed:
-        raise ConsistencyError(
-            "Weyl vector %s disagrees with root enumeration %s" % (closed, out)
-        )
-    return out
-
-
-def rho_even_odd(sig):
-    """(rho_even, rho_odd): half-sums over even and odd positive roots.
-
-    Positive roots are eps_a - eps_b for a < b; the root is odd exactly
-    when a, b straddle the grading boundary.
-    """
-    d = sig.d
-    r0 = [Fraction(0)] * d
-    r1 = [Fraction(0)] * d
-    for a in range(1, d + 1):
-        for b in range(a + 1, d + 1):
-            target = r1 if sig.parity(a) != sig.parity(b) else r0
-            target[a - 1] += Fraction(1, 2)
-            target[b - 1] -= Fraction(1, 2)
-    return tuple(r0), tuple(r1)
 
 
 def char_roots(lam, variant):

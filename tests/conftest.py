@@ -1,5 +1,6 @@
 """Shared fixtures: the dominant weight sweep and oracle-realized modules."""
 
+import functools
 import itertools
 import pickle
 import random
@@ -15,6 +16,10 @@ from qwig.oracle.modules import (
 SWEEP_SIGS = [(m, n) for m in (1, 2, 3) for n in (1, 2)]
 ORACLE_SIGS = [(1, 1), (2, 1), (1, 2)]
 
+# the sweep references peel the same factor polynomials many times, and a
+# peel depends on its polynomial alone, so each is peeled once
+_peel = functools.lru_cache(maxsize=4096)(_factor_map)
+
 
 def quotient_of_factors(nums, dens):
     """prod(nums)/prod(dens) for HalfLaurent factors that are products of
@@ -25,8 +30,8 @@ def quotient_of_factors(nums, dens):
         raise ZeroDivisionError("zero denominator")
     if not all(nums):
         return ZERO
-    return QFraction.from_maps([_factor_map(f) for f in nums],
-                               [_factor_map(f) for f in dens])
+    return QFraction.from_maps([_peel(f) for f in nums],
+                               [_peel(f) for f in dens])
 
 
 def check_value(cls, fields, text):

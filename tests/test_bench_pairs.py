@@ -66,6 +66,12 @@ def test_missing_result_and_bad_arguments(tmp_path):
         bench_pairs.main(["--parent", "p", "--change", "c", "--run", "oracle",
                           "--label", "t"])
     assert bench_pairs.parse_seeds("3,5-7") == [3, 5, 6, 7]
+    # a reversed range would pair no seed, a repeated seed one pair twice
+    for seeds in ("9-5", "1,1,2", "1-3,2"):
+        with pytest.raises(SystemExit) as exc:
+            bench_pairs.main(["--parent", "p", "--change", "c",
+                              "--run", "oracle:" + seeds, "--label", "t"])
+        assert exc.value.code == 2, seeds
 
 
 def test_spread_wider_than_the_bound_is_unresolved(tmp_path, capsys, monkeypatch):

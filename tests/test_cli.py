@@ -142,9 +142,15 @@ def test_weight_parse_errors(tmp_path, capsys):
     code, obj = run_json(capsys, "wigner", "--weight", "1,0|0",
                          "--lower", "0", "--kind", "lower")
     assert code == 1 and obj["error"]["type"] == "InvalidArgument"
+    # a label is ASCII digits with an optional sign: int() alone would read
+    # '1_0' as 10 and the Arabic-Indic digit one as 1
+    for weight in ("1_0|0", "\u0661,0|0"):
+        code, obj = run_json(capsys, "roots", "--weight", weight)
+        assert code == 1 and obj["error"]["type"] == "NonIntegralWeight"
     # lower weights read their blocks as upper weights do: an empty item is
     # an error, and with a '|' each block holds its own number of labels
-    for lower in ("0,x", "0,0.5", "1,,0", "1,0,", ",1,0", "1|0|"):
+    for lower in ("0,x", "0,0.5", "1,,0", "1,0,", ",1,0", "1|0|", "0_0,0",
+                  "\u0660,0"):
         code, obj = run_json(capsys, "wigner", "--weight", "1,0|0",
                              "--lower", lower, "--kind", "lower")
         assert code == 1 and obj["error"]["type"] == "NonIntegralWeight"

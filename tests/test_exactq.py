@@ -560,9 +560,9 @@ def test_packed_exponents_stay_in_their_slots(monkeypatch):
         QFraction.from_maps([top], [low])
     # and a factor is checked when it is packed
     monkeypatch.setattr(qwig.exactq, "_BOUND", 1)
-    assert _factor_map.__wrapped__(qnum(3))[3] == 1
+    assert _factor_map(qnum(3))[3] == 1
     with pytest.raises(ConsistencyError):
-        _factor_map.__wrapped__(qnum(3) * qnum(3))
+        _factor_map(qnum(3) * qnum(3))
 
 
 def _fraction_parse(s):

@@ -43,10 +43,8 @@ from qwig import (
     qpow,
 )
 from qwig.oracle import (
-    CHAR_KINDS,
     RepModule,
     big_entry,
-    char_eigenvalue,
     char_eigenvalues,
     char_identity_check,
     char_matrix,
@@ -71,7 +69,6 @@ from qwig.oracle import (
 from qwig.oracle import checks
 from qwig.oracle.checks import (
     _KIND_TO_CHAR,
-    _RHO_SIGN,
     _apply,
     _branch_start,
     _branch_vector,
@@ -105,7 +102,7 @@ from qwig.oracle.linalg import (
     zeros,
 )
 from qwig.oracle.loperators import (
-    _char_variant,
+    _KINDS,
     _minus_over_kappa,
     projector_parts,
 )
@@ -115,13 +112,16 @@ from qwig.oracle.modules import (
     _parity_of_weight,
     _subalgebra_highest_vectors,
 )
-from qwig.superweight import is_typical, rho, subalgebra_roots
+from qwig.superweight import deformed_root, is_typical, subalgebra_roots
 from qwig.wigner import _Side
 from conftest import first_module
 
 S11 = Signature(1, 1)
 S21 = Signature(2, 1)
 S12 = Signature(1, 2)
+# the characteristic matrix kinds and the root variants of their
+# eigenvalues, stated here apart from the oracle's own table
+VARIANTS = {"atilde": "adjoint", "adual": "dual"}
 
 SKIPS = (DegenerateRoots, NotRealized, NotScalar, MultiplicityAmbiguous,
          AdmissibilityError)
@@ -355,8 +355,6 @@ def test_char_identity_examples():
     lam = Weight(S21, (1, 0, 0))
     assert char_identity_check(V3, lam, "atilde")
     assert char_identity_check(V3, lam, "adual")
-    # the conjugated dual-type matrix satisfies the same identity
-    assert char_identity_check(V3, lam, "abar")
 
 
 @pytest.mark.parametrize("m, n, module", [
@@ -385,12 +383,12 @@ def test_leading_block_is_the_subalgebra_matrix():
                 Signature(1, 3)):
         for _, W in realized_modules(sig, 2, 30):
             n0 = (sig.d - 1) * W.dim
-            for kind in CHAR_KINDS:
+            for kind in VARIANTS:
                 lead = char_matrix(W, kind)[:n0, :n0]
                 sub = _dense_char_matrix(W, kind, sig.d - 1)
                 assert lead == sub, (str(sig), kind)
                 cases += 1
-    assert cases == 54  # 18 modules, 3 kinds
+    assert cases == 36  # 18 modules, 2 kinds
 
 
 def test_projector_algebra_gl11():
@@ -805,7 +803,8 @@ def test_atilde_pairs_only_with_plus_two_rho(monkeypatch):
     # Atilde supertrace is central there with q^(+2 rho) only
     lam, W = first_module(S21, (2, 1, 0))
     assert supertrace_invariant(W, "atilde") == chi_C1(lam)
-    monkeypatch.setitem(_RHO_SIGN, "atilde", -1)
+    variant, _, pair = _KINDS["atilde"]
+    monkeypatch.setitem(_KINDS, "atilde", (variant, -1, pair))
     with pytest.raises(NotScalar):
         supertrace_invariant(W, "atilde")
 
@@ -823,23 +822,16 @@ def _gl21_module_200():
 
 def _dense_char_matrix(W, kind, dirs):
     """The defining formula of char_matrix, (I - L' L)(q - q^-1)^-1 over
-    the kind's pair of L-operators and abar's conjugation by D, evaluated
-    with whole-matrix operations on the first dirs vector directions: L'
-    and L are cut to their leading blocks before they are multiplied, so
-    for dirs < d it is the matrix of the subalgebra on those directions."""
+    the kind's pair of L-operators, evaluated with whole-matrix operations
+    on the first dirs vector directions: L' and L are cut to their leading
+    blocks before they are multiplied, so for dirs < d it is the matrix of
+    the subalgebra on those directions."""
     left, right = ("RtildeT", "Rtilde") if kind == "atilde" else (
         "dualRT", "dualR")
     N = dirs * W.dim
     prod = matmul(l_operator(W, left)[:N, :N], l_operator(W, right)[:N, :N])
-    A = mat_scale(identity(N) - prod, QFraction(qpow(1) - qpow(-1)).inverse())
-    if kind != "abar":
-        return A
-    r = rho(W.sig)
-    exps = [W.sig.sign(b) * r[b - 1] for b in range(1, dirs + 1)
-            for _ in range(W.dim)]
-    D = Matrix([{i: QFraction(qpow(-e))} for i, e in enumerate(exps)], N)
-    Dinv = Matrix([{i: QFraction(qpow(e))} for i, e in enumerate(exps)], N)
-    return matmul(matmul(D, A), Dinv)
+    return mat_scale(identity(N) - prod,
+                     QFraction(qpow(1) - qpow(-1)).inverse())
 
 
 def _scaled(parts):
@@ -851,8 +843,8 @@ def _scaled(parts):
 
 def _sub_nodes(lam0, ckind, sig):
     """The subalgebra projector nodes: the deformed lam0 roots."""
-    alphas = subalgebra_roots(tuple(lam0), _char_variant(ckind), sig)
-    return tuple(char_eigenvalue(a, ckind) for a in alphas)
+    alphas = subalgebra_roots(tuple(lam0), VARIANTS[ckind], sig)
+    return tuple(deformed_root(a) for a in alphas)
 
 
 def _columns_of(coeffs, A, n):
@@ -881,7 +873,7 @@ def test_cached_matrices_equal_fresh_builds():
     lam = Weight(S21, (2, 0, 0))
     d = S21.d
     n0 = (d - 1) * W.dim
-    for kind in CHAR_KINDS:
+    for kind in VARIANTS:
         A = char_matrix(W, kind)
         assert char_matrix(W, kind) is A
         dense = _dense_char_matrix(fresh, kind, d)
@@ -910,7 +902,7 @@ def test_cached_matrices_equal_fresh_builds():
     assert checked >= 4
     # one characteristic matrix per kind: the subalgebra's is a slice
     assert sorted(key for key in W._cache if key[0] == "char") == sorted(
-        ("char", kind) for kind in CHAR_KINDS)
+        ("char", kind) for kind in VARIANTS)
 
 
 def test_char_entry_division_is_exact_or_raises():
@@ -1097,8 +1089,7 @@ def _component_shift_projector(W, r, ckind, vecs):
                     + [{} for _ in range(dw)], N)
         if not any(matvec(EQ, v) for v in vecs):
             continue
-        alphas = subalgebra_roots(lam0, _char_variant(ckind), sig)
-        nodes = tuple(char_eigenvalue(a, ckind) for a in alphas)
+        nodes = _sub_nodes(lam0, ckind, sig)
         L = projector(A0, nodes, r)
         total = total + matmul(Matrix(list(L.rows) + [{} for _ in range(dw)],
                                       N), EQ)
@@ -1240,7 +1231,6 @@ def test_projector_index_out_of_range():
 _TYPED_ERRORS_SCRIPT = """
 import json
 from fractions import Fraction
-from unittest import mock
 
 import qwig.superweight as sw
 from qwig import (
@@ -1250,7 +1240,7 @@ from qwig import (
 from qwig.exactq import _BOUND, _factor_map, _merged_map
 from qwig.oracle.linalg import matmul, zeros
 from qwig.oracle.loperators import (
-    _minus_over_kappa, big_entry, char_eigenvalue, char_matrix, eij_matrix,
+    _minus_over_kappa, big_entry, char_eigenvalues, char_matrix, eij_matrix,
     etilde_matrix, l_operator, projector, projector_parts,
 )
 from qwig.oracle.modules import (
@@ -1260,9 +1250,6 @@ from qwig.oracle.modules import (
 S11, S21 = Signature(1, 1), Signature(2, 1)
 LAM = Weight(S21, (1, 0, 0))
 B = index_sets(LAM, (0, 0))
-# each patch holds only while its case runs
-zero_rho = mock.patch.object(
-    sw, "rho_even_odd", lambda sig: ((Fraction(0),) * sig.d,) * 2)
 cases = {
     "antipode": lambda: etilde_matrix(vector_rep(S21), 1, 2, 2),
     "eij": lambda: eij_matrix(vector_rep(S21), 2, 2),
@@ -1275,7 +1262,6 @@ cases = {
     "projector_above": lambda: projector(
         char_matrix(vector_rep(S11), "atilde"), (ONE, -ONE), 3),
     "signature": lambda: Signature(0, 1),
-    "rho": zero_rho(lambda: sw.rho(S21)),
     "tensor_module": lambda: tensor_module(vector_rep(S11), vector_rep(S21)),
     "parity_of_weight": lambda: _parity_of_weight(S21, (0, 0, Fraction(1, 2))),
     "matmul": lambda: matmul(zeros(2, 3), zeros(2, 3)),
@@ -1287,7 +1273,7 @@ cases = {
     ),
     "l_operator_kind": lambda: l_operator(vector_rep(S11), "nope"),
     "char_matrix_kind": lambda: char_matrix(vector_rep(S11), "nope"),
-    "char_eigenvalue_kind": lambda: char_eigenvalue(1, "nope"),
+    "char_eigenvalue_kind": lambda: char_eigenvalues(LAM, "nope"),
     "char_entry_remainder": lambda: _minus_over_kappa(QFraction(qpow(1))),
     "char_entry_denominator": lambda: _minus_over_kappa(
         QFraction(1, qpow(1) + qpow(0))),

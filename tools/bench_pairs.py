@@ -38,11 +38,18 @@ FLAGS = ("claim_met", "regressed", "unresolved")
 
 
 def parse_seeds(text):
-    """The seeds of "1,3,5-8": single seeds and inclusive ranges."""
+    """The seeds of "1,3,5-8": single seeds and inclusive ranges, each seed
+    once.  A reversed range, which would read as no seeds, and a repeated
+    seed, which would count one pair twice, raise ArgumentTypeError."""
     seeds = []
     for part in text.split(","):
         lo, _, hi = part.partition("-")
-        seeds += range(int(lo), int(hi or lo) + 1)
+        lo, hi = int(lo), int(hi or lo)
+        if hi < lo:
+            raise argparse.ArgumentTypeError("reversed seed range %r" % part)
+        seeds += range(lo, hi + 1)
+    if len(set(seeds)) != len(seeds):
+        raise argparse.ArgumentTypeError("repeated seed in %r" % text)
     return seeds
 
 
