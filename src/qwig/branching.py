@@ -3,10 +3,9 @@
 from __future__ import annotations
 
 import itertools
-from functools import cached_property
 
 from .errors import NonIntegralWeight, NotABranching, SignatureMismatch
-from .superweight import _Value
+from .superweight import _memo, _Value
 
 __all__ = ["BranchingData", "branch_candidates", "index_sets"]
 
@@ -75,9 +74,8 @@ class BranchingData(_Value):
     def sig(self):
         return self.lam.sig
 
-    # I0 and I0bar are computed on each read: on Python 3.11 that costs less
-    # than a cached_property's first read, which takes a lock, and _Side
-    # reads each of them about once per branching
+    # I0 and I0bar are computed on each read: _Side reads each of them about
+    # once per branching, and a memo's first read costs more than that
     @property
     def I0(self):
         c = self.lam.comps
@@ -100,7 +98,8 @@ class BranchingData(_Value):
         m, d = self.sig.m, self.sig.d
         return tuple(range(m + 1, d + 1))
 
-    @cached_property
+    # computed once: the q-number forms read it for every omega_k and mu
+    @_memo
     def eta(self):
         m = self.sig.m
         return sum(self.lam.comps[m:]) - sum(self.lam0[m:])
@@ -120,7 +119,7 @@ class BranchingData(_Value):
 
     # str is formatted once per branching: callers print the same one many
     # times, in check messages and verify details
-    @cached_property
+    @_memo
     def _text(self):
         m = self.sig.m
         return "%s >= %s|%s" % (
@@ -134,7 +133,7 @@ class BranchingData(_Value):
 
     # hashed once: every _side lookup hashes the branching, which would
     # otherwise hash its Weight and that Weight's Signature again
-    @cached_property
+    @_memo
     def _hash(self):
         return hash((self.lam, self.lam0))
 

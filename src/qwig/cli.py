@@ -95,7 +95,10 @@ def _dump_json(obj):
 def _write_json(o, out, newline):
     """Append the JSON text of o to out; newline starts a line at o's
     indent.  A list item or dict value whose type is exactly str or int is
-    written in the loop, with no call; bools and subclasses recurse."""
+    written in the loop, with no call; bools and subclasses recurse.  A
+    list of [int, str] pairs, an exact value's coefficients, is written in
+    one join.  A dict object that is the value of two keys of one dict is
+    written once and its pieces copied."""
     if isinstance(o, str):
         out.append(_json_str(o))
     elif o is None:
@@ -111,6 +114,16 @@ def _write_json(o, out, newline):
             out.append("[]")
             return
         inner = newline + "  "
+        # the first item's type turns other lists away before the scan
+        if type(o[0]) is list and all(
+                type(v) is list and len(v) == 2 and type(v[0]) is int
+                and type(v[1]) is str for v in o):
+            deep = inner + "  "
+            head, mid, tail = inner + "[" + deep, "," + deep, inner + "]"
+            out.append("[" + ",".join([
+                head + int.__repr__(k) + mid + _json_str(c) + tail
+                for k, c in o]) + newline + "]")
+            return
         out.append("[")
         for v in o:
             out.append(inner)
@@ -129,6 +142,7 @@ def _write_json(o, out, newline):
             return
         inner = newline + "  "
         out.append("{")
+        written = {}  # id of each dict value written here: its slice of out
         # _json_str raises TypeError on a key that is not a str
         for k, v in sorted(o.items()):
             out.append(inner + _json_str(k) + ": ")
@@ -137,8 +151,14 @@ def _write_json(o, out, newline):
                 out.append(_json_str(v))
             elif t is int:
                 out.append(int.__repr__(v))
+            elif t is dict and id(v) in written:
+                start, end = written[id(v)]
+                out += out[start:end]
             else:
+                start = len(out)
                 _write_json(v, out, inner)
+                if t is dict:
+                    written[id(v)] = start, len(out)
             out.append(",")
         out[-1] = newline + "}"
     else:
@@ -214,7 +234,9 @@ def _table_csv_rows(table, coupled):
             k, r = key
         else:
             k, r = key, ""
-        rows.append([k, r, str(v), json.dumps(v.to_json(), sort_keys=True)])
+        entry = v.json_entry()
+        rows.append([k, r, entry["str"],
+                     json.dumps(entry["value"], sort_keys=True)])
     return rows
 
 
@@ -237,9 +259,13 @@ def _cmd_wigner(args):
         payload["sum"] = str(residual + ONE)
         payload["sum_rule_residual"] = str(residual)
     if args.form == "both":
+        # agreeing forms print the same text, so the first form's entries
+        # are written for both, and the second form is never formatted
         second = tables[forms[1]]
-        payload["entries_qnumber_phase"] = second.to_json()["entries"]
-        payload["forms_agree"] = primary.entries == second.entries
+        agree = primary.entries == second.entries
+        payload["entries_qnumber_phase"] = (
+            payload["entries"] if agree else second.to_json()["entries"])
+        payload["forms_agree"] = agree
     _emit(payload, args.out,
           functools.partial(_table_csv_rows, primary, args.coupled))
     return 0
@@ -247,17 +273,13 @@ def _cmd_wigner(args):
 
 def _cmd_invariants(args):
     lam = _parse_weight(args.weight, args.m, args.n)
-
-    def pack(x):
-        return {"str": str(x), "value": x.to_json()}
-
     payload = {
         "weight": str(lam),
         "signature": [lam.sig.m, lam.sig.n],
         "typical": is_typical(lam),
-        "v": pack(chi_v(lam, "v")),
-        "v_tilde": pack(chi_v(lam, "vtilde")),
-        "C1": pack(chi_C1(lam)),
+        "v": chi_v(lam, "v").json_entry(),
+        "v_tilde": chi_v(lam, "vtilde").json_entry(),
+        "C1": chi_C1(lam).json_entry(),
     }
     _emit(payload, args.out)
     return 0

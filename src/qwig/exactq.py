@@ -195,26 +195,43 @@ class HalfLaurent:
     # -- printing ---------------------------------------------------------
 
     def __str__(self):
-        if not self._t:
-            return "0"
-        parts = []
-        for k in sorted(self._t):
-            c = self._t[k]
-            neg = c < 0
-            c = -c if neg else c
-            if k == 0:
-                body = str(c)
-            else:
-                e = str(k // 2) if k % 2 == 0 else "%d/2" % k
-                body = "q^%s" % e if c == 1 else "%s*q^%s" % (c, e)
-            if not parts:
-                parts.append("-" + body if neg else body)
-            else:
-                parts.append((" - " if neg else " + ") + body)
-        return "".join(parts)
+        return _format(self._t)[1]
 
     def __repr__(self):
         return "HalfLaurent(%s)" % dict(sorted(self._t.items()))
+
+
+def _format(t):
+    """(pairs, text) for the coefficient map t of a HalfLaurent, from one
+    pass over its terms in increasing exponent: the pairs [k, str(c)] that
+    to_json writes, and the text that str prints.  Each coefficient is
+    formatted once: the text reuses the pair's string, its "-" moved into
+    the separator."""
+    if not t:
+        return [], "0"
+    pairs = []
+    parts = []
+    for k in sorted(t):
+        c = str(t[k])
+        pairs.append([k, c])
+        if not k:
+            parts.append(" - " + c[1:] if c[0] == "-" else " + " + c)
+        elif c == "1":
+            parts.append(" + " + _power_text(k))
+        elif c == "-1":
+            parts.append(" - " + _power_text(k))
+        elif c[0] == "-":
+            parts.append(" - " + c[1:] + "*" + _power_text(k))
+        else:
+            parts.append(" + " + c + "*" + _power_text(k))
+    text = "".join(parts)
+    return pairs, text[3:] if text[1] == "+" else "-" + text[3:]
+
+
+@lru_cache(maxsize=None)
+def _power_text(k):
+    """The printed power q^(k/2) for a doubled exponent k != 0."""
+    return "q^%d" % (k >> 1) if not k & 1 else "q^%d/2" % k
 
 
 @lru_cache(maxsize=None)
@@ -572,21 +589,36 @@ def _cyclotomic_poly(P):
     """prod_d Phi_d(x)^e_d as a coefficient tuple, for a packed vector P of
     exponents e_d >= 0.
 
-    The binomials of the Phi_d's Moebius products are all multiplied in, as
-    1 - x^N, before any monic x^N - 1 is divided out, so each division is
-    exact.  The product is monic, which fixes its sign.
+    By the Moebius products of the Phi_d the product is, up to sign,
+    p = prod_N (1 - x^N)^h(N), a polynomial with L = sum_N N h(N) + 1 terms.
+    Each 1 - x^N is antipalindromic, so p[L - 1 - i] = s p[i] for
+    s = (-1)^(sum_N h(N)), and only its first H = ceil(L/2) terms are
+    computed: as a power series cut off at H terms, in place, each factor
+    1 - x^N from the top down, each quotient 1/(1 - x^N) = sum_j x^(jN)
+    from the bottom up, and a binomial with N >= H, which is 1 below x^H,
+    not at all.  The rest is the mirror image.  The product is monic, so
+    it is s p.
     """
     h = {}
     for d, k in _unpack(P).items():
         for n, m in _mobius_terms(d):
             h[n] = h.get(n, 0) + m * k
-    p = [1]
+    size = sum(n * k for n, k in h.items()) + 1
+    half = (size + 1) // 2
+    p = [1] + [0] * (half - 1)
     for n, k in h.items():
-        p = _times_binomial(p, n, k)
-    for n, k in h.items():
+        if n >= half:
+            continue
+        for _ in range(k):
+            for i in range(half - 1, n - 1, -1):
+                p[i] -= p[i - n]
         for _ in range(-k):
-            p = _divide(p, [-1] + [0] * (n - 1) + [1])
-    return tuple(p) if p[-1] > 0 else tuple(-c for c in p)
+            for i in range(n, half):
+                p[i] += p[i - n]
+    mirror = p[size - half - 1::-1] if size > half else []
+    if sum(h.values()) % 2:
+        return tuple([-c for c in p] + mirror)
+    return tuple(p + mirror)
 
 
 @lru_cache(maxsize=1024)
@@ -890,19 +922,23 @@ class QFraction:
 
     # -- serialization ----------------------------------------------------
 
+    def json_entry(self):
+        """{"value": self.to_json(), "str": str(self)}, from one formatting
+        pass over num and one over den (_format)."""
+        num, text = _format(self.num._t)
+        if _is_one(self.den):
+            return {"value": {"num": num, "den": [[0, "1"]]}, "str": text}
+        den, den_text = _format(self.den._t)
+        if len(num) > 1:
+            text = "(%s)" % text
+        return {"value": {"num": num, "den": den},
+                "str": "%s/(%s)" % (text, den_text)}
+
     def to_json(self):
-        return {
-            "num": [[k, str(c)] for k, c in sorted(self.num.items())],
-            "den": [[k, str(c)] for k, c in sorted(self.den.items())],
-        }
+        return self.json_entry()["value"]
 
     def __str__(self):
-        if _is_one(self.den):
-            return str(self.num)
-        num = str(self.num)
-        if len(self.num._t) > 1:
-            num = "(%s)" % num
-        return "%s/(%s)" % (num, self.den)
+        return self.json_entry()["str"]
 
     def __repr__(self):
         return "QFraction(%s)" % self

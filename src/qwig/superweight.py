@@ -8,7 +8,7 @@ with sign +1 on the even block and -1 on the odd block.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 from .errors import (
     IndexOutOfRange,
@@ -71,6 +71,26 @@ class _Value:
 
     def __reduce__(self):
         return self.__class__, tuple(getattr(self, f) for f in self._fields)
+
+
+class _memo:
+    """A functools.cached_property without the lock that Python 3.11's
+    takes on every first read, which costs more than computing a small
+    value.  The first read stores the value in the instance's __dict__,
+    where later reads find it before this descriptor.  Two threads reading
+    at once may both compute it, and store equal values.  The stored value
+    is no field, so equality, hashing and pickling ignore it."""
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.name = fn.__name__
+        self.__doc__ = fn.__doc__
+
+    def __get__(self, obj, cls=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.fn(obj)
+        return value
 
 
 class Signature(_Value):
@@ -147,7 +167,7 @@ class Weight(_Value):
 
     # formatted once: a weight is printed in every message and key that
     # names it or one of its branchings
-    @cached_property
+    @_memo
     def _text(self):
         return "%s|%s" % (
             ",".join(str(c) for c in self.even),
@@ -288,8 +308,6 @@ class RootSet(_Value):
             "signature": [self.weight.sig.m, self.weight.sig.n],
             "variant": self.variant,
             "classical": list(self.alphas),
-            "deformed": [
-                {"value": f.to_json(), "str": str(f)} for f in self.deformed
-            ],
+            "deformed": [f.json_entry() for f in self.deformed],
             "generic": self.is_generic(),
         }

@@ -394,7 +394,7 @@ class CoefficientTable:
             "signature": [self.branching.sig.m, self.branching.sig.n],
             "form": self.form,
             "entries": {
-                key_str(k): {"value": v.to_json(), "str": str(v)}
+                key_str(k): v.json_entry()
                 for k, v in sorted(self.entries.items(), key=lambda kv: str(kv[0]))
             },
         }

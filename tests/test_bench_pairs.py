@@ -14,7 +14,7 @@ spec.loader.exec_module(bench_pairs)
 MACHINE = {"python": "3.11.2", "numpy": None, "nproc": 2, "cpu_model": "cpu"}
 
 
-def _write(checkout, sha, workload, seed, p50, wall, failed=0):
+def _write(checkout, sha, workload, seed, p50, wall, failed=0, by_kind=None):
     out = checkout / ".bench_out"
     out.mkdir(parents=True, exist_ok=True)
     result = {
@@ -24,6 +24,8 @@ def _write(checkout, sha, workload, seed, p50, wall, failed=0):
         "attempted": 100,
         "failed": failed,
     }
+    if by_kind is not None:
+        result["latency_by_kind_ms"] = by_kind
     (out / ("%s-seed%d-trace0.json" % (workload, seed))).write_text(json.dumps(result))
 
 
@@ -176,3 +178,35 @@ def test_net_lines_of_python_files(tmp_path, capsys, monkeypatch):
     }
     assert ("net lines: src +4 (+5/-1), tests -2 (+0/-2), tools +1 (+1/-0), "
             "demos -1 (+0/-1)") in capsys.readouterr().out
+
+
+def test_latency_by_kind_medians(tmp_path, capsys, monkeypatch):
+    # three runs a side; the table tail moves, the branching p50 does not.
+    # Each side's number is the median over its runs of each kind's stat
+    monkeypatch.chdir(tmp_path)
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for seed, (tail, p50) in {1: (3.9, 0.5), 2: (3.7, 0.4), 3: (3.8, 0.6)}.items():
+        for root, sha, scale in ((parent, "aaa", 1.0), (change, "bbb", 0.5)):
+            _write(root, sha, "closed_forms", seed, 1.0, 1.0, by_kind={
+                "branching": {"samples": 800, "p50": p50, "p99": 2.0},
+                "table": {"samples": 350, "p50": 1.0 * scale, "p95": tail * scale}})
+    bench_pairs.main(["--parent", str(parent), "--change", str(change),
+                      "--run", "closed_forms:1-3", "--label", "t"])
+    kinds = json.loads((tmp_path / "BENCH_t.json").read_text())[
+        "workloads"]["closed_forms"]["latency_by_kind_ms"]
+    assert kinds == {
+        "parent": {"branching": {"p50": 0.5, "p99": 2.0},
+                   "table": {"p50": 1.0, "p95": 3.8}},
+        "change": {"branching": {"p50": 0.5, "p99": 2.0},
+                   "table": {"p50": 0.5, "p95": 1.9}},
+    }
+    out = capsys.readouterr().out
+    assert "branching latency, median of runs: p50 0.5 -> 0.5 ms, p99 2 -> 2 ms" in out
+    assert "table latency, median of runs: p50 1 -> 0.5 ms, p95 3.8 -> 1.9 ms" in out
+    # results without per-kind latencies record none
+    _write(parent, "aaa", "oracle", 1, 1.0, 1.0)
+    _write(change, "bbb", "oracle", 1, 1.0, 1.0)
+    bench_pairs.main(["--parent", str(parent), "--change", str(change),
+                      "--run", "oracle:1", "--label", "t"])
+    assert json.loads((tmp_path / "BENCH_t.json").read_text())["workloads"][
+        "oracle"]["latency_by_kind_ms"] == {"parent": {}, "change": {}}

@@ -288,7 +288,9 @@ def test_branching_str_is_formatted_once(sweep_branchings):
     lam = Weight(Signature(3, 2), (4, 1, -2, 3, -1))
     b, c = index_sets(lam, (3, 1, -2, 0)), index_sets(lam, (3, 1, -2, 0))
     assert str(b) == "4,1,-2|3,-1 >= 3,1,-2|0" and str(b) is str(b)
-    # one formatted, one not: still equal, equally hashed and picklable
+    # one formatted and its eta read, one not: still equal, equally hashed
+    # and picklable
+    assert b.eta == b.__dict__["eta"] == 2 and "eta" not in c.__dict__
     assert b == c and hash(b) == hash(c)
     for x in (b, c, lam):
         y = pickle.loads(pickle.dumps(x))

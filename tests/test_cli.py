@@ -72,6 +72,31 @@ def test_wigner_example(capsys):
         parse_qfraction(item["str"])
 
 
+def test_wigner_both_forms_print_their_own_values(capsys, monkeypatch):
+    # the first form's text stands for the second only when they agree: a
+    # second form that differs in one entry prints that entry as its own
+    real = qwig.cli.omega_table
+
+    def differing(b, kind, form):
+        table = real(b, kind, form)
+        if form == "qnumber_phase":
+            table.entries[3] = table.entries[3] + 1
+        return table
+
+    argv = ("wigner", "--weight", "1,0|0", "--lower", "0,0", "--kind", "lower",
+            "--form", "both")
+    _, agreeing = run_json(capsys, *argv)
+    monkeypatch.setattr(qwig.cli, "omega_table", differing)
+    code, obj = run_json(capsys, *argv)
+    assert code == 0 and obj["forms_agree"] is False
+    assert obj["entries"] == agreeing["entries"] == agreeing["entries_qnumber_phase"]
+    second = obj["entries_qnumber_phase"]
+    assert {k: second[k] for k in ("1", "2")} == {
+        k: obj["entries"][k] for k in ("1", "2")}
+    assert second["3"]["str"] == "q^-2 + 2"
+    assert second["3"] == parse_qfraction("q^-2 + 2").json_entry()
+
+
 def test_wigner_coupled(capsys):
     code, obj = run_json(capsys, "wigner", "--weight", "1,0|0",
                          "--lower", "1,0", "--kind", "raise", "--coupled")
@@ -549,16 +574,23 @@ def test_verify_all_output_is_pinned(capsys, m, n):
 
 
 # text covers non-ASCII and control characters; the trees hold only the
-# types the commands print
+# types the commands print, and lists of [int, str] pairs, the coefficients
+# of exact values
 json_scalars = st.one_of(
     st.none(), st.booleans(), st.text(),
     st.integers(), st.integers(min_value=-10 ** 40, max_value=10 ** 40))
+json_pairs = st.lists(st.tuples(st.integers(), st.text()).map(list),
+                      min_size=1, max_size=3)
 json_trees = st.recursive(
     json_scalars,
     lambda children: st.one_of(
         st.lists(children, max_size=4),
-        st.dictionaries(st.text(), children, max_size=4)),
+        st.dictionaries(st.text(), children, max_size=4),
+        json_pairs),
     max_leaves=20)
+# one dict object, the value of two keys of one dict, at two depths, and
+# in other places where it is written again
+SHARED = {"num": [[-3, "-1/2"], [0, "1"]], "den": [[0, "1"]], "str": "x"}
 
 
 @settings(max_examples=300, deadline=None)
@@ -566,6 +598,11 @@ json_trees = st.recursive(
 @example({"b": [1, -2, 10 ** 30], "a": {"x": None, "y": True, "z": False}})
 @example({"é☃\n\t\x00\x1f\"\\": "é☃\n\t\x00\x1f\"\\", "": [[], {}]})
 @example([[[]], [{}], "\ud800"])
+@example({"num": [[-3, "-1/2"], [0, "1"], [10 ** 30, "é\n"]], "den": [[0, "1"]]})
+@example({"bool": [[True, "x"]], "ints": [[1, 2]], "three": [[1, "x", 3]],
+          "mixed": [[1, "x"], [False, "y"]], "str_first": [["x", 1]]})
+@example({"a": SHARED, "b": SHARED, "c": [SHARED, {"d": SHARED, "e": SHARED}]})
+@example([SHARED, SHARED, [SHARED]])
 def test_dump_json_matches_json_dumps(x):
     assert _dump_json(x) == json.dumps(x, sort_keys=True, indent=2) + "\n"
 

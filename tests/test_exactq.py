@@ -30,10 +30,12 @@ from qwig.exactq import (
     _max_cyclotomic_index,
     _BOUND,
     _merged_map,
+    _mobius_terms,
     _pack,
     _poly_gcd,
     _prs_gcd,
     _split,
+    _times_binomial,
     _unpack,
     parse_half_laurent,
 )
@@ -172,6 +174,68 @@ def test_json_round_trip(f):
     num, den = (HalfLaurent([(k, Fraction(c)) for k, c in obj[part]])
                 for part in ("num", "den"))
     assert QFraction(num, den) == f
+
+
+def _printed(p):
+    """The printed form of the HalfLaurent p, term by term in increasing
+    exponent: q^(k/2) as q^(k/2) with k/2 an integer or "k/2", a
+    coefficient of size 1 left out of a nonconstant term, and each later
+    term's sign as its separator."""
+    text = ""
+    for k, c in sorted(p.items()):
+        body = str(abs(c))
+        if k:
+            e = str(k // 2) if k % 2 == 0 else "%d/2" % k
+            body = "q^" + e if abs(c) == 1 else body + "*q^" + e
+        if text:
+            text += (" - " if c < 0 else " + ") + body
+        else:
+            text = ("-" if c < 0 else "") + body
+    return text or "0"
+
+
+def _reference_entry(x):
+    """{"value": ..., "str": ...} of the QFraction x from _printed and the
+    pairs [k, str(c)] of num and den: a numerator of more than one term is
+    parenthesised over a denominator other than 1."""
+    text = _printed(x.num)
+    if x.den != HalfLaurent.const(1):
+        if len(list(x.num.items())) > 1:
+            text = "(%s)" % text
+        text = "%s/(%s)" % (text, _printed(x.den))
+    return {"value": {part: [[k, str(c)] for k, c in sorted(p.items())]
+                      for part, p in (("num", x.num), ("den", x.den))},
+            "str": text}
+
+
+FORMATTED = [
+    ZERO,
+    QFraction(3),
+    QFraction(Fraction(-5, 2)),
+    QFraction(HalfLaurent({1: Fraction(-1, 2), -3: Fraction(5, 3), 0: 1}), qnum(2)),
+    QFraction(qpow(-1), qnum(2)),
+    QFraction(-qpow(Fraction(3, 2)) + qpow(-4) * 7, qnum(3) * qpow(1)),
+    quotient_of_factors([qnum(3) * Fraction(-2, 3), qpow(Fraction(-1, 2))],
+                        [qnum(2), qnum(5) * qnum(5)]),
+    quotient_of_factors([qnum(4)], []),
+]
+
+
+@pytest.mark.parametrize("x", FORMATTED, ids=[
+    "zero", "int", "fraction", "fraction_coefficients", "plain",
+    "plain_half_exponent", "factored_fraction_unit", "factored"])
+def test_json_entry_is_one_pass_of_value_and_str(x):
+    # a factored value is formatted before anything else reads it
+    entry = x.json_entry()
+    assert entry == {"value": x.to_json(), "str": str(x)} == _reference_entry(x)
+    assert parse_qfraction(entry["str"]) == x
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(fractions, rat_fractions))
+def test_json_entry_matches_the_printing_rules(x):
+    assert x.json_entry() == _reference_entry(x)
+    assert str(x.num) == _printed(x.num)
 
 
 @settings(max_examples=100, deadline=None)
@@ -328,6 +392,46 @@ def test_cyclotomic_products_over_divisors():
         e = {d: 1 for d in range(1, n + 1) if n % d == 0}
         assert _unpack(_pack(e)) == e
         assert _cyclotomic_poly(_pack(e)) == (-1,) + (0,) * (n - 1) + (1,)
+
+
+def _full_product_cyclotomic_poly(P):
+    """prod_d Phi_d(x)^e_d for the packed vector P, by full products: each
+    binomial 1 - x^N of the Phi_d's Moebius products multiplied out, then
+    each monic x^N - 1 divided out with _divide, exactly since every
+    binomial is in by then, and the sign fixed to make the product monic.
+    It is the reference for _cyclotomic_poly's cut-off power series."""
+    h = {}
+    for d, k in _unpack(P).items():
+        for n, m in _mobius_terms(d):
+            h[n] = h.get(n, 0) + m * k
+    p = [1]
+    for n, k in h.items():
+        p = _times_binomial(p, n, k)
+    for n, k in h.items():
+        for _ in range(-k):
+            p = _divide(p, [-1] + [0] * (n - 1) + [1])
+    return tuple(p) if p[-1] > 0 else tuple(-c for c in p)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(st.integers(1, 120), st.integers(0, 4), max_size=5))
+def test_cyclotomic_poly_matches_full_products(e):
+    P = _pack(e)
+    assert _cyclotomic_poly(P) == _full_product_cyclotomic_poly(P)
+
+
+def test_cyclotomic_poly_fixed_cases():
+    # Phi_105, the first cyclotomic polynomial with a coefficient -2
+    phi = _cyclotomic_poly(_pack({105: 1}))
+    assert -2 in phi and phi == _full_product_cyclotomic_poly(_pack({105: 1}))
+    # Phi_6 = (1 - x^6)(1 - x)/((1 - x^3)(1 - x^2)) has L = 3 terms, of
+    # which the first 2 are expanded: every binomial but 1 - x is skipped
+    assert _cyclotomic_poly(_pack({6: 1})) == (1, -1, 1)
+    # Phi_1 Phi_2 = x^2 - 1 is antipalindromic, with a middle term of 0
+    assert _cyclotomic_poly(_pack({1: 1, 2: 1})) == (-1, 0, 1)
+    for e in ({6: 2, 1: 1}, {1: 3, 2: 1}, {5: 1, 10: 2}):
+        assert _cyclotomic_poly(_pack(e)) == _full_product_cyclotomic_poly(_pack(e))
+    assert _cyclotomic_poly(0) == _full_product_cyclotomic_poly(0) == (1,)
 
 
 def _coeffs(p):

@@ -16,9 +16,12 @@ quartile spread; "regressed" when the change's median is worse than the
 parent's by more than the bound; and "unresolved" when the parent's
 quartile spread, over the parent's median, exceeds the bound, unless every
 change run reads better than every parent run: its spread is then too
-wide to tell a move within the bound from noise.  It also prints the
-lines of ``*.py`` files added and removed under ``src/``, ``tests/``,
-``tools/`` and ``demos/`` between the two checkouts, by
+wide to tell a move within the bound from noise.  For each kind of item
+(table, branching, verify) it prints each side's median over the runs of
+the kind's p50 and tail latency, from the results' ``latency_by_kind_ms``,
+so that a move of a whole-run percentile shows which kind moved.  It also
+prints the lines of ``*.py`` files added and removed under ``src/``,
+``tests/``, ``tools/`` and ``demos/`` between the two checkouts, by
 ``git diff --no-index --numstat``.  It writes
 ``BENCH_<label>.json``, in the current directory, with the same numbers,
 both git shas and the machine record.  It runs no benchmark: run the
@@ -147,6 +150,20 @@ def compare(parent, change, limits):
     return out
 
 
+def kind_latencies(results):
+    """{kind: {stat: median}}: over the results, the median of each kind's
+    latencies in their latency_by_kind_ms, its p50 and its tail (the p99,
+    p95 or p90 that perfbench/run.py kept); empty when they record none."""
+    values = {}
+    for r in results:
+        for kind, stats in r.get("latency_by_kind_ms", {}).items():
+            for stat, v in stats.items():
+                if stat != "samples":
+                    values.setdefault(kind, {}).setdefault(stat, []).append(v)
+    return {kind: {stat: statistics.median(v) for stat, v in sorted(stats.items())}
+            for kind, stats in sorted(values.items())}
+
+
 def net_lines(parent, change):
     """{dir: {"added", "removed", "net"}}: the lines of *.py files added
     and removed under each of NET_DIRS from the parent's checkout to the
@@ -192,6 +209,7 @@ def main(argv=None):
         sides["parent"] += parent
         sides["change"] += change
         metrics = compare(parent, change, limits)
+        kinds = {"parent": kind_latencies(parent), "change": kind_latencies(change)}
         record["workloads"][workload] = {
             "seeds": seeds,
             "failed": {"parent": sum(r["failed"] for r in parent),
@@ -199,6 +217,7 @@ def main(argv=None):
             "attempted": {"parent": sum(r["attempted"] for r in parent),
                           "change": sum(r["attempted"] for r in change)},
             "metrics": metrics,
+            "latency_by_kind_ms": kinds,
         }
         print("%s, %d pairs, seeds %s" % (workload, len(seeds),
                                          ",".join(map(str, seeds))))
@@ -209,6 +228,12 @@ def main(argv=None):
                   % (name, ps["median"], ps["q1"], ps["q3"], cs["median"],
                      cs["q1"], cs["q3"], m["unit"], pct, m["lower_in"], m["pairs"],
                      "".join(", " + f.replace("_", " ") for f in FLAGS if m[f])))
+        for kind, stats in kinds["parent"].items():
+            change_stats = kinds["change"].get(kind, {})
+            print("  %s latency, median of runs: %s" % (kind, ", ".join(
+                "%s %.4g -> %s ms" % (stat, v, "%.4g" % change_stats[stat]
+                                     if stat in change_stats else "n/a")
+                for stat, v in stats.items())))
     record["net_lines"] = net_lines(args.parent, args.change)
     print("net lines: " + ", ".join(
         "%s %+d (+%d/-%d)" % (name, n["net"], n["added"], n["removed"])
