@@ -615,7 +615,7 @@ def _cyclotomic_poly(P):
         for _ in range(-k):
             for i in range(n, half):
                 p[i] += p[i - n]
-    mirror = p[size - half - 1::-1] if size > half else []
+    mirror = p[:size - half][::-1]
     if sum(h.values()) % 2:
         return tuple([-c for c in p] + mirror)
     return tuple(p + mirror)
