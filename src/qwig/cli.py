@@ -31,6 +31,10 @@ from .exactq import ONE
 
 # verify covers the modules inside V^(x)k, k <= K_MAX, of dimension <= DIM_CAP
 K_MAX, DIM_CAP = 2, 30
+# the commands refuse a weight label past LABEL_MAX in size, and verify an
+# m + n past VERIFY_D_MAX, before any work: qnum(x) holds |x| terms, and
+# verify builds (m + n)^3 rows before its first check
+LABEL_MAX, VERIFY_D_MAX = 1000, 10
 # verify keeps the realised modules of this many signatures, about 1 MB each
 MODULE_STORE_SIZE = 4
 
@@ -50,6 +54,9 @@ def _parse_weight(text, m=None, n=None):
     if n is not None and n != pn:
         raise InvalidArgument("--n %d conflicts with weight %r" % (n, text))
     lam = Weight.parse(Signature(pm, pn), text)
+    if any(abs(c) > LABEL_MAX for c in lam.comps):
+        raise InvalidArgument(
+            "weight %r has a label past %d in size" % (text, LABEL_MAX))
     if not (_even_block_dominant(lam.even, pm)
             and _even_block_dominant(lam.odd, pn)):
         raise InvalidArgument("weight %s is not dominant" % lam)
@@ -431,6 +438,9 @@ def _cmd_verify(args):
     module suites share the store's realised modules, built on first use.
     "skips" counts the SKIPs by reason, the part of a detail before ": "."""
     sig = Signature(args.m, args.n)
+    if sig.d > VERIFY_D_MAX:
+        raise InvalidArgument(
+            "verify takes m + n <= %d, not %s" % (VERIFY_D_MAX, sig))
     suites = list(_SUITE_FN) if args.suite == "all" else [args.suite]
     cases = [c for s in suites for c in _SUITE_FN[s](s, sig)]
     counts = {k: sum(1 for c in cases if c["status"] == k)

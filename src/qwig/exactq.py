@@ -10,6 +10,7 @@ most denominators equal to 1 and makes gcd reduction cheap in practice.
 from __future__ import annotations
 
 import math
+import re
 import struct
 from fractions import Fraction
 from functools import lru_cache
@@ -992,80 +993,66 @@ ONE = QFraction(1)
 Q_MINUS_QINV = QFraction(qpow(1) - qpow(-1))
 
 
-# -- parsing of the printed form ------------------------------------------
+# -- reading the printed form ---------------------------------------------
+
+# a printed term: c, c*q^e or q^e, with c = a or a/b and e = k or k/2; 1 is
+# never written before *, and [0-9], unlike \d, takes ASCII digits only
+_TERM = re.compile(r"(?!1\*)({0})(?:/({0}))?(?:\*q\^(-?{0})(/2)?)?"
+                   r"|q\^(-?{0})(/2)?".format("[1-9][0-9]*"))
 
 
-def _is_int_str(s):
-    """Whether s is ASCII digits with an optional leading minus sign."""
-    d = s[1:] if s[:1] == "-" else s
-    return d.isascii() and d.isdigit()
+def _read_terms(text):
+    """The coefficient map t with _format(t)[1] == text, or None.
 
-
-def _parse_coeff(s):
-    return int(s) if _is_int_str(s) else Fraction(s)
-
-
-def _parse_dexp(s):
-    """The doubled exponent of a printed power q^s; InvalidArgument if s is
-    not a multiple of 1/2."""
-    if _is_int_str(s):
-        return 2 * int(s)
-    if s.endswith("/2") and _is_int_str(s[:-2]):
-        return int(s[:-2])
-    d = Fraction(s) * 2
-    if d.denominator != 1:
-        raise InvalidArgument("exponent %s is not a multiple of 1/2" % s)
-    return d.numerator
-
-
-def parse_half_laurent(s):
-    """Parse the output of HalfLaurent.__str__.
-
-    Integer coefficients and integer or half-integer exponents, the forms
-    __str__ prints, are read as ints; anything else goes through Fraction.
-    """
-    s = s.strip()
-    if s == "0":
-        return HalfLaurent._raw({})
-    terms = []
-    # normalize separators, then split on signs
-    s = s.replace(" - ", " +-").replace(" + ", " +")
-    for piece in s.split(" +"):
-        piece = piece.strip()
-        if not piece:
-            continue
-        sign = 1
-        if piece.startswith("-"):
-            sign = -1
-            piece = piece[1:]
-        if "q^" in piece:
-            if "*" in piece:
-                cs, es = piece.split("*q^")
-                coeff = _parse_coeff(cs)
-            else:
-                coeff = 1
-                es = piece[2:]
-            dexp = _parse_dexp(es)
+    That text is "0", or terms of strictly increasing exponent joined by
+    " + " or " - ", the first led by "-" if negative.  A term is c, c*q^e
+    or q^e: c a positive int or a reduced a/b with b > 1, and e a nonzero
+    int or an odd k over 2."""
+    if text == "0":
+        return {}
+    words = ("- " + text[1:] if text[:1] == "-" else "+ " + text).split(" ")
+    t, last = {}, None
+    for sign, term in zip(words[::2], words[1::2]):
+        m = _TERM.fullmatch(term)
+        if m is None or sign not in ("+", "-"):
+            return None
+        a, b, e, half, bare, bare_half = m.groups()
+        if a is None:
+            c, e, half = 1, bare, bare_half
+        elif b is None:
+            c = int(a)
         else:
-            coeff = _parse_coeff(piece)
-            dexp = 0
-        terms.append((dexp, sign * coeff))
-    return HalfLaurent(terms)
+            c = Fraction(int(a), int(b))
+            if b == "1" or c.denominator != int(b):
+                return None
+        k = 0 if e is None else int(e) if half else 2 * int(e)
+        if (half and not k & 1) or (last is not None and k <= last):
+            return None
+        t[k] = -c if sign == "-" else c
+        last = k
+    return None if len(words) & 1 else t
 
 
 def parse_qfraction(s):
-    """Parse the output of QFraction.__str__; InvalidArgument on text that
-    is not such output, a zero denominator included."""
+    """The QFraction x with str(x) == s.strip(); InvalidArgument on any
+    other text.
+
+    A quotient prints as num/(den): num in parentheses exactly when it has
+    more than one term, and den of two or more terms, led by the constant 1
+    and coprime to num, which normalising checks at the cost of a gcd."""
     text = s.strip()
+    head, slash, tail = text.partition("/(")
+    wrapped = slash != "" and head[:1] == "(" and head[-1:] == ")"
     try:
-        if "/(" in text:
-            # split at the last "/(" so numerators like (..)/(..) work
-            i = text.rindex("/(")
-            num_s, den_s = text[:i], text[i + 2 : -1]
-            if num_s.startswith("(") and num_s.endswith(")"):
-                num_s = num_s[1:-1]
-            return QFraction(parse_half_laurent(num_s),
-                             parse_half_laurent(den_s))
-        return QFraction(parse_half_laurent(text))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise InvalidArgument("cannot parse %r: %s" % (s, exc)) from None
+        num = _read_terms(head[1:-1] if wrapped else head)
+        den = _read_terms(tail[:-1]) if tail[-1:] == ")" else None
+    except ValueError:  # int() refuses a number of over 4300 digits
+        num = None
+    if num is not None and not slash:
+        return QFraction._raw(HalfLaurent._raw(num), _POLY_ONE)
+    if (num is not None and den is not None and len(den) > 1
+            and wrapped == (len(num) > 1)):
+        x = QFraction(HalfLaurent._raw(num), HalfLaurent._raw(den))
+        if x.num._t == num and x.den._t == den:
+            return x
+    raise InvalidArgument("not a printed value: %r" % s)

@@ -22,7 +22,15 @@ from qwig import (
     sum_rule_residual,
 )
 import qwig
-from qwig.cli import MODULE_STORE_SIZE, _dump_json, _modules, build_parser, main
+from qwig.cli import (
+    LABEL_MAX,
+    MODULE_STORE_SIZE,
+    VERIFY_D_MAX,
+    _dump_json,
+    _modules,
+    build_parser,
+    main,
+)
 
 
 def run(capsys, *argv):
@@ -203,6 +211,31 @@ def test_weight_parse_errors(tmp_path, capsys):
 def test_empty_signature_block_is_a_typed_error(capsys, argv):
     code, obj = run_json(capsys, *argv)
     assert code == 1 and obj["error"]["type"] == "InvalidArgument"
+
+
+@pytest.mark.parametrize("argv", [
+    ("invariants", "--weight", "%d|0" % (LABEL_MAX + 1)),
+    ("roots", "--weight", "0,%d|0" % -(LABEL_MAX + 1)),
+    ("branch", "--weight", "1|%d" % (LABEL_MAX + 1)),
+    ("wigner", "--weight", "%d,0|0" % (LABEL_MAX + 1), "--lower", "0,0",
+     "--kind", "lower"),
+    ("verify", "--m", "%d" % (VERIFY_D_MAX - 1), "--n", "2"),
+])
+def test_inputs_past_the_cli_bounds_are_refused(capsys, monkeypatch, argv):
+    # refused before any work: each command's first computation would
+    # escape main with an error that is no QwigError
+    def never(*args):
+        raise AssertionError("work done past a bound")
+
+    for name in ("RootSet", "branch_candidates", "BranchingData", "chi_v",
+                 "chi_C1"):
+        monkeypatch.setattr(qwig.cli, name, never)
+    monkeypatch.setattr(qwig.cli, "_SUITE_FN",
+                        dict.fromkeys(qwig.cli._SUITE_FN, never))
+    code, obj = run_json(capsys, *argv)
+    assert code == 1 and obj["error"]["type"] == "InvalidArgument"
+    assert str(LABEL_MAX if argv[0] != "verify" else VERIFY_D_MAX) in (
+        obj["error"]["message"])
 
 
 @pytest.mark.parametrize("weight", ["0,1|0", "0|0,1"])

@@ -37,7 +37,6 @@ from qwig.exactq import (
     _split,
     _times_binomial,
     _unpack,
-    parse_half_laurent,
 )
 
 Q_MINUS_QINV = qpow(1) - qpow(-1)
@@ -359,7 +358,7 @@ def test_qnum_factor_map():
                  {0: 1, 1: 1, 3: -1, 4: -1, 5: -1, 6: -1, 7: -1, 9: 1, 10: 1}.items()}),
     # degree 16 in q^(1/2): the peel gives up by N = 60, the largest d with
     # phi(d) <= 16, where a bound of degree squared let it run to N = 141
-    parse_half_laurent("q^-4 - q^5/2 - q^4"),
+    parse_qfraction("q^-4 - q^5/2 - q^4").num,
 ])
 def test_non_cyclotomic_factor_falls_back(f):
     # the peel gives up after bounded work, with a typed error
@@ -689,21 +688,37 @@ def _fraction_parse(s):
     return HalfLaurent(terms)
 
 
-@pytest.mark.parametrize("s", [
+# text that str never prints, each of which must raise: the first seven
+# were once read with no error ("1/(q^1 + 1" as q^-1, "" as 0, "1 +" as 1,
+# "1_0" as 10, the Arabic-Indic digit one as 1, "q^1_0" as q^10 and "1e3"
+# as 1000), and the last fourteen were once read as Fraction text reads
+# them
+NOT_PRINTED = [
+    "1/(q^1 + 1", "", "1 +", "1_0", "\u0661", "q^1_0", "1e3",
+    # a quotient with denominator 1, a repeated exponent, a written unit
+    # coefficient, leading zeros, a zero coefficient, a falling exponent,
+    # a parenthesised single-term numerator
+    "2/(2)", "q^2 + q^2", "1*q^2", "007", "0*q^2", "q^2 + 1",
+    "(1)/(1 + q^2)",
+    # a non-ASCII digit after an ASCII one, a coefficient over 1, a value
+    # in parentheses with no quotient; quotients not in lowest terms, or
+    # whose denominator does not start with the constant 1
+    "1\u0661", "2/1", "(2)", "(1 + q^2)/(1 + q^2)", "0/(1 + q^2)",
+    "1/(2 + 2*q^2)", "1/(q^2 + q^4)", "1/(-1 + q^2)",
     "q^2/4", "2/4*q^1", "q^1.5", "q^4/2", "q^-6/2", "q^-0", "007*q^02",
     "-3/6*q^-1/2 + 0.5", "-q^3/2 - 2*q^-3/2 + 1/3", "1.25*q^-2 - 4/2",
     " 3*q^ 2 ", "+3*q^2", "--2*q^1", "2*q^1 - 2*q^1",
-])
-def test_parse_non_canonical_forms_like_fraction_reader(s):
-    got = parse_half_laurent(s)
-    assert got == _fraction_parse(s)
-    assert hash(got) == hash(_fraction_parse(s))
+]
+
+
+@pytest.mark.parametrize("s", NOT_PRINTED)
+def test_parse_refuses_text_str_does_not_print(s):
+    with pytest.raises(InvalidArgument):
+        parse_qfraction(s)
 
 
 @pytest.mark.parametrize("s", ["q^1/3", "q^3/4", "2*q^-1/6 + 1"])
 def test_parse_rejects_exponents_off_the_half_integers(s):
-    with pytest.raises(InvalidArgument):
-        parse_half_laurent(s)
     with pytest.raises(InvalidArgument):
         parse_qfraction(s)
 
@@ -711,7 +726,32 @@ def test_parse_rejects_exponents_off_the_half_integers(s):
 @settings(max_examples=100, deadline=None)
 @given(polys)
 def test_parse_printed_form_like_fraction_reader(p):
-    assert parse_half_laurent(str(p)) == _fraction_parse(str(p)) == p
+    x = parse_qfraction(str(p))
+    assert x.num == _fraction_parse(str(p)) == p and x.den == 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(fractions, rat_fractions))
+def test_parse_reads_back_exactly_what_str_prints(x):
+    y = parse_qfraction(str(x))
+    assert str(y) == str(x) and y == x and hash(y) == hash(x)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(fractions, rat_fractions), st.data())
+def test_one_character_edits_are_refused_or_read_exactly(x, data):
+    # delete, replace or insert one character of a printed value: the
+    # reader refuses the text or returns the value that prints it
+    s = str(x)
+    i = data.draw(st.integers(0, len(s)))
+    cut = data.draw(st.integers(0, 1))
+    c = data.draw(st.sampled_from(["", *"0123456789 +-*/^q()._e\t\u0661"]))
+    edited = s[:i] + c + s[i + cut:]
+    try:
+        y = parse_qfraction(edited)
+    except InvalidArgument:
+        return
+    assert str(y) == edited.strip()
 
 
 def test_half_laurent_operands():
