@@ -688,12 +688,9 @@ def _fraction_parse(s):
     return HalfLaurent(terms)
 
 
-# text that str never prints, each of which must raise: the first seven
-# were once read with no error ("1/(q^1 + 1" as q^-1, "" as 0, "1 +" as 1,
-# "1_0" as 10, the Arabic-Indic digit one as 1, "q^1_0" as q^10 and "1e3"
-# as 1000), and the last fourteen were once read as Fraction text reads
-# them
+# text that str never prints, each of which must raise InvalidArgument
 NOT_PRINTED = [
+    # once read with no error, as q^-1, 0, 1, 10, 1, q^10 and 1000
     "1/(q^1 + 1", "", "1 +", "1_0", "\u0661", "q^1_0", "1e3",
     # a quotient with denominator 1, a repeated exponent, a written unit
     # coefficient, leading zeros, a zero coefficient, a falling exponent,
@@ -705,14 +702,24 @@ NOT_PRINTED = [
     # whose denominator does not start with the constant 1
     "1\u0661", "2/1", "(2)", "(1 + q^2)/(1 + q^2)", "0/(1 + q^2)",
     "1/(2 + 2*q^2)", "1/(q^2 + q^4)", "1/(-1 + q^2)",
-    "q^2/4", "2/4*q^1", "q^1.5", "q^4/2", "q^-6/2", "q^-0", "007*q^02",
-    "-3/6*q^-1/2 + 0.5", "-q^3/2 - 2*q^-3/2 + 1/3", "1.25*q^-2 - 4/2",
-    " 3*q^ 2 ", "+3*q^2", "--2*q^1", "2*q^1 - 2*q^1",
 ]
 
 
 @pytest.mark.parametrize("s", NOT_PRINTED)
 def test_parse_refuses_text_str_does_not_print(s):
+    with pytest.raises(InvalidArgument):
+        parse_qfraction(s)
+
+
+@pytest.mark.parametrize("s", [
+    "q^2/4", "2/4*q^1", "q^1.5", "q^4/2", "q^-6/2", "q^-0", "007*q^02",
+    "-3/6*q^-1/2 + 0.5", "-q^3/2 - 2*q^-3/2 + 1/3", "1.25*q^-2 - 4/2",
+    " 3*q^ 2 ", "+3*q^2", "--2*q^1", "2*q^1 - 2*q^1",
+])
+def test_parse_non_canonical_forms_like_fraction_reader(s):
+    # text that the Fraction reference reads, and once the reader too, but
+    # that str never prints: now refused like the rest of NOT_PRINTED
+    _fraction_parse(s)
     with pytest.raises(InvalidArgument):
         parse_qfraction(s)
 
