@@ -52,39 +52,22 @@ def _coeff_div(a, b):
 class HalfLaurent:
     """Laurent polynomial in q^(1/2) over the rationals.
 
-    Terms map doubled exponents (int) to nonzero Fraction coefficients;
-    the empty map is zero.  Instances are immutable.
+    HalfLaurent(t) takes a clean map t: doubled exponents (int) to nonzero
+    int or Fraction coefficients, the empty map for zero.  t is kept, not
+    copied, and never changed.  The operators take HalfLaurent operands
+    only; a scalar enters through const or QFraction.
     """
 
     __slots__ = ("_t", "_hash")
 
-    def __init__(self, terms=None):
-        t = {}
-        if terms:
-            for k, c in (terms.items() if isinstance(terms, dict) else terms):
-                c = _as_fraction(c)
-                if c:
-                    c0 = t.get(k)
-                    c = c if c0 is None else c0 + c
-                    if c:
-                        t[k] = c
-                    elif k in t:
-                        del t[k]
+    def __init__(self, t):
         self._t = t
         self._hash = None
 
     @classmethod
-    def _raw(cls, t):
-        # internal: t already a clean dict
-        p = cls.__new__(cls)
-        p._t = t
-        p._hash = None
-        return p
-
-    @classmethod
     def const(cls, c):
         c = _as_fraction(c)
-        return cls._raw({0: c} if c else {})
+        return cls({0: c} if c else {})
 
     def items(self):
         return self._t.items()
@@ -93,14 +76,13 @@ class HalfLaurent:
         return bool(self._t)
 
     def __eq__(self, other):
-        if isinstance(other, HalfLaurent):
-            return self._t == other._t
-        if isinstance(other, (int, Fraction)):
-            return self == HalfLaurent.const(other)
-        return NotImplemented
+        if type(other) is not HalfLaurent:
+            return NotImplemented
+        return self._t == other._t
 
     def __hash__(self):
-        # a constant equals, so must hash like, its int or Fraction value
+        # QFraction(c) == c for a scalar c and hashes through its
+        # numerator, so a constant must hash like its int or Fraction value
         if self._hash is None:
             t = self._t
             if not t or (len(t) == 1 and 0 in t):
@@ -110,17 +92,11 @@ class HalfLaurent:
         return self._hash
 
     def __neg__(self):
-        return HalfLaurent._raw({k: -c for k, c in self._t.items()})
-
-    # each operator tests for the usual HalfLaurent operand first: the
-    # Fraction test goes through abc.__instancecheck__ on every miss
+        return HalfLaurent({k: -c for k, c in self._t.items()})
 
     def __add__(self, other):
         if type(other) is not HalfLaurent:
-            if isinstance(other, (int, Fraction)):
-                other = HalfLaurent.const(other)
-            elif not isinstance(other, HalfLaurent):
-                return NotImplemented
+            return NotImplemented
         if not self._t:
             return other
         if not other._t:
@@ -136,30 +112,16 @@ class HalfLaurent:
                     t[k] = c0
                 else:
                     del t[k]
-        return HalfLaurent._raw(t)
-
-    __radd__ = __add__
+        return HalfLaurent(t)
 
     def __sub__(self, other):
         if type(other) is not HalfLaurent:
-            if isinstance(other, (int, Fraction)):
-                other = HalfLaurent.const(other)
-            elif not isinstance(other, HalfLaurent):
-                return NotImplemented
+            return NotImplemented
         return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         if type(other) is not HalfLaurent:
-            if isinstance(other, (int, Fraction)):
-                c = _as_fraction(other)
-                if not c:
-                    return HalfLaurent._raw({})
-                return HalfLaurent._raw({k: v * c for k, v in self._t.items()})
-            if not isinstance(other, HalfLaurent):
-                return NotImplemented
+            return NotImplemented
         t = {}
         for k1, c1 in self._t.items():
             for k2, c2 in other._t.items():
@@ -174,9 +136,7 @@ class HalfLaurent:
                         t[k] = c0
                     else:
                         del t[k]
-        return HalfLaurent._raw(t)
-
-    __rmul__ = __mul__
+        return HalfLaurent(t)
 
     # -- structure queries ------------------------------------------------
 
@@ -239,11 +199,11 @@ def _power_text(k):
 def qpow(x):
     """The monomial q^x for x an integer or half-integer Fraction."""
     if isinstance(x, int):
-        return HalfLaurent._raw({2 * x: 1})
+        return HalfLaurent({2 * x: 1})
     x2 = _as_fraction(_as_fraction(x) * 2)
     if isinstance(x2, Fraction):
         raise InvalidArgument("exponent must be a multiple of 1/2")
-    return HalfLaurent._raw({x2: 1})
+    return HalfLaurent({x2: 1})
 
 
 @lru_cache(maxsize=None)
@@ -252,10 +212,10 @@ def qnum(x):
     if not isinstance(x, int):
         raise InvalidArgument("qnum takes an integer argument")
     if x == 0:
-        return HalfLaurent._raw({})
+        return HalfLaurent({})
     s = 1 if x > 0 else -1
     n = abs(x)
-    return HalfLaurent._raw({s * 2 * (n - 1 - 2 * j): s for j in range(n)})
+    return HalfLaurent({s * 2 * (n - 1 - 2 * j): s for j in range(n)})
 
 
 # -- univariate gcd over Q, on shifted (nonnegative) exponents -------------
@@ -400,7 +360,7 @@ def _dense(t):
 
 def _sparse(low, p):
     """The HalfLaurent x^low sum_i p[i] x^i."""
-    return HalfLaurent._raw({i + low: c for i, c in enumerate(p) if c})
+    return HalfLaurent({i + low: c for i, c in enumerate(p) if c})
 
 
 def _times_binomial(p, n, k):
@@ -674,8 +634,8 @@ def _strip_unit(num, den):
     if not low and lc == 1:
         return num, den
     return (
-        HalfLaurent._raw({k - low: _coeff_div(c, lc) for k, c in num.items()}),
-        HalfLaurent._raw({k - low: _coeff_div(c, lc) for k, c in den.items()}),
+        HalfLaurent({k - low: _coeff_div(c, lc) for k, c in num.items()}),
+        HalfLaurent({k - low: _coeff_div(c, lc) for k, c in den.items()}),
     )
 
 
@@ -805,7 +765,7 @@ class QFraction:
             else:
                 p = a * b
                 rest = p if rest is None else rest + p
-        poly = cls._raw(HalfLaurent._raw({k: c for k, c in t.items() if c}),
+        poly = cls._raw(HalfLaurent({k: c for k, c in t.items() if c}),
                         _POLY_ONE)
         return poly if rest is None else rest + poly
 
@@ -876,9 +836,6 @@ class QFraction:
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         other = QFraction._coerce(other)
         if other is None:
@@ -900,12 +857,6 @@ class QFraction:
         if other is None:
             return NotImplemented
         return self * other.inverse()
-
-    def __rtruediv__(self, other):
-        other = QFraction._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other * self.inverse()
 
     def inverse(self):
         if not self.num:
@@ -984,9 +935,6 @@ class _Factored(QFraction):
 
     __hash__ = QFraction.__hash__
 
-    def __bool__(self):
-        return True
-
 
 ZERO = QFraction(0)
 ONE = QFraction(1)
@@ -1049,10 +997,10 @@ def parse_qfraction(s):
     except ValueError:  # int() refuses a number of over 4300 digits
         num = None
     if num is not None and not slash:
-        return QFraction._raw(HalfLaurent._raw(num), _POLY_ONE)
+        return QFraction._raw(HalfLaurent(num), _POLY_ONE)
     if (num is not None and den is not None and len(den) > 1
             and wrapped == (len(num) > 1)):
-        x = QFraction(HalfLaurent._raw(num), HalfLaurent._raw(den))
+        x = QFraction(HalfLaurent(num), HalfLaurent(den))
         if x.num._t == num and x.den._t == den:
             return x
     raise InvalidArgument("not a printed value: %r" % s)

@@ -102,9 +102,6 @@ class Matrix:
             rows.append(row)
         return Matrix(rows, self.ncols)
 
-    def __sub__(self, other):
-        return self + (-other)
-
 
 def _add_entry(row, j, x):
     """Add the nonzero x to row[j], dropping the entry when it cancels."""

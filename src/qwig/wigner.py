@@ -40,9 +40,10 @@ FORMS = ("root_product", "qnumber_phase")
 
 # Evaluation point of the subalgebra root entering mu.  'shifted' reads it
 # at the lower weight moved one step along the shift direction, 'unshifted'
-# at the lower weight itself.  The unshifted reading agrees with mu_oracle
-# on every r of even index; the cases of odd index where the two disagree
-# are pinned in MU_ODD_R_DISAGREEMENTS (tests/test_oracle.py).
+# at the lower weight itself.  Where the unshifted reading agrees with
+# mu_oracle, both are 0; every nonzero value the oracle reaches disagrees,
+# all at r of odd parity, and those cases are pinned in
+# MU_ODD_R_DISAGREEMENTS (tests/test_oracle.py).
 MU_SHIFT_DEFAULT = "unshifted"
 
 
@@ -222,8 +223,9 @@ def omega(b, k, variant, form="root_product"):
     admissible set the root-product and q-number forms are
       prod_{r in L} F_r(a_k) / prod_{l != k in K} (a_k - a_l)
       q^xi_k prod_r [alpha_k - alpha0_r + tau s_r] / prod_{l != k} [alpha_k - alpha_l]
-    with xi_k = -(|I0 or I0bar| ... ) collected below.  The value is kept
-    on the side (_omega_memo), so a repeat call returns the same object.
+    with xi_k = -(|I0 or I0bar| + alpha_k + eta), the phase _omega_maps
+    gives the q-number form.  The value is kept on the side (_omega_memo),
+    so a repeat call returns the same object.
     """
     _check_form(form)
     side = _side(b, variant)
@@ -307,8 +309,10 @@ def mu(b, r, variant, form="root_product", convention=None):
 
     convention 'unshifted' evaluates the subalgebra root at the lower
     weight itself, 'shifted' at the lower weight moved by the shift
-    direction.  The default, MU_SHIFT_DEFAULT, is the one that meets the
-    oracle factorization identity, validated on r of even index.
+    direction.  The default, MU_SHIFT_DEFAULT, meets the oracle
+    factorization identity where 'shifted' does not, but on zeros only:
+    every agreement measured is 0 = 0, and every nonzero value the oracle
+    reaches disagrees, at r of odd parity.
     """
     _check_form(form)
     if convention is None:

@@ -7,8 +7,8 @@ import random
 
 import pytest
 
-from qwig import ZERO, QFraction, Signature, Weight, branch_candidates
-from qwig.exactq import _factor_map
+from qwig import ZERO, HalfLaurent, QFraction, Signature, Weight, branch_candidates
+from qwig.exactq import _as_fraction, _factor_map
 from qwig.oracle.modules import (
     highest_weight_vectors, realized_modules, submodule, tensor_module, vector_rep,
 )
@@ -19,6 +19,16 @@ ORACLE_SIGS = [(1, 1), (2, 1), (1, 2)]
 # the sweep references peel the same factor polynomials many times, and a
 # peel depends on its polynomial alone, so each is peeled once
 _peel = functools.lru_cache(maxsize=4096)(_factor_map)
+
+
+def laurent(terms=()):
+    """The HalfLaurent of terms, a dict or pairs (doubled exponent,
+    coefficient): coefficients of a repeated exponent added, zeros dropped,
+    and TypeError on a coefficient that is no int or Fraction."""
+    t = {}
+    for k, c in (terms.items() if isinstance(terms, dict) else terms):
+        t[k] = t.get(k, 0) + _as_fraction(c)
+    return HalfLaurent({k: _as_fraction(c) for k, c in t.items() if c})
 
 
 def quotient_of_factors(nums, dens):

@@ -467,6 +467,13 @@ def test_module_store_is_bounded(capsys, monkeypatch):
     assert _modules.cache_info().currsize == MODULE_STORE_SIZE
 
 
+# the wigner and coupled PASSes of --suite all whose closed form is
+# nonzero, per signature: a PASS on 0 = 0 decides less, so a change that
+# turns nonzero agreements into zeros or SKIPs moves these
+NONZERO_PASSES = {(2, 1): {"wigner": 17, "coupled": 8},
+                  (1, 2): {"wigner": 16, "coupled": 12}}
+
+
 @pytest.mark.parametrize("m, n, passes, skips", [
     (2, 1, 75, {"DegenerateRoots": 1, "DegenerateRoots (closed form)": 16,
                 "DegenerateRoots (oracle)": 2, "NotRealized (oracle)": 48}),
@@ -486,13 +493,19 @@ def test_verify_all_outcome_counts(capsys, m, n, passes, skips):
                              "FAIL": 0}
     assert obj["skips"] == skips
     reasons = {}
+    nonzero = {"wigner": 0, "coupled": 0}
     for case in obj["cases"]:
         if case["status"] == "SKIP":
             reason = case["detail"].partition(": ")[0]
             reasons[reason] = reasons.get(reason, 0) + 1
             sided = case["case"] in ("wigner", "coupled")
             assert reason.endswith(("(closed form)", "(oracle)")) == sided
+        elif case["case"] in nonzero:
+            closed = case["detail"].split()[0]
+            assert closed.startswith("closed=")
+            nonzero[case["case"]] += closed != "closed=0"
     assert reasons == skips
+    assert nonzero == NONZERO_PASSES[m, n]
 
 
 def test_skip_names_the_side_that_raised(capsys, monkeypatch):

@@ -31,8 +31,8 @@ CALLERS = ("src", "perfbench", "demos", "tools")
 
 # exported names that no caller reaches yet, each with the reason it stays
 KEPT = {
-    "gamma": "its alpha0_override goes when ROADMAP item 3 settles mu",
-    "mu_oracle": "ROADMAP item 3 mends it and runs mu in verify",
+    "gamma": "its alpha0_override goes when ROADMAP item 2 settles mu",
+    "mu_oracle": "ROADMAP item 2 mends it and runs mu in verify",
     "__version__": "package metadata",
 }
 

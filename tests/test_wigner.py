@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import quotient_of_factors, seeded_weights
+from conftest import laurent, quotient_of_factors, seeded_weights
 from qwig import (
     AdmissibilityError,
     CoefficientTable,
@@ -501,7 +501,8 @@ def _factor_mu(b, r, variant, form, convention):
     else:
         nums = [qnum(side.alpha[k] - point) for k in side.K]
         dens = [qnum(point - bl) for bl in others]
-    return quotient_of_factors([side.sigma() * qpow(phase)] + nums, dens)
+    return quotient_of_factors(
+        [HalfLaurent.const(side.sigma()) * qpow(phase)] + nums, dens)
 
 
 def _factor_coupled(b, k, r, variant, form):
@@ -586,7 +587,7 @@ def test_zero_tests_and_integer_keyed_maps(x, y):
 
 def test_a_factor_with_no_map_is_a_typed_error():
     with pytest.raises(ConsistencyError):
-        _factor_map(HalfLaurent({0: 1, 2: 2}))  # 1 + 2q
+        _factor_map(laurent({0: 1, 2: 2}))  # 1 + 2q
 
 
 def _shape(x):
