@@ -14,7 +14,7 @@ def test_entered_lists_what_one_roots_call_leaves_out():
     listed = {line.split()[0]: int(line.split()[1])
               for line in done.stdout.splitlines()}
     # the gcd fallback is never reached; the constructor runs at import
-    assert listed["qwig.exactq._prs_gcd"] > 1
+    assert "qwig.exactq._prs_gcd" in listed
     assert "qwig.exactq.QFraction.__init__" not in listed
     assert "qwig.cli._cmd_roots" not in listed
     assert "qwig.cli._cmd_wigner" in listed

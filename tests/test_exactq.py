@@ -818,7 +818,8 @@ def test_half_laurent_operands():
         assert x * other == other * x == x * c
         assert x / other == x / c
         assert x != other and QFraction(other) == other
-        # the reflected - and / are gone with their last callers
+        # QFraction has no reflected - or /: no caller outside the tests
+        # used them
         with pytest.raises(TypeError):
             other - x
         with pytest.raises(TypeError):
