@@ -262,9 +262,16 @@ def _poly_gcd(a, b):
     unlucky, and the next is larger; after _HEU_POINTS points the
     pseudo-remainder gcd of A and B (_prs_gcd) is the last h, and goes
     through the same divisions and normalisation.
+
+    All of this runs in y = x^m for the stride m of a and b together
+    (_stride): with a = x^la A(y) and b = x^lb B(y), the gcd of A(x^m) and
+    B(x^m) over Q is gcd(A, B)(x^m), so the gcd and both cofactors found in
+    y are inflated back, and the lists and evaluations cost the terms of a
+    and b rather than their exponent span.
     """
-    la, pa = _dense(a._t)
-    lb, pb = _dense(b._t)
+    m = _stride(a._t, b._t)
+    la, pa = _dense(a._t, m)
+    lb, pb = _dense(b._t, m)
     ia, ib = _primitive_list(pa), _primitive_list(pb)
     xi = 2 * min(max(map(abs, ia)), max(map(abs, ib))) + 2
     for point in range(_HEU_POINTS + 1):
@@ -288,7 +295,7 @@ def _poly_gcd(a, b):
                     h = [_coeff_div(x, h0) for x in h]
                     qa = [x * h0 for x in qa]
                     qb = [x * h0 for x in qb]
-                return _sparse(0, h), _sparse(la, qa), _sparse(lb, qb)
+                return _sparse(0, h, m), _sparse(la, qa, m), _sparse(lb, qb, m)
 
 
 def _horner(p, x):
@@ -344,23 +351,36 @@ def _prs_gcd(a, b):
 # -- dense polynomial kernel ------------------------------------------------
 #
 # Every polynomial quotient below is synthetic division on coefficient lists,
-# p[i] the coefficient of x^i and p[-1] nonzero, and every product it needs
-# is a product of binomials (Knuth, TAOCP vol. 2, 4.6.1).
+# p[i] the coefficient of y^i and p[-1] nonzero, and every product it needs
+# is a product of binomials (Knuth, TAOCP vol. 2, 4.6.1).  The lists are in
+# y = x^g for the stride g of the exponents (_stride), so that they cost a
+# polynomial's terms rather than its exponent span; g = 1 is the general case.
 
 
-def _dense(t):
-    """(low, p) with t = x^low sum_i p[i] x^i, for a nonzero coefficient
-    dict t."""
+def _stride(*maps):
+    """The gcd g of the exponent differences within each of the nonempty
+    maps, 1 when each is a monomial: every map is then x^low P(x^g), for
+    its own lowest exponent low and a polynomial P."""
+    g = 0
+    for t in maps:
+        low = min(t)
+        g = math.gcd(g, *[k - low for k in t])
+    return g or 1
+
+
+def _dense(t, g=1):
+    """(low, p) with t = x^low sum_i p[i] x^(g i), for a nonzero coefficient
+    dict t whose exponent differences g divides."""
     low = min(t)
-    p = [0] * (max(t) - low + 1)
+    p = [0] * ((max(t) - low) // g + 1)
     for i, c in t.items():
-        p[i - low] = c
+        p[(i - low) // g] = c
     return low, p
 
 
-def _sparse(low, p):
-    """The HalfLaurent x^low sum_i p[i] x^i."""
-    return HalfLaurent({i + low: c for i, c in enumerate(p) if c})
+def _sparse(low, p, g=1):
+    """The HalfLaurent x^low sum_i p[i] x^(g i)."""
+    return HalfLaurent({low + g * i: c for i, c in enumerate(p) if c})
 
 
 def _times_binomial(p, n, k):
@@ -496,21 +516,27 @@ def _factor_map(f):
     e_d != 0, where phi(d) = deg Phi_d <= deg p.  Since
     1 - x^N = -prod_{d | N} Phi_d, e_d is the sum of g(N) over the multiples
     N of d.
+
+    The peel runs in y = x^m for the stride m of f (_stride): the expansion
+    is unique, so p(x) = P(x^m) = prod_M (1 - y^M)^G(M) gives g(mM) = G(M)
+    and g(N) = 0 off the multiples of m.  Each M found is read as N = mM,
+    and the bounds stay in x: |g(N)| <= deg p and N <= the largest d above.
     """
-    s, p = _dense(f._t)
+    m = _stride(f._t)
+    s, p = _dense(f._t, m)
     c0 = p[0]
     a = [_coeff_div(c, c0) for c in p]
-    deg = len(a) - 1
+    deg = (len(a) - 1) * m
     top = _max_cyclotomic_index(deg)
     b = [1]
     g = {}
     while a != b:
         n, gn = next((i, y - x) for i, (x, y)
                      in enumerate(zip_longest(a, b, fillvalue=0)) if x != y)
-        if type(gn) is not int or abs(gn) > deg or n > top:
+        if type(gn) is not int or abs(gn) > deg or n * m > top:
             raise ConsistencyError(
                 "%s is no product of cyclotomic polynomials" % f)
-        g[n] = gn
+        g[n * m] = gn
         if gn < 0:
             a = _times_binomial(a, n, -gn)
         else:
@@ -547,27 +573,32 @@ def _mobius_terms(d):
 
 @lru_cache(maxsize=1024)
 def _cyclotomic_poly(P):
-    """prod_d Phi_d(x)^e_d as a coefficient tuple, for a packed vector P of
-    exponents e_d >= 0.
+    """(m, p) with prod_d Phi_d(x)^e_d = sum_i p[i] x^(m i), p a coefficient
+    tuple, for a packed vector P of exponents e_d >= 0.
 
     By the Moebius products of the Phi_d the product is, up to sign,
-    p = prod_N (1 - x^N)^h(N), a polynomial with L = sum_N N h(N) + 1 terms.
-    Each 1 - x^N is antipalindromic, so p[L - 1 - i] = s p[i] for
-    s = (-1)^(sum_N h(N)), and only its first H = ceil(L/2) terms are
-    computed: as a power series cut off at H terms, in place, each factor
-    1 - x^N from the top down, each quotient 1/(1 - x^N) = sum_j x^(jN)
-    from the bottom up, and a binomial with N >= H, which is 1 below x^H,
-    not at all.  The rest is the mirror image.  The product is monic, so
-    it is s p.
+    prod_N (1 - x^N)^h(N), and each N with h(N) != 0 is a multiple of
+    m = gcd{N} (1 for the empty product).  So in y = x^m it is
+    p = prod_N (1 - y^(N/m))^h(N), a polynomial with
+    L = sum_N (N/m) h(N) + 1 terms.  Each 1 - y^n is antipalindromic, so
+    p[L - 1 - i] = s p[i] for s = (-1)^(sum_N h(N)), and only its first
+    H = ceil(L/2) terms are computed: as a power series cut off at H terms,
+    in place, each factor 1 - y^n from the top down, each quotient
+    1/(1 - y^n) = sum_j y^(jn) from the bottom up, and a binomial with
+    n >= H, which is 1 below y^H, not at all.  The rest is the mirror
+    image.  The product is monic, so it is s p.
     """
     h = {}
     for d, k in _unpack(P).items():
-        for n, m in _mobius_terms(d):
-            h[n] = h.get(n, 0) + m * k
-    size = sum(n * k for n, k in h.items()) + 1
+        for n, mu in _mobius_terms(d):
+            h[n] = h.get(n, 0) + mu * k
+    h = {n: k for n, k in h.items() if k}
+    m = math.gcd(*h) or 1
+    size = sum(n * k for n, k in h.items()) // m + 1
     half = (size + 1) // 2
     p = [1] + [0] * (half - 1)
     for n, k in h.items():
+        n //= m
         if n >= half:
             continue
         for _ in range(k):
@@ -578,8 +609,8 @@ def _cyclotomic_poly(P):
                 p[i] += p[i - n]
     mirror = p[:size - half][::-1]
     if sum(h.values()) % 2:
-        return tuple([-c for c in p] + mirror)
-    return tuple(p + mirror)
+        return m, tuple([-c for c in p] + mirror)
+    return m, tuple(p + mirror)
 
 
 @lru_cache(maxsize=1024)
@@ -588,10 +619,10 @@ def _cyclotomic_den(N):
     QFraction's normal form, den(0) = 1, for a packed vector N as
     _cyclotomic_poly takes it; built once per vector.  Phi_1(0) = -1 and
     Phi_d(0) = 1 for d > 1, so sign is -1 when Phi_1 has an odd exponent."""
-    p = _cyclotomic_poly(N)
+    m, p = _cyclotomic_poly(N)
     if p[0] > 0:
-        return 1, _sparse(0, p)
-    return -1, _sparse(0, [-c for c in p])
+        return 1, _sparse(0, p, m)
+    return -1, _sparse(0, [-c for c in p], m)
 
 
 def _merged_map(nums, dens):
@@ -647,7 +678,7 @@ class QFraction:
     equality of values coincides with structural equality.
     """
 
-    __slots__ = ("num", "den", "_hash")
+    __slots__ = ("num", "den", "_hash", "_printed")
 
     def __init__(self, num, den=None):
         if isinstance(num, (int, Fraction)):
@@ -665,6 +696,7 @@ class QFraction:
         self.num = num
         self.den = den
         self._hash = None
+        self._printed = None
 
     @classmethod
     def _raw(cls, num, den):
@@ -673,6 +705,7 @@ class QFraction:
         out.num = num
         out.den = den
         out._hash = None
+        out._printed = None
         return out
 
     @classmethod
@@ -697,6 +730,7 @@ class QFraction:
         out = _Factored.__new__(_Factored)
         out._key = m[:3]
         out._hash = None
+        out._printed = None
         return out
 
     @classmethod
@@ -708,12 +742,13 @@ class QFraction:
         denominator is prod_d Phi_d^-C_d with C_d the least of 0 and every
         term's e_d, taken slot by slot on the packed vectors as
         min(C, E) = C - P(C - E) (_split); each term's numerator over it is
-        the cached product keyed by E - C, expanded and added into one
+        the cached product keyed by E - C, added at its stride into one
         coefficient map.  A zero sum, the residuals' usual result, stops
-        there.  Otherwise each Phi_d of the denominator is divided out of
-        the sum while it divides it exactly; the Phi_d are irreducible and
-        pairwise coprime, so what is left is in lowest terms.  Every key and
-        difference is of two maps within _BOUND, so it stays in its slots.
+        there.  Otherwise each Phi_d of the denominator, inflated to stride
+        1, is divided out of the sum's dense list while it divides it
+        exactly; the Phi_d are irreducible and pairwise coprime, so what is
+        left is in lowest terms.  Every key and difference is of two maps
+        within _BOUND, so it stays in its slots.
         """
         maps = list(merged)
         least = 0
@@ -721,8 +756,10 @@ class QFraction:
             least -= _split(least - m[2])[0]
         t = {}
         for unit, shift, E, _ in maps:
-            for i, c in enumerate(_cyclotomic_poly(E - least), shift):
+            m, p = _cyclotomic_poly(E - least)
+            for i, c in enumerate(p):
                 if c:
+                    i = shift + m * i
                     c0 = t.get(i)
                     t[i] = unit * c if c0 is None else c0 + unit * c
         t = {i: _as_fraction(c) for i, c in t.items() if c}
@@ -731,7 +768,9 @@ class QFraction:
         low, p = _dense(t)
         common = _unpack(-least)
         for d in common:
-            phi = _cyclotomic_poly(1 << (_SLOT * d))
+            m, c = _cyclotomic_poly(1 << (_SLOT * d))
+            phi = [0] * (m * (len(c) - 1) + 1)
+            phi[::m] = c
             while common[d]:
                 quotient = _divide(p, phi)
                 if quotient is None:
@@ -875,22 +914,32 @@ class QFraction:
     # -- serialization ----------------------------------------------------
 
     def json_entry(self):
-        """{"value": self.to_json(), "str": str(self)}, from one formatting
-        pass over num and one over den (_format)."""
+        """{"value": self.to_json(), "str": str(self)}.
+
+        The value dict and the text come from one formatting pass over num
+        and one over den (_format), made on the first call of json_entry,
+        to_json or str and kept in the value: each later call returns the
+        same parts, shared like Matrix rows, so they are read only."""
+        value, text = self._printed or self._print()
+        return {"value": value, "str": text}
+
+    def _print(self):
         num, text = _format(self.num._t)
         if _is_one(self.den):
-            return {"value": {"num": num, "den": [[0, "1"]]}, "str": text}
-        den, den_text = _format(self.den._t)
-        if len(num) > 1:
-            text = "(%s)" % text
-        return {"value": {"num": num, "den": den},
-                "str": "%s/(%s)" % (text, den_text)}
+            printed = {"num": num, "den": [[0, "1"]]}, text
+        else:
+            den, den_text = _format(self.den._t)
+            if len(num) > 1:
+                text = "(%s)" % text
+            printed = {"num": num, "den": den}, "%s/(%s)" % (text, den_text)
+        self._printed = printed
+        return printed
 
     def to_json(self):
-        return self.json_entry()["value"]
+        return (self._printed or self._print())[0]
 
     def __str__(self):
-        return self.json_entry()["str"]
+        return (self._printed or self._print())[1]
 
     def __repr__(self):
         return "QFraction(%s)" % self
@@ -915,7 +964,7 @@ class _Factored(QFraction):
             raise AttributeError(name)
         unit, shift, E = self._key
         pos, neg = _split(E)
-        num = _cyclotomic_poly(pos)
+        m, num = _cyclotomic_poly(pos)
         sign, den = _cyclotomic_den(neg)
         if sign < 0:
             unit = -unit
@@ -924,7 +973,7 @@ class _Factored(QFraction):
                 num = [unit * c for c in num]
             else:
                 num = [_as_fraction(unit * c) for c in num]
-        self.num = num = _sparse(shift, num)
+        self.num = num = _sparse(shift, num, m)
         self.den = den
         return num if name == "num" else den
 
@@ -943,64 +992,47 @@ Q_MINUS_QINV = QFraction(qpow(1) - qpow(-1))
 
 # -- reading the printed form ---------------------------------------------
 
-# a printed term: c, c*q^e or q^e, with c = a or a/b and e = k or k/2; 1 is
-# never written before *, and [0-9], unlike \d, takes ASCII digits only
-_TERM = re.compile(r"(?!1\*)({0})(?:/({0}))?(?:\*q\^(-?{0})(/2)?)?"
-                   r"|q\^(-?{0})(/2)?".format("[1-9][0-9]*"))
+# a term as _format prints it: an optional "-", then c, c*q^e or q^e, with
+# c = a or a/b and e = k or k/2; [0-9], unlike \d, takes ASCII digits only
+_TERM = re.compile(r"(-?) ?(?=[1-9]|q\^)({0})?(?:/({0}))?(?:\*?q\^(-?{0})(/2)?)?"
+                   .format("[1-9][0-9]*"))
 
 
 def _read_terms(text):
-    """The coefficient map t with _format(t)[1] == text, or None.
-
-    That text is "0", or terms of strictly increasing exponent joined by
-    " + " or " - ", the first led by "-" if negative.  A term is c, c*q^e
-    or q^e: c a positive int or a reduced a/b with b > 1, and e a nonzero
-    int or an odd k over 2."""
-    if text == "0":
-        return {}
-    words = ("- " + text[1:] if text[:1] == "-" else "+ " + text).split(" ")
-    t, last = {}, None
-    for sign, term in zip(words[::2], words[1::2]):
-        m = _TERM.fullmatch(term)
-        if m is None or sign not in ("+", "-"):
-            return None
-        a, b, e, half, bare, bare_half = m.groups()
-        if a is None:
-            c, e, half = 1, bare, bare_half
-        elif b is None:
-            c = int(a)
-        else:
-            c = Fraction(int(a), int(b))
-            if b == "1" or c.denominator != int(b):
-                return None
-        k = 0 if e is None else int(e) if half else 2 * int(e)
-        if (half and not k & 1) or (last is not None and k <= last):
-            return None
-        t[k] = -c if sign == "-" else c
-        last = k
-    return None if len(words) & 1 else t
+    """The coefficient map of the terms that _TERM finds in text, a later
+    term replacing an earlier one of the same exponent; the characters
+    between terms are skipped.  On text that _format printed it is the map
+    printed; on any other text parse_qfraction's check refuses it."""
+    t = {}
+    for sign, a, b, e, half in _TERM.findall(text):
+        c = int(a) if a else 1
+        if b:
+            c = Fraction(c, int(b))
+        k = (int(e) if half else 2 * int(e)) if e else 0
+        t[k] = -c if sign else c
+    return t
 
 
 def parse_qfraction(s):
     """The QFraction x with str(x) == s.strip(); InvalidArgument on any
     other text.
 
-    A quotient prints as num/(den): num in parentheses exactly when it has
-    more than one term, and den of two or more terms, led by the constant 1
-    and coprime to num, which normalising checks at the cost of a gcd."""
+    The text is read as num/(den), its terms read (_read_terms), the
+    quotient normalised, and the value printed back: x is returned only
+    when it prints the text, so text that is not in lowest terms, in
+    order, or in the printed form of each term is refused.  The printed
+    form is kept, so a later str or to_json of x costs no formatting."""
     text = s.strip()
     head, slash, tail = text.partition("/(")
-    wrapped = slash != "" and head[:1] == "(" and head[-1:] == ")"
     try:
-        num = _read_terms(head[1:-1] if wrapped else head)
-        den = _read_terms(tail[:-1]) if tail[-1:] == ")" else None
-    except ValueError:  # int() refuses a number of over 4300 digits
-        num = None
-    if num is not None and not slash:
-        return QFraction._raw(HalfLaurent(num), _POLY_ONE)
-    if (num is not None and den is not None and len(den) > 1
-            and wrapped == (len(num) > 1)):
-        x = QFraction(HalfLaurent(num), HalfLaurent(den))
-        if x.num._t == num and x.den._t == den:
-            return x
-    raise InvalidArgument("not a printed value: %r" % s)
+        num = HalfLaurent(_read_terms(head))
+        if slash:
+            x = QFraction(num, HalfLaurent(_read_terms(tail)))
+        else:
+            x = QFraction._raw(num, _POLY_ONE)
+    # int() refuses a number of over 4300 digits; a den may have no terms
+    except (ValueError, ZeroDivisionError):
+        x = None
+    if x is None or str(x) != text:
+        raise InvalidArgument("not a printed value: %r" % s)
+    return x

@@ -210,3 +210,62 @@ def test_latency_by_kind_medians(tmp_path, capsys, monkeypatch):
                       "--run", "oracle:1", "--label", "t"])
     assert json.loads((tmp_path / "BENCH_t.json").read_text())["workloads"][
         "oracle"]["latency_by_kind_ms"] == {"parent": {}, "change": {}}
+
+
+# a stand-in for perfbench/run.py: it logs its checkout and arguments, then
+# writes the result file that run.py leaves, or fails on seed 13
+STUB = """import json, sys
+from pathlib import Path
+root = Path(__file__).resolve().parent.parent
+args = sys.argv[1:]
+with open(%r, "a") as log:
+    log.write(" ".join([root.name] + args) + "\\n")
+opts = dict(zip(args[::2], args[1::2]))
+if opts["--seed"] == "13":
+    sys.exit("stub: no result for seed 13")
+seed = int(opts["--seed"])
+result = {"machine": dict(%r, git_sha=root.name, seed=seed),
+          "metrics": {"wall_s": {"value": 2.0 if root.name == "parent" else 1.0,
+                                 "unit": "s"}},
+          "attempted": 10, "failed": 0}
+out = root / ".bench_out"
+out.mkdir(exist_ok=True)
+(out / ("%%s-seed%%d-trace0.json" %% (opts["--workload"], seed))).write_text(
+    json.dumps(result))
+"""
+
+
+def test_bench_runs_both_checkouts_alternately(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    log = tmp_path / "log"
+    for side in ("parent", "change"):
+        (tmp_path / side / "perfbench").mkdir(parents=True)
+        (tmp_path / side / "perfbench" / "run.py").write_text(STUB % (str(log), MACHINE))
+    # the parent's run_seconds is passed to both sides
+    (tmp_path / "parent" / "BENCHMARK.json").write_text(json.dumps({
+        "run_seconds": 7,
+        "end_to_end": [{"name": "wall_s", "better": "lower", "bound": 0.15}]}))
+    (tmp_path / "change" / "BENCHMARK.json").write_text(json.dumps({"run_seconds": 9}))
+    argv = ["--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"),
+            "--label", "t", "--bench"]
+    assert bench_pairs.main(argv + ["--run", "oracle:1-2", "--run", "closed_forms:4"]) == 0
+    args = "--seconds 7 --trace 0"
+    assert log.read_text().splitlines() == [
+        "change --workload oracle --seed 1 " + args,
+        "parent --workload oracle --seed 1 " + args,
+        "parent --workload oracle --seed 2 " + args,
+        "change --workload oracle --seed 2 " + args,
+        "parent --workload closed_forms --seed 4 " + args,
+        "change --workload closed_forms --seed 4 " + args,
+    ]
+    record = json.loads((tmp_path / "BENCH_t.json").read_text())
+    wall = record["workloads"]["oracle"]["metrics"]["wall_s"]
+    assert (wall["lower_in"], wall["pairs"]) == (2, 2)
+    assert record["git_sha"] == {"parent": "parent", "change": "change"}
+    assert "ran oracle seed 1, change first" in capsys.readouterr().out
+    # a failing run stops the tool with its standard error, before the
+    # other side runs
+    log.unlink()
+    with pytest.raises(SystemExit, match="exited with 1:\\nstub: no result for seed 13"):
+        bench_pairs.main(argv + ["--run", "oracle:13"])
+    assert log.read_text().splitlines() == ["change --workload oracle --seed 13 " + args]

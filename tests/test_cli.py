@@ -470,8 +470,24 @@ def test_module_store_is_bounded(capsys, monkeypatch):
 # the wigner and coupled PASSes of --suite all whose closed form is
 # nonzero, per signature: a PASS on 0 = 0 decides less, so a change that
 # turns nonzero agreements into zeros or SKIPs moves these
-NONZERO_PASSES = {(2, 1): {"wigner": 17, "coupled": 8},
-                  (1, 2): {"wigner": 16, "coupled": 12}}
+NONZERO_PASSES = {(1, 1): {"wigner": 15, "coupled": 5},
+                  (2, 1): {"wigner": 17, "coupled": 8},
+                  (1, 2): {"wigner": 16, "coupled": 12},
+                  (2, 2): {"wigner": 8, "coupled": 6},
+                  (3, 1): {"wigner": 18, "coupled": 9},
+                  (1, 3): {"wigner": 12, "coupled": 9}}
+
+
+def nonzero_passes(cases):
+    """{"wigner": count, "coupled": count} of the PASSes among verify's
+    cases whose detail starts with a closed form other than closed=0."""
+    nonzero = {"wigner": 0, "coupled": 0}
+    for case in cases:
+        if case["status"] == "PASS" and case["case"] in nonzero:
+            closed = case["detail"].split()[0]
+            assert closed.startswith("closed=")
+            nonzero[case["case"]] += closed != "closed=0"
+    return nonzero
 
 
 @pytest.mark.parametrize("m, n, passes, skips", [
@@ -493,19 +509,14 @@ def test_verify_all_outcome_counts(capsys, m, n, passes, skips):
                              "FAIL": 0}
     assert obj["skips"] == skips
     reasons = {}
-    nonzero = {"wigner": 0, "coupled": 0}
     for case in obj["cases"]:
         if case["status"] == "SKIP":
             reason = case["detail"].partition(": ")[0]
             reasons[reason] = reasons.get(reason, 0) + 1
             sided = case["case"] in ("wigner", "coupled")
             assert reason.endswith(("(closed form)", "(oracle)")) == sided
-        elif case["case"] in nonzero:
-            closed = case["detail"].split()[0]
-            assert closed.startswith("closed=")
-            nonzero[case["case"]] += closed != "closed=0"
     assert reasons == skips
-    assert nonzero == NONZERO_PASSES[m, n]
+    assert nonzero_passes(obj["cases"]) == NONZERO_PASSES[m, n]
 
 
 def test_skip_names_the_side_that_raised(capsys, monkeypatch):
@@ -617,6 +628,7 @@ def test_verify_all_output_is_pinned(capsys, m, n):
                     "--suite", "all")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_ALL_SHA256[m, n]
+    assert nonzero_passes(json.loads(out)["cases"]) == NONZERO_PASSES[m, n]
 
 
 # text covers non-ASCII and control characters; the trees hold only the

@@ -3,6 +3,7 @@
 import math
 import operator
 from fractions import Fraction
+from itertools import zip_longest
 from unittest import mock
 
 import pytest
@@ -400,12 +401,23 @@ def test_peel_bound_is_largest_cyclotomic_index():
     assert _max_cyclotomic_index(16) == 60
 
 
+def _inflated(P):
+    """_cyclotomic_poly(P) as a coefficient tuple in x: its coefficients in
+    y = x^m spread m apart."""
+    m, p = _cyclotomic_poly(P)
+    out = [0] * (m * (len(p) - 1) + 1)
+    out[::m] = p
+    return tuple(out)
+
+
 def test_cyclotomic_products_over_divisors():
-    # prod_{d | n} Phi_d(x) = x^n - 1
+    # prod_{d | n} Phi_d(x) = x^n - 1, which is y - 1 in y = x^n
     for n in range(1, 61):
         e = {d: 1 for d in range(1, n + 1) if n % d == 0}
         assert _unpack(_pack(e)) == e
-        assert _cyclotomic_poly(_pack(e)) == (-1,) + (0,) * (n - 1) + (1,)
+        assert _cyclotomic_poly(_pack(e)) == (n, (-1, 1))
+        assert (_inflated(_pack(e)) == _full_product_cyclotomic_poly(_pack(e))
+                == (-1,) + (0,) * (n - 1) + (1,))
 
 
 def _full_product_cyclotomic_poly(P):
@@ -431,21 +443,27 @@ def _full_product_cyclotomic_poly(P):
 @given(st.dictionaries(st.integers(1, 120), st.integers(0, 4), max_size=5))
 def test_cyclotomic_poly_matches_full_products(e):
     P = _pack(e)
-    assert _cyclotomic_poly(P) == _full_product_cyclotomic_poly(P)
+    assert _inflated(P) == _full_product_cyclotomic_poly(P)
 
 
 def test_cyclotomic_poly_fixed_cases():
     # Phi_105, the first cyclotomic polynomial with a coefficient -2
-    phi = _cyclotomic_poly(_pack({105: 1}))
+    phi = _inflated(_pack({105: 1}))
     assert -2 in phi and phi == _full_product_cyclotomic_poly(_pack({105: 1}))
     # Phi_6 = (1 - x^6)(1 - x)/((1 - x^3)(1 - x^2)) has L = 3 terms, of
     # which the first 2 are expanded: every binomial but 1 - x is skipped
-    assert _cyclotomic_poly(_pack({6: 1})) == (1, -1, 1)
-    # Phi_1 Phi_2 = x^2 - 1 is antipalindromic, with a middle term of 0
-    assert _cyclotomic_poly(_pack({1: 1, 2: 1})) == (-1, 0, 1)
-    for e in ({6: 2, 1: 1}, {1: 3, 2: 1}, {5: 1, 10: 2}):
-        assert _cyclotomic_poly(_pack(e)) == _full_product_cyclotomic_poly(_pack(e))
-    assert _cyclotomic_poly(0) == _full_product_cyclotomic_poly(0) == (1,)
+    assert _cyclotomic_poly(_pack({6: 1})) == (1, (1, -1, 1))
+    # Phi_1 Phi_2 = x^2 - 1 is antipalindromic, with a middle term of 0 in
+    # x, and is y - 1 in y = x^2
+    assert _cyclotomic_poly(_pack({1: 1, 2: 1})) == (2, (-1, 1))
+    assert _inflated(_pack({1: 1, 2: 1})) == (-1, 0, 1)
+    # Phi_12 = 1 - x^2 + x^4 and Phi_4 Phi_12 = 1 + x^6: strides 2 and 6
+    assert _cyclotomic_poly(_pack({12: 1})) == (2, (1, -1, 1))
+    assert _cyclotomic_poly(_pack({4: 1, 12: 1})) == (6, (1, 1))
+    for e in ({6: 2, 1: 1}, {1: 3, 2: 1}, {5: 1, 10: 2}, {4: 2, 12: 1}):
+        assert _inflated(_pack(e)) == _full_product_cyclotomic_poly(_pack(e))
+    assert _cyclotomic_poly(0) == (1, (1,))
+    assert _inflated(0) == _full_product_cyclotomic_poly(0) == (1,)
 
 
 def _coeffs(p):
@@ -517,15 +535,130 @@ def test_unlucky_point_grows_and_prs_decides(monkeypatch):
         return _prs_gcd(x, y)
 
     monkeypatch.setattr(qwig.exactq, "_prs_gcd", prs)
-    # the second point finds the gcd 1, with no pseudo-remainders
-    assert _check_gcd(a, b) == HalfLaurent.const(1) and not calls
+    # a and b have stride 4 in x = q^(1/2), and 1 - x and 1 + x + x^2 are
+    # the same lists at stride 1
+    a1, b1 = laurent({0: 1, 1: -1}), laurent({0: 1, 1: 1, 2: 1})
+    for x, y in ((a, b), (a1, b1)):
+        # the second point finds the gcd 1, with no pseudo-remainders
+        assert _check_gcd(x, y) == HalfLaurent.const(1) and not calls
     # with one point allowed, the pseudo-remainder loop decides, on the
-    # primitive coefficient lists of a and b shifted to exponent 0
+    # primitive coefficient lists of a and b shifted to exponent 0 and
+    # deflated by their stride
     monkeypatch.setattr(qwig.exactq, "_HEU_POINTS", 1)
-    assert _check_gcd(a, b) == HalfLaurent.const(1) and calls == [
-        ([1, 0, 0, 0, -1], [1, 0, 0, 0, 1, 0, 0, 0, 1])]
+    for x, y in ((a, b), (a1, b1)):
+        calls.clear()
+        assert _check_gcd(x, y) == HalfLaurent.const(1) and calls == [
+            ([1, -1], [1, 1, 1])]
     g = qnum(2) * qnum(3)
     assert _check_gcd(a * g, b * g) == g * qpow(3)
+
+
+def _spread(p, step, shift):
+    """The HalfLaurent x^shift p(x^step) of a HalfLaurent p."""
+    return laurent({shift + step * k: c for k, c in p.items()})
+
+
+int_polys = st.dictionaries(st.integers(0, 5), st.integers(-6, 6).filter(bool),
+                            min_size=1, max_size=4).map(laurent)
+strides = st.integers(1, 8)
+
+
+@settings(max_examples=200, deadline=None)
+@given(int_polys, int_polys, int_polys, strides, strides, dexps, dexps)
+# a shared factor, strides 4 and 6 deflated by 2
+@example(laurent({0: 1, 1: 1}), laurent({0: 1, 2: -1}), laurent({0: 1, 1: 1}),
+         4, 6, 3, -5)
+def test_deflated_gcd_matches_undeflated(a, b, g, sa, sb, ka, kb):
+    # x^ka a(x^sa) and x^kb b(x^sb) share g(x^lcm(sa, sb)); the gcd and
+    # cofactors found in y = x^m for their stride m are those found on the
+    # undeflated lists, with _stride made to return 1
+    shared = _spread(g, math.lcm(sa, sb), 0)
+    x, y = _spread(a, sa, ka) * shared, _spread(b, sb, kb) * shared
+    m = qwig.exactq._stride(x._t, y._t)
+    assert m % math.gcd(sa, sb) == 0 or x.is_monomial() and y.is_monomial()
+    got = _poly_gcd(x, y)
+    with mock.patch.object(qwig.exactq, "_stride", lambda *maps: 1):
+        assert _poly_gcd(x, y) == got
+    assert got[1] * got[0] == x and got[2] * got[0] == y
+    assert got[0].is_monomial() or qwig.exactq._stride(got[0]._t) % m == 0
+
+
+def test_stride_is_the_gcd_of_exponent_differences():
+    stride = qwig.exactq._stride
+    assert stride({4: 1, 10: 2}, {-3: 1, 5: 1}) == 2
+    assert stride({0: 1, 12: 1}, {7: 1}) == 12
+    assert stride({3: 1}, {5: 2}) == stride({0: 1}) == 1
+    assert stride({-1: 1, 0: 1}) == 1
+
+
+def _reference_peel(f):
+    """_factor_map(f) by the peel of f's undeflated coefficient list in
+    x = q^(1/2): each g(N) is the lowest term in which the two sides of
+    p = prod_N (1 - x^N)^g(N) still differ, and e_d sums g(N) over the
+    multiples N of d.  Only for products of cyclotomic polynomials."""
+    s, p = _dense(f._t)
+    c0 = p[0]
+    a, b, g = [Fraction(c, c0) for c in p], [1], {}
+    while a != b:
+        n, gn = next((i, y - x) for i, (x, y)
+                     in enumerate(zip_longest(a, b, fillvalue=0)) if x != y)
+        g[n] = int(gn)
+        if gn < 0:
+            a = _times_binomial(a, n, -g[n])
+        else:
+            b = _times_binomial(b, n, g[n])
+    e = {d: sum(gn for n, gn in g.items() if n % d == 0)
+         for d in range(1, max(g, default=0) + 1)}
+    e = {d: k for d, k in e.items() if k}
+    unit = -c0 if sum(g.values()) % 2 else c0
+    return unit, s, _pack(e), max(map(abs, e.values()), default=0)
+
+
+def test_factor_map_matches_undeflated_peel():
+    # the peel in y = x^m finds what the peel in x finds, for every
+    # q-number and root-product factor with arguments of size up to 40
+    for n in range(-40, 41):
+        if n:
+            assert _factor_map(qnum(n)) == _reference_peel(qnum(n))
+    for x in range(-40, 41):
+        for y in range(-40, 41):
+            if x != y:
+                f = _root_diff(x, y)
+                assert _factor_map(f) == _reference_peel(f)
+
+
+def _peel_steps(f, m):
+    """The binomial steps (N, k), N in x, of _factor_map(f) peeling in
+    y = x^m, up to the ConsistencyError that it must raise."""
+    steps = []
+
+    def times(p, n, k):
+        steps.append((n * m, k))
+        return _times_binomial(p, n, k)
+
+    with mock.patch.multiple(qwig.exactq, _times_binomial=times,
+                             _stride=lambda *maps: m):
+        with pytest.raises(ConsistencyError):
+            _factor_map(f)
+    return steps
+
+
+@pytest.mark.parametrize("f", [
+    laurent({0: 1, 1: -1000}),                     # 1 - 1000 q^(1/2)
+    laurent({0: 1, 2: 2}),                         # 1 + 2q
+    # Lehmer's polynomial in q, and one of degree 16 in q^(1/2)
+    laurent({2 * k: c for k, c in
+             {0: 1, 1: 1, 3: -1, 4: -1, 5: -1, 6: -1, 7: -1, 9: 1, 10: 1}.items()}),
+    laurent({-8: 1, 5: -1, 8: -1}),
+])
+def test_deflated_peel_gives_up_where_the_undeflated_one_does(f):
+    # the bounds stay in x: spread to strides 4 and 6, a factor that is no
+    # cyclotomic product is peeled in y through the same N as in x
+    for step in (1, 4, 6):
+        g = _spread(f, step, -3)
+        m = qwig.exactq._stride(g._t)
+        assert m % step == 0
+        assert _peel_steps(g, m) == _peel_steps(g, 1)
 
 
 quotient_terms = st.lists(
@@ -783,6 +916,54 @@ def test_one_character_edits_are_refused_or_read_exactly(x, data):
     except InvalidArgument:
         return
     assert str(y) == edited.strip()
+
+
+factored_values = st.builds(quotient_of_factors,
+                            st.lists(cyclotomic_factors, max_size=3),
+                            st.lists(cyclotomic_factors, max_size=3))
+PRINTERS = {"str": str, "to_json": QFraction.to_json,
+            "json_entry": QFraction.json_entry}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(fractions, rat_fractions, factored_values),
+       st.sampled_from(sorted(PRINTERS)))
+def test_printed_form_is_kept_and_matches_a_fresh_copy(x, first):
+    # a plain or factored value prints nothing until asked, and a parsed
+    # one keeps the form it was checked against; whichever of str, to_json
+    # and json_entry comes first, it and every later call give what a
+    # freshly normalised copy prints, and the parts are kept, not rebuilt
+    assert x._printed is None
+    parsed = parse_qfraction(str(QFraction(x.num, x.den)))
+    assert parsed == x and hash(parsed) == hash(x)
+    assert parsed._printed is not None
+    for v in (x, parsed):
+        want = QFraction(v.num, v.den).json_entry()
+        shown = {"str": want["str"], "to_json": want["value"], "json_entry": want}
+        assert PRINTERS[first](v) == shown[first]
+        for _ in range(2):
+            assert v.json_entry() == want
+            assert v.to_json() == want["value"] and str(v) == want["str"]
+        assert v.to_json() is v.json_entry()["value"]
+
+
+# the alphabet of printed values, and any text; 16 characters allow no
+# quotient of two sides of two terms each with an exponent beyond 3 digits,
+# whose normalisation would build dense lists of that exponent's size
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(st.text(alphabet="0123456789 q^+-*/()", max_size=16),
+                 st.text(max_size=16)))
+@example("9" * 4301)
+@example("q^-" + "1" * 4301)
+@example("(1 + q^2)/(1 + " + "2" * 4301 + "*q^4)")
+@example("1/(" + "0)")
+@example("(1 + q)/(1 - q^3/2)")
+def test_any_text_is_read_exactly_or_refused(s):
+    try:
+        x = parse_qfraction(s)
+    except InvalidArgument:
+        return
+    assert str(x) == s.strip()
 
 
 def test_half_laurent_operands():

@@ -1,9 +1,15 @@
 """Compare two checkouts' benchmark results, seed by seed.
 
     python3 tools/bench_pairs.py --parent ../parent --change . \
-        --run closed_forms:301-310 --run oracle:311-318 --label mychange
+        --run closed_forms:301-310 --run oracle:311-318 --label mychange \
+        [--bench]
 
-For each ``--run WORKLOAD:SEEDS`` it reads
+With ``--bench`` it first runs ``perfbench/run.py --trace 0`` in both
+checkouts for every seed of every ``--run``, for the ``run_seconds`` of the
+parent's ``BENCHMARK.json``: the parent first on even seeds and the change
+first on odd ones.  A run that exits non-zero stops it with that run's
+standard error.  Then, as without it, for each ``--run WORKLOAD:SEEDS`` it
+reads
 ``<checkout>/.bench_out/<workload>-seed<n>-trace0.json`` from both
 checkouts, as ``perfbench/run.py --trace 0`` leaves them, and pairs the two
 results of each seed.  It prints, per metric, each side's median and
@@ -24,8 +30,8 @@ prints the lines of ``*.py`` files added and removed under ``src/``,
 ``tests/``, ``tools/`` and ``demos/`` between the two checkouts, by
 ``git diff --no-index --numstat``.  It writes
 ``BENCH_<label>.json``, in the current directory, with the same numbers,
-both git shas and the machine record.  It runs no benchmark: run the
-benchmark on both checkouts first, alternating which goes first.
+both git shas and the machine record.  Without ``--bench`` it runs no
+benchmark: run it on both checkouts first, alternating which goes first.
 """
 
 import argparse
@@ -164,6 +170,29 @@ def kind_latencies(results):
             for kind, stats in sorted(values.items())}
 
 
+def run_benchmarks(parent, change, runs):
+    """Run perfbench/run.py --trace 0 in the parent's and the change's
+    checkouts for each seed of each (workload, seeds) of runs, with the
+    parent's run_seconds; the parent goes first on even seeds.  Exit with
+    the run's standard error if one exits non-zero."""
+    seconds = json.loads((Path(parent) / "BENCHMARK.json").read_text())["run_seconds"]
+    for workload, seeds in runs:
+        for seed in seeds:
+            order = (parent, change) if seed % 2 == 0 else (change, parent)
+            for checkout in order:
+                done = subprocess.run(
+                    [sys.executable, str(Path(checkout) / "perfbench" / "run.py"),
+                     "--workload", workload, "--seed", str(seed),
+                     "--seconds", str(seconds), "--trace", "0"],
+                    cwd=checkout, capture_output=True, text=True)
+                if done.returncode:
+                    sys.exit("bench_pairs: %s seed %d in %s exited with %d:\n%s"
+                             % (workload, seed, checkout, done.returncode,
+                                done.stderr))
+            print("ran %s seed %d, %s first" % (
+                workload, seed, "change" if seed % 2 else "parent"))
+
+
 def net_lines(parent, change):
     """{dir: {"added", "removed", "net"}}: the lines of *.py files added
     and removed under each of NET_DIRS from the parent's checkout to the
@@ -199,7 +228,11 @@ def main(argv=None):
     p.add_argument("--run", type=parse_run, action="append", required=True,
                    metavar="WORKLOAD:SEEDS")
     p.add_argument("--label", required=True, help="names BENCH_<label>.json")
+    p.add_argument("--bench", action="store_true",
+                   help="run the benchmark in both checkouts first")
     args = p.parse_args(argv)
+    if args.bench:
+        run_benchmarks(args.parent, args.change, args.run)
     record = {"label": args.label, "workloads": {}}
     sides = {"parent": [], "change": []}
     limits = bounds(args.parent)
