@@ -25,7 +25,7 @@ from .errors import (
     QwigError,
 )
 from .invariants import chi_C1, chi_v
-from .superweight import RootSet, Signature, Weight, _parse_block, is_typical
+from .superweight import RootSet, Signature, Weight, is_typical
 from .wigner import coupled_table, omega_table, sum_rule_residual
 from .exactq import ONE
 
@@ -39,40 +39,49 @@ LABEL_MAX, VERIFY_D_MAX = 1000, 10
 MODULE_STORE_SIZE = 4
 
 
-def _parse_weight(text, m=None, n=None):
-    """Parse '1,0|0' into a dominant Weight, both blocks nonincreasing,
-    inferring the signature when m, n are not supplied."""
+def _parse_blocks(text, what):
+    """(even, odd, bar): the two blocks of text, split at its first '|'
+    once, as tuples of ints, and the '|' or "" without one.  A block may be
+    empty, an item may not: NonIntegralWeight, naming the text as what,
+    unless each item, once stripped, is ASCII digits with an optional
+    sign.  int() alone would also read '1_0' as 10 and non-ASCII digits as
+    their values."""
     even_s, bar, odd_s = text.partition("|")
+    blocks = []
+    for block in (even_s, odd_s):
+        labels = []
+        for item in block.split(",") if block else ():
+            item = item.strip()
+            digits = item[1:] if item[:1] in ("+", "-") else item
+            if not (digits.isascii() and digits.isdigit()):
+                raise NonIntegralWeight("cannot parse %s %r" % (what, text))
+            labels.append(int(item))
+        blocks.append(tuple(labels))
+    return blocks[0], blocks[1], bar
+
+
+def _parse_weight(text):
+    """The dominant Weight that text such as '1,0|0' names, both blocks
+    nonincreasing (_parse_blocks); the blocks' sizes are m and n."""
+    even, odd, bar = _parse_blocks(text, "weight")
     if not bar:
         raise InvalidArgument(
             "weight %r needs a '|' separating the blocks" % text)
-    ev = [x for x in even_s.split(",") if x.strip() != ""]
-    od = [x for x in odd_s.split(",") if x.strip() != ""]
-    pm, pn = len(ev), len(od)
-    if m is not None and m != pm:
-        raise InvalidArgument("--m %d conflicts with weight %r" % (m, text))
-    if n is not None and n != pn:
-        raise InvalidArgument("--n %d conflicts with weight %r" % (n, text))
-    lam = Weight.parse(Signature(pm, pn), text)
+    lam = Weight(Signature(len(even), len(odd)), even + odd)
     if any(abs(c) > LABEL_MAX for c in lam.comps):
         raise InvalidArgument(
             "weight %r has a label past %d in size" % (text, LABEL_MAX))
-    if not (_even_block_dominant(lam.even, pm)
-            and _even_block_dominant(lam.odd, pn)):
+    if not (_even_block_dominant(even, lam.sig.m)
+            and _even_block_dominant(odd, lam.sig.n)):
         raise InvalidArgument("weight %s is not dominant" % lam)
     return lam
 
 
 def _parse_lower(text, sig):
-    """Parse a lower weight of gl(m|n-1), 'a,b,c' or 'a,b|c', into a tuple
-    of m+n-1 ints.  The blocks read as in Weight.parse: a block may be
-    empty, an item may not.  With a '|' the blocks hold m and n-1
-    components."""
-    even_s, bar, odd_s = text.partition("|")
-    try:
-        even, odd = _parse_block(even_s), _parse_block(odd_s)
-    except ValueError:
-        raise NonIntegralWeight("cannot parse lower weight %r" % text)
+    """A lower weight of gl(m|n-1), 'a,b,c' or 'a,b|c', as a tuple of
+    m+n-1 ints, its blocks read as _parse_weight reads them
+    (_parse_blocks).  With a '|' the blocks hold m and n-1 components."""
+    even, odd, bar = _parse_blocks(text, "lower weight")
     if bar and (len(even), len(odd)) != (sig.m, sig.n - 1):
         raise InvalidArgument(
             "lower weight %r needs blocks of %d and %d components for %s"
@@ -205,14 +214,14 @@ def _emit(payload, out_path, csv_rows=None):
 
 
 def _cmd_roots(args):
-    lam = _parse_weight(args.weight, args.m, args.n)
+    lam = _parse_weight(args.weight)
     payload = RootSet.of(lam, args.variant).to_json()
     _emit(payload, args.out)
     return 0
 
 
 def _cmd_branch(args):
-    lam = _parse_weight(args.weight, args.m, args.n)
+    lam = _parse_weight(args.weight)
     out = []
     for b in branch_candidates(lam):
         out.append(
@@ -248,7 +257,7 @@ def _table_csv_rows(table, coupled):
 
 
 def _cmd_wigner(args):
-    lam = _parse_weight(args.weight, args.m, args.n)
+    lam = _parse_weight(args.weight)
     lam0 = _parse_lower(args.lower, lam.sig)
     b = BranchingData(lam, lam0)
     build = coupled_table if args.coupled else omega_table
@@ -279,7 +288,7 @@ def _cmd_wigner(args):
 
 
 def _cmd_invariants(args):
-    lam = _parse_weight(args.weight, args.m, args.n)
+    lam = _parse_weight(args.weight)
     payload = {
         "weight": str(lam),
         "signature": [lam.sig.m, lam.sig.n],
@@ -475,8 +484,6 @@ def build_parser():
     def common(sp):
         sp.add_argument("--weight", required=True,
                         help="highest weight, e.g. '1,0|0'")
-        sp.add_argument("--m", type=int, help="even block size")
-        sp.add_argument("--n", type=int, help="odd block size")
         sp.add_argument("--out", help="output path (.csv for tables)")
 
     sp = sub.add_parser("roots", help="characteristic roots of a weight")

@@ -708,13 +708,6 @@ class QFraction:
         out._printed = None
         return out
 
-    @classmethod
-    def from_maps(cls, nums, dens):
-        """The quotient of the products of two sequences of maps, each
-        c q^(s/2) prod_d Phi_d(q^(1/2))^e_d: the maps merged by _merged_map,
-        then from_merged."""
-        return cls.from_merged(_merged_map(nums, dens))
-
     @staticmethod
     def from_merged(m):
         """The value of the merged map m = (unit, shift, E, b), as
@@ -736,7 +729,7 @@ class QFraction:
     @classmethod
     def sum_of_quotients(cls, merged):
         """sum(from_merged(m) for m in merged), in normal form, over one
-        common denominator and with no gcd.
+        common denominator.
 
         Each term is a merged map c q^(s/2) prod_d Phi_d^e_d.  The common
         denominator is prod_d Phi_d^-C_d with C_d the least of 0 and every
@@ -744,11 +737,9 @@ class QFraction:
         min(C, E) = C - P(C - E) (_split); each term's numerator over it is
         the cached product keyed by E - C, added at its stride into one
         coefficient map.  A zero sum, the residuals' usual result, stops
-        there.  Otherwise each Phi_d of the denominator, inflated to stride
-        1, is divided out of the sum's dense list while it divides it
-        exactly; the Phi_d are irreducible and pairwise coprime, so what is
-        left is in lowest terms.  Every key and difference is of two maps
-        within _BOUND, so it stays in its slots.
+        there with no gcd; any other sum is normalised by the constructor.
+        Every key and difference is of two maps within _BOUND, so it stays
+        in its slots.
         """
         maps = list(merged)
         least = 0
@@ -765,22 +756,9 @@ class QFraction:
         t = {i: _as_fraction(c) for i, c in t.items() if c}
         if not t:
             return ZERO
-        low, p = _dense(t)
-        common = _unpack(-least)
-        for d in common:
-            m, c = _cyclotomic_poly(1 << (_SLOT * d))
-            phi = [0] * (m * (len(c) - 1) + 1)
-            phi[::m] = c
-            while common[d]:
-                quotient = _divide(p, phi)
-                if quotient is None:
-                    break
-                p = quotient
-                common[d] -= 1
-        sign, den = _cyclotomic_den(_pack(common))
-        if sign < 0:
-            p = [-c for c in p]
-        return cls._raw(_sparse(low, p), den)
+        sign, den = _cyclotomic_den(-least)
+        x = cls(HalfLaurent(t), den)
+        return -x if sign < 0 else x
 
     @classmethod
     def sum_of_products(cls, pairs):
@@ -998,17 +976,27 @@ _TERM = re.compile(r"(-?) ?(?=[1-9]|q\^)({0})?(?:/({0}))?(?:\*?q\^(-?{0})(/2)?)?
                    .format("[1-9][0-9]*"))
 
 
+# the reader refuses a doubled exponent past _DEXP_MAX in size, as the CLI
+# bounds weight labels: normalising a quotient builds dense lists as long
+# as its exponent span
+_DEXP_MAX = 1 << 13
+
+
 def _read_terms(text):
     """The coefficient map of the terms that _TERM finds in text, a later
     term replacing an earlier one of the same exponent; the characters
     between terms are skipped.  On text that _format printed it is the map
-    printed; on any other text parse_qfraction's check refuses it."""
+    printed; on any other text parse_qfraction's check refuses it.
+    InvalidArgument on a doubled exponent past _DEXP_MAX in size."""
     t = {}
     for sign, a, b, e, half in _TERM.findall(text):
         c = int(a) if a else 1
         if b:
             c = Fraction(c, int(b))
         k = (int(e) if half else 2 * int(e)) if e else 0
+        if abs(k) > _DEXP_MAX:
+            raise InvalidArgument(
+                "%r has an exponent past %d in size" % (text, _DEXP_MAX // 2))
         t[k] = -c if sign else c
     return t
 
@@ -1020,7 +1008,8 @@ def parse_qfraction(s):
     The text is read as num/(den), its terms read (_read_terms), the
     quotient normalised, and the value printed back: x is returned only
     when it prints the text, so text that is not in lowest terms, in
-    order, or in the printed form of each term is refused.  The printed
+    order, or in the printed form of each term is refused, and so is a
+    term whose doubled exponent is past _DEXP_MAX in size.  The printed
     form is kept, so a later str or to_json of x costs no formatting."""
     text = s.strip()
     head, slash, tail = text.partition("/(")
@@ -1030,6 +1019,8 @@ def parse_qfraction(s):
             x = QFraction(num, HalfLaurent(_read_terms(tail)))
         else:
             x = QFraction._raw(num, _POLY_ONE)
+    except InvalidArgument:  # an exponent past the reader's bound
+        raise
     # int() refuses a number of over 4300 digits; a den may have no terms
     except (ValueError, ZeroDivisionError):
         x = None

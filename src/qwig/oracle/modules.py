@@ -12,7 +12,6 @@ graded Kronecker product.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from operator import mul
 
@@ -23,7 +22,7 @@ from ..errors import (
     NotRealized,
     SignatureMismatch,
 )
-from ..exactq import ONE, QFraction, qpow
+from ..exactq import ONE, HalfLaurent, QFraction
 from ..superweight import Weight
 from .linalg import (
     Matrix,
@@ -111,7 +110,7 @@ def _int_weight(w):
 def _qmonomial(dexp):
     """q^(dexp/2) as a QFraction, normalised once per exponent; modules
     share the value, so the cache holds one entry per exponent met."""
-    return QFraction(qpow(Fraction(dexp, 2)))
+    return QFraction(HalfLaurent({dexp: 1}))
 
 
 def vector_rep(sig):
@@ -239,11 +238,9 @@ def submodule(W, start_vectors):
 
 
 def _parity_of_weight(sig, wt):
-    """In a tensor power of the vector module the weight fixes the parity."""
-    odd = sum(wt[sig.m :], Fraction(0))
-    if odd.denominator != 1:
-        raise NonIntegralWeight("odd part of %s is not integral" % (wt,))
-    return int(odd) % 2
+    """In a tensor power of the vector module the weight fixes the parity;
+    wt is a weight of a RepModule, so its components are ints."""
+    return sum(wt[sig.m :]) % 2
 
 
 def _lowering_span(W, starts, gens):

@@ -155,16 +155,6 @@ class Weight(_Value):
     def odd(self):
         return self.comps[self.sig.m :]
 
-    @classmethod
-    def parse(cls, sig, text):
-        """Parse 'a,b|c' into a Weight of the given signature."""
-        even_s, _, odd_s = text.partition("|")
-        try:
-            even, odd = _parse_block(even_s), _parse_block(odd_s)
-        except ValueError:
-            raise NonIntegralWeight("cannot parse weight %r" % text)
-        return cls(sig, even + odd)
-
     # formatted once: a weight is printed in every message and key that
     # names it or one of its branchings
     @_memo
@@ -176,23 +166,6 @@ class Weight(_Value):
 
     def __str__(self):
         return self._text
-
-
-def _parse_block(text):
-    """The comma-separated integers of one block of a weight, () for an
-    empty block; ValueError unless each item, once stripped, is ASCII
-    digits with an optional sign.  int() alone would also read '1_0' as 10
-    and non-ASCII digits as their values."""
-    if not text:
-        return ()
-    out = []
-    for item in text.split(","):
-        item = item.strip()
-        digits = item[1:] if item[:1] in ("+", "-") else item
-        if not (digits.isascii() and digits.isdigit()):
-            raise ValueError("not an integer: %r" % item)
-        out.append(int(item))
-    return tuple(out)
 
 
 def rho(sig):

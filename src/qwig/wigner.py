@@ -283,7 +283,7 @@ def _matrix_element(side, r, point, form, phase):
             return ZERO
         nums = [(side.sigma(), 2 * phase, 0, 0)] + [_qnum_map(x) for x in args]
         dens = [_qnum_map(point - bl) for bl in others]
-    return QFraction.from_maps(nums, dens)
+    return QFraction.from_merged(_merged_map(nums, dens))
 
 
 def gamma(b, r, variant, form="root_product", alpha0_override=None):
@@ -371,7 +371,7 @@ def omega_coupled(b, k, r, variant, form="qnumber_phase"):
         nums += [_root_map(ap, a0r) for ap in aps]
         dens = [_root_map(a0r, bl) for bl in betas]
         dens += [_root_map(ap, ak) for ap in aps]
-    return QFraction.from_maps(nums, dens)
+    return QFraction.from_merged(_merged_map(nums, dens))
 
 
 # -- tables and identities ---------------------------------------------------

@@ -8,7 +8,7 @@ import random
 import pytest
 
 from qwig import ZERO, HalfLaurent, QFraction, Signature, Weight, branch_candidates
-from qwig.exactq import _as_fraction, _factor_map
+from qwig.exactq import _as_fraction, _factor_map, _merged_map
 from qwig.oracle.modules import (
     highest_weight_vectors, realized_modules, submodule, tensor_module, vector_rep,
 )
@@ -33,15 +33,16 @@ def laurent(terms=()):
 
 def quotient_of_factors(nums, dens):
     """prod(nums)/prod(dens) for HalfLaurent factors that are products of
-    cyclotomic polynomials: each is peeled by _factor_map and the maps are
-    merged by QFraction.from_maps.  A zero denominator factor raises
-    ZeroDivisionError; otherwise a zero numerator factor gives ZERO."""
+    cyclotomic polynomials: each is peeled by _factor_map, the maps are
+    merged by _merged_map and the value built by QFraction.from_merged.
+    A zero denominator factor raises ZeroDivisionError; otherwise a zero
+    numerator factor gives ZERO."""
     if not all(dens):
         raise ZeroDivisionError("zero denominator")
     if not all(nums):
         return ZERO
-    return QFraction.from_maps([_peel(f) for f in nums],
-                               [_peel(f) for f in dens])
+    return QFraction.from_merged(_merged_map([_peel(f) for f in nums],
+                                             [_peel(f) for f in dens]))
 
 
 def check_value(cls, fields, text):

@@ -14,23 +14,29 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qwig import (
+    ONE,
+    ZERO,
     NotScalar,
     Signature,
     Weight,
     index_sets,
     parse_qfraction,
+    qnum,
     sum_rule_residual,
 )
 import qwig
+from qwig import wigner
 from qwig.cli import (
     LABEL_MAX,
     MODULE_STORE_SIZE,
     VERIFY_D_MAX,
     _dump_json,
     _modules,
+    _parse_weight,
     build_parser,
     main,
 )
+from qwig.exactq import _factor_map
 
 
 def run(capsys, *argv):
@@ -169,9 +175,13 @@ def test_weight_parse_errors(tmp_path, capsys):
     # every input error names its own type, none the base QwigError
     code, obj = run_json(capsys, "roots", "--weight", "1,0")
     assert code == 1 and obj["error"]["type"] == "InvalidArgument"
-    code, obj = run_json(capsys, "roots", "--weight", "1,0|0", "--m", "3")
-    assert code == 1 and "conflicts" in obj["error"]["message"]
-    assert obj["error"]["type"] == "InvalidArgument"
+    # the weight's blocks fix m and n: the weight commands take no --m
+    with pytest.raises(SystemExit) as exc:
+        main(["roots", "--weight", "1,0|0", "--m", "3"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    code, obj = run_json(capsys, "branch", "--weight", "1,0|0,0")
+    assert code == 0 and obj["signature"] == [2, 2]
     code, obj = run_json(capsys, "wigner", "--weight", "1,0|0",
                          "--lower", "0", "--kind", "lower")
     assert code == 1 and obj["error"]["type"] == "InvalidArgument"
@@ -583,10 +593,38 @@ def test_wigner_reports_library_sum_rule(capsys, sig, weight, lower, kind, form)
     code, obj = run_json(capsys, "wigner", "--weight", weight, "--lower", lower,
                          "--kind", kind, "--form", form)
     assert code == 0
-    b = index_sets(Weight.parse(Signature(*sig), weight),
+    b = index_sets(_parse_weight(weight),
                    [int(x) for x in lower.split(",")])
     primary = "root_product" if form == "both" else form
     assert obj["sum_rule_residual"] == str(sum_rule_residual(b, kind, primary))
+
+
+def test_a_nonzero_sum_rule_reaches_the_table(capsys, monkeypatch):
+    # omega_1 with an extra factor [2]: the sum of the printed entries is
+    # no longer 1 but a quotient, which sum_rule_residual normalises through
+    # the QFraction constructor; "sum" and its residual print it exactly
+    real = wigner._omega_maps
+
+    def patched(side, k, form, cancel=None):
+        maps = real(side, k, form, cancel)
+        if k != side.K[0] or maps is None:
+            return maps
+        return maps[0] + [_factor_map(qnum(2))], maps[1]
+
+    wigner._side.cache_clear()
+    monkeypatch.setattr(wigner, "_omega_maps", patched)
+    try:
+        code, obj = run_json(capsys, "wigner", "--weight", "3,1|0",
+                             "--lower", "2,1", "--kind", "lower")
+    finally:
+        monkeypatch.undo()
+        wigner._side.cache_clear()
+    assert code == 0
+    values = [parse_qfraction(e["str"]) for e in obj["entries"].values()]
+    s = sum(values, ZERO)
+    assert s != ONE and s.den != ONE.den and len([v for v in values if v]) > 1
+    assert obj["sum"] == str(s)
+    assert obj["sum_rule_residual"] == str(s - ONE)
 
 
 def test_parser_built_once_serves_each_call(capsys):

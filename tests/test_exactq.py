@@ -2,6 +2,7 @@
 
 import math
 import operator
+import time
 from fractions import Fraction
 from itertools import zip_longest
 from unittest import mock
@@ -31,6 +32,7 @@ from qwig.exactq import (
     _factor_map,
     _max_cyclotomic_index,
     _BOUND,
+    _DEXP_MAX,
     _merged_map,
     _mobius_terms,
     _pack,
@@ -346,7 +348,7 @@ def test_from_maps_matches_whole_quotient(nums, dens, shared):
     nums = nums + [g for g, _, _ in shared] + [g for g, _, _ in shared[:1]]
     dens = dens + [g * qpow(Fraction(k, 2)) * HalfLaurent.const(c)
                    for g, k, c in shared]
-    x = QFraction.from_maps(*_mapped([(nums, dens)])[0])
+    x = QFraction.from_merged(_merged([(nums, dens)])[0])
     one = HalfLaurent.const(1)
     y = QFraction(math.prod(nums, start=one), math.prod(dens, start=one))
     assert _same(x, y)
@@ -731,12 +733,12 @@ def test_from_maps_matches_from_factors():
             qnum(4)]
     dens = [qnum(3) * HalfLaurent.const(Fraction(2, 5)), qnum(2),
             qpow(-1) * HalfLaurent.const(-2)]
-    x = QFraction.from_maps(*_mapped([(nums, dens)])[0])
+    x = QFraction.from_merged(_merged([(nums, dens)])[0])
     one = HalfLaurent.const(1)
     assert _same(x, QFraction(math.prod(nums, start=one),
                               math.prod(dens, start=one)))
-    assert _same(QFraction.from_maps(*_mapped([(dens, dens)])[0]), ONE)
-    assert _same(QFraction.from_maps([], []), ONE)
+    assert _same(QFraction.from_merged(_merged([(dens, dens)])[0]), ONE)
+    assert _same(QFraction.from_merged(_merged_map([], [])), ONE)
 
 
 def _expanded(x):
@@ -765,7 +767,7 @@ def _agree(a, b, want):
 @example([qnum(2), qpow(-1)], [], [], [], qnum(3))  # q^-1 [2] = q^-2 + 1
 @example([], [], [qpow(Fraction(1, 2)) * HalfLaurent.const(3)], [], qnum(-5))  # 1 and 3 q^(1/2)
 def test_factored_values_compare_like_expanded_ones(n1, d1, n2, d2, g):
-    # x and y are factored (from_maps); z is x's factors reordered with g
+    # x and y are factored (from_merged); z is x's factors reordered with g
     # on both sides, so z == x.  Two factored values are equal exactly when
     # their expanded normal forms are, and compare with nothing expanded;
     # against plain values, ZERO, ONE and ints == and != agree in both
@@ -773,7 +775,7 @@ def test_factored_values_compare_like_expanded_ones(n1, d1, n2, d2, g):
     one = HalfLaurent.const(1)
 
     def both(nums, dens):
-        factored = QFraction.from_maps(*_mapped([(nums, dens)])[0])
+        factored = QFraction.from_merged(_merged([(nums, dens)])[0])
         eager = QFraction(math.prod(nums, start=one), math.prod(dens, start=one))
         return factored, eager
 
@@ -816,7 +818,7 @@ def test_packed_exponents_stay_in_their_slots(monkeypatch):
     with pytest.raises(ConsistencyError):
         _merged_map([two] * _BOUND, [two])
     with pytest.raises(ConsistencyError):
-        QFraction.from_maps([top], [low])
+        QFraction.from_merged(_merged_map([top], [low]))
     # and a factor is checked when it is packed
     monkeypatch.setattr(qwig.exactq, "_BOUND", 1)
     assert _factor_map(qnum(3))[3] == 1
@@ -964,6 +966,24 @@ def test_any_text_is_read_exactly_or_refused(s):
     except InvalidArgument:
         return
     assert str(x) == s.strip()
+
+
+def test_reader_refuses_exponents_past_its_bound():
+    # normalising a quotient builds dense lists as long as its exponent
+    # span, so a doubled exponent past _DEXP_MAX is refused before any is
+    # built.  The texts past it span at most 2^17: were the check missing,
+    # they would be read slowly, not allocate gigabytes
+    half = _DEXP_MAX // 2
+    for text in ("(1 + q^1/2)/(1 + q^%d)" % half, "q^-%d" % half,
+                 "2*q^%d/2" % (_DEXP_MAX - 1)):
+        assert str(parse_qfraction(text)) == text
+    for text in ("(1 + q^1/2)/(1 + q^%d/2)" % (_DEXP_MAX + 1),
+                 "q^-%d/2" % (_DEXP_MAX + 1), "q^%d" % (half + 1),
+                 "(1 + q^1/2)/(1 + q^%d)" % (1 << 16)):
+        start = time.perf_counter()
+        with pytest.raises(InvalidArgument, match="exponent past %d" % half):
+            parse_qfraction(text)
+        assert time.perf_counter() - start < 0.01
 
 
 def test_half_laurent_operands():

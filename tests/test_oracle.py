@@ -42,6 +42,7 @@ from qwig import (
     qnum,
     qpow,
 )
+from qwig.cli import _parse_weight
 from qwig.oracle import (
     RepModule,
     big_entry,
@@ -109,7 +110,6 @@ from qwig.oracle.loperators import (
 from qwig.oracle.modules import (
     _h_coeffs,
     _lowering_span,
-    _parity_of_weight,
     _subalgebra_highest_vectors,
 )
 from qwig.superweight import deformed_root, is_typical, subalgebra_roots
@@ -365,7 +365,7 @@ def test_char_identity_keeps_repeated_roots(m, n, module):
     # over the distinct roots alone is nonzero, so the identity holds only
     # with each root kept as often as it occurs
     sig = Signature(m, n)
-    lam = Weight.parse(sig, module)
+    lam = _parse_weight(module)
     W = dict(realized_modules(sig, 2, 30))[lam]
     roots = char_eigenvalues(lam, "adual")
     distinct = list(dict.fromkeys(roots))
@@ -427,7 +427,7 @@ def test_projector_algebra_check_can_fail():
     for kind in ("atilde", "adual"):
         assert not projector_algebra_check(V, Weight(S11, (2, 0)), kind)[0]
     modules = dict(realized_modules(S21, 2, 30))
-    lam, other = Weight.parse(S21, "2,0|0"), Weight.parse(S21, "1,0|0")
+    lam, other = Weight(S21, (2, 0, 0)), Weight(S21, (1, 0, 0))
     for kind in ("atilde", "adual"):
         assert projector_algebra_check(modules[lam], lam, kind)[0]
         assert not projector_algebra_check(modules[lam], other, kind)[0]
@@ -439,14 +439,14 @@ def test_projector_algebra_check_tests_every_r():
     # 2,0|0 is atypical, and r = 2 too, a typical summand absent; only
     # r = 3 fails, since 1,0|1 is typical and dominant with Kac dimension
     # 8, not 4
-    W = dict(realized_modules(S21, 2, 30))[Weight.parse(S21, "1,1|0")]
-    other = Weight.parse(S21, "1,0|0")
+    W = dict(realized_modules(S21, 2, 30))[Weight(S21, (1, 1, 0))]
+    other = Weight(S21, (1, 0, 0))
     assert projector_algebra_check(W, other, "atilde") == (
         False, "ranks 8,0,4")
-    typical = [is_typical(Weight.parse(S21, c))
-               for c in ("2,0|0", "1,1|0", "1,0|1")]
+    typical = [is_typical(Weight(S21, c))
+               for c in ((2, 0, 0), (1, 1, 0), (1, 0, 1))]
     assert typical == [False, True, True]
-    assert _kac_dimension(Weight.parse(S21, "1,0|1")) == 8
+    assert _kac_dimension(Weight(S21, (1, 0, 1))) == 8
 
 
 def _rank_rule(lam, kind, ranks):
@@ -544,8 +544,8 @@ def test_wrong_nodes_that_only_char_identity_catches(m, n, module, nodes,
     # and the rank rule holds, yet A - v_r has a nilpotent part on the
     # eigenspace of the last rank: only char_identity_check sees it
     sig = Signature(m, n)
-    W = dict(realized_modules(sig, 2, 30))[Weight.parse(sig, module)]
-    other = Weight.parse(sig, nodes)
+    W = dict(realized_modules(sig, 2, 30))[_parse_weight(module)]
+    other = _parse_weight(nodes)
     assert projector_algebra_check(W, other, "adual") == (
         True, "ranks " + ranks)
     assert char_identity_check(W, other, "adual") is False
@@ -1196,11 +1196,6 @@ def test_submodule_of_a_span_not_closed():
         submodule(tensor_module(V, V), [{0: ONE}, {8: ONE}])
 
 
-def test_parity_of_non_integral_weight():
-    with pytest.raises(NonIntegralWeight):
-        _parity_of_weight(S21, (0, 0, Fraction(1, 2)))
-
-
 def test_antipode_power_must_be_plus_or_minus_one():
     with pytest.raises(InvalidArgument):
         etilde_matrix(vector_rep(S21), 1, 2, 2)
@@ -1247,7 +1242,7 @@ from qwig.oracle.loperators import (
     etilde_matrix, l_operator, projector, projector_parts,
 )
 from qwig.oracle.modules import (
-    RepModule, _parity_of_weight, submodule, tensor_module, vector_rep,
+    RepModule, submodule, tensor_module, vector_rep,
 )
 
 S11, S21 = Signature(1, 1), Signature(2, 1)
@@ -1266,7 +1261,6 @@ cases = {
         char_matrix(vector_rep(S11), "atilde"), (ONE, -ONE), 3),
     "signature": lambda: Signature(0, 1),
     "tensor_module": lambda: tensor_module(vector_rep(S11), vector_rep(S21)),
-    "parity_of_weight": lambda: _parity_of_weight(S21, (0, 0, Fraction(1, 2))),
     "matmul": lambda: matmul(zeros(2, 3), zeros(2, 3)),
     "module_weight": lambda: RepModule(
         S11, [(Fraction(1, 2), 0)], [0], {1: zeros(1)}, {1: zeros(1)}

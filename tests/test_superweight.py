@@ -135,13 +135,13 @@ def test_is_typical():
 
 
 def test_weight_basics():
-    lam = Weight.parse(S21, "1,0|0")
+    lam = Weight(S21, (1, 0, 0))
     assert lam.comps == (1, 0, 0)
     assert lam[1] == 1 and lam[3] == 0
     assert lam.even == (1, 0) and lam.odd == (0,)
     assert str(lam) == "1,0|0"
     with pytest.raises(NonIntegralWeight):
-        Weight.parse(S21, "1,x|0")
+        Weight(S21, (1, "x", 0))
     with pytest.raises(ValueError):
         Signature(0, 1)
 
