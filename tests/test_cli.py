@@ -18,7 +18,6 @@ from qwig import (
     ZERO,
     NotScalar,
     Signature,
-    Weight,
     index_sets,
     parse_qfraction,
     qnum,
