@@ -749,6 +749,25 @@ def test_wigner_output_is_pinned(capsys, argv):
     assert hashlib.sha256(out.encode()).hexdigest() == WIGNER_SHA256[argv]
 
 
+# sha256 of the file `qwig wigner --out x.csv` writes, for one single-shift
+# table and one coupled table, whose (k, r) keys fill both columns
+CSV_SHA256 = {
+    ("--weight=4,4,-3|8,-7", "--lower=4,3,-4,-3", "--kind", "lower"):
+        "6a76aa2c330f70991f611c3e4126e70a3afdad0540870d1545acc10c070126a2",
+    ("--weight=4,-2,-3,-6|6,-5,-8", "--lower=3,-2,-3,-7,4,-8", "--kind",
+     "raise", "--coupled"):
+        "d8d117c3d2efb65f11c2b0f4715ff5c8314771df0d00bfd250240f764ea6ba2c",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(CSV_SHA256))
+def test_wigner_csv_output_is_pinned(tmp_path, capsys, argv):
+    path = tmp_path / "x.csv"
+    code, out = run(capsys, "wigner", *argv, "--out", str(path))
+    assert (code, out) == (0, "")
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == CSV_SHA256[argv]
+
+
 # exit code and sha256 of the stdout of the other subcommands, and of two
 # error objects
 OTHER_SHA256 = {
