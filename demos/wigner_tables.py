@@ -32,14 +32,14 @@ for b in branch_candidates(lam):
         except DegenerateRoots as exc:
             print("  %-5s skipped: %s" % (variant, exc))
             continue
-        assert t_root.entries == t_qnum.entries
+        assert t_root == t_qnum
         print("  %-5s (both forms agree)" % variant)
-        for k, v in sorted(t_root.entries.items()):
+        for k, v in sorted(t_root.items()):
             print("    omega_%d = %s" % (k, v))
         print("    sum rule residual: %s" % sum_rule_residual(b, variant))
         res = linear_system_residuals(b, variant)
         print("    linear residuals : %s"
               % {r: str(v) for r, v in res.items()})
         ct = coupled_table(b, variant)
-        for (k, r), v in sorted(ct.entries.items()):
+        for (k, r), v in sorted(ct.items()):
             print("    coupled (k=%d, r=%d) = %s" % (k, r, v))

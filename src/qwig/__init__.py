@@ -28,7 +28,6 @@ from .exactq import (
     qpow,
 )
 from .superweight import (
-    RootSet,
     Signature,
     Weight,
     char_roots,
@@ -41,7 +40,6 @@ from .branching import BranchingData, branch_candidates, index_sets
 from .invariants import casimir_exponent, chi_C1, chi_v
 from .wigner import (
     MU_SHIFT_DEFAULT,
-    CoefficientTable,
     coupled_table,
     gamma,
     linear_system_residuals,
@@ -63,13 +61,12 @@ __all__ = [
     "ConsistencyError",
     "HalfLaurent", "QFraction", "qpow", "qnum",
     "parse_qfraction", "ZERO", "ONE",
-    "Signature", "Weight", "RootSet", "rho",
+    "Signature", "Weight", "rho",
     "char_roots", "subalgebra_roots", "deformed_root",
     "is_typical",
     "BranchingData", "branch_candidates", "index_sets",
     "chi_v", "chi_C1", "casimir_exponent",
-    "CoefficientTable", "omega",
-    "omega_classical", "gamma", "mu", "omega_coupled",
+    "omega", "omega_classical", "gamma", "mu", "omega_coupled",
     "omega_table", "coupled_table",
     "sum_rule_residual", "linear_system_residuals", "MU_SHIFT_DEFAULT",
     "__version__",

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 
 from .errors import NonIntegralWeight, NotABranching, SignatureMismatch
 from .superweight import _memo, _Value
@@ -177,3 +178,15 @@ def branch_candidates(lam):
             setattr_(b, "lam0", ev + od)
             out.append(b)
     return out
+
+
+def _candidate_count(lam):
+    """len(branch_candidates(lam)), counted from the blocks: a run of L
+    equal even labels has L + 1 nonincreasing choices, and odd position u
+    has lam_u - lam_(u+1) + 1, none when that is negative."""
+    m, c = lam.sig.m, lam.comps
+    if not _even_block_dominant(c, m):
+        return 0
+    evens = math.prod(len(list(run)) + 1 for _, run in itertools.groupby(c[:m]))
+    return evens * math.prod(max(c[u] - c[u + 1] + 1, 0)
+                             for u in range(m, lam.sig.d - 1))

@@ -15,7 +15,8 @@ import io
 import json
 import sys
 
-from .branching import BranchingData, _even_block_dominant, branch_candidates
+from .branching import (BranchingData, _candidate_count, _even_block_dominant,
+                        branch_candidates)
 from .errors import (
     DegenerateRoots,
     InvalidArgument,
@@ -25,16 +26,19 @@ from .errors import (
     QwigError,
 )
 from .invariants import chi_C1, chi_v
-from .superweight import RootSet, Signature, Weight, is_typical
+from .superweight import (Signature, Weight, char_roots, deformed_root,
+                          is_typical)
 from .wigner import coupled_table, omega_table, sum_rule_residual
 from .exactq import ONE
 
 # verify covers the modules inside V^(x)k, k <= K_MAX, of dimension <= DIM_CAP
 K_MAX, DIM_CAP = 2, 30
-# the commands refuse a weight label past LABEL_MAX in size, and verify an
-# m + n past VERIFY_D_MAX, before any work: qnum(x) holds |x| terms, and
-# verify builds (m + n)^3 rows before its first check
-LABEL_MAX, VERIFY_D_MAX = 1000, 10
+# the commands refuse, before any work, a weight label past LABEL_MAX in
+# size and an m + n past D_MAX, and branch a weight with more than
+# CANDIDATES_MAX branchings: qnum(x) holds |x| terms, roots prints
+# (m + n)^2 coefficients, verify builds (m + n)^3 rows before its first
+# check, and branch holds about 5 KB per candidate (60 MB at the bound)
+LABEL_MAX, D_MAX, CANDIDATES_MAX = 1000, 10, 10000
 # verify keeps the realised modules of this many signatures, about 1 MB each
 MODULE_STORE_SIZE = 4
 
@@ -68,6 +72,9 @@ def _parse_weight(text):
         raise InvalidArgument(
             "weight %r needs a '|' separating the blocks" % text)
     lam = Weight(Signature(len(even), len(odd)), even + odd)
+    if lam.sig.d > D_MAX:
+        raise InvalidArgument(
+            "weight %r has m + n past %d" % (text, D_MAX))
     if any(abs(c) > LABEL_MAX for c in lam.comps):
         raise InvalidArgument(
             "weight %r has a label past %d in size" % (text, LABEL_MAX))
@@ -215,41 +222,46 @@ def _emit(payload, out_path, csv_rows=None):
 
 def _cmd_roots(args):
     lam = _parse_weight(args.weight)
-    payload = RootSet.of(lam, args.variant).to_json()
+    alphas = char_roots(lam, args.variant)
+    payload = {
+        "weight": str(lam),
+        "signature": [lam.sig.m, lam.sig.n],
+        "variant": args.variant,
+        "classical": list(alphas),
+        "deformed": [deformed_root(a).json_entry() for a in alphas],
+        "generic": len(set(alphas)) == len(alphas),
+    }
     _emit(payload, args.out)
     return 0
 
 
 def _cmd_branch(args):
     lam = _parse_weight(args.weight)
-    out = []
-    for b in branch_candidates(lam):
-        out.append(
-            {
-                "lower": list(b.lam0),
-                "I0": list(b.I0),
-                "I0bar": list(b.I0bar),
-                "I1": list(b.I1),
-                "I1tilde": list(b.I1t),
-                "eta": b.eta,
-                "e_last": b.e_last,
-                "lower_indices": list(b.lower_indices()),
-                "raise_indices": list(b.raise_indices()),
-            }
-        )
+    if _candidate_count(lam) > CANDIDATES_MAX:
+        raise InvalidArgument("weight %s has more than %d branchings"
+                              % (lam, CANDIDATES_MAX))
+    out = [{"lower": list(b.lam0), "I0": list(b.I0), "I0bar": list(b.I0bar),
+            "I1": list(b.I1), "I1tilde": list(b.I1t), "eta": b.eta,
+            "e_last": b.e_last, "lower_indices": list(b.lower_indices()),
+            "raise_indices": list(b.raise_indices())}
+           for b in branch_candidates(lam)]
     payload = {"upper": str(lam), "signature": [lam.sig.m, lam.sig.n],
                "candidates": out}
     _emit(payload, args.out)
     return 0
 
 
+def _entries_json(table):
+    """The "entries" of a table's payload: each value's json_entry under
+    its key as text, "k" or "k,r"."""
+    return {",".join(map(str, key)) if type(key) is tuple else str(key):
+            v.json_entry() for key, v in table.items()}
+
+
 def _table_csv_rows(table, coupled):
     rows = [["k", "r", "value_string", "value_json"]]
-    for key, v in sorted(table.entries.items(), key=lambda kv: str(kv[0])):
-        if coupled:
-            k, r = key
-        else:
-            k, r = key, ""
+    for key, v in sorted(table.items(), key=lambda kv: str(kv[0])):
+        k, r = key if coupled else (key, "")
         entry = v.json_entry()
         rows.append([k, r, entry["str"],
                      json.dumps(entry["value"], sort_keys=True)])
@@ -268,8 +280,14 @@ def _cmd_wigner(args):
     )
     tables = {f: build(b, args.kind, f) for f in forms}
     primary = tables[forms[0]]
-    payload = primary.to_json()
-    payload["form"] = args.form
+    payload = {
+        "kind": ("coupled_%s" if args.coupled else "omega_%s") % args.kind,
+        "upper": str(lam),
+        "lower": list(b.lam0),
+        "signature": [lam.sig.m, lam.sig.n],
+        "form": args.form,
+        "entries": _entries_json(primary),
+    }
     if not args.coupled:
         residual = sum_rule_residual(b, args.kind, forms[0])
         payload["sum"] = str(residual + ONE)
@@ -278,9 +296,9 @@ def _cmd_wigner(args):
         # agreeing forms print the same text, so the first form's entries
         # are written for both, and the second form is never formatted
         second = tables[forms[1]]
-        agree = primary.entries == second.entries
+        agree = primary == second
         payload["entries_qnumber_phase"] = (
-            payload["entries"] if agree else second.to_json()["entries"])
+            payload["entries"] if agree else _entries_json(second))
         payload["forms_agree"] = agree
     _emit(payload, args.out,
           functools.partial(_table_csv_rows, primary, args.coupled))
@@ -447,9 +465,9 @@ def _cmd_verify(args):
     module suites share the store's realised modules, built on first use.
     "skips" counts the SKIPs by reason, the part of a detail before ": "."""
     sig = Signature(args.m, args.n)
-    if sig.d > VERIFY_D_MAX:
+    if sig.d > D_MAX:
         raise InvalidArgument(
-            "verify takes m + n <= %d, not %s" % (VERIFY_D_MAX, sig))
+            "verify takes m + n <= %d, not %s" % (D_MAX, sig))
     suites = list(_SUITE_FN) if args.suite == "all" else [args.suite]
     cases = [c for s in suites for c in _SUITE_FN[s](s, sig)]
     counts = {k: sum(1 for c in cases if c["status"] == k)

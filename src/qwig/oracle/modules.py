@@ -49,15 +49,17 @@ class RepModule:
     """A finite-dimensional weight module with explicit generator matrices.
 
     weights[i] is the tuple of E_jj eigenvalues of basis vector i, as ints
-    (a component that is not an integer raises NonIntegralWeight),
-    parities[i] its grading.  e[a]/f[a] are the simple generator matrices
-    for a = 1..m+n-1.
+    (a component that is not an integer raises NonIntegralWeight), and
+    parities[i] its grading, the sum of its odd-block components mod 2: in
+    a tensor power of the vector module each odd basis vector of a factor
+    adds 1 to both.  e[a]/f[a] are the simple generator matrices for
+    a = 1..m+n-1.
     """
 
-    def __init__(self, sig, weights, parities, e, f):
+    def __init__(self, sig, weights, e, f):
         self.sig = sig
         self.weights = [_int_weight(w) for w in weights]
-        self.parities = list(parities)
+        self.parities = [sum(w[sig.m:]) % 2 for w in self.weights]
         self.e = e
         self.f = f
         self.dim = len(self.weights)
@@ -116,18 +118,13 @@ def _qmonomial(dexp):
 def vector_rep(sig):
     """The defining (m+n)-dimensional module."""
     d = sig.d
-    weights = []
-    for i in range(d):
-        w = [0] * d
-        w[i] = 1
-        weights.append(tuple(w))
-    parities = [sig.parity(i + 1) for i in range(d)]
+    weights = [tuple(int(i == j) for j in range(d)) for i in range(d)]
     e = {}
     f = {}
     for a in range(1, d):
         e[a] = Matrix([{a: ONE} if r == a - 1 else {} for r in range(d)], d)
         f[a] = Matrix([{a - 1: ONE} if r == a else {} for r in range(d)], d)
-    return RepModule(sig, weights, parities, e, f)
+    return RepModule(sig, weights, e, f)
 
 
 def tensor_module(W1, W2):
@@ -137,14 +134,8 @@ def tensor_module(W1, W2):
             "cannot tensor %s with %s modules" % (W1.sig, W2.sig)
         )
     sig = W1.sig
-    weights = []
-    parities = []
-    for i in range(W1.dim):
-        for j in range(W2.dim):
-            weights.append(
-                tuple(a + b for a, b in zip(W1.weights[i], W2.weights[j]))
-            )
-            parities.append((W1.parities[i] + W2.parities[j]) % 2)
+    weights = [tuple(a + b for a, b in zip(w1, w2))
+               for w1 in W1.weights for w2 in W2.weights]
     slot_pars = [W1.parities, W2.parities]
     e = {}
     f = {}
@@ -158,7 +149,7 @@ def tensor_module(W1, W2):
             [(W1.e[a], p), (right, 0)], slot_pars)
         f[a] = gkron([(left, 0), (W2.f[a], p)], slot_pars) + gkron(
             [(W1.f[a], p), (right, 0)], slot_pars)
-    return RepModule(sig, weights, parities, e, f)
+    return RepModule(sig, weights, e, f)
 
 
 def _weight_of(W, vec):
@@ -214,7 +205,6 @@ def submodule(W, start_vectors):
         spaces[wt] = (len(basis), echelon)
         weights += [wt] * len(echelon)
         basis += [v for _, v in echelon]
-    parities = [_parity_of_weight(sig, wt) for wt in weights]
     # the coordinates of each generator image are the multipliers that
     # reduce it against its weight space's echelon basis
     dim = len(basis)
@@ -234,13 +224,7 @@ def submodule(W, start_vectors):
                     target[first + k][j] = c
     e = {a: Matrix(rows, dim) for a, rows in e.items()}
     f = {a: Matrix(rows, dim) for a, rows in f.items()}
-    return RepModule(sig, weights, parities, e, f)
-
-
-def _parity_of_weight(sig, wt):
-    """In a tensor power of the vector module the weight fixes the parity;
-    wt is a weight of a RepModule, so its components are ints."""
-    return sum(wt[sig.m :]) % 2
+    return RepModule(sig, weights, e, f)
 
 
 def _lowering_span(W, starts, gens):

@@ -21,7 +21,6 @@ from .exactq import QFraction, qpow, qnum
 __all__ = [
     "Signature",
     "Weight",
-    "RootSet",
     "rho",
     "char_roots",
     "subalgebra_roots",
@@ -196,17 +195,16 @@ def char_roots(lam, variant):
 def subalgebra_roots(lam0, variant, parent_sig):
     """Characteristic roots of a gl(m|n-1) weight, in the parent's labels.
 
-    lam0 is a Weight of gl(m|n-1) when n - 1 >= 1, or a bare tuple
-    of m integers when n - 1 = 0 (plain gl(m)).  The adjoint exponents do
-    not depend on n, the dual ones use n - 1 in place of n.
+    lam0 is the tuple of the weight's m + n - 1 integer components, m of
+    them when n - 1 = 0 (plain gl(m)).  The adjoint exponents do not
+    depend on n, the dual ones use n - 1 in place of n.
     """
     m, n = parent_sig.m, parent_sig.n
-    comps = lam0.comps if isinstance(lam0, Weight) else tuple(lam0)
-    if len(comps) != m + n - 1:
+    if len(lam0) != m + n - 1:
         raise SignatureMismatch(
             "subalgebra weight needs %d components" % (m + n - 1)
         )
-    return _root_exponents(comps, m, n - 1, variant)
+    return _root_exponents(lam0, m, n - 1, variant)
 
 
 def _root_exponents(comps, m, n, variant):
@@ -249,38 +247,3 @@ def is_typical(lam):
         for i in range(1, sig.m + 1)
         for u in range(sig.m + 1, sig.d + 1)
     )
-
-
-class RootSet(_Value):
-    """Characteristic data of a weight: classical and deformed roots."""
-
-    _fields = ("weight", "variant", "alphas", "deformed")
-
-    def __init__(self, weight, variant, alphas, deformed):
-        object.__setattr__(self, "weight", weight)
-        object.__setattr__(self, "variant", variant)
-        object.__setattr__(self, "alphas", alphas)
-        object.__setattr__(self, "deformed", deformed)
-
-    @classmethod
-    def of(cls, lam, variant):
-        alphas = char_roots(lam, variant)
-        return cls(
-            weight=lam,
-            variant=variant,
-            alphas=alphas,
-            deformed=tuple(deformed_root(a) for a in alphas),
-        )
-
-    def is_generic(self):
-        return len(set(self.alphas)) == len(self.alphas)
-
-    def to_json(self):
-        return {
-            "weight": str(self.weight),
-            "signature": [self.weight.sig.m, self.weight.sig.n],
-            "variant": self.variant,
-            "classical": list(self.alphas),
-            "deformed": [f.json_entry() for f in self.deformed],
-            "generic": self.is_generic(),
-        }

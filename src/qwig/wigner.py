@@ -23,7 +23,6 @@ from .exactq import ZERO, QFraction, _factor_map, _merged_map, qnum
 from .superweight import _root_exponents, deformed_root
 
 __all__ = [
-    "CoefficientTable",
     "omega",
     "omega_classical",
     "gamma",
@@ -377,48 +376,19 @@ def omega_coupled(b, k, r, variant, form="qnumber_phase"):
 # -- tables and identities ---------------------------------------------------
 
 
-class CoefficientTable:
-    """A labelled family of exact coefficients for one branching, which
-    omega_table and coupled_table fill into entries."""
-
-    def __init__(self, kind, branching, form):
-        self.kind = kind
-        self.branching = branching
-        self.form = form
-        self.entries = {}
-
-    def to_json(self):
-        def key_str(key):
-            return ",".join(str(x) for x in key) if isinstance(key, tuple) else str(key)
-
-        return {
-            "kind": self.kind,
-            "upper": str(self.branching.lam),
-            "lower": list(self.branching.lam0),
-            "signature": [self.branching.sig.m, self.branching.sig.n],
-            "form": self.form,
-            "entries": {
-                key_str(k): v.json_entry()
-                for k, v in sorted(self.entries.items(), key=lambda kv: str(kv[0]))
-            },
-        }
-
-
 def omega_table(b, variant, form="root_product"):
-    t = CoefficientTable(kind="omega_%s" % variant, branching=b, form=form)
-    for k in range(1, b.sig.d + 1):
-        t.entries[k] = omega(b, k, variant, form)
-    return t
+    """{k: omega(b, k, variant, form)} for k = 1..m+n: the squared reduced
+    Wigner coefficients of the branching b, one per shift index."""
+    return {k: omega(b, k, variant, form) for k in range(1, b.sig.d + 1)}
 
 
 def coupled_table(b, variant, form="qnumber_phase"):
+    """{(k, r): omega_coupled(b, k, r, variant, form)} for k in K and r in
+    L of the variant's side: empty when L is, with the form still checked."""
     _check_form(form)
     side = _side(b, variant)
-    t = CoefficientTable(kind="coupled_%s" % variant, branching=b, form=form)
-    for k in side.K:
-        for r in side.L:
-            t.entries[(k, r)] = omega_coupled(b, k, r, variant, form)
-    return t
+    return {(k, r): omega_coupled(b, k, r, variant, form)
+            for k in side.K for r in side.L}
 
 
 def sum_rule_residual(b, variant, form="root_product"):

@@ -269,3 +269,24 @@ def test_bench_runs_both_checkouts_alternately(tmp_path, capsys, monkeypatch):
     with pytest.raises(SystemExit, match="exited with 1:\\nstub: no result for seed 13"):
         bench_pairs.main(argv + ["--run", "oracle:13"])
     assert log.read_text().splitlines() == ["change --workload oracle --seed 13 " + args]
+
+
+def test_bench_takes_checkouts_relative_to_the_current_directory(
+        tmp_path, capsys, monkeypatch):
+    # each run goes to its checkout's directory, where a relative path
+    # given here would name a checkout inside the checkout
+    monkeypatch.chdir(tmp_path)
+    log = tmp_path / "log"
+    for side in ("parent", "change"):
+        (tmp_path / "runs" / side / "perfbench").mkdir(parents=True)
+        (tmp_path / "runs" / side / "perfbench" / "run.py").write_text(
+            STUB % (str(log), MACHINE))
+    (tmp_path / "runs" / "parent" / "BENCHMARK.json").write_text(
+        json.dumps({"run_seconds": 7}))
+    assert bench_pairs.main(["--parent", "runs/parent", "--change", "runs/change",
+                             "--label", "t", "--bench", "--run", "oracle:1"]) == 0
+    assert log.read_text().splitlines() == [
+        "%s --workload oracle --seed 1 --seconds 7 --trace 0" % side
+        for side in ("change", "parent")]
+    record = json.loads((tmp_path / "BENCH_t.json").read_text())
+    assert record["git_sha"] == {"parent": "parent", "change": "change"}

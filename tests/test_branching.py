@@ -16,7 +16,7 @@ from qwig import (
     branch_candidates,
     index_sets,
 )
-from qwig.branching import BranchingData, _check_pair
+from qwig.branching import BranchingData, _candidate_count, _check_pair
 from conftest import all_weights, check_value, dominant_weights, seeded_weights
 
 S11 = Signature(1, 1)
@@ -243,6 +243,16 @@ def test_candidates_equal_product_and_filter():
         total += len(got)
     assert total > 10000
 
+
+
+def test_candidate_count_is_read_from_the_blocks():
+    # the count that bounds `qwig branch`, with no candidate built
+    for m, n in SMALL_SIGS:
+        for lam in all_weights(m, n) + seeded_weights(50):
+            assert _candidate_count(lam) == len(branch_candidates(lam)), lam
+    # 2 x 501 x 501 x 1001 candidates, about 503 million
+    lam = Weight(Signature(1, 4), (0, 1000, 500, 0, -1000))
+    assert _candidate_count(lam) == 2 * 501 * 501 * 1001
 
 def test_non_dominant_upper_weight_has_no_branching():
     # an even block of lam that steps up by exactly 1 passes every

@@ -18,6 +18,7 @@ from qwig import (
     ZERO,
     NotScalar,
     Signature,
+    deformed_root,
     index_sets,
     parse_qfraction,
     qnum,
@@ -26,9 +27,10 @@ from qwig import (
 import qwig
 from qwig import wigner
 from qwig.cli import (
+    CANDIDATES_MAX,
+    D_MAX,
     LABEL_MAX,
     MODULE_STORE_SIZE,
-    VERIFY_D_MAX,
     _dump_json,
     _modules,
     _parse_weight,
@@ -53,11 +55,15 @@ def test_roots_example(capsys):
     code, obj = run_json(capsys, "roots", "--weight", "1,0|0",
                          "--variant", "adjoint")
     assert code == 0
+    assert obj["weight"] == "1,0|0" and obj["signature"] == [2, 1]
+    assert obj["variant"] == "adjoint"
     assert obj["classical"] == [1, -1, -2]
     assert obj["generic"] is True
-    assert len(obj["deformed"]) == 3
-    for item in obj["deformed"]:
-        parse_qfraction(item["str"])
+    assert [parse_qfraction(item["str"]) for item in obj["deformed"]] == [
+        deformed_root(a) for a in (1, -1, -2)]
+    # gl(1|1) 1|0 has the dual roots (0, 0): not generic
+    code, obj = run_json(capsys, "roots", "--weight", "1|0", "--variant", "dual")
+    assert (code, obj["classical"], obj["generic"]) == (0, [0, 0], False)
 
 
 def test_branch_output(capsys):
@@ -93,7 +99,7 @@ def test_wigner_both_forms_print_their_own_values(capsys, monkeypatch):
     def differing(b, kind, form):
         table = real(b, kind, form)
         if form == "qnumber_phase":
-            table.entries[3] = table.entries[3] + 1
+            table[3] = table[3] + 1
         return table
 
     argv = ("wigner", "--weight", "1,0|0", "--lower", "0,0", "--kind", "lower",
@@ -222,29 +228,56 @@ def test_empty_signature_block_is_a_typed_error(capsys, argv):
     assert code == 1 and obj["error"]["type"] == "InvalidArgument"
 
 
-@pytest.mark.parametrize("argv", [
-    ("invariants", "--weight", "%d|0" % (LABEL_MAX + 1)),
-    ("roots", "--weight", "0,%d|0" % -(LABEL_MAX + 1)),
-    ("branch", "--weight", "1|%d" % (LABEL_MAX + 1)),
+# each input past a CLI bound, and the bound its refusal names
+PAST_THE_BOUNDS = {
+    ("invariants", "--weight", "%d|0" % (LABEL_MAX + 1)): LABEL_MAX,
+    ("roots", "--weight", "0,%d|0" % -(LABEL_MAX + 1)): LABEL_MAX,
+    ("branch", "--weight", "1|%d" % (LABEL_MAX + 1)): LABEL_MAX,
     ("wigner", "--weight", "%d,0|0" % (LABEL_MAX + 1), "--lower", "0,0",
-     "--kind", "lower"),
-    ("verify", "--m", "%d" % (VERIFY_D_MAX - 1), "--n", "2"),
-])
+     "--kind", "lower"): LABEL_MAX,
+    ("verify", "--m", "%d" % (D_MAX - 1), "--n", "2"): D_MAX,
+    ("roots", "--weight", "0|" + ",".join("0" * D_MAX)): D_MAX,
+    ("invariants", "--weight", ",".join("0" * D_MAX) + "|0"): D_MAX,
+    ("wigner", "--weight", ",".join("0" * D_MAX) + "|0",
+     "--lower", ",".join("0" * D_MAX), "--kind", "lower"): D_MAX,
+    ("branch", "--weight", "0|" + ",".join("0" * D_MAX)): D_MAX,
+    # 2 x 101 x 101 = 20,402 candidates, each label within LABEL_MAX
+    ("branch", "--weight", "0|100,0,-100"): CANDIDATES_MAX,
+}
+
+
+@pytest.mark.parametrize("argv", list(PAST_THE_BOUNDS))
 def test_inputs_past_the_cli_bounds_are_refused(capsys, monkeypatch, argv):
     # refused before any work: each command's first computation would
     # escape main with an error that is no QwigError
     def never(*args):
         raise AssertionError("work done past a bound")
 
-    for name in ("RootSet", "branch_candidates", "BranchingData", "chi_v",
+    for name in ("char_roots", "branch_candidates", "BranchingData", "chi_v",
                  "chi_C1"):
         monkeypatch.setattr(qwig.cli, name, never)
     monkeypatch.setattr(qwig.cli, "_SUITE_FN",
                         dict.fromkeys(qwig.cli._SUITE_FN, never))
     code, obj = run_json(capsys, *argv)
     assert code == 1 and obj["error"]["type"] == "InvalidArgument"
-    assert str(LABEL_MAX if argv[0] != "verify" else VERIFY_D_MAX) in (
-        obj["error"]["message"])
+    assert str(PAST_THE_BOUNDS[argv]) in obj["error"]["message"]
+
+
+def test_inputs_at_the_cli_bounds_are_served(capsys, monkeypatch):
+    # m + n = D_MAX is served, and a branch of exactly CANDIDATES_MAX
+    # candidates, here with the bound lowered to the 4 of 1,0|0
+    at_d_max = ",".join("0" * (D_MAX - 1))
+    for argv in (("roots", "--weight", "0|" + at_d_max),
+                 ("invariants", "--weight", at_d_max + "|0")):
+        assert run_json(capsys, *argv)[0] == 0
+    monkeypatch.setattr(qwig.cli, "CANDIDATES_MAX", 4)
+    code, obj = run_json(capsys, "branch", "--weight", "1,0|0")
+    assert code == 0 and len(obj["candidates"]) == 4
+    monkeypatch.setattr(qwig.cli, "CANDIDATES_MAX", 3)
+    code, obj = run_json(capsys, "branch", "--weight", "1,0|0")
+    assert code == 1 and obj["error"] == {
+        "type": "InvalidArgument",
+        "message": "weight 1,0|0 has more than 3 branchings"}
 
 
 @pytest.mark.parametrize("weight", ["0,1|0", "0|0,1"])

@@ -131,7 +131,7 @@ def trivial_module(sig):
     d = sig.d
     e = {a: zeros(1) for a in range(1, d)}
     f = {a: zeros(1) for a in range(1, d)}
-    return RepModule(sig, [(0,) * d], [0], e, f)
+    return RepModule(sig, [(0,) * d], e, f)
 
 
 def test_vector_rep_gl11():
@@ -142,6 +142,35 @@ def test_vector_rep_gl11():
     # odd generator: e1 f1 + f1 e1 = E11 + E22 on the vector module
     anti = matmul(V.e[1], V.f[1]) + matmul(V.f[1], V.e[1])
     assert is_zero_matrix(anti + (-identity(2)))
+
+
+@pytest.mark.parametrize("sig", [S21, S12])
+def test_module_parities_are_the_koszul_sums_of_the_factors(sig):
+    # RepModule reads each basis vector's grading off its weight; the
+    # Koszul signs of tensor_module need the sum of the factors' parities,
+    # on V^(x)k and on every realised module, whose basis vectors are
+    # weight vectors of V^(x)k
+    pars = vector_slot_parities(sig)
+    V = vector_rep(sig)
+    assert V.parities == pars
+    powers = [V]
+    for k in (2, 3):
+        powers.append(tensor_module(powers[-1], V))
+        assert powers[-1].parities == [
+            sum(slots) % 2 for slots in itertools.product(pars, repeat=k)]
+    realised = 0
+    for W in powers[1:]:
+        for _, vecs in highest_weight_vectors(W):
+            if len(vecs) != 1:
+                continue
+            M = submodule(W, vecs)
+            basis = [v for _, echelon in _lowering_span(W, vecs, range(1, sig.d))
+                     for _, v in echelon]
+            assert len(basis) == M.dim
+            for v, parity in zip(basis, M.parities):
+                assert {W.parities[i] for i in v} == {parity}
+            realised += 1
+    assert realised >= 4
 
 
 def test_vector_rep_cartan():
@@ -180,7 +209,7 @@ def test_cartan_diagonal_matches_fraction_reference():
 
 def test_module_weights_must_be_integral():
     with pytest.raises(NonIntegralWeight):
-        RepModule(S11, [(Fraction(1, 2), 0)], [0], {1: zeros(1)}, {1: zeros(1)})
+        RepModule(S11, [(Fraction(1, 2), 0)], {1: zeros(1)}, {1: zeros(1)})
 
 
 def test_eij_recursion_and_pivots():
@@ -1263,7 +1292,7 @@ cases = {
     "tensor_module": lambda: tensor_module(vector_rep(S11), vector_rep(S21)),
     "matmul": lambda: matmul(zeros(2, 3), zeros(2, 3)),
     "module_weight": lambda: RepModule(
-        S11, [(Fraction(1, 2), 0)], [0], {1: zeros(1)}, {1: zeros(1)}
+        S11, [(Fraction(1, 2), 0)], {1: zeros(1)}, {1: zeros(1)}
     ),
     "span_not_closed": lambda: submodule(
         tensor_module(vector_rep(S21), vector_rep(S21)), [{0: ONE}, {8: ONE}]

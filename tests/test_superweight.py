@@ -9,7 +9,6 @@ from qwig import (
     InvalidArgument,
     NonIntegralWeight,
     QFraction,
-    RootSet,
     Signature,
     SignatureMismatch,
     Weight,
@@ -117,16 +116,6 @@ def test_deformed_root_identity():
         assert deformed_root(a) == QFraction(qpow(-a) * qnum(a))
 
 
-def test_rootset_json():
-    rs = RootSet.of(Weight(S21, (1, 0, 0)), "adjoint")
-    obj = rs.to_json()
-    assert obj["classical"] == [1, -1, -2]
-    assert obj["generic"] is True
-    assert obj["variant"] == "adjoint"
-    assert len(obj["deformed"]) == 3
-    assert not RootSet.of(Weight(S11, (1, 0)), "dual").is_generic()
-
-
 def test_is_typical():
     assert not is_typical(Weight(S21, (1, 0, 0)))
     assert not is_typical(Weight(S11, (0, 0)))
@@ -173,16 +162,9 @@ def test_weight_built_from_a_list_hashes():
     (Signature, {"m": 2, "n": 1}, "Signature(m=2, n=1)"),
     (Weight, {"sig": S21, "comps": (1, 0, -1)},
      "Weight(sig=Signature(m=2, n=1), comps=(1, 0, -1))"),
-    (RootSet, {"weight": Weight(S11, (1, 0)), "variant": "adjoint",
-               "alphas": (1, -1), "deformed": (QFraction(qpow(-1)), QFraction(-qpow(1)))},
-     "RootSet(weight=Weight(sig=Signature(m=1, n=1), comps=(1, 0)), "
-     "variant='adjoint', alphas=(1, -1), "
-     "deformed=(QFraction(q^-1), QFraction(-q^1)))"),
 ])
 def test_value_semantics(cls, fields, text):
     check_value(cls, fields, text)
-    if cls is RootSet:
-        assert RootSet.of(fields["weight"], "adjoint") == cls(**fields)
 
 
 def test_dual_subroot_matches_parent_on_I0(sweep_branchings):

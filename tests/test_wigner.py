@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from conftest import laurent, quotient_of_factors, seeded_weights
 from qwig import (
     AdmissibilityError,
-    CoefficientTable,
     ConsistencyError,
     DegenerateRoots,
     HalfLaurent,
@@ -88,9 +87,7 @@ def test_form_is_checked_where_there_are_no_relations():
     b = index_sets(Weight(S11, (1, 0)), (1,))
     assert _side(b, "lower").L == ()
     assert linear_system_residuals(b, "lower") == {}
-    assert coupled_table(b, "lower").entries == {}
-    t, u = (CoefficientTable("omega_lower", b, "root_product") for _ in "tu")
-    assert t.entries == {} and t.entries is not u.entries
+    assert coupled_table(b, "lower") == {}
     for fn in (linear_system_residuals, coupled_table):
         with pytest.raises(InvalidArgument):
             fn(b, "lower", "bogus")
@@ -374,13 +371,12 @@ def test_omega_classical_matches_limit():
 def test_tables():
     b = index_sets(Weight(S21, (1, 0, 0)), (0, 0))
     t = omega_table(b, "lower")
-    assert set(t.entries) == {1, 2, 3}
-    assert sum(t.entries.values(), ZERO) == ONE
-    obj = t.to_json()
-    assert obj["kind"] == "omega_lower"
-    assert obj["entries"]["1"]["str"] == "-q^-2"
-    ct = coupled_table(b, "lower")
-    assert all(isinstance(k, tuple) for k in ct.entries)
+    assert t == {k: omega(b, k, "lower") for k in (1, 2, 3)}
+    assert sum(t.values(), ZERO) == ONE
+    assert str(t[1]) == "-q^-2"
+    side = _side(b, "lower")
+    assert coupled_table(b, "lower") == {
+        (k, r): omega_coupled(b, k, r, "lower") for k in side.K for r in side.L}
 
 
 def _shifted_factor(x, y, t):

@@ -231,6 +231,10 @@ def main(argv=None):
     p.add_argument("--bench", action="store_true",
                    help="run the benchmark in both checkouts first")
     args = p.parse_args(argv)
+    # each run goes to its checkout's directory, so a relative path is
+    # resolved against this one first
+    args.parent, args.change = (str(Path(c).resolve())
+                                for c in (args.parent, args.change))
     if args.bench:
         run_benchmarks(args.parent, args.change, args.run)
     record = {"label": args.label, "workloads": {}}
