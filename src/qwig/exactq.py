@@ -54,8 +54,8 @@ class HalfLaurent:
 
     HalfLaurent(t) takes a clean map t: doubled exponents (int) to nonzero
     int or Fraction coefficients, the empty map for zero.  t is kept, not
-    copied, and never changed.  The operators take HalfLaurent operands
-    only; a scalar enters through const or QFraction.
+    copied, and never changed.  The operators and == take HalfLaurent
+    operands only; a scalar enters through const or QFraction.
     """
 
     __slots__ = ("_t", "_hash")
@@ -81,14 +81,8 @@ class HalfLaurent:
         return self._t == other._t
 
     def __hash__(self):
-        # QFraction(c) == c for a scalar c and hashes through its
-        # numerator, so a constant must hash like its int or Fraction value
         if self._hash is None:
-            t = self._t
-            if not t or (len(t) == 1 and 0 in t):
-                self._hash = hash(t.get(0, 0))
-            else:
-                self._hash = hash(frozenset(t.items()))
+            self._hash = hash(frozenset(self._t.items()))
         return self._hash
 
     def __neg__(self):
@@ -195,15 +189,14 @@ def _power_text(k):
     return "q^%d" % (k >> 1) if not k & 1 else "q^%d/2" % k
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # else 0.5 finds Fraction(1, 2)'s value
 def qpow(x):
-    """The monomial q^x for x an integer or half-integer Fraction."""
-    if isinstance(x, int):
-        return HalfLaurent({2 * x: 1})
-    x2 = _as_fraction(_as_fraction(x) * 2)
-    if isinstance(x2, Fraction):
-        raise InvalidArgument("exponent must be a multiple of 1/2")
-    return HalfLaurent({x2: 1})
+    """The monomial q^x for x an int or a half-integer Fraction;
+    InvalidArgument on any other exponent x."""
+    if not isinstance(x, (int, Fraction)) or (2 * x).denominator != 1:
+        raise InvalidArgument(
+            "qpow takes an int or a half-integer Fraction, got %r" % (x,))
+    return HalfLaurent({int(2 * x): 1})
 
 
 @lru_cache(maxsize=None)
@@ -676,6 +669,9 @@ class QFraction:
     Normal form: the denominator has lowest doubled exponent 0 and lowest
     coefficient 1, and shares no non-unit factor with the numerator, so
     equality of values coincides with structural equality.
+
+    The constructor makes a value of ints, Fractions or HalfLaurents; the
+    operators and == take QFraction operands only, factored ones included.
     """
 
     __slots__ = ("num", "den", "_hash", "_printed")
@@ -791,39 +787,25 @@ class QFraction:
         # num/den in lowest terms; den is already normalized
         return cls._raw(num, den) if _is_one(den) else cls(num, den)
 
-    @classmethod
-    def _coerce(cls, x):
-        if isinstance(x, QFraction):
-            return x
-        if isinstance(x, (int, Fraction, HalfLaurent)):
-            return cls(x)
-        return None
-
     def __bool__(self):
         return bool(self.num)
 
     def __eq__(self, other):
-        other = QFraction._coerce(other)
-        if other is None:
+        if not isinstance(other, QFraction):
             return NotImplemented
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
-        # a value with denominator 1 equals, so must hash like, its
-        # numerator (and through it a constant's int or Fraction value)
+        """hash((num, den)), equal for equal values by the normal form."""
         if self._hash is None:
-            if _is_one(self.den):
-                self._hash = hash(self.num)
-            else:
-                self._hash = hash((self.num, self.den))
+            self._hash = hash((self.num, self.den))
         return self._hash
 
     def __neg__(self):
         return QFraction._raw(-self.num, self.den)
 
     def __add__(self, other):
-        other = QFraction._coerce(other)
-        if other is None:
+        if not isinstance(other, QFraction):
             return NotImplemented
         if self.den == other.den:
             if _is_one(self.den):
@@ -845,17 +827,13 @@ class QFraction:
         t, g = _cancel(a * d + c * b, g)
         return QFraction._raw(t, b * d * g)
 
-    __radd__ = __add__
-
     def __sub__(self, other):
-        other = QFraction._coerce(other)
-        if other is None:
+        if not isinstance(other, QFraction):
             return NotImplemented
         return self + (-other)
 
     def __mul__(self, other):
-        other = QFraction._coerce(other)
-        if other is None:
+        if not isinstance(other, QFraction):
             return NotImplemented
         if not self.num or not other.num:
             return ZERO
@@ -867,11 +845,8 @@ class QFraction:
         v = QFraction._reduced(other.num, self.den)
         return QFraction._raw(u.num * v.num, u.den * v.den)
 
-    __rmul__ = __mul__
-
     def __truediv__(self, other):
-        other = QFraction._coerce(other)
-        if other is None:
+        if not isinstance(other, QFraction):
             return NotImplemented
         return self * other.inverse()
 

@@ -9,7 +9,6 @@ explicit matrices and vectors so the two routes stay independent.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations
 
 from ..branching import BranchingData, _even_block_dominant
@@ -174,9 +173,10 @@ def projector_algebra_check(W, lam, kind):
 
 
 def _count(x):
-    """x as a nonnegative int, or None when it is not one."""
-    c = Fraction(dict(x.num.items()).get(0, 0))
-    return int(c) if x == c and c >= 0 and c.denominator == 1 else None
+    """x as a nonnegative int, or None when it is not one: its constant
+    term c, an int or a Fraction, when x == QFraction(c)."""
+    c = dict(x.num.items()).get(0, 0)
+    return int(c) if c >= 0 and int(c) == c and x == QFraction(c) else None
 
 
 def _kac_dimension(mu):

@@ -68,9 +68,10 @@ class RepModule:
     def cached(self, key, build):
         """The value build() made once per module and kept under key.
 
-        Every later caller shares the kept value, so it must not change:
-        a Matrix has no setter, and any other value must be immutable too,
-        such as a tuple of tuples.
+        Every later caller shares the kept value, so no caller may change
+        it or any part of it.  A Matrix has no setter; the dicts, lists and
+        tuples kept, such as the vectors of _branch_start, _start_powers,
+        _component_powers and _shifted_family, are only read.
         """
         if key not in self._cache:
             self._cache[key] = build()
@@ -253,10 +254,9 @@ def _lowering_span(W, starts, gens):
 def realized_modules(sig, k_max, dim_cap):
     """The highest weight modules of multiplicity one inside the tensor
     powers V^(x)k, k <= k_max, smallest power first, as (Weight, module)
-    pairs.  A weight met at a lower power is not taken again, modules of
-    dimension above dim_cap are left out, and no tensor power of dimension
-    above 2 * dim_cap is decomposed."""
-    seen = set()
+    pairs.  Every weight of V^(x)k has component sum k, so none recurs
+    across powers.  Modules of dimension above dim_cap are left out, and no
+    tensor power of dimension above 2 * dim_cap is decomposed."""
     out = []
     W = None
     for _ in range(k_max):
@@ -264,9 +264,8 @@ def realized_modules(sig, k_max, dim_cap):
         if W.dim > 2 * dim_cap:
             break
         for wt, vecs in highest_weight_vectors(W):
-            if wt in seen or len(vecs) != 1:
+            if len(vecs) != 1:
                 continue
-            seen.add(wt)
             M = submodule(W, [vecs[0]])
             if M.dim <= dim_cap:
                 out.append((Weight(sig, wt), M))

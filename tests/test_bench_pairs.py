@@ -290,3 +290,18 @@ def test_bench_takes_checkouts_relative_to_the_current_directory(
         for side in ("change", "parent")]
     record = json.loads((tmp_path / "BENCH_t.json").read_text())
     assert record["git_sha"] == {"parent": "parent", "change": "change"}
+
+
+@pytest.mark.parametrize("shas", [("aaa", "aaa"), ("aaa", "bbb")])
+def test_equal_shas_are_warned_of(tmp_path, capsys, monkeypatch, shas):
+    # an uncommitted change reports its parent's sha, so equal shas cannot
+    # tell the sides apart
+    monkeypatch.chdir(tmp_path)
+    for side, sha in zip(("parent", "change"), shas):
+        _write(tmp_path / side, sha, "oracle", 1, 1.0, 1.0)
+    assert bench_pairs.main([
+        "--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"),
+        "--run", "oracle:1", "--label", "t"]) == 0
+    err = capsys.readouterr().err
+    warned = "warning: both sides report git sha aaa" in err
+    assert warned is (shas[0] == shas[1])

@@ -99,7 +99,7 @@ def test_wigner_both_forms_print_their_own_values(capsys, monkeypatch):
     def differing(b, kind, form):
         table = real(b, kind, form)
         if form == "qnumber_phase":
-            table[3] = table[3] + 1
+            table[3] = table[3] + ONE
         return table
 
     argv = ("wigner", "--weight", "1,0|0", "--lower", "0,0", "--kind", "lower",

@@ -65,6 +65,11 @@ def test_qpow_monomials():
     assert qpow(-3) == laurent({-6: 1})
     with pytest.raises(ValueError):
         qpow(Fraction(1, 3))
+    # no exponent but an int or a Fraction is taken, though 0.5 equals and
+    # hashes like the Fraction(1, 2) just cached
+    for x in (0.5, 1.0, "1"):
+        with pytest.raises(InvalidArgument, match="got %r" % (x,)):
+            qpow(x)
 
 
 def test_field_example_sum_to_one():
@@ -85,20 +90,6 @@ def test_division_by_zero():
         ZERO.inverse()
     with pytest.raises(ZeroDivisionError):
         QFraction(1, laurent())
-
-
-def test_constants_hash_like_their_values():
-    for c in (0, 1, 2, Fraction(1, 2)):
-        x = QFraction(c)
-        assert x == c and hash(x) == hash(c)
-        assert len({x, c}) == 1
-        # its numerator hashes like it too, though no HalfLaurent equals
-        # a scalar
-        assert x.num == HalfLaurent.const(c) and hash(x.num) == hash(c)
-    assert len({ONE, 1}) == 1
-    # a quotient with denominator 1 hashes like its numerator
-    assert hash(QFraction(qpow(1))) == hash(qpow(1))
-    assert str(QFraction(2)) == "2" and str(HalfLaurent.const(2)) == "2"
 
 
 def test_limit_q1_examples():
@@ -770,8 +761,8 @@ def test_factored_values_compare_like_expanded_ones(n1, d1, n2, d2, g):
     # x and y are factored (from_merged); z is x's factors reordered with g
     # on both sides, so z == x.  Two factored values are equal exactly when
     # their expanded normal forms are, and compare with nothing expanded;
-    # against plain values, ZERO, ONE and ints == and != agree in both
-    # orders, and each factored value hashes like its eager construction
+    # against plain values, ZERO, ONE and a constant == and != agree in
+    # both orders, and each factored value hashes like its eager construction
     one = HalfLaurent.const(1)
 
     def both(nums, dens):
@@ -786,13 +777,32 @@ def test_factored_values_compare_like_expanded_ones(n1, d1, n2, d2, g):
     _agree(x, y, _same(ex, ey))
     _agree(x, z, True)
     assert not any(map(_expanded, (x, y, z)))
-    for v in (ex, ey, ZERO, ONE, 0, 1, 3):
-        want = _same(ex, QFraction(v) if isinstance(v, int) else v)
+    for v in (ex, ey, ZERO, ONE, QFraction(3)):
+        want = _same(ex, v)
         _agree(both(n1, d1)[0], v, want)
         _agree(x, v, want)
     assert _expanded(x) and _same(x, ex) and _same(z, ex)
     fresh = both(n1, d1)[0]
     assert hash(fresh) == hash(ex) and bool(fresh) and len({fresh, ex}) == 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(cyclotomic_factors, max_size=3),
+       st.lists(cyclotomic_factors, max_size=3))
+@example([], [])
+@example([HalfLaurent.const(Fraction(-3, 2))], [])
+@example([qpow(Fraction(1, 2)) * HalfLaurent.const(3)], [qnum(2)])
+def test_equal_values_hash_alike(nums, dens):
+    # one value built plain (the constructor), factored (from_merged) and
+    # parsed (parse_qfraction) hashes as hash((num, den)) each way, the
+    # hashes taken before anything compares or prints
+    one = HalfLaurent.const(1)
+    plain = QFraction(math.prod(nums, start=one), math.prod(dens, start=one))
+    factored = quotient_of_factors(nums, dens)
+    parsed = parse_qfraction(str(QFraction(plain.num, plain.den)))
+    hashes = [hash(x) for x in (plain, factored, parsed)]
+    assert hashes == [hash((plain.num, plain.den))] * 3
+    assert plain == factored == parsed and len({plain, factored, parsed}) == 1
 
 
 def test_packed_exponents_stay_in_their_slots(monkeypatch):
@@ -1008,20 +1018,39 @@ def test_half_laurent_operands():
         2 * qnum(2)
     with pytest.raises(TypeError):
         qpow(1) - 1
-    # a constant is no scalar, but hashes like one, as QFraction(3) == 3
-    # hashes through its numerator
-    assert three != 3 and hash(three) == hash(3) == hash(QFraction(3))
-    x = QFraction(p, qnum(3))
-    for other in (3, Fraction(1, 2)):
-        c = QFraction(other)
-        assert x + other == other + x == x + c
-        assert x - other == x - c
-        assert x * other == other * x == x * c
-        assert x / other == x / c
-        assert x != other and QFraction(other) == other
-        # QFraction has no reflected - or /: no caller outside the tests
-        # used them
-        with pytest.raises(TypeError):
-            other - x
-        with pytest.raises(TypeError):
-            other / x
+    assert three != 3 and 3 != three
+
+
+def test_qfraction_operands():
+    # QFraction's operators and == take QFraction operands only, a
+    # factored one as well as a plain one: an int, a Fraction or a
+    # HalfLaurent enters through the constructor
+    plain = QFraction(qnum(2), qnum(3))
+    factored = quotient_of_factors([qnum(2)], [qnum(3)])
+    ops = (operator.add, operator.sub, operator.mul, operator.truediv)
+    for x in (plain, factored):
+        for other in (3, Fraction(1, 2), qnum(2)):
+            for op in ("__add__", "__sub__", "__mul__", "__truediv__", "__eq__"):
+                assert getattr(x, op)(other) is NotImplemented
+            for f in ops:
+                with pytest.raises(TypeError):
+                    f(x, other)
+                with pytest.raises(TypeError):
+                    f(other, x)
+            assert (x == other) is False and (other == x) is False
+            assert (x != other) is True and (other != x) is True
+            c = QFraction(other)
+            for f in ops:
+                assert f(x, c) == f(plain, c) and f(c, x) == f(c, plain)
+        assert x + factored == plain * QFraction(2)
+    # the constructor builds each scalar, which no value equals
+    for c in (0, 1, 3, Fraction(-1, 2)):
+        x = QFraction(c)
+        assert x == QFraction(HalfLaurent.const(c)) == QFraction(c, 1)
+        assert x.num == HalfLaurent.const(c) and str(x) == str(c)
+        assert x != c and c != x and len({x, c}) == 2
+    assert QFraction(0) == ZERO and QFraction(1) == ONE
+    assert QFraction(1, 2) == QFraction(Fraction(1, 2))
+    assert QFraction(qnum(2), 3) == plain * QFraction(qnum(3), 3)
+    # zero is tested by truth or against ZERO
+    assert not ZERO and ZERO != 0 and QFraction(0) == ZERO

@@ -1311,6 +1311,8 @@ cases = {
     "subalgebra_roots_variant": lambda: sw.subalgebra_roots((1, 0), "nope", S21),
     "chi_v_kind": lambda: chi_v(LAM, "nope"),
     "qpow": lambda: qpow(Fraction(1, 3)),
+    "qpow_float": lambda: qpow(0.5),
+    "deformed_root_float": lambda: sw.deformed_root(0.5),
     "qnum": lambda: qnum(Fraction(1, 2)),
     "parse_exponent": lambda: parse_qfraction("q^1/3"),
     "parse_exponent_text": lambda: parse_qfraction("q^x"),

@@ -162,7 +162,7 @@ def _linear_residuals_by_addition(b, variant, form):
             ak = side.alpha[k]
             f = _F(side, ak, r)
             if f:
-                acc = acc + omegas[k] / f
+                acc = acc + omegas[k] / QFraction(f)
             else:
                 acc = acc + quotient_of_factors(
                     [_F(side, ak, l) for l in side.L if l != r],
@@ -382,7 +382,7 @@ def test_tables():
 def _shifted_factor(x, y, t):
     """deformed(x) - q^(2t) deformed(y) + t q^t, built afresh."""
     return (deformed_root(x) - QFraction(qpow(2 * t)) * deformed_root(y)
-            + t * QFraction(qpow(t)))
+            + QFraction(t) * QFraction(qpow(t)))
 
 
 def _reference_side_fields(b, variant):
@@ -435,10 +435,11 @@ def test_cached_factors_equal_fresh_ones():
     span = range(-6, 7)
     for x in span:
         for y in span:
-            assert _root_diff(x, y) == deformed_root(x) - deformed_root(y)
+            assert (QFraction(_root_diff(x, y))
+                    == deformed_root(x) - deformed_root(y))
             # the shifted factor is one root difference
             for t in (-1, 1):
-                assert _root_diff(x, y - t) == _shifted_factor(x, y, t)
+                assert QFraction(_root_diff(x, y - t)) == _shifted_factor(x, y, t)
     checked = 0
     for lam in ((2, 1, 0), (3, 1, -1)):
         for b in branch_candidates(Weight(S21, lam)):
@@ -451,7 +452,7 @@ def test_cached_factors_equal_fresh_ones():
                 for l in side.L:
                     t = side.tau * side.sign[l]
                     for x in span:
-                        assert _F(side, x, l) == _shifted_factor(
+                        assert QFraction(_F(side, x, l)) == _shifted_factor(
                             x, side.alpha0[l], t)
                         checked += 1
     assert checked

@@ -30,7 +30,8 @@ prints the lines of ``*.py`` files added and removed under ``src/``,
 ``tests/``, ``tools/`` and ``demos/`` between the two checkouts, by
 ``git diff --no-index --numstat``.  It writes
 ``BENCH_<label>.json``, in the current directory, with the same numbers,
-both git shas and the machine record.  Without ``--bench`` it runs no
+both git shas and the machine record, and warns on standard error when
+the two shas are equal.  Without ``--bench`` it runs no
 benchmark: run it on both checkouts first, alternating which goes first.
 """
 
@@ -277,6 +278,11 @@ def main(argv=None):
         for name, n in record["net_lines"].items()))
     record["git_sha"] = {side: one(results, "git_sha", side)
                          for side, results in sides.items()}
+    if record["git_sha"]["parent"] == record["git_sha"]["change"]:
+        # perfbench/run.py reads HEAD, so an uncommitted change reads as its
+        # parent's commit
+        print("bench_pairs: warning: both sides report git sha %s"
+              % record["git_sha"]["parent"], file=sys.stderr)
     record["machine"] = {key: one(sides["parent"] + sides["change"], key, "two sides'")
                          for key in sides["parent"][0]["machine"]
                          if key not in ("git_sha", "seed")}
